@@ -97,13 +97,11 @@ def _scheme_lines(name: str, scheme: SignalingScheme) -> list[str]:
 
 
 def build_named_scheme(dist: ValueDistribution, name: str) -> SignalingScheme:
+    """Every scheme kind but ``buyeropt``, which ``cmd_build`` solves itself."""
     if name == "splitmatch":
         return split_and_match(dist).to_signaling_scheme()
     if name == "final":
         return monotone_fair_scheme(dist).final.to_signaling_scheme()
-    if name == "buyeropt":
-        scheme, _ = buyer_optimal_scheme(dist)
-        return scheme
     if name == "fullreveal":
         return full_revelation(dist)
     if name == "nosignal":
@@ -192,11 +190,13 @@ def cmd_build(args) -> int:
         print(f"error: invalid instance: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        scheme = build_named_scheme(dist, args.scheme)
-        lines = _instance_lines(dist) + _scheme_lines(args.scheme, scheme)
         if args.scheme == "buyeropt":
-            _, total = buyer_optimal_scheme(dist)
-            lines.append(f"buyer-optimal surplus: {total}")
+            scheme, total = buyer_optimal_scheme(dist)
+            extra = [f"buyer-optimal surplus: {total}"]
+        else:
+            scheme = build_named_scheme(dist, args.scheme)
+            extra = []
+        lines = _instance_lines(dist) + _scheme_lines(args.scheme, scheme) + extra
     except InvariantViolation as e:
         print(f"error: internal invariant violated: {e}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -277,10 +277,7 @@ def cmd_lowerbound(args) -> int:
     lines = []
     try:
         if args.kind == "buyeropt":
-            n = as_fraction(args.parameter)
-            if n <= 1:
-                raise MarketError(f"parameter must exceed 1, got {n}")
-            inst = buyer_optimal_lb_instance(n)
+            inst = buyer_optimal_lb_instance(args.parameter)
             profile_opt = scheme_surplus(inst.buyer_optimal)
             profile_alt = scheme_surplus(inst.alternative)
             lines += _instance_lines(inst.dist)

@@ -19,14 +19,12 @@ from typing import Sequence
 
 from .market import (
     InvariantViolation,
-    MarketError,
     SurplusProfile,
     ValueDistribution,
 )
 from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
-    SingletonEntry,
     split_and_match,
 )
 
@@ -52,24 +50,23 @@ class IronedFunction:
     contact_points: tuple[Fraction, ...]
     intervals: tuple[IroningInterval, ...]
 
-    def envelope_at(self, x: Fraction) -> Fraction:
-        for (x0, y0), (x1, y1) in zip(self.envelope, self.envelope[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise MarketError(f"argument {x} outside [0, 1]")
 
+def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[int]:
+    """Indices of the points on the lower convex hull, collinear ones kept.
 
-def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]):
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in points:
+    ``points`` must have strictly increasing abscissae.  The returned
+    indices are exactly the points that lie on the hull.
+    """
+    hull: list[int] = []
+    for k, (x, y) in enumerate(points):
         while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            # pop the middle point when it is on or above the chord
-            if (y1 - y0) * (p[0] - x1) >= (p[1] - y1) * (x1 - x0):
+            (x0, y0), (x1, y1) = points[hull[-2]], points[hull[-1]]
+            # pop the middle point only when it lies strictly above the chord
+            if (y1 - y0) * (x - x1) > (y - y1) * (x1 - x0):
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append(k)
     return hull
 
 
@@ -89,15 +86,7 @@ def iron(profile: SurplusProfile) -> IronedFunction:
         xs.append(xs[-1] + f)
         ys.append(ys[-1] + f * cs)
     vertices = list(zip(xs, ys))
-    hull = _lower_hull(vertices)
-
-    def hull_value(x: Fraction) -> Fraction:
-        for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return ys[-1] if x == xs[-1] else Fraction(0)
-
-    contact = [i for i, (x, y) in enumerate(vertices) if hull_value(x) == y]
+    contact = _lower_hull(vertices)
     intervals = []
     ironed = list(profile.surpluses)
     for a, b in zip(contact, contact[1:]):
@@ -115,7 +104,7 @@ def iron(profile: SurplusProfile) -> IronedFunction:
     return IronedFunction(
         profile=profile,
         cumulative=tuple(vertices),
-        envelope=tuple(hull),
+        envelope=tuple(vertices[i] for i in contact),
         ironed_values=tuple(ironed),
         contact_points=tuple(xs[i] for i in contact),
         intervals=tuple(intervals),
@@ -195,39 +184,17 @@ def pair_rectangles(
     return tuple(pairs)
 
 
-def _consolidated_singletons(
-    weights_by_index: dict[int, Fraction]
-) -> tuple[SingletonEntry, ...]:
-    return tuple(
-        SingletonEntry(i, w) for i, w in sorted(weights_by_index.items()) if w > 0
-    )
-
-
-def _assemble(
-    dist: ValueDistribution,
-    binaries: Sequence[BinarySignalEntry],
-    singleton_weights: dict[int, Fraction],
-) -> DecomposedScheme:
-    """Build a scheme, covering any per-value mass deficit with singletons."""
-    for w in singleton_weights.values():
+def _reweighted(
+    binaries: Sequence[BinarySignalEntry], weights: Sequence[Fraction]
+) -> list[BinarySignalEntry]:
+    """``binaries`` with new weights, dropping those cut to zero."""
+    out = []
+    for b, w in zip(binaries, weights):
         if w < 0:
-            raise InvariantViolation("singleton weight went negative")
-    used = [Fraction(0)] * dist.n
-    for b in binaries:
-        used[b.giver] += b.giver_mass(dist)
-        used[b.taker] += b.taker_mass(dist)
-    for i, w in singleton_weights.items():
-        used[i] += w
-    weights = dict(singleton_weights)
-    for i, f in enumerate(dist.masses):
-        residual = f - used[i]
-        if residual < 0:
-            raise InvariantViolation(
-                f"value index {i} is oversubscribed by {-residual}"
-            )
-        if residual > 0:
-            weights[i] = weights.get(i, Fraction(0)) + residual
-    return DecomposedScheme(dist, tuple(binaries), _consolidated_singletons(weights))
+            raise InvariantViolation("binary signal weight went negative")
+        if w > 0:
+            out.append(BinarySignalEntry(b.giver, b.taker, w))
+    return out
 
 
 def smooth(
@@ -238,19 +205,14 @@ def smooth(
     """Lift every class below half the ironed level up to at least half.
 
     For each rectangle pair whose deficit class earns less than half the
-    level: collect taker mass on the deficit value by scaling down the
-    singletons and binaries that deliver it, collect giver mass by scaling
-    down the binaries feeding the excess value, and rebuild equal-revenue
-    binaries from the collected givers onto the deficit value.  Leftover
-    mass returns as singletons, so the mixture still matches the prior.
+    level: scale down the binaries delivering taker mass to the deficit
+    value, scale down the binaries feeding the excess value, and rebuild
+    equal-revenue binaries from the freed givers onto the deficit value.
+    The mass the binaries no longer use returns as singletons.
     """
     dist = scheme.dist
     values = dist.values
     bin_weights = [b.weight for b in scheme.binaries]
-    orig_sing: dict[int, Fraction] = {}
-    for s in scheme.singletons:
-        orig_sing[s.index] = orig_sing.get(s.index, Fraction(0)) + s.weight
-    sing_weights = dict(orig_sing)
     new_binaries: list[BinarySignalEntry] = []
     for interval, pairs in zip(ironed.intervals, pairings):
         level = interval.level
@@ -263,8 +225,6 @@ def smooth(
             for j, b in enumerate(scheme.binaries):
                 if b.taker == vm:
                     bin_weights[j] -= b.weight * taker_cut
-            if vm in sing_weights:
-                sing_weights[vm] -= orig_sing[vm] * taker_cut
             giver_cut = (
                 pair.plus_width
                 / dist.masses[vp]
@@ -282,56 +242,29 @@ def smooth(
                     / (1 - values[g] / values[vm])
                 )
                 new_binaries.append(BinarySignalEntry(g, vm, new_weight))
-    for w in bin_weights:
-        if w < 0:
-            raise InvariantViolation("binary signal weight went negative")
-    survivors = [
-        BinarySignalEntry(b.giver, b.taker, w)
-        for b, w in zip(scheme.binaries, bin_weights)
-        if w > 0
-    ]
-    return _assemble(dist, survivors + new_binaries, sing_weights)
+    survivors = _reweighted(scheme.binaries, bin_weights)
+    return DecomposedScheme.from_binaries(dist, survivors + new_binaries)
 
 
 def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedScheme:
     """Cut every class down to exactly half the ironed surplus.
 
     Classes above the half level lose the matching fraction of every binary
-    signal in which they are the taker; the removed weight splits into
-    singletons on the giver and taker values, which carry no surplus.
+    signal in which they are the taker; the freed mass on the giver and
+    taker values returns as singletons, which carry no surplus.
     """
-    dist = scheme.dist
     current = scheme.surplus_values()
     target = ironed.ironed_values
     for cs, s in zip(current, target):
         if 2 * cs < s:
             raise InvariantViolation("smoothed surplus fell below half the level")
-    bin_weights = [b.weight for b in scheme.binaries]
-    sing_weights: dict[int, Fraction] = {}
-    for s in scheme.singletons:
-        sing_weights[s.index] = sing_weights.get(s.index, Fraction(0)) + s.weight
-    for i in range(dist.n):
-        if 2 * current[i] == target[i]:
-            continue
-        cut = (2 * current[i] - target[i]) / (2 * current[i])
-        for j, b in enumerate(scheme.binaries):
-            if b.taker != i:
-                continue
-            removed = b.weight * cut
-            bin_weights[j] -= removed
-            sing_weights[b.giver] = (
-                sing_weights.get(b.giver, Fraction(0))
-                + removed * b.giver_fraction(dist)
-            )
-            sing_weights[i] = (
-                sing_weights.get(i, Fraction(0)) + removed * b.taker_fraction(dist)
-            )
-    survivors = [
-        BinarySignalEntry(b.giver, b.taker, w)
-        for b, w in zip(scheme.binaries, bin_weights)
-        if w > 0
+    # every binary pays its taker surplus, so current[b.taker] > 0
+    weights = [
+        b.weight * target[b.taker] / (2 * current[b.taker]) for b in scheme.binaries
     ]
-    return _assemble(dist, survivors, sing_weights)
+    return DecomposedScheme.from_binaries(
+        scheme.dist, _reweighted(scheme.binaries, weights)
+    )
 
 
 @dataclass(frozen=True)
@@ -349,7 +282,8 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
     """Full pipeline: decompose, iron, smooth, and thin to half the level.
 
     The result is efficient and monotone with per-class surplus exactly
-    half the ironed surplus; each stage's mass accounting is re-verified.
+    half the ironed surplus.  Every stage is built by
+    ``DecomposedScheme.from_binaries``, so its mixture matches the prior.
     """
     base = split_and_match(dist)
     profile = base.surplus_profile()
@@ -359,10 +293,6 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
     )
     smoothed = smooth(base, ironed, pairings)
     final = finalize(smoothed, ironed)
-    for stage in (base, smoothed, final):
-        for i, f in enumerate(dist.masses):
-            if stage.mass_on(i) != f:
-                raise InvariantViolation(f"stage mixture differs at value index {i}")
     for cs, s in zip(final.surplus_values(), ironed.ironed_values):
         if 2 * cs != s:
             raise InvariantViolation("final surplus must be half the ironed level")

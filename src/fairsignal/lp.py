@@ -122,11 +122,11 @@ class _Tableau:
             self.pivot(leaving, entering)
 
 
-def solve_lp(lp: LinearProgram, check: bool = True) -> LPResult:
+def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve exactly; statuses are values, never exceptions.
 
-    With ``check`` the reported point is verified against every constraint
-    and sign restriction, guarding the fraction-free pivoting.
+    The reported point is verified against every constraint and sign
+    restriction, guarding the fraction-free pivoting.
     """
     sign = 1 if lp.maximize else -1
     objective = [sign * c for c in lp.objective]
@@ -220,21 +220,8 @@ def solve_lp(lp: LinearProgram, check: bool = True) -> LPResult:
     value = sum(
         (c * x for c, x in zip(lp.objective, point)), Fraction(0)
     )
-    if check:
-        _verify(lp, point)
+    _verify(lp, point)
     return LPResult("optimal", value, tuple(point))
-
-
-def format_lp(lp: LinearProgram) -> str:
-    """Plain-text tabular dump: objective row then constraint rows."""
-    lines = []
-    goal = "max" if lp.maximize else "min"
-    lines.append(goal + "  " + "  ".join(str(c) for c in lp.objective))
-    for coeffs, sense, rhs in lp.constraints:
-        lines.append("     " + "  ".join(str(a) for a in coeffs) + f"  {sense} {rhs}")
-    if lp.free:
-        lines.append("free " + " ".join(f"x{j}" for j in sorted(lp.free)))
-    return "\n".join(lines)
 
 
 def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:

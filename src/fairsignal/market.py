@@ -138,10 +138,6 @@ class ValueDistribution:
         """F(v_{i-1}), with F(v_0) = 0."""
         return sum(self.masses[:i], Fraction(0))
 
-    def tail_mass(self, i: int) -> Fraction:
-        """G(v_i) = total mass on values >= v_i."""
-        return sum(self.masses[i:], Fraction(0))
-
     def posted_revenues(self) -> tuple[Fraction, ...]:
         """Revenue v_i * G(v_i) for each candidate posted price."""
         out = []
@@ -212,12 +208,6 @@ class Signal:
     @property
     def lowest_value(self) -> Fraction:
         return self.dist.values[self.lowest_index]
-
-    def mass_at(self, index: int) -> Fraction:
-        for i, f in self.support:
-            if i == index:
-                return f
-        return Fraction(0)
 
     def optimal_price_index(self) -> int:
         """Index of the revenue-maximizing posted price, lowest tie first."""

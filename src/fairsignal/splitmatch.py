@@ -3,18 +3,20 @@
 Each value's mass is split into a giver half and a taker half.  The greedy
 pass repeatedly pairs the lowest value with remaining giver budget to the
 lowest higher value with remaining taker budget, emitting an equal-revenue
-binary signal that exhausts at least one of the two budgets.  Leftover mass
-becomes singleton signals.  The resulting scheme charges every buyer the
-lowest value in their signal, so the item always sells.
+binary signal that exhausts at least one of the two budgets.  The prior
+mass the binaries leave unused becomes singleton signals.  The resulting
+scheme charges every buyer the lowest value in their signal, so the item
+always sells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .market import (
+    InvariantViolation,
     MarketError,
     Signal,
     SignalingScheme,
@@ -73,22 +75,27 @@ class DecomposedScheme:
     binaries: tuple[BinarySignalEntry, ...]
     singletons: tuple[SingletonEntry, ...]
 
-    def mass_on(self, index: int) -> Fraction:
-        total = Fraction(0)
-        for b in self.binaries:
-            if b.giver == index:
-                total += b.giver_mass(self.dist)
-            elif b.taker == index:
-                total += b.taker_mass(self.dist)
-        for s in self.singletons:
-            if s.index == index:
-                total += s.weight
-        return total
+    @classmethod
+    def from_binaries(
+        cls, dist: ValueDistribution, binaries: Sequence[BinarySignalEntry]
+    ) -> "DecomposedScheme":
+        """The scheme of ``binaries`` plus singletons on the mass they leave.
 
-    def total_weight(self) -> Fraction:
-        return sum((b.weight for b in self.binaries), Fraction(0)) + sum(
-            (s.weight for s in self.singletons), Fraction(0)
-        )
+        Value i's singleton weight is f_i minus the mass the binaries place
+        on i, so the mixture matches the prior exactly; a value on which
+        the binaries place more than f_i is an invariant violation.
+        """
+        unused = list(dist.masses)
+        for b in binaries:
+            unused[b.giver] -= b.giver_mass(dist)
+            unused[b.taker] -= b.taker_mass(dist)
+        singletons = []
+        for i, w in enumerate(unused):
+            if w < 0:
+                raise InvariantViolation(f"value index {i} is oversubscribed by {-w}")
+            if w > 0:
+                singletons.append(SingletonEntry(i, w))
+        return cls(dist, tuple(binaries), tuple(singletons))
 
     def surplus_values(self) -> tuple[Fraction, ...]:
         """Expected surplus per value class; only taker mass contributes."""
@@ -159,12 +166,7 @@ def split_and_match(
         ledger.taker[l] -= weight * ratio
         if trace is not None:
             trace.append((s, l, weight))
-    singletons = []
-    for i in range(n):
-        leftover = ledger.giver[i] + ledger.taker[i]
-        if leftover > 0:
-            singletons.append(SingletonEntry(i, leftover))
-    return DecomposedScheme(dist, tuple(binaries), tuple(singletons))
+    return DecomposedScheme.from_binaries(dist, binaries)
 
 
 def truncated_upper_bound(dist: ValueDistribution, k: int) -> Fraction:

@@ -57,15 +57,6 @@ class StepFunction:
             left = right
         return out
 
-    def value_at(self, x: Fraction) -> Fraction:
-        """Value on the segment containing x (segments are left-open)."""
-        if not 0 < x <= 1:
-            raise MarketError(f"argument {x} outside (0, 1]")
-        for right, value in zip(self.breakpoints, self.values):
-            if x <= right:
-                return value
-        raise AssertionError("unreachable")
-
 
 def profile_step_function(profile: SurplusProfile) -> StepFunction:
     """Step function of a surplus profile: segment i spans value i's mass."""

@@ -45,6 +45,23 @@ class TestBuild:
         assert "buyer-optimal surplus: 1" in stdout
         assert "total consumer surplus: 1" in stdout
 
+    def test_buyeropt_solves_once(self, instance_file, capsys, monkeypatch):
+        from fairsignal import cli
+
+        calls = []
+        original = cli.buyer_optimal_scheme
+
+        def counted(dist):
+            calls.append(dist)
+            return original(dist)
+
+        monkeypatch.setattr(cli, "buyer_optimal_scheme", counted)
+        code, _, _ = run_cli(
+            capsys, "build", "--in", instance_file, "--scheme", "buyeropt"
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_single_value_instance(self, tmp_path, capsys):
         path = str(tmp_path / "one.json")
         save_instance(ValueDistribution.from_pairs([3], [1]), path)
@@ -189,6 +206,7 @@ class TestLowerbound:
     def test_degenerate_parameter_rejected(self, capsys):
         code, _, stderr = run_cli(capsys, "lowerbound", "buyeropt", "1")
         assert code == 2
+        assert "parameter must exceed 1, got 1" in stderr
 
     def test_epsilon_out_of_range_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "lowerbound", "universal", "1/50")

@@ -86,6 +86,17 @@ class TestIron:
             (F(1, 2), F(1), F(2), (2, 3)),
         ]
 
+    def test_collinear_contacts(self, running_example):
+        # cumulative surplus (0, 1/2, 1/2, 3/4, 1): the last three vertices
+        # lie on the chord from the origin, so all of them touch the hull
+        profile = SurplusProfile(running_example, (F(2), F(0), F(1), F(1)))
+        ironed = iron(profile)
+        assert ironed.contact_points == (F(0), F(1, 2), F(3, 4), F(1))
+        assert [
+            (iv.left, iv.right, iv.level, iv.classes) for iv in ironed.intervals
+        ] == [(F(0), F(1, 2), F(1), (0, 1))]
+        assert ironed.ironed_values == (F(1), F(1), F(1), F(1))
+
     def test_prefix_preserved_at_contacts(self):
         rng = random.Random(59)
         for _ in range(100):
@@ -93,13 +104,20 @@ class TestIron:
             profile = split_and_match(dist).surplus_profile()
             ironed = iron(profile)
             step = profile_step_function(profile)
+            # the envelope vertices are exactly the contact points, where the
+            # envelope meets the cumulative surplus
+            assert [x for x, _ in ironed.envelope] == list(ironed.contact_points)
+            for x, y in ironed.envelope:
+                if x > 0:
+                    assert y == integration_prefix(step, x)
             # the envelope never exceeds the cumulative surplus anywhere
             # (both are piecewise linear, so class boundaries suffice)
+            env = ironed.envelope
             for m in dist.cdf:
-                assert ironed.envelope_at(m) <= integration_prefix(step, m)
-            for m in ironed.contact_points:
-                if m > 0:
-                    assert ironed.envelope_at(m) == integration_prefix(step, m)
+                k = next(k for k in range(1, len(env)) if env[k][0] >= m)
+                (x0, y0), (x1, y1) = env[k - 1], env[k]
+                hull_y = y0 + (y1 - y0) * (m - x0) / (x1 - x0)
+                assert hull_y <= integration_prefix(step, m)
 
     def test_matches_chord_oracle(self):
         rng = random.Random(61)
@@ -222,8 +240,7 @@ class TestSmooth:
                 for i in range(dist.n)
             ):
                 checked += 1
-            for i, f in enumerate(dist.masses):
-                assert smoothed.mass_on(i) == f
+            smoothed.to_signaling_scheme()  # raises unless the mixture is the prior
         assert checked > 0  # corpus really exercises the lifting branch
 
 

@@ -81,19 +81,6 @@ def test_exact_rationals_survive():
     assert F(2, 5) * res.point[0] + F(1, 9) * res.point[1] <= F(22, 45)
 
 
-def test_format_lp_dump():
-    from fairsignal.lp import format_lp
-
-    lp = LinearProgram(objective=(F(1, 3), F(1)), free=frozenset({1}))
-    lp.add((F(2), F(-1)), LE, F(5, 2))
-    text = format_lp(lp)
-    assert text.splitlines() == [
-        "max  1/3  1",
-        "     2  -1  <= 5/2",
-        "free x1",
-    ]
-
-
 def brute_force_2d(lp: LinearProgram) -> Fraction:
     """Optimal value by enumerating all constraint-pair vertices."""
     rows = [(F(1), F(0), GE, F(0)), (F(0), F(1), GE, F(0))]

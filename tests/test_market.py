@@ -77,7 +77,7 @@ class TestMyerson:
         def scan(dist):
             best = None
             for i, v in enumerate(dist.values):
-                rev = v * dist.tail_mass(i)
+                rev = v * sum(dist.masses[i:])
                 if best is None or rev > best[1]:
                     best = (v, rev)
             return best

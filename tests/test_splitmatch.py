@@ -7,9 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from fairsignal.market import ValueDistribution, is_efficient, scheme_revenue
+from fairsignal.market import (
+    InvariantViolation,
+    ValueDistribution,
+    is_efficient,
+    scheme_revenue,
+)
 from fairsignal.splitmatch import (
     BinarySignalEntry,
+    DecomposedScheme,
     SingletonEntry,
     split_and_match,
     truncated_upper_bound,
@@ -83,6 +89,29 @@ def test_single_value_distribution():
     scheme = split_and_match(d)
     assert scheme.binaries == ()
     assert scheme.singletons == (SingletonEntry(0, F(1)),)
+
+
+class TestFromBinaries:
+    @pytest.mark.parametrize(
+        "weight, singletons",
+        [
+            (F(1, 4), ((0, F(1, 8)), (1, F(1, 8)), (2, F(1, 4)), (3, F(1, 4)))),
+            # both values fully used by the binary: no zero-weight singletons
+            (F(1, 2), ((2, F(1, 4)), (3, F(1, 4)))),
+        ],
+    )
+    def test_singletons_carry_unused_mass(self, running_example, weight, singletons):
+        scheme = DecomposedScheme.from_binaries(
+            running_example, [BinarySignalEntry(0, 1, weight)]
+        )
+        assert scheme.singletons == tuple(SingletonEntry(i, w) for i, w in singletons)
+
+    def test_oversubscribed_value_raises(self, running_example):
+        # the giver half of weight 1 puts mass 1/2 on a value of mass 1/4
+        with pytest.raises(InvariantViolation, match="value index 0 is oversubscribed by 1/4"):
+            DecomposedScheme.from_binaries(
+                running_example, [BinarySignalEntry(0, 1, F(1))]
+            )
 
 
 class TestGreedyInvariants:
