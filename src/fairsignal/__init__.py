@@ -28,7 +28,7 @@ from .market import (
 )
 from .steps import (
     StepFunction,
-    alpha_between,
+    certification_grid,
     evaluate_welfare,
     integration_prefix,
     profile_step_function,

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import fileio
 from .ironing import monotone_fair_scheme
@@ -21,7 +21,6 @@ from .market import (
     MarketError,
     PlausibilityError,
     SignalingScheme,
-    SurplusProfile,
     ValueDistribution,
     as_fraction,
     full_revelation,
@@ -33,6 +32,7 @@ from .market import (
     scheme_surplus,
 )
 from .oracles import (
+    DEFAULT_MAX_N,
     adversary_grid,
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
@@ -43,6 +43,7 @@ from .oracles import (
 from .splitmatch import split_and_match
 from .steps import (
     WELFARE_KINDS,
+    StepFunction,
     evaluate_welfare,
     integration_prefix,
     profile_step_function,
@@ -57,6 +58,13 @@ EXIT_OK = 0
 EXIT_GUARANTEE_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INVARIANT = 3
+
+# Scheme files of large instances hold rationals longer than Python's
+# default 4,300-digit int/str limit (12,945 characters for a clustered
+# instance at n=256).  Parsing one 10**5-digit integer takes 0.1-0.2 s and
+# a 10**6-digit one about 10 s (Python 3.11, 2-vCPU Xeon VM), so the limit
+# is raised, not lifted; bounding hostile input needs its own size check.
+MAX_INT_DIGITS = 100_000
 
 
 def _fmt(x) -> str:
@@ -109,13 +117,18 @@ def build_named_scheme(dist: ValueDistribution, name: str) -> SignalingScheme:
     raise ValueError(f"unknown scheme kind {name!r}")
 
 
-def majorization_rows(
-    profile: SurplusProfile,
+def certify(
+    step: StepFunction,
     grid: Sequence[Fraction],
-    with_adversary: bool,
-    max_support: Optional[int] = None,
-) -> list[dict]:
-    step = profile_step_function(profile)
+    rival: Optional[Callable[[Fraction], Fraction]] = None,
+) -> tuple[list[dict], Union[Fraction, float, None]]:
+    """Per-mass prefix table of ``step`` and its certified factor against ``rival``.
+
+    Each row holds ``m``, ``integration_prefix`` and ``sorted_prefix`` (PF).
+    With a rival it also holds ``adversary_prefix`` (the rival's value) and
+    ``ratio``: 0 where the rival is 0, math.inf where only PF is 0, else
+    rival / PF.  alpha is the largest ratio, or None without a rival.
+    """
     rows = []
     for m in grid:
         row = {
@@ -123,17 +136,15 @@ def majorization_rows(
             "integration_prefix": integration_prefix(step, m),
             "sorted_prefix": sorted_prefix(step, m),
         }
-        if with_adversary:
-            adv, _ = adversary_sorted_prefix(profile.dist, m, max_support)
+        if rival is not None:
+            adv = rival(m)
+            pf = row["sorted_prefix"]
             row["adversary_prefix"] = adv
-            if adv == 0:
-                row["ratio"] = Fraction(0)
-            elif row["sorted_prefix"] == 0:
-                row["ratio"] = math.inf
-            else:
-                row["ratio"] = adv / row["sorted_prefix"]
+            row["ratio"] = Fraction(0) if adv == 0 else math.inf if pf == 0 else adv / pf
         rows.append(row)
-    return rows
+    if rival is None:
+        return rows, None
+    return rows, max(row["ratio"] for row in rows)
 
 
 def _table_lines(rows: Sequence[dict], with_adversary: bool) -> list[str]:
@@ -150,19 +161,6 @@ def _table_lines(rows: Sequence[dict], with_adversary: bool) -> list[str]:
             cells.append("inf" if ratio == math.inf else str(ratio))
         lines.append(" | ".join(cells))
     return lines
-
-
-def _certified_alpha(rows: Sequence[dict]):
-    alpha = Fraction(0)
-    for row in rows:
-        ratio = row.get("ratio")
-        if ratio is None:
-            continue
-        if ratio == math.inf:
-            return math.inf
-        if ratio > alpha:
-            alpha = ratio
-    return alpha
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -189,17 +187,13 @@ def cmd_build(args) -> int:
     except (MarketError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: invalid instance: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        if args.scheme == "buyeropt":
-            scheme, total = buyer_optimal_scheme(dist)
-            extra = [f"buyer-optimal surplus: {total}"]
-        else:
-            scheme = build_named_scheme(dist, args.scheme)
-            extra = []
-        lines = _instance_lines(dist) + _scheme_lines(args.scheme, scheme) + extra
-    except InvariantViolation as e:
-        print(f"error: internal invariant violated: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
+    if args.scheme == "buyeropt":
+        scheme, total = buyer_optimal_scheme(dist)
+        extra = [f"buyer-optimal surplus: {total}"]
+    else:
+        scheme = build_named_scheme(dist, args.scheme)
+        extra = []
+    lines = _instance_lines(dist) + _scheme_lines(args.scheme, scheme) + extra
     if args.format == "json":
         payload = {"report": lines, "scheme": fileio.scheme_payload(scheme)}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -234,11 +228,14 @@ def cmd_verify(args) -> int:
             print(f"error: unknown requirement {r!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
     with_adversary = args.adversary or "majorized" in required
+    rival = None
+    if with_adversary:
+        rival = lambda m: adversary_sorted_prefix(dist, m, args.max_support)[0]
 
     profile = scheme_surplus(scheme)
     try:
         grid = _parse_grid(args.grid) if args.grid else adversary_grid(profile)
-        rows = majorization_rows(profile, grid, with_adversary, args.max_support)
+        rows, alpha = certify(profile_step_function(profile), grid, rival)
     except MarketError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -249,7 +246,6 @@ def cmd_verify(args) -> int:
     }
     lines = _instance_lines(dist) + _scheme_lines("file", scheme)
     if with_adversary:
-        alpha = _certified_alpha(rows)
         flags["majorized"] = alpha != math.inf and alpha <= MAJORIZATION_FACTOR
         lines.append(f"certified alpha: {_fmt(alpha)}")
         lines.append(
@@ -311,11 +307,12 @@ def cmd_lowerbound(args) -> int:
             ]
             if result.value != inst.best_min_surplus:
                 raise InvariantViolation("max-min LP value differs from closed form")
-            final = monotone_fair_scheme(inst.dist).final
-            rows = majorization_rows(
-                final.surplus_profile(), adversary_grid(final.surplus_profile()), True
+            profile = monotone_fair_scheme(inst.dist).final.surplus_profile()
+            _, alpha = certify(
+                profile_step_function(profile),
+                adversary_grid(profile),
+                lambda m: adversary_sorted_prefix(inst.dist, m)[0],
             )
-            alpha = _certified_alpha(rows)
             lines.append(f"certified alpha of monotone scheme: {_fmt(alpha)}")
     except MarketError as e:
         if isinstance(e, InvariantViolation):
@@ -358,7 +355,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--out", help="write the per-mass table here")
     v.add_argument("--format", choices=("csv", "json"), default="csv")
-    v.add_argument("--max-support", type=int, default=None, help=argparse.SUPPRESS)
+    v.add_argument(
+        "--max-support",
+        type=int,
+        default=DEFAULT_MAX_N,
+        help="largest support size the adversary LP accepts (default %(default)s)",
+    )
     v.set_defaults(func=cmd_verify)
 
     l = sub.add_parser("lowerbound", help="reproduce a hard instance family")
@@ -369,6 +371,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 builds may lack it
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)

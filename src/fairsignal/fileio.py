@@ -123,7 +123,7 @@ def write_majorization_table(
     target: PathOrFile,
     rows: Iterable[Mapping],
 ) -> None:
-    """Per-mass certification rows; see cli.majorization_rows for keys."""
+    """Per-mass certification rows; see cli.certify for keys."""
     fields = [
         "m",
         "integration_prefix",

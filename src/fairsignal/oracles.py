@@ -11,10 +11,9 @@ three-value instance families that pin down the lower bounds.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lp import EQ, GE, LE, LinearProgram, solve_lp
 from .market import (
@@ -27,9 +26,8 @@ from .market import (
     as_fraction,
     myerson,
 )
-from .steps import profile_step_function, sorted_breakpoints
+from .steps import certification_grid, profile_step_function
 
-MAX_N_ENV = "FAIRSIGNAL_MAX_N"
 DEFAULT_MAX_N = 8
 
 
@@ -107,24 +105,10 @@ def buyer_optimal_scheme(
     return _scheme_from_point(dist, result.point, col), result.value
 
 
-def _max_support_guard(n: int, max_support: Optional[int]) -> None:
-    if max_support is None:
-        raw = os.environ.get(MAX_N_ENV, str(DEFAULT_MAX_N))
-        try:
-            max_support = int(raw)
-        except ValueError:
-            raise MarketError(f"{MAX_N_ENV} must be an integer, got {raw!r}")
-    if n > max_support:
-        raise MarketError(
-            f"adversary oracle limited to {max_support} values; got {n} "
-            f"(override with {MAX_N_ENV} or max_support=)"
-        )
-
-
 def adversary_sorted_prefix(
     dist: ValueDistribution,
     m: Fraction,
-    max_support: Optional[int] = None,
+    max_support: int = DEFAULT_MAX_N,
 ) -> tuple[Fraction, SignalingScheme]:
     """Largest sorted m-prefix sum any scheme can achieve, with a witness.
 
@@ -135,7 +119,11 @@ def adversary_sorted_prefix(
     if not 0 < m <= 1:
         raise MarketError(f"prefix mass {m} outside (0, 1]")
     n = dist.n
-    _max_support_guard(n, max_support)
+    if n > max_support:
+        raise MarketError(
+            f"adversary oracle limited to {max_support} values; got {n} "
+            "(override with --max-support or max_support=)"
+        )
     cols = _canonical_columns(n)
     col = {kc: idx for idx, kc in enumerate(cols)}
     nu0 = len(cols)
@@ -163,12 +151,12 @@ def adversary_sorted_prefix(
 def adversary_grid(profile: SurplusProfile) -> tuple[Fraction, ...]:
     """Masses at which a scheme's majorization factor is certified.
 
-    Breakpoints of the profile's ascending rearrangement plus the prior's
-    CDF points, where the adversary's optimum can change slope.
+    The profile's segment edges and sorted breakpoints: both prefix sums of
+    the scheme are linear on each cell.  The adversary's optimum is convex
+    in m (a maximum of functions linear in m), so adversary <= alpha * PF
+    at both ends of a cell holds on the whole cell.
     """
-    grid = set(sorted_breakpoints(profile_step_function(profile)))
-    grid |= set(profile.dist.cdf)
-    return tuple(sorted(grid))
+    return certification_grid(profile_step_function(profile))
 
 
 @dataclass(frozen=True)

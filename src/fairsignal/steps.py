@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Union
 
 from .market import MarketError, SurplusProfile
 
@@ -112,42 +112,17 @@ def sorted_breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def default_alpha_grid(f1: StepFunction, f2: StepFunction) -> tuple[Fraction, ...]:
-    """Grid sufficient to certify sorted-prefix domination for every mass.
+def certification_grid(*fs: StepFunction) -> tuple[Fraction, ...]:
+    """Segment edges and sorted breakpoints of every f, ascending.
 
-    Both sorted prefix sums are piecewise linear between the union of their
-    rearrangement breakpoints (and vanish at 0), so the ratio is monotone on
-    each cell and extremes occur on this grid.
+    Every prefix sum of every f is linear between consecutive grid points
+    (and vanishes at 0), so a ratio of two of them is monotone on each cell
+    and its extremes over (0, 1] occur on this grid.
     """
-    grid = set(f1.breakpoints) | set(f2.breakpoints)
-    grid |= set(sorted_breakpoints(f1)) | set(sorted_breakpoints(f2))
+    grid: set[Fraction] = set()
+    for f in fs:
+        grid |= set(f.breakpoints) | set(sorted_breakpoints(f))
     return tuple(sorted(grid))
-
-
-def alpha_between(
-    f1: StepFunction,
-    f2: StepFunction,
-    m_grid: Optional[Iterable[Fraction]] = None,
-) -> Union[Fraction, float]:
-    """Smallest alpha with alpha * PF(f1, m) >= PF(f2, m) on the grid.
-
-    Returns math.inf when f2 carries surplus at a mass where f1 carries
-    none.  With the default grid the result certifies the inequality for
-    every mass in (0, 1].
-    """
-    grid = tuple(m_grid) if m_grid is not None else default_alpha_grid(f1, f2)
-    alpha: Union[Fraction, float] = Fraction(0)
-    for m in grid:
-        lhs = sorted_prefix(f1, m)
-        rhs = sorted_prefix(f2, m)
-        if rhs == 0:
-            continue
-        if lhs == 0:
-            return math.inf
-        ratio = rhs / lhs
-        if ratio > alpha:
-            alpha = ratio
-    return alpha
 
 
 def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, float]:

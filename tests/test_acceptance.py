@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairsignal.cli import certify
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import (
     PlausibilityError,
@@ -38,7 +39,7 @@ from fairsignal.splitmatch import (
     truncated_upper_bound,
 )
 from fairsignal.steps import (
-    alpha_between,
+    certification_grid,
     evaluate_welfare,
     integration_prefix,
     profile_step_function,
@@ -240,14 +241,11 @@ def test_c09_universal_lower_bound_family():
         ok &= result.value == inst.best_min_surplus
         final = monotone_fair_scheme(inst.dist).final
         profile = final.surplus_profile()
-        step = profile_step_function(profile)
-        alpha = F(0)
-        for m in adversary_grid(profile):
-            value, _ = adversary_sorted_prefix(inst.dist, m)
-            if value == 0:
-                continue
-            lhs = sorted_prefix(step, m)
-            alpha = max(alpha, value / lhs) if lhs > 0 else math.inf
+        _, alpha = certify(
+            profile_step_function(profile),
+            adversary_grid(profile),
+            lambda m: adversary_sorted_prefix(inst.dist, m)[0],
+        )
         alphas.append(alpha)
         ok &= alpha >= F(3, 2) - 10 * eps
     report(
@@ -270,7 +268,12 @@ def test_c10_welfare_approximation(certificates):
         }
         for _, _, witness in rows:
             adv_profile = scheme_surplus(witness)
-            alpha = alpha_between(step, profile_step_function(adv_profile))
+            adv_step = profile_step_function(adv_profile)
+            _, alpha = certify(
+                step,
+                certification_grid(step, adv_step),
+                lambda m: sorted_prefix(adv_step, m),
+            )
             if alpha == math.inf:
                 violations += 1
                 continue

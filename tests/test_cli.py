@@ -2,16 +2,33 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from fairsignal.cli import main
-from fairsignal.fileio import save_instance, save_scheme
-from fairsignal.market import ValueDistribution
+from fairsignal.fileio import load_scheme, save_instance, save_scheme
+from fairsignal.market import ValueDistribution, scheme_surplus
+from fairsignal.oracles import adversary_grid
 
 F = Fraction
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark, which is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -25,6 +42,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def nine_value_files(tmp_path, capsys):
+    """Instance file with 9 values, one above the adversary's default guard,
+    and its final scheme file."""
+    rng = random.Random(109)
+    values = sorted(rng.sample(range(1, 40), 9))
+    instance = str(tmp_path / "nine.json")
+    save_instance(ValueDistribution.from_pairs(values, [F(1, 9)] * 9), instance)
+    scheme = str(tmp_path / "nine_final.json")
+    code, _, _ = run_cli(
+        capsys, "build", "--in", instance, "--scheme", "final", "--out", scheme
+    )
+    assert code == 0
+    return instance, scheme
 
 
 class TestBuild:
@@ -113,6 +146,25 @@ class TestBuild:
         assert code == 3
         assert "invariant" in stderr
 
+    def test_rationals_beyond_default_digit_limit(self, tmp_path, capsys):
+        # the final scheme of this instance holds a 12,945-character rational;
+        # no clustered instance with n <= 128 came near the 4,300-digit limit
+        payload = perfbench_module("instances").make_instance(
+            "clustered", 256, random.Random("2:1:clustered:256")
+        )
+        instance = str(tmp_path / "clustered.json")
+        with open(instance, "w") as fh:
+            json.dump(payload, fh)
+        out = str(tmp_path / "final.json")
+        code, _, _ = run_cli(
+            capsys, "build", "--in", instance, "--scheme", "final", "--out", out
+        )
+        assert code == 0
+        with open(out) as fh:
+            assert max(len(digits) for digits in re.findall(r"\d+", fh.read())) > 4300
+        code, _, _ = run_cli(capsys, "verify", "--in", instance, "--scheme", out)
+        assert code == 0
+
 
 class TestVerify:
     def test_round_trip(self, instance_file, tmp_path, capsys):
@@ -181,6 +233,44 @@ class TestVerify:
         with open(table) as fh:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 3  # header plus two grid rows
+
+    def test_support_guard_exits_2(self, nine_value_files, capsys):
+        instance, scheme = nine_value_files
+        code, _, stderr = run_cli(
+            capsys, "verify", "--in", instance, "--scheme", scheme,
+            "--adversary", "--grid", "1",
+        )
+        assert code == 2
+        assert "adversary oracle limited to 8 values; got 9" in stderr
+
+    def test_max_support_lifts_guard(self, nine_value_files, capsys):
+        instance, scheme = nine_value_files
+        code, stdout, _ = run_cli(
+            capsys, "verify", "--in", instance, "--scheme", scheme,
+            "--adversary", "--grid", "1", "--max-support", "9",
+        )
+        assert code == 0
+        assert "certified alpha: " in stdout
+
+    def test_trace_counts_one_call_per_grid_mass(
+        self, instance_file, running_example, tmp_path, capsys
+    ):
+        # the benchmark's trace wraps the names cli calls; certification
+        # must reach each prefix sum and the adversary through them
+        out = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
+        recorder = perfbench_module("tracing").SpanRecorder()
+        try:
+            recorder.install()
+            code, _, _ = run_cli(
+                capsys, "verify", "--in", instance_file, "--scheme", out, "--adversary"
+            )
+        finally:
+            recorder.uninstall()
+        assert code == 0
+        grid = adversary_grid(scheme_surplus(load_scheme(out, running_example)))
+        assert recorder.counts["steps.grid_points"] == len(grid)
+        assert recorder.counts["oracles.adversary_calls"] == len(grid)
 
     def test_bad_grid_exits_2(self, instance_file, tmp_path, capsys):
         out = str(tmp_path / "final.json")

@@ -108,15 +108,6 @@ class TestAdversary:
         _, total = buyer_optimal_scheme(d)
         assert value == total
 
-    def test_support_guard_env_override(self, monkeypatch):
-        rng = random.Random(109)
-        values = sorted(rng.sample(range(1, 40), 9))
-        d = ValueDistribution.from_pairs(values, [F(1, 9)] * 9)
-        monkeypatch.setenv("FAIRSIGNAL_MAX_N", "9")
-        value, _ = adversary_sorted_prefix(d, F(1))
-        _, total = buyer_optimal_scheme(d)
-        assert value == total
-
     def test_matches_max_min_lp_on_three_values(self):
         # with the lowest class fixed at zero surplus and the heavy top
         # class, the sorted prefix through the middle class equals its

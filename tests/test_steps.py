@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairsignal.cli import certify
 from fairsignal.market import SurplusProfile, scheme_surplus
 from fairsignal.steps import (
     StepFunction,
-    alpha_between,
+    certification_grid,
     evaluate_welfare,
     integration_prefix,
     profile_step_function,
@@ -21,6 +22,12 @@ from fairsignal.steps import (
 )
 
 F = Fraction
+
+
+def alpha_against(f1: StepFunction, f2: StepFunction):
+    """Smallest alpha with alpha * PF(f1, m) >= PF(f2, m) for every mass m."""
+    _, alpha = certify(f1, certification_grid(f1, f2), lambda m: sorted_prefix(f2, m))
+    return alpha
 
 
 def quartile_step(values) -> StepFunction:
@@ -78,25 +85,25 @@ class TestSortedPrefix:
 
 class TestAlphaBetween:
     def test_identical_functions(self, nonmonotone_step):
-        assert alpha_between(nonmonotone_step, nonmonotone_step) == F(1)
+        assert alpha_against(nonmonotone_step, nonmonotone_step) == F(1)
 
     def test_neither_reference_majorizes_the_other(
         self, nonmonotone_step, monotone_step
     ):
-        assert alpha_between(nonmonotone_step, monotone_step) > 1
-        assert alpha_between(monotone_step, nonmonotone_step) > 1
+        assert alpha_against(nonmonotone_step, monotone_step) > 1
+        assert alpha_against(monotone_step, nonmonotone_step) > 1
 
     def test_pointwise_doubling(self):
         f2 = quartile_step([1, 2, 3, 4])
         f1 = quartile_step([2, 4, 6, 8])
-        assert alpha_between(f1, f2) == F(1, 2)
-        assert alpha_between(f2, f1) == F(2)
+        assert alpha_against(f1, f2) == F(1, 2)
+        assert alpha_against(f2, f1) == F(2)
 
     def test_infinite_when_uncovered(self):
         zero = quartile_step([0, 0, 0, 0])
         pos = quartile_step([1, 1, 1, 1])
-        assert alpha_between(zero, pos) == math.inf
-        assert alpha_between(pos, zero) == F(0)
+        assert alpha_against(zero, pos) == math.inf
+        assert alpha_against(pos, zero) == F(0)
 
 
 class TestWelfare:
@@ -180,7 +187,7 @@ class TestStepFunctionProperties:
     @given(step_functions(), step_functions())
     @settings(max_examples=100, deadline=None)
     def test_alpha_certifies_domination_on_fine_grid(self, f1, f2):
-        alpha = alpha_between(f1, f2)
+        alpha = alpha_against(f1, f2)
         if alpha == math.inf:
             return
         for k in range(1, 20):
