@@ -22,7 +22,6 @@ from .market import (
     is_monotone,
     myerson,
     no_signal,
-    optimal_price,
     scheme_revenue,
     scheme_surplus,
 )
@@ -38,7 +37,6 @@ from .steps import (
 from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
-    HalfMassLedger,
     SingletonEntry,
     split_and_match,
     truncated_upper_bound,

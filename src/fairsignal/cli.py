@@ -21,6 +21,7 @@ from .market import (
     MarketError,
     PlausibilityError,
     SignalingScheme,
+    SurplusProfile,
     ValueDistribution,
     as_fraction,
     full_revelation,
@@ -88,20 +89,24 @@ def _instance_lines(dist: ValueDistribution) -> list[str]:
     ]
 
 
-def _scheme_lines(name: str, scheme: SignalingScheme) -> list[str]:
+def _scheme_report(
+    name: str, scheme: SignalingScheme
+) -> tuple[list[str], SurplusProfile, dict[str, bool]]:
+    """Report lines of a scheme, with its surplus profile and its flags."""
     profile = scheme_surplus(scheme)
+    flags = {"efficient": is_efficient(scheme), "monotone": is_monotone(profile)}
     lines = [
         f"scheme: {name}",
         f"signals: {len(scheme.entries)}",
         f"revenue: {scheme_revenue(scheme)}",
         "surplus profile: [" + ", ".join(map(str, profile.surpluses)) + "]",
         f"total consumer surplus: {profile.total()}",
-        f"efficient: {_fmt(is_efficient(scheme))}",
-        f"monotone: {_fmt(is_monotone(profile))}",
+        f"efficient: {_fmt(flags['efficient'])}",
+        f"monotone: {_fmt(flags['monotone'])}",
     ]
     for kind in WELFARE_KINDS:
         lines.append(f"welfare {kind}: {_fmt(evaluate_welfare(profile, kind))}")
-    return lines
+    return lines, profile, flags
 
 
 def build_named_scheme(dist: ValueDistribution, name: str) -> SignalingScheme:
@@ -193,7 +198,7 @@ def cmd_build(args) -> int:
     else:
         scheme = build_named_scheme(dist, args.scheme)
         extra = []
-    lines = _instance_lines(dist) + _scheme_lines(args.scheme, scheme) + extra
+    lines = _instance_lines(dist) + _scheme_report(args.scheme, scheme)[0] + extra
     if args.format == "json":
         payload = {"report": lines, "scheme": fileio.scheme_payload(scheme)}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -232,7 +237,7 @@ def cmd_verify(args) -> int:
     if with_adversary:
         rival = lambda m: adversary_sorted_prefix(dist, m, args.max_support)[0]
 
-    profile = scheme_surplus(scheme)
+    scheme_lines, profile, flags = _scheme_report("file", scheme)
     try:
         grid = _parse_grid(args.grid) if args.grid else adversary_grid(profile)
         rows, alpha = certify(profile_step_function(profile), grid, rival)
@@ -240,11 +245,7 @@ def cmd_verify(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    flags = {
-        "efficient": is_efficient(scheme),
-        "monotone": is_monotone(profile),
-    }
-    lines = _instance_lines(dist) + _scheme_lines("file", scheme)
+    lines = _instance_lines(dist) + scheme_lines
     if with_adversary:
         flags["majorized"] = alpha != math.inf and alpha <= MAJORIZATION_FACTOR
         lines.append(f"certified alpha: {_fmt(alpha)}")

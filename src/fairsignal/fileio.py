@@ -57,6 +57,11 @@ def instance_payload(dist: ValueDistribution) -> dict:
     }
 
 
+def _is_array(x) -> bool:
+    """True for a JSON array; a string is a Sequence but not an array."""
+    return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
+
+
 def payload_to_instance(payload) -> ValueDistribution:
     if not isinstance(payload, Mapping):
         raise MarketError("instance file must hold an object")
@@ -65,7 +70,7 @@ def payload_to_instance(payload) -> ValueDistribution:
         masses = payload["masses"]
     except KeyError as missing:
         raise MarketError(f"instance file lacks key {missing}") from None
-    if not isinstance(values, Sequence) or not isinstance(masses, Sequence):
+    if not _is_array(values) or not _is_array(masses):
         raise MarketError("values and masses must be arrays")
     return ValueDistribution.from_pairs(
         [as_fraction(v) for v in values], [as_fraction(f) for f in masses]
@@ -93,10 +98,16 @@ def scheme_payload(scheme: SignalingScheme) -> dict:
 
 
 def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
-    if not isinstance(payload, Mapping) or "entries" not in payload:
-        raise MarketError("scheme file must hold an object with entries")
+    if not isinstance(payload, Mapping) or not _is_array(payload.get("entries")):
+        raise MarketError("scheme file must hold an object with an entries array")
     entries = []
     for entry in payload["entries"]:
+        if (
+            not isinstance(entry, Mapping)
+            or "weight" not in entry
+            or not isinstance(entry.get("support"), Mapping)
+        ):
+            raise MarketError("each scheme entry must hold a weight and a support object")
         weight = as_fraction(entry["weight"])
         support = tuple(
             (int(i), as_fraction(f)) for i, f in entry["support"].items()

@@ -27,6 +27,7 @@ from .splitmatch import (
     DecomposedScheme,
     split_and_match,
 )
+from .steps import profile_step_function
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,9 @@ def iron(profile: SurplusProfile) -> IronedFunction:
     constant on each ironing interval and equals the original surplus
     elsewhere; values at discontinuities are left limits.
     """
-    dist = profile.dist
-    xs = [Fraction(0)]
-    ys = [Fraction(0)]
-    for f, cs in zip(dist.masses, profile.surpluses):
-        xs.append(xs[-1] + f)
-        ys.append(ys[-1] + f * cs)
+    step = profile_step_function(profile)
+    xs = (Fraction(0),) + step.breakpoints
+    ys = step.integrals
     vertices = list(zip(xs, ys))
     contact = _lower_hull(vertices)
     intervals = []
@@ -144,13 +142,11 @@ def pair_rectangles(
     the total deficit exactly.
     """
     interval = ironed.intervals[t]
-    dist = profile.dist
     level = interval.level
     plus = []
     minus = []
     for i in interval.classes:
-        left = dist.cdf_before(i)
-        right = left + dist.masses[i]
+        left, right = ironed.cumulative[i][0], ironed.cumulative[i + 1][0]
         cs = profile.surpluses[i]
         if cs > level:
             plus.append((i, left, right, cs - level))

@@ -48,18 +48,22 @@ def as_fraction(x: RationalLike) -> Fraction:
 
     Strings may be "p/q" or decimal literals; floats are converted via their
     shortest decimal representation so that 0.1 becomes exactly 1/10.
+    Anything else, or a string or float that names no finite rational,
+    raises MarketError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise TypeError("bool is not a rational value")
+        raise MarketError("bool is not a rational value")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
+    if isinstance(x, (float, str)):
+        text = repr(x) if isinstance(x, float) else x.strip()
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise MarketError(f"cannot read {x!r} as a rational") from None
+    raise MarketError(f"cannot interpret {type(x).__name__} as a rational")
 
 
 @dataclass(frozen=True)
@@ -134,10 +138,6 @@ class ValueDistribution:
             out.append(acc)
         return tuple(out)
 
-    def cdf_before(self, i: int) -> Fraction:
-        """F(v_{i-1}), with F(v_0) = 0."""
-        return sum(self.masses[:i], Fraction(0))
-
     def posted_revenues(self) -> tuple[Fraction, ...]:
         """Revenue v_i * G(v_i) for each candidate posted price."""
         out = []
@@ -205,12 +205,8 @@ class Signal:
     def lowest_index(self) -> int:
         return self.support[0][0]
 
-    @property
-    def lowest_value(self) -> Fraction:
-        return self.dist.values[self.lowest_index]
-
-    def optimal_price_index(self) -> int:
-        """Index of the revenue-maximizing posted price, lowest tie first."""
+    def _posted_price(self) -> tuple[int, Fraction]:
+        """Revenue-maximizing price index, lowest tie first, and its revenue."""
         best_i = None
         best_rev = Fraction(0)
         tail = Fraction(1)
@@ -219,16 +215,13 @@ class Signal:
             if best_i is None or rev > best_rev:
                 best_i, best_rev = i, rev
             tail -= f
-        return best_i
+        return best_i, best_rev
+
+    def optimal_price_index(self) -> int:
+        return self._posted_price()[0]
 
     def revenue(self) -> Fraction:
-        i = self.optimal_price_index()
-        tail = sum((f for j, f in self.support if j >= i), Fraction(0))
-        return self.dist.values[i] * tail
-
-
-def optimal_price(signal: Signal) -> Fraction:
-    return signal.dist.values[signal.optimal_price_index()]
+        return self._posted_price()[1]
 
 
 @dataclass(frozen=True)

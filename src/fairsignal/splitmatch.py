@@ -125,19 +125,6 @@ class DecomposedScheme:
         return SignalingScheme(self.dist, tuple(entries))
 
 
-@dataclass
-class HalfMassLedger:
-    """Remaining giver/taker budgets, each starting at half the prior mass."""
-
-    giver: list[Fraction]
-    taker: list[Fraction]
-
-    @classmethod
-    def fresh(cls, dist: ValueDistribution) -> "HalfMassLedger":
-        halves = [f / 2 for f in dist.masses]
-        return cls(list(halves), list(halves))
-
-
 def split_and_match(
     dist: ValueDistribution,
     trace: Optional[list[tuple[int, int, Fraction]]] = None,
@@ -149,21 +136,23 @@ def split_and_match(
     the largest value both budgets allow, so at least one budget hits zero
     each round.  ``trace`` collects (s, l, weight) triples when provided.
     """
-    ledger = HalfMassLedger.fresh(dist)
+    # remaining giver and taker budgets, each starting at half the prior mass
+    giver = [f / 2 for f in dist.masses]
+    taker = list(giver)
     binaries: list[BinarySignalEntry] = []
     n = dist.n
     while True:
-        s = next((i for i in range(n) if ledger.giver[i] > 0), None)
+        s = next((i for i in range(n) if giver[i] > 0), None)
         if s is None:
             break
-        l = next((i for i in range(s + 1, n) if ledger.taker[i] > 0), None)
+        l = next((i for i in range(s + 1, n) if taker[i] > 0), None)
         if l is None:
             break
         ratio = dist.values[s] / dist.values[l]
-        weight = min(ledger.giver[s] / (1 - ratio), ledger.taker[l] / ratio)
+        weight = min(giver[s] / (1 - ratio), taker[l] / ratio)
         binaries.append(BinarySignalEntry(s, l, weight))
-        ledger.giver[s] -= weight * (1 - ratio)
-        ledger.taker[l] -= weight * ratio
+        giver[s] -= weight * (1 - ratio)
+        taker[l] -= weight * ratio
         if trace is not None:
             trace.append((s, l, weight))
     return DecomposedScheme.from_binaries(dist, binaries)

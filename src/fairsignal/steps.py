@@ -4,14 +4,20 @@ A surplus profile induces a step function mapping population quantiles to
 expected surplus.  Two prefix sums drive all comparisons here: the plain
 integral from 0, and the integral after rearranging segments in ascending
 order (the least surplus any sub-population of a given mass can carry).
-Both are piecewise linear in the mass argument, so a finite grid of
-breakpoints certifies inequalities for every mass.
+Each ``StepFunction`` computes, once, its cumulative integral at every
+breakpoint (``integrals``) and its ascending rearrangement (``ascending``);
+the plain prefix interpolates ``integrals`` and the sorted prefix is the
+plain prefix of ``ascending``.  Both are piecewise linear in the mass
+argument, so a finite grid of breakpoints certifies inequalities for every
+mass.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
@@ -48,14 +54,31 @@ class StepFunction:
             if v < 0:
                 raise MarketError("segment values must be non-negative")
 
-    def segments(self) -> list[tuple[Fraction, Fraction, Fraction]]:
-        """(left, right, value) triples with left-open segments."""
-        out = []
+    @cached_property
+    def integrals(self) -> tuple[Fraction, ...]:
+        """Integral over (0, b] at b = 0 and at every breakpoint b."""
+        out = [Fraction(0)]
         left = Fraction(0)
         for right, value in zip(self.breakpoints, self.values):
-            out.append((left, right, value))
+            out.append(out[-1] + value * (right - left))
             left = right
-        return out
+        return tuple(out)
+
+    @cached_property
+    def ascending(self) -> "StepFunction":
+        """Ascending rearrangement, one segment per distinct value."""
+        widths: dict[Fraction, Fraction] = {}
+        left = Fraction(0)
+        for right, value in zip(self.breakpoints, self.values):
+            widths[value] = widths.get(value, Fraction(0)) + (right - left)
+            left = right
+        values = sorted(widths)
+        edges = []
+        acc = Fraction(0)
+        for v in values:
+            acc += widths[v]
+            edges.append(acc)
+        return StepFunction(tuple(edges), tuple(values))
 
 
 def profile_step_function(profile: SurplusProfile) -> StepFunction:
@@ -67,20 +90,9 @@ def integration_prefix(f: StepFunction, m: Fraction) -> Fraction:
     """Integral of f over (0, m]."""
     if not 0 < m <= 1:
         raise MarketError(f"prefix mass {m} outside (0, 1]")
-    total = Fraction(0)
-    for left, right, value in f.segments():
-        if m <= left:
-            break
-        total += value * (min(m, right) - left)
-    return total
-
-
-def _ascending_segments(f: StepFunction) -> list[tuple[Fraction, Fraction]]:
-    """(width, value) pairs sorted by value ascending, equal values merged."""
-    widths: dict[Fraction, Fraction] = {}
-    for left, right, value in f.segments():
-        widths[value] = widths.get(value, Fraction(0)) + (right - left)
-    return [(widths[v], v) for v in sorted(widths)]
+    k = bisect_left(f.breakpoints, m)
+    left = f.breakpoints[k - 1] if k else Fraction(0)
+    return f.integrals[k] + f.values[k] * (m - left)
 
 
 def sorted_prefix(f: StepFunction, m: Fraction) -> Fraction:
@@ -89,27 +101,12 @@ def sorted_prefix(f: StepFunction, m: Fraction) -> Fraction:
     Equals the minimum total surplus carried by any measurable selection of
     mass m.
     """
-    if not 0 < m <= 1:
-        raise MarketError(f"prefix mass {m} outside (0, 1]")
-    total = Fraction(0)
-    remaining = m
-    for width, value in _ascending_segments(f):
-        take = min(width, remaining)
-        total += take * value
-        remaining -= take
-        if remaining == 0:
-            break
-    return total
+    return integration_prefix(f.ascending, m)
 
 
 def sorted_breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
     """Masses at which the ascending rearrangement changes value."""
-    out = []
-    acc = Fraction(0)
-    for width, _ in _ascending_segments(f):
-        acc += width
-        out.append(acc)
-    return tuple(out)
+    return f.ascending.breakpoints
 
 
 def certification_grid(*fs: StepFunction) -> tuple[Fraction, ...]:
@@ -134,10 +131,10 @@ def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, floa
     """
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare kind {kind!r}")
+    if kind == "utilitarian":
+        return profile.total()
     masses = profile.dist.masses
     surpluses = profile.surpluses
-    if kind == "utilitarian":
-        return sum((f * cs for f, cs in zip(masses, surpluses)), Fraction(0))
     if kind == "maxmin":
         return min(surpluses)
     if any(cs == 0 for cs in surpluses):

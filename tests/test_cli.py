@@ -111,6 +111,23 @@ class TestBuild:
         assert code == 2
         assert "invalid instance" in stderr
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"values": "12", "masses": ["1/2", "1/2"]},
+            {"values": [True, 2], "masses": ["1/2", "1/2"]},
+            {"values": [1, 2], "masses": [{}, "1/2"]},
+            {"values": [1, 2], "masses": ["1/0", "1/2"]},
+        ],
+    )
+    def test_malformed_instance_shape_exits_2(self, payload, tmp_path, capsys):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        code, _, stderr = run_cli(capsys, "build", "--in", path, "--scheme", "final")
+        assert code == 2
+        assert stderr.startswith("error: invalid instance:")
+
     def test_mass_sum_error_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -281,6 +298,38 @@ class TestVerify:
         assert code == 2
 
 
+    @pytest.mark.parametrize("grid", ["abc", "1/2,,1", "1/0"])
+    def test_malformed_grid_exits_2(self, grid, instance_file, tmp_path, capsys):
+        out = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", out, "--grid", grid
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"entries": 5},
+            {"entries": [1]},
+            {"entries": [{"weight": "1", "support": ["1/4", "1/4", "1/4", "1/4"]}]},
+            {"entries": [{"weight": True, "support": {"0": "1"}}]},
+            {"entries": [{"weight": {}, "support": {"0": "1"}}]},
+        ],
+    )
+    def test_malformed_scheme_file_exits_2(self, payload, instance_file, tmp_path, capsys):
+        path = str(tmp_path / "bad_scheme.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        code, _, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", path
+        )
+        assert code == 2
+        assert stderr.startswith("error: invalid scheme file:")
+
+
 class TestLowerbound:
     def test_buyeropt_ratio(self, capsys):
         code, stdout, _ = run_cli(capsys, "lowerbound", "buyeropt", "5")
@@ -297,6 +346,13 @@ class TestLowerbound:
         code, _, stderr = run_cli(capsys, "lowerbound", "buyeropt", "1")
         assert code == 2
         assert "parameter must exceed 1, got 1" in stderr
+
+    @pytest.mark.parametrize("kind", ["buyeropt", "universal"])
+    def test_malformed_parameter_exits_2(self, kind, capsys):
+        code, stdout, stderr = run_cli(capsys, "lowerbound", kind, "1/0")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ")
 
     def test_epsilon_out_of_range_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "lowerbound", "universal", "1/50")

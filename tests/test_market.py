@@ -9,6 +9,7 @@ import pytest
 
 from fairsignal.market import (
     InvalidDistribution,
+    MarketError,
     PlausibilityError,
     Signal,
     SignalingScheme,
@@ -20,7 +21,6 @@ from fairsignal.market import (
     is_monotone,
     myerson,
     no_signal,
-    optimal_price,
     scheme_revenue,
     scheme_surplus,
 )
@@ -62,6 +62,14 @@ class TestValueDistribution:
         assert as_fraction("3/7") == F(3, 7)
 
 
+@pytest.mark.parametrize(
+    "raw", ["abc", "", "1/2/3", "1/0", True, None, {}, [1], float("nan"), float("inf")]
+)
+def test_as_fraction_rejects_unreadable_input(raw):
+    with pytest.raises(MarketError):
+        as_fraction(raw)
+
+
 class TestMyerson:
     def test_running_example(self, running_example):
         price, revenue = myerson(running_example)
@@ -98,15 +106,16 @@ class TestMyerson:
 class TestOptimalPrice:
     def test_equal_revenue_binary_tie(self, running_example):
         signal = Signal.from_mapping(running_example, {0: F(1, 2), 1: F(1, 2)})
-        assert optimal_price(signal) == F(1)
+        assert signal.dist.values[signal.optimal_price_index()] == F(1)
 
     def test_singleton(self, running_example):
-        assert optimal_price(Signal.singleton(running_example, 3)) == F(6)
+        signal = Signal.singleton(running_example, 3)
+        assert signal.dist.values[signal.optimal_price_index()] == F(6)
 
     def test_two_point_comparison(self):
         d = ValueDistribution.from_pairs([1, 10], [F(1, 2), F(1, 2)])
         signal = Signal.from_mapping(d, {0: F(2, 3), 1: F(1, 3)})
-        assert optimal_price(signal) == F(10)
+        assert signal.dist.values[signal.optimal_price_index()] == F(10)
 
     def test_scale_invariance(self):
         # the argmax only depends on mass ratios, not normalization
@@ -124,6 +133,8 @@ class TestOptimalPrice:
                 ),
             )
             assert signal.optimal_price_index() == best
+            tail = sum(m for j, m in raw.items() if j >= best) / total
+            assert signal.revenue() == d.values[best] * tail
 
 
 class TestSchemeSurplus:

@@ -136,12 +136,18 @@ class TestWelfare:
 segment_values = st.fractions(min_value=0, max_value=10, max_denominator=6)
 
 
+# a small pool makes repeated and zero values common
+pooled_values = st.one_of(
+    st.sampled_from([F(0), F(1, 3), F(1), F(5, 2)]), segment_values
+)
+
+
 @st.composite
-def step_functions(draw):
-    k = draw(st.integers(min_value=1, max_value=6))
+def step_functions(draw, max_segments=6, value_strategy=segment_values):
+    k = draw(st.integers(min_value=1, max_value=max_segments))
     widths = [draw(st.integers(min_value=1, max_value=5)) for _ in range(k)]
     total = sum(widths)
-    values = [draw(segment_values) for _ in range(k)]
+    values = [draw(value_strategy) for _ in range(k)]
     breaks = []
     acc = 0
     for w in widths:
@@ -193,3 +199,70 @@ class TestStepFunctionProperties:
         for k in range(1, 20):
             m = F(k, 19)
             assert alpha * sorted_prefix(f1, m) >= sorted_prefix(f2, m)
+
+
+# Reference oracle: the left-to-right walks over the segments, as the prefix
+# sums were computed before they read StepFunction.integrals and .ascending.
+
+
+def walk_integration_prefix(f: StepFunction, m: Fraction) -> Fraction:
+    total = F(0)
+    left = F(0)
+    for right, value in zip(f.breakpoints, f.values):
+        if m <= left:
+            break
+        total += value * (min(m, right) - left)
+        left = right
+    return total
+
+
+def walk_ascending_segments(f: StepFunction) -> list[tuple[Fraction, Fraction]]:
+    """(width, value) pairs sorted by value ascending, equal values merged."""
+    widths: dict[Fraction, Fraction] = {}
+    left = F(0)
+    for right, value in zip(f.breakpoints, f.values):
+        widths[value] = widths.get(value, F(0)) + (right - left)
+        left = right
+    return [(widths[v], v) for v in sorted(widths)]
+
+
+def walk_sorted_prefix(f: StepFunction, m: Fraction) -> Fraction:
+    total = F(0)
+    remaining = m
+    for width, value in walk_ascending_segments(f):
+        take = min(width, remaining)
+        total += take * value
+        remaining -= take
+        if remaining == 0:
+            break
+    return total
+
+
+def walk_sorted_breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
+    out = []
+    acc = F(0)
+    for width, _ in walk_ascending_segments(f):
+        acc += width
+        out.append(acc)
+    return tuple(out)
+
+
+def probe_masses(f: StepFunction) -> list[Fraction]:
+    """Every breakpoint and sorted breakpoint, the midpoints between them,
+    and masses just off each one, inside (0, 1]."""
+    edges = sorted({F(0)} | set(f.breakpoints) | set(walk_sorted_breakpoints(f)))
+    eps = F(1, 10**9)
+    out = set(edges[1:])
+    out |= {(a + b) / 2 for a, b in zip(edges, edges[1:])}
+    out |= {b - eps for b in edges[1:]} | {b + eps for b in edges}
+    return sorted(m for m in out if 0 < m <= 1)
+
+
+class TestPrefixOracle:
+    @given(step_functions(max_segments=40, value_strategy=pooled_values))
+    @settings(max_examples=60, deadline=None)
+    def test_prefixes_equal_segment_walks(self, f):
+        assert sorted_breakpoints(f) == walk_sorted_breakpoints(f)
+        for m in probe_masses(f):
+            assert integration_prefix(f, m) == walk_integration_prefix(f, m)
+            assert sorted_prefix(f, m) == walk_sorted_prefix(f, m)
