@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 from . import fileio
 from .ironing import monotone_fair_scheme
 from .market import (
+    MAX_INT_DIGITS,
     InvariantViolation,
     MarketError,
     PlausibilityError,
@@ -63,9 +64,9 @@ EXIT_INVARIANT = 3
 # Scheme files of large instances hold rationals longer than Python's
 # default 4,300-digit int/str limit (12,945 characters for a clustered
 # instance at n=256).  Parsing one 10**5-digit integer takes 0.1-0.2 s and
-# a 10**6-digit one about 10 s (Python 3.11, 2-vCPU Xeon VM), so the limit
-# is raised, not lifted; bounding hostile input needs its own size check.
-MAX_INT_DIGITS = 100_000
+# a 10**6-digit one about 10 s (Python 3.11, 2-vCPU Xeon VM), so `main`
+# raises the limit to MAX_INT_DIGITS rather than lifting it, and
+# `as_fraction` refuses any rational read from input that is longer.
 
 
 def _fmt(x) -> str:

@@ -1,14 +1,20 @@
-"""Exact rational linear programming via two-phase primal simplex.
+"""Exact rational linear programming via primal simplex.
 
 The tableau is kept as an integer matrix with a single running denominator
 (the previous pivot), so every pivot is a fraction-free update and no
 floating point ever enters.  Bland's rule picks pivots, which rules out
 cycling, and the returned point is re-checked against every constraint
 before it is reported, so a solver defect cannot surface silently.
+
+Rows are normalized so that each ``<=`` row has a non-negative right-hand
+side (a ``>= 0`` row becomes a ``<= 0`` row); its slack then starts basic.
+Only equalities and ``>=`` rows with a positive right-hand side get an
+artificial variable, and phase 1 runs only when one of them is present.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,18 +55,12 @@ class LPResult:
     point: Optional[tuple[Fraction, ...]] = None
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int]:
-    scale = 1
-    for c in coeffs:
-        scale = _lcm(scale, c.denominator)
-    scale = _lcm(scale, rhs.denominator)
-    return [int(c * scale) for c in coeffs], int(rhs * scale)
+    scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return (
+        [c.numerator * (scale // c.denominator) for c in coeffs],
+        rhs.numerator * (scale // rhs.denominator),
+    )
 
 
 class _Tableau:
@@ -150,7 +150,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         for j, a in enumerate(int_coeffs):
             for col, s in col_of_var[j]:
                 expanded[col] = a * s
-        if int_rhs < 0:
+        if int_rhs < 0 or (int_rhs == 0 and sense == GE):
+            # a <= row with rhs >= 0 starts with its slack basic
             expanded = [-a for a in expanded]
             int_rhs = -int_rhs
             sense = {LE: GE, GE: LE, EQ: EQ}[sense]
@@ -190,7 +191,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     for j in range(ndec + nslack, ncols):
         phase1[j] += 1
 
-    tab = _Tableau(rows + [phase1, phase2], basis)
+    # with no artificials the all-slack basis is feasible: no phase-1 row
+    tab = _Tableau(rows + ([phase1] if nart else []) + [phase2], basis)
     enterable = [True] * ncols
     for j in range(ndec + nslack, ncols):
         enterable[j] = False  # artificials may leave but never re-enter
@@ -208,7 +210,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
                 if col is not None:
                     tab.pivot(i, col)
 
-    status = tab.run(tab.m + 1, enterable)
+    status = tab.run(len(tab.rows) - 1, enterable)
     if status == "unbounded":
         return LPResult("unbounded")
 
@@ -228,8 +230,9 @@ def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
     for j, x in enumerate(point):
         if j not in lp.free and x < 0:
             raise InvariantViolation(f"solver produced negative variable x{j}={x}")
+    support = [(j, x) for j, x in enumerate(point) if x]
     for coeffs, sense, rhs in lp.constraints:
-        lhs = sum((a * x for a, x in zip(coeffs, point)), Fraction(0))
+        lhs = sum((coeffs[j] * x for j, x in support if coeffs[j]), Fraction(0))
         ok = lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs
         if not ok:
             raise InvariantViolation(

@@ -15,6 +15,13 @@ from typing import Iterable, Mapping, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
+# Longest numerator or denominator, in decimal digits, read from outside.
+# The CLI raises Python's int/str conversion limit to the same figure, so
+# every rational it reads can also be printed.
+MAX_INT_DIGITS = 100_000
+# 2**bits < 10**MAX_INT_DIGITS for any int of at most this many bits
+_MAX_RATIONAL_BITS = MAX_INT_DIGITS * 3_321_928 // 1_000_000
+
 
 class MarketError(Exception):
     """Base error for invalid market-model inputs."""
@@ -48,22 +55,28 @@ def as_fraction(x: RationalLike) -> Fraction:
 
     Strings may be "p/q" or decimal literals; floats are converted via their
     shortest decimal representation so that 0.1 becomes exactly 1/10.
-    Anything else, or a string or float that names no finite rational,
-    raises MarketError.
+    Anything else, a string or float that names no finite rational, or a
+    numerator or denominator longer than MAX_INT_DIGITS digits raises
+    MarketError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise MarketError("bool is not a rational value")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (float, str)):
+        value = Fraction(x)
+    elif isinstance(x, (float, str)):
         text = repr(x) if isinstance(x, float) else x.strip()
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise MarketError(f"cannot read {x!r} as a rational") from None
-    raise MarketError(f"cannot interpret {type(x).__name__} as a rational")
+    else:
+        raise MarketError(f"cannot interpret {type(x).__name__} as a rational")
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > _MAX_RATIONAL_BITS:
+        raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+    return value
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@
 Any scheme can be rewritten, surplus for surplus, into at most n signals
 with pairwise-distinct lowest supports, each posting its lowest support.
 Optimizing over that canonical polytope therefore optimizes over all
-schemes.  The oracles here maximize total consumer surplus (the
-buyer-optimal baseline) and the sorted prefix sum at a given mass (the
-adversary used to certify approximate majorization), and reproduce the two
-three-value instance families that pin down the lower bounds.
+schemes.  The LPs carry no column for the mass of value i in the signal
+priced at v_i: the prior fixes it as f_i less the mass of value i priced
+lower.  The origin is then full revelation, a feasible vertex, and the
+simplex starts there without phase 1.  The oracles here maximize total
+consumer surplus (the buyer-optimal baseline) and the sorted prefix sum at
+a given mass (the adversary used to certify approximate majorization), and
+reproduce the two three-value instance families that pin down the lower
+bounds.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lp import EQ, GE, LE, LinearProgram, solve_lp
+from .lp import GE, LE, LinearProgram, solve_lp
 from .market import (
     InvariantViolation,
     MarketError,
@@ -32,8 +36,14 @@ DEFAULT_MAX_N = 8
 
 
 def _canonical_columns(n: int) -> list[tuple[int, int]]:
-    """Column order for x[k][i]: mass of value i priced at value k <= i."""
-    return [(k, i) for k in range(n) for i in range(k, n)]
+    """Column order for x[k][i]: mass of value i priced at a lower value k < i.
+
+    The diagonal x[i][i] has no column: it is whatever of f_i the other
+    signals leave, ``f_i - sum_{k<i} x[k][i]``.  The origin is therefore
+    full revelation, a feasible vertex, and every constraint row is a
+    ``<=`` row with a non-negative right-hand side once normalized.
+    """
+    return [(k, i) for k in range(n) for i in range(k + 1, n)]
 
 
 def _add_canonical_constraints(
@@ -41,19 +51,21 @@ def _add_canonical_constraints(
 ) -> None:
     n = dist.n
     width = lp.n_vars
-    for i in range(n):
+    values = dist.values
+    for i in range(1, n):  # the diagonal x[i][i] stays non-negative
         coeffs = [Fraction(0)] * width
-        for k in range(i + 1):
+        for k in range(i):
             coeffs[col[(k, i)]] = Fraction(1)
-        lp.add(coeffs, EQ, dist.masses[i])
+        lp.add(coeffs, LE, dist.masses[i])
     for k in range(n):
+        # revenue of signal k at v_k beats v_j; x[k][k] enters through f_k
         for j in range(k + 1, n):
             coeffs = [Fraction(0)] * width
-            for i in range(k, n):
-                coeffs[col[(k, i)]] = dist.values[k] - (
-                    dist.values[j] if i >= j else Fraction(0)
-                )
-            lp.add(coeffs, GE, Fraction(0))
+            for i in range(k + 1, n):
+                coeffs[col[(k, i)]] = values[k] - (values[j] if i >= j else 0)
+            for lower in range(k):
+                coeffs[col[(lower, k)]] = -values[k]
+            lp.add(coeffs, GE, -values[k] * dist.masses[k])
 
 
 def _scheme_from_point(
@@ -63,11 +75,13 @@ def _scheme_from_point(
 ) -> SignalingScheme:
     entries = []
     for k in range(dist.n):
-        masses = {
-            i: point[col[(k, i)]]
-            for i in range(k, dist.n)
-            if point[col[(k, i)]] > 0
-        }
+        diagonal = dist.masses[k] - sum(
+            (point[col[(lower, k)]] for lower in range(k)), Fraction(0)
+        )
+        masses = {k: diagonal} if diagonal > 0 else {}
+        for i in range(k + 1, dist.n):
+            if point[col[(k, i)]] > 0:
+                masses[i] = point[col[(k, i)]]
         weight = sum(masses.values(), Fraction(0))
         if weight == 0:
             continue
@@ -139,7 +153,7 @@ def adversary_sorted_prefix(
         coeffs = [Fraction(0)] * width
         coeffs[lam] = dist.masses[i]
         coeffs[nu0 + i] = -dist.masses[i]
-        for k in range(i + 1):
+        for k in range(i):
             coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
         lp.add(coeffs, LE, Fraction(0))
     result = solve_lp(lp)

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from fairsignal.market import Signal, SignalingScheme, ValueDistribution
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark, which is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import os
 import random
 import re
 from fractions import Fraction
@@ -16,19 +14,9 @@ from fairsignal.fileio import load_scheme, save_instance, save_scheme
 from fairsignal.market import ValueDistribution, scheme_surplus
 from fairsignal.oracles import adversary_grid
 
+from conftest import perfbench_module
+
 F = Fraction
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-
-
-def perfbench_module(name: str):
-    """A module of the benchmark, which is a directory of scripts, not a package."""
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -134,6 +122,24 @@ class TestBuild:
             json.dump({"values": [1, 2], "masses": ["1/2", "1/3"]}, fh)
         code, _, stderr = run_cli(capsys, "build", "--in", path, "--scheme", "final")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"values": [1, 2], "masses": ["1e-150000", "1"]},
+            {"values": ["1e-150000", 1], "masses": ["1/2", "1/2"]},
+        ],
+    )
+    def test_oversized_rational_exits_2(self, payload, tmp_path, capsys):
+        # 10**150000 is past the CLI's 100,000-digit int/str limit, so the
+        # rational could be read but never printed
+        path = str(tmp_path / "huge.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        code, stdout, stderr = run_cli(capsys, "build", "--in", path, "--scheme", "final")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: invalid instance: rational longer than 100000 digits\n"
 
     def test_json_format(self, instance_file, capsys):
         code, stdout, _ = run_cli(
@@ -297,6 +303,17 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_oversized_grid_mass_exits_2(self, instance_file, tmp_path, capsys):
+        out = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", out,
+            "--grid", "1e-150000",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+        assert "longer than 100000 digits" in stderr
 
     @pytest.mark.parametrize("grid", ["abc", "1/2,,1", "1/0"])
     def test_malformed_grid_exits_2(self, grid, instance_file, tmp_path, capsys):

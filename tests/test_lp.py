@@ -84,6 +84,7 @@ def test_exact_rationals_survive():
 def brute_force_2d(lp: LinearProgram) -> Fraction:
     """Optimal value by enumerating all constraint-pair vertices."""
     rows = [(F(1), F(0), GE, F(0)), (F(0), F(1), GE, F(0))]
+    rows = [row for j, row in enumerate(rows) if j not in lp.free]
     rows += [(c[0], c[1], s, r) for c, s, r in lp.constraints]
 
     def feasible(x, y):
@@ -122,6 +123,49 @@ def test_random_bounded_programs_match_vertex_enumeration():
             coeffs = (F(rng.randint(-3, 4)), F(rng.randint(-3, 4)))
             sense = rng.choice((LE, GE))
             lp.add(coeffs, sense, F(rng.randint(-2, 8)))
+        res = solve_lp(lp)
+        expected = brute_force_2d(lp)
+        if expected is None:
+            assert res.status == "infeasible"
+        else:
+            assert res.status == "optimal"
+            assert res.value == expected
+
+
+def test_homogeneous_rows_with_equality_and_free_variable():
+    # max 2y - x with y free: y <= x and 2y <= z as ">= 0" rows, x + z == 4
+    lp = LinearProgram(objective=(F(-1), F(2), F(0)), free=frozenset({1}))
+    lp.add((F(1), F(-1), F(0)), GE, F(0))
+    lp.add((F(0), F(-2), F(1)), GE, F(0))
+    lp.add((F(1), F(0), F(1)), EQ, F(4))
+    res = solve_lp(lp)
+    assert (res.status, res.value) == ("optimal", F(4, 3))
+    assert res.point == (F(4, 3), F(4, 3), F(8, 3))
+    # min y: the free variable goes negative, down to y = -x/3 with x = 4
+    lp.objective = (F(0), F(1), F(0))
+    lp.maximize = False
+    lp.add((F(1), F(3), F(0)), GE, F(0))
+    res = solve_lp(lp)
+    assert (res.status, res.value) == ("optimal", F(-4, 3))
+
+
+def test_random_homogeneous_programs_match_vertex_enumeration():
+    # ">= 0" rows mixed with an equality, x >= 0 and y free in a box
+    rng = random.Random(131)
+    for _ in range(120):
+        lp = LinearProgram(
+            objective=(F(rng.randint(-4, 6)), F(rng.randint(-4, 6))),
+            free=frozenset({1}),
+        )
+        box = F(rng.randint(2, 9))
+        lp.add((F(1), F(0)), LE, box)
+        lp.add((F(0), F(1)), LE, box)
+        lp.add((F(0), F(1)), GE, -box)
+        for _ in range(rng.randint(1, 3)):
+            lp.add((F(rng.randint(-3, 4)), F(rng.randint(-3, 4))), GE, F(0))
+        if rng.random() < 0.5:
+            coeffs = (F(rng.randint(-3, 4)), F(rng.randint(-3, 4)))
+            lp.add(coeffs, EQ, F(rng.randint(-2, 8)))
         res = solve_lp(lp)
         expected = brute_force_2d(lp)
         if expected is None:

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from fairsignal.market import (
+    _MAX_RATIONAL_BITS,
+    MAX_INT_DIGITS,
     InvalidDistribution,
     MarketError,
     PlausibilityError,
@@ -68,6 +70,19 @@ class TestValueDistribution:
 def test_as_fraction_rejects_unreadable_input(raw):
     with pytest.raises(MarketError):
         as_fraction(raw)
+
+
+def test_as_fraction_digit_limit():
+    # the bound is in bits: any int of _MAX_RATIONAL_BITS bits still has at
+    # most MAX_INT_DIGITS decimal digits
+    assert 2**_MAX_RATIONAL_BITS >= 10 ** (MAX_INT_DIGITS - 1)
+    assert 2**_MAX_RATIONAL_BITS < 10**MAX_INT_DIGITS
+    widest = 2**_MAX_RATIONAL_BITS - 1
+    assert as_fraction(widest) == widest
+    assert as_fraction("1e-99999") == F(1, 10**99999)
+    for raw in (widest + 1, -widest - 1, "1e-150000", "1e150000"):
+        with pytest.raises(MarketError):
+            as_fraction(raw)
 
 
 class TestMyerson:

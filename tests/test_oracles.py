@@ -7,8 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from fairsignal import lp as lp_module
+from fairsignal import oracles
+from fairsignal.ironing import monotone_fair_scheme
+from fairsignal.lp import EQ, GE, LE, LinearProgram, solve_lp
 from fairsignal.market import (
     MarketError,
+    SignalingScheme,
     ValueDistribution,
     is_efficient,
     myerson,
@@ -24,7 +29,7 @@ from fairsignal.oracles import (
 )
 from fairsignal.steps import profile_step_function, sorted_prefix
 
-from conftest import random_distribution
+from conftest import perfbench_module, random_distribution
 
 F = Fraction
 
@@ -184,3 +189,116 @@ class TestBuyerOptimalLowerBound:
     def test_rejects_degenerate_parameter(self):
         with pytest.raises(MarketError):
             buyer_optimal_lb_instance(1)
+
+
+def reference_lp(dist: ValueDistribution, extra: int) -> tuple[LinearProgram, dict]:
+    """Reference form of the canonical polytope: a column for every x[k][i]
+    with k <= i, diagonal included, and one equality row per value.
+
+    The equality and ``>= 0`` rows need artificial variables, so this
+    formulation runs phase 1.  ``extra`` columns follow the x columns.
+    """
+    n = dist.n
+    cols = [(k, i) for k in range(n) for i in range(k, n)]
+    col = {kc: idx for idx, kc in enumerate(cols)}
+    width = len(cols) + extra
+    lp = LinearProgram(objective=(F(0),) * width)
+    for i in range(n):
+        coeffs = [F(0)] * width
+        for k in range(i + 1):
+            coeffs[col[(k, i)]] = F(1)
+        lp.add(coeffs, EQ, dist.masses[i])
+    for k in range(n):
+        for j in range(k + 1, n):
+            coeffs = [F(0)] * width
+            for i in range(k, n):
+                coeffs[col[(k, i)]] = dist.values[k] - (
+                    dist.values[j] if i >= j else F(0)
+                )
+            lp.add(coeffs, GE, F(0))
+    return lp, col
+
+
+def reference_buyer_optimal_total(dist: ValueDistribution) -> Fraction:
+    lp, col = reference_lp(dist, 0)
+    lp.objective = tuple(dist.values[i] - dist.values[k] for k, i in col)
+    return solve_lp(lp).value
+
+
+def reference_adversary(dist: ValueDistribution, m: Fraction) -> Fraction:
+    n = dist.n
+    lp, col = reference_lp(dist, n + 1)
+    nu0 = len(col)
+    lam = nu0 + n
+    objective = [F(0)] * lp.n_vars
+    for i in range(n):
+        objective[nu0 + i] = -dist.masses[i]
+    objective[lam] = m
+    lp.objective = tuple(objective)
+    lp.free = frozenset({lam})
+    for i in range(n):
+        coeffs = [F(0)] * lp.n_vars
+        coeffs[lam] = dist.masses[i]
+        coeffs[nu0 + i] = -dist.masses[i]
+        for k in range(i + 1):
+            coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
+        lp.add(coeffs, LE, F(0))
+    return solve_lp(lp).value
+
+
+def reference_instances() -> list:
+    """Seeded random instances with n <= 6 and one of each benchmark family
+    at n = 7, as pytest parameters."""
+    rng = random.Random(113)
+    params = [
+        pytest.param(random_distribution(rng, max_n=6), id=f"random{k}")
+        for k in range(30)
+    ]
+    instances = perfbench_module("instances")
+    for family in instances.FAMILIES:
+        payload = instances.make_instance(family, 7, random.Random(f"ref:{family}"))
+        dist = ValueDistribution.from_pairs(payload["values"], payload["masses"])
+        params.append(pytest.param(dist, id=f"{family}7"))
+    return params
+
+
+class TestReferenceFormulation:
+    """The LPs without diagonal columns against the formulation with them."""
+
+    @pytest.mark.parametrize("dist", reference_instances())
+    def test_values_and_witnesses_match_reference(self, dist):
+        scheme, total = buyer_optimal_scheme(dist)
+        assert total == reference_buyer_optimal_total(dist)
+        assert is_efficient(scheme)
+        assert scheme_surplus(scheme).total() == total
+        SignalingScheme(dist, scheme.entries)
+        grid = adversary_grid(
+            scheme_surplus(monotone_fair_scheme(dist).final.to_signaling_scheme())
+        )
+        for m in sorted(set(grid) | {F(1)}):
+            value, witness = adversary_sorted_prefix(dist, m)
+            assert value == reference_adversary(dist, m)
+            SignalingScheme(dist, witness.entries)
+            step = profile_step_function(scheme_surplus(witness))
+            assert sorted_prefix(step, m) == value
+
+
+@pytest.mark.parametrize("name", ["running_example", "fig3_instance"])
+def test_canonical_lps_start_at_full_revelation(name, request, monkeypatch):
+    """Every canonical row keeps its slack basic at the origin, which is
+    feasible, so the solver needs no artificial variable and no phase 1."""
+    dist = request.getfixturevalue(name)
+    captured = []
+
+    def capture(lp):
+        captured.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(oracles, "solve_lp", capture)
+    adversary_sorted_prefix(dist, F(1, 2))
+    buyer_optimal_scheme(dist)
+    assert len(captured) == 2
+    for lp in captured:
+        lp_module._verify(lp, (F(0),) * lp.n_vars)
+        for _, sense, rhs in lp.constraints:
+            assert (sense == LE and rhs >= 0) or (sense == GE and rhs <= 0)
