@@ -2,8 +2,8 @@
 
 Exact-rational construction of an efficient, monotone signaling scheme
 whose sorted surplus prefix sums are within a factor 8 of every other
-scheme's, alongside baselines (no signal, full revelation, buyer-optimal)
-and LP oracles that certify each guarantee on concrete instances.
+scheme's, alongside baselines (no signal, full revelation, buyer-optimal by
+peeling) and LP oracles that certify each guarantee on concrete instances.
 """
 
 from .market import (
@@ -16,6 +16,7 @@ from .market import (
     SurplusProfile,
     ValueDistribution,
     as_fraction,
+    buyer_optimal_scheme,
     canonicalize,
     full_revelation,
     is_efficient,
@@ -60,7 +61,6 @@ from .oracles import (
     adversary_grid,
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
-    buyer_optimal_scheme,
     max_min_surplus_lp,
     universal_lb_instance,
 )

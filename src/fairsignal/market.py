@@ -357,3 +357,34 @@ def no_signal(dist: ValueDistribution) -> SignalingScheme:
     """Reveal nothing: the prior itself as a single signal."""
     signal = Signal(dist, tuple(enumerate(dist.masses)))
     return SignalingScheme(dist, ((signal, Fraction(1)),))
+
+
+def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Fraction]:
+    """Scheme maximizing total consumer surplus, and that maximum E[v] - R*.
+
+    Equal-revenue peeling (Bergemann, Brooks and Morris, AER 2015): subtract
+    from the residual, as far as it allows, the segment with tail mass
+    s_1 / s_j at each live value s_1 < ... < s_k, and drop the values that
+    run out.  A segment costs every live price the same revenue, so R* is
+    spent exactly, tied Myerson prices stay live and every segment sells at
+    its lowest support (both re-checked); `canonicalize` merges segments.
+    """
+    residual = dict(enumerate(dist.masses))  # live index -> mass left
+    entries = []
+    while residual and len(entries) < dist.n:  # at most n rounds
+        live = list(residual)
+        tails = [dist.values[live[0]] / dist.values[i] for i in live] + [Fraction(0)]
+        segment = tuple(zip(live, (a - b for a, b in zip(tails, tails[1:]))))
+        t = min(residual[i] / q for i, q in segment)
+        for i, q in segment:
+            residual[i] -= t * q
+            if residual[i] == 0:
+                del residual[i]
+        entries.append((Signal(dist, segment), t))
+    peeled = SignalingScheme(dist, tuple(entries))
+    scheme = canonicalize(peeled)
+    total = scheme_surplus(scheme).total()
+    best = dist.expected_value() - myerson(dist)[1]
+    if total != best or not is_efficient(peeled):
+        raise InvariantViolation(f"buyer-optimal surplus {total} != {best} or inefficient")
+    return scheme, total

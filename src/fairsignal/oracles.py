@@ -6,11 +6,11 @@ Optimizing over that canonical polytope therefore optimizes over all
 schemes.  The LPs carry no column for the mass of value i in the signal
 priced at v_i: the prior fixes it as f_i less the mass of value i priced
 lower.  The origin is then full revelation, a feasible vertex, and the
-simplex starts there without phase 1.  The oracles here maximize total
-consumer surplus (the buyer-optimal baseline) and the sorted prefix sum at
-a given mass (the adversary used to certify approximate majorization), and
-reproduce the two three-value instance families that pin down the lower
-bounds.
+simplex starts there without phase 1.  The adversary here maximizes the
+sorted prefix sum at a given mass, which certifies approximate
+majorization; the buyer-optimal baseline needs no LP (see
+`market.buyer_optimal_scheme`).  The max-min surplus LP and the two
+three-value instance families pin down the lower bounds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .market import (
     SurplusProfile,
     ValueDistribution,
     as_fraction,
-    myerson,
 )
 from .steps import certification_grid, profile_step_function
 
@@ -92,31 +91,13 @@ def _scheme_from_point(
     return SignalingScheme(dist, tuple(entries))
 
 
-def buyer_optimal_scheme(
-    dist: ValueDistribution,
-) -> tuple[SignalingScheme, Fraction]:
-    """Scheme maximizing total consumer surplus, and that maximum.
-
-    The optimum always equals the expected value minus the no-signaling
-    revenue, which is re-checked here.
-    """
-    cols = _canonical_columns(dist.n)
-    col = {kc: idx for idx, kc in enumerate(cols)}
-    objective = tuple(
-        dist.values[i] - dist.values[k] for k, i in cols
-    )
-    lp = LinearProgram(objective=objective)
-    _add_canonical_constraints(lp, dist, col)
-    result = solve_lp(lp)
-    if result.status != "optimal":
-        raise InvariantViolation(f"buyer-optimal LP returned {result.status}")
-    _, revenue = myerson(dist)
-    expected = dist.expected_value()
-    if result.value != expected - revenue:
-        raise InvariantViolation(
-            f"buyer-optimal surplus {result.value} != {expected - revenue}"
+def check_adversary_support(dist: ValueDistribution, max_support: int) -> None:
+    """Refuse an instance too large for the O(n^2)-column adversary LP."""
+    if dist.n > max_support:
+        raise MarketError(
+            f"adversary oracle limited to {max_support} values; got {dist.n} "
+            "(override with --max-support or max_support=)"
         )
-    return _scheme_from_point(dist, result.point, col), result.value
 
 
 def adversary_sorted_prefix(
@@ -132,12 +113,8 @@ def adversary_sorted_prefix(
     """
     if not 0 < m <= 1:
         raise MarketError(f"prefix mass {m} outside (0, 1]")
+    check_adversary_support(dist, max_support)
     n = dist.n
-    if n > max_support:
-        raise MarketError(
-            f"adversary oracle limited to {max_support} values; got {n} "
-            "(override with --max-support or max_support=)"
-        )
     cols = _canonical_columns(n)
     col = {kc: idx for idx, kc in enumerate(cols)}
     nu0 = len(cols)

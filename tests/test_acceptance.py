@@ -18,6 +18,7 @@ from fairsignal.cli import certify
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import (
     PlausibilityError,
+    buyer_optimal_scheme,
     is_efficient,
     is_monotone,
     myerson,
@@ -28,7 +29,6 @@ from fairsignal.oracles import (
     adversary_grid,
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
-    buyer_optimal_scheme,
     max_min_surplus_lp,
     universal_lb_instance,
 )

@@ -266,6 +266,26 @@ class TestVerify:
         assert code == 2
         assert "adversary oracle limited to 8 values; got 9" in stderr
 
+    @pytest.mark.parametrize(
+        "flags", [("--adversary",), ("--require", "majorized")], ids=["adversary", "majorized"]
+    )
+    def test_support_guard_reads_no_scheme(
+        self, nine_value_files, capsys, monkeypatch, flags
+    ):
+        from fairsignal import cli, fileio
+
+        def refuse(*args):
+            raise AssertionError("work done before the support guard")
+
+        monkeypatch.setattr(fileio, "load_scheme", refuse)
+        monkeypatch.setattr(cli, "scheme_surplus", refuse)
+        instance, scheme = nine_value_files
+        code, _, stderr = run_cli(
+            capsys, "verify", "--in", instance, "--scheme", scheme, *flags
+        )
+        assert code == 2
+        assert "adversary oracle limited to 8 values; got 9" in stderr
+
     def test_max_support_lifts_guard(self, nine_value_files, capsys):
         instance, scheme = nine_value_files
         code, stdout, _ = run_cli(
@@ -352,6 +372,18 @@ class TestLowerbound:
         code, stdout, _ = run_cli(capsys, "lowerbound", "buyeropt", "5")
         assert code == 0
         assert "min positive surplus ratio: 5" in stdout
+        assert "verified: true" in stdout
+
+    def test_buyeropt_calls_no_optimizer(self, capsys, monkeypatch):
+        from fairsignal import cli, oracles
+
+        def refuse(*args):
+            raise AssertionError("optimizer called")
+
+        monkeypatch.setattr(cli, "buyer_optimal_scheme", refuse)
+        monkeypatch.setattr(oracles, "solve_lp", refuse)
+        code, stdout, _ = run_cli(capsys, "lowerbound", "buyeropt", "5")
+        assert code == 0
         assert "verified: true" in stdout
 
     def test_universal_matches_closed_form(self, capsys):

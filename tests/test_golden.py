@@ -5,8 +5,8 @@ and ``verify_{final,splitmatch}.txt`` files before the construction
 pipeline's mass accounting was consolidated, the per-mass tables, the
 other verify reports and the lowerbound reports before the certification
 code was merged; they are never regenerated, and any byte of difference is
-a behaviour change.  ``buyeropt`` is left out because its LP optimum is not
-unique.  ``nosignal`` and ``fullreveal`` leave some buyers without surplus,
+a behaviour change.  ``buyeropt`` is left out because buyer-optimal schemes
+are not unique.  ``nosignal`` and ``fullreveal`` leave some buyers without surplus,
 so their tables carry infinite ratios.
 """
 

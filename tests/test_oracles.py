@@ -1,4 +1,5 @@
-"""LP oracles: buyer-optimal baseline, prefix adversary, hard families."""
+"""LP oracles: prefix adversary, hard families, and the buyer-optimal LP kept
+as the exact reference for equal-revenue peeling."""
 
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ from fairsignal import oracles
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.lp import EQ, GE, LE, LinearProgram, solve_lp
 from fairsignal.market import (
+    InvariantViolation,
     MarketError,
     SignalingScheme,
     ValueDistribution,
+    buyer_optimal_scheme,
     is_efficient,
     myerson,
     scheme_surplus,
@@ -23,7 +26,6 @@ from fairsignal.oracles import (
     adversary_grid,
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
-    buyer_optimal_scheme,
     max_min_surplus_lp,
     universal_lb_instance,
 )
@@ -32,6 +34,29 @@ from fairsignal.steps import profile_step_function, sorted_prefix
 from conftest import perfbench_module, random_distribution
 
 F = Fraction
+
+
+def solve_buyer_optimal_lp(dist: ValueDistribution):
+    """Exact reference for `buyer_optimal_scheme`: the canonical LP that
+    maximizes total consumer surplus, solved through ``oracles.solve_lp``.
+    Returns the optimal LP result and the column map of its point."""
+    cols = oracles._canonical_columns(dist.n)
+    col = {kc: idx for idx, kc in enumerate(cols)}
+    objective = tuple(dist.values[i] - dist.values[k] for k, i in cols)
+    lp = LinearProgram(objective=objective)
+    oracles._add_canonical_constraints(lp, dist, col)
+    result = oracles.solve_lp(lp)
+    if result.status != "optimal":
+        raise InvariantViolation(f"buyer-optimal LP returned {result.status}")
+    return result, col
+
+
+def lp_buyer_optimal_scheme(
+    dist: ValueDistribution,
+) -> tuple[SignalingScheme, Fraction]:
+    """The reference LP's optimal scheme and total."""
+    result, col = solve_buyer_optimal_lp(dist)
+    return oracles._scheme_from_point(dist, result.point, col), result.value
 
 
 class TestBuyerOptimal:
@@ -186,9 +211,24 @@ class TestBuyerOptimalLowerBound:
         assert is_efficient(inst.buyer_optimal)
         assert is_efficient(inst.alternative)
 
+    @pytest.mark.parametrize("n", [2, 5, 10, 100])
+    def test_peeling_reproduces_unique_scheme(self, n):
+        inst = buyer_optimal_lb_instance(n)
+        scheme, _ = buyer_optimal_scheme(inst.dist)
+        assert scheme.entries == inst.buyer_optimal.entries
+
     def test_rejects_degenerate_parameter(self):
         with pytest.raises(MarketError):
             buyer_optimal_lb_instance(1)
+
+
+def test_lp_optimum_is_the_peeled_total_on_corpus(corpus):
+    """The LP optimum is E[v] - R*, the total `buyer_optimal_scheme` returns
+    only after re-checking it; c07 peels this same corpus, so the peeled and
+    LP totals are equal on it without peeling each instance twice."""
+    for dist in corpus:
+        _, revenue = myerson(dist)
+        assert solve_buyer_optimal_lp(dist)[0].value == dist.expected_value() - revenue
 
 
 def reference_lp(dist: ValueDistribution, extra: int) -> tuple[LinearProgram, dict]:
@@ -267,8 +307,9 @@ class TestReferenceFormulation:
 
     @pytest.mark.parametrize("dist", reference_instances())
     def test_values_and_witnesses_match_reference(self, dist):
-        scheme, total = buyer_optimal_scheme(dist)
+        scheme, total = lp_buyer_optimal_scheme(dist)
         assert total == reference_buyer_optimal_total(dist)
+        assert total == buyer_optimal_scheme(dist)[1]
         assert is_efficient(scheme)
         assert scheme_surplus(scheme).total() == total
         SignalingScheme(dist, scheme.entries)
@@ -296,7 +337,7 @@ def test_canonical_lps_start_at_full_revelation(name, request, monkeypatch):
 
     monkeypatch.setattr(oracles, "solve_lp", capture)
     adversary_sorted_prefix(dist, F(1, 2))
-    buyer_optimal_scheme(dist)
+    lp_buyer_optimal_scheme(dist)
     assert len(captured) == 2
     for lp in captured:
         lp_module._verify(lp, (F(0),) * lp.n_vars)
