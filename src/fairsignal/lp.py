@@ -1,15 +1,20 @@
-"""Exact rational linear programming via primal simplex.
+"""Exact rational linear programming: one-phase primal simplex from the origin.
+
+A program maximizes c.x subject to ``<=`` and ``>=`` rows, with x >= 0
+except for the variables named free.  A ``>=`` row is negated into a
+``<=`` row, which must then hold at the origin (non-negative right-hand
+side): every row gets one slack, the slacks form the starting basis, and
+there is no phase 1.  A row that fails at the origin raises ValueError
+before any pivot.  The canonical LPs of `oracles` have this form because
+they start at full revelation.  With every row owning a slack from the
+first tableau, the optimal duals are the final objective row's entries in
+the slack columns.
 
 The tableau is kept as an integer matrix with a single running denominator
 (the previous pivot), so every pivot is a fraction-free update and no
 floating point ever enters.  Bland's rule picks pivots, which rules out
 cycling, and the returned point is re-checked against every constraint
 before it is reported, so a solver defect cannot surface silently.
-
-Rows are normalized so that each ``<=`` row has a non-negative right-hand
-side (a ``>= 0`` row becomes a ``<= 0`` row); its slack then starts basic.
-Only equalities and ``>=`` rows with a positive right-hand side get an
-artificial variable, and phase 1 runs only when one of them is present.
 """
 
 from __future__ import annotations
@@ -21,16 +26,14 @@ from typing import Optional, Sequence
 
 from .market import InvariantViolation
 
-LE, GE, EQ = "<=", ">=", "=="
-_SENSES = (LE, GE, EQ)
+LE, GE = "<=", ">="
 
 
 @dataclass
 class LinearProgram:
-    """max (or min) c.x subject to linear constraints, x >= 0 by default."""
+    """max c.x subject to linear constraints, x >= 0 except ``free`` variables."""
 
     objective: tuple[Fraction, ...]
-    maximize: bool = True
     free: frozenset[int] = frozenset()
     constraints: list[tuple[tuple[Fraction, ...], str, Fraction]] = field(
         default_factory=list
@@ -43,14 +46,14 @@ class LinearProgram:
     def add(self, coeffs: Sequence[Fraction], sense: str, rhs: Fraction) -> None:
         if len(coeffs) != self.n_vars:
             raise ValueError("coefficient vector has wrong length")
-        if sense not in _SENSES:
+        if sense not in (LE, GE):
             raise ValueError(f"unknown sense {sense!r}")
         self.constraints.append((tuple(coeffs), sense, Fraction(rhs)))
 
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     value: Optional[Fraction] = None
     point: Optional[tuple[Fraction, ...]] = None
 
@@ -67,7 +70,7 @@ class _Tableau:
     """Integer simplex tableau; true entries are ints divided by self.den."""
 
     def __init__(self, rows: list[list[int]], basis: list[int]):
-        self.rows = rows  # m constraint rows, then phase-1 and phase-2 rows
+        self.rows = rows  # m constraint rows, then the objective row
         self.basis = basis
         self.den = 1
         self.m = len(basis)
@@ -104,14 +107,14 @@ class _Tableau:
                 best, best_num, best_den = i, rhs, a
         return best
 
-    def run(self, obj_row: int, enterable: Sequence[bool]) -> str:
+    def run(self) -> str:
         """Primal simplex with Bland's rule; returns "optimal"/"unbounded"."""
         ncols = len(self.rows[0]) - 1
         while True:
-            z = self.rows[obj_row]
+            z = self.rows[-1]
             entering = None
             for j in range(ncols):
-                if enterable[j] and z[j] < 0:
+                if z[j] < 0:
                     entering = j
                     break
             if entering is None:
@@ -123,14 +126,12 @@ class _Tableau:
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
-    """Solve exactly; statuses are values, never exceptions.
+    """Maximize from the origin; statuses are values, never exceptions.
 
-    The reported point is verified against every constraint and sign
-    restriction, guarding the fraction-free pivoting.
+    Raises ValueError, before any pivot, if a row does not hold at the
+    origin.  The reported point is verified against every constraint and
+    sign restriction, guarding the fraction-free pivoting.
     """
-    sign = 1 if lp.maximize else -1
-    objective = [sign * c for c in lp.objective]
-
     # one column per non-negative variable, two for each free variable
     col_of_var: list[list[tuple[int, int]]] = []
     col_signs: list[tuple[int, int]] = []  # (var, +1/-1) per decision column
@@ -143,75 +144,34 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         col_of_var.append(cols)
     ndec = len(col_signs)
 
-    prepared = []  # (int coeffs over decision columns, sense, int rhs)
-    for coeffs, sense, rhs in lp.constraints:
+    # decision columns, one slack column per row, right-hand side
+    ncols = ndec + len(lp.constraints)
+    rows = []
+    for r, (coeffs, sense, rhs) in enumerate(lp.constraints):
         int_coeffs, int_rhs = _integer_row(coeffs, rhs)
-        expanded = [0] * ndec
+        if sense == GE:
+            int_coeffs = [-a for a in int_coeffs]
+            int_rhs = -int_rhs
+        elif sense != LE:
+            raise ValueError(f"unknown sense {sense!r}")
+        if int_rhs < 0:
+            raise ValueError(f"row {r} ({sense} {rhs}) does not hold at the origin")
+        row = [0] * (ncols + 1)
         for j, a in enumerate(int_coeffs):
             for col, s in col_of_var[j]:
-                expanded[col] = a * s
-        if int_rhs < 0 or (int_rhs == 0 and sense == GE):
-            # a <= row with rhs >= 0 starts with its slack basic
-            expanded = [-a for a in expanded]
-            int_rhs = -int_rhs
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        prepared.append((expanded, sense, int_rhs))
-
-    m = len(prepared)
-    nslack = sum(1 for _, sense, _ in prepared if sense != EQ)
-    nart = sum(1 for _, sense, _ in prepared if sense != LE)
-    ncols = ndec + nslack + nart
-    rows = []
-    basis = []
-    slack_at = ndec
-    art_at = ndec + nslack
-    for expanded, sense, rhs in prepared:
-        row = list(expanded) + [0] * (nslack + nart) + [rhs]
-        if sense != EQ:
-            row[slack_at] = 1 if sense == LE else -1
-            if sense == LE:
-                basis.append(slack_at)
-            slack_at += 1
-        if sense != LE:
-            row[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
+                row[col] = a * s
+        row[ndec + r] = 1
+        row[-1] = int_rhs
         rows.append(row)
 
-    obj_coeffs, _ = _integer_row(objective, Fraction(0))
-    phase2 = [0] * (ncols + 1)
+    obj_coeffs, _ = _integer_row(lp.objective, Fraction(0))
+    objective = [0] * (ncols + 1)
     for j, a in enumerate(obj_coeffs):
         for col, s in col_of_var[j]:
-            phase2[col] = -a * s
-    phase1 = [0] * (ncols + 1)
-    for row, b in zip(rows, basis):
-        if b >= ndec + nslack:  # artificial is basic: price it out
-            for j in range(ncols + 1):
-                phase1[j] -= row[j]
-    for j in range(ndec + nslack, ncols):
-        phase1[j] += 1
+            objective[col] = -a * s
 
-    # with no artificials the all-slack basis is feasible: no phase-1 row
-    tab = _Tableau(rows + ([phase1] if nart else []) + [phase2], basis)
-    enterable = [True] * ncols
-    for j in range(ndec + nslack, ncols):
-        enterable[j] = False  # artificials may leave but never re-enter
-
-    if nart:
-        tab.run(tab.m, enterable)
-        if tab.rows[tab.m][-1] != 0:
-            return LPResult("infeasible")
-        # pivot zero-level artificials out wherever the row is not redundant
-        for i in range(tab.m):
-            if tab.basis[i] >= ndec + nslack:
-                col = next(
-                    (j for j in range(ndec + nslack) if tab.rows[i][j] != 0), None
-                )
-                if col is not None:
-                    tab.pivot(i, col)
-
-    status = tab.run(len(tab.rows) - 1, enterable)
-    if status == "unbounded":
+    tab = _Tableau(rows + [objective], list(range(ndec, ncols)))
+    if tab.run() == "unbounded":
         return LPResult("unbounded")
 
     point = [Fraction(0)] * lp.n_vars

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -333,14 +333,23 @@ def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
                 rows[i][i] = rows[i].get(i, Fraction(0)) + weight * f
             else:
                 rows[k][i] = rows[k].get(i, Fraction(0)) + weight * f
+    return scheme_from_rows(dist, rows)
+
+
+def scheme_from_rows(
+    dist: ValueDistribution, rows: Sequence[Mapping[int, Fraction]]
+) -> SignalingScheme:
+    """One signal per non-empty row, in row order, weighted by its total.
+
+    Each row maps value indices to positive masses; the signal's posterior
+    is the row divided by its total.
+    """
     entries = []
-    for k in range(dist.n):
-        if not rows[k]:
+    for row in rows:
+        if not row:
             continue
-        weight = sum(rows[k].values(), Fraction(0))
-        signal = Signal(
-            dist, tuple((i, m / weight) for i, m in sorted(rows[k].items()))
-        )
+        weight = sum(row.values(), Fraction(0))
+        signal = Signal(dist, tuple((i, m / weight) for i, m in sorted(row.items())))
         entries.append((signal, weight))
     return SignalingScheme(dist, tuple(entries))
 
@@ -367,24 +376,29 @@ def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Frac
     s_1 / s_j at each live value s_1 < ... < s_k, and drop the values that
     run out.  A segment costs every live price the same revenue, so R* is
     spent exactly, tied Myerson prices stay live and every segment sells at
-    its lowest support (both re-checked); `canonicalize` merges segments.
+    its lowest support.  Segments sharing a lowest support are merged into
+    one signal, which still sells there; the scheme is built once and its
+    efficiency and total are re-checked.
     """
     residual = dict(enumerate(dist.masses))  # live index -> mass left
-    entries = []
-    while residual and len(entries) < dist.n:  # at most n rounds
+    rows: list[dict[int, Fraction]] = [dict() for _ in range(dist.n)]
+    for _ in range(dist.n):  # at most n rounds
+        if not residual:
+            break
         live = list(residual)
         tails = [dist.values[live[0]] / dist.values[i] for i in live] + [Fraction(0)]
         segment = tuple(zip(live, (a - b for a, b in zip(tails, tails[1:]))))
         t = min(residual[i] / q for i, q in segment)
+        row = rows[live[0]]
         for i, q in segment:
-            residual[i] -= t * q
+            mass = t * q
+            row[i] = row.get(i, Fraction(0)) + mass
+            residual[i] -= mass
             if residual[i] == 0:
                 del residual[i]
-        entries.append((Signal(dist, segment), t))
-    peeled = SignalingScheme(dist, tuple(entries))
-    scheme = canonicalize(peeled)
+    scheme = scheme_from_rows(dist, rows)
     total = scheme_surplus(scheme).total()
     best = dist.expected_value() - myerson(dist)[1]
-    if total != best or not is_efficient(peeled):
+    if total != best or not is_efficient(scheme):
         raise InvariantViolation(f"buyer-optimal surplus {total} != {best} or inefficient")
     return scheme, total

@@ -5,12 +5,12 @@ with pairwise-distinct lowest supports, each posting its lowest support.
 Optimizing over that canonical polytope therefore optimizes over all
 schemes.  The LPs carry no column for the mass of value i in the signal
 priced at v_i: the prior fixes it as f_i less the mass of value i priced
-lower.  The origin is then full revelation, a feasible vertex, and the
-simplex starts there without phase 1.  The adversary here maximizes the
-sorted prefix sum at a given mass, which certifies approximate
-majorization; the buyer-optimal baseline needs no LP (see
-`market.buyer_optimal_scheme`).  The max-min surplus LP and the two
-three-value instance families pin down the lower bounds.
+lower.  The origin is then full revelation, a feasible vertex where every
+row holds, which is where the one-phase simplex of `lp` starts.  The
+adversary here maximizes the sorted prefix sum at a given mass, which
+certifies approximate majorization; the buyer-optimal baseline needs no
+LP (see `market.buyer_optimal_scheme`).  The max-min surplus LP and the
+two three-value instance families pin down the lower bounds.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from typing import Sequence
 
 from .lp import GE, LE, LinearProgram, solve_lp
 from .market import (
+    _MAX_RATIONAL_BITS,
+    MAX_INT_DIGITS,
     InvariantViolation,
     MarketError,
     Signal,
@@ -28,6 +30,7 @@ from .market import (
     SurplusProfile,
     ValueDistribution,
     as_fraction,
+    scheme_from_rows,
 )
 from .steps import certification_grid, profile_step_function
 
@@ -72,23 +75,17 @@ def _scheme_from_point(
     point: Sequence[Fraction],
     col: dict[tuple[int, int], int],
 ) -> SignalingScheme:
-    entries = []
+    rows = []
     for k in range(dist.n):
         diagonal = dist.masses[k] - sum(
             (point[col[(lower, k)]] for lower in range(k)), Fraction(0)
         )
-        masses = {k: diagonal} if diagonal > 0 else {}
+        row = {k: diagonal} if diagonal > 0 else {}
         for i in range(k + 1, dist.n):
             if point[col[(k, i)]] > 0:
-                masses[i] = point[col[(k, i)]]
-        weight = sum(masses.values(), Fraction(0))
-        if weight == 0:
-            continue
-        signal = Signal(
-            dist, tuple((i, m / weight) for i, m in sorted(masses.items()))
-        )
-        entries.append((signal, weight))
-    return SignalingScheme(dist, tuple(entries))
+                row[i] = point[col[(k, i)]]
+        rows.append(row)
+    return scheme_from_rows(dist, rows)
 
 
 def check_adversary_support(dist: ValueDistribution, max_support: int) -> None:
@@ -226,6 +223,14 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     N = as_fraction(parameter)
     if N <= 1:
         raise MarketError(f"parameter must exceed 1, got {N}")
+    # the masses and surpluses are degree-4 polynomials in N's numerator and
+    # denominator, so the report prints integers about 4x as long as N's
+    bits = max(N.numerator.bit_length(), N.denominator.bit_length())
+    if 4 * bits > _MAX_RATIONAL_BITS:
+        raise MarketError(
+            f"parameter too long: the report would print integers longer than "
+            f"MAX_INT_DIGITS = {MAX_INT_DIGITS} digits"
+        )
     total = N**3 + 2 * N**2 + N
     dist = ValueDistribution(
         values=(Fraction(1), N, N + 1),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .market import (
     InvariantViolation,
@@ -125,16 +125,14 @@ class DecomposedScheme:
         return SignalingScheme(self.dist, tuple(entries))
 
 
-def split_and_match(
-    dist: ValueDistribution,
-    trace: Optional[list[tuple[int, int, Fraction]]] = None,
-) -> DecomposedScheme:
+def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
     """Decompose the prior into equal-revenue binaries plus singletons.
 
     Greedy pairing: the smallest index s with giver budget left is matched
     to the smallest index l > s with taker budget left; the signal weight is
     the largest value both budgets allow, so at least one budget hits zero
-    each round.  ``trace`` collects (s, l, weight) triples when provided.
+    each round.  The binaries come out in the order the greedy pass emits
+    them, so they are also its ledger.
     """
     # remaining giver and taker budgets, each starting at half the prior mass
     giver = [f / 2 for f in dist.masses]
@@ -153,8 +151,6 @@ def split_and_match(
         binaries.append(BinarySignalEntry(s, l, weight))
         giver[s] -= weight * (1 - ratio)
         taker[l] -= weight * ratio
-        if trace is not None:
-            trace.append((s, l, weight))
     return DecomposedScheme.from_binaries(dist, binaries)
 
 

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from fairsignal.market import Signal, SignalingScheme, ValueDistribution
 
@@ -112,6 +113,53 @@ def random_scheme(rng: random.Random, dist: ValueDistribution) -> SignalingSchem
         )
         entries.append((signal, weight))
     return SignalingScheme(dist, tuple(entries))
+
+
+def mixture(scheme: SignalingScheme) -> tuple[Fraction, ...]:
+    """Weighted sum of a scheme's posteriors, one mass per value."""
+    out = [Fraction(0)] * scheme.dist.n
+    for signal, weight in scheme.entries:
+        for i, f in signal.support:
+            out[i] += weight * f
+    return tuple(out)
+
+
+FAMILIES = ("random", "equal_revenue", "geometric", "clustered")
+
+
+@st.composite
+def structured_priors(draw, max_n: int = 64):
+    """(family, prior) with up to ``max_n`` values.
+
+    ``equal_revenue``: tail mass v_1 / v_i at v_i, so every posted price
+    ties.  ``geometric``: values b * r**i.  ``clustered``: up to four tight
+    clusters of values whose mass weights alternate by a factor 10**6.
+    ``random``: distinct integer values and integer weights.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(1, max_n))
+    weights = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    if family == "geometric":
+        base = draw(st.integers(1, 9))
+        ratio = draw(st.sampled_from([Fraction(11, 10), Fraction(3, 2), Fraction(2)]))
+        values = [base * ratio**i for i in range(n)]
+    else:
+        ints = st.integers(1, 10 * max_n)
+        values = sorted(draw(st.lists(ints, min_size=n, max_size=n, unique=True)))
+    if family == "clustered":
+        clusters = draw(st.integers(1, 4))
+        centres = sorted(draw(st.lists(
+            st.integers(1, 99), min_size=clusters, max_size=clusters, unique=True
+        )))
+        cluster = [i * clusters // n for i in range(n)]
+        values = [centres[c] * 10**4 + v for c, v in zip(cluster, values)]
+        weights = [w * 10 ** (6 * (c % 2)) for c, w in zip(cluster, weights)]
+    if family == "equal_revenue":
+        tails = [Fraction(values[0], v) for v in values] + [Fraction(0)]
+        masses = [a - b for a, b in zip(tails, tails[1:])]
+    else:
+        masses = [Fraction(w, sum(weights)) for w in weights]
+    return family, ValueDistribution(tuple(map(Fraction, values)), tuple(masses))
 
 
 CORPUS_SEED = 20250808

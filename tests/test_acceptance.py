@@ -212,7 +212,7 @@ def test_c07_buyer_optimal_identity(corpus):
     ok = violations == 0
     report(
         7,
-        f"buyer-optimal LP equals expected value minus revenue on "
+        f"buyer-optimal peeling total equals expected value minus revenue on "
         f"{len(corpus)} instances, {violations} violations",
         ok,
     )

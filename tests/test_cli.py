@@ -396,6 +396,19 @@ class TestLowerbound:
         assert code == 2
         assert "parameter must exceed 1, got 1" in stderr
 
+    def test_oversized_parameter_refused_up_front(self, capsys, monkeypatch):
+        # N**3 of a 100,000-digit N is never formed: the instance is not built
+        from fairsignal import oracles
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance built")
+
+        monkeypatch.setattr(oracles, "ValueDistribution", refuse)
+        code, stdout, stderr = run_cli(capsys, "lowerbound", "buyeropt", "1e99999")
+        assert code == 2
+        assert stdout == ""
+        assert "MAX_INT_DIGITS" in stderr
+
     @pytest.mark.parametrize("kind", ["buyeropt", "universal"])
     def test_malformed_parameter_exits_2(self, kind, capsys):
         code, stdout, stderr = run_cli(capsys, "lowerbound", kind, "1/0")

@@ -103,10 +103,9 @@ class TestCsvWriters:
         assert lines[1].split(",")[:4] == ["1/2", "0.5", "1/16", "0.0625"]
 
     def test_match_trace(self, running_example):
-        trace = []
-        split_and_match(running_example, trace=trace)
+        scheme = split_and_match(running_example)
         buf = io.StringIO()
-        write_match_trace(buf, trace)
+        write_match_trace(buf, [(b.giver, b.taker, b.weight) for b in scheme.binaries])
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 4
         assert lines[1] == "0,1,1/4,0.25"

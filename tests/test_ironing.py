@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+
 from fairsignal.ironing import (
     finalize,
     iron,
@@ -19,10 +21,10 @@ from fairsignal.market import (
     is_monotone,
     scheme_surplus,
 )
-from fairsignal.splitmatch import split_and_match
+from fairsignal.splitmatch import split_and_match, truncated_upper_bound
 from fairsignal.steps import integration_prefix, profile_step_function
 
-from conftest import random_distribution
+from conftest import mixture, random_distribution, structured_priors
 
 F = Fraction
 
@@ -281,3 +283,19 @@ class TestFinalize:
             scheme = res.final.to_signaling_scheme()
             assert is_efficient(scheme)
             assert is_monotone(scheme_surplus(scheme))
+
+    @given(structured_priors())
+    @settings(max_examples=20, deadline=None)
+    def test_pipeline_on_structured_families(self, case):
+        # equal-revenue, geometric and clustered priors up to n = 64, beyond
+        # the random corpus: the stage guarantees the factor 8 rests on
+        _, dist = case
+        res = monotone_fair_scheme(dist)
+        scheme = res.final.to_signaling_scheme()
+        assert mixture(scheme) == dist.masses
+        assert is_efficient(scheme)
+        assert is_monotone(scheme_surplus(scheme))
+        step = profile_step_function(res.base.surplus_profile())
+        for k in range(1, dist.n + 1):
+            lhs = 4 * integration_prefix(step, dist.cdf[k - 1])
+            assert lhs >= truncated_upper_bound(dist, k)

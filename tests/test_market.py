@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fairsignal.market import (
     _MAX_RATIONAL_BITS,
@@ -30,7 +29,7 @@ from fairsignal.market import (
     scheme_surplus,
 )
 
-from conftest import random_distribution, random_scheme
+from conftest import mixture, random_distribution, random_scheme, structured_priors
 
 F = Fraction
 
@@ -241,55 +240,13 @@ class TestCanonicalize:
             assert scheme_revenue(canon) + total == dist.expected_value()
 
 
-FAMILIES = ("random", "equal_revenue", "geometric", "clustered")
-
-
-@st.composite
-def structured_priors(draw, max_n: int = 64):
-    """(family, prior) with up to ``max_n`` values.
-
-    ``equal_revenue``: tail mass v_1 / v_i at v_i, so every posted price
-    ties.  ``geometric``: values b * r**i.  ``clustered``: up to four tight
-    clusters of values whose mass weights alternate by a factor 10**6.
-    ``random``: distinct integer values and integer weights.
-    """
-    family = draw(st.sampled_from(FAMILIES))
-    n = draw(st.integers(1, max_n))
-    weights = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
-    if family == "geometric":
-        base = draw(st.integers(1, 9))
-        ratio = draw(st.sampled_from([F(11, 10), F(3, 2), F(2)]))
-        values = [base * ratio**i for i in range(n)]
-    else:
-        ints = st.integers(1, 10 * max_n)
-        values = sorted(draw(st.lists(ints, min_size=n, max_size=n, unique=True)))
-    if family == "clustered":
-        clusters = draw(st.integers(1, 4))
-        centres = sorted(draw(st.lists(
-            st.integers(1, 99), min_size=clusters, max_size=clusters, unique=True
-        )))
-        cluster = [i * clusters // n for i in range(n)]
-        values = [centres[c] * 10**4 + v for c, v in zip(cluster, values)]
-        weights = [w * 10 ** (6 * (c % 2)) for c, w in zip(cluster, weights)]
-    if family == "equal_revenue":
-        tails = [F(values[0], v) for v in values] + [F(0)]
-        masses = [a - b for a, b in zip(tails, tails[1:])]
-    else:
-        masses = [F(w, sum(weights)) for w in weights]
-    return family, ValueDistribution(tuple(map(F, values)), tuple(masses))
-
-
 class TestBuyerOptimalPeeling:
     @given(structured_priors())
     @settings(max_examples=20, deadline=None)
     def test_structured_families(self, case):
         family, dist = case
         scheme, total = buyer_optimal_scheme(dist)
-        mixture = [F(0)] * dist.n
-        for signal, weight in scheme.entries:
-            for i, f in signal.support:
-                mixture[i] += weight * f
-        assert tuple(mixture) == dist.masses
+        assert mixture(scheme) == dist.masses
         assert is_efficient(scheme)
         lows = [s.lowest_index for s in scheme.signals]
         assert len(lows) == len(set(lows)) <= dist.n

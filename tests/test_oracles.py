@@ -3,6 +3,7 @@ as the exact reference for equal-revenue peeling."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from fairsignal import lp as lp_module
 from fairsignal import oracles
 from fairsignal.ironing import monotone_fair_scheme
-from fairsignal.lp import EQ, GE, LE, LinearProgram, solve_lp
+from fairsignal.lp import GE, LE, LinearProgram, LPResult, solve_lp
 from fairsignal.market import (
     InvariantViolation,
     MarketError,
@@ -231,23 +232,35 @@ def test_lp_optimum_is_the_peeled_total_on_corpus(corpus):
         assert solve_buyer_optimal_lp(dist)[0].value == dist.expected_value() - revenue
 
 
-def reference_lp(dist: ValueDistribution, extra: int) -> tuple[LinearProgram, dict]:
-    """Reference form of the canonical polytope: a column for every x[k][i]
-    with k <= i, diagonal included, and one equality row per value.
+def capture_lps(monkeypatch, solve=solve_lp) -> list[LinearProgram]:
+    """Route ``oracles.solve_lp`` through ``solve``, recording every LP."""
+    captured = []
 
-    The equality and ``>= 0`` rows need artificial variables, so this
-    formulation runs phase 1.  ``extra`` columns follow the x columns.
-    """
+    def capture(lp):
+        captured.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(oracles, "solve_lp", capture)
+    return captured
+
+
+def reference_rows(dist: ValueDistribution, extra: int) -> tuple[list, dict]:
+    """Reference form of the canonical polytope, as test data: a column for
+    every x[k][i] with k <= i, diagonal included, one ``==`` mass row per
+    value and the price-optimality rows as ``>= 0`` rows.  ``extra`` columns
+    follow the x columns.  The mass rows fail at the origin, so `solve_lp`
+    refuses this form; `diagonal_substitution` maps it onto the canonical
+    LPs instead."""
     n = dist.n
     cols = [(k, i) for k in range(n) for i in range(k, n)]
     col = {kc: idx for idx, kc in enumerate(cols)}
     width = len(cols) + extra
-    lp = LinearProgram(objective=(F(0),) * width)
+    rows = []
     for i in range(n):
         coeffs = [F(0)] * width
         for k in range(i + 1):
             coeffs[col[(k, i)]] = F(1)
-        lp.add(coeffs, EQ, dist.masses[i])
+        rows.append((coeffs, "==", dist.masses[i]))
     for k in range(n):
         for j in range(k + 1, n):
             coeffs = [F(0)] * width
@@ -255,35 +268,82 @@ def reference_lp(dist: ValueDistribution, extra: int) -> tuple[LinearProgram, di
                 coeffs[col[(k, i)]] = dist.values[k] - (
                     dist.values[j] if i >= j else F(0)
                 )
-            lp.add(coeffs, GE, F(0))
-    return lp, col
+            rows.append((coeffs, GE, F(0)))
+    return rows, col
 
 
-def reference_buyer_optimal_total(dist: ValueDistribution) -> Fraction:
-    lp, col = reference_lp(dist, 0)
-    lp.objective = tuple(dist.values[i] - dist.values[k] for k, i in col)
-    return solve_lp(lp).value
+def reference_buyer_optimal(dist: ValueDistribution):
+    rows, col = reference_rows(dist, 0)
+    objective = [dist.values[i] - dist.values[k] for k, i in col]
+    return objective, frozenset(), rows, col
 
 
-def reference_adversary(dist: ValueDistribution, m: Fraction) -> Fraction:
+def reference_adversary(dist: ValueDistribution, m: Fraction):
     n = dist.n
-    lp, col = reference_lp(dist, n + 1)
+    rows, col = reference_rows(dist, n + 1)
     nu0 = len(col)
     lam = nu0 + n
-    objective = [F(0)] * lp.n_vars
+    objective = [F(0)] * (lam + 1)
     for i in range(n):
         objective[nu0 + i] = -dist.masses[i]
     objective[lam] = m
-    lp.objective = tuple(objective)
-    lp.free = frozenset({lam})
     for i in range(n):
-        coeffs = [F(0)] * lp.n_vars
+        coeffs = [F(0)] * (lam + 1)
         coeffs[lam] = dist.masses[i]
         coeffs[nu0 + i] = -dist.masses[i]
         for k in range(i + 1):
             coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
-        lp.add(coeffs, LE, F(0))
-    return solve_lp(lp).value
+        rows.append((coeffs, LE, F(0)))
+    return objective, frozenset({lam}), rows, col
+
+
+def diagonal_substitution(
+    dist: ValueDistribution, objective, free, rows, col
+) -> LinearProgram:
+    """The reference program with x[i][i] = f_i - sum_{k<i} x[k][i].
+
+    Each mass equality becomes 0 == 0, and the sign restriction
+    x[i][i] >= 0 becomes the row sum_{k<i} x[k][i] <= f_i, which is vacuous
+    for the lowest value; both are asserted.  The extra columns keep their
+    coefficients and move down by the n diagonal columns."""
+    n = dist.n
+    canonical = [(k, i) for k in range(n) for i in range(k + 1, n)]
+    nx = len(col)
+
+    def substitute(coeffs, rhs):
+        diagonal = [coeffs[col[(i, i)]] for i in range(n)]
+        out = [coeffs[col[(k, i)]] - diagonal[i] for k, i in canonical]
+        shift = sum((d * f for d, f in zip(diagonal, dist.masses)), F(0))
+        return out + list(coeffs[nx:]), rhs - shift
+
+    coeffs, constant = substitute(objective, F(0))
+    assert constant == 0
+    lp = LinearProgram(objective=tuple(coeffs), free=frozenset(j - n for j in free))
+    for i in range(n):
+        sign_row = [F(0)] * len(objective)
+        sign_row[col[(i, i)]] = F(-1)  # -x[i][i] <= 0
+        coeffs, rhs = substitute(sign_row, F(0))
+        if i == 0:
+            assert not any(coeffs) and rhs == dist.masses[0]
+        else:
+            row_i = [F(int(value == i)) for _, value in canonical]
+            assert coeffs == row_i + [F(0)] * (len(objective) - nx)
+            lp.add(coeffs, LE, rhs)
+    for coeffs, sense, rhs in rows:
+        coeffs, rhs = substitute(coeffs, rhs)
+        if sense == "==":
+            assert not any(coeffs) and rhs == 0
+        else:
+            lp.add(coeffs, sense, rhs)
+    return lp
+
+
+def certification_masses(dist: ValueDistribution) -> list[Fraction]:
+    """The final scheme's certification grid, and m = 1."""
+    grid = adversary_grid(
+        scheme_surplus(monotone_fair_scheme(dist).final.to_signaling_scheme())
+    )
+    return sorted(set(grid) | {F(1)})
 
 
 def reference_instances() -> list:
@@ -306,36 +366,71 @@ class TestReferenceFormulation:
     """The LPs without diagonal columns against the formulation with them."""
 
     @pytest.mark.parametrize("dist", reference_instances())
+    def test_diagonal_substitution_gives_the_canonical_lps(self, dist, monkeypatch):
+        """Substituting the diagonal out of the reference rows gives, row for
+        row and right-hand side for right-hand side, the LPs `oracles` hands
+        to the solver.  m enters both forms only as lambda's objective
+        coefficient, so they are the same program at every m.  Nothing is
+        solved: the capture answers with the origin, full revelation."""
+        origin = lambda lp: LPResult("optimal", F(0), (F(0),) * lp.n_vars)
+        captured = capture_lps(monkeypatch, solve=origin)
+        m = F(1, 3)
+        adversary_sorted_prefix(dist, m)
+        lp_buyer_optimal_scheme(dist)
+        expected = [
+            diagonal_substitution(dist, *reference_adversary(dist, m)),
+            diagonal_substitution(dist, *reference_buyer_optimal(dist)),
+        ]
+        assert len(captured) == len(expected)
+        for lp, ref in zip(captured, expected):
+            assert (lp.objective, lp.free) == (ref.objective, ref.free)
+            assert lp.constraints == ref.constraints
+
+    @pytest.mark.parametrize("dist", reference_instances())
     def test_values_and_witnesses_match_reference(self, dist):
         scheme, total = lp_buyer_optimal_scheme(dist)
-        assert total == reference_buyer_optimal_total(dist)
         assert total == buyer_optimal_scheme(dist)[1]
         assert is_efficient(scheme)
         assert scheme_surplus(scheme).total() == total
         SignalingScheme(dist, scheme.entries)
-        grid = adversary_grid(
-            scheme_surplus(monotone_fair_scheme(dist).final.to_signaling_scheme())
-        )
-        for m in sorted(set(grid) | {F(1)}):
+        for m in certification_masses(dist):
             value, witness = adversary_sorted_prefix(dist, m)
-            assert value == reference_adversary(dist, m)
             SignalingScheme(dist, witness.entries)
             step = profile_step_function(scheme_surplus(witness))
             assert sorted_prefix(step, m) == value
 
 
+def highs_value(optimize, lp: LinearProgram) -> float:
+    """Optimal value of ``lp`` by HiGHS in floating point."""
+    a_ub, b_ub = [], []
+    for coeffs, sense, rhs in lp.constraints:
+        sign = -1 if sense == GE else 1
+        a_ub.append([float(sign * a) for a in coeffs])
+        b_ub.append(float(sign * rhs))
+    bounds = [(None, None) if j in lp.free else (0, None) for j in range(lp.n_vars)]
+    c = [-float(a) for a in lp.objective]
+    res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("dist", reference_instances())
+def test_adversary_values_match_highs(dist, monkeypatch):
+    """Independent optimality check: HiGHS, which shares no code with
+    `solve_lp`, solves the same adversary rows at every grid mass."""
+    optimize = pytest.importorskip("scipy.optimize")
+    captured = capture_lps(monkeypatch)
+    for m in certification_masses(dist):
+        value, _ = adversary_sorted_prefix(dist, m)
+        assert math.isclose(value, highs_value(optimize, captured[-1]), rel_tol=1e-9)
+
+
 @pytest.mark.parametrize("name", ["running_example", "fig3_instance"])
 def test_canonical_lps_start_at_full_revelation(name, request, monkeypatch):
     """Every canonical row keeps its slack basic at the origin, which is
-    feasible, so the solver needs no artificial variable and no phase 1."""
+    feasible, so the one-phase solver can start there."""
     dist = request.getfixturevalue(name)
-    captured = []
-
-    def capture(lp):
-        captured.append(lp)
-        return solve_lp(lp)
-
-    monkeypatch.setattr(oracles, "solve_lp", capture)
+    captured = capture_lps(monkeypatch)
     adversary_sorted_prefix(dist, F(1, 2))
     lp_buyer_optimal_scheme(dist)
     assert len(captured) == 2

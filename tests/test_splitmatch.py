@@ -29,9 +29,8 @@ F = Fraction
 
 class TestRunningExample:
     def test_full_decomposition(self, running_example):
-        trace = []
-        scheme = split_and_match(running_example, trace=trace)
-        assert trace == [(0, 1, F(1, 4)), (1, 2, F(5, 24)), (2, 3, F(3, 20))]
+        # the binaries, in emission order, are the greedy ledger
+        scheme = split_and_match(running_example)
         assert scheme.binaries == (
             BinarySignalEntry(0, 1, F(1, 4)),
             BinarySignalEntry(1, 2, F(5, 24)),
@@ -119,8 +118,7 @@ class TestGreedyInvariants:
         rng = random.Random(41)
         for _ in range(150):
             dist = random_distribution(rng)
-            trace = []
-            scheme = split_and_match(dist, trace=trace)
+            scheme = split_and_match(dist)
             # half-mass caps hold per value, exactly
             giver_used = [F(0)] * dist.n
             taker_used = [F(0)] * dist.n
@@ -136,8 +134,8 @@ class TestGreedyInvariants:
                 high = dist.values[b.taker]
                 assert low * 1 == high * b.taker_fraction(dist)
             # the giver frontier never moves left
-            for (s0, _, _), (s1, _, _) in zip(trace, trace[1:]):
-                assert s0 <= s1
+            for b0, b1 in zip(scheme.binaries, scheme.binaries[1:]):
+                assert b0.giver <= b1.giver
             sig = scheme.to_signaling_scheme()  # validates Bayes plausibility
             assert is_efficient(sig)
 
