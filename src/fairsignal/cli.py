@@ -269,51 +269,47 @@ def cmd_verify(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     lines = []
-    try:
-        if args.kind == "buyeropt":
-            inst = buyer_optimal_lb_instance(args.parameter)
-            profile_opt = scheme_surplus(inst.buyer_optimal)
-            profile_alt = scheme_surplus(inst.alternative)
-            lines += _instance_lines(inst.dist)
-            lines += [
-                f"buyer-optimal cs (mid, high): {inst.cs_mid_optimal}, {inst.cs_high_optimal}",
-                f"alternative cs (mid, high): {inst.cs_mid_alternative}, {inst.cs_high_alternative}",
-                f"min positive surplus ratio: {inst.ratio}",
-            ]
-            if profile_opt.surpluses[1:] != (inst.cs_mid_optimal, inst.cs_high_optimal):
-                raise InvariantViolation("buyer-optimal surplus mismatch")
-            if profile_alt.surpluses[1:] != (
-                inst.cs_mid_alternative,
-                inst.cs_high_alternative,
-            ):
-                raise InvariantViolation("alternative surplus mismatch")
-            if profile_opt.total() != inst.dist.expected_value() - myerson(inst.dist)[1]:
-                raise InvariantViolation("reference scheme is not buyer-optimal")
-            lines.append("verified: true")
-        else:
-            eps = as_fraction(args.parameter)
-            if not 0 < eps <= Fraction(1, 100):
-                raise MarketError(f"epsilon must lie in (0, 1/100], got {eps}")
-            inst = universal_lb_instance(eps)
-            result = max_min_surplus_lp(inst.values, inst.raw_masses)
-            lines += _instance_lines(inst.dist)
-            lines += [
-                f"max-min LP value: {result.value}",
-                f"closed form: {inst.best_min_surplus}",
-                f"match: {_fmt(result.value == inst.best_min_surplus)}",
-            ]
-            if result.value != inst.best_min_surplus:
-                raise InvariantViolation("max-min LP value differs from closed form")
-            profile = monotone_fair_scheme(inst.dist).final.surplus_profile()
-            _, alpha = certify(
-                profile_step_function(profile),
-                adversary_grid(profile),
-                lambda m: adversary_sorted_prefix(inst.dist, m)[0],
-            )
-            lines.append(f"certified alpha of monotone scheme: {_fmt(alpha)}")
-    except ValueError as e:  # a report line past the int/str digit limit
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.kind == "buyeropt":
+        inst = buyer_optimal_lb_instance(args.parameter)
+        profile_opt = scheme_surplus(inst.buyer_optimal)
+        profile_alt = scheme_surplus(inst.alternative)
+        lines += _instance_lines(inst.dist)
+        lines += [
+            f"buyer-optimal cs (mid, high): {inst.cs_mid_optimal}, {inst.cs_high_optimal}",
+            f"alternative cs (mid, high): {inst.cs_mid_alternative}, {inst.cs_high_alternative}",
+            f"min positive surplus ratio: {inst.ratio}",
+        ]
+        if profile_opt.surpluses[1:] != (inst.cs_mid_optimal, inst.cs_high_optimal):
+            raise InvariantViolation("buyer-optimal surplus mismatch")
+        if profile_alt.surpluses[1:] != (
+            inst.cs_mid_alternative,
+            inst.cs_high_alternative,
+        ):
+            raise InvariantViolation("alternative surplus mismatch")
+        if profile_opt.total() != inst.dist.expected_value() - myerson(inst.dist)[1]:
+            raise InvariantViolation("reference scheme is not buyer-optimal")
+        lines.append("verified: true")
+    else:
+        eps = as_fraction(args.parameter)
+        if not 0 < eps <= Fraction(1, 100):
+            raise MarketError(f"epsilon must lie in (0, 1/100], got {eps}")
+        inst = universal_lb_instance(eps)
+        result = max_min_surplus_lp(inst.values, inst.raw_masses)
+        lines += _instance_lines(inst.dist)
+        lines += [
+            f"max-min LP value: {result.value}",
+            f"closed form: {inst.best_min_surplus}",
+            f"match: {_fmt(result.value == inst.best_min_surplus)}",
+        ]
+        if result.value != inst.best_min_surplus:
+            raise InvariantViolation("max-min LP value differs from closed form")
+        profile = monotone_fair_scheme(inst.dist).final.surplus_profile()
+        _, alpha = certify(
+            profile_step_function(profile),
+            adversary_grid(profile),
+            lambda m: adversary_sorted_prefix(inst.dist, m)[0],
+        )
+        lines.append(f"certified alpha of monotone scheme: {_fmt(alpha)}")
     print("\n".join(lines))
     return EXIT_OK
 

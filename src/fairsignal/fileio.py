@@ -1,9 +1,9 @@
-"""Instance and scheme files, plus CSV tables for plots.
+"""Instance and scheme files, plus the majorization table as CSV for plots.
 
 Rationals are serialized as "p/q" strings so nothing is lost to decimal
 rounding; on input, plain numbers and decimal strings are also accepted
-and converted exactly.  CSV tables carry each quantity twice: the exact
-rational and a 12-decimal rounding for plotting.
+and converted exactly.  The CSV table carries each quantity twice: the
+exact rational and a 12-decimal rounding for plotting.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence, Union
 
-from .ironing import RectanglePair
 from .market import (
     MarketError,
     Signal,
@@ -124,12 +123,6 @@ def save_scheme(scheme: SignalingScheme, target: PathOrFile) -> None:
     _dump_json(scheme_payload(scheme), target)
 
 
-def _open_csv(target: PathOrFile):
-    if isinstance(target, str):
-        return open(target, "w", encoding="utf-8", newline="")
-    return target
-
-
 def write_majorization_table(
     target: PathOrFile,
     rows: Iterable[Mapping],
@@ -142,7 +135,11 @@ def write_majorization_table(
         "adversary_prefix",
         "ratio",
     ]
-    fh = _open_csv(target)
+    fh = (
+        open(target, "w", encoding="utf-8", newline="")
+        if isinstance(target, str)
+        else target
+    )
     try:
         writer = csv.writer(fh)
         header = []
@@ -160,92 +157,6 @@ def write_majorization_table(
                 else:
                     out += [rational_str(val), decimal_str(val)]
             writer.writerow(out)
-    finally:
-        if isinstance(target, str):
-            fh.close()
-
-
-def write_match_trace(
-    target: PathOrFile, trace: Sequence[tuple[int, int, Fraction]]
-) -> None:
-    """Greedy pairing log: one (giver, taker, weight) row per signal."""
-    fh = _open_csv(target)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["giver_index", "taker_index", "weight", "weight_decimal"])
-        for s, l, w in trace:
-            writer.writerow([s, l, rational_str(w), decimal_str(w)])
-    finally:
-        if isinstance(target, str):
-            fh.close()
-
-
-def write_ironing_segments(target: PathOrFile, ironed) -> None:
-    """Per-class surplus before and after ironing, plus interval levels."""
-    dist = ironed.profile.dist
-    fh = _open_csv(target)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "left", "right", "surplus", "ironed_surplus"])
-        left = Fraction(0)
-        for i, (f, cs, ironed_cs) in enumerate(
-            zip(dist.masses, ironed.profile.surpluses, ironed.ironed_values)
-        ):
-            writer.writerow(
-                [
-                    i,
-                    rational_str(left),
-                    rational_str(left + f),
-                    rational_str(cs),
-                    rational_str(ironed_cs),
-                ]
-            )
-            left += f
-        writer.writerow([])
-        writer.writerow(["interval", "left", "right", "level"])
-        for t, iv in enumerate(ironed.intervals):
-            writer.writerow(
-                [t, rational_str(iv.left), rational_str(iv.right), rational_str(iv.level)]
-            )
-    finally:
-        if isinstance(target, str):
-            fh.close()
-
-
-def write_rectangle_dump(
-    target: PathOrFile,
-    pairings: Sequence[Sequence[RectanglePair]],
-) -> None:
-    """Rectangle pairs per ironing interval, one row per pair."""
-    fh = _open_csv(target)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "interval",
-                "pair",
-                "plus_index",
-                "plus_width",
-                "plus_height",
-                "minus_index",
-                "minus_width",
-                "minus_height",
-            ]
-        )
-        for t, pairs in enumerate(pairings):
-            for y, p in enumerate(pairs):
-                writer.writerow(
-                    [
-                        t,
-                        y,
-                        p.plus_index,
-                        rational_str(p.plus_width),
-                        rational_str(p.plus_height),
-                        p.minus_index,
-                        rational_str(p.minus_width),
-                        rational_str(p.minus_height),
-                    ]
-                )
     finally:
         if isinstance(target, str):
             fh.close()

@@ -5,12 +5,15 @@ with pairwise-distinct lowest supports, each posting its lowest support.
 Optimizing over that canonical polytope therefore optimizes over all
 schemes.  The LPs carry no column for the mass of value i in the signal
 priced at v_i: the prior fixes it as f_i less the mass of value i priced
-lower.  The origin is then full revelation, a feasible vertex where every
-row holds, which is where the one-phase simplex of `lp` starts.  The
-adversary here maximizes the sorted prefix sum at a given mass, which
-certifies approximate majorization; the buyer-optimal baseline needs no
-LP (see `market.buyer_optimal_scheme`).  The max-min surplus LP and the
-two three-value instance families pin down the lower bounds.
+lower.  Every row is then a ``<=`` row with a non-negative right-hand
+side and every variable is non-negative, the standard form of `lp`: the
+origin is full revelation, a feasible vertex where every row holds, which
+is where its one-phase simplex starts.  The adversary here maximizes the
+sorted prefix sum at a given mass, which certifies approximate
+majorization; the buyer-optimal baseline needs no LP (see
+`market.buyer_optimal_scheme`).  The max-min surplus LP and the two
+three-value instance families pin down the lower bounds, and both
+families refuse a parameter longer than `MAX_PARAMETER_EXPONENT` allows.
 """
 
 from __future__ import annotations
@@ -19,11 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lp import GE, LE, LinearProgram, solve_lp
+from .lp import LinearProgram, solve_lp
 from .market import (
-    _MAX_RATIONAL_BITS,
-    MAX_INT_DIGITS,
-    InvariantViolation,
     MarketError,
     Signal,
     SignalingScheme,
@@ -35,6 +35,11 @@ from .market import (
 from .steps import certification_grid, profile_step_function
 
 DEFAULT_MAX_N = 8
+# A lower-bound parameter's numerator and denominator may not exceed
+# 10**MAX_PARAMETER_EXPONENT.  The reports print integers about 4x as long
+# as the parameter's, and the universal family's LPs slow down with
+# epsilon's length: 10**-1000 takes about 2 s, 10**-3000 about 17 s.
+MAX_PARAMETER_EXPONENT = 1000
 
 
 def _canonical_columns(n: int) -> list[tuple[int, int]]:
@@ -43,7 +48,7 @@ def _canonical_columns(n: int) -> list[tuple[int, int]]:
     The diagonal x[i][i] has no column: it is whatever of f_i the other
     signals leave, ``f_i - sum_{k<i} x[k][i]``.  The origin is therefore
     full revelation, a feasible vertex, and every constraint row is a
-    ``<=`` row with a non-negative right-hand side once normalized.
+    ``<=`` row with a non-negative right-hand side.
     """
     return [(k, i) for k in range(n) for i in range(k + 1, n)]
 
@@ -58,16 +63,17 @@ def _add_canonical_constraints(
         coeffs = [Fraction(0)] * width
         for k in range(i):
             coeffs[col[(k, i)]] = Fraction(1)
-        lp.add(coeffs, LE, dist.masses[i])
+        lp.add(coeffs, dist.masses[i])
     for k in range(n):
-        # revenue of signal k at v_k beats v_j; x[k][k] enters through f_k
+        # revenue of signal k at v_j is at most its revenue at v_k; x[k][k]
+        # enters through f_k
         for j in range(k + 1, n):
             coeffs = [Fraction(0)] * width
             for i in range(k + 1, n):
-                coeffs[col[(k, i)]] = values[k] - (values[j] if i >= j else 0)
+                coeffs[col[(k, i)]] = (values[j] if i >= j else 0) - values[k]
             for lower in range(k):
-                coeffs[col[(lower, k)]] = -values[k]
-            lp.add(coeffs, GE, -values[k] * dist.masses[k])
+                coeffs[col[(lower, k)]] = values[k]
+            lp.add(coeffs, values[k] * dist.masses[k])
 
 
 def _scheme_from_point(
@@ -104,9 +110,17 @@ def adversary_sorted_prefix(
 ) -> tuple[Fraction, SignalingScheme]:
     """Largest sorted m-prefix sum any scheme can achieve, with a witness.
 
-    The inner minimum over mass-m selections is dualized (multiplier for
-    the total-mass constraint, one non-negative multiplier per capacity),
-    so a single LP maximizes over canonical schemes and selections jointly.
+    The inner minimum over mass-m selections is dualized (multiplier
+    lambda for the total-mass constraint, one non-negative multiplier nu_i
+    per capacity), so a single LP maximizes m * lambda - sum_i f_i nu_i
+    subject to lambda - nu_i <= s_i over canonical schemes and selections
+    jointly, where s_i is the surplus of value class i.
+
+    lambda is the multiplier of an equality and so free in the dual, but
+    the LP keeps it non-negative, which loses nothing: every s_i is >= 0,
+    so for any scheme x the point lambda = 0, nu = 0 is feasible with value
+    0, while any point with lambda < 0 has value m * lambda - sum_i f_i nu_i
+    < 0 (m > 0, nu >= 0).  Every optimum therefore already has lambda >= 0.
     """
     if not 0 < m <= 1:
         raise MarketError(f"prefix mass {m} outside (0, 1]")
@@ -121,7 +135,7 @@ def adversary_sorted_prefix(
     for i in range(n):
         objective[nu0 + i] = -dist.masses[i]
     objective[lam] = m
-    lp = LinearProgram(objective=tuple(objective), free=frozenset({lam}))
+    lp = LinearProgram(objective=tuple(objective))
     _add_canonical_constraints(lp, dist, col)
     for i in range(n):
         coeffs = [Fraction(0)] * width
@@ -129,10 +143,8 @@ def adversary_sorted_prefix(
         coeffs[nu0 + i] = -dist.masses[i]
         for k in range(i):
             coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
-        lp.add(coeffs, LE, Fraction(0))
+        lp.add(coeffs, Fraction(0))
     result = solve_lp(lp)
-    if result.status != "optimal":
-        raise InvariantViolation(f"adversary LP returned {result.status}")
     return result.value, _scheme_from_point(dist, result.point, col)
 
 
@@ -184,17 +196,15 @@ def max_min_surplus_lp(
 
     objective = row(smin=Fraction(1))
     lp = LinearProgram(objective=objective)
-    lp.add(row(y=v2 - v1, smin=-f2), GE, Fraction(0))
-    lp.add(row(z=v3 - v1, zp=v3 - v2, smin=-f3), GE, Fraction(0))
-    lp.add(row(x=v1, y=v1 - v2, z=v1 - v2), GE, Fraction(0))
-    lp.add(row(x=v1, y=v1, z=v1 - v3), GE, Fraction(0))
-    lp.add(row(yp=v2, zp=v2 - v3), GE, Fraction(0))
-    lp.add(row(x=Fraction(1)), LE, f1)
-    lp.add(row(y=Fraction(1), yp=Fraction(1)), LE, f2)
-    lp.add(row(z=Fraction(1), zp=Fraction(1), zpp=Fraction(1)), LE, f3)
+    lp.add(row(y=v1 - v2, smin=f2), Fraction(0))
+    lp.add(row(z=v1 - v3, zp=v2 - v3, smin=f3), Fraction(0))
+    lp.add(row(x=-v1, y=v2 - v1, z=v2 - v1), Fraction(0))
+    lp.add(row(x=-v1, y=-v1, z=v3 - v1), Fraction(0))
+    lp.add(row(yp=-v2, zp=v3 - v2), Fraction(0))
+    lp.add(row(x=Fraction(1)), f1)
+    lp.add(row(y=Fraction(1), yp=Fraction(1)), f2)
+    lp.add(row(z=Fraction(1), zp=Fraction(1), zpp=Fraction(1)), f3)
     result = solve_lp(lp)
-    if result.status != "optimal":
-        raise InvariantViolation(f"max-min LP returned {result.status}")
     point = {name: result.point[i] for i, name in enumerate(names)}
     return MaxMinSurplusResult(result.value, point)
 
@@ -219,18 +229,22 @@ class BuyerOptimalLowerBound:
     ratio: Fraction
 
 
+def check_parameter_length(parameter: Fraction) -> None:
+    """Refuse a lower-bound parameter too long to build an instance from."""
+    if max(abs(parameter.numerator), parameter.denominator) > (
+        10**MAX_PARAMETER_EXPONENT
+    ):
+        raise MarketError(
+            "parameter too long: its numerator and denominator may not exceed "
+            f"10**MAX_PARAMETER_EXPONENT = 10**{MAX_PARAMETER_EXPONENT}"
+        )
+
+
 def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     N = as_fraction(parameter)
     if N <= 1:
         raise MarketError(f"parameter must exceed 1, got {N}")
-    # the masses and surpluses are degree-4 polynomials in N's numerator and
-    # denominator, so the report prints integers about 4x as long as N's
-    bits = max(N.numerator.bit_length(), N.denominator.bit_length())
-    if 4 * bits > _MAX_RATIONAL_BITS:
-        raise MarketError(
-            f"parameter too long: the report would print integers longer than "
-            f"MAX_INT_DIGITS = {MAX_INT_DIGITS} digits"
-        )
+    check_parameter_length(N)
     total = N**3 + 2 * N**2 + N
     dist = ValueDistribution(
         values=(Fraction(1), N, N + 1),
@@ -291,6 +305,7 @@ def universal_lb_instance(epsilon) -> UniversalLowerBound:
     eps = as_fraction(epsilon)
     if not 0 < eps < 1:
         raise MarketError(f"epsilon must lie in (0, 1), got {eps}")
+    check_parameter_length(eps)
     values = (Fraction(1), 1 + eps, 2 + eps)
     f1 = eps**2 + 2 * eps
     f2 = 1 + (1 + eps) ** 2

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from fairsignal.cli import main
 from fairsignal.fileio import load_scheme, save_instance, save_scheme
-from fairsignal.market import ValueDistribution, scheme_surplus
+from fairsignal.market import MAX_INT_DIGITS, ValueDistribution, scheme_surplus
 from fairsignal.oracles import adversary_grid
 
 from conftest import perfbench_module
@@ -397,17 +398,32 @@ class TestLowerbound:
         assert "parameter must exceed 1, got 1" in stderr
 
     def test_oversized_parameter_refused_up_front(self, capsys, monkeypatch):
-        # N**3 of a 100,000-digit N is never formed: the instance is not built
+        # no power of an oversized parameter is formed: the instance is not
+        # built.  The long N passed the old buyeropt guard, which bounded
+        # 4x N's bits, but its expected value printed past MAX_INT_DIGITS.
         from fairsignal import oracles
 
         def refuse(*args, **kwargs):
             raise AssertionError("instance built")
 
         monkeypatch.setattr(oracles, "ValueDistribution", refuse)
-        code, stdout, stderr = run_cli(capsys, "lowerbound", "buyeropt", "1e99999")
-        assert code == 2
-        assert stdout == ""
-        assert "MAX_INT_DIGITS" in stderr
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
+        long_n = f"{2**83048 - 1}/{2**83048 - 3}"
+        for kind, parameter in [
+            ("buyeropt", "1e99999"),
+            ("buyeropt", long_n),
+            ("universal", "1e-3000"),
+        ]:
+            code, stdout, stderr = run_cli(capsys, "lowerbound", kind, parameter)
+            assert code == 2
+            assert stdout == ""
+            assert "MAX_PARAMETER_EXPONENT = 10**1000" in stderr
+
+    def test_longest_parameter_accepted(self, capsys):
+        code, stdout, _ = run_cli(capsys, "lowerbound", "buyeropt", "1e1000")
+        assert code == 0
+        assert "verified: true" in stdout
 
     @pytest.mark.parametrize("kind", ["buyeropt", "universal"])
     def test_malformed_parameter_exits_2(self, kind, capsys):

@@ -1,4 +1,4 @@
-"""File formats: exact rational round-trips, CSV tables."""
+"""File formats: exact rational round-trips, the CSV majorization table."""
 
 from __future__ import annotations
 
@@ -18,10 +18,7 @@ from fairsignal.fileio import (
     save_scheme,
     scheme_payload,
     write_majorization_table,
-    write_match_trace,
-    write_rectangle_dump,
 )
-from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import MarketError, full_revelation
 from fairsignal.splitmatch import split_and_match
 
@@ -101,31 +98,6 @@ class TestCsvWriters:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("m,m_decimal,integration_prefix")
         assert lines[1].split(",")[:4] == ["1/2", "0.5", "1/16", "0.0625"]
-
-    def test_match_trace(self, running_example):
-        scheme = split_and_match(running_example)
-        buf = io.StringIO()
-        write_match_trace(buf, [(b.giver, b.taker, b.weight) for b in scheme.binaries])
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 4
-        assert lines[1] == "0,1,1/4,0.25"
-
-    def test_rectangle_dump(self, running_example):
-        res = monotone_fair_scheme(running_example)
-        buf = io.StringIO()
-        write_rectangle_dump(buf, res.pairings)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[1] == "0,0,2,1/4,1/4,3,1/4,1/4"
-
-    def test_ironing_segments_dump(self, running_example):
-        from fairsignal.fileio import write_ironing_segments
-
-        res = monotone_fair_scheme(running_example)
-        buf = io.StringIO()
-        write_ironing_segments(buf, res.ironed)
-        text = buf.getvalue()
-        assert "2,1/2,3/4,1,3/4" in text  # class 2 ironed from 1 down to 3/4
-        assert "0,1/2,1,3/4" in text  # the single interval at level 3/4
 
 
 def test_decimal_str_rounds_to_twelve_places():

@@ -12,9 +12,8 @@ import pytest
 from fairsignal import lp as lp_module
 from fairsignal import oracles
 from fairsignal.ironing import monotone_fair_scheme
-from fairsignal.lp import GE, LE, LinearProgram, LPResult, solve_lp
+from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import (
-    InvariantViolation,
     MarketError,
     SignalingScheme,
     ValueDistribution,
@@ -46,10 +45,7 @@ def solve_buyer_optimal_lp(dist: ValueDistribution):
     objective = tuple(dist.values[i] - dist.values[k] for k, i in cols)
     lp = LinearProgram(objective=objective)
     oracles._add_canonical_constraints(lp, dist, col)
-    result = oracles.solve_lp(lp)
-    if result.status != "optimal":
-        raise InvariantViolation(f"buyer-optimal LP returned {result.status}")
-    return result, col
+    return oracles.solve_lp(lp), col
 
 
 def lp_buyer_optimal_scheme(
@@ -248,9 +244,9 @@ def reference_rows(dist: ValueDistribution, extra: int) -> tuple[list, dict]:
     """Reference form of the canonical polytope, as test data: a column for
     every x[k][i] with k <= i, diagonal included, one ``==`` mass row per
     value and the price-optimality rows as ``>= 0`` rows.  ``extra`` columns
-    follow the x columns.  The mass rows fail at the origin, so `solve_lp`
-    refuses this form; `diagonal_substitution` maps it onto the canonical
-    LPs instead."""
+    follow the x columns.  `solve_lp`'s standard form cannot express the
+    mass equalities; `diagonal_substitution` maps this form onto the
+    canonical LPs instead."""
     n = dist.n
     cols = [(k, i) for k in range(n) for i in range(k, n)]
     col = {kc: idx for idx, kc in enumerate(cols)}
@@ -268,7 +264,7 @@ def reference_rows(dist: ValueDistribution, extra: int) -> tuple[list, dict]:
                 coeffs[col[(k, i)]] = dist.values[k] - (
                     dist.values[j] if i >= j else F(0)
                 )
-            rows.append((coeffs, GE, F(0)))
+            rows.append((coeffs, ">=", F(0)))
     return rows, col
 
 
@@ -293,19 +289,21 @@ def reference_adversary(dist: ValueDistribution, m: Fraction):
         coeffs[nu0 + i] = -dist.masses[i]
         for k in range(i + 1):
             coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
-        rows.append((coeffs, LE, F(0)))
+        rows.append((coeffs, "<=", F(0)))
     return objective, frozenset({lam}), rows, col
 
 
 def diagonal_substitution(
     dist: ValueDistribution, objective, free, rows, col
-) -> LinearProgram:
-    """The reference program with x[i][i] = f_i - sum_{k<i} x[k][i].
+) -> tuple[LinearProgram, frozenset]:
+    """The reference program with x[i][i] = f_i - sum_{k<i} x[k][i], in
+    standard form, and the columns the reference leaves free.
 
     Each mass equality becomes 0 == 0, and the sign restriction
     x[i][i] >= 0 becomes the row sum_{k<i} x[k][i] <= f_i, which is vacuous
-    for the lowest value; both are asserted.  The extra columns keep their
-    coefficients and move down by the n diagonal columns."""
+    for the lowest value; both are asserted.  Each ``>=`` row is negated
+    into a ``<=`` row.  The extra columns keep their coefficients and move
+    down by the n diagonal columns."""
     n = dist.n
     canonical = [(k, i) for k in range(n) for i in range(k + 1, n)]
     nx = len(col)
@@ -318,7 +316,7 @@ def diagonal_substitution(
 
     coeffs, constant = substitute(objective, F(0))
     assert constant == 0
-    lp = LinearProgram(objective=tuple(coeffs), free=frozenset(j - n for j in free))
+    lp = LinearProgram(objective=tuple(coeffs))
     for i in range(n):
         sign_row = [F(0)] * len(objective)
         sign_row[col[(i, i)]] = F(-1)  # -x[i][i] <= 0
@@ -328,14 +326,16 @@ def diagonal_substitution(
         else:
             row_i = [F(int(value == i)) for _, value in canonical]
             assert coeffs == row_i + [F(0)] * (len(objective) - nx)
-            lp.add(coeffs, LE, rhs)
+            lp.add(coeffs, rhs)
     for coeffs, sense, rhs in rows:
         coeffs, rhs = substitute(coeffs, rhs)
         if sense == "==":
             assert not any(coeffs) and rhs == 0
+        elif sense == ">=":
+            lp.add([-a for a in coeffs], -rhs)
         else:
-            lp.add(coeffs, sense, rhs)
-    return lp
+            lp.add(coeffs, rhs)
+    return lp, frozenset(j - n for j in free)
 
 
 def certification_masses(dist: ValueDistribution) -> list[Fraction]:
@@ -369,10 +369,13 @@ class TestReferenceFormulation:
     def test_diagonal_substitution_gives_the_canonical_lps(self, dist, monkeypatch):
         """Substituting the diagonal out of the reference rows gives, row for
         row and right-hand side for right-hand side, the LPs `oracles` hands
-        to the solver.  m enters both forms only as lambda's objective
-        coefficient, so they are the same program at every m.  Nothing is
-        solved: the capture answers with the origin, full revelation."""
-        origin = lambda lp: LPResult("optimal", F(0), (F(0),) * lp.n_vars)
+        to the solver.  The only other difference is that the reference
+        leaves lambda, the adversary's last column, free, where the solver
+        keeps it non-negative (see `test_nonnegative_lambda_loses_nothing`).
+        m enters both forms only as lambda's objective coefficient, so they
+        are the same program at every m.  Nothing is solved: the capture
+        answers with the origin, full revelation."""
+        origin = lambda lp: LPResult(F(0), (F(0),) * lp.n_vars)
         captured = capture_lps(monkeypatch, solve=origin)
         m = F(1, 3)
         adversary_sorted_prefix(dist, m)
@@ -382,9 +385,11 @@ class TestReferenceFormulation:
             diagonal_substitution(dist, *reference_buyer_optimal(dist)),
         ]
         assert len(captured) == len(expected)
-        for lp, ref in zip(captured, expected):
-            assert (lp.objective, lp.free) == (ref.objective, ref.free)
+        for lp, (ref, _) in zip(captured, expected):
+            assert lp.objective == ref.objective
             assert lp.constraints == ref.constraints
+        lam = captured[0].n_vars - 1
+        assert [free for _, free in expected] == [frozenset({lam}), frozenset()]
 
     @pytest.mark.parametrize("dist", reference_instances())
     def test_values_and_witnesses_match_reference(self, dist):
@@ -401,13 +406,11 @@ class TestReferenceFormulation:
 
 
 def highs_value(optimize, lp: LinearProgram) -> float:
-    """Optimal value of ``lp`` by HiGHS in floating point."""
-    a_ub, b_ub = [], []
-    for coeffs, sense, rhs in lp.constraints:
-        sign = -1 if sense == GE else 1
-        a_ub.append([float(sign * a) for a in coeffs])
-        b_ub.append(float(sign * rhs))
-    bounds = [(None, None) if j in lp.free else (0, None) for j in range(lp.n_vars)]
+    """Optimal value of ``lp`` by HiGHS in floating point, with its last
+    column, the adversary's lambda, free."""
+    a_ub = [[float(a) for a in coeffs] for coeffs, _ in lp.constraints]
+    b_ub = [float(rhs) for _, rhs in lp.constraints]
+    bounds = [(0, None)] * (lp.n_vars - 1) + [(None, None)]
     c = [-float(a) for a in lp.objective]
     res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0, res.message
@@ -417,12 +420,28 @@ def highs_value(optimize, lp: LinearProgram) -> float:
 @pytest.mark.parametrize("dist", reference_instances())
 def test_adversary_values_match_highs(dist, monkeypatch):
     """Independent optimality check: HiGHS, which shares no code with
-    `solve_lp`, solves the same adversary rows at every grid mass."""
+    `solve_lp`, solves the same adversary rows at every grid mass, with
+    lambda free as in the dual it comes from."""
     optimize = pytest.importorskip("scipy.optimize")
     captured = capture_lps(monkeypatch)
     for m in certification_masses(dist):
         value, _ = adversary_sorted_prefix(dist, m)
         assert math.isclose(value, highs_value(optimize, captured[-1]), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("dist", reference_instances())
+def test_nonnegative_lambda_loses_nothing(dist, monkeypatch):
+    """Exact check that the adversary may keep lambda >= 0: one more column
+    equal to lambda's negation, which lets lambda take any sign, leaves the
+    optimum unchanged at every grid mass."""
+    captured = capture_lps(monkeypatch)
+    for m in certification_masses(dist):
+        value, _ = adversary_sorted_prefix(dist, m)
+        lp = captured[-1]
+        free_lambda = LinearProgram(objective=lp.objective + (-lp.objective[-1],))
+        for coeffs, rhs in lp.constraints:
+            free_lambda.add(coeffs + (-coeffs[-1],), rhs)
+        assert solve_lp(free_lambda).value == value
 
 
 @pytest.mark.parametrize("name", ["running_example", "fig3_instance"])
@@ -436,5 +455,4 @@ def test_canonical_lps_start_at_full_revelation(name, request, monkeypatch):
     assert len(captured) == 2
     for lp in captured:
         lp_module._verify(lp, (F(0),) * lp.n_vars)
-        for _, sense, rhs in lp.constraints:
-            assert (sense == LE and rhs >= 0) or (sense == GE and rhs <= 0)
+        assert all(rhs >= 0 for _, rhs in lp.constraints)
