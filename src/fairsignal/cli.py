@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import fileio
 from .ironing import monotone_fair_scheme
@@ -127,24 +127,27 @@ def build_named_scheme(dist: ValueDistribution, name: str) -> SignalingScheme:
 def certify(
     step: StepFunction,
     grid: Sequence[Fraction],
-    rival: Optional[Callable[[Fraction], Fraction]] = None,
+    rival: Optional[Sequence[Fraction]] = None,
 ) -> tuple[list[dict], Union[Fraction, float, None]]:
     """Per-mass prefix table of ``step`` and its certified factor against ``rival``.
 
-    Each row holds ``m``, ``integration_prefix`` and ``sorted_prefix`` (PF).
-    With a rival it also holds ``adversary_prefix`` (the rival's value) and
-    ``ratio``: 0 where the rival is 0, math.inf where only PF is 0, else
-    rival / PF.  alpha is the largest ratio, or None without a rival.
+    ``rival`` holds one value per grid mass.  Each row holds ``m``,
+    ``integration_prefix`` and ``sorted_prefix`` (PF).  With a rival it also
+    holds ``adversary_prefix`` (the rival's value) and ``ratio``: 0 where the
+    rival is 0, math.inf where only PF is 0, else rival / PF.  alpha is the
+    largest ratio, or None without a rival.
     """
+    if rival is not None and len(rival) != len(grid):
+        raise ValueError("rival needs one value per grid mass")
     rows = []
-    for m in grid:
+    for k, m in enumerate(grid):
         row = {
             "m": m,
             "integration_prefix": integration_prefix(step, m),
             "sorted_prefix": sorted_prefix(step, m),
         }
         if rival is not None:
-            adv = rival(m)
+            adv = rival[k]
             pf = row["sorted_prefix"]
             row["adversary_prefix"] = adv
             row["ratio"] = Fraction(0) if adv == 0 else math.inf if pf == 0 else adv / pf
@@ -222,10 +225,8 @@ def cmd_verify(args) -> int:
         if r not in REQUIREMENTS:
             raise MarketError(f"unknown requirement {r!r}")
     with_adversary = args.adversary or "majorized" in required
-    rival = None
     if with_adversary:
         check_adversary_support(dist, args.max_support)
-        rival = lambda m: adversary_sorted_prefix(dist, m, args.max_support)[0]
     try:
         scheme = fileio.load_scheme(args.scheme_file, dist)
     except PlausibilityError as e:
@@ -240,6 +241,10 @@ def cmd_verify(args) -> int:
 
     scheme_lines, profile, flags = _scheme_report("file", scheme)
     grid = _parse_grid(args.grid) if args.grid else adversary_grid(profile)
+    rival = None
+    if with_adversary:
+        sweep = adversary_sorted_prefix(dist, grid, args.max_support)
+        rival = [value for value, _ in sweep]
     rows, alpha = certify(profile_step_function(profile), grid, rival)
 
     lines = _instance_lines(dist) + scheme_lines
@@ -304,10 +309,10 @@ def cmd_lowerbound(args) -> int:
         if result.value != inst.best_min_surplus:
             raise InvariantViolation("max-min LP value differs from closed form")
         profile = monotone_fair_scheme(inst.dist).final.surplus_profile()
+        grid = adversary_grid(profile)
+        sweep = adversary_sorted_prefix(inst.dist, grid)
         _, alpha = certify(
-            profile_step_function(profile),
-            adversary_grid(profile),
-            lambda m: adversary_sorted_prefix(inst.dist, m)[0],
+            profile_step_function(profile), grid, [value for value, _ in sweep]
         )
         lines.append(f"certified alpha of monotone scheme: {_fmt(alpha)}")
     print("\n".join(lines))

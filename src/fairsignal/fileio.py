@@ -9,6 +9,7 @@ exact rational and a 12-decimal rounding for plotting.
 from __future__ import annotations
 
 import csv
+import decimal
 import json
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence, Union
@@ -29,8 +30,18 @@ def rational_str(x: Fraction) -> str:
 
 
 def decimal_str(x) -> str:
-    """12-decimal rounding of a rational or float, for plot axes."""
-    return repr(round(float(x), 12))
+    """12-decimal rounding of a rational or float, for plot axes.
+
+    A rational beyond float range is rounded exactly to 17 significant
+    digits instead, written like a float's repr (``1.25e+400``).
+    """
+    try:
+        return repr(round(float(x), 12))
+    except OverflowError:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 17
+            d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+            return str(d.normalize()).replace("E", "e")
 
 
 def _load_json(source: PathOrFile):

@@ -1,4 +1,4 @@
-"""Exact rational linear programming: one-phase primal simplex from the origin.
+"""Exact rational linear programming: one-phase primal simplex, warm-startable.
 
 A program is in standard form: maximize c.x subject to rows A x <= b with
 b >= 0, and x >= 0.  The origin is then a feasible vertex: every row gets
@@ -6,19 +6,33 @@ one slack, the slacks form the starting basis, and there is no phase 1.
 A row with a negative right-hand side raises ValueError before any pivot,
 and an unbounded program raises InvariantViolation, since no caller builds
 one.  The canonical LPs of `oracles` have this form because they start at
-full revelation.  With every row owning a slack from the first tableau,
-the optimal duals are the final objective row's entries in the slack
-columns.
+full revelation.
 
 The tableau is kept as an integer matrix with a single running denominator
-(the previous pivot), so every pivot is a fraction-free update and no
-floating point ever enters.  Bland's rule picks pivots, which rules out
-cycling, and the returned point is re-checked against every constraint
-before it is reported, so a solver defect cannot surface silently.
+(the previous pivot), so every pivot is a fraction-free (Bareiss) update
+and no floating point ever enters.  Bland's rule picks pivots, which rules
+out cycling from any feasible basis.
+
+Warm start.  ``solve_lp(lp, start=previous)`` continues from the final
+basis of a previous solve over the same rows, with a new objective (the
+parametric objective of Gass and Saaty, 1955).  Changing c keeps that basis
+primal feasible, so only the objective row is rebuilt, as the sum over
+basic rows of c_B times the row, less den times c; that is the row pivoting
+to the basis from scratch gives, so later pivots still divide exactly.  A
+cold solve is the same path from the slack basis.
+
+Every answer is proved, cold or warm, against the integer rows built once
+from the constraints.  The point is re-checked against every row and sign
+restriction, and the final objective row's slack columns give duals
+y_r = z_r * s_r / (den * s_c), with s_r a row's and s_c the objective's
+integer scale; y >= 0, y^T A >= c and b.y = c.x are checked exactly.  A
+feasible dual of equal value proves the point optimal, so a solver defect
+cannot surface silently.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,24 +64,62 @@ class LinearProgram:
 class LPResult:
     value: Fraction
     point: tuple[Fraction, ...]
+    # the final tableau, which `solve_lp(..., start=)` continues from
+    _tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
 
-def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int]:
+def _integer_row(
+    coeffs: Sequence[Fraction], rhs: Fraction
+) -> tuple[list[int], int, int]:
+    """The row times its scale, the lcm of its denominators, and the scale."""
     scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
     return (
         [c.numerator * (scale // c.denominator) for c in coeffs],
         rhs.numerator * (scale // rhs.denominator),
+        scale,
     )
 
 
 class _Tableau:
     """Integer simplex tableau; true entries are ints divided by self.den."""
 
-    def __init__(self, rows: list[list[int]], basis: list[int]):
-        self.rows = rows  # m constraint rows, then the objective row
-        self.basis = basis
+    def __init__(self, lp: LinearProgram):
+        nvars = lp.n_vars
+        ncols = nvars + len(lp.constraints)
+        self.constraints = tuple(lp.constraints)
+        self.nvars = nvars
+        # the integer rows, sparse, for the certificate
+        self.program: list[tuple[list[tuple[int, int]], int]] = []
+        rows = []
+        for r, (coeffs, rhs) in enumerate(lp.constraints):
+            row, int_rhs, _ = _integer_row(coeffs, rhs)
+            if int_rhs < 0:
+                raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
+            self.program.append(([(j, a) for j, a in enumerate(row) if a], int_rhs))
+            row += [0] * (ncols - nvars) + [int_rhs]
+            row[nvars + r] = 1
+            rows.append(row)
+        self.rows = rows + [[0] * (ncols + 1)]  # then the objective row
+        self.basis = list(range(nvars, ncols))
         self.den = 1
-        self.m = len(basis)
+        self.m = len(self.basis)
+
+    def copy(self) -> _Tableau:
+        # pivots and pricing replace rows rather than edit them
+        twin = copy.copy(self)
+        twin.rows = list(self.rows)
+        twin.basis = list(self.basis)
+        return twin
+
+    def price(self, objective: Sequence[int]) -> None:
+        """Objective row of max objective.x at the current basis."""
+        den = self.den
+        z = [-den * a for a in objective] + [0] * (len(self.rows[0]) - self.nvars)
+        for i, b in enumerate(self.basis):
+            if b < self.nvars and objective[b]:
+                cb = objective[b]
+                z = [x + cb * y for x, y in zip(z, self.rows[i])]
+        self.rows[-1] = z
 
     def pivot(self, r: int, c: int) -> None:
         rows = self.rows
@@ -118,51 +170,68 @@ class _Tableau:
                 raise InvariantViolation(f"LP unbounded along column {entering}")
             self.pivot(leaving, entering)
 
+    def certify(
+        self, objective: Sequence[int], scale: int
+    ) -> tuple[tuple[Fraction, ...], Fraction]:
+        """The basic point and its value, proved optimal.
 
-def solve_lp(lp: LinearProgram) -> LPResult:
-    """Maximize from the origin.
-
-    Raises ValueError, before any pivot, on a row with a negative right-hand
-    side, and InvariantViolation on an unbounded program.  The reported
-    point is verified against every constraint and sign restriction,
-    guarding the fraction-free pivoting.
-    """
-    # decision columns, one slack column per row, right-hand side
-    nvars = lp.n_vars
-    ncols = nvars + len(lp.constraints)
-    rows = []
-    for r, (coeffs, rhs) in enumerate(lp.constraints):
-        row, int_rhs = _integer_row(coeffs, rhs)
-        if int_rhs < 0:
-            raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
-        row += [0] * (ncols - nvars) + [int_rhs]
-        row[nvars + r] = 1
-        rows.append(row)
-    obj_coeffs, _ = _integer_row(lp.objective, Fraction(0))
-    objective = [-a for a in obj_coeffs] + [0] * (ncols - nvars + 1)
-
-    tab = _Tableau(rows + [objective], list(range(nvars, ncols)))
-    tab.run()
-
-    point = [Fraction(0)] * nvars
-    for i, b in enumerate(tab.basis):
-        if b < nvars:
-            point[b] = Fraction(tab.rows[i][-1], tab.rows[i][b])
-    value = sum(
-        (c * x for c, x in zip(lp.objective, point)), Fraction(0)
-    )
-    _verify(lp, point)
-    return LPResult(value, tuple(point))
-
-
-def _verify(lp: LinearProgram, point: Sequence[Fraction]) -> None:
-    for j, x in enumerate(point):
-        if x < 0:
-            raise InvariantViolation(f"solver produced negative variable x{j}={x}")
-    support = [(j, x) for j, x in enumerate(point) if x]
-    for coeffs, rhs in lp.constraints:
-        lhs = sum((coeffs[j] * x for j, x in support if coeffs[j]), Fraction(0))
-        if lhs > rhs:
+        x_j = v_j / den for the basic values v_j, and the duals are
+        y_r = z_r * s_r / (den * scale).  Multiplied through by den (and
+        scale), x >= 0, A x <= b, y >= 0, y^T A >= c and b.y = c.x are
+        checks on the integer rows, v and z.
+        """
+        den = self.den
+        nvars = self.nvars
+        v = [0] * nvars
+        for i, b in enumerate(self.basis):
+            if b < nvars:
+                v[b] = self.rows[i][-1]
+        if any(x < 0 for x in v):
+            raise InvariantViolation("solver produced a negative variable")
+        duals = self.rows[-1][nvars:-1]
+        if any(y < 0 for y in duals):
+            raise InvariantViolation("dual certificate has a negative multiplier")
+        lhs = [0] * nvars
+        by = 0
+        for r, (y, (row, rhs)) in enumerate(zip(duals, self.program)):
+            if sum(a * v[j] for j, a in row) > den * rhs:
+                raise InvariantViolation(f"solver point violates row {r}")
+            if y:
+                for j, a in row:
+                    lhs[j] += y * a
+                by += y * rhs
+        for j, (s, c) in enumerate(zip(lhs, objective)):
+            if s < den * c:
+                raise InvariantViolation(f"dual certificate violates column {j}")
+        cx = sum(c * x for c, x in zip(objective, v))
+        if by != cx:
             raise InvariantViolation(
-                f"solver point violates constraint <= {rhs} with lhs {lhs}"
+                f"dual value {Fraction(by, den * scale)} differs from "
+                f"primal value {Fraction(cx, den * scale)}"
             )
+        return tuple(Fraction(x, den) for x in v), Fraction(cx, den * scale)
+
+
+def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
+    """Maximize, from the origin or from the final basis of ``start``.
+
+    ``start`` must be a result of `solve_lp` over the same constraints, with
+    any objective; ValueError refuses any other.  Raises ValueError, before
+    any pivot, on a row with a negative right-hand side, and
+    InvariantViolation on an unbounded program, or on an answer that fails
+    its exact primal or dual check.
+    """
+    if start is None:
+        tab = _Tableau(lp)
+    else:
+        tab = start._tableau
+        if tab is None or tab.nvars != lp.n_vars or tab.constraints != tuple(
+            lp.constraints
+        ):
+            raise ValueError("start was not solved over this program's constraints")
+        tab = tab.copy()
+    objective, _, scale = _integer_row(lp.objective, Fraction(0))
+    tab.price(objective)
+    tab.run()
+    point, value = tab.certify(objective, scale)
+    return LPResult(value, point, tab)

@@ -9,11 +9,12 @@ lower.  Every row is then a ``<=`` row with a non-negative right-hand
 side and every variable is non-negative, the standard form of `lp`: the
 origin is full revelation, a feasible vertex where every row holds, which
 is where its one-phase simplex starts.  The adversary here maximizes the
-sorted prefix sum at a given mass, which certifies approximate
-majorization; the buyer-optimal baseline needs no LP (see
-`market.buyer_optimal_scheme`).  The max-min surplus LP and the two
-three-value instance families pin down the lower bounds, and both
-families refuse a parameter longer than `MAX_PARAMETER_EXPONENT` allows.
+sorted prefix sum over a grid of masses, one warm-started LP per mass,
+which certifies approximate majorization; the buyer-optimal baseline
+needs no LP (see `market.buyer_optimal_scheme`).  The max-min surplus LP
+and the two three-value instance families pin down the lower bounds, and
+both families refuse a parameter longer than `MAX_PARAMETER_EXPONENT`
+allows.
 """
 
 from __future__ import annotations
@@ -105,10 +106,11 @@ def check_adversary_support(dist: ValueDistribution, max_support: int) -> None:
 
 def adversary_sorted_prefix(
     dist: ValueDistribution,
-    m: Fraction,
+    masses: Sequence[Fraction],
     max_support: int = DEFAULT_MAX_N,
-) -> tuple[Fraction, SignalingScheme]:
-    """Largest sorted m-prefix sum any scheme can achieve, with a witness.
+) -> list[tuple[Fraction, SignalingScheme]]:
+    """Largest sorted m-prefix sum any scheme can achieve, with a witness,
+    at each mass m of ``masses``.
 
     The inner minimum over mass-m selections is dualized (multiplier
     lambda for the total-mass constraint, one non-negative multiplier nu_i
@@ -121,9 +123,15 @@ def adversary_sorted_prefix(
     so for any scheme x the point lambda = 0, nu = 0 is feasible with value
     0, while any point with lambda < 0 has value m * lambda - sum_i f_i nu_i
     < 0 (m > 0, nu >= 0).  Every optimum therefore already has lambda >= 0.
+
+    Only lambda's objective coefficient depends on m, so the rows are built
+    once and each mass is solved from the previous mass's optimal basis
+    (`solve_lp`'s ``start``); on an ascending grid consecutive optima lie
+    few pivots apart.
     """
-    if not 0 < m <= 1:
-        raise MarketError(f"prefix mass {m} outside (0, 1]")
+    for m in masses:
+        if not 0 < m <= 1:
+            raise MarketError(f"prefix mass {m} outside (0, 1]")
     check_adversary_support(dist, max_support)
     n = dist.n
     cols = _canonical_columns(n)
@@ -134,18 +142,23 @@ def adversary_sorted_prefix(
     objective = [Fraction(0)] * width
     for i in range(n):
         objective[nu0 + i] = -dist.masses[i]
-    objective[lam] = m
-    lp = LinearProgram(objective=tuple(objective))
-    _add_canonical_constraints(lp, dist, col)
+    rows = LinearProgram(objective=tuple(objective))
+    _add_canonical_constraints(rows, dist, col)
     for i in range(n):
         coeffs = [Fraction(0)] * width
         coeffs[lam] = dist.masses[i]
         coeffs[nu0 + i] = -dist.masses[i]
         for k in range(i):
             coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
-        lp.add(coeffs, Fraction(0))
-    result = solve_lp(lp)
-    return result.value, _scheme_from_point(dist, result.point, col)
+        rows.add(coeffs, Fraction(0))
+    out = []
+    result = None
+    for m in masses:
+        objective[lam] = m
+        lp = LinearProgram(tuple(objective), rows.constraints)
+        result = solve_lp(lp, start=result)
+        out.append((result.value, _scheme_from_point(dist, result.point, col)))
+    return out
 
 
 def adversary_grid(profile: SurplusProfile) -> tuple[Fraction, ...]:

@@ -73,10 +73,9 @@ def certificates(corpus, pipelines):
         if dist.n > 6:
             continue
         profile = pipe.final.surplus_profile()
-        rows = []
-        for m in adversary_grid(profile):
-            value, witness = adversary_sorted_prefix(dist, m)
-            rows.append((m, value, witness))
+        grid = adversary_grid(profile)
+        sweep = adversary_sorted_prefix(dist, grid)
+        rows = [(m, value, witness) for m, (value, witness) in zip(grid, sweep)]
         entries.append((dist, profile, rows))
     return entries, time.perf_counter() - start
 
@@ -241,10 +240,10 @@ def test_c09_universal_lower_bound_family():
         ok &= result.value == inst.best_min_surplus
         final = monotone_fair_scheme(inst.dist).final
         profile = final.surplus_profile()
+        grid = adversary_grid(profile)
+        sweep = adversary_sorted_prefix(inst.dist, grid)
         _, alpha = certify(
-            profile_step_function(profile),
-            adversary_grid(profile),
-            lambda m: adversary_sorted_prefix(inst.dist, m)[0],
+            profile_step_function(profile), grid, [value for value, _ in sweep]
         )
         alphas.append(alpha)
         ok &= alpha >= F(3, 2) - 10 * eps
@@ -269,10 +268,9 @@ def test_c10_welfare_approximation(certificates):
         for _, _, witness in rows:
             adv_profile = scheme_surplus(witness)
             adv_step = profile_step_function(adv_profile)
+            grid = certification_grid(step, adv_step)
             _, alpha = certify(
-                step,
-                certification_grid(step, adv_step),
-                lambda m: sorted_prefix(adv_step, m),
+                step, grid, [sorted_prefix(adv_step, m) for m in grid]
             )
             if alpha == math.inf:
                 violations += 1

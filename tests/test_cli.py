@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
@@ -258,6 +259,24 @@ class TestVerify:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 3  # header plus two grid rows
 
+    def test_csv_table_beyond_float_range(self, tmp_path, capsys):
+        # prefix sums past 1.8e308 once made the CSV writer's float() raise
+        instance = str(tmp_path / "huge.json")
+        with open(instance, "w") as fh:
+            json.dump({"values": ["1e400", "3e400"], "masses": ["1/2", "1/2"]}, fh)
+        scheme = str(tmp_path / "final.json")
+        table = str(tmp_path / "table.csv")
+        run_cli(capsys, "build", "--in", instance, "--scheme", "final", "--out", scheme)
+        code, _, stderr = run_cli(
+            capsys, "verify", "--in", instance, "--scheme", scheme, "--out", table
+        )
+        assert (code, stderr) == (0, "")
+        with open(table) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["m_decimal"] for row in rows] == ["0.5", "1.0"]
+        assert rows[1]["sorted_prefix"] == str(125 * 10**397)
+        assert rows[1]["sorted_prefix_decimal"] == "1.25e+399"
+
     def test_support_guard_exits_2(self, nine_value_files, capsys):
         instance, scheme = nine_value_files
         code, _, stderr = run_cli(
@@ -299,8 +318,9 @@ class TestVerify:
     def test_trace_counts_one_call_per_grid_mass(
         self, instance_file, running_example, tmp_path, capsys
     ):
-        # the benchmark's trace wraps the names cli calls; certification
-        # must reach each prefix sum and the adversary through them
+        # the benchmark's trace wraps the names cli and oracles call;
+        # certification must reach each prefix sum, the adversary sweep and
+        # one LP per grid mass through them
         out = str(tmp_path / "final.json")
         run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
         recorder = perfbench_module("tracing").SpanRecorder()
@@ -314,7 +334,33 @@ class TestVerify:
         assert code == 0
         grid = adversary_grid(scheme_surplus(load_scheme(out, running_example)))
         assert recorder.counts["steps.grid_points"] == len(grid)
-        assert recorder.counts["oracles.adversary_calls"] == len(grid)
+        assert recorder.counts["oracles.adversary_calls"] == 1
+        assert recorder.counts["lp.solve_calls"] == len(grid)
+
+    def test_benchmark_trace_installs_and_uninstalls(self):
+        # the traced benchmark wraps package names by hand, so renaming one
+        # makes its install raise KeyError
+        from fairsignal import cli, fileio, ironing, oracles
+        from fairsignal.splitmatch import DecomposedScheme
+
+        owners = (cli, fileio, ironing, oracles, DecomposedScheme)
+        before = [dict(vars(owner)) for owner in owners]
+        recorder = perfbench_module("tracing").SpanRecorder()
+        recorder.install()
+        try:
+            wrapped = {
+                (owner.__name__, name)
+                for owner, names in zip(owners, before)
+                for name, value in names.items()
+                if vars(owner)[name] is not value
+            }
+        finally:
+            recorder.uninstall()
+        assert {
+            ("fairsignal.cli", "adversary_sorted_prefix"),
+            ("fairsignal.oracles", "solve_lp"),
+        } <= wrapped
+        assert [dict(vars(owner)) for owner in owners] == before
 
     def test_bad_grid_exits_2(self, instance_file, tmp_path, capsys):
         out = str(tmp_path / "final.json")

@@ -103,3 +103,11 @@ class TestCsvWriters:
 def test_decimal_str_rounds_to_twelve_places():
     assert decimal_str(F(1, 3)) == "0.333333333333"
     assert decimal_str(F(1, 4)) == "0.25"
+
+
+def test_decimal_str_beyond_float_range():
+    # float(x) overflows; the exact value is rounded to 17 digits instead
+    assert decimal_str(F(10**400)) == "1e+400"
+    assert decimal_str(F(10**400, 3)) == "3.3333333333333333e+399"
+    assert decimal_str(F(2 * 10**400 - 1, 2)) == "1e+400"
+    assert decimal_str(F(10**300)) == repr(1e300)

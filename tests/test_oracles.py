@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from fairsignal import lp as lp_module
 from fairsignal import oracles
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.lp import LinearProgram, LPResult, solve_lp
@@ -93,17 +92,18 @@ class TestBuyerOptimal:
 
 class TestAdversary:
     def test_full_mass_equals_buyer_optimal(self, running_example):
-        value, _ = adversary_sorted_prefix(running_example, F(1))
+        [(value, _)] = adversary_sorted_prefix(running_example, [F(1)])
         _, total = buyer_optimal_scheme(running_example)
         assert value == total == F(1)
 
     def test_lowest_class_never_gains(self, running_example):
-        value, _ = adversary_sorted_prefix(running_example, F(1, 4))
+        [(value, _)] = adversary_sorted_prefix(running_example, [F(1, 4)])
         assert value == F(0)
 
     def test_witness_matches_value(self, running_example):
-        for m in (F(1, 2), F(3, 4), F(1)):
-            value, witness = adversary_sorted_prefix(running_example, m)
+        masses = (F(1, 2), F(3, 4), F(1))
+        sweep = adversary_sorted_prefix(running_example, masses)
+        for m, (value, witness) in zip(masses, sweep):
             step = profile_step_function(scheme_surplus(witness))
             assert sorted_prefix(step, m) == value
 
@@ -113,7 +113,7 @@ class TestAdversary:
         for _ in range(10):
             dist = random_distribution(rng, max_n=5)
             grid = [F(k, 8) for k in range(1, 9)]
-            vals = [adversary_sorted_prefix(dist, m)[0] for m in grid]
+            vals = [value for value, _ in adversary_sorted_prefix(dist, grid)]
             for a, b in zip(vals, vals[1:]):
                 assert a <= b
             slopes = [
@@ -130,8 +130,8 @@ class TestAdversary:
         values = sorted(rng.sample(range(1, 40), 9))
         d = ValueDistribution.from_pairs(values, [F(1, 9)] * 9)
         with pytest.raises(MarketError):
-            adversary_sorted_prefix(d, F(1, 2))
-        value, _ = adversary_sorted_prefix(d, F(1), max_support=9)
+            adversary_sorted_prefix(d, [F(1, 2)])
+        [(value, _)] = adversary_sorted_prefix(d, [F(1)], max_support=9)
         _, total = buyer_optimal_scheme(d)
         assert value == total
 
@@ -142,7 +142,7 @@ class TestAdversary:
         inst = universal_lb_instance(F(1, 100))
         result = max_min_surplus_lp(inst.values, inst.raw_masses)
         m_star = inst.dist.cdf[1]
-        value, _ = adversary_sorted_prefix(inst.dist, m_star)
+        [(value, _)] = adversary_sorted_prefix(inst.dist, [m_star])
         assert value == inst.dist.masses[1] * result.value
 
     def test_grid_contains_cdf_points(self, running_example):
@@ -229,12 +229,13 @@ def test_lp_optimum_is_the_peeled_total_on_corpus(corpus):
 
 
 def capture_lps(monkeypatch, solve=solve_lp) -> list[LinearProgram]:
-    """Route ``oracles.solve_lp`` through ``solve``, recording every LP."""
+    """Route ``oracles.solve_lp`` through ``solve``, recording every LP; an
+    adversary sweep hands over one LP per mass."""
     captured = []
 
-    def capture(lp):
+    def capture(lp, start=None):
         captured.append(lp)
-        return solve(lp)
+        return solve(lp, start=start)
 
     monkeypatch.setattr(oracles, "solve_lp", capture)
     return captured
@@ -375,10 +376,10 @@ class TestReferenceFormulation:
         m enters both forms only as lambda's objective coefficient, so they
         are the same program at every m.  Nothing is solved: the capture
         answers with the origin, full revelation."""
-        origin = lambda lp: LPResult(F(0), (F(0),) * lp.n_vars)
+        origin = lambda lp, start: LPResult(F(0), (F(0),) * lp.n_vars)
         captured = capture_lps(monkeypatch, solve=origin)
         m = F(1, 3)
-        adversary_sorted_prefix(dist, m)
+        adversary_sorted_prefix(dist, [m])
         lp_buyer_optimal_scheme(dist)
         expected = [
             diagonal_substitution(dist, *reference_adversary(dist, m)),
@@ -398,8 +399,8 @@ class TestReferenceFormulation:
         assert is_efficient(scheme)
         assert scheme_surplus(scheme).total() == total
         SignalingScheme(dist, scheme.entries)
-        for m in certification_masses(dist):
-            value, witness = adversary_sorted_prefix(dist, m)
+        masses = certification_masses(dist)
+        for m, (value, witness) in zip(masses, adversary_sorted_prefix(dist, masses)):
             SignalingScheme(dist, witness.entries)
             step = profile_step_function(scheme_surplus(witness))
             assert sorted_prefix(step, m) == value
@@ -424,35 +425,53 @@ def test_adversary_values_match_highs(dist, monkeypatch):
     lambda free as in the dual it comes from."""
     optimize = pytest.importorskip("scipy.optimize")
     captured = capture_lps(monkeypatch)
-    for m in certification_masses(dist):
-        value, _ = adversary_sorted_prefix(dist, m)
-        assert math.isclose(value, highs_value(optimize, captured[-1]), rel_tol=1e-9)
+    masses = certification_masses(dist)
+    sweep = adversary_sorted_prefix(dist, masses)
+    assert [lp.objective[-1] for lp in captured] == masses
+    for lp, (value, _) in zip(captured, sweep):
+        assert math.isclose(value, highs_value(optimize, lp), rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("dist", reference_instances())
 def test_nonnegative_lambda_loses_nothing(dist, monkeypatch):
     """Exact check that the adversary may keep lambda >= 0: one more column
     equal to lambda's negation, which lets lambda take any sign, leaves the
-    optimum unchanged at every grid mass."""
+    optimum unchanged at every grid mass.  The free-lambda programs share
+    their rows, so they are swept from mass to mass like the adversary's."""
     captured = capture_lps(monkeypatch)
-    for m in certification_masses(dist):
-        value, _ = adversary_sorted_prefix(dist, m)
-        lp = captured[-1]
-        free_lambda = LinearProgram(objective=lp.objective + (-lp.objective[-1],))
-        for coeffs, rhs in lp.constraints:
-            free_lambda.add(coeffs + (-coeffs[-1],), rhs)
-        assert solve_lp(free_lambda).value == value
+    masses = certification_masses(dist)
+    sweep = adversary_sorted_prefix(dist, masses)
+    assert [lp.objective[-1] for lp in captured] == masses
+    rows = captured[0].constraints
+    free_rows = [(coeffs + (-coeffs[-1],), rhs) for coeffs, rhs in rows]
+    result = None
+    for lp, (value, _) in zip(captured, sweep):
+        assert lp.constraints == rows
+        free_lambda = LinearProgram(lp.objective + (-lp.objective[-1],), free_rows)
+        result = solve_lp(free_lambda, start=result)
+        assert result.value == value
+
+
+@pytest.mark.parametrize("dist", reference_instances())
+def test_sweep_matches_cold_solves(dist, monkeypatch):
+    """Each mass of a warm-started sweep has the value of the same LP solved
+    from the origin."""
+    captured = capture_lps(monkeypatch)
+    masses = certification_masses(dist)
+    sweep = adversary_sorted_prefix(dist, masses)
+    assert [lp.objective[-1] for lp in captured] == masses
+    for lp, (value, _) in zip(captured, sweep):
+        assert solve_lp(lp).value == value
 
 
 @pytest.mark.parametrize("name", ["running_example", "fig3_instance"])
 def test_canonical_lps_start_at_full_revelation(name, request, monkeypatch):
-    """Every canonical row keeps its slack basic at the origin, which is
-    feasible, so the one-phase solver can start there."""
+    """Every canonical row holds at the origin, whose slack basis is
+    therefore feasible, so the one-phase solver can start there."""
     dist = request.getfixturevalue(name)
     captured = capture_lps(monkeypatch)
-    adversary_sorted_prefix(dist, F(1, 2))
+    adversary_sorted_prefix(dist, [F(1, 2)])
     lp_buyer_optimal_scheme(dist)
     assert len(captured) == 2
     for lp in captured:
-        lp_module._verify(lp, (F(0),) * lp.n_vars)
         assert all(rhs >= 0 for _, rhs in lp.constraints)

@@ -26,7 +26,8 @@ F = Fraction
 
 def alpha_against(f1: StepFunction, f2: StepFunction):
     """Smallest alpha with alpha * PF(f1, m) >= PF(f2, m) for every mass m."""
-    _, alpha = certify(f1, certification_grid(f1, f2), lambda m: sorted_prefix(f2, m))
+    grid = certification_grid(f1, f2)
+    _, alpha = certify(f1, grid, [sorted_prefix(f2, m) for m in grid])
     return alpha
 
 
