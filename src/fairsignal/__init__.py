@@ -3,7 +3,8 @@
 Exact-rational construction of an efficient, monotone signaling scheme
 whose sorted surplus prefix sums are within a factor 8 of every other
 scheme's, alongside baselines (no signal, full revelation, buyer-optimal by
-peeling) and LP oracles that certify each guarantee on concrete instances.
+peeling), the exact LP adversary that certifies that factor on concrete
+instances, and the two lower-bound instance families.
 """
 
 from .market import (
@@ -17,7 +18,6 @@ from .market import (
     ValueDistribution,
     as_fraction,
     buyer_optimal_scheme,
-    canonicalize,
     full_revelation,
     is_efficient,
     is_monotone,
@@ -56,12 +56,10 @@ from .ironing import (
 from .lp import LinearProgram, LPResult, solve_lp
 from .oracles import (
     BuyerOptimalLowerBound,
-    MaxMinSurplusResult,
     UniversalLowerBound,
     adversary_grid,
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
-    max_min_surplus_lp,
     universal_lb_instance,
 )
 

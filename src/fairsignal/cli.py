@@ -40,7 +40,6 @@ from .oracles import (
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
     check_adversary_support,
-    max_min_surplus_lp,
     universal_lb_instance,
 )
 from .splitmatch import split_and_match
@@ -243,8 +242,7 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else adversary_grid(profile)
     rival = None
     if with_adversary:
-        sweep = adversary_sorted_prefix(dist, grid, args.max_support)
-        rival = [value for value, _ in sweep]
+        rival = adversary_sorted_prefix(dist, grid, args.max_support)
     rows, alpha = certify(profile_step_function(profile), grid, rival)
 
     lines = _instance_lines(dist) + scheme_lines
@@ -295,25 +293,31 @@ def cmd_lowerbound(args) -> int:
             raise InvariantViolation("reference scheme is not buyer-optimal")
         lines.append("verified: true")
     else:
-        eps = as_fraction(args.parameter)
-        if not 0 < eps <= Fraction(1, 100):
-            raise MarketError(f"epsilon must lie in (0, 1/100], got {eps}")
-        inst = universal_lb_instance(eps)
-        result = max_min_surplus_lp(inst.values, inst.raw_masses)
-        lines += _instance_lines(inst.dist)
-        lines += [
-            f"max-min LP value: {result.value}",
-            f"closed form: {inst.best_min_surplus}",
-            f"match: {_fmt(result.value == inst.best_min_surplus)}",
-        ]
-        if result.value != inst.best_min_surplus:
-            raise InvariantViolation("max-min LP value differs from closed form")
-        profile = monotone_fair_scheme(inst.dist).final.surplus_profile()
+        inst = universal_lb_instance(args.parameter)
+        dist = inst.dist
+        profile = monotone_fair_scheme(dist).final.surplus_profile()
         grid = adversary_grid(profile)
-        sweep = adversary_sorted_prefix(inst.dist, grid)
-        _, alpha = certify(
-            profile_step_function(profile), grid, [value for value, _ in sweep]
-        )
+        rival = adversary_sorted_prefix(dist, grid)
+        # The max-min value is read off the sweep.  Class 1 earns 0 under
+        # every scheme, since every price is at least v_1, and class 3
+        # alone can fill mass f_2, since f_3 - f_2 = eps*(1 + (1+eps)**2) > 0.
+        # So the cheapest mass-(f_1 + f_2) selection is class 1 plus mass
+        # f_2 of the poorer of classes 2 and 3, with surplus
+        # f_2 * min(s_2, s_3), and the adversary there is f_2 times the
+        # max-min optimum.
+        m_star = dist.cdf[1]
+        if m_star not in grid:
+            raise InvariantViolation(f"adversary grid lacks F(v_2) = {m_star}")
+        value = rival[grid.index(m_star)] / dist.masses[1]
+        lines += _instance_lines(dist)
+        lines += [
+            f"max-min LP value: {value}",
+            f"closed form: {inst.best_min_surplus}",
+            f"match: {_fmt(value == inst.best_min_surplus)}",
+        ]
+        if value != inst.best_min_surplus:
+            raise InvariantViolation("max-min LP value differs from closed form")
+        _, alpha = certify(profile_step_function(profile), grid, rival)
         lines.append(f"certified alpha of monotone scheme: {_fmt(alpha)}")
     print("\n".join(lines))
     return EXIT_OK

@@ -25,10 +25,6 @@ from .market import (
 PathOrFile = Union[str, IO[str]]
 
 
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def decimal_str(x) -> str:
     """12-decimal rounding of a rational or float, for plot axes.
 
@@ -60,13 +56,6 @@ def _dump_json(payload, target: PathOrFile) -> None:
         target.write(text)
 
 
-def instance_payload(dist: ValueDistribution) -> dict:
-    return {
-        "values": [rational_str(v) for v in dist.values],
-        "masses": [rational_str(f) for f in dist.masses],
-    }
-
-
 def _is_array(x) -> bool:
     """True for a JSON array; a string is a Sequence but not an array."""
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
@@ -91,17 +80,13 @@ def load_instance(source: PathOrFile) -> ValueDistribution:
     return payload_to_instance(_load_json(source))
 
 
-def save_instance(dist: ValueDistribution, target: PathOrFile) -> None:
-    _dump_json(instance_payload(dist), target)
-
-
 def scheme_payload(scheme: SignalingScheme) -> dict:
     entries = []
     for signal, weight in scheme.entries:
         entries.append(
             {
-                "weight": rational_str(weight),
-                "support": {str(i): rational_str(f) for i, f in signal.support},
+                "weight": str(weight),
+                "support": {str(i): str(f) for i, f in signal.support},
             }
         )
     return {"entries": entries}
@@ -166,7 +151,7 @@ def write_majorization_table(
                 elif val == float("inf"):
                     out += ["inf", "inf"]
                 else:
-                    out += [rational_str(val), decimal_str(val)]
+                    out += [str(val), decimal_str(val)]
             writer.writerow(out)
     finally:
         if isinstance(target, str):

@@ -127,10 +127,6 @@ class RectanglePair:
     minus_width: Fraction
     minus_height: Fraction
 
-    @property
-    def area(self) -> Fraction:
-        return self.plus_width * self.plus_height
-
 
 def pair_rectangles(
     profile: SurplusProfile, ironed: IronedFunction, t: int

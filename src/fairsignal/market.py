@@ -205,12 +205,6 @@ class Signal:
         )
 
     @classmethod
-    def from_mapping(
-        cls, dist: ValueDistribution, support: Mapping[int, RationalLike]
-    ) -> "Signal":
-        return cls(dist, tuple((i, as_fraction(f)) for i, f in support.items()))
-
-    @classmethod
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":
         return cls(dist, ((index, Fraction(1)),))
 
@@ -314,26 +308,6 @@ def is_efficient(scheme: SignalingScheme) -> bool:
 def is_monotone(profile: SurplusProfile) -> bool:
     """True iff expected surplus is non-decreasing in buyer value."""
     return all(a <= b for a, b in zip(profile.surpluses, profile.surpluses[1:]))
-
-
-def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
-    """Rewrite a scheme into an efficient one with distinct lowest supports.
-
-    Two steps: (1) every signal drops the mass below its posted price, which
-    becomes singleton mass on the dropped values; (2) signals sharing a
-    lowest support are merged.  Per-buyer expected surplus is unchanged and
-    at most n signals remain, each posting its lowest support as the price.
-    """
-    dist = scheme.dist
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(dist.n)]
-    for signal, weight in scheme.entries:
-        k = signal.optimal_price_index()
-        for i, f in signal.support:
-            if i < k:
-                rows[i][i] = rows[i].get(i, Fraction(0)) + weight * f
-            else:
-                rows[k][i] = rows[k].get(i, Fraction(0)) + weight * f
-    return scheme_from_rows(dist, rows)
 
 
 def scheme_from_rows(

@@ -1,20 +1,20 @@
-"""Exact LP oracles over canonical schemes, and hard instance families.
+"""Exact LP adversary over canonical schemes, and hard instance families.
 
 Any scheme can be rewritten, surplus for surplus, into at most n signals
 with pairwise-distinct lowest supports, each posting its lowest support.
 Optimizing over that canonical polytope therefore optimizes over all
-schemes.  The LPs carry no column for the mass of value i in the signal
+schemes.  The LP carries no column for the mass of value i in the signal
 priced at v_i: the prior fixes it as f_i less the mass of value i priced
 lower.  Every row is then a ``<=`` row with a non-negative right-hand
 side and every variable is non-negative, the standard form of `lp`: the
 origin is full revelation, a feasible vertex where every row holds, which
-is where its one-phase simplex starts.  The adversary here maximizes the
+is where its one-phase simplex starts.  The adversary maximizes the
 sorted prefix sum over a grid of masses, one warm-started LP per mass,
 which certifies approximate majorization; the buyer-optimal baseline
-needs no LP (see `market.buyer_optimal_scheme`).  The max-min surplus LP
-and the two three-value instance families pin down the lower bounds, and
-both families refuse a parameter longer than `MAX_PARAMETER_EXPONENT`
-allows.
+needs no LP (see `market.buyer_optimal_scheme`).  The two three-value
+instance families pin down the lower bounds; the universal family's
+max-min surplus is read off the same adversary (`cli.cmd_lowerbound`).
+Both refuse a parameter longer than `MAX_PARAMETER_EXPONENT` allows.
 """
 
 from __future__ import annotations
@@ -31,15 +31,14 @@ from .market import (
     SurplusProfile,
     ValueDistribution,
     as_fraction,
-    scheme_from_rows,
 )
 from .steps import certification_grid, profile_step_function
 
 DEFAULT_MAX_N = 8
 # A lower-bound parameter's numerator and denominator may not exceed
 # 10**MAX_PARAMETER_EXPONENT.  The reports print integers about 4x as long
-# as the parameter's, and the universal family's LPs slow down with
-# epsilon's length: 10**-1000 takes about 2 s, 10**-3000 about 17 s.
+# as the parameter's, and the universal family's adversary LPs slow down
+# with epsilon's length: 10**-1000 takes about 1.3 s, 10**-3000 about 9 s.
 MAX_PARAMETER_EXPONENT = 1000
 
 
@@ -77,24 +76,6 @@ def _add_canonical_constraints(
             lp.add(coeffs, values[k] * dist.masses[k])
 
 
-def _scheme_from_point(
-    dist: ValueDistribution,
-    point: Sequence[Fraction],
-    col: dict[tuple[int, int], int],
-) -> SignalingScheme:
-    rows = []
-    for k in range(dist.n):
-        diagonal = dist.masses[k] - sum(
-            (point[col[(lower, k)]] for lower in range(k)), Fraction(0)
-        )
-        row = {k: diagonal} if diagonal > 0 else {}
-        for i in range(k + 1, dist.n):
-            if point[col[(k, i)]] > 0:
-                row[i] = point[col[(k, i)]]
-        rows.append(row)
-    return scheme_from_rows(dist, rows)
-
-
 def check_adversary_support(dist: ValueDistribution, max_support: int) -> None:
     """Refuse an instance too large for the O(n^2)-column adversary LP."""
     if dist.n > max_support:
@@ -108,9 +89,9 @@ def adversary_sorted_prefix(
     dist: ValueDistribution,
     masses: Sequence[Fraction],
     max_support: int = DEFAULT_MAX_N,
-) -> list[tuple[Fraction, SignalingScheme]]:
-    """Largest sorted m-prefix sum any scheme can achieve, with a witness,
-    at each mass m of ``masses``.
+) -> list[Fraction]:
+    """Largest sorted m-prefix sum any scheme can achieve, at each mass m
+    of ``masses``.
 
     The inner minimum over mass-m selections is dualized (multiplier
     lambda for the total-mass constraint, one non-negative multiplier nu_i
@@ -127,7 +108,9 @@ def adversary_sorted_prefix(
     Only lambda's objective coefficient depends on m, so the rows are built
     once and each mass is solved from the previous mass's optimal basis
     (`solve_lp`'s ``start``); on an ascending grid consecutive optima lie
-    few pivots apart.
+    few pivots apart.  Only the values are returned: every optimal point
+    is proved feasible by `solve_lp`'s certificate, so the canonical scheme
+    it describes is Bayes plausible by construction.
     """
     for m in masses:
         if not 0 < m <= 1:
@@ -157,7 +140,7 @@ def adversary_sorted_prefix(
         objective[lam] = m
         lp = LinearProgram(tuple(objective), rows.constraints)
         result = solve_lp(lp, start=result)
-        out.append((result.value, _scheme_from_point(dist, result.point, col)))
+        out.append(result.value)
     return out
 
 
@@ -170,56 +153,6 @@ def adversary_grid(profile: SurplusProfile) -> tuple[Fraction, ...]:
     at both ends of a cell holds on the whole cell.
     """
     return certification_grid(profile_step_function(profile))
-
-
-@dataclass(frozen=True)
-class MaxMinSurplusResult:
-    value: Fraction
-    point: dict[str, Fraction]
-
-
-def max_min_surplus_lp(
-    values: Sequence[Fraction], masses: Sequence[Fraction]
-) -> MaxMinSurplusResult:
-    """Best possible minimum surplus over three-value canonical schemes.
-
-    ``masses`` need not be normalized; surpluses are per buyer, so scaling
-    the population leaves the optimum unchanged.  Signal masses are
-    (x, y, z) priced at v1, (0, y', z') priced at v2 and (0, 0, z'') priced
-    at v3.
-    """
-    if len(values) != 3 or len(masses) != 3:
-        raise MarketError("exactly three values required")
-    v1, v2, v3 = (as_fraction(v) for v in values)
-    f1, f2, f3 = (as_fraction(f) for f in masses)
-    if not v1 < v2 < v3 or v1 <= 0:
-        raise MarketError("values must be positive and strictly increasing")
-    if f1 < 0 or f2 <= 0 or f3 <= 0:
-        # surpluses divide by f2 and f3; the low-value mass may vanish
-        raise MarketError("masses must be positive (low value may be zero)")
-    names = ("x", "y", "z", "yp", "zp", "zpp", "smin")
-    X, Y, Z, YP, ZP, ZPP, SMIN = range(7)
-    zeros = [Fraction(0)] * 7
-
-    def row(**entries: Fraction) -> tuple[Fraction, ...]:
-        out = list(zeros)
-        for name, val in entries.items():
-            out[names.index(name)] = val
-        return tuple(out)
-
-    objective = row(smin=Fraction(1))
-    lp = LinearProgram(objective=objective)
-    lp.add(row(y=v1 - v2, smin=f2), Fraction(0))
-    lp.add(row(z=v1 - v3, zp=v2 - v3, smin=f3), Fraction(0))
-    lp.add(row(x=-v1, y=v2 - v1, z=v2 - v1), Fraction(0))
-    lp.add(row(x=-v1, y=-v1, z=v3 - v1), Fraction(0))
-    lp.add(row(yp=-v2, zp=v3 - v2), Fraction(0))
-    lp.add(row(x=Fraction(1)), f1)
-    lp.add(row(y=Fraction(1), yp=Fraction(1)), f2)
-    lp.add(row(z=Fraction(1), zp=Fraction(1), zpp=Fraction(1)), f3)
-    result = solve_lp(lp)
-    point = {name: result.point[i] for i, name in enumerate(names)}
-    return MaxMinSurplusResult(result.value, point)
 
 
 @dataclass(frozen=True)
@@ -304,20 +237,21 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
 
 @dataclass(frozen=True)
 class UniversalLowerBound:
-    """Three-value family forcing the majorization factor toward 3/2."""
+    """Three-value family forcing the majorization factor toward 3/2.
+
+    ``best_min_surplus`` is the closed-form best minimum of the two upper
+    classes' per-buyer surpluses over all schemes.
+    """
 
     epsilon: Fraction
-    values: tuple[Fraction, Fraction, Fraction]
-    raw_masses: tuple[Fraction, Fraction, Fraction]
     dist: ValueDistribution
     best_min_surplus: Fraction
-    optimal_point: dict[str, Fraction]
 
 
 def universal_lb_instance(epsilon) -> UniversalLowerBound:
     eps = as_fraction(epsilon)
-    if not 0 < eps < 1:
-        raise MarketError(f"epsilon must lie in (0, 1), got {eps}")
+    if not 0 < eps <= Fraction(1, 100):
+        raise MarketError(f"epsilon must lie in (0, 1/100], got {eps}")
     check_parameter_length(eps)
     values = (Fraction(1), 1 + eps, 2 + eps)
     f1 = eps**2 + 2 * eps
@@ -326,21 +260,4 @@ def universal_lb_instance(epsilon) -> UniversalLowerBound:
     total = f1 + f2 + f3
     dist = ValueDistribution(values, (f1 / total, f2 / total, f3 / total))
     y = (4 + 3 * eps + eps**2) / (2 + eps)
-    yp = f2 - y
-    point = {
-        "x": f1,
-        "y": y,
-        "z": eps / (2 + eps),
-        "yp": yp,
-        "zp": yp * (1 + eps),
-        "zpp": f3 - eps / (2 + eps) - yp * (1 + eps),
-        "smin": y * eps / f2,
-    }
-    return UniversalLowerBound(
-        epsilon=eps,
-        values=values,
-        raw_masses=(f1, f2, f3),
-        dist=dist,
-        best_min_surplus=y * eps / f2,
-        optimal_point=point,
-    )
+    return UniversalLowerBound(epsilon=eps, dist=dist, best_min_surplus=y * eps / f2)

@@ -1,16 +1,29 @@
-"""Shared fixtures: reference instances, reference schemes, random corpus."""
+"""Shared fixtures and test oracles: reference instances and schemes, the
+random corpus, adversary witnesses and the max-min surplus LP."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from fairsignal.market import Signal, SignalingScheme, ValueDistribution
+from fairsignal import oracles
+from fairsignal.lp import LinearProgram, solve_lp
+from fairsignal.market import (
+    MarketError,
+    Signal,
+    SignalingScheme,
+    ValueDistribution,
+    as_fraction,
+    scheme_from_rows,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -47,13 +60,12 @@ def nonmonotone_scheme(running_example) -> SignalingScheme:
     with weight 1/2.
     """
     d = running_example
-    s1 = Signal.from_mapping(
-        d, {0: Fraction(1, 2), 1: Fraction(3, 10), 2: Fraction(1, 30), 3: Fraction(1, 6)}
+    s1 = Signal(
+        d,
+        ((0, Fraction(1, 2)), (1, Fraction(3, 10)), (2, Fraction(1, 30)), (3, Fraction(1, 6))),
     )
-    s2 = Signal.from_mapping(
-        d, {1: Fraction(3, 5), 2: Fraction(1, 15), 3: Fraction(1, 3)}
-    )
-    s3 = Signal.from_mapping(d, {2: Fraction(2, 3), 3: Fraction(1, 3)})
+    s2 = Signal(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
+    s3 = Signal(d, ((2, Fraction(2, 3)), (3, Fraction(1, 3))))
     return SignalingScheme(
         d, ((s1, Fraction(1, 2)), (s2, Fraction(1, 6)), (s3, Fraction(1, 3)))
     )
@@ -63,16 +75,19 @@ def nonmonotone_scheme(running_example) -> SignalingScheme:
 def monotone_scheme(running_example) -> SignalingScheme:
     """Surplus-maximizing scheme with surplus profile (0, 1/7, 10/7, 17/7)."""
     d = running_example
-    s1 = Signal.from_mapping(
-        d, {0: Fraction(7, 10), 1: Fraction(1, 10), 2: Fraction(1, 5)}
-    )
-    s2 = Signal.from_mapping(
-        d, {1: Fraction(3, 5), 2: Fraction(1, 15), 3: Fraction(1, 3)}
-    )
-    s3 = Signal.from_mapping(d, {2: Fraction(13, 24), 3: Fraction(11, 24)})
+    s1 = Signal(d, ((0, Fraction(7, 10)), (1, Fraction(1, 10)), (2, Fraction(1, 5))))
+    s2 = Signal(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
+    s3 = Signal(d, ((2, Fraction(13, 24)), (3, Fraction(11, 24))))
     return SignalingScheme(
         d, ((s1, Fraction(5, 14)), (s2, Fraction(5, 14)), (s3, Fraction(2, 7)))
     )
+
+
+def write_instance(dist: ValueDistribution, path) -> None:
+    """An instance file as the CLI reads it, rationals as "p/q" strings."""
+    payload = {"values": list(map(str, dist.values)), "masses": list(map(str, dist.masses))}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
 
 
 def random_distribution(rng: random.Random, max_n: int = 8) -> ValueDistribution:
@@ -122,6 +137,109 @@ def mixture(scheme: SignalingScheme) -> tuple[Fraction, ...]:
         for i, f in signal.support:
             out[i] += weight * f
     return tuple(out)
+
+
+def scheme_from_point(dist: ValueDistribution, point: Sequence[Fraction]) -> SignalingScheme:
+    """The canonical scheme of an LP point over `oracles._canonical_columns`
+    (later columns are ignored): signal k posts v_k and holds x[k][i] of
+    each value above it, plus the diagonal f_k - sum_{l<k} x[l][k]."""
+    cols = oracles._canonical_columns(dist.n)
+    x = dict(zip(cols, point))
+    rows = []
+    for k in range(dist.n):
+        diagonal = dist.masses[k] - sum((x[(lower, k)] for lower in range(k)), Fraction(0))
+        row = {k: diagonal} if diagonal > 0 else {}
+        row.update((i, x[(k, i)]) for i in range(k + 1, dist.n) if x[(k, i)] > 0)
+        rows.append(row)
+    return scheme_from_rows(dist, rows)
+
+
+def adversary_witnesses(
+    dist: ValueDistribution, masses: Sequence[Fraction]
+) -> list[tuple[Fraction, SignalingScheme]]:
+    """Test oracle: the adversary sweep's value at each mass with the
+    scheme that attains it, rebuilt from the optimal LP point recorded on
+    the way through ``oracles.solve_lp``.  Building the scheme re-checks
+    Bayes plausibility, which the sweep itself leaves to the certificate."""
+    points = []
+    solve = oracles.solve_lp
+
+    def record(lp, start=None):
+        result = solve(lp, start=start)
+        points.append(result.point)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "solve_lp", record)
+        values = oracles.adversary_sorted_prefix(dist, masses)
+    assert len(points) == len(values)
+    return [(value, scheme_from_point(dist, point)) for value, point in zip(values, points)]
+
+
+@dataclass(frozen=True)
+class MaxMinSurplusResult:
+    value: Fraction
+    point: dict[str, Fraction]
+
+
+def max_min_surplus_lp(
+    values: Sequence[Fraction], masses: Sequence[Fraction]
+) -> MaxMinSurplusResult:
+    """Reference for `lowerbound universal`: the best possible minimum
+    surplus of the two upper classes over three-value canonical schemes.
+
+    ``masses`` need not be normalized; surpluses are per buyer, so scaling
+    the population leaves the optimum unchanged.  Signal masses are
+    (x, y, z) priced at v1, (0, y', z') priced at v2 and (0, 0, z'') priced
+    at v3.
+    """
+    if len(values) != 3 or len(masses) != 3:
+        raise MarketError("exactly three values required")
+    v1, v2, v3 = (as_fraction(v) for v in values)
+    f1, f2, f3 = (as_fraction(f) for f in masses)
+    if not v1 < v2 < v3 or v1 <= 0:
+        raise MarketError("values must be positive and strictly increasing")
+    if f1 < 0 or f2 <= 0 or f3 <= 0:
+        # surpluses divide by f2 and f3; the low-value mass may vanish
+        raise MarketError("masses must be positive (low value may be zero)")
+    names = ("x", "y", "z", "yp", "zp", "zpp", "smin")
+
+    def row(**entries: Fraction) -> tuple[Fraction, ...]:
+        return tuple(entries.get(name, Fraction(0)) for name in names)
+
+    lp = LinearProgram(objective=row(smin=Fraction(1)))
+    lp.add(row(y=v1 - v2, smin=f2), Fraction(0))
+    lp.add(row(z=v1 - v3, zp=v2 - v3, smin=f3), Fraction(0))
+    lp.add(row(x=-v1, y=v2 - v1, z=v2 - v1), Fraction(0))
+    lp.add(row(x=-v1, y=-v1, z=v3 - v1), Fraction(0))
+    lp.add(row(yp=-v2, zp=v3 - v2), Fraction(0))
+    lp.add(row(x=Fraction(1)), f1)
+    lp.add(row(y=Fraction(1), yp=Fraction(1)), f2)
+    lp.add(row(z=Fraction(1), zp=Fraction(1), zpp=Fraction(1)), f3)
+    result = solve_lp(lp)
+    return MaxMinSurplusResult(result.value, dict(zip(names, result.point)))
+
+
+def universal_raw_masses(eps: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The universal family's masses before normalization."""
+    return (eps**2 + 2 * eps, 1 + (1 + eps) ** 2, (1 + eps) + (1 + eps) ** 3)
+
+
+def universal_optimal_point(eps: Fraction) -> dict[str, Fraction]:
+    """The closed-form optimum of `max_min_surplus_lp` on the universal
+    family's raw masses."""
+    f1, f2, f3 = universal_raw_masses(eps)
+    y = (4 + 3 * eps + eps**2) / (2 + eps)
+    yp = f2 - y
+    return {
+        "x": f1,
+        "y": y,
+        "z": eps / (2 + eps),
+        "yp": yp,
+        "zp": yp * (1 + eps),
+        "zpp": f3 - eps / (2 + eps) - yp * (1 + eps),
+        "smin": y * eps / f2,
+    }
 
 
 FAMILIES = ("random", "equal_revenue", "geometric", "clustered")

@@ -29,7 +29,6 @@ from fairsignal.oracles import (
     adversary_grid,
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
-    max_min_surplus_lp,
     universal_lb_instance,
 )
 from fairsignal.splitmatch import (
@@ -45,6 +44,8 @@ from fairsignal.steps import (
     profile_step_function,
     sorted_prefix,
 )
+
+from conftest import adversary_witnesses, max_min_surplus_lp, universal_raw_masses
 
 F = Fraction
 
@@ -65,7 +66,8 @@ def certificates(corpus, pipelines):
 
     Returns (entries, elapsed_seconds) where each entry carries the
     instance, its final scheme profile, and one (m, value, witness) triple
-    per grid mass.
+    per grid mass.  The witnesses come from the `adversary_witnesses` test
+    oracle, so the time includes rebuilding them.
     """
     start = time.perf_counter()
     entries = []
@@ -74,7 +76,7 @@ def certificates(corpus, pipelines):
             continue
         profile = pipe.final.surplus_profile()
         grid = adversary_grid(profile)
-        sweep = adversary_sorted_prefix(dist, grid)
+        sweep = adversary_witnesses(dist, grid)
         rows = [(m, value, witness) for m, (value, witness) in zip(grid, sweep)]
         entries.append((dist, profile, rows))
     return entries, time.perf_counter() - start
@@ -236,15 +238,13 @@ def test_c09_universal_lower_bound_family():
     alphas = []
     for eps in (F(1, 100), F(1, 1000)):
         inst = universal_lb_instance(eps)
-        result = max_min_surplus_lp(inst.values, inst.raw_masses)
+        result = max_min_surplus_lp(inst.dist.values, universal_raw_masses(eps))
         ok &= result.value == inst.best_min_surplus
         final = monotone_fair_scheme(inst.dist).final
         profile = final.surplus_profile()
         grid = adversary_grid(profile)
         sweep = adversary_sorted_prefix(inst.dist, grid)
-        _, alpha = certify(
-            profile_step_function(profile), grid, [value for value, _ in sweep]
-        )
+        _, alpha = certify(profile_step_function(profile), grid, sweep)
         alphas.append(alpha)
         ok &= alpha >= F(3, 2) - 10 * eps
     report(

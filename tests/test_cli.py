@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 
 from fairsignal.cli import main
-from fairsignal.fileio import load_scheme, save_instance, save_scheme
+from fairsignal.fileio import load_scheme, save_scheme
 from fairsignal.market import MAX_INT_DIGITS, ValueDistribution, scheme_surplus
-from fairsignal.oracles import adversary_grid
+from fairsignal.ironing import monotone_fair_scheme
+from fairsignal.oracles import adversary_grid, universal_lb_instance
 
-from conftest import perfbench_module
+from conftest import max_min_surplus_lp, perfbench_module, universal_raw_masses, write_instance
 
 F = Fraction
 
@@ -24,7 +25,7 @@ F = Fraction
 @pytest.fixture
 def instance_file(running_example, tmp_path):
     path = str(tmp_path / "instance.json")
-    save_instance(running_example, path)
+    write_instance(running_example, path)
     return path
 
 
@@ -41,7 +42,7 @@ def nine_value_files(tmp_path, capsys):
     rng = random.Random(109)
     values = sorted(rng.sample(range(1, 40), 9))
     instance = str(tmp_path / "nine.json")
-    save_instance(ValueDistribution.from_pairs(values, [F(1, 9)] * 9), instance)
+    write_instance(ValueDistribution.from_pairs(values, [F(1, 9)] * 9), instance)
     scheme = str(tmp_path / "nine_final.json")
     code, _, _ = run_cli(
         capsys, "build", "--in", instance, "--scheme", "final", "--out", scheme
@@ -87,7 +88,7 @@ class TestBuild:
 
     def test_single_value_instance(self, tmp_path, capsys):
         path = str(tmp_path / "one.json")
-        save_instance(ValueDistribution.from_pairs([3], [1]), path)
+        write_instance(ValueDistribution.from_pairs([3], [1]), path)
         for kind in ("splitmatch", "final", "buyeropt", "fullreveal", "nosignal"):
             code, stdout, _ = run_cli(capsys, "build", "--in", path, "--scheme", kind)
             assert code == 0
@@ -437,6 +438,34 @@ class TestLowerbound:
         code, stdout, _ = run_cli(capsys, "lowerbound", "universal", "1/1000")
         assert code == 0
         assert "match: true" in stdout
+
+    @pytest.mark.parametrize("epsilon", ["1/100", "1/1000", "1e-50"])
+    def test_universal_reads_max_min_off_the_sweep(self, epsilon, capsys):
+        # the reported value is the adversary at F(v_2) over f_2; it must be
+        # the reference max-min LP's optimum and the closed form
+        code, stdout, _ = run_cli(capsys, "lowerbound", "universal", epsilon)
+        assert code == 0
+        [reported] = re.findall(r"^max-min LP value: (\S+)$", stdout, re.MULTILINE)
+        inst = universal_lb_instance(epsilon)
+        reference = max_min_surplus_lp(inst.dist.values, universal_raw_masses(inst.epsilon))
+        assert F(reported) == reference.value == inst.best_min_surplus
+
+    def test_universal_solves_only_the_sweep(self, capsys, monkeypatch):
+        from fairsignal import lp, oracles
+
+        captured = []
+
+        def capture(program, start=None):
+            captured.append(program)
+            return lp.solve_lp(program, start=start)
+
+        monkeypatch.setattr(oracles, "solve_lp", capture)
+        code, _, _ = run_cli(capsys, "lowerbound", "universal", "1/1000")
+        assert code == 0
+        dist = universal_lb_instance(F(1, 1000)).dist
+        grid = adversary_grid(monotone_fair_scheme(dist).final.surplus_profile())
+        assert len(captured) == len(grid)
+        assert all(p.constraints == captured[0].constraints for p in captured)
 
     def test_degenerate_parameter_rejected(self, capsys):
         code, _, stderr = run_cli(capsys, "lowerbound", "buyeropt", "1")

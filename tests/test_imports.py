@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+function, class and method it defines is reached from outside tests.
 
-No linter is a dependency, so this stdlib check stands in for one.
-``__init__.py`` is exempt: its imports are the package's public names.
+No linter is a dependency, so these stdlib checks stand in for one.
+``__init__.py`` is exempt from both: its imports are the package's public
+names, and exporting a name does not make it reachable.
 """
 
 from __future__ import annotations
@@ -11,8 +13,19 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairsignal"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fairsignal"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+# Definitions that only tests reach, on purpose.  Each needs a reason.
+TEST_ORACLES = (
+    (
+        "splitmatch.truncated_upper_bound",
+        "the lemma c04 checks the greedy decomposition against; the "
+        "hull bound of ROADMAP item 1 is to make it runtime code",
+    ),
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +50,86 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(module: str, tree: ast.Module) -> list[tuple[str, ast.AST, bool]]:
+    """(``module.name``, node, False) for every top-level function and
+    class, and (``module.Class.method``, node, True) for every method but a
+    dunder."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        out.append((f"{module}.{node.name}", node, False))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds[:2]) and not item.name.startswith("__"):
+                    out.append((f"{module}.{node.name}.{item.name}", item, True))
+    return out
+
+
+def references(tree: ast.AST, skip: ast.AST = None) -> tuple[set[str], set[str]]:
+    """Names a tree reads outside ``skip``: bare names, and attributes
+    together with strings that are a single identifier
+    (``setattr(owner, "name", ...)``).  A method is reached only through
+    the second set; a bare name of the same spelling is a local."""
+    names, attributes = set(), set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                attributes.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names, attributes
+
+
+def unreachable(sources: dict[str, str], benchmark: list[str]) -> list[str]:
+    """Definitions in ``sources`` (module name -> code) that no other code
+    of the package, and no benchmark script, refers to by name."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    seen = {module: references(tree) for module, tree in trees.items()}
+    scripts = [references(ast.parse(code)) for code in benchmark]
+    out = []
+    for module, tree in trees.items():
+        others = scripts + [refs for other, refs in seen.items() if other != module]
+        for qualified, node, is_method in definitions(module, tree):
+            names, attributes = references(tree, skip=node)
+            for more_names, more_attributes in others:
+                names |= more_names
+                attributes |= more_attributes
+            if node.name not in attributes and (is_method or node.name not in names):
+                out.append(qualified)
+    return out
+
+
+def test_the_check_sees_an_unreachable_definition():
+    sources = {
+        "a": "def used():\n    return helper()\n\ndef helper():\n    return helper()\n"
+        "\ndef traced():\n    pass\n"
+        "\nclass Box:\n    def __len__(self):\n        return 0\n"
+        "\n    def size(self):\n        return self.size()\n"
+        "\n    def area(self):\n        area = 1\n        return area\n",
+        "b": "from .a import used, Box\nused()\nBox()\n",
+    }
+    assert unreachable(sources, ["setattr(a, 'traced', None)"]) == ["a.Box.size", "a.Box.area"]
+    assert unreachable(sources, []) == ["a.traced", "a.Box.size", "a.Box.area"]
+    del sources["b"]
+    assert unreachable(sources, []) == ["a.used", "a.traced", "a.Box", "a.Box.size", "a.Box.area"]
+
+
+def test_every_definition_is_reachable():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    benchmark = [p.read_text(encoding="utf-8") for p in BENCHMARK]
+    found = unreachable(sources, benchmark)
+    oracles = [name for name, _ in TEST_ORACLES]
+    extra = sorted(set(found) - set(oracles))
+    assert not extra, f"reached only by tests: {extra}"
+    assert set(oracles) <= set(found), "a listed test oracle is now reachable"

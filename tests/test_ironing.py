@@ -146,7 +146,7 @@ class TestPairRectangles:
         assert (p.plus_index, p.minus_index) == (2, 3)
         assert (p.plus_width, p.plus_height) == (F(1, 4), F(1, 4))
         assert (p.minus_width, p.minus_height) == (F(1, 4), F(1, 4))
-        assert p.area == F(1, 16)
+        assert p.plus_width * p.plus_height == F(1, 16)
 
     def test_no_intervals_means_no_pairs(self, running_example):
         profile = SurplusProfile(running_example, (F(0), F(1), F(2), F(3)))

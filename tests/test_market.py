@@ -19,12 +19,12 @@ from fairsignal.market import (
     ValueDistribution,
     as_fraction,
     buyer_optimal_scheme,
-    canonicalize,
     full_revelation,
     is_efficient,
     is_monotone,
     myerson,
     no_signal,
+    scheme_from_rows,
     scheme_revenue,
     scheme_surplus,
 )
@@ -32,6 +32,26 @@ from fairsignal.market import (
 from conftest import mixture, random_distribution, random_scheme, structured_priors
 
 F = Fraction
+
+
+def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
+    """Rewrite a scheme into an efficient one with distinct lowest supports.
+
+    The lemma behind the canonical polytope of the LP oracles, which
+    therefore optimize over all schemes.  Two steps: (1) every signal drops
+    the mass below its posted price, which becomes singleton mass on the
+    dropped values; (2) signals sharing a lowest support are merged.
+    Per-buyer expected surplus is unchanged and at most n signals remain,
+    each posting its lowest support as the price.
+    """
+    dist = scheme.dist
+    rows: list[dict[int, Fraction]] = [dict() for _ in range(dist.n)]
+    for signal, weight in scheme.entries:
+        k = signal.optimal_price_index()
+        for i, f in signal.support:
+            row = rows[i] if i < k else rows[k]
+            row[i] = row.get(i, Fraction(0)) + weight * f
+    return scheme_from_rows(dist, rows)
 
 
 class TestValueDistribution:
@@ -122,7 +142,7 @@ class TestMyerson:
 
 class TestOptimalPrice:
     def test_equal_revenue_binary_tie(self, running_example):
-        signal = Signal.from_mapping(running_example, {0: F(1, 2), 1: F(1, 2)})
+        signal = Signal(running_example, ((0, F(1, 2)), (1, F(1, 2))))
         assert signal.dist.values[signal.optimal_price_index()] == F(1)
 
     def test_singleton(self, running_example):
@@ -131,7 +151,7 @@ class TestOptimalPrice:
 
     def test_two_point_comparison(self):
         d = ValueDistribution.from_pairs([1, 10], [F(1, 2), F(1, 2)])
-        signal = Signal.from_mapping(d, {0: F(2, 3), 1: F(1, 3)})
+        signal = Signal(d, ((0, F(2, 3)), (1, F(1, 3))))
         assert signal.dist.values[signal.optimal_price_index()] == F(10)
 
     def test_scale_invariance(self):

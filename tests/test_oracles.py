@@ -1,5 +1,6 @@
-"""LP oracles: prefix adversary, hard families, and the buyer-optimal LP kept
-as the exact reference for equal-revenue peeling."""
+"""LP oracles: prefix adversary, hard families, and the reference LPs kept
+in the tests: the buyer-optimal LP for equal-revenue peeling and the
+max-min surplus LP for the universal family."""
 
 from __future__ import annotations
 
@@ -25,12 +26,19 @@ from fairsignal.oracles import (
     adversary_grid,
     adversary_sorted_prefix,
     buyer_optimal_lb_instance,
-    max_min_surplus_lp,
     universal_lb_instance,
 )
 from fairsignal.steps import profile_step_function, sorted_prefix
 
-from conftest import perfbench_module, random_distribution
+from conftest import (
+    adversary_witnesses,
+    max_min_surplus_lp,
+    perfbench_module,
+    random_distribution,
+    scheme_from_point,
+    universal_optimal_point,
+    universal_raw_masses,
+)
 
 F = Fraction
 
@@ -38,21 +46,21 @@ F = Fraction
 def solve_buyer_optimal_lp(dist: ValueDistribution):
     """Exact reference for `buyer_optimal_scheme`: the canonical LP that
     maximizes total consumer surplus, solved through ``oracles.solve_lp``.
-    Returns the optimal LP result and the column map of its point."""
+    Returns the optimal LP result."""
     cols = oracles._canonical_columns(dist.n)
     col = {kc: idx for idx, kc in enumerate(cols)}
     objective = tuple(dist.values[i] - dist.values[k] for k, i in cols)
     lp = LinearProgram(objective=objective)
     oracles._add_canonical_constraints(lp, dist, col)
-    return oracles.solve_lp(lp), col
+    return oracles.solve_lp(lp)
 
 
 def lp_buyer_optimal_scheme(
     dist: ValueDistribution,
 ) -> tuple[SignalingScheme, Fraction]:
     """The reference LP's optimal scheme and total."""
-    result, col = solve_buyer_optimal_lp(dist)
-    return oracles._scheme_from_point(dist, result.point, col), result.value
+    result = solve_buyer_optimal_lp(dist)
+    return scheme_from_point(dist, result.point), result.value
 
 
 class TestBuyerOptimal:
@@ -92,17 +100,17 @@ class TestBuyerOptimal:
 
 class TestAdversary:
     def test_full_mass_equals_buyer_optimal(self, running_example):
-        [(value, _)] = adversary_sorted_prefix(running_example, [F(1)])
+        [value] = adversary_sorted_prefix(running_example, [F(1)])
         _, total = buyer_optimal_scheme(running_example)
         assert value == total == F(1)
 
     def test_lowest_class_never_gains(self, running_example):
-        [(value, _)] = adversary_sorted_prefix(running_example, [F(1, 4)])
+        [value] = adversary_sorted_prefix(running_example, [F(1, 4)])
         assert value == F(0)
 
     def test_witness_matches_value(self, running_example):
         masses = (F(1, 2), F(3, 4), F(1))
-        sweep = adversary_sorted_prefix(running_example, masses)
+        sweep = adversary_witnesses(running_example, masses)
         for m, (value, witness) in zip(masses, sweep):
             step = profile_step_function(scheme_surplus(witness))
             assert sorted_prefix(step, m) == value
@@ -113,7 +121,7 @@ class TestAdversary:
         for _ in range(10):
             dist = random_distribution(rng, max_n=5)
             grid = [F(k, 8) for k in range(1, 9)]
-            vals = [value for value, _ in adversary_sorted_prefix(dist, grid)]
+            vals = adversary_sorted_prefix(dist, grid)
             for a, b in zip(vals, vals[1:]):
                 assert a <= b
             slopes = [
@@ -131,7 +139,7 @@ class TestAdversary:
         d = ValueDistribution.from_pairs(values, [F(1, 9)] * 9)
         with pytest.raises(MarketError):
             adversary_sorted_prefix(d, [F(1, 2)])
-        [(value, _)] = adversary_sorted_prefix(d, [F(1)], max_support=9)
+        [value] = adversary_sorted_prefix(d, [F(1)], max_support=9)
         _, total = buyer_optimal_scheme(d)
         assert value == total
 
@@ -140,9 +148,9 @@ class TestAdversary:
         # class, the sorted prefix through the middle class equals its
         # mass times the best attainable minimum surplus
         inst = universal_lb_instance(F(1, 100))
-        result = max_min_surplus_lp(inst.values, inst.raw_masses)
+        result = max_min_surplus_lp(inst.dist.values, universal_raw_masses(inst.epsilon))
         m_star = inst.dist.cdf[1]
-        [(value, _)] = adversary_sorted_prefix(inst.dist, [m_star])
+        [value] = adversary_sorted_prefix(inst.dist, [m_star])
         assert value == inst.dist.masses[1] * result.value
 
     def test_grid_contains_cdf_points(self, running_example):
@@ -156,15 +164,15 @@ class TestMaxMinSurplus:
     def test_closed_form_small_epsilons(self):
         for eps in (F(1, 100), F(1, 1000)):
             inst = universal_lb_instance(eps)
-            result = max_min_surplus_lp(inst.values, inst.raw_masses)
+            result = max_min_surplus_lp(inst.dist.values, universal_raw_masses(eps))
             assert result.value == inst.best_min_surplus
 
     def test_stated_point_is_feasible_and_tight(self):
         eps = F(1, 100)
         inst = universal_lb_instance(eps)
-        p = inst.optimal_point
-        v1, v2, v3 = inst.values
-        f1, f2, f3 = inst.raw_masses
+        p = universal_optimal_point(eps)
+        v1, v2, v3 = inst.dist.values
+        f1, f2, f3 = universal_raw_masses(eps)
         assert p["y"] * (v2 - v1) / f2 == inst.best_min_surplus
         assert (p["z"] * (v3 - v1) + p["zp"] * (v3 - v2)) / f3 == inst.best_min_surplus
         assert v1 * (p["x"] + p["y"] + p["z"]) >= v2 * (p["y"] + p["z"])
@@ -174,6 +182,11 @@ class TestMaxMinSurplus:
         assert p["y"] + p["yp"] <= f2
         assert p["z"] + p["zp"] + p["zpp"] <= f3
         assert all(val >= 0 for val in p.values())
+
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 100), F(1, 99), F(1, 50), F(1)])
+    def test_family_refuses_epsilon_outside_range(self, eps):
+        with pytest.raises(MarketError, match=r"epsilon must lie in \(0, 1/100\], got "):
+            universal_lb_instance(eps)
 
     def test_no_low_value_mass_means_no_surplus(self):
         result = max_min_surplus_lp((1, 2, 3), (0, 1, 1))
@@ -225,7 +238,7 @@ def test_lp_optimum_is_the_peeled_total_on_corpus(corpus):
     LP totals are equal on it without peeling each instance twice."""
     for dist in corpus:
         _, revenue = myerson(dist)
-        assert solve_buyer_optimal_lp(dist)[0].value == dist.expected_value() - revenue
+        assert solve_buyer_optimal_lp(dist).value == dist.expected_value() - revenue
 
 
 def capture_lps(monkeypatch, solve=solve_lp) -> list[LinearProgram]:
@@ -400,7 +413,7 @@ class TestReferenceFormulation:
         assert scheme_surplus(scheme).total() == total
         SignalingScheme(dist, scheme.entries)
         masses = certification_masses(dist)
-        for m, (value, witness) in zip(masses, adversary_sorted_prefix(dist, masses)):
+        for m, (value, witness) in zip(masses, adversary_witnesses(dist, masses)):
             SignalingScheme(dist, witness.entries)
             step = profile_step_function(scheme_surplus(witness))
             assert sorted_prefix(step, m) == value
@@ -428,7 +441,7 @@ def test_adversary_values_match_highs(dist, monkeypatch):
     masses = certification_masses(dist)
     sweep = adversary_sorted_prefix(dist, masses)
     assert [lp.objective[-1] for lp in captured] == masses
-    for lp, (value, _) in zip(captured, sweep):
+    for lp, value in zip(captured, sweep):
         assert math.isclose(value, highs_value(optimize, lp), rel_tol=1e-9)
 
 
@@ -445,7 +458,7 @@ def test_nonnegative_lambda_loses_nothing(dist, monkeypatch):
     rows = captured[0].constraints
     free_rows = [(coeffs + (-coeffs[-1],), rhs) for coeffs, rhs in rows]
     result = None
-    for lp, (value, _) in zip(captured, sweep):
+    for lp, value in zip(captured, sweep):
         assert lp.constraints == rows
         free_lambda = LinearProgram(lp.objective + (-lp.objective[-1],), free_rows)
         result = solve_lp(free_lambda, start=result)
@@ -460,7 +473,7 @@ def test_sweep_matches_cold_solves(dist, monkeypatch):
     masses = certification_masses(dist)
     sweep = adversary_sorted_prefix(dist, masses)
     assert [lp.objective[-1] for lp in captured] == masses
-    for lp, (value, _) in zip(captured, sweep):
+    for lp, value in zip(captured, sweep):
         assert solve_lp(lp).value == value
 
 
