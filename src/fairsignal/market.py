@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
@@ -212,8 +213,9 @@ class Signal:
     def lowest_index(self) -> int:
         return self.support[0][0]
 
-    def _posted_price(self) -> tuple[int, Fraction]:
-        """Revenue-maximizing price index, lowest tie first, and its revenue."""
+    @cached_property
+    def optimal_price_index(self) -> int:
+        """Revenue-maximizing price index, lowest tie first; walked once."""
         best_i = None
         best_rev = Fraction(0)
         tail = Fraction(1)
@@ -222,35 +224,29 @@ class Signal:
             if best_i is None or rev > best_rev:
                 best_i, best_rev = i, rev
             tail -= f
-        return best_i, best_rev
-
-    def optimal_price_index(self) -> int:
-        return self._posted_price()[0]
-
-    def revenue(self) -> Fraction:
-        return self._posted_price()[1]
+        return best_i
 
 
 @dataclass(frozen=True)
 class SignalingScheme:
-    """Weighted signals whose mixture equals the prior exactly."""
+    """Weighted signals whose mixture equals the prior exactly.
+
+    The weights are not summed: each posterior sums to 1, so the weights
+    sum to the mixture's total, which the per-value check makes 1.
+    """
 
     dist: ValueDistribution
     entries: tuple[tuple[Signal, Fraction], ...]
 
     def __post_init__(self):
-        total = Fraction(0)
         mixture = [Fraction(0)] * self.dist.n
         for signal, weight in self.entries:
             if signal.dist is not self.dist and signal.dist != self.dist:
                 raise MarketError("signal belongs to a different distribution")
             if weight <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
-            total += weight
             for i, f in signal.support:
                 mixture[i] += weight * f
-        if total != 1:
-            raise MarketError(f"weights sum to {total}, expected 1")
         for i, f in enumerate(self.dist.masses):
             if mixture[i] != f:
                 raise PlausibilityError(i, f, mixture[i])
@@ -286,7 +282,7 @@ def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
     dist = scheme.dist
     totals = [Fraction(0)] * dist.n
     for signal, weight in scheme.entries:
-        k = signal.optimal_price_index()
+        k = signal.optimal_price_index
         price = dist.values[k]
         for i, f in signal.support:
             if i > k:
@@ -297,12 +293,23 @@ def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
 
 
 def scheme_revenue(scheme: SignalingScheme) -> Fraction:
-    return sum((w * s.revenue() for s, w in scheme.entries), Fraction(0))
+    """Expected revenue, summed per value class, then over the n classes.
+
+    Each signal priced at v_k adds w * f * v_k to every class i >= k.
+    """
+    dist = scheme.dist
+    paid = [Fraction(0)] * dist.n
+    for signal, weight in scheme.entries:
+        k = signal.optimal_price_index
+        for i, f in signal.support:
+            if i >= k:
+                paid[i] += weight * f * dist.values[k]
+    return sum(paid, Fraction(0))
 
 
 def is_efficient(scheme: SignalingScheme) -> bool:
     """True iff every signal's optimal price is its lowest support value."""
-    return all(s.optimal_price_index() == s.lowest_index for s in scheme.signals)
+    return all(s.optimal_price_index == s.lowest_index for s in scheme.signals)
 
 
 def is_monotone(profile: SurplusProfile) -> bool:

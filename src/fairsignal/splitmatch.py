@@ -131,20 +131,23 @@ def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
     Greedy pairing: the smallest index s with giver budget left is matched
     to the smallest index l > s with taker budget left; the signal weight is
     the largest value both budgets allow, so at least one budget hits zero
-    each round.  The binaries come out in the order the greedy pass emits
-    them, so they are also its ledger.
+    each round.  Budgets only fall, so s and l are forward-only pointers
+    and the pass takes O(n) rounds and comparisons.  The binaries come out
+    in the order the greedy pass emits them, so they are also its ledger.
     """
     # remaining giver and taker budgets, each starting at half the prior mass
     giver = [f / 2 for f in dist.masses]
     taker = list(giver)
     binaries: list[BinarySignalEntry] = []
     n = dist.n
+    s = l = 0
     while True:
-        s = next((i for i in range(n) if giver[i] > 0), None)
-        if s is None:
-            break
-        l = next((i for i in range(s + 1, n) if taker[i] > 0), None)
-        if l is None:
+        while s < n and not giver[s] > 0:
+            s += 1
+        l = max(l, s + 1)
+        while l < n and not taker[l] > 0:
+            l += 1
+        if l >= n:
             break
         ratio = dist.values[s] / dist.values[l]
         weight = min(giver[s] / (1 - ratio), taker[l] / ratio)

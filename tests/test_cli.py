@@ -8,12 +8,19 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from fairsignal.cli import main
-from fairsignal.fileio import load_scheme, save_scheme
-from fairsignal.market import MAX_INT_DIGITS, ValueDistribution, scheme_surplus
+from fairsignal.fileio import load_scheme, save_scheme, scheme_payload
+from fairsignal.market import (
+    MAX_INT_DIGITS,
+    Signal,
+    ValueDistribution,
+    full_revelation,
+    scheme_surplus,
+)
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.oracles import adversary_grid, universal_lb_instance
 
@@ -233,19 +240,30 @@ class TestVerify:
         assert "efficient: true" in stdout
         assert "total consumer surplus: 0" in stdout
 
+    @pytest.mark.parametrize(
+        "case", ["lone_singleton", "no_entries", "doubled_weights", "extra_signal"]
+    )
     def test_implausible_scheme_exits_2_with_index(
-        self, instance_file, running_example, tmp_path, capsys
+        self, case, instance_file, running_example, tmp_path, capsys
     ):
+        # a weight total other than 1 is caught as a mixture off the prior
+        entries = scheme_payload(full_revelation(running_example))["entries"]
+        if case == "lone_singleton":
+            entries = [{"weight": "1", "support": {"0": "1"}}]
+        elif case == "no_entries":
+            entries = []
+        elif case == "doubled_weights":
+            entries = [dict(e, weight=str(2 * F(e["weight"]))) for e in entries]
+        else:
+            entries.append({"weight": "1/8", "support": {"3": "1"}})
         path = str(tmp_path / "broken.json")
         with open(path, "w") as fh:
-            json.dump(
-                {"entries": [{"weight": "1", "support": {"0": "1"}}]}, fh
-            )
+            json.dump({"entries": entries}, fh)
         code, _, stderr = run_cli(
             capsys, "verify", "--in", instance_file, "--scheme", path
         )
         assert code == 2
-        assert "value index" in stderr
+        assert "scheme is not Bayes plausible at value index" in stderr
 
     def test_custom_grid_and_csv_export(self, instance_file, tmp_path, capsys):
         out = str(tmp_path / "final.json")
@@ -413,6 +431,32 @@ class TestVerify:
         )
         assert code == 2
         assert stderr.startswith("error: invalid scheme file:")
+
+
+@pytest.mark.parametrize("instance", ["running_example", "fig3_instance"])
+def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, capsys, monkeypatch):
+    # scheme_surplus, is_efficient and scheme_revenue share one price walk
+    walk = Signal.__dict__["optimal_price_index"]
+    assert isinstance(walk, cached_property), "the price walk is not cached"
+    original, priced = walk.func, []
+
+    def counted(signal):
+        priced.append(signal)
+        return original(signal)
+
+    monkeypatch.setattr(walk, "func", counted)
+    path, scheme = str(tmp_path / "instance.json"), str(tmp_path / "final.json")
+    write_instance(request.getfixturevalue(instance), path)
+    signals = []
+    for argv in (
+        ("build", "--in", path, "--scheme", "final", "--out", scheme),
+        ("verify", "--in", path, "--scheme", scheme, "--require", "efficient,monotone"),
+    ):
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        signals.append(int(re.search(r"^signals: (\d+)$", stdout, re.M).group(1)))
+    assert len(priced) == sum(signals)
+    assert len({id(signal) for signal in priced}) == len(priced)
 
 
 class TestLowerbound:

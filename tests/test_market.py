@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.market import (
     _MAX_RATIONAL_BITS,
     MAX_INT_DIGITS,
@@ -47,7 +48,7 @@ def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
     dist = scheme.dist
     rows: list[dict[int, Fraction]] = [dict() for _ in range(dist.n)]
     for signal, weight in scheme.entries:
-        k = signal.optimal_price_index()
+        k = signal.optimal_price_index
         for i, f in signal.support:
             row = rows[i] if i < k else rows[k]
             row[i] = row.get(i, Fraction(0)) + weight * f
@@ -143,16 +144,16 @@ class TestMyerson:
 class TestOptimalPrice:
     def test_equal_revenue_binary_tie(self, running_example):
         signal = Signal(running_example, ((0, F(1, 2)), (1, F(1, 2))))
-        assert signal.dist.values[signal.optimal_price_index()] == F(1)
+        assert signal.dist.values[signal.optimal_price_index] == F(1)
 
     def test_singleton(self, running_example):
         signal = Signal.singleton(running_example, 3)
-        assert signal.dist.values[signal.optimal_price_index()] == F(6)
+        assert signal.dist.values[signal.optimal_price_index] == F(6)
 
     def test_two_point_comparison(self):
         d = ValueDistribution.from_pairs([1, 10], [F(1, 2), F(1, 2)])
         signal = Signal(d, ((0, F(2, 3)), (1, F(1, 3))))
-        assert signal.dist.values[signal.optimal_price_index()] == F(10)
+        assert signal.dist.values[signal.optimal_price_index] == F(10)
 
     def test_scale_invariance(self):
         # the argmax only depends on mass ratios, not normalization
@@ -169,9 +170,11 @@ class TestOptimalPrice:
                     i,
                 ),
             )
-            assert signal.optimal_price_index() == best
+            k = signal.optimal_price_index
+            assert k == best
             tail = sum(m for j, m in raw.items() if j >= best) / total
-            assert signal.revenue() == d.values[best] * tail
+            revenue = d.values[k] * sum(f for j, f in signal.support if j >= k)
+            assert revenue == d.values[best] * tail
 
 
 class TestSchemeSurplus:
@@ -193,8 +196,41 @@ class TestSchemeSurplus:
             SignalingScheme(running_example, ((signal, F(1)),))
         assert err.value.index in (0, 1)
 
+    @pytest.mark.parametrize("scale", [F(1, 2), F(2)])
+    def test_scaled_weights_are_implausible(self, running_example, scale):
+        # a weight total other than 1 shows as a mixture that misses the prior
+        entries = tuple((s, w * scale) for s, w in full_revelation(running_example).entries)
+        with pytest.raises(PlausibilityError) as err:
+            SignalingScheme(running_example, entries)
+        assert err.value.index == 0
+
+
+def reference_revenue(scheme: SignalingScheme) -> Fraction:
+    """Revenue summed per signal: weight times the best posted revenue."""
+    total = Fraction(0)
+    for signal, weight in scheme.entries:
+        tail = Fraction(1)
+        best = Fraction(0)
+        for i, f in signal.support:
+            best = max(best, scheme.dist.values[i] * tail)
+            tail -= f
+        total += weight * best
+    return total
+
 
 class TestSchemeRevenue:
+    def test_per_class_sum_equals_per_signal_sum(self, corpus):
+        rng = random.Random(37)
+        priced_above_lowest = 0
+        for dist in corpus:
+            schemes = [buyer_optimal_scheme(dist)[0]]
+            schemes += [build_named_scheme(dist, k) for k in SCHEME_KINDS if k != "buyeropt"]
+            schemes.append(random_scheme(rng, dist))
+            for scheme in schemes:
+                assert scheme_revenue(scheme) == reference_revenue(scheme)
+            priced_above_lowest += not is_efficient(schemes[-1])
+        assert priced_above_lowest > 100  # random schemes price above their lowest support
+
     def test_reference_schemes(self, nonmonotone_scheme, monotone_scheme):
         assert scheme_revenue(nonmonotone_scheme) == F(5, 2)
         assert scheme_revenue(monotone_scheme) == F(5, 2)

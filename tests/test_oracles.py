@@ -90,7 +90,8 @@ class TestBuyerOptimal:
             best = max(revenues)
             tied = [i for i, r in enumerate(revenues) if r == best]
             for signal, _ in scheme.entries:
-                rev = signal.revenue()
+                k = signal.optimal_price_index
+                rev = dist.values[k] * sum(f for j, f in signal.support if j >= k)
                 for i in tied:
                     tail = sum(
                         (f for j, f in signal.support if j >= i), F(0)

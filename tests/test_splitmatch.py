@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from fairsignal.market import (
     InvariantViolation,
@@ -22,7 +23,7 @@ from fairsignal.splitmatch import (
 )
 from fairsignal.steps import integration_prefix, profile_step_function
 
-from conftest import random_distribution
+from conftest import random_distribution, structured_priors
 
 F = Fraction
 
@@ -141,6 +142,46 @@ class TestGreedyInvariants:
 
     def test_deterministic(self, fig3_instance):
         assert split_and_match(fig3_instance) == split_and_match(fig3_instance)
+
+
+def reference_ledger(dist: ValueDistribution) -> list[tuple[int, int, Fraction]]:
+    """(giver, taker, weight) of each round of the greedy pass, with both
+    indices found by a scan from the bottom of the grid every round."""
+    giver = [f / 2 for f in dist.masses]
+    taker = list(giver)
+    out = []
+    n = dist.n
+    while True:
+        s = next((i for i in range(n) if giver[i] > 0), None)
+        if s is None:
+            break
+        l = next((i for i in range(s + 1, n) if taker[i] > 0), None)
+        if l is None:
+            break
+        ratio = dist.values[s] / dist.values[l]
+        weight = min(giver[s] / (1 - ratio), taker[l] / ratio)
+        out.append((s, l, weight))
+        giver[s] -= weight * (1 - ratio)
+        taker[l] -= weight * ratio
+    return out
+
+
+def ledger(dist: ValueDistribution) -> list[tuple[int, int, Fraction]]:
+    return [(b.giver, b.taker, b.weight) for b in split_and_match(dist).binaries]
+
+
+class TestForwardPointers:
+    """The forward-only pointers emit the ledger of the scans from 0."""
+
+    def test_corpus(self, corpus):
+        for dist in corpus:
+            assert ledger(dist) == reference_ledger(dist)
+
+    @given(structured_priors())
+    @settings(max_examples=60, deadline=None)
+    def test_structured_families(self, case):
+        _, dist = case
+        assert ledger(dist) == reference_ledger(dist)
 
 
 class TestTruncatedUpperBound:
