@@ -257,9 +257,7 @@ def cmd_verify(args) -> int:
 
     if args.out:
         if args.format == "json":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(_json_rows(rows), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            fileio._dump_json(_json_rows(rows), args.out)
         else:
             fileio.write_majorization_table(args.out, rows)
 
@@ -375,7 +373,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as e:
         print(f"error: internal invariant violated: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    except MarketError as e:
+    except (MarketError, OSError) as e:  # OSError: an --out that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import decimal
 import json
-from fractions import Fraction
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .market import (
     MarketError,
@@ -21,8 +20,6 @@ from .market import (
     ValueDistribution,
     as_fraction,
 )
-
-PathOrFile = Union[str, IO[str]]
 
 
 def decimal_str(x) -> str:
@@ -40,20 +37,15 @@ def decimal_str(x) -> str:
             return str(d.normalize()).replace("E", "e")
 
 
-def _load_json(source: PathOrFile):
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Fraction)
-    return json.load(source, parse_float=Fraction)
+def _load_json(path: str):
+    # number literals go through as_fraction, so its length guards hold
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_float=as_fraction)
 
 
-def _dump_json(payload, target: PathOrFile) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+def _dump_json(payload, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _is_array(x) -> bool:
@@ -76,8 +68,8 @@ def payload_to_instance(payload) -> ValueDistribution:
     )
 
 
-def load_instance(source: PathOrFile) -> ValueDistribution:
-    return payload_to_instance(_load_json(source))
+def load_instance(path: str) -> ValueDistribution:
+    return payload_to_instance(_load_json(path))
 
 
 def scheme_payload(scheme: SignalingScheme) -> dict:
@@ -111,18 +103,15 @@ def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
     return SignalingScheme(dist, tuple(entries))
 
 
-def load_scheme(source: PathOrFile, dist: ValueDistribution) -> SignalingScheme:
-    return payload_to_scheme(dist, _load_json(source))
+def load_scheme(path: str, dist: ValueDistribution) -> SignalingScheme:
+    return payload_to_scheme(dist, _load_json(path))
 
 
-def save_scheme(scheme: SignalingScheme, target: PathOrFile) -> None:
-    _dump_json(scheme_payload(scheme), target)
+def save_scheme(scheme: SignalingScheme, path: str) -> None:
+    _dump_json(scheme_payload(scheme), path)
 
 
-def write_majorization_table(
-    target: PathOrFile,
-    rows: Iterable[Mapping],
-) -> None:
+def write_majorization_table(path: str, rows: Iterable[Mapping]) -> None:
     """Per-mass certification rows; see cli.certify for keys."""
     fields = [
         "m",
@@ -131,12 +120,7 @@ def write_majorization_table(
         "adversary_prefix",
         "ratio",
     ]
-    fh = (
-        open(target, "w", encoding="utf-8", newline="")
-        if isinstance(target, str)
-        else target
-    )
-    try:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = []
         for f in fields:
@@ -153,6 +137,3 @@ def write_majorization_table(
                 else:
                     out += [str(val), decimal_str(val)]
             writer.writerow(out)
-    finally:
-        if isinstance(target, str):
-            fh.close()

@@ -200,11 +200,17 @@ def smooth(
     level: scale down the binaries delivering taker mass to the deficit
     value, scale down the binaries feeding the excess value, and rebuild
     equal-revenue binaries from the freed givers onto the deficit value.
-    The mass the binaries no longer use returns as singletons.
+    Each cut is a share of a binary's original weight, so the shares are
+    summed per taker class and applied once, after the pairs; the pair loop
+    reads only the binaries indexed under its excess value.  The mass the
+    binaries no longer use returns as singletons.
     """
     dist = scheme.dist
     values = dist.values
-    bin_weights = [b.weight for b in scheme.binaries]
+    cut = [Fraction(0)] * dist.n  # share of each taker class's binaries removed
+    by_taker: list[list[BinarySignalEntry]] = [[] for _ in range(dist.n)]
+    for b in scheme.binaries:
+        by_taker[b.taker].append(b)
     new_binaries: list[BinarySignalEntry] = []
     for interval, pairs in zip(ironed.intervals, pairings):
         level = interval.level
@@ -213,28 +219,24 @@ def smooth(
                 continue
             vm = pair.minus_index
             vp = pair.plus_index
-            taker_cut = pair.minus_width / dist.masses[vm]
-            for j, b in enumerate(scheme.binaries):
-                if b.taker == vm:
-                    bin_weights[j] -= b.weight * taker_cut
+            cut[vm] += pair.minus_width / dist.masses[vm]
             giver_cut = (
                 pair.plus_width
                 / dist.masses[vp]
                 * (pair.plus_height / (level + pair.plus_height))
             )
-            for j, b in enumerate(scheme.binaries):
-                if b.taker != vp:
-                    continue
-                removed = b.weight * giver_cut
-                bin_weights[j] -= removed
+            cut[vp] += giver_cut
+            for b in by_taker[vp]:
                 g = b.giver
                 new_weight = (
-                    removed
+                    b.weight
+                    * giver_cut
                     * (1 - values[g] / values[vp])
                     / (1 - values[g] / values[vm])
                 )
                 new_binaries.append(BinarySignalEntry(g, vm, new_weight))
-    survivors = _reweighted(scheme.binaries, bin_weights)
+    weights = [b.weight * (1 - cut[b.taker]) for b in scheme.binaries]
+    survivors = _reweighted(scheme.binaries, weights)
     return DecomposedScheme.from_binaries(dist, survivors + new_binaries)
 
 
@@ -245,7 +247,7 @@ def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedSche
     signal in which they are the taker; the freed mass on the giver and
     taker values returns as singletons, which carry no surplus.
     """
-    current = scheme.surplus_values()
+    current = scheme.surpluses
     target = ironed.ironed_values
     for cs, s in zip(current, target):
         if 2 * cs < s:
@@ -285,7 +287,7 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
     )
     smoothed = smooth(base, ironed, pairings)
     final = finalize(smoothed, ironed)
-    for cs, s in zip(final.surplus_values(), ironed.ironed_values):
+    for cs, s in zip(final.surpluses, ironed.ironed_values):
         if 2 * cs != s:
             raise InvariantViolation("final surplus must be half the ironed level")
     return FairSchemeResult(base, ironed, pairings, smoothed, final)

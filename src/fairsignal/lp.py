@@ -124,11 +124,7 @@ class _Tableau:
     def pivot(self, r: int, c: int) -> None:
         rows = self.rows
         prow = rows[r]
-        piv = prow[c]
-        if piv < 0:
-            prow = [-x for x in prow]
-            rows[r] = prow
-            piv = -piv
+        piv = prow[c]  # positive: _choose_row takes only entries above 0
         den = self.den
         for k in range(len(rows)):
             if k == r:

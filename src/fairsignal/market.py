@@ -4,12 +4,15 @@ All quantities are exact rationals (`fractions.Fraction`).  A signal is a
 posterior over a subset of the value grid; a signaling scheme is a weighted
 collection of signals whose mixture reproduces the prior exactly.  The
 seller best-responds to each posterior with a posted price, breaking revenue
-ties toward the lowest price.
+ties toward the lowest price.  A scheme is accounted for once, in the loop
+that checks its mixture: the same pass sums each value class's surplus and
+payment, which `scheme_surplus` and `scheme_revenue` then read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
@@ -22,6 +25,8 @@ RationalLike = Union[Fraction, int, str, float]
 MAX_INT_DIGITS = 100_000
 # 2**bits < 10**MAX_INT_DIGITS for any int of at most this many bits
 _MAX_RATIONAL_BITS = MAX_INT_DIGITS * 3_321_928 // 1_000_000
+# the exponent of a decimal literal, as Fraction reads it
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
 
 
 class MarketError(Exception):
@@ -58,7 +63,8 @@ def as_fraction(x: RationalLike) -> Fraction:
     shortest decimal representation so that 0.1 becomes exactly 1/10.
     Anything else, a string or float that names no finite rational, or a
     numerator or denominator longer than MAX_INT_DIGITS digits raises
-    MarketError.
+    MarketError.  A decimal exponent that alone exceeds MAX_INT_DIGITS is
+    refused before Fraction would build its power of ten.
     """
     if isinstance(x, Fraction):
         return x
@@ -68,6 +74,13 @@ def as_fraction(x: RationalLike) -> Fraction:
         value = Fraction(x)
     elif isinstance(x, (float, str)):
         text = repr(x) if isinstance(x, float) else x.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            # length first: int() of a long digit string is itself slow
+            too_long = len(digits) > len(str(MAX_INT_DIGITS))
+            if too_long or int(digits or 0) > MAX_INT_DIGITS:
+                raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -232,24 +245,42 @@ class SignalingScheme:
     """Weighted signals whose mixture equals the prior exactly.
 
     The weights are not summed: each posterior sums to 1, so the weights
-    sum to the mixture's total, which the per-value check makes 1.
+    sum to the mixture's total, which the per-value check makes 1.  The
+    loop that sums the mixture also sums, per value class, the surplus and
+    the payment at each signal's optimal price: ``surpluses`` holds each
+    class's expected surplus and ``revenue`` the seller's expected revenue.
     """
 
     dist: ValueDistribution
     entries: tuple[tuple[Signal, Fraction], ...]
+    surpluses: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    revenue: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        values = self.dist.values
         mixture = [Fraction(0)] * self.dist.n
+        gained = [Fraction(0)] * self.dist.n
+        paid = [Fraction(0)] * self.dist.n
         for signal, weight in self.entries:
             if signal.dist is not self.dist and signal.dist != self.dist:
                 raise MarketError("signal belongs to a different distribution")
             if weight <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
+            k = signal.optimal_price_index
+            price = values[k]
             for i, f in signal.support:
-                mixture[i] += weight * f
+                mass = weight * f
+                mixture[i] += mass
+                if i >= k:
+                    paid[i] += mass * price
+                if i > k:
+                    gained[i] += mass * (values[i] - price)
         for i, f in enumerate(self.dist.masses):
             if mixture[i] != f:
                 raise PlausibilityError(i, f, mixture[i])
+        surpluses = tuple(t / f for t, f in zip(gained, self.dist.masses))
+        object.__setattr__(self, "surpluses", surpluses)
+        object.__setattr__(self, "revenue", sum(paid, Fraction(0)))
 
     @property
     def signals(self) -> tuple[Signal, ...]:
@@ -279,32 +310,13 @@ class SurplusProfile:
 
 def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
     """Expected consumer surplus of each value class under the scheme."""
-    dist = scheme.dist
-    totals = [Fraction(0)] * dist.n
-    for signal, weight in scheme.entries:
-        k = signal.optimal_price_index
-        price = dist.values[k]
-        for i, f in signal.support:
-            if i > k:
-                totals[i] += weight * f * (dist.values[i] - price)
-    return SurplusProfile(
-        dist, tuple(t / f for t, f in zip(totals, dist.masses))
-    )
+    return SurplusProfile(scheme.dist, scheme.surpluses)
 
 
 def scheme_revenue(scheme: SignalingScheme) -> Fraction:
-    """Expected revenue, summed per value class, then over the n classes.
-
-    Each signal priced at v_k adds w * f * v_k to every class i >= k.
-    """
-    dist = scheme.dist
-    paid = [Fraction(0)] * dist.n
-    for signal, weight in scheme.entries:
-        k = signal.optimal_price_index
-        for i, f in signal.support:
-            if i >= k:
-                paid[i] += weight * f * dist.values[k]
-    return sum(paid, Fraction(0))
+    """Expected revenue: each signal priced at v_k collects w * f * v_k
+    from every class i >= k, summed per class, then over the n classes."""
+    return scheme.revenue
 
 
 def is_efficient(scheme: SignalingScheme) -> bool:

@@ -164,7 +164,6 @@ class BuyerOptimalLowerBound:
     buyer-optimal scheme is alpha-majorized for alpha < N.
     """
 
-    parameter: Fraction
     dist: ValueDistribution
     buyer_optimal: SignalingScheme
     alternative: SignalingScheme
@@ -223,7 +222,6 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     )
     denom = N**2 + 1
     return BuyerOptimalLowerBound(
-        parameter=N,
         dist=dist,
         buyer_optimal=buyer_optimal,
         alternative=alternative,

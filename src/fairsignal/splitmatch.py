@@ -6,7 +6,9 @@ lowest higher value with remaining taker budget, emitting an equal-revenue
 binary signal that exhausts at least one of the two budgets.  The prior
 mass the binaries leave unused becomes singleton signals.  The resulting
 scheme charges every buyer the lowest value in their signal, so the item
-always sells.
+always sells.  `DecomposedScheme.from_binaries` accounts for a stage in
+one pass over its binaries: the mass each places on its giver and taker,
+and the surplus each pays its taker class.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ class BinarySignalEntry:
     def taker_fraction(self, dist: ValueDistribution) -> Fraction:
         return dist.values[self.giver] / dist.values[self.taker]
 
-    def giver_mass(self, dist: ValueDistribution) -> Fraction:
-        return self.weight * self.giver_fraction(dist)
-
     def taker_mass(self, dist: ValueDistribution) -> Fraction:
         return self.weight * self.taker_fraction(dist)
 
@@ -69,11 +68,16 @@ class SingletonEntry:
 
 @dataclass(frozen=True)
 class DecomposedScheme:
-    """A scheme made of equal-revenue binaries and singletons only."""
+    """A scheme made of equal-revenue binaries and singletons only.
+
+    ``surpluses`` holds each value class's expected surplus; only taker
+    mass earns any.
+    """
 
     dist: ValueDistribution
     binaries: tuple[BinarySignalEntry, ...]
     singletons: tuple[SingletonEntry, ...]
+    surpluses: tuple[Fraction, ...]
 
     @classmethod
     def from_binaries(
@@ -83,31 +87,30 @@ class DecomposedScheme:
 
         Value i's singleton weight is f_i minus the mass the binaries place
         on i, so the mixture matches the prior exactly; a value on which
-        the binaries place more than f_i is an invariant violation.
+        the binaries place more than f_i is an invariant violation.  The
+        same pass sums each taker class's surplus: a binary places its
+        weight less its taker mass on the giver, and the taker mass gains
+        v_t - v_g.
         """
+        values = dist.values
         unused = list(dist.masses)
+        gained = [Fraction(0)] * dist.n
         for b in binaries:
-            unused[b.giver] -= b.giver_mass(dist)
-            unused[b.taker] -= b.taker_mass(dist)
+            taken = b.taker_mass(dist)
+            unused[b.giver] -= b.weight - taken
+            unused[b.taker] -= taken
+            gained[b.taker] += taken * (values[b.taker] - values[b.giver])
         singletons = []
         for i, w in enumerate(unused):
             if w < 0:
                 raise InvariantViolation(f"value index {i} is oversubscribed by {-w}")
             if w > 0:
                 singletons.append(SingletonEntry(i, w))
-        return cls(dist, tuple(binaries), tuple(singletons))
-
-    def surplus_values(self) -> tuple[Fraction, ...]:
-        """Expected surplus per value class; only taker mass contributes."""
-        dist = self.dist
-        totals = [Fraction(0)] * dist.n
-        for b in self.binaries:
-            gain = dist.values[b.taker] - dist.values[b.giver]
-            totals[b.taker] += b.taker_mass(dist) * gain
-        return tuple(t / f for t, f in zip(totals, dist.masses))
+        surpluses = tuple(t / f for t, f in zip(gained, dist.masses))
+        return cls(dist, tuple(binaries), tuple(singletons), surpluses)
 
     def surplus_profile(self) -> SurplusProfile:
-        return SurplusProfile(self.dist, self.surplus_values())
+        return SurplusProfile(self.dist, self.surpluses)
 
     def to_signaling_scheme(self) -> SignalingScheme:
         entries = []

@@ -164,7 +164,7 @@ def test_c04_prefix_lower_bound_suite(corpus):
 def test_c05_pipeline_identity(corpus, pipelines):
     violations = 0
     for pipe in pipelines:
-        final = pipe.final.surplus_values()
+        final = pipe.final.surpluses
         if any(2 * cs != s for cs, s in zip(final, pipe.ironed.ironed_values)):
             violations += 1
         # every stage's mixture must equal the prior exactly

@@ -151,6 +151,35 @@ class TestBuild:
         assert stdout == ""
         assert stderr == "error: invalid instance: rational longer than 100000 digits\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"values": [1, 2], "masses": [0.5, 0.5], "note": 1e9999999}',
+            '{"values": [1, 2], "masses": [0.5, 0.5], "note": 1e99999999}',
+            '{"values": [1, 2], "masses": [1e-9999999, 1]}',
+        ],
+    )
+    def test_long_exponent_literal_refused_at_once(self, text, tmp_path, capsys):
+        # a JSON number literal is read by as_fraction, which refuses the
+        # exponent before Fraction would build its power of ten
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, stdout, stderr = run_cli(
+            capsys, "build", "--in", str(path), "--scheme", "final"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: invalid instance: rational longer than 100000 digits\n"
+
+    def test_unwritable_out_exits_2(self, instance_file, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "s.json")
+        code, _, stderr = run_cli(
+            capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out
+        )
+        assert code == 2
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1
+
     def test_json_format(self, instance_file, capsys):
         code, stdout, _ = run_cli(
             capsys, "build", "--in", instance_file, "--scheme", "nosignal",
@@ -401,6 +430,40 @@ class TestVerify:
         assert stderr.startswith("error: ")
         assert "longer than 100000 digits" in stderr
 
+    @pytest.mark.parametrize("grid", ["1e-150000", "1e-99999999"])
+    def test_long_grid_exponent_message(self, grid, instance_file, tmp_path, capsys):
+        out = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", out, "--grid", grid
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: rational longer than 100000 digits\n"
+
+    def test_long_exponent_in_scheme_literal(self, instance_file, tmp_path, capsys):
+        path = tmp_path / "scheme.json"
+        path.write_text('{"entries": [{"weight": 1e-99999999, "support": {"0": "1"}}]}')
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", str(path)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: invalid scheme file: rational longer than 100000 digits\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_out_exits_2(self, fmt, instance_file, tmp_path, capsys):
+        scheme = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", scheme)
+        out = str(tmp_path / "missing" / f"t.{fmt}")
+        code, _, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", scheme,
+            "--out", out, "--format", fmt,
+        )
+        assert code == 2
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1
+
     @pytest.mark.parametrize("grid", ["abc", "1/2,,1", "1/0"])
     def test_malformed_grid_exits_2(self, grid, instance_file, tmp_path, capsys):
         out = str(tmp_path / "final.json")
@@ -538,6 +601,15 @@ class TestLowerbound:
             assert code == 2
             assert stdout == ""
             assert "MAX_PARAMETER_EXPONENT = 10**1000" in stderr
+
+    @pytest.mark.parametrize(
+        "kind, parameter", [("universal", "1e-99999999"), ("buyeropt", "1e99999999")]
+    )
+    def test_long_exponent_refused_at_once(self, kind, parameter, capsys):
+        code, stdout, stderr = run_cli(capsys, "lowerbound", kind, parameter)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: rational longer than 100000 digits\n"
 
     def test_longest_parameter_accepted(self, capsys):
         code, stdout, _ = run_cli(capsys, "lowerbound", "buyeropt", "1e1000")

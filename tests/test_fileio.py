@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 from fractions import Fraction
 
@@ -72,14 +71,14 @@ class TestSchemeFiles:
 
     def test_deterministic_bytes(self, running_example, tmp_path):
         scheme = split_and_match(running_example).to_signaling_scheme()
-        a, b = io.StringIO(), io.StringIO()
-        save_scheme(scheme, a)
-        save_scheme(scheme, b)
-        assert a.getvalue() == b.getvalue()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_scheme(scheme, str(a))
+        save_scheme(scheme, str(b))
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestCsvWriters:
-    def test_majorization_table(self):
+    def test_majorization_table(self, tmp_path):
         rows = [
             {
                 "m": F(1, 2),
@@ -89,9 +88,9 @@ class TestCsvWriters:
                 "ratio": F(24, 7),
             }
         ]
-        buf = io.StringIO()
-        write_majorization_table(buf, rows)
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "table.csv"
+        write_majorization_table(str(path), rows)
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("m,m_decimal,integration_prefix")
         assert lines[1].split(",")[:4] == ["1/2", "0.5", "1/16", "0.0625"]
 

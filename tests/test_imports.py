@@ -23,7 +23,7 @@ TEST_ORACLES = (
     (
         "splitmatch.truncated_upper_bound",
         "the lemma c04 checks the greedy decomposition against; the "
-        "hull bound of ROADMAP item 1 is to make it runtime code",
+        "hull bound of ROADMAP item 3 is to make it runtime code",
     ),
 )
 

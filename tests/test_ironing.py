@@ -21,7 +21,13 @@ from fairsignal.market import (
     is_monotone,
     scheme_surplus,
 )
-from fairsignal.splitmatch import split_and_match, truncated_upper_bound
+from fairsignal.splitmatch import (
+    BinarySignalEntry,
+    DecomposedScheme,
+    SingletonEntry,
+    split_and_match,
+    truncated_upper_bound,
+)
 from fairsignal.steps import integration_prefix, profile_step_function
 
 from conftest import mixture, random_distribution, structured_priors
@@ -199,7 +205,79 @@ class TestPairRectangles:
                     assert plus >= minus
 
 
+def reference_smooth(scheme, ironed, pairings) -> DecomposedScheme:
+    """Smoothing as a double scan of every binary for each deep pair, with
+    the stage's singletons and surpluses summed in passes of their own."""
+    dist = scheme.dist
+    values = dist.values
+    weights = [b.weight for b in scheme.binaries]
+    added = []
+    for interval, pairs in zip(ironed.intervals, pairings):
+        for pair in pairs:
+            if 2 * pair.minus_height <= interval.level:
+                continue
+            vm, vp = pair.minus_index, pair.plus_index
+            taker_cut = pair.minus_width / dist.masses[vm]
+            for j, b in enumerate(scheme.binaries):
+                if b.taker == vm:
+                    weights[j] -= b.weight * taker_cut
+            giver_cut = (
+                pair.plus_width / dist.masses[vp]
+                * pair.plus_height / (interval.level + pair.plus_height)
+            )
+            for j, b in enumerate(scheme.binaries):
+                if b.taker == vp:
+                    removed = b.weight * giver_cut
+                    weights[j] -= removed
+                    g = b.giver
+                    w = removed * (1 - values[g] / values[vp]) / (1 - values[g] / values[vm])
+                    added.append(BinarySignalEntry(g, vm, w))
+    assert all(w >= 0 for w in weights)
+    binaries = [
+        BinarySignalEntry(b.giver, b.taker, w)
+        for b, w in zip(scheme.binaries, weights)
+        if w > 0
+    ] + added
+    unused = list(dist.masses)
+    for b in binaries:
+        unused[b.giver] -= b.weight * b.giver_fraction(dist)
+        unused[b.taker] -= b.weight * b.taker_fraction(dist)
+    assert all(w >= 0 for w in unused)
+    singletons = tuple(SingletonEntry(i, w) for i, w in enumerate(unused) if w > 0)
+    totals = [F(0)] * dist.n
+    for b in binaries:
+        gain = values[b.taker] - values[b.giver]
+        totals[b.taker] += b.weight * b.taker_fraction(dist) * gain
+    surpluses = tuple(t / f for t, f in zip(totals, dist.masses))
+    return DecomposedScheme(dist, tuple(binaries), singletons, surpluses)
+
+
+def smooth_both_ways(dist: ValueDistribution) -> tuple[DecomposedScheme, DecomposedScheme]:
+    base = split_and_match(dist)
+    profile = base.surplus_profile()
+    ironed = iron(profile)
+    pairs = tuple(
+        pair_rectangles(profile, ironed, t) for t in range(len(ironed.intervals))
+    )
+    return smooth(base, ironed, pairs), reference_smooth(base, ironed, pairs)
+
+
 class TestSmooth:
+    def test_matches_double_scan_on_corpus(self, corpus):
+        lifted = 0
+        for dist in corpus:
+            got, want = smooth_both_ways(dist)
+            assert got == want
+            lifted += got.binaries != split_and_match(dist).binaries
+        assert lifted > 100  # 117 instances have a deep pair to lift
+
+    @given(structured_priors())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_double_scan_on_structured_families(self, case):
+        _, dist = case
+        got, want = smooth_both_ways(dist)
+        assert got == want
+
     def test_running_example_noop(self, running_example):
         # the only deficit is shallower than half the level
         base = split_and_match(running_example)
@@ -210,7 +288,7 @@ class TestSmooth:
         )
         assert 2 * pairs[0][0].minus_height <= ironed.intervals[0].level
         smoothed = smooth(base, ironed, pairs)
-        assert smoothed.surplus_values() == base.surplus_values()
+        assert smoothed.surpluses == base.surpluses
         assert smoothed.binaries == base.binaries
 
     def test_monotone_profile_identity(self):
@@ -234,7 +312,7 @@ class TestSmooth:
                 for t in range(len(ironed.intervals))
             )
             smoothed = smooth(base, ironed, pairs)
-            after = smoothed.surplus_values()
+            after = smoothed.surpluses
             for i in range(dist.n):
                 assert 2 * after[i] >= ironed.ironed_values[i]
             if any(
@@ -249,7 +327,7 @@ class TestSmooth:
 class TestFinalize:
     def test_running_example_weights(self, running_example):
         res = monotone_fair_scheme(running_example)
-        assert res.final.surplus_values() == (F(0), F(1, 4), F(3, 8), F(3, 8))
+        assert res.final.surpluses == (F(0), F(1, 4), F(3, 8), F(3, 8))
         weights = {(b.giver, b.taker): b.weight for b in res.final.binaries}
         assert weights == {
             (0, 1): F(1, 8),
@@ -260,13 +338,13 @@ class TestFinalize:
     def test_identity_when_already_half(self, running_example):
         res = monotone_fair_scheme(running_example)
         again = finalize(res.final, res.ironed)
-        assert again.surplus_values() == res.final.surplus_values()
+        assert again.surpluses == res.final.surpluses
         assert again.binaries == res.final.binaries
 
     def test_five_value_pipeline(self, fig3_instance):
         res = monotone_fair_scheme(fig3_instance)
         target = envelope_oracle(res.base.surplus_profile())
-        assert [2 * cs for cs in res.final.surplus_values()] == target
+        assert [2 * cs for cs in res.final.surpluses] == target
         scheme = res.final.to_signaling_scheme()
         assert is_efficient(scheme)
         assert is_monotone(scheme_surplus(scheme))
@@ -276,7 +354,7 @@ class TestFinalize:
         for _ in range(150):
             dist = random_distribution(rng)
             res = monotone_fair_scheme(dist)
-            final = res.final.surplus_values()
+            final = res.final.surpluses
             assert all(
                 2 * cs == s for cs, s in zip(final, res.ironed.ironed_values)
             )

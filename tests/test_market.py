@@ -218,6 +218,23 @@ def reference_revenue(scheme: SignalingScheme) -> Fraction:
     return total
 
 
+def reference_surpluses(scheme: SignalingScheme) -> tuple[Fraction, ...]:
+    """Surplus per class, summed signal by signal at each one's price."""
+    dist = scheme.dist
+    totals = [Fraction(0)] * dist.n
+    for signal, weight in scheme.entries:
+        tail = Fraction(1)
+        best = None
+        for i, f in signal.support:
+            if best is None or dist.values[i] * tail > best[1]:
+                best = (i, dist.values[i] * tail)
+            tail -= f
+        price = dist.values[best[0]]
+        for i, f in signal.support:
+            totals[i] += weight * f * max(dist.values[i] - price, Fraction(0))
+    return tuple(t / f for t, f in zip(totals, dist.masses))
+
+
 class TestSchemeRevenue:
     def test_per_class_sum_equals_per_signal_sum(self, corpus):
         rng = random.Random(37)
@@ -228,6 +245,7 @@ class TestSchemeRevenue:
             schemes.append(random_scheme(rng, dist))
             for scheme in schemes:
                 assert scheme_revenue(scheme) == reference_revenue(scheme)
+                assert scheme_surplus(scheme).surpluses == reference_surpluses(scheme)
             priced_above_lowest += not is_efficient(schemes[-1])
         assert priced_above_lowest > 100  # random schemes price above their lowest support
 

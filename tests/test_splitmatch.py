@@ -45,7 +45,7 @@ class TestRunningExample:
 
     def test_surplus_profile(self, running_example):
         scheme = split_and_match(running_example)
-        assert scheme.surplus_values() == (F(0), F(1, 2), F(1), F(1, 2))
+        assert scheme.surpluses == (F(0), F(1, 2), F(1), F(1, 2))
 
     def test_revenue_weights_lowest_supports(self, running_example):
         scheme = split_and_match(running_example)
@@ -124,7 +124,7 @@ class TestGreedyInvariants:
             giver_used = [F(0)] * dist.n
             taker_used = [F(0)] * dist.n
             for b in scheme.binaries:
-                giver_used[b.giver] += b.giver_mass(dist)
+                giver_used[b.giver] += b.weight * b.giver_fraction(dist)
                 taker_used[b.taker] += b.taker_mass(dist)
             for i, f in enumerate(dist.masses):
                 assert giver_used[i] <= f / 2
