@@ -8,7 +8,6 @@ stdout; tables can be exported as CSV or JSON for plotting.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -111,7 +110,9 @@ def _scheme_report(
 
 
 def build_named_scheme(dist: ValueDistribution, name: str) -> SignalingScheme:
-    """Every scheme kind but ``buyeropt``, whose total ``cmd_build`` reports."""
+    """The scheme of each kind in SCHEME_KINDS."""
+    if name == "buyeropt":
+        return buyer_optimal_scheme(dist)[0]
     if name == "splitmatch":
         return split_and_match(dist).to_signaling_scheme()
     if name == "final":
@@ -157,19 +158,10 @@ def certify(
 
 
 def _table_lines(rows: Sequence[dict], with_adversary: bool) -> list[str]:
-    lines = []
     header = "m | Pfv | PF"
     if with_adversary:
         header += " | adversary PF | ratio"
-    lines.append(header)
-    for row in rows:
-        cells = [str(row["m"]), str(row["integration_prefix"]), str(row["sorted_prefix"])]
-        if with_adversary:
-            ratio = row["ratio"]
-            cells.append(str(row["adversary_prefix"]))
-            cells.append("inf" if ratio == math.inf else str(ratio))
-        lines.append(" | ".join(cells))
-    return lines
+    return [header] + [" | ".join(map(fileio.table_cell, row.values())) for row in rows]
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -180,32 +172,28 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     return tuple(sorted(set(grid)))
 
 
-def _json_rows(rows: Sequence[dict]) -> list[dict]:
-    out = []
-    for row in rows:
-        jrow = {}
-        for key, val in row.items():
-            jrow[key] = "inf" if val == math.inf else str(val)
-        out.append(jrow)
-    return out
+def _load(what: str, loader, *args):
+    """``loader(*args)``, with a file it cannot open or parse reported as
+    bad input that names ``what``."""
+    try:
+        return loader(*args)
+    except PlausibilityError as e:
+        raise MarketError(
+            f"scheme is not Bayes plausible at value index {e.index}: {e}"
+        ) from None
+    except (MarketError, OSError) as e:
+        raise MarketError(f"invalid {what}: {e}") from None
 
 
 def cmd_build(args) -> int:
-    try:
-        dist = fileio.load_instance(args.instance)
-    except (MarketError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"error: invalid instance: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    dist = _load("instance", fileio.load_instance, args.instance)
+    scheme = build_named_scheme(dist, args.scheme)
+    report, profile, _ = _scheme_report(args.scheme, scheme)
+    lines = _instance_lines(dist) + report
     if args.scheme == "buyeropt":
-        scheme, total = buyer_optimal_scheme(dist)
-        extra = [f"buyer-optimal surplus: {total}"]
-    else:
-        scheme = build_named_scheme(dist, args.scheme)
-        extra = []
-    lines = _instance_lines(dist) + _scheme_report(args.scheme, scheme)[0] + extra
+        lines.append(f"buyer-optimal surplus: {profile.total()}")
     if args.format == "json":
-        payload = {"report": lines, "scheme": fileio.scheme_payload(scheme)}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(fileio.json_text({"report": lines, "scheme": fileio.scheme_payload(scheme)}))
     else:
         print("\n".join(lines))
     if args.out:
@@ -214,32 +202,20 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        dist = fileio.load_instance(args.instance)
-    except (MarketError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"error: invalid instance: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    dist = _load("instance", fileio.load_instance, args.instance)
     required = [r for r in args.require.split(",") if r] if args.require else []
     for r in required:
         if r not in REQUIREMENTS:
             raise MarketError(f"unknown requirement {r!r}")
+    grid = _parse_grid(args.grid) if args.grid else None
     with_adversary = args.adversary or "majorized" in required
     if with_adversary:
         check_adversary_support(dist, args.max_support)
-    try:
-        scheme = fileio.load_scheme(args.scheme_file, dist)
-    except PlausibilityError as e:
-        print(
-            f"error: scheme is not Bayes plausible at value index {e.index}: {e}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
-    except (MarketError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"error: invalid scheme file: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    scheme = _load("scheme file", fileio.load_scheme, args.scheme_file, dist)
 
     scheme_lines, profile, flags = _scheme_report("file", scheme)
-    grid = _parse_grid(args.grid) if args.grid else adversary_grid(profile)
+    if grid is None:
+        grid = adversary_grid(profile)
     rival = None
     if with_adversary:
         rival = adversary_sorted_prefix(dist, grid, args.max_support)
@@ -256,10 +232,7 @@ def cmd_verify(args) -> int:
     print("\n".join(lines))
 
     if args.out:
-        if args.format == "json":
-            fileio._dump_json(_json_rows(rows), args.out)
-        else:
-            fileio.write_majorization_table(args.out, rows)
+        fileio.write_majorization_table(args.out, rows, args.format)
 
     failed = [r for r in required if not flags[r]]
     if failed:

@@ -1,9 +1,12 @@
-"""Instance and scheme files, plus the majorization table as CSV for plots.
+"""Instance and scheme files, plus the majorization table as CSV or JSON.
 
 Rationals are serialized as "p/q" strings so nothing is lost to decimal
 rounding; on input, plain numbers and decimal strings are also accepted
-and converted exactly.  The CSV table carries each quantity twice: the
-exact rational and a 12-decimal rounding for plotting.
+and converted exactly.  Every JSON output shares one layout
+(``json_text``).  The loaders raise MarketError for any content they
+cannot read and OSError only when the file cannot be opened.  A table cell
+is the exact rational or ``inf`` (``table_cell``); the CSV table adds a
+12-decimal rounding of each for plotting.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import csv
 import decimal
 import json
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Mapping, Sequence
 
 from .market import (
     MarketError,
@@ -37,15 +41,30 @@ def decimal_str(x) -> str:
             return str(d.normalize()).replace("E", "e")
 
 
+def table_cell(x) -> str:
+    """A table entry as text: the exact rational, or ``inf`` for an infinite ratio."""
+    return "inf" if x == math.inf else str(x)
+
+
+def json_text(payload) -> str:
+    """The one JSON layout of every file and report: sorted keys, indent 2."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def _load_json(path: str):
-    # number literals go through as_fraction, so its length guards hold
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=as_fraction)
+        try:
+            # number literals go through as_fraction, so its length guards hold
+            return json.load(fh, parse_float=as_fraction)
+        except ValueError as e:  # undecodable bytes, bad JSON, an overlong integer
+            raise MarketError(str(e)) from None
+        except RecursionError:
+            raise MarketError("JSON nested deeper than the parser allows") from None
 
 
 def _dump_json(payload, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json_text(payload) + "\n")
 
 
 def _is_array(x) -> bool:
@@ -96,9 +115,10 @@ def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
         ):
             raise MarketError("each scheme entry must hold a weight and a support object")
         weight = as_fraction(entry["weight"])
-        support = tuple(
-            (int(i), as_fraction(f)) for i, f in entry["support"].items()
-        )
+        try:
+            support = tuple((int(i), as_fraction(f)) for i, f in entry["support"].items())
+        except ValueError as e:  # a support index that is not an integer
+            raise MarketError(str(e)) from None
         entries.append((Signal(dist, support), weight))
     return SignalingScheme(dist, tuple(entries))
 
@@ -111,8 +131,11 @@ def save_scheme(scheme: SignalingScheme, path: str) -> None:
     _dump_json(scheme_payload(scheme), path)
 
 
-def write_majorization_table(path: str, rows: Iterable[Mapping]) -> None:
-    """Per-mass certification rows; see cli.certify for keys."""
+def write_majorization_table(path: str, rows: Sequence[Mapping], fmt: str) -> None:
+    """Per-mass certification rows (see cli.certify) as ``csv`` or ``json``."""
+    if fmt == "json":
+        _dump_json([{k: table_cell(v) for k, v in row.items()} for row in rows], path)
+        return
     fields = [
         "m",
         "integration_prefix",
@@ -132,8 +155,6 @@ def write_majorization_table(path: str, rows: Iterable[Mapping]) -> None:
                 val = row.get(f)
                 if val is None:
                     out += ["", ""]
-                elif val == float("inf"):
-                    out += ["inf", "inf"]
                 else:
-                    out += [str(val), decimal_str(val)]
+                    out += [table_cell(val), decimal_str(val)]
             writer.writerow(out)

@@ -44,7 +44,6 @@ class IroningInterval:
 class IronedFunction:
     """Lower convex envelope of the cumulative surplus and its derivative."""
 
-    profile: SurplusProfile
     cumulative: tuple[tuple[Fraction, Fraction], ...]
     envelope: tuple[tuple[Fraction, Fraction], ...]
     ironed_values: tuple[Fraction, ...]
@@ -100,7 +99,6 @@ def iron(profile: SurplusProfile) -> IronedFunction:
         if lo > hi:
             raise InvariantViolation("ironed surplus must be weakly increasing")
     return IronedFunction(
-        profile=profile,
         cumulative=tuple(vertices),
         envelope=tuple(vertices[i] for i in contact),
         ironed_values=tuple(ironed),

@@ -28,6 +28,9 @@ from conftest import max_min_surplus_lp, perfbench_module, universal_raw_masses,
 
 F = Fraction
 
+# nested far deeper than the JSON parser's recursion limit
+DEEP_ARRAY = b"[" * 100_000 + b"]" * 100_000
+
 
 @pytest.fixture
 def instance_file(running_example, tmp_path):
@@ -110,21 +113,26 @@ class TestBuild:
         assert "invalid instance" in stderr
 
     @pytest.mark.parametrize(
-        "payload",
+        "raw",
         [
-            {"values": "12", "masses": ["1/2", "1/2"]},
-            {"values": [True, 2], "masses": ["1/2", "1/2"]},
-            {"values": [1, 2], "masses": [{}, "1/2"]},
-            {"values": [1, 2], "masses": ["1/0", "1/2"]},
+            b'{"values": "12", "masses": ["1/2", "1/2"]}',
+            b'{"values": [true, 2], "masses": ["1/2", "1/2"]}',
+            b'{"values": [1, 2], "masses": [{}, "1/2"]}',
+            b'{"values": [1, 2], "masses": ["1/0", "1/2"]}',
+            DEEP_ARRAY,
+            b'{"values": [1, 2], "masses": ["1/2",',
+            b'{"values": [1, 2], "masses": ["1/2", "\xff"]}',
         ],
+        ids=["string", "bool", "object", "zero-denominator", "deep", "truncated", "not-utf8"],
     )
-    def test_malformed_instance_shape_exits_2(self, payload, tmp_path, capsys):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        code, _, stderr = run_cli(capsys, "build", "--in", path, "--scheme", "final")
+    def test_malformed_instance_shape_exits_2(self, raw, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, stdout, stderr = run_cli(capsys, "build", "--in", str(path), "--scheme", "final")
         assert code == 2
+        assert stdout == ""
         assert stderr.startswith("error: invalid instance:")
+        assert stderr.count("\n") == 1
 
     def test_mass_sum_error_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
@@ -476,24 +484,42 @@ class TestVerify:
         assert stderr.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "payload",
+        "raw",
         [
-            {"entries": 5},
-            {"entries": [1]},
-            {"entries": [{"weight": "1", "support": ["1/4", "1/4", "1/4", "1/4"]}]},
-            {"entries": [{"weight": True, "support": {"0": "1"}}]},
-            {"entries": [{"weight": {}, "support": {"0": "1"}}]},
+            b'{"entries": 5}',
+            b'{"entries": [1]}',
+            b'{"entries": [{"weight": "1", "support": ["1/4", "1/4", "1/4", "1/4"]}]}',
+            b'{"entries": [{"weight": true, "support": {"0": "1"}}]}',
+            b'{"entries": [{"weight": {}, "support": {"0": "1"}}]}',
+            b'{"entries": [{"weight": "1", "support": {"x": "1"}}]}',
+            DEEP_ARRAY,
+            b'{"entries": [{"weight": "1",',
+            b'{"entries": [{"weight": "\xff", "support": {"0": "1"}}]}',
+        ],
+        ids=[
+            "entries-number", "entry-number", "support-array", "bool-weight", "object-weight",
+            "support-key-x", "deep", "truncated", "not-utf8",
         ],
     )
-    def test_malformed_scheme_file_exits_2(self, payload, instance_file, tmp_path, capsys):
-        path = str(tmp_path / "bad_scheme.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        code, _, stderr = run_cli(
-            capsys, "verify", "--in", instance_file, "--scheme", path
+    def test_malformed_scheme_file_exits_2(self, raw, instance_file, tmp_path, capsys):
+        path = tmp_path / "bad_scheme.json"
+        path.write_bytes(raw)
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", str(path)
         )
         assert code == 2
+        assert stdout == ""
         assert stderr.startswith("error: invalid scheme file:")
+        assert stderr.count("\n") == 1
+
+    def test_bad_grid_reported_before_scheme_is_read(self, instance_file, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", missing, "--grid", "0,1"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: grid mass 0 outside (0, 1]\n"
 
 
 @pytest.mark.parametrize("instance", ["running_example", "fig3_instance"])

@@ -1,4 +1,4 @@
-"""File formats: exact rational round-trips, the CSV majorization table."""
+"""File formats: exact rational round-trips, load failures, the majorization table."""
 
 from __future__ import annotations
 
@@ -50,6 +50,21 @@ class TestInstanceFiles:
         with pytest.raises(MarketError):
             payload_to_instance({"values": [1, 2], "masses": ["1/2", "1/3"]})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"values": [1], "masses": [', b"\xff\xfe"],
+        ids=["deep", "truncated", "not-utf8"],
+    )
+    def test_malformed_content_raises_market_error(self, raw, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(MarketError):
+            load_instance(str(path))
+
+    def test_unopenable_file_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            load_instance(str(tmp_path / "missing.json"))
+
 
 class TestSchemeFiles:
     def test_round_trip(self, running_example, tmp_path):
@@ -89,7 +104,7 @@ class TestCsvWriters:
             }
         ]
         path = tmp_path / "table.csv"
-        write_majorization_table(str(path), rows)
+        write_majorization_table(str(path), rows, "csv")
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("m,m_decimal,integration_prefix")
         assert lines[1].split(",")[:4] == ["1/2", "0.5", "1/16", "0.0625"]

@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports, and every
-function, class and method it defines is reached from outside tests.
+"""Every module of the package uses each name it imports, reads no
+private name of another package module, and every function, class and
+method it defines is reached from outside tests.
 
 No linter is a dependency, so these stdlib checks stand in for one.
-``__init__.py`` is exempt from both: its imports are the package's public
-names, and exporting a name does not make it reachable.
+``__init__.py`` is exempt from the first and the last: its imports are
+the package's public names, and exporting a name does not make it
+reachable.
 """
 
 from __future__ import annotations
@@ -50,6 +52,45 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """``module._name`` for each underscore name (not a dunder) that
+    ``source`` imports from, or reads as an attribute of, a module of the
+    package."""
+    tree = ast.parse(source)
+    modules, out = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    out.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ):
+            out.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+def test_the_check_sees_a_private_read():
+    source = (
+        "from . import fileio\nfrom .market import _digits, as_fraction\n"
+        "fileio._dump_json(as_fraction(_digits), fileio.__name__)\n"
+        "_own = fileio.load_scheme\n"
+    )
+    assert private_reads(source) == ["market._digits (line 2)", "fileio._dump_json (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_private_name_of_another(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(module: str, tree: ast.Module) -> list[tuple[str, ast.AST, bool]]:

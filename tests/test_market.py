@@ -240,8 +240,7 @@ class TestSchemeRevenue:
         rng = random.Random(37)
         priced_above_lowest = 0
         for dist in corpus:
-            schemes = [buyer_optimal_scheme(dist)[0]]
-            schemes += [build_named_scheme(dist, k) for k in SCHEME_KINDS if k != "buyeropt"]
+            schemes = [build_named_scheme(dist, k) for k in SCHEME_KINDS]
             schemes.append(random_scheme(rng, dist))
             for scheme in schemes:
                 assert scheme_revenue(scheme) == reference_revenue(scheme)
