@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import fileio
+from .fileio import as_text
 from .ironing import monotone_fair_scheme
 from .market import (
     MAX_INT_DIGITS,
@@ -65,15 +67,11 @@ EXIT_INVARIANT = 3
 # instance at n=256).  Parsing one 10**5-digit integer takes 0.1-0.2 s and
 # a 10**6-digit one about 10 s (Python 3.11, 2-vCPU Xeon VM), so `main`
 # raises the limit to MAX_INT_DIGITS rather than lifting it, and
-# `as_fraction` refuses any rational read from input that is longer.
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+# `as_fraction` refuses any rational read from input that is longer.  A
+# rational derived from shorter input (a sum, a revenue) can still pass
+# the limit when printed; Python then raises a ValueError with this
+# message, which `main` reports as bad input.
+_DIGIT_LIMIT = re.compile(r"Exceeds the limit \(\d+ digits\) for integer string conversion")
 
 
 def _instance_lines(dist: ValueDistribution) -> list[str]:
@@ -101,11 +99,11 @@ def _scheme_report(
         f"revenue: {scheme_revenue(scheme)}",
         "surplus profile: [" + ", ".join(map(str, profile.surpluses)) + "]",
         f"total consumer surplus: {profile.total()}",
-        f"efficient: {_fmt(flags['efficient'])}",
-        f"monotone: {_fmt(flags['monotone'])}",
+        f"efficient: {as_text(flags['efficient'])}",
+        f"monotone: {as_text(flags['monotone'])}",
     ]
     for kind in WELFARE_KINDS:
-        lines.append(f"welfare {kind}: {_fmt(evaluate_welfare(profile, kind))}")
+        lines.append(f"welfare {kind}: {as_text(evaluate_welfare(profile, kind))}")
     return lines, profile, flags
 
 
@@ -161,7 +159,7 @@ def _table_lines(rows: Sequence[dict], with_adversary: bool) -> list[str]:
     header = "m | Pfv | PF"
     if with_adversary:
         header += " | adversary PF | ratio"
-    return [header] + [" | ".join(map(fileio.table_cell, row.values())) for row in rows]
+    return [header] + [" | ".join(map(as_text, row.values())) for row in rows]
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -224,9 +222,9 @@ def cmd_verify(args) -> int:
     lines = _instance_lines(dist) + scheme_lines
     if with_adversary:
         flags["majorized"] = alpha != math.inf and alpha <= MAJORIZATION_FACTOR
-        lines.append(f"certified alpha: {_fmt(alpha)}")
+        lines.append(f"certified alpha: {as_text(alpha)}")
         lines.append(
-            f"majorized (alpha <= {MAJORIZATION_FACTOR}): {_fmt(flags['majorized'])}"
+            f"majorized (alpha <= {MAJORIZATION_FACTOR}): {as_text(flags['majorized'])}"
         )
     lines += _table_lines(rows, with_adversary)
     print("\n".join(lines))
@@ -244,25 +242,17 @@ def cmd_verify(args) -> int:
 def cmd_lowerbound(args) -> int:
     lines = []
     if args.kind == "buyeropt":
+        # the instance checked both schemes against their closed forms
         inst = buyer_optimal_lb_instance(args.parameter)
-        profile_opt = scheme_surplus(inst.buyer_optimal)
-        profile_alt = scheme_surplus(inst.alternative)
+        _, mid_opt, high_opt = scheme_surplus(inst.buyer_optimal).surpluses
+        _, mid_alt, high_alt = scheme_surplus(inst.alternative).surpluses
         lines += _instance_lines(inst.dist)
         lines += [
-            f"buyer-optimal cs (mid, high): {inst.cs_mid_optimal}, {inst.cs_high_optimal}",
-            f"alternative cs (mid, high): {inst.cs_mid_alternative}, {inst.cs_high_alternative}",
+            f"buyer-optimal cs (mid, high): {mid_opt}, {high_opt}",
+            f"alternative cs (mid, high): {mid_alt}, {high_alt}",
             f"min positive surplus ratio: {inst.ratio}",
+            "verified: true",
         ]
-        if profile_opt.surpluses[1:] != (inst.cs_mid_optimal, inst.cs_high_optimal):
-            raise InvariantViolation("buyer-optimal surplus mismatch")
-        if profile_alt.surpluses[1:] != (
-            inst.cs_mid_alternative,
-            inst.cs_high_alternative,
-        ):
-            raise InvariantViolation("alternative surplus mismatch")
-        if profile_opt.total() != inst.dist.expected_value() - myerson(inst.dist)[1]:
-            raise InvariantViolation("reference scheme is not buyer-optimal")
-        lines.append("verified: true")
     else:
         inst = universal_lb_instance(args.parameter)
         dist = inst.dist
@@ -284,12 +274,12 @@ def cmd_lowerbound(args) -> int:
         lines += [
             f"max-min LP value: {value}",
             f"closed form: {inst.best_min_surplus}",
-            f"match: {_fmt(value == inst.best_min_surplus)}",
+            f"match: {as_text(value == inst.best_min_surplus)}",
         ]
         if value != inst.best_min_surplus:
             raise InvariantViolation("max-min LP value differs from closed form")
         _, alpha = certify(profile_step_function(profile), grid, rival)
-        lines.append(f"certified alpha of monotone scheme: {_fmt(alpha)}")
+        lines.append(f"certified alpha of monotone scheme: {as_text(alpha)}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -348,6 +338,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVARIANT
     except (MarketError, OSError) as e:  # OSError: an --out that cannot be written
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except ValueError as e:  # any other ValueError is a bug
+        if not _DIGIT_LIMIT.match(str(e)):
+            raise
+        limit = f"a derived rational is longer than {MAX_INT_DIGITS} digits"
+        print(f"error: {limit}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -4,9 +4,10 @@ Rationals are serialized as "p/q" strings so nothing is lost to decimal
 rounding; on input, plain numbers and decimal strings are also accepted
 and converted exactly.  Every JSON output shares one layout
 (``json_text``).  The loaders raise MarketError for any content they
-cannot read and OSError only when the file cannot be opened.  A table cell
-is the exact rational or ``inf`` (``table_cell``); the CSV table adds a
-12-decimal rounding of each for plotting.
+cannot read and OSError only when the file cannot be opened.  Reports and
+tables write each value in one text form (``as_text``): a table cell is
+the exact rational or ``inf``, and the CSV table adds a 12-decimal
+rounding of each for plotting.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import decimal
 import json
-import math
 from typing import Mapping, Sequence
 
 from .market import (
@@ -41,9 +41,18 @@ def decimal_str(x) -> str:
             return str(d.normalize()).replace("E", "e")
 
 
-def table_cell(x) -> str:
-    """A table entry as text: the exact rational, or ``inf`` for an infinite ratio."""
-    return "inf" if x == math.inf else str(x)
+def as_text(x) -> str:
+    """The one text form of a reported value, in reports and tables alike.
+
+    A flag is ``true`` or ``false`` and a float (a Nash welfare, an
+    infinite ratio) has 12 significant digits, so infinity is ``inf``;
+    anything else, an exact rational above all, is written by ``str``.
+    """
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
 
 
 def json_text(payload) -> str:
@@ -134,7 +143,7 @@ def save_scheme(scheme: SignalingScheme, path: str) -> None:
 def write_majorization_table(path: str, rows: Sequence[Mapping], fmt: str) -> None:
     """Per-mass certification rows (see cli.certify) as ``csv`` or ``json``."""
     if fmt == "json":
-        _dump_json([{k: table_cell(v) for k, v in row.items()} for row in rows], path)
+        _dump_json([{k: as_text(v) for k, v in row.items()} for row in rows], path)
         return
     fields = [
         "m",
@@ -156,5 +165,5 @@ def write_majorization_table(path: str, rows: Sequence[Mapping], fmt: str) -> No
                 if val is None:
                     out += ["", ""]
                 else:
-                    out += [table_cell(val), decimal_str(val)]
+                    out += [as_text(val), decimal_str(val)]
             writer.writerow(out)

@@ -235,7 +235,7 @@ def smooth(
                 new_binaries.append(BinarySignalEntry(g, vm, new_weight))
     weights = [b.weight * (1 - cut[b.taker]) for b in scheme.binaries]
     survivors = _reweighted(scheme.binaries, weights)
-    return DecomposedScheme.from_binaries(dist, survivors + new_binaries)
+    return DecomposedScheme(dist, survivors + new_binaries)
 
 
 def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedScheme:
@@ -254,9 +254,7 @@ def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedSche
     weights = [
         b.weight * target[b.taker] / (2 * current[b.taker]) for b in scheme.binaries
     ]
-    return DecomposedScheme.from_binaries(
-        scheme.dist, _reweighted(scheme.binaries, weights)
-    )
+    return DecomposedScheme(scheme.dist, _reweighted(scheme.binaries, weights))
 
 
 @dataclass(frozen=True)
@@ -274,8 +272,8 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
     """Full pipeline: decompose, iron, smooth, and thin to half the level.
 
     The result is efficient and monotone with per-class surplus exactly
-    half the ironed surplus.  Every stage is built by
-    ``DecomposedScheme.from_binaries``, so its mixture matches the prior.
+    half the ironed surplus.  Every stage is a `DecomposedScheme` built
+    from its binaries alone, so its mixture matches the prior.
     """
     base = split_and_match(dist)
     profile = base.surplus_profile()

@@ -178,19 +178,6 @@ class ValueDistribution:
         return sum((v * f for v, f in zip(self.values, self.masses)), Fraction(0))
 
 
-def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
-    """Optimal posted price without signaling and its revenue.
-
-    Ties in revenue are broken toward the lowest price.
-    """
-    best_i = 0
-    revenues = dist.posted_revenues()
-    for i in range(1, dist.n):
-        if revenues[i] > revenues[best_i]:
-            best_i = i
-    return dist.values[best_i], revenues[best_i]
-
-
 @dataclass(frozen=True)
 class Signal:
     """A posterior over the value grid, stored sparsely as (index, mass)."""
@@ -238,6 +225,16 @@ class Signal:
                 best_i, best_rev = i, rev
             tail -= f
         return best_i
+
+
+def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
+    """Optimal posted price without signaling and its revenue.
+
+    The seller's best response to the prior as a single posterior, so ties
+    in revenue go to the lowest price, as for every signal.
+    """
+    k = Signal(dist, tuple(enumerate(dist.masses))).optimal_price_index
+    return dist.values[k], dist.values[k] * sum(dist.masses[k:], Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,15 @@ from typing import Sequence
 
 from .lp import LinearProgram, solve_lp
 from .market import (
+    InvariantViolation,
     MarketError,
     Signal,
     SignalingScheme,
     SurplusProfile,
     ValueDistribution,
     as_fraction,
+    myerson,
+    scheme_surplus,
 )
 from .steps import certification_grid, profile_step_function
 
@@ -161,16 +164,13 @@ class BuyerOptimalLowerBound:
 
     The unique buyer-optimal canonical scheme starves the middle value
     class, while an alternative scheme pays it N times more, so no
-    buyer-optimal scheme is alpha-majorized for alpha < N.
+    buyer-optimal scheme is alpha-majorized for alpha < N.  The instance
+    checks its two schemes against their closed-form surpluses when built.
     """
 
     dist: ValueDistribution
     buyer_optimal: SignalingScheme
     alternative: SignalingScheme
-    cs_mid_optimal: Fraction
-    cs_high_optimal: Fraction
-    cs_mid_alternative: Fraction
-    cs_high_alternative: Fraction
     ratio: Fraction
 
 
@@ -220,17 +220,17 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
             (a3, Fraction(1) / (N + 1)),
         ),
     )
+    # closed-form (mid, high) surpluses; the low class earns nothing
     denom = N**2 + 1
-    return BuyerOptimalLowerBound(
-        dist=dist,
-        buyer_optimal=buyer_optimal,
-        alternative=alternative,
-        cs_mid_optimal=(N - 1) / denom,
-        cs_high_optimal=(N + N**2) / denom,
-        cs_mid_alternative=(N**2 - 1) / denom,
-        cs_high_alternative=(N**2 - N) / denom,
-        ratio=N,
-    )
+    profile = scheme_surplus(buyer_optimal)
+    if profile.surpluses[1:] != ((N - 1) / denom, (N + N**2) / denom):
+        raise InvariantViolation("buyer-optimal surplus mismatch")
+    alternative_cs = scheme_surplus(alternative).surpluses[1:]
+    if alternative_cs != ((N**2 - 1) / denom, (N**2 - N) / denom):
+        raise InvariantViolation("alternative surplus mismatch")
+    if profile.total() != dist.expected_value() - myerson(dist)[1]:
+        raise InvariantViolation("reference scheme is not buyer-optimal")
+    return BuyerOptimalLowerBound(dist, buyer_optimal, alternative, ratio=N)
 
 
 @dataclass(frozen=True)

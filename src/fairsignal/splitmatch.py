@@ -6,16 +6,15 @@ lowest higher value with remaining taker budget, emitting an equal-revenue
 binary signal that exhausts at least one of the two budgets.  The prior
 mass the binaries leave unused becomes singleton signals.  The resulting
 scheme charges every buyer the lowest value in their signal, so the item
-always sells.  `DecomposedScheme.from_binaries` accounts for a stage in
-one pass over its binaries: the mass each places on its giver and taker,
-and the surplus each pays its taker class.
+always sells.  A `DecomposedScheme` is built from its binaries alone and
+accounts for itself in one pass over them: the mass each places on its
+giver and taker, and the surplus each pays its taker class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .market import (
     InvariantViolation,
@@ -70,32 +69,27 @@ class SingletonEntry:
 class DecomposedScheme:
     """A scheme made of equal-revenue binaries and singletons only.
 
-    ``surpluses`` holds each value class's expected surplus; only taker
-    mass earns any.
+    Only the binaries are given, in any sequence, stored as a tuple; the
+    rest follows from them in one pass.
+    Value i's singleton weight is f_i minus the mass the binaries place on
+    i, so the mixture matches the prior exactly; a value on which the
+    binaries place more than f_i is an invariant violation.  The same pass
+    sums each taker class's surplus into ``surpluses``: a binary places its
+    weight less its taker mass on the giver, and the taker mass gains
+    v_t - v_g.
     """
 
     dist: ValueDistribution
     binaries: tuple[BinarySignalEntry, ...]
-    singletons: tuple[SingletonEntry, ...]
-    surpluses: tuple[Fraction, ...]
+    singletons: tuple[SingletonEntry, ...] = field(init=False, compare=False)
+    surpluses: tuple[Fraction, ...] = field(init=False, compare=False)
 
-    @classmethod
-    def from_binaries(
-        cls, dist: ValueDistribution, binaries: Sequence[BinarySignalEntry]
-    ) -> "DecomposedScheme":
-        """The scheme of ``binaries`` plus singletons on the mass they leave.
-
-        Value i's singleton weight is f_i minus the mass the binaries place
-        on i, so the mixture matches the prior exactly; a value on which
-        the binaries place more than f_i is an invariant violation.  The
-        same pass sums each taker class's surplus: a binary places its
-        weight less its taker mass on the giver, and the taker mass gains
-        v_t - v_g.
-        """
+    def __post_init__(self):
+        dist = self.dist
         values = dist.values
         unused = list(dist.masses)
         gained = [Fraction(0)] * dist.n
-        for b in binaries:
+        for b in self.binaries:
             taken = b.taker_mass(dist)
             unused[b.giver] -= b.weight - taken
             unused[b.taker] -= taken
@@ -107,7 +101,9 @@ class DecomposedScheme:
             if w > 0:
                 singletons.append(SingletonEntry(i, w))
         surpluses = tuple(t / f for t, f in zip(gained, dist.masses))
-        return cls(dist, tuple(binaries), tuple(singletons), surpluses)
+        object.__setattr__(self, "binaries", tuple(self.binaries))
+        object.__setattr__(self, "singletons", tuple(singletons))
+        object.__setattr__(self, "surpluses", surpluses)
 
     def surplus_profile(self) -> SurplusProfile:
         return SurplusProfile(self.dist, self.surpluses)
@@ -157,7 +153,7 @@ def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
         binaries.append(BinarySignalEntry(s, l, weight))
         giver[s] -= weight * (1 - ratio)
         taker[l] -= weight * ratio
-    return DecomposedScheme.from_binaries(dist, binaries)
+    return DecomposedScheme(dist, binaries)
 
 
 def truncated_upper_bound(dist: ValueDistribution, k: int) -> Fraction:

@@ -229,7 +229,7 @@ def test_c08_buyer_optimal_lower_bound_family():
         prof_alt = scheme_surplus(inst.alternative)
         ok &= prof_opt.surpluses[1:] == ((N - 1) / denom, (N + N**2) / denom)
         ok &= prof_alt.surpluses[1:] == ((N**2 - 1) / denom, (N**2 - N) / denom)
-        ok &= inst.cs_high_alternative / inst.cs_mid_optimal == N
+        ok &= prof_alt.surpluses[2] / prof_opt.surpluses[1] == N
     report(8, "three-value family surpluses and ratio N for N in {2,5,10,100}", ok)
 
 

@@ -160,6 +160,39 @@ class TestBuild:
         assert stderr == "error: invalid instance: rational longer than 100000 digits\n"
 
     @pytest.mark.parametrize(
+        "scheme, values, masses",
+        [
+            # every input is inside the limit; the revenue is not
+            ("final", [1, "1e99999", "2e99999"], lambda: ["1/3"] * 3),
+            # nor is the sum of the masses, which the mass-sum error names
+            ("nosignal", [1, 2], lambda: [f"1/{3**100_000}", f"1/{7**80_000}"]),
+        ],
+    )
+    def test_oversized_derived_rational_exits_2(
+        self, scheme, values, masses, tmp_path, capsys
+    ):
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
+        payload = {"values": values, "masses": masses()}
+        path = str(tmp_path / "long.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        code, stdout, stderr = run_cli(capsys, "build", "--in", path, "--scheme", scheme)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: a derived rational is longer than 100000 digits\n"
+
+    def test_other_value_errors_propagate(self, instance_file, capsys, monkeypatch):
+        from fairsignal import cli
+
+        def broken(dist):
+            raise ValueError("forced for the exit-code test")
+
+        monkeypatch.setattr(cli, "monotone_fair_scheme", broken)
+        with pytest.raises(ValueError, match="forced"):
+            main(["build", "--in", instance_file, "--scheme", "final"])
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"values": [1, 2], "masses": [0.5, 0.5], "note": 1e9999999}',
@@ -524,7 +557,8 @@ class TestVerify:
 
 @pytest.mark.parametrize("instance", ["running_example", "fig3_instance"])
 def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, capsys, monkeypatch):
-    # scheme_surplus, is_efficient and scheme_revenue share one price walk
+    # scheme_surplus, is_efficient and scheme_revenue share one price walk,
+    # and myerson takes the same walk over the prior
     walk = Signal.__dict__["optimal_price_index"]
     assert isinstance(walk, cached_property), "the price walk is not cached"
     original, priced = walk.func, []
@@ -534,8 +568,9 @@ def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, caps
         return original(signal)
 
     monkeypatch.setattr(walk, "func", counted)
+    dist = request.getfixturevalue(instance)
     path, scheme = str(tmp_path / "instance.json"), str(tmp_path / "final.json")
-    write_instance(request.getfixturevalue(instance), path)
+    write_instance(dist, path)
     signals = []
     for argv in (
         ("build", "--in", path, "--scheme", "final", "--out", scheme),
@@ -544,7 +579,10 @@ def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, caps
         code, stdout, _ = run_cli(capsys, *argv)
         assert code == 0
         signals.append(int(re.search(r"^signals: (\d+)$", stdout, re.M).group(1)))
-    assert len(priced) == sum(signals)
+    # each command also prices the prior once, for its Myerson price
+    prior = tuple(enumerate(dist.masses))
+    assert [signal.support == prior for signal in priced].count(True) == len(signals)
+    assert len(priced) == sum(signals) + len(signals)
     assert len({id(signal) for signal in priced}) == len(priced)
 
 

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, reads no
-private name of another package module, and every function, class and
-method it defines is reached from outside tests.
+private name of another package module, every function, class and
+method it defines is reached from outside tests, and every dataclass
+field it declares is read outside tests.
 
 No linter is a dependency, so these stdlib checks stand in for one.
 ``__init__.py`` is exempt from the first and the last: its imports are
@@ -26,6 +27,27 @@ TEST_ORACLES = (
         "splitmatch.truncated_upper_bound",
         "the lemma c04 checks the greedy decomposition against; the "
         "hull bound of ROADMAP item 3 is to make it runtime code",
+    ),
+)
+
+# Dataclass fields that no code outside the tests reads, on purpose.  Each
+# needs a reason.
+_TRACE = "a pipeline artifact for the trace files of ROADMAP item 6"
+ARTIFACTS = (
+    ("ironing.IroningInterval.left", _TRACE),
+    ("ironing.IroningInterval.right", _TRACE),
+    ("ironing.IronedFunction.envelope", _TRACE),
+    ("ironing.IronedFunction.contact_points", _TRACE),
+    ("ironing.RectanglePair.plus_left", _TRACE),
+    ("ironing.RectanglePair.minus_left", _TRACE),
+    ("ironing.FairSchemeResult.base", _TRACE),
+    ("ironing.FairSchemeResult.ironed", _TRACE),
+    ("ironing.FairSchemeResult.pairings", _TRACE),
+    ("ironing.FairSchemeResult.smoothed", _TRACE),
+    ("lp.LPResult.point", "the optimal point, which the tests check as a witness"),
+    (
+        "oracles.UniversalLowerBound.epsilon",
+        "the family's parameter, kept beside the instance it built",
     ),
 )
 
@@ -174,3 +196,70 @@ def test_every_definition_is_reachable():
     extra = sorted(set(found) - set(oracles))
     assert not extra, f"reached only by tests: {extra}"
     assert set(oracles) <= set(found), "a listed test oracle is now reachable"
+
+
+def dataclass_fields(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(``module.Class.field``, field) for every annotated field of every
+    top-level class decorated with ``dataclass``."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name == "dataclass":
+                break
+        else:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                field = item.target.id
+                out.append((f"{module}.{node.name}.{field}", field))
+    return out
+
+
+def unread_fields(sources: dict[str, str], benchmark: list[str]) -> list[str]:
+    """Dataclass fields declared in ``sources`` (module name -> code) whose
+    name no attribute read (``x.field`` in a load) of the package or of a
+    benchmark script spells."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    read = set()
+    for tree in list(trees.values()) + [ast.parse(code) for code in benchmark]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        qualified
+        for module, tree in trees.items()
+        for qualified, field in dataclass_fields(module, tree)
+        if field not in read
+    ]
+
+
+def test_the_check_sees_an_unread_field():
+    sources = {
+        "a": "from dataclasses import dataclass, field\n"
+        "\n@dataclass(frozen=True)\nclass Pair:\n    low: int\n    high: int\n"
+        "    spare: int = field(init=False)\n\n    def width(self):\n"
+        "        return self.high - self.low\n"
+        "\nclass Plain:\n    unused: int\n",
+        "b": "import dataclasses\n\n@dataclasses.dataclass\nclass Box:\n"
+        "    size: int\n    label: str\n\ndef grow(box):\n    box.spare = box.size\n",
+    }
+    assert unread_fields(sources, []) == ["a.Pair.spare", "b.Box.label"]
+    assert unread_fields(sources, ["print(box.spare, box.label)"]) == []
+    sources["a"] = sources["a"].replace("self.high - self.low", "0")
+    assert unread_fields(sources, []) == [
+        "a.Pair.low", "a.Pair.high", "a.Pair.spare", "b.Box.label"
+    ]
+
+
+def test_every_field_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    benchmark = [p.read_text(encoding="utf-8") for p in BENCHMARK]
+    found = unread_fields(sources, benchmark)
+    artifacts = [name for name, _ in ARTIFACTS]
+    extra = sorted(set(found) - set(artifacts))
+    assert not extra, f"read only by tests: {extra}"
+    assert set(artifacts) <= set(found), "a listed artifact is now read"

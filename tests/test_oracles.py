@@ -212,7 +212,7 @@ class TestBuyerOptimalLowerBound:
             (N**2 - 1) / denom,
             (N**2 - N) / denom,
         )
-        assert inst.cs_high_alternative / inst.cs_mid_optimal == N
+        assert profile_alt.surpluses[2] / profile_opt.surpluses[1] == N
         assert inst.ratio == N
 
     def test_reference_scheme_is_buyer_optimal(self):

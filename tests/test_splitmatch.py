@@ -101,17 +101,19 @@ class TestFromBinaries:
         ],
     )
     def test_singletons_carry_unused_mass(self, running_example, weight, singletons):
-        scheme = DecomposedScheme.from_binaries(
-            running_example, [BinarySignalEntry(0, 1, weight)]
-        )
+        scheme = DecomposedScheme(running_example, [BinarySignalEntry(0, 1, weight)])
         assert scheme.singletons == tuple(SingletonEntry(i, w) for i, w in singletons)
 
     def test_oversubscribed_value_raises(self, running_example):
         # the giver half of weight 1 puts mass 1/2 on a value of mass 1/4
         with pytest.raises(InvariantViolation, match="value index 0 is oversubscribed by 1/4"):
-            DecomposedScheme.from_binaries(
-                running_example, [BinarySignalEntry(0, 1, F(1))]
-            )
+            DecomposedScheme(running_example, [BinarySignalEntry(0, 1, F(1))])
+
+    @pytest.mark.parametrize("derived", ["singletons", "surpluses"])
+    def test_derived_fields_cannot_be_passed(self, running_example, derived):
+        # a stage is its binaries; what they leave and pay is not an input
+        with pytest.raises(TypeError, match=derived):
+            DecomposedScheme(running_example, (), **{derived: ()})
 
 
 class TestGreedyInvariants:
