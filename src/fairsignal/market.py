@@ -7,10 +7,19 @@ seller best-responds to each posterior with a posted price, breaking revenue
 ties toward the lowest price.  A scheme is accounted for once, in the loop
 that checks its mixture: the same pass sums each value class's surplus and
 payment, which `scheme_surplus` and `scheme_revenue` then read.
+
+Every value the module returns is a `Fraction`, but the hot accounting
+loops run on reduced ``(numerator, denominator)`` int pairs: `pair_product`
+and `pair_sum` keep a pair in lowest terms by the same gcd steps as
+`Fraction`'s own operators, without building an object per operation, and
+each running sum becomes a `Fraction` once, at the end.  A `Signal` keeps
+its posterior scaled to integers over one common denominator, on which its
+price walk compares revenues.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,6 +36,41 @@ MAX_INT_DIGITS = 100_000
 _MAX_RATIONAL_BITS = MAX_INT_DIGITS * 3_321_928 // 1_000_000
 # the exponent of a decimal literal, as Fraction reads it
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
+def pair_product(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad) * (bn/bd) as a reduced pair.
+
+    Both inputs must be reduced with positive denominators, as a
+    `Fraction`'s numerator and denominator are; cross-cancelling first then
+    leaves the product reduced.
+    """
+    g1 = math.gcd(an, bd)
+    if g1 > 1:
+        an //= g1
+        bd //= g1
+    g2 = math.gcd(bn, ad)
+    if g2 > 1:
+        bn //= g2
+        ad //= g2
+    return an * bn, ad * bd
+
+
+def pair_sum(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad) + (bn/bd) as a reduced pair, for reduced inputs.
+
+    Only the gcd of the denominators can divide the numerator of the sum
+    over their lcm, so one more gcd against it reduces the sum.
+    """
+    g = math.gcd(ad, bd)
+    if g == 1:
+        return an * bd + ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
 
 
 class MarketError(Exception):
@@ -74,7 +118,9 @@ def as_fraction(x: RationalLike) -> Fraction:
         value = Fraction(x)
     elif isinstance(x, (float, str)):
         text = repr(x) if isinstance(x, float) else x.strip()
-        exponent = _EXPONENT.search(text)
+        num, slash, den = text.partition("/")
+        plain = num.isdecimal() and (den.isdecimal() or not slash)
+        exponent = None if plain else _EXPONENT.search(text)
         if exponent is not None:
             digits = exponent.group(1).replace("_", "").lstrip("0")
             # length first: int() of a long digit string is itself slow
@@ -82,7 +128,9 @@ def as_fraction(x: RationalLike) -> Fraction:
             if too_long or int(digits or 0) > MAX_INT_DIGITS:
                 raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
         try:
-            value = Fraction(text)
+            # "p" or "p/q" in decimal digits needs no parser; int() reads
+            # them as Fraction would, under the same int/str limit
+            value = Fraction(int(num), int(den or 1)) if plain else Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise MarketError(f"cannot read {x!r} as a rational") from None
     else:
@@ -155,9 +203,9 @@ class ValueDistribution:
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def cdf(self) -> tuple[Fraction, ...]:
-        """F(v_i) for each i; the last entry is exactly 1."""
+        """F(v_i) for each i; the last entry is exactly 1.  Summed once."""
         out = []
         acc = Fraction(0)
         for f in self.masses:
@@ -180,16 +228,22 @@ class ValueDistribution:
 
 @dataclass(frozen=True)
 class Signal:
-    """A posterior over the value grid, stored sparsely as (index, mass)."""
+    """A posterior over the value grid, stored sparsely as (index, mass).
+
+    ``scaled`` holds the masses, in support order, as integers over the
+    common denominator ``den``, so the masses sum to 1 exactly when
+    ``scaled`` sums to ``den``.
+    """
 
     dist: ValueDistribution
     support: tuple[tuple[int, Fraction], ...]
+    den: int = field(init=False, compare=False, repr=False)
+    scaled: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.support:
             raise MarketError("signal support must be nonempty")
         seen = set()
-        total = Fraction(0)
         for i, f in self.support:
             if not 0 <= i < self.dist.n:
                 raise MarketError(f"support index {i} out of range")
@@ -198,12 +252,15 @@ class Signal:
             seen.add(i)
             if f <= 0:
                 raise MarketError(f"support masses must be positive, got {f}")
-            total += f
-        if total != 1:
+        support = tuple(sorted(self.support, key=lambda p: p[0]))
+        den = math.lcm(*(f.denominator for _, f in support))
+        scaled = tuple(f.numerator * (den // f.denominator) for _, f in support)
+        if sum(scaled) != den:
+            total = sum((f for _, f in support), Fraction(0))
             raise MarketError(f"signal masses sum to {total}, expected 1")
-        object.__setattr__(
-            self, "support", tuple(sorted(self.support, key=lambda p: p[0]))
-        )
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "scaled", scaled)
 
     @classmethod
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":
@@ -215,15 +272,20 @@ class Signal:
 
     @cached_property
     def optimal_price_index(self) -> int:
-        """Revenue-maximizing price index, lowest tie first; walked once."""
+        """Revenue-maximizing price index, lowest tie first; walked once.
+
+        Price v_i earns v_i * tail_i / den, where tail_i is the scaled mass
+        at index i and above, so revenues compare on integers.
+        """
+        values = self.dist.values
         best_i = None
-        best_rev = Fraction(0)
-        tail = Fraction(1)
-        for i, f in self.support:
-            rev = self.dist.values[i] * tail
-            if best_i is None or rev > best_rev:
-                best_i, best_rev = i, rev
-            tail -= f
+        best_num, best_den = 0, 1  # best revenue times den, as a fraction
+        tail = self.den
+        for (i, _), m in zip(self.support, self.scaled):
+            v = values[i]
+            if best_i is None or v.numerator * tail * best_den > best_num * v.denominator:
+                best_i, best_num, best_den = i, v.numerator * tail, v.denominator
+            tail -= m
         return best_i
 
 
@@ -246,6 +308,8 @@ class SignalingScheme:
     loop that sums the mixture also sums, per value class, the surplus and
     the payment at each signal's optimal price: ``surpluses`` holds each
     class's expected surplus and ``revenue`` the seller's expected revenue.
+    The sums run on reduced int pairs, entry by entry in scheme order, and
+    each becomes a `Fraction` once, after the loop.
     """
 
     dist: ValueDistribution
@@ -254,30 +318,41 @@ class SignalingScheme:
     revenue: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        values = self.dist.values
-        mixture = [Fraction(0)] * self.dist.n
-        gained = [Fraction(0)] * self.dist.n
-        paid = [Fraction(0)] * self.dist.n
+        dist = self.dist
+        vn = [v.numerator for v in dist.values]
+        vd = [v.denominator for v in dist.values]
+        # running sums per value class, as reduced (numerator, denominator)
+        mixture = [(0, 1)] * dist.n
+        gained = [(0, 1)] * dist.n
+        paid = [(0, 1)] * dist.n
         for signal, weight in self.entries:
-            if signal.dist is not self.dist and signal.dist != self.dist:
+            if signal.dist is not dist and signal.dist != dist:
                 raise MarketError("signal belongs to a different distribution")
             if weight <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
             k = signal.optimal_price_index
-            price = values[k]
+            pn, pd = vn[k], vd[k]
+            wn, wd = weight.numerator, weight.denominator
             for i, f in signal.support:
-                mass = weight * f
-                mixture[i] += mass
+                mn, md = pair_product(wn, wd, f.numerator, f.denominator)
+                mixture[i] = pair_sum(*mixture[i], mn, md)
                 if i >= k:
-                    paid[i] += mass * price
+                    paid[i] = pair_sum(*paid[i], *pair_product(mn, md, pn, pd))
                 if i > k:
-                    gained[i] += mass * (values[i] - price)
-        for i, f in enumerate(self.dist.masses):
-            if mixture[i] != f:
-                raise PlausibilityError(i, f, mixture[i])
-        surpluses = tuple(t / f for t, f in zip(gained, self.dist.masses))
+                    gain = pair_sum(vn[i], vd[i], -pn, pd)
+                    gained[i] = pair_sum(*gained[i], *pair_product(mn, md, *gain))
+        for i, f in enumerate(dist.masses):
+            if mixture[i] != (f.numerator, f.denominator):
+                raise PlausibilityError(i, f, Fraction(*mixture[i]))
+        surpluses = tuple(
+            Fraction(tn * f.denominator, td * f.numerator)
+            for (tn, td), f in zip(gained, dist.masses)
+        )
+        revenue = (0, 1)
+        for p in paid:
+            revenue = pair_sum(*revenue, *p)
         object.__setattr__(self, "surpluses", surpluses)
-        object.__setattr__(self, "revenue", sum(paid, Fraction(0)))
+        object.__setattr__(self, "revenue", Fraction(*revenue))
 
     @property
     def signals(self) -> tuple[Signal, ...]:

@@ -8,7 +8,9 @@ mass the binaries leave unused becomes singleton signals.  The resulting
 scheme charges every buyer the lowest value in their signal, so the item
 always sells.  A `DecomposedScheme` is built from its binaries alone and
 accounts for itself in one pass over them: the mass each places on its
-giver and taker, and the surplus each pays its taker class.
+giver and taker, and the surplus each pays its taker class.  That pass runs
+on reduced int pairs (`market.pair_product`, `market.pair_sum`) and makes
+one `Fraction` per class at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .market import (
     SignalingScheme,
     SurplusProfile,
     ValueDistribution,
+    pair_product,
+    pair_sum,
 )
 
 
@@ -44,15 +48,6 @@ class BinarySignalEntry:
             raise MarketError("giver index must be below taker index")
         if self.weight <= 0:
             raise MarketError("weight must be positive")
-
-    def giver_fraction(self, dist: ValueDistribution) -> Fraction:
-        return 1 - dist.values[self.giver] / dist.values[self.taker]
-
-    def taker_fraction(self, dist: ValueDistribution) -> Fraction:
-        return dist.values[self.giver] / dist.values[self.taker]
-
-    def taker_mass(self, dist: ValueDistribution) -> Fraction:
-        return self.weight * self.taker_fraction(dist)
 
 
 @dataclass(frozen=True)
@@ -86,21 +81,33 @@ class DecomposedScheme:
 
     def __post_init__(self):
         dist = self.dist
-        values = dist.values
-        unused = list(dist.masses)
-        gained = [Fraction(0)] * dist.n
+        vn = [v.numerator for v in dist.values]
+        vd = [v.denominator for v in dist.values]
+        # running sums per value class, as reduced (numerator, denominator)
+        unused = [(f.numerator, f.denominator) for f in dist.masses]
+        gained = [(0, 1)] * dist.n
         for b in self.binaries:
-            taken = b.taker_mass(dist)
-            unused[b.giver] -= b.weight - taken
-            unused[b.taker] -= taken
-            gained[b.taker] += taken * (values[b.taker] - values[b.giver])
+            g, t = b.giver, b.taker
+            wn, wd = b.weight.numerator, b.weight.denominator
+            # taker mass: weight * v_g / v_t
+            tn, td = pair_product(wn, wd, *pair_product(vn[g], vd[g], vd[t], vn[t]))
+            gn, gd = pair_sum(wn, wd, -tn, td)
+            unused[g] = pair_sum(*unused[g], -gn, gd)
+            unused[t] = pair_sum(*unused[t], -tn, td)
+            gain = pair_sum(vn[t], vd[t], -vn[g], vd[g])
+            gained[t] = pair_sum(*gained[t], *pair_product(tn, td, *gain))
         singletons = []
-        for i, w in enumerate(unused):
-            if w < 0:
-                raise InvariantViolation(f"value index {i} is oversubscribed by {-w}")
-            if w > 0:
-                singletons.append(SingletonEntry(i, w))
-        surpluses = tuple(t / f for t, f in zip(gained, dist.masses))
+        for i, (wn, wd) in enumerate(unused):
+            if wn < 0:
+                raise InvariantViolation(
+                    f"value index {i} is oversubscribed by {Fraction(-wn, wd)}"
+                )
+            if wn > 0:
+                singletons.append(SingletonEntry(i, Fraction(wn, wd)))
+        surpluses = tuple(
+            Fraction(tn * f.denominator, td * f.numerator)
+            for (tn, td), f in zip(gained, dist.masses)
+        )
         object.__setattr__(self, "binaries", tuple(self.binaries))
         object.__setattr__(self, "singletons", tuple(singletons))
         object.__setattr__(self, "surpluses", surpluses)
@@ -109,15 +116,11 @@ class DecomposedScheme:
         return SurplusProfile(self.dist, self.surpluses)
 
     def to_signaling_scheme(self) -> SignalingScheme:
+        values = self.dist.values
         entries = []
         for b in self.binaries:
-            signal = Signal(
-                self.dist,
-                (
-                    (b.giver, b.giver_fraction(self.dist)),
-                    (b.taker, b.taker_fraction(self.dist)),
-                ),
-            )
+            ratio = values[b.giver] / values[b.taker]
+            signal = Signal(self.dist, ((b.giver, 1 - ratio), (b.taker, ratio)))
             entries.append((signal, b.weight))
         for s in self.singletons:
             entries.append((Signal.singleton(self.dist, s.index), s.weight))

@@ -90,6 +90,12 @@ def write_instance(dist: ValueDistribution, path) -> None:
         json.dump(payload, fh)
 
 
+def taker_fraction(dist: ValueDistribution, binary) -> Fraction:
+    """v_g / v_t: the posterior mass an equal-revenue binary puts on its
+    taker; the giver holds the rest."""
+    return dist.values[binary.giver] / dist.values[binary.taker]
+
+
 def random_distribution(rng: random.Random, max_n: int = 8) -> ValueDistribution:
     """Small random instance with integer or half-integer values."""
     n = rng.randint(1, max_n)

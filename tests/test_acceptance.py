@@ -45,7 +45,12 @@ from fairsignal.steps import (
     sorted_prefix,
 )
 
-from conftest import adversary_witnesses, max_min_surplus_lp, universal_raw_masses
+from conftest import (
+    adversary_witnesses,
+    max_min_surplus_lp,
+    taker_fraction,
+    universal_raw_masses,
+)
 
 F = Fraction
 
@@ -124,7 +129,7 @@ def test_c03_split_match_trace(fig3_instance):
     scheme = split_and_match(fig3_instance)
     first = scheme.binaries[0]
     ok = (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
-    ok &= first.giver_fraction(fig3_instance) == F(1, 2)
+    ok &= 1 - taker_fraction(fig3_instance, first) == F(1, 2)
     ok &= scheme.binaries == (
         BinarySignalEntry(0, 1, F(1, 10)),
         BinarySignalEntry(1, 2, F(9, 40)),

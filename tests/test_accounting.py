@@ -1,0 +1,244 @@
+"""Scheme accounting against a plain-Fraction oracle.
+
+`SignalingScheme` and `DecomposedScheme` sum their per-class mixture,
+payment, surplus and unused mass on reduced int pairs, and `Signal` walks
+its prices on integers over a common denominator.  The oracles below do the
+same sums with one `Fraction` per operation, as the constructors did before
+they moved to int pairs, and every derived field must match them exactly,
+errors included.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairsignal.ironing import monotone_fair_scheme
+from fairsignal.market import (
+    InvariantViolation,
+    PlausibilityError,
+    Signal,
+    SignalingScheme,
+    ValueDistribution,
+    full_revelation,
+    no_signal,
+    pair_product,
+    pair_sum,
+    scheme_from_rows,
+)
+from fairsignal.splitmatch import BinarySignalEntry, DecomposedScheme, SingletonEntry
+
+from conftest import random_scheme, structured_priors
+
+F = Fraction
+
+
+def reference_price_index(signal: Signal) -> int:
+    """Revenue-maximizing price index over the posterior, lowest tie first."""
+    best_i, best_rev, tail = None, F(0), F(1)
+    for i, f in signal.support:
+        rev = signal.dist.values[i] * tail
+        if best_i is None or rev > best_rev:
+            best_i, best_rev = i, rev
+        tail -= f
+    return best_i
+
+
+def reference_scheme_accounting(dist: ValueDistribution, entries):
+    """(surpluses, revenue) of the weighted signals, or the
+    `PlausibilityError` their mixture raises, from per-class Fraction sums."""
+    values = dist.values
+    mixture = [F(0)] * dist.n
+    gained = [F(0)] * dist.n
+    paid = [F(0)] * dist.n
+    for signal, weight in entries:
+        k = reference_price_index(signal)
+        price = values[k]
+        for i, f in signal.support:
+            mass = weight * f
+            mixture[i] += mass
+            if i >= k:
+                paid[i] += mass * price
+            if i > k:
+                gained[i] += mass * (values[i] - price)
+    for i, f in enumerate(dist.masses):
+        if mixture[i] != f:
+            raise PlausibilityError(i, f, mixture[i])
+    surpluses = tuple(t / f for t, f in zip(gained, dist.masses))
+    return surpluses, sum(paid, F(0))
+
+
+def reference_decomposition(dist: ValueDistribution, binaries):
+    """(singletons, surpluses) of a binary decomposition, or the
+    oversubscription `InvariantViolation`, from per-class Fraction sums."""
+    values = dist.values
+    unused = list(dist.masses)
+    gained = [F(0)] * dist.n
+    for b in binaries:
+        taken = b.weight * (values[b.giver] / values[b.taker])
+        unused[b.giver] -= b.weight - taken
+        unused[b.taker] -= taken
+        gained[b.taker] += taken * (values[b.taker] - values[b.giver])
+    singletons = []
+    for i, w in enumerate(unused):
+        if w < 0:
+            raise InvariantViolation(f"value index {i} is oversubscribed by {-w}")
+        if w > 0:
+            singletons.append(SingletonEntry(i, w))
+    surpluses = tuple(t / f for t, f in zip(gained, dist.masses))
+    return tuple(singletons), surpluses
+
+
+def error_fields(error: Exception):
+    if isinstance(error, PlausibilityError):
+        return type(error), error.index, error.expected, error.actual, str(error)
+    return type(error), str(error)
+
+
+def outcome(build):
+    """What ``build()`` returns, or the fields of the error it raises."""
+    try:
+        return build()
+    except (PlausibilityError, InvariantViolation) as e:
+        return error_fields(e)
+
+
+def check_signaling(dist: ValueDistribution, entries) -> str:
+    """Assert the scheme's accounting equals the oracle's; return which
+    classes it paid from ("below" when some class sits under its price)."""
+    expected = outcome(lambda: reference_scheme_accounting(dist, entries))
+    got = outcome(lambda: _accounted(SignalingScheme(dist, tuple(entries))))
+    assert got == expected
+    for signal, _ in entries:
+        assert signal.optimal_price_index == reference_price_index(signal)
+        assert sum(signal.scaled) == signal.den
+        assert all(F(m, signal.den) == f for m, (_, f) in zip(signal.scaled, signal.support))
+    below = any(s.support[0][0] < s.optimal_price_index for s, _ in entries)
+    return "below" if below else "at"
+
+
+def _accounted(scheme: SignalingScheme):
+    return scheme.surpluses, scheme.revenue
+
+
+def check_decomposed(dist: ValueDistribution, binaries) -> None:
+    expected = outcome(lambda: reference_decomposition(dist, binaries))
+    got = outcome(lambda: _derived(DecomposedScheme(dist, tuple(binaries))))
+    assert got == expected
+
+
+def _derived(stage: DecomposedScheme):
+    return stage.singletons, stage.surpluses
+
+
+def check_pipeline(dist: ValueDistribution) -> None:
+    """Every stage of the pipeline and its signaling form match the oracles."""
+    result = monotone_fair_scheme(dist)
+    for stage in (result.base, result.smoothed, result.final):
+        check_decomposed(dist, stage.binaries)
+        check_signaling(dist, stage.to_signaling_scheme().entries)
+
+
+def random_rows(rng: random.Random, dist: ValueDistribution):
+    """Rows of masses that mix to the prior, each row spread over a random
+    subset of values, so prices fall inside supports as well as at their
+    lowest value."""
+    k = rng.randint(1, dist.n + 1)
+    rows = [dict() for _ in range(k)]
+    for i, f in enumerate(dist.masses):
+        pots = rng.sample(range(k), rng.randint(1, k))
+        shares = [rng.randint(1, 9) for _ in pots]
+        for q, share in zip(pots, shares):
+            rows[q][i] = f * F(share, sum(shares))
+    return rows
+
+
+class TestPairArithmetic:
+    @given(
+        st.integers(-(10**40), 10**40), st.integers(1, 10**40),
+        st.integers(-(10**40), 10**40), st.integers(1, 10**40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_match_fraction(self, an, ad, bn, bd):
+        a, b = F(an, ad), F(bn, bd)
+        pa, pb = (a.numerator, a.denominator), (b.numerator, b.denominator)
+        assert pair_product(*pa, *pb) == ((a * b).numerator, (a * b).denominator)
+        assert pair_sum(*pa, *pb) == ((a + b).numerator, (a + b).denominator)
+
+    def test_zero_and_cancellation(self):
+        assert pair_sum(1, 6, -1, 6) == (0, 1)
+        assert pair_sum(0, 1, 3, 4) == (3, 4)
+        assert pair_product(0, 1, 5, 7) == (0, 1)
+        assert pair_product(4, 9, 3, 2) == (2, 3)
+        assert pair_sum(1, 6, 1, 3) == (1, 2)
+
+
+class TestAgainstOracle:
+    def test_corpus(self, corpus):
+        kinds = set()
+        rng = random.Random(7)
+        for dist in corpus:
+            check_pipeline(dist)
+            for scheme in (no_signal(dist), full_revelation(dist), random_scheme(rng, dist)):
+                kinds.add(check_signaling(dist, scheme.entries))
+            kinds.add(check_signaling(dist, scheme_from_rows(dist, random_rows(rng, dist)).entries))
+        # schemes with classes below their signal's price (i < k), not only above
+        assert kinds == {"below", "at"}
+
+    @given(structured_priors(max_n=24), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_structured_priors(self, case, rng):
+        _, dist = case
+        check_pipeline(dist)
+        check_signaling(dist, no_signal(dist).entries)
+        check_signaling(dist, scheme_from_rows(dist, random_rows(rng, dist)).entries)
+
+    def test_plausibility_errors(self, corpus):
+        rng = random.Random(11)
+        seen = 0
+        for dist in corpus[:300]:
+            entries = list(random_scheme(rng, dist).entries)
+            j = rng.randrange(len(entries))
+            signal, weight = entries[j]
+            if rng.random() < 0.5 or len(entries) == 1:
+                entries[j] = (signal, weight * F(rng.randint(2, 5), rng.randint(6, 9)))
+            else:
+                del entries[j]
+            with pytest.raises(PlausibilityError) as got:
+                SignalingScheme(dist, tuple(entries))
+            with pytest.raises(PlausibilityError) as expected:
+                reference_scheme_accounting(dist, entries)
+            assert error_fields(got.value) == error_fields(expected.value)
+            seen += got.value.index > 0
+        assert seen  # not only the first value class
+
+    def test_oversubscription(self, corpus):
+        for dist in corpus[:300]:
+            binaries = list(monotone_fair_scheme(dist).base.binaries)
+            if not binaries:
+                continue
+            # two more units of weight put at least 1 more on the giver or the taker
+            b = binaries[-1]
+            binaries[-1] = BinarySignalEntry(b.giver, b.taker, b.weight + 2)
+            with pytest.raises(InvariantViolation) as got:
+                DecomposedScheme(dist, tuple(binaries))
+            with pytest.raises(InvariantViolation) as expected:
+                reference_decomposition(dist, binaries)
+            assert str(got.value) == str(expected.value)
+
+
+def test_signal_scales_over_the_lcm():
+    dist = ValueDistribution.from_pairs([1, 2, 5, 6], ["1/4"] * 4)
+    signal = Signal(dist, ((3, F(1, 6)), (0, F(1, 2)), (2, F(1, 3))))
+    assert signal.support == ((0, F(1, 2)), (2, F(1, 3)), (3, F(1, 6)))
+    assert (signal.den, signal.scaled) == (6, (3, 2, 1))
+    assert signal.den == math.lcm(2, 3, 6)
+    # revenues 1, 5 * 1/2, 6 * 1/6: the interior price wins
+    assert signal.optimal_price_index == 2
+    tie = Signal(dist, ((1, F(2, 3)), (3, F(1, 3))))  # revenues 2 * 1 = 6 * 1/3
+    assert tie.optimal_price_index == reference_price_index(tie) == 1

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, reads no
-private name of another package module, every function, class and
-method it defines is reached from outside tests, and every dataclass
-field it declares is read outside tests.
+private name of another package module and no private `fractions` API,
+every function, class and method it defines is reached from outside
+tests, and every dataclass field it declares is read outside tests.
 
 No linter is a dependency, so these stdlib checks stand in for one.
 ``__init__.py`` is exempt from the first and the last: its imports are
@@ -113,6 +113,55 @@ def test_the_check_sees_a_private_read():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_another(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+# Private parts of `fractions.Fraction` that a reader of a Fraction's
+# internals might reach for.  Python 3.12 removed the ``_normalize``
+# keyword, so code that uses any of them can break with the next Python;
+# `market.pair_product` and `market.pair_sum` are the supported route to
+# reduced-pair arithmetic.
+FRACTION_INTERNALS = ("_normalize", "_numerator", "_denominator", "_from_coprime_ints")
+
+
+def private_fraction_uses(source: str) -> list[str]:
+    """Each use of private `fractions` API in ``source``: a keyword or an
+    attribute named in FRACTION_INTERNALS, an underscore attribute (not a
+    dunder) of ``Fraction`` or ``fractions`` (``Fraction._add``), or an
+    underscore name imported from ``fractions``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            out += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.keyword) and node.arg in FRACTION_INTERNALS:
+            out.append((node.lineno, f"{node.arg}="))
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", "")
+            private = owner in ("Fraction", "fractions") and not node.attr.endswith("__")
+            if private or node.attr in FRACTION_INTERNALS:
+                out.append((node.lineno, f"{owner}.{node.attr}"))
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+def test_the_check_sees_private_fraction_api():
+    source = (
+        "import fractions\nfrom fractions import Fraction, _RATIONAL_FORMAT\n"
+        "a = Fraction(1, 2, _normalize=False)\n"
+        "b = Fraction._add(a, a) + fractions.Fraction._mul(a, a)\n"
+        "c = a._numerator + Fraction.__add__(a, a).numerator + fractions.__name__\n"
+    )
+    assert private_fraction_uses(source) == [
+        "_RATIONAL_FORMAT (line 2)",
+        "_normalize= (line 3)",
+        "Fraction._add (line 4)",
+        "Fraction._mul (line 4)",
+        "a._numerator (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_no_private_fraction_api(path):
+    assert private_fraction_uses(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(module: str, tree: ast.Module) -> list[tuple[str, ast.AST, bool]]:

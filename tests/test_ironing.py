@@ -30,7 +30,7 @@ from fairsignal.splitmatch import (
 )
 from fairsignal.steps import integration_prefix, profile_step_function
 
-from conftest import mixture, random_distribution, structured_priors
+from conftest import mixture, random_distribution, structured_priors, taker_fraction
 
 F = Fraction
 
@@ -241,14 +241,14 @@ def reference_smooth(scheme, ironed, pairings) -> tuple:
     ] + added
     unused = list(dist.masses)
     for b in binaries:
-        unused[b.giver] -= b.weight * b.giver_fraction(dist)
-        unused[b.taker] -= b.weight * b.taker_fraction(dist)
+        unused[b.giver] -= b.weight * (1 - taker_fraction(dist, b))
+        unused[b.taker] -= b.weight * taker_fraction(dist, b)
     assert all(w >= 0 for w in unused)
     singletons = tuple(SingletonEntry(i, w) for i, w in enumerate(unused) if w > 0)
     totals = [F(0)] * dist.n
     for b in binaries:
         gain = values[b.taker] - values[b.giver]
-        totals[b.taker] += b.weight * b.taker_fraction(dist) * gain
+        totals[b.taker] += b.weight * taker_fraction(dist, b) * gain
     surpluses = tuple(t / f for t, f in zip(totals, dist.masses))
     return tuple(binaries), singletons, surpluses
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 
 from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.market import (
+    _EXPONENT,
     _MAX_RATIONAL_BITS,
     MAX_INT_DIGITS,
     InvalidDistribution,
@@ -81,6 +83,9 @@ class TestValueDistribution:
         with pytest.raises(InvalidDistribution):
             ValueDistribution.from_pairs([0, 1], [F(1, 2), F(1, 2)])
 
+    def test_cdf_is_summed_once(self, running_example):
+        assert running_example.cdf is running_example.cdf
+
     def test_as_fraction_exact_decimals(self):
         assert as_fraction("0.1") == F(1, 10)
         assert as_fraction(0.1) == F(1, 10)
@@ -106,6 +111,58 @@ def test_as_fraction_digit_limit():
     for raw in (widest + 1, -widest - 1, "1e-150000", "1e150000"):
         with pytest.raises(MarketError):
             as_fraction(raw)
+
+
+def parsed_by_fraction(raw: str) -> Fraction:
+    """``as_fraction`` of a string with every string read by `Fraction`'s
+    own parser, as before plain digit strings were read through int()."""
+    text = raw.strip()
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_INT_DIGITS)) or int(digits or 0) > MAX_INT_DIGITS:
+            raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise MarketError(f"cannot read {raw!r} as a rational") from None
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > _MAX_RATIONAL_BITS:
+        raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+    return value
+
+
+def read_outcome(read, text):
+    try:
+        return read(text)
+    except MarketError as e:
+        return str(e)
+
+
+LONG = "1" + "0" * MAX_INT_DIGITS  # one digit past the limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit to set"
+)
+@pytest.mark.parametrize("limit", [MAX_INT_DIGITS, 0], ids=["cli-limit", "no-limit"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        " 3/4 ", "-1/2", "+1/2", "1_000/3", "1/0", "0x10", "1e5", "7", "0", "0/5",
+        "007/014", "12/18", "3 / 4", "5/", "/5", "1/2/3", "",
+        LONG, "1/" + LONG, LONG + "/3", "9" * MAX_INT_DIGITS,
+    ],
+    ids=lambda t: t if len(t) < 20 else f"{len(t)}-chars",
+)
+def test_as_fraction_reads_digit_strings_as_fraction_does(text, limit):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got = read_outcome(as_fraction, text)
+        expected = read_outcome(parsed_by_fraction, text)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert got == expected
 
 
 class TestMyerson:

@@ -23,7 +23,7 @@ from fairsignal.splitmatch import (
 )
 from fairsignal.steps import integration_prefix, profile_step_function
 
-from conftest import random_distribution, structured_priors
+from conftest import random_distribution, structured_priors, taker_fraction
 
 F = Fraction
 
@@ -62,8 +62,9 @@ class TestFiveValueInstance:
         scheme = split_and_match(fig3_instance)
         first = scheme.binaries[0]
         assert (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
-        assert first.giver_fraction(fig3_instance) == F(1, 2)
-        assert first.taker_fraction(fig3_instance) == F(1, 2)
+        assert taker_fraction(fig3_instance, first) == F(1, 2)
+        signal, weight = scheme.to_signaling_scheme().entries[0]
+        assert (signal.support, weight) == (((0, F(1, 2)), (1, F(1, 2))), F(1, 10))
 
     def test_full_ledger_trace(self, fig3_instance):
         # frozen from an independent hand run of the greedy ledger
@@ -126,21 +127,21 @@ class TestGreedyInvariants:
             giver_used = [F(0)] * dist.n
             taker_used = [F(0)] * dist.n
             for b in scheme.binaries:
-                giver_used[b.giver] += b.weight * b.giver_fraction(dist)
-                taker_used[b.taker] += b.taker_mass(dist)
+                giver_used[b.giver] += b.weight * (1 - taker_fraction(dist, b))
+                taker_used[b.taker] += b.weight * taker_fraction(dist, b)
             for i, f in enumerate(dist.masses):
                 assert giver_used[i] <= f / 2
                 assert taker_used[i] <= f / 2
-            # every binary is revenue-tied between its two supports
-            for b in scheme.binaries:
-                low = dist.values[b.giver]
-                high = dist.values[b.taker]
-                assert low * 1 == high * b.taker_fraction(dist)
             # the giver frontier never moves left
             for b0, b1 in zip(scheme.binaries, scheme.binaries[1:]):
                 assert b0.giver <= b1.giver
             sig = scheme.to_signaling_scheme()  # validates Bayes plausibility
             assert is_efficient(sig)
+            # every binary's posterior is revenue-tied between its two supports
+            for b, (signal, weight) in zip(scheme.binaries, sig.entries):
+                (giver, _), (taker, on_taker) = signal.support
+                assert (giver, taker, weight) == (b.giver, b.taker, b.weight)
+                assert dist.values[b.giver] * 1 == dist.values[b.taker] * on_taker
 
     def test_deterministic(self, fig3_instance):
         assert split_and_match(fig3_instance) == split_and_match(fig3_instance)
