@@ -60,11 +60,21 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice raises MarketError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MarketError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             # number literals go through as_fraction, so its length guards hold
-            return json.load(fh, parse_float=as_fraction)
+            return json.load(fh, parse_float=as_fraction, object_pairs_hook=_unique_keys)
         except ValueError as e:  # undecodable bytes, bad JSON, an overlong integer
             raise MarketError(str(e)) from None
         except RecursionError:
@@ -91,9 +101,7 @@ def payload_to_instance(payload) -> ValueDistribution:
         raise MarketError(f"instance file lacks key {missing}") from None
     if not _is_array(values) or not _is_array(masses):
         raise MarketError("values and masses must be arrays")
-    return ValueDistribution.from_pairs(
-        [as_fraction(v) for v in values], [as_fraction(f) for f in masses]
-    )
+    return ValueDistribution.from_pairs(values, masses)
 
 
 def load_instance(path: str) -> ValueDistribution:

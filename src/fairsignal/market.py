@@ -4,17 +4,14 @@ All quantities are exact rationals (`fractions.Fraction`).  A signal is a
 posterior over a subset of the value grid; a signaling scheme is a weighted
 collection of signals whose mixture reproduces the prior exactly.  The
 seller best-responds to each posterior with a posted price, breaking revenue
-ties toward the lowest price.  A scheme is accounted for once, in the loop
-that checks its mixture: the same pass sums each value class's surplus and
-payment, which `scheme_surplus` and `scheme_revenue` then read.
+ties toward the lowest price.
 
-Every value the module returns is a `Fraction`, but the hot accounting
-loops run on reduced ``(numerator, denominator)`` int pairs: `pair_product`
-and `pair_sum` keep a pair in lowest terms by the same gcd steps as
-`Fraction`'s own operators, without building an object per operation, and
-each running sum becomes a `Fraction` once, at the end.  A `Signal` keeps
-its posterior scaled to integers over one common denominator, on which its
-price walk compares revenues.
+Every value the module returns is a `Fraction`, but `class_sums`, which
+accounts for every scheme, runs on reduced ``(numerator, denominator)``
+int pairs: `pair_product` and `pair_sum` keep a pair in lowest terms by the
+same gcd steps as `Fraction`'s own operators, without building an object
+per operation.  A `Signal` keeps its posterior scaled to integers over one
+common denominator, on which its price walk compares revenues.
 """
 
 from __future__ import annotations
@@ -253,7 +250,11 @@ class Signal:
             if f <= 0:
                 raise MarketError(f"support masses must be positive, got {f}")
         support = tuple(sorted(self.support, key=lambda p: p[0]))
-        den = math.lcm(*(f.denominator for _, f in support))
+        den = 1
+        for _, f in support:  # one at a time, so a hostile lcm stops early
+            den = math.lcm(den, f.denominator)
+            if den.bit_length() > _MAX_RATIONAL_BITS:
+                raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
         scaled = tuple(f.numerator * (den // f.denominator) for _, f in support)
         if sum(scaled) != den:
             total = sum((f for _, f in support), Fraction(0))
@@ -299,17 +300,43 @@ def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
     return dist.values[k], dist.values[k] * sum(dist.masses[k:], Fraction(0))
 
 
+def class_sums(dist: ValueDistribution, terms: Iterable[tuple[int, int, int, int]]):
+    """Per-class sums of a scheme's terms ``(i, mn, md, k)``: mass mn/md
+    (reduced) of value class i in a signal priced at v_k.
+
+    Returns each class's mass and unsold mass (k > i) as reduced pairs, and
+    its expected surplus, the sum of m * (v_i - v_k) over k < i divided by
+    f_i, as a `Fraction`.  Each sum runs term by term on reduced pairs.
+    """
+    vn = [v.numerator for v in dist.values]
+    vd = [v.denominator for v in dist.values]
+    mass = [(0, 1)] * dist.n
+    unsold = [(0, 1)] * dist.n
+    gained = [(0, 1)] * dist.n
+    for i, mn, md, k in terms:
+        mass[i] = pair_sum(*mass[i], mn, md)
+        if k > i:
+            unsold[i] = pair_sum(*unsold[i], mn, md)
+        elif k < i:
+            gain = pair_sum(vn[i], vd[i], -vn[k], vd[k])
+            gained[i] = pair_sum(*gained[i], *pair_product(mn, md, *gain))
+    surpluses = tuple(
+        Fraction(tn * f.denominator, td * f.numerator)
+        for (tn, td), f in zip(gained, dist.masses)
+    )
+    return mass, unsold, surpluses
+
+
 @dataclass(frozen=True)
 class SignalingScheme:
     """Weighted signals whose mixture equals the prior exactly.
 
     The weights are not summed: each posterior sums to 1, so the weights
-    sum to the mixture's total, which the per-value check makes 1.  The
-    loop that sums the mixture also sums, per value class, the surplus and
-    the payment at each signal's optimal price: ``surpluses`` holds each
-    class's expected surplus and ``revenue`` the seller's expected revenue.
-    The sums run on reduced int pairs, entry by entry in scheme order, and
-    each becomes a `Fraction` once, after the loop.
+    sum to the mixture's total, which the per-value check makes 1.  Each
+    support entry is one `class_sums` term, priced at its signal's optimal
+    price; ``surpluses`` holds each class's expected surplus and
+    ``revenue`` the seller's expected revenue, which follows from the
+    classes' unsold mass and surplus (see `scheme_revenue`).
     """
 
     dist: ValueDistribution
@@ -319,38 +346,26 @@ class SignalingScheme:
 
     def __post_init__(self):
         dist = self.dist
-        vn = [v.numerator for v in dist.values]
-        vd = [v.denominator for v in dist.values]
-        # running sums per value class, as reduced (numerator, denominator)
-        mixture = [(0, 1)] * dist.n
-        gained = [(0, 1)] * dist.n
-        paid = [(0, 1)] * dist.n
+        terms = []
         for signal, weight in self.entries:
             if signal.dist is not dist and signal.dist != dist:
                 raise MarketError("signal belongs to a different distribution")
             if weight <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
             k = signal.optimal_price_index
-            pn, pd = vn[k], vd[k]
             wn, wd = weight.numerator, weight.denominator
             for i, f in signal.support:
-                mn, md = pair_product(wn, wd, f.numerator, f.denominator)
-                mixture[i] = pair_sum(*mixture[i], mn, md)
-                if i >= k:
-                    paid[i] = pair_sum(*paid[i], *pair_product(mn, md, pn, pd))
-                if i > k:
-                    gain = pair_sum(vn[i], vd[i], -pn, pd)
-                    gained[i] = pair_sum(*gained[i], *pair_product(mn, md, *gain))
+                terms.append((i, *pair_product(wn, wd, f.numerator, f.denominator), k))
+        mixture, unsold, surpluses = class_sums(dist, terms)
         for i, f in enumerate(dist.masses):
             if mixture[i] != (f.numerator, f.denominator):
                 raise PlausibilityError(i, f, Fraction(*mixture[i]))
-        surpluses = tuple(
-            Fraction(tn * f.denominator, td * f.numerator)
-            for (tn, td), f in zip(gained, dist.masses)
-        )
-        revenue = (0, 1)
-        for p in paid:
-            revenue = pair_sum(*revenue, *p)
+        revenue = (0, 1)  # see scheme_revenue
+        for v, f, (un, ud), s in zip(dist.values, dist.masses, unsold, surpluses):
+            sold = pair_sum(f.numerator, f.denominator, -un, ud)
+            kept = pair_product(f.numerator, f.denominator, s.numerator, s.denominator)
+            revenue = pair_sum(*revenue, *pair_product(v.numerator, v.denominator, *sold))
+            revenue = pair_sum(*revenue, -kept[0], kept[1])
         object.__setattr__(self, "surpluses", surpluses)
         object.__setattr__(self, "revenue", Fraction(*revenue))
 
@@ -386,8 +401,10 @@ def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
 
 
 def scheme_revenue(scheme: SignalingScheme) -> Fraction:
-    """Expected revenue: each signal priced at v_k collects w * f * v_k
-    from every class i >= k, summed per class, then over the n classes."""
+    """Expected revenue, from the mass sold and the surplus kept: a unit of
+    class i that sells pays v_i less its buyer's surplus, so revenue is
+    sum_i v_i (f_i - unsold_i) - sum_i f_i s_i, with unsold_i the class's
+    mass in signals priced above v_i and s_i its surplus."""
     return scheme.revenue
 
 

@@ -7,10 +7,7 @@ binary signal that exhausts at least one of the two budgets.  The prior
 mass the binaries leave unused becomes singleton signals.  The resulting
 scheme charges every buyer the lowest value in their signal, so the item
 always sells.  A `DecomposedScheme` is built from its binaries alone and
-accounts for itself in one pass over them: the mass each places on its
-giver and taker, and the surplus each pays its taker class.  That pass runs
-on reduced int pairs (`market.pair_product`, `market.pair_sum`) and makes
-one `Fraction` per class at the end.
+accounts for itself through `market.class_sums`.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from .market import (
     SignalingScheme,
     SurplusProfile,
     ValueDistribution,
+    class_sums,
     pair_product,
     pair_sum,
 )
@@ -65,13 +63,11 @@ class DecomposedScheme:
     """A scheme made of equal-revenue binaries and singletons only.
 
     Only the binaries are given, in any sequence, stored as a tuple; the
-    rest follows from them in one pass.
+    rest follows from their `class_sums` terms, two per binary, both priced
+    at v_g: mass w - w * v_g/v_t on the giver and w * v_g/v_t on the taker.
     Value i's singleton weight is f_i minus the mass the binaries place on
     i, so the mixture matches the prior exactly; a value on which the
-    binaries place more than f_i is an invariant violation.  The same pass
-    sums each taker class's surplus into ``surpluses``: a binary places its
-    weight less its taker mass on the giver, and the taker mass gains
-    v_t - v_g.
+    binaries place more than f_i is an invariant violation.
     """
 
     dist: ValueDistribution
@@ -81,33 +77,24 @@ class DecomposedScheme:
 
     def __post_init__(self):
         dist = self.dist
-        vn = [v.numerator for v in dist.values]
-        vd = [v.denominator for v in dist.values]
-        # running sums per value class, as reduced (numerator, denominator)
-        unused = [(f.numerator, f.denominator) for f in dist.masses]
-        gained = [(0, 1)] * dist.n
+        terms = []
         for b in self.binaries:
             g, t = b.giver, b.taker
             wn, wd = b.weight.numerator, b.weight.denominator
-            # taker mass: weight * v_g / v_t
-            tn, td = pair_product(wn, wd, *pair_product(vn[g], vd[g], vd[t], vn[t]))
-            gn, gd = pair_sum(wn, wd, -tn, td)
-            unused[g] = pair_sum(*unused[g], -gn, gd)
-            unused[t] = pair_sum(*unused[t], -tn, td)
-            gain = pair_sum(vn[t], vd[t], -vn[g], vd[g])
-            gained[t] = pair_sum(*gained[t], *pair_product(tn, td, *gain))
+            vg, vt = dist.values[g], dist.values[t]
+            ratio = pair_product(vg.numerator, vg.denominator, vt.denominator, vt.numerator)
+            tn, td = pair_product(wn, wd, *ratio)
+            terms += [(g, *pair_sum(wn, wd, -tn, td), g), (t, tn, td, g)]
+        used, _, surpluses = class_sums(dist, terms)
         singletons = []
-        for i, (wn, wd) in enumerate(unused):
+        for i, ((un, ud), f) in enumerate(zip(used, dist.masses)):
+            wn, wd = pair_sum(f.numerator, f.denominator, -un, ud)
             if wn < 0:
                 raise InvariantViolation(
                     f"value index {i} is oversubscribed by {Fraction(-wn, wd)}"
                 )
             if wn > 0:
                 singletons.append(SingletonEntry(i, Fraction(wn, wd)))
-        surpluses = tuple(
-            Fraction(tn * f.denominator, td * f.numerator)
-            for (tn, td), f in zip(gained, dist.masses)
-        )
         object.__setattr__(self, "binaries", tuple(self.binaries))
         object.__setattr__(self, "singletons", tuple(singletons))
         object.__setattr__(self, "surpluses", surpluses)

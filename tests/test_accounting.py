@@ -1,11 +1,12 @@
 """Scheme accounting against a plain-Fraction oracle.
 
-`SignalingScheme` and `DecomposedScheme` sum their per-class mixture,
-payment, surplus and unused mass on reduced int pairs, and `Signal` walks
-its prices on integers over a common denominator.  The oracles below do the
-same sums with one `Fraction` per operation, as the constructors did before
-they moved to int pairs, and every derived field must match them exactly,
-errors included.
+`SignalingScheme` and `DecomposedScheme` both account for themselves
+through `market.class_sums`, which sums each class's mass, unsold mass and
+surplus on reduced int pairs; a `SignalingScheme` takes its revenue from
+those sums, and `Signal` walks its prices on integers over a common
+denominator.  The oracles below sum with one `Fraction` per operation, and
+the scheme oracle sums each class's payment directly, so every derived
+field must match them exactly, errors included.
 """
 
 from __future__ import annotations
@@ -20,16 +21,21 @@ from hypothesis import strategies as st
 
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import (
+    _MAX_RATIONAL_BITS,
     InvariantViolation,
+    MarketError,
     PlausibilityError,
     Signal,
     SignalingScheme,
     ValueDistribution,
+    class_sums,
     full_revelation,
+    myerson,
     no_signal,
     pair_product,
     pair_sum,
     scheme_from_rows,
+    scheme_revenue,
 )
 from fairsignal.splitmatch import BinarySignalEntry, DecomposedScheme, SingletonEntry
 
@@ -47,6 +53,22 @@ def reference_price_index(signal: Signal) -> int:
             best_i, best_rev = i, rev
         tail -= f
     return best_i
+
+
+def reference_class_sums(dist: ValueDistribution, terms):
+    """(masses, unsold, surpluses) of ``(i, mass, k)`` terms, one Fraction
+    per operation."""
+    values = dist.values
+    mass = [F(0)] * dist.n
+    unsold = [F(0)] * dist.n
+    gained = [F(0)] * dist.n
+    for i, m, k in terms:
+        mass[i] += m
+        if k > i:
+            unsold[i] += m
+        if k < i:
+            gained[i] += m * (values[i] - values[k])
+    return mass, unsold, tuple(g / f for g, f in zip(gained, dist.masses))
 
 
 def reference_scheme_accounting(dist: ValueDistribution, entries):
@@ -178,6 +200,58 @@ class TestPairArithmetic:
         assert pair_sum(1, 6, 1, 3) == (1, 2)
 
 
+def as_pairs(xs):
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+@st.composite
+def priced_terms(draw):
+    """A prior and terms (i, mass, k) with k below, at and above i."""
+    _, dist = draw(structured_priors(max_n=8))
+    index = st.integers(0, dist.n - 1)
+    mass = st.fractions(min_value=0, max_value=3, max_denominator=10**12)
+    return dist, draw(st.lists(st.tuples(index, mass, index), max_size=30))
+
+
+class TestClassSums:
+    @given(priced_terms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_loop(self, case):
+        dist, terms = case
+        got = class_sums(dist, [(i, m.numerator, m.denominator, k) for i, m, k in terms])
+        mass, unsold, surpluses = reference_class_sums(dist, terms)
+        assert got == (as_pairs(mass), as_pairs(unsold), surpluses)
+
+    def test_each_side_of_the_price(self):
+        dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
+        # class 1 sells 1/8 at price 1 and none of 1/8 priced at 5
+        terms = [(0, 1, 2, 0), (1, 1, 8, 0), (1, 1, 8, 2), (2, 1, 4, 2)]
+        assert class_sums(dist, terms) == (
+            [(1, 2), (1, 4), (1, 4)],
+            [(0, 1), (1, 8), (0, 1)],
+            (F(0), F(1, 2), F(0)),
+        )
+
+
+class TestRevenue:
+    def test_unsold_mass_earns_nothing(self, running_example):
+        # the prior sells at its Myerson price 5, above the values 1 and 2
+        scheme = no_signal(running_example)
+        assert myerson(running_example) == (F(5), F(5, 2))
+        assert scheme_revenue(scheme) == F(5, 2)
+        # half the mass is unsold, so the surplus alone would overstate revenue
+        kept = sum(f * s for f, s in zip(running_example.masses, scheme.surpluses))
+        assert running_example.expected_value() - kept > F(5, 2)
+
+    def test_no_signal_earns_the_myerson_revenue(self, corpus):
+        above_lowest = 0
+        for dist in corpus:
+            price, revenue = myerson(dist)
+            assert scheme_revenue(no_signal(dist)) == revenue
+            above_lowest += price > dist.values[0]
+        assert above_lowest > 100
+
+
 class TestAgainstOracle:
     def test_corpus(self, corpus):
         kinds = set()
@@ -242,3 +316,13 @@ def test_signal_scales_over_the_lcm():
     assert signal.optimal_price_index == 2
     tie = Signal(dist, ((1, F(2, 3)), (3, F(1, 3))))  # revenues 2 * 1 = 6 * 1/3
     assert tie.optimal_price_index == reference_price_index(tie) == 1
+
+
+def test_signal_refuses_an_overlong_common_denominator():
+    # each mass fits the digit limit, but the lcm of 2 and an odd
+    # denominator of the full length does not; it fails at that entry
+    dist = ValueDistribution.from_pairs([1, 2, 5, 6], ["1/4"] * 4)
+    odd = 2**_MAX_RATIONAL_BITS - 1
+    support = ((0, F(1, 2)), (1, F(1, odd)), (2, F(1, 3)))
+    with pytest.raises(MarketError, match="^signal denominator longer than 100000 digits$"):
+        Signal(dist, support)

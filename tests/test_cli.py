@@ -122,8 +122,12 @@ class TestBuild:
             DEEP_ARRAY,
             b'{"values": [1, 2], "masses": ["1/2",',
             b'{"values": [1, 2], "masses": ["1/2", "\xff"]}',
+            b'{"values": [1, 2], "masses": ["1/2", "1/2"], "masses": ["1/4", "3/4"]}',
         ],
-        ids=["string", "bool", "object", "zero-denominator", "deep", "truncated", "not-utf8"],
+        ids=[
+            "string", "bool", "object", "zero-denominator", "deep", "truncated", "not-utf8",
+            "duplicate-key",
+        ],
     )
     def test_malformed_instance_shape_exits_2(self, raw, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -16,7 +16,7 @@ from fairsignal.fileio import (
     scheme_payload,
     write_majorization_table,
 )
-from fairsignal.market import MarketError, full_revelation
+from fairsignal.market import MarketError, ValueDistribution, full_revelation
 from fairsignal.splitmatch import split_and_match
 
 from conftest import write_instance
@@ -65,6 +65,27 @@ class TestInstanceFiles:
         with pytest.raises(OSError):
             load_instance(str(tmp_path / "missing.json"))
 
+    def test_duplicate_key_raises_market_error(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"values": [1, 2], "masses": ["1/2", "1/2"], "masses": ["1/4", "3/4"]}')
+        with pytest.raises(MarketError, match="^duplicate key 'masses' in a JSON object$"):
+            load_instance(str(path))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"values": [1, "x"], "masses": [1, 0]}, "cannot read 'x' as a rational"),
+            ({"values": [1, 2], "masses": [True, 0]}, "bool is not a rational value"),
+            ({"values": [None], "masses": [1]}, "cannot interpret NoneType as a rational"),
+            ({"values": [1], "masses": ["1e-150000"]}, "rational longer than 100000 digits"),
+            ({"values": [1, 2], "masses": [1]}, "values and masses must have equal length"),
+        ],
+    )
+    def test_conversion_messages(self, payload, message):
+        with pytest.raises(MarketError) as err:
+            payload_to_instance(payload)
+        assert str(err.value) == message
+
 
 class TestSchemeFiles:
     def test_round_trip(self, running_example, tmp_path):
@@ -83,6 +104,22 @@ class TestSchemeFiles:
                 {"weight": "1/4", "support": {"3": "1"}},
             ]
         }
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ('{"entries": [{"weight": "1", "support": {"0": "1", "0": "1"}}]}', "'0'"),
+            ('{"entries": [{"weight": "1", "weight": "1", "support": {"0": "1"}}]}', "'weight'"),
+            ('{"entries": [], "entries": [{"weight": "1", "support": {"0": "1"}}]}', "'entries'"),
+        ],
+        ids=["support", "entry", "top-level"],
+    )
+    def test_duplicate_key_raises_market_error(self, raw, key, tmp_path):
+        # one value class, so the last copy alone would load as a valid scheme
+        path = tmp_path / "twice.json"
+        path.write_text(raw)
+        with pytest.raises(MarketError, match=f"^duplicate key {key} in a JSON object$"):
+            load_scheme(str(path), ValueDistribution.from_pairs([3], [1]))
 
     def test_deterministic_bytes(self, running_example, tmp_path):
         scheme = split_and_match(running_example).to_signaling_scheme()
