@@ -18,6 +18,7 @@ from . import fileio
 from .fileio import as_text
 from .ironing import monotone_fair_scheme
 from .market import (
+    DERIVED_TOO_LONG,
     MAX_INT_DIGITS,
     InvariantViolation,
     MarketError,
@@ -342,8 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as e:  # any other ValueError is a bug
         if not _DIGIT_LIMIT.match(str(e)):
             raise
-        limit = f"a derived rational is longer than {MAX_INT_DIGITS} digits"
-        print(f"error: {limit}", file=sys.stderr)
+        print(f"error: {DERIVED_TOO_LONG}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -42,12 +42,9 @@ class IroningInterval:
 
 @dataclass(frozen=True)
 class IronedFunction:
-    """Lower convex envelope of the cumulative surplus and its derivative."""
+    """Envelope derivative per class, and the intervals where it is flat."""
 
-    cumulative: tuple[tuple[Fraction, Fraction], ...]
-    envelope: tuple[tuple[Fraction, Fraction], ...]
     ironed_values: tuple[Fraction, ...]
-    contact_points: tuple[Fraction, ...]
     intervals: tuple[IroningInterval, ...]
 
 
@@ -82,8 +79,7 @@ def iron(profile: SurplusProfile) -> IronedFunction:
     step = profile_step_function(profile)
     xs = (Fraction(0),) + step.breakpoints
     ys = step.integrals
-    vertices = list(zip(xs, ys))
-    contact = _lower_hull(vertices)
+    contact = _lower_hull(list(zip(xs, ys)))
     intervals = []
     ironed = list(profile.surpluses)
     for a, b in zip(contact, contact[1:]):
@@ -98,13 +94,7 @@ def iron(profile: SurplusProfile) -> IronedFunction:
     for lo, hi in zip(ironed, ironed[1:]):
         if lo > hi:
             raise InvariantViolation("ironed surplus must be weakly increasing")
-    return IronedFunction(
-        cumulative=tuple(vertices),
-        envelope=tuple(vertices[i] for i in contact),
-        ironed_values=tuple(ironed),
-        contact_points=tuple(xs[i] for i in contact),
-        intervals=tuple(intervals),
-    )
+    return IronedFunction(tuple(ironed), tuple(intervals))
 
 
 @dataclass(frozen=True)
@@ -137,10 +127,11 @@ def pair_rectangles(
     """
     interval = ironed.intervals[t]
     level = interval.level
+    edges = (Fraction(0),) + profile.dist.cdf
     plus = []
     minus = []
     for i in interval.classes:
-        left, right = ironed.cumulative[i][0], ironed.cumulative[i + 1][0]
+        left, right = edges[i], edges[i + 1]
         cs = profile.surpluses[i]
         if cs > level:
             plus.append((i, left, right, cs - level))

@@ -10,8 +10,8 @@ Every value the module returns is a `Fraction`, but `class_sums`, which
 accounts for every scheme, runs on reduced ``(numerator, denominator)``
 int pairs: `pair_product` and `pair_sum` keep a pair in lowest terms by the
 same gcd steps as `Fraction`'s own operators, without building an object
-per operation.  A `Signal` keeps its posterior scaled to integers over one
-common denominator, on which its price walk compares revenues.
+per operation.  A `Signal` is priced when built: its price walk compares
+revenues on its posterior scaled to integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ RationalLike = Union[Fraction, int, str, float]
 MAX_INT_DIGITS = 100_000
 # 2**bits < 10**MAX_INT_DIGITS for any int of at most this many bits
 _MAX_RATIONAL_BITS = MAX_INT_DIGITS * 3_321_928 // 1_000_000
+# raised for a rational derived from input, which the CLI reports as bad input
+DERIVED_TOO_LONG = f"a derived rational is longer than {MAX_INT_DIGITS} digits"
 # the exponent of a decimal literal, as Fraction reads it
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
 
@@ -227,15 +229,14 @@ class ValueDistribution:
 class Signal:
     """A posterior over the value grid, stored sparsely as (index, mass).
 
-    ``scaled`` holds the masses, in support order, as integers over the
-    common denominator ``den``, so the masses sum to 1 exactly when
-    ``scaled`` sums to ``den``.
+    ``optimal_price_index``, the revenue-maximizing price index (lowest tie
+    first), is found when the signal is built, comparing revenues on the
+    masses scaled to integers over their common denominator.
     """
 
     dist: ValueDistribution
     support: tuple[tuple[int, Fraction], ...]
-    den: int = field(init=False, compare=False, repr=False)
-    scaled: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    optimal_price_index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.support:
@@ -255,13 +256,21 @@ class Signal:
             den = math.lcm(den, f.denominator)
             if den.bit_length() > _MAX_RATIONAL_BITS:
                 raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
-        scaled = tuple(f.numerator * (den // f.denominator) for _, f in support)
+        scaled = [f.numerator * (den // f.denominator) for _, f in support]
         if sum(scaled) != den:
             total = sum((f for _, f in support), Fraction(0))
             raise MarketError(f"signal masses sum to {total}, expected 1")
+        values = self.dist.values
+        best_i = None
+        best_num, best_den = 0, 1  # best revenue times den, as a fraction
+        tail = den  # mass at index i and above, times den
+        for (i, _), m in zip(support, scaled):
+            v = values[i]
+            if best_i is None or v.numerator * tail * best_den > best_num * v.denominator:
+                best_i, best_num, best_den = i, v.numerator * tail, v.denominator
+            tail -= m
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "optimal_price_index", best_i)
 
     @classmethod
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":
@@ -270,24 +279,6 @@ class Signal:
     @property
     def lowest_index(self) -> int:
         return self.support[0][0]
-
-    @cached_property
-    def optimal_price_index(self) -> int:
-        """Revenue-maximizing price index, lowest tie first; walked once.
-
-        Price v_i earns v_i * tail_i / den, where tail_i is the scaled mass
-        at index i and above, so revenues compare on integers.
-        """
-        values = self.dist.values
-        best_i = None
-        best_num, best_den = 0, 1  # best revenue times den, as a fraction
-        tail = self.den
-        for (i, _), m in zip(self.support, self.scaled):
-            v = values[i]
-            if best_i is None or v.numerator * tail * best_den > best_num * v.denominator:
-                best_i, best_num, best_den = i, v.numerator * tail, v.denominator
-            tail -= m
-        return best_i
 
 
 def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
@@ -306,7 +297,8 @@ def class_sums(dist: ValueDistribution, terms: Iterable[tuple[int, int, int, int
 
     Returns each class's mass and unsold mass (k > i) as reduced pairs, and
     its expected surplus, the sum of m * (v_i - v_k) over k < i divided by
-    f_i, as a `Fraction`.  Each sum runs term by term on reduced pairs.
+    f_i, as a `Fraction`.  Each sum runs term by term on reduced pairs; one
+    whose denominator passes the input limit raises MarketError at once.
     """
     vn = [v.numerator for v in dist.values]
     vd = [v.denominator for v in dist.values]
@@ -320,6 +312,8 @@ def class_sums(dist: ValueDistribution, terms: Iterable[tuple[int, int, int, int
         elif k < i:
             gain = pair_sum(vn[i], vd[i], -vn[k], vd[k])
             gained[i] = pair_sum(*gained[i], *pair_product(mn, md, *gain))
+        if max(mass[i][1], unsold[i][1], gained[i][1]).bit_length() > _MAX_RATIONAL_BITS:
+            raise MarketError(DERIVED_TOO_LONG)
     surpluses = tuple(
         Fraction(tn * f.denominator, td * f.numerator)
         for (tn, td), f in zip(gained, dist.masses)

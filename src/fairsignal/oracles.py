@@ -32,7 +32,7 @@ from .market import (
     SurplusProfile,
     ValueDistribution,
     as_fraction,
-    myerson,
+    buyer_optimal_scheme,
     scheme_surplus,
 )
 from .steps import certification_grid, profile_step_function
@@ -162,10 +162,11 @@ def adversary_grid(profile: SurplusProfile) -> tuple[Fraction, ...]:
 class BuyerOptimalLowerBound:
     """Three-value family where buyer optimality forbids fair splits.
 
-    The unique buyer-optimal canonical scheme starves the middle value
-    class, while an alternative scheme pays it N times more, so no
-    buyer-optimal scheme is alpha-majorized for alpha < N.  The instance
-    checks its two schemes against their closed-form surpluses when built.
+    The unique buyer-optimal scheme (`buyer_optimal_scheme`) starves the
+    middle value class; an alternative pays it N times more, so ``ratio``,
+    the alternative's least positive surplus over the buyer-optimal one, is
+    N and no buyer-optimal scheme is alpha-majorized for alpha < N.  The
+    instance checks both schemes against their closed-form surpluses.
     """
 
     dist: ValueDistribution
@@ -195,18 +196,7 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
         values=(Fraction(1), N, N + 1),
         masses=((N**2 - 1) / total, (N**2 + 1) / total, (N**3 + N) / total),
     )
-    s1 = Signal(
-        dist,
-        (
-            (0, (N**2 - 1) / (N**2 + N)),
-            (1, Fraction(1) / (N**2 + N)),
-            (2, N / (N**2 + N)),
-        ),
-    )
-    s2 = Signal(dist, ((1, Fraction(1) / (N + 1)), (2, N / (N + 1))))
-    buyer_optimal = SignalingScheme(
-        dist, ((s1, Fraction(1) / (N + 1)), (s2, N / (N + 1)))
-    )
+    buyer_optimal = buyer_optimal_scheme(dist)[0]
     a1 = Signal(
         dist, ((0, (N**2 - 1) / (N**2 + N)), (1, (N + 1) / (N**2 + N)))
     )
@@ -222,15 +212,14 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     )
     # closed-form (mid, high) surpluses; the low class earns nothing
     denom = N**2 + 1
-    profile = scheme_surplus(buyer_optimal)
-    if profile.surpluses[1:] != ((N - 1) / denom, (N + N**2) / denom):
+    optimal_cs = scheme_surplus(buyer_optimal).surpluses
+    if optimal_cs[1:] != ((N - 1) / denom, (N + N**2) / denom):
         raise InvariantViolation("buyer-optimal surplus mismatch")
-    alternative_cs = scheme_surplus(alternative).surpluses[1:]
-    if alternative_cs != ((N**2 - 1) / denom, (N**2 - N) / denom):
+    alternative_cs = scheme_surplus(alternative).surpluses
+    if alternative_cs[1:] != ((N**2 - 1) / denom, (N**2 - N) / denom):
         raise InvariantViolation("alternative surplus mismatch")
-    if profile.total() != dist.expected_value() - myerson(dist)[1]:
-        raise InvariantViolation("reference scheme is not buyer-optimal")
-    return BuyerOptimalLowerBound(dist, buyer_optimal, alternative, ratio=N)
+    ratio = min(c for c in alternative_cs if c > 0) / min(c for c in optimal_cs if c > 0)
+    return BuyerOptimalLowerBound(dist, buyer_optimal, alternative, ratio)
 
 
 @dataclass(frozen=True)
@@ -238,10 +227,9 @@ class UniversalLowerBound:
     """Three-value family forcing the majorization factor toward 3/2.
 
     ``best_min_surplus`` is the closed-form best minimum of the two upper
-    classes' per-buyer surpluses over all schemes.
+    classes' per-buyer surpluses over all schemes; epsilon is v_2 - 1.
     """
 
-    epsilon: Fraction
     dist: ValueDistribution
     best_min_surplus: Fraction
 
@@ -258,4 +246,4 @@ def universal_lb_instance(epsilon) -> UniversalLowerBound:
     total = f1 + f2 + f3
     dist = ValueDistribution(values, (f1 / total, f2 / total, f3 / total))
     y = (4 + 3 * eps + eps**2) / (2 + eps)
-    return UniversalLowerBound(epsilon=eps, dist=dist, best_min_surplus=y * eps / f2)
+    return UniversalLowerBound(dist=dist, best_min_surplus=y * eps / f2)

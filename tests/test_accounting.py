@@ -3,7 +3,7 @@
 `SignalingScheme` and `DecomposedScheme` both account for themselves
 through `market.class_sums`, which sums each class's mass, unsold mass and
 surplus on reduced int pairs; a `SignalingScheme` takes its revenue from
-those sums, and `Signal` walks its prices on integers over a common
+those sums, and a `Signal` is priced when built, on integers over a common
 denominator.  The oracles below sum with one `Fraction` per operation, and
 the scheme oracle sums each class's payment directly, so every derived
 field must match them exactly, errors included.
@@ -11,7 +11,6 @@ field must match them exactly, errors included.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -138,8 +137,6 @@ def check_signaling(dist: ValueDistribution, entries) -> str:
     assert got == expected
     for signal, _ in entries:
         assert signal.optimal_price_index == reference_price_index(signal)
-        assert sum(signal.scaled) == signal.den
-        assert all(F(m, signal.den) == f for m, (_, f) in zip(signal.scaled, signal.support))
     below = any(s.support[0][0] < s.optimal_price_index for s, _ in entries)
     return "below" if below else "at"
 
@@ -233,6 +230,31 @@ class TestClassSums:
         )
 
 
+    # two coprime denominators of about 200,000 bits: either fits the limit,
+    # their sum's denominator does not
+    LONG = (2**200_000 + 1, 2**200_000 - 1)
+
+    def test_refuses_an_overlong_mass(self):
+        dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
+        terms = [(1, 1, d, 1) for d in self.LONG]
+        class_sums(dist, terms[:1])  # within the limit
+        with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
+            class_sums(dist, terms)
+
+    @pytest.mark.parametrize("k", [0, 2], ids=["surplus", "unsold"])
+    def test_refuses_an_overlong_sum_under_a_short_mass(self, k):
+        # each unit of class 1 sells 1 - 1/d at v_1 and puts 1/d at v_k, so
+        # class 1's mass stays within 200,000 bits while its surplus (k = 0)
+        # or unsold (k = 2) sum reaches about 400,000
+        dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
+        terms = []
+        for d in self.LONG:
+            terms += [(1, d - 1, d, 1), (1, 1, d, k)]
+        class_sums(dist, terms[:3])  # within the limit
+        with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
+            class_sums(dist, terms)
+
+
 class TestRevenue:
     def test_unsold_mass_earns_nothing(self, running_example):
         # the prior sells at its Myerson price 5, above the values 1 and 2
@@ -310,8 +332,6 @@ def test_signal_scales_over_the_lcm():
     dist = ValueDistribution.from_pairs([1, 2, 5, 6], ["1/4"] * 4)
     signal = Signal(dist, ((3, F(1, 6)), (0, F(1, 2)), (2, F(1, 3))))
     assert signal.support == ((0, F(1, 2)), (2, F(1, 3)), (3, F(1, 6)))
-    assert (signal.den, signal.scaled) == (6, (3, 2, 1))
-    assert signal.den == math.lcm(2, 3, 6)
     # revenues 1, 5 * 1/2, 6 * 1/6: the interior price wins
     assert signal.optimal_price_index == 2
     tie = Signal(dist, ((1, F(2, 3)), (3, F(1, 3))))  # revenues 2 * 1 = 6 * 1/3

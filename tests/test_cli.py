@@ -8,7 +8,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 
@@ -496,6 +495,29 @@ class TestVerify:
         assert stdout == ""
         assert stderr == "error: invalid scheme file: rational longer than 100000 digits\n"
 
+    def test_overlong_scheme_sum_exits_2(self, instance_file, tmp_path, capsys):
+        # every rational and every signal's lcm is inside the limit, but the
+        # mass of value 0 summed over the signals is not; the sum stops there
+        # rather than growing with each signal
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
+        rng = random.Random(5)
+        entries = []
+        for _ in range(3):
+            d = rng.getrandbits(300_000) | 1
+            support = {"0": f"1/{d}", "1": f"{d - 1}/{d}"}
+            entries.append({"weight": "1/3", "support": support})
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", str(path)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (
+            "error: invalid scheme file: a derived rational is longer than 100000 digits\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_out_exits_2(self, fmt, instance_file, tmp_path, capsys):
         scheme = str(tmp_path / "final.json")
@@ -561,17 +583,15 @@ class TestVerify:
 
 @pytest.mark.parametrize("instance", ["running_example", "fig3_instance"])
 def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, capsys, monkeypatch):
-    # scheme_surplus, is_efficient and scheme_revenue share one price walk,
-    # and myerson takes the same walk over the prior
-    walk = Signal.__dict__["optimal_price_index"]
-    assert isinstance(walk, cached_property), "the price walk is not cached"
-    original, priced = walk.func, []
+    # a signal is priced once, when built, and scheme_surplus, is_efficient
+    # and scheme_revenue read that price; myerson prices the prior the same way
+    original, priced = Signal.__post_init__, []
 
     def counted(signal):
         priced.append(signal)
-        return original(signal)
+        original(signal)
 
-    monkeypatch.setattr(walk, "func", counted)
+    monkeypatch.setattr(Signal, "__post_init__", counted)
     dist = request.getfixturevalue(instance)
     path, scheme = str(tmp_path / "instance.json"), str(tmp_path / "final.json")
     write_instance(dist, path)
@@ -622,7 +642,7 @@ class TestLowerbound:
         assert code == 0
         [reported] = re.findall(r"^max-min LP value: (\S+)$", stdout, re.MULTILINE)
         inst = universal_lb_instance(epsilon)
-        reference = max_min_surplus_lp(inst.dist.values, universal_raw_masses(inst.epsilon))
+        reference = max_min_surplus_lp(inst.dist.values, universal_raw_masses(F(epsilon)))
         assert F(reported) == reference.value == inst.best_min_surplus
 
     def test_universal_solves_only_the_sweep(self, capsys, monkeypatch):

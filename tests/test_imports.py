@@ -26,18 +26,16 @@ TEST_ORACLES = (
     (
         "splitmatch.truncated_upper_bound",
         "the lemma c04 checks the greedy decomposition against; the "
-        "hull bound of ROADMAP item 3 is to make it runtime code",
+        "hull bound (`verify --bound`) is to make it runtime code",
     ),
 )
 
 # Dataclass fields that no code outside the tests reads, on purpose.  Each
 # needs a reason.
-_TRACE = "a pipeline artifact for the trace files of ROADMAP item 6"
+_TRACE = "a pipeline artifact for the trace files of `build --trace DIR`"
 ARTIFACTS = (
     ("ironing.IroningInterval.left", _TRACE),
     ("ironing.IroningInterval.right", _TRACE),
-    ("ironing.IronedFunction.envelope", _TRACE),
-    ("ironing.IronedFunction.contact_points", _TRACE),
     ("ironing.RectanglePair.plus_left", _TRACE),
     ("ironing.RectanglePair.minus_left", _TRACE),
     ("ironing.FairSchemeResult.base", _TRACE),
@@ -45,10 +43,6 @@ ARTIFACTS = (
     ("ironing.FairSchemeResult.pairings", _TRACE),
     ("ironing.FairSchemeResult.smoothed", _TRACE),
     ("lp.LPResult.point", "the optimal point, which the tests check as a witness"),
-    (
-        "oracles.UniversalLowerBound.epsilon",
-        "the family's parameter, kept beside the instance it built",
-    ),
 )
 
 

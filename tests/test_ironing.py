@@ -28,7 +28,7 @@ from fairsignal.splitmatch import (
     split_and_match,
     truncated_upper_bound,
 )
-from fairsignal.steps import integration_prefix, profile_step_function
+from fairsignal.steps import StepFunction, integration_prefix, profile_step_function
 
 from conftest import mixture, random_distribution, structured_priors, taker_fraction
 
@@ -70,7 +70,6 @@ class TestIron:
         ironed = iron(profile)
         assert ironed.ironed_values == profile.surpluses
         assert ironed.intervals == ()
-        assert ironed.contact_points == (F(0),) + running_example.cdf
 
     def test_greedy_output_running_example(self, running_example):
         profile = split_and_match(running_example).surplus_profile()
@@ -99,7 +98,7 @@ class TestIron:
         # lie on the chord from the origin, so all of them touch the hull
         profile = SurplusProfile(running_example, (F(2), F(0), F(1), F(1)))
         ironed = iron(profile)
-        assert ironed.contact_points == (F(0), F(1, 2), F(3, 4), F(1))
+        # popping a collinear contact would add an interval over classes (2, 3)
         assert [
             (iv.left, iv.right, iv.level, iv.classes) for iv in ironed.intervals
         ] == [(F(0), F(1, 2), F(1), (0, 1))]
@@ -112,20 +111,16 @@ class TestIron:
             profile = split_and_match(dist).surplus_profile()
             ironed = iron(profile)
             step = profile_step_function(profile)
-            # the envelope vertices are exactly the contact points, where the
-            # envelope meets the cumulative surplus
-            assert [x for x, _ in ironed.envelope] == list(ironed.contact_points)
-            for x, y in ironed.envelope:
-                if x > 0:
-                    assert y == integration_prefix(step, x)
-            # the envelope never exceeds the cumulative surplus anywhere
-            # (both are piecewise linear, so class boundaries suffice)
-            env = ironed.envelope
+            # the ironed values integrate to the envelope: never above the
+            # cumulative surplus (both are piecewise linear, so class edges
+            # suffice) and equal to it at both ends of every interval
+            flat = StepFunction(dist.cdf, ironed.ironed_values)
             for m in dist.cdf:
-                k = next(k for k in range(1, len(env)) if env[k][0] >= m)
-                (x0, y0), (x1, y1) = env[k - 1], env[k]
-                hull_y = y0 + (y1 - y0) * (m - x0) / (x1 - x0)
-                assert hull_y <= integration_prefix(step, m)
+                assert integration_prefix(flat, m) <= integration_prefix(step, m)
+            for interval in ironed.intervals:
+                for x in (interval.left, interval.right):
+                    if x > 0:
+                        assert integration_prefix(flat, x) == integration_prefix(step, x)
 
     def test_matches_chord_oracle(self):
         rng = random.Random(61)

@@ -15,6 +15,7 @@ from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import (
     MarketError,
+    Signal,
     SignalingScheme,
     ValueDistribution,
     buyer_optimal_scheme,
@@ -148,8 +149,10 @@ class TestAdversary:
         # with the lowest class fixed at zero surplus and the heavy top
         # class, the sorted prefix through the middle class equals its
         # mass times the best attainable minimum surplus
-        inst = universal_lb_instance(F(1, 100))
-        result = max_min_surplus_lp(inst.dist.values, universal_raw_masses(inst.epsilon))
+        eps = F(1, 100)
+        inst = universal_lb_instance(eps)
+        assert inst.dist.values[1] - 1 == eps
+        result = max_min_surplus_lp(inst.dist.values, universal_raw_masses(eps))
         m_star = inst.dist.cdf[1]
         [value] = adversary_sorted_prefix(inst.dist, [m_star])
         assert value == inst.dist.masses[1] * result.value
@@ -224,9 +227,19 @@ class TestBuyerOptimalLowerBound:
 
     @pytest.mark.parametrize("n", [2, 5, 10, 100])
     def test_peeling_reproduces_unique_scheme(self, n):
+        # the family's unique buyer-optimal canonical scheme, by hand
+        N = F(n)
         inst = buyer_optimal_lb_instance(n)
-        scheme, _ = buyer_optimal_scheme(inst.dist)
-        assert scheme.entries == inst.buyer_optimal.entries
+        dist = inst.dist
+        s1 = Signal(
+            dist,
+            ((0, (N**2 - 1) / (N**2 + N)), (1, 1 / (N**2 + N)), (2, N / (N**2 + N))),
+        )
+        s2 = Signal(dist, ((1, 1 / (N + 1)), (2, N / (N + 1))))
+        reference = ((s1, 1 / (N + 1)), (s2, N / (N + 1)))
+        scheme, _ = buyer_optimal_scheme(dist)
+        assert scheme.entries == reference
+        assert inst.buyer_optimal.entries == reference
 
     def test_rejects_degenerate_parameter(self):
         with pytest.raises(MarketError):
