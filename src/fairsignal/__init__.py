@@ -39,6 +39,7 @@ from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
     SingletonEntry,
+    binary_posterior,
     split_and_match,
     truncated_upper_bound,
 )

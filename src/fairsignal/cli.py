@@ -257,7 +257,7 @@ def cmd_lowerbound(args) -> int:
     else:
         inst = universal_lb_instance(args.parameter)
         dist = inst.dist
-        profile = monotone_fair_scheme(dist).final.surplus_profile()
+        profile = scheme_surplus(monotone_fair_scheme(dist).final)
         grid = adversary_grid(profile)
         rival = adversary_sorted_prefix(dist, grid)
         # The max-min value is read off the sweep.  Class 1 earns 0 under

@@ -21,10 +21,12 @@ from .market import (
     InvariantViolation,
     SurplusProfile,
     ValueDistribution,
+    scheme_surplus,
 )
 from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
+    binary_posterior,
     split_and_match,
 )
 from .steps import profile_step_function
@@ -166,15 +168,16 @@ def pair_rectangles(
 
 
 def _reweighted(
-    binaries: Sequence[BinarySignalEntry], weights: Sequence[Fraction]
+    binaries: Sequence[BinarySignalEntry], factors: Sequence[Fraction]
 ) -> list[BinarySignalEntry]:
-    """``binaries`` with new weights, dropping those cut to zero."""
+    """``binaries`` with weights scaled by their taker's factor, zeros dropped."""
     out = []
-    for b, w in zip(binaries, weights):
-        if w < 0:
+    for b in binaries:
+        c = factors[b.taker]
+        if c < 0:
             raise InvariantViolation("binary signal weight went negative")
-        if w > 0:
-            out.append(BinarySignalEntry(b.giver, b.taker, w))
+        if c > 0:
+            out.append(BinarySignalEntry(b.giver, b.taker, b.weight * c))
     return out
 
 
@@ -195,7 +198,6 @@ def smooth(
     binaries no longer use returns as singletons.
     """
     dist = scheme.dist
-    values = dist.values
     cut = [Fraction(0)] * dist.n  # share of each taker class's binaries removed
     by_taker: list[list[BinarySignalEntry]] = [[] for _ in range(dist.n)]
     for b in scheme.binaries:
@@ -209,23 +211,16 @@ def smooth(
             vm = pair.minus_index
             vp = pair.plus_index
             cut[vm] += pair.minus_width / dist.masses[vm]
-            giver_cut = (
-                pair.plus_width
-                / dist.masses[vp]
-                * (pair.plus_height / (level + pair.plus_height))
-            )
+            excess_share = pair.plus_height / (level + pair.plus_height)
+            giver_cut = pair.plus_width / dist.masses[vp] * excess_share
             cut[vp] += giver_cut
             for b in by_taker[vp]:
-                g = b.giver
-                new_weight = (
-                    b.weight
-                    * giver_cut
-                    * (1 - values[g] / values[vp])
-                    / (1 - values[g] / values[vm])
-                )
-                new_binaries.append(BinarySignalEntry(g, vm, new_weight))
-    weights = [b.weight * (1 - cut[b.taker]) for b in scheme.binaries]
-    survivors = _reweighted(scheme.binaries, weights)
+                # the giver mass freed from b, re-paired with the deficit value
+                (_, freed_share), _ = binary_posterior(dist, b.giver, vp)
+                (_, giver_share), _ = binary_posterior(dist, b.giver, vm)
+                new_weight = b.weight * giver_cut * freed_share / giver_share
+                new_binaries.append(BinarySignalEntry(b.giver, vm, new_weight))
+    survivors = _reweighted(scheme.binaries, [1 - c for c in cut])
     return DecomposedScheme(dist, survivors + new_binaries)
 
 
@@ -241,11 +236,9 @@ def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedSche
     for cs, s in zip(current, target):
         if 2 * cs < s:
             raise InvariantViolation("smoothed surplus fell below half the level")
-    # every binary pays its taker surplus, so current[b.taker] > 0
-    weights = [
-        b.weight * target[b.taker] / (2 * current[b.taker]) for b in scheme.binaries
-    ]
-    return DecomposedScheme(scheme.dist, _reweighted(scheme.binaries, weights))
+    # every binary pays its taker surplus, so no binary reads a factor of 0
+    factors = [s / (2 * cs) if cs else 0 for cs, s in zip(current, target)]
+    return DecomposedScheme(scheme.dist, _reweighted(scheme.binaries, factors))
 
 
 @dataclass(frozen=True)
@@ -267,7 +260,7 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
     from its binaries alone, so its mixture matches the prior.
     """
     base = split_and_match(dist)
-    profile = base.surplus_profile()
+    profile = scheme_surplus(base)
     ironed = iron(profile)
     pairings = tuple(
         pair_rectangles(profile, ironed, t) for t in range(len(ironed.intervals))

@@ -7,10 +7,10 @@ seller best-responds to each posterior with a posted price, breaking revenue
 ties toward the lowest price.
 
 Every value the module returns is a `Fraction`, but `class_sums`, which
-accounts for every scheme, runs on reduced ``(numerator, denominator)``
-int pairs: `pair_product` and `pair_sum` keep a pair in lowest terms by the
-same gcd steps as `Fraction`'s own operators, without building an object
-per operation.  A `Signal` is priced when built: its price walk compares
+accounts for the entries (weight, posterior, price index) of every scheme,
+runs on reduced int pairs: `pair_product` and `pair_sum` keep a pair in
+lowest terms by `Fraction`'s own gcd steps, without an object per
+operation.  A `Signal` is priced when built: its price walk compares
 revenues on its posterior scaled to integers over one common denominator.
 """
 
@@ -291,34 +291,39 @@ def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
     return dist.values[k], dist.values[k] * sum(dist.masses[k:], Fraction(0))
 
 
-def class_sums(dist: ValueDistribution, terms: Iterable[tuple[int, int, int, int]]):
-    """Per-class sums of a scheme's terms ``(i, mn, md, k)``: mass mn/md
-    (reduced) of value class i in a signal priced at v_k.
+def class_sums(dist: ValueDistribution, entries: Iterable[tuple[Fraction, Iterable, int]]):
+    """Per-class sums of a scheme's entries ``(w, support, k)``: weight w of
+    a posterior whose ``support`` gives each class i its share f, priced at
+    v_k, so class i has mass w * f in the entry.
 
-    Returns each class's mass and unsold mass (k > i) as reduced pairs, and
-    its expected surplus, the sum of m * (v_i - v_k) over k < i divided by
-    f_i, as a `Fraction`.  Each sum runs term by term on reduced pairs; one
-    whose denominator passes the input limit raises MarketError at once.
+    Returns each class's unused prior mass (f_i less its mass in the
+    entries) and unsold mass (k > i) as reduced pairs, and its expected
+    surplus, the sum of w * f * (v_i - v_k) over k < i divided by f_i, as a
+    `Fraction`.  Each sum runs share by share on reduced pairs; one whose
+    denominator passes the input limit raises MarketError at once.
     """
     vn = [v.numerator for v in dist.values]
     vd = [v.denominator for v in dist.values]
-    mass = [(0, 1)] * dist.n
+    unused = [(f.numerator, f.denominator) for f in dist.masses]
     unsold = [(0, 1)] * dist.n
     gained = [(0, 1)] * dist.n
-    for i, mn, md, k in terms:
-        mass[i] = pair_sum(*mass[i], mn, md)
-        if k > i:
-            unsold[i] = pair_sum(*unsold[i], mn, md)
-        elif k < i:
-            gain = pair_sum(vn[i], vd[i], -vn[k], vd[k])
-            gained[i] = pair_sum(*gained[i], *pair_product(mn, md, *gain))
-        if max(mass[i][1], unsold[i][1], gained[i][1]).bit_length() > _MAX_RATIONAL_BITS:
-            raise MarketError(DERIVED_TOO_LONG)
+    for w, support, k in entries:
+        wn, wd = w.numerator, w.denominator
+        for i, f in support:
+            mn, md = pair_product(wn, wd, f.numerator, f.denominator)
+            unused[i] = pair_sum(*unused[i], -mn, md)
+            if k > i:
+                unsold[i] = pair_sum(*unsold[i], mn, md)
+            elif k < i:
+                gain = pair_sum(vn[i], vd[i], -vn[k], vd[k])
+                gained[i] = pair_sum(*gained[i], *pair_product(mn, md, *gain))
+            if max(unused[i][1], unsold[i][1], gained[i][1]).bit_length() > _MAX_RATIONAL_BITS:
+                raise MarketError(DERIVED_TOO_LONG)
     surpluses = tuple(
         Fraction(tn * f.denominator, td * f.numerator)
         for (tn, td), f in zip(gained, dist.masses)
     )
-    return mass, unsold, surpluses
+    return unused, unsold, surpluses
 
 
 @dataclass(frozen=True)
@@ -326,9 +331,9 @@ class SignalingScheme:
     """Weighted signals whose mixture equals the prior exactly.
 
     The weights are not summed: each posterior sums to 1, so the weights
-    sum to the mixture's total, which the per-value check makes 1.  Each
-    support entry is one `class_sums` term, priced at its signal's optimal
-    price; ``surpluses`` holds each class's expected surplus and
+    sum to the mixture's total, which the check that no class has unused
+    prior mass makes 1.  Each signal is one `class_sums` entry, priced at
+    its optimal price; ``surpluses`` holds each class's expected surplus and
     ``revenue`` the seller's expected revenue, which follows from the
     classes' unsold mass and surplus (see `scheme_revenue`).
     """
@@ -340,20 +345,16 @@ class SignalingScheme:
 
     def __post_init__(self):
         dist = self.dist
-        terms = []
         for signal, weight in self.entries:
             if signal.dist is not dist and signal.dist != dist:
                 raise MarketError("signal belongs to a different distribution")
             if weight <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
-            k = signal.optimal_price_index
-            wn, wd = weight.numerator, weight.denominator
-            for i, f in signal.support:
-                terms.append((i, *pair_product(wn, wd, f.numerator, f.denominator), k))
-        mixture, unsold, surpluses = class_sums(dist, terms)
-        for i, f in enumerate(dist.masses):
-            if mixture[i] != (f.numerator, f.denominator):
-                raise PlausibilityError(i, f, Fraction(*mixture[i]))
+        priced = ((w, s.support, s.optimal_price_index) for s, w in self.entries)
+        unused, unsold, surpluses = class_sums(dist, priced)
+        for i, ((un, ud), f) in enumerate(zip(unused, dist.masses)):
+            if un:
+                raise PlausibilityError(i, f, f - Fraction(un, ud))
         revenue = (0, 1)  # see scheme_revenue
         for v, f, (un, ud), s in zip(dist.values, dist.masses, unsold, surpluses):
             sold = pair_sum(f.numerator, f.denominator, -un, ud)
@@ -390,7 +391,7 @@ class SurplusProfile:
 
 
 def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
-    """Expected consumer surplus of each value class under the scheme."""
+    """Expected consumer surplus of each value class under any scheme."""
     return SurplusProfile(scheme.dist, scheme.surpluses)
 
 

@@ -3,11 +3,11 @@
 Each value's mass is split into a giver half and a taker half.  The greedy
 pass repeatedly pairs the lowest value with remaining giver budget to the
 lowest higher value with remaining taker budget, emitting an equal-revenue
-binary signal that exhausts at least one of the two budgets.  The prior
-mass the binaries leave unused becomes singleton signals.  The resulting
-scheme charges every buyer the lowest value in their signal, so the item
-always sells.  A `DecomposedScheme` is built from its binaries alone and
-accounts for itself through `market.class_sums`.
+binary signal (posterior `binary_posterior`) that exhausts at least one of
+the two budgets; the prior mass the binaries leave unused becomes
+singletons.  Every buyer pays the lowest value in their signal, so the
+item always sells.  A `DecomposedScheme` is built from its binaries alone
+and accounts for itself through `market.class_sums`.
 """
 
 from __future__ import annotations
@@ -20,21 +20,27 @@ from .market import (
     MarketError,
     Signal,
     SignalingScheme,
-    SurplusProfile,
     ValueDistribution,
     class_sums,
-    pair_product,
-    pair_sum,
 )
+
+
+def binary_posterior(
+    dist: ValueDistribution, g: int, t: int
+) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
+    """Posterior of the equal-revenue binary on (v_g, v_t), g < t: mass
+    1 - v_g/v_t on the giver and v_g/v_t on the taker."""
+    ratio = dist.values[g] / dist.values[t]
+    return (g, 1 - ratio), (t, ratio)
 
 
 @dataclass(frozen=True)
 class BinarySignalEntry:
     """Equal-revenue binary signal on (v_giver, v_taker), weighted.
 
-    The posterior puts mass 1 - v_g/v_t on the giver and v_g/v_t on the
-    taker, so both posted prices yield revenue v_g and the seller charges
-    the giver value.  The taker class therefore gains v_t - v_g.
+    Its posterior is `binary_posterior`, so both posted prices yield
+    revenue v_g and the seller charges the giver value.  The taker class
+    therefore gains v_t - v_g.
     """
 
     giver: int
@@ -63,11 +69,11 @@ class DecomposedScheme:
     """A scheme made of equal-revenue binaries and singletons only.
 
     Only the binaries are given, in any sequence, stored as a tuple; the
-    rest follows from their `class_sums` terms, two per binary, both priced
-    at v_g: mass w - w * v_g/v_t on the giver and w * v_g/v_t on the taker.
-    Value i's singleton weight is f_i minus the mass the binaries place on
-    i, so the mixture matches the prior exactly; a value on which the
-    binaries place more than f_i is an invariant violation.
+    rest follows from their `class_sums` entries, one per binary: its
+    weight and `binary_posterior`, priced at v_g.  Value i's singleton
+    weight is the prior mass the binaries leave unused on i, so the mixture
+    matches the prior exactly; a value on which the binaries place more
+    than f_i is an invariant violation.
     """
 
     dist: ValueDistribution
@@ -77,37 +83,26 @@ class DecomposedScheme:
 
     def __post_init__(self):
         dist = self.dist
-        terms = []
-        for b in self.binaries:
-            g, t = b.giver, b.taker
-            wn, wd = b.weight.numerator, b.weight.denominator
-            vg, vt = dist.values[g], dist.values[t]
-            ratio = pair_product(vg.numerator, vg.denominator, vt.denominator, vt.numerator)
-            tn, td = pair_product(wn, wd, *ratio)
-            terms += [(g, *pair_sum(wn, wd, -tn, td), g), (t, tn, td, g)]
-        used, _, surpluses = class_sums(dist, terms)
+        entries = (
+            (b.weight, binary_posterior(dist, b.giver, b.taker), b.giver) for b in self.binaries
+        )
+        unused, _, surpluses = class_sums(dist, entries)
         singletons = []
-        for i, ((un, ud), f) in enumerate(zip(used, dist.masses)):
-            wn, wd = pair_sum(f.numerator, f.denominator, -un, ud)
-            if wn < 0:
+        for i, (un, ud) in enumerate(unused):
+            if un < 0:
                 raise InvariantViolation(
-                    f"value index {i} is oversubscribed by {Fraction(-wn, wd)}"
+                    f"value index {i} is oversubscribed by {Fraction(-un, ud)}"
                 )
-            if wn > 0:
-                singletons.append(SingletonEntry(i, Fraction(wn, wd)))
+            if un > 0:
+                singletons.append(SingletonEntry(i, Fraction(un, ud)))
         object.__setattr__(self, "binaries", tuple(self.binaries))
         object.__setattr__(self, "singletons", tuple(singletons))
         object.__setattr__(self, "surpluses", surpluses)
 
-    def surplus_profile(self) -> SurplusProfile:
-        return SurplusProfile(self.dist, self.surpluses)
-
     def to_signaling_scheme(self) -> SignalingScheme:
-        values = self.dist.values
         entries = []
         for b in self.binaries:
-            ratio = values[b.giver] / values[b.taker]
-            signal = Signal(self.dist, ((b.giver, 1 - ratio), (b.taker, ratio)))
+            signal = Signal(self.dist, binary_posterior(self.dist, b.giver, b.taker))
             entries.append((signal, b.weight))
         for s in self.singletons:
             entries.append((Signal.singleton(self.dist, s.index), s.weight))
@@ -138,11 +133,11 @@ def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
             l += 1
         if l >= n:
             break
-        ratio = dist.values[s] / dist.values[l]
-        weight = min(giver[s] / (1 - ratio), taker[l] / ratio)
+        (_, giver_share), (_, taker_share) = binary_posterior(dist, s, l)
+        weight = min(giver[s] / giver_share, taker[l] / taker_share)
         binaries.append(BinarySignalEntry(s, l, weight))
-        giver[s] -= weight * (1 - ratio)
-        taker[l] -= weight * ratio
+        giver[s] -= weight * giver_share
+        taker[l] -= weight * taker_share
     return DecomposedScheme(dist, binaries)
 
 

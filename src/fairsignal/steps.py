@@ -126,8 +126,8 @@ def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, floa
     """Welfare of the per-buyer surplus allocation, mass-weighted.
 
     utilitarian: weighted sum (exact); maxmin: minimum over value classes
-    (exact); nash: weighted geometric mean, computed in floating point via
-    logs, with 0 whenever some class earns nothing.
+    (exact); nash: weighted geometric mean, in floating point via logs; 0 if
+    some class earns nothing, inf if the mean passes the float range.
     """
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare kind {kind!r}")
@@ -139,4 +139,9 @@ def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, floa
         return min(surpluses)
     if any(cs == 0 for cs in surpluses):
         return 0.0
-    return math.exp(sum(float(f) * math.log(cs) for f, cs in zip(masses, surpluses)))
+    # logs of numerator and denominator: math.log takes ints of any size
+    logs = (math.log(cs.numerator) - math.log(cs.denominator) for cs in surpluses)
+    try:
+        return math.exp(sum(float(f) * x for f, x in zip(masses, logs)))
+    except OverflowError:  # the mean itself lies past the float range
+        return math.inf

@@ -79,7 +79,7 @@ def certificates(corpus, pipelines):
     for dist, pipe in zip(corpus, pipelines):
         if dist.n > 6:
             continue
-        profile = pipe.final.surplus_profile()
+        profile = scheme_surplus(pipe.final)
         grid = adversary_grid(profile)
         sweep = adversary_witnesses(dist, grid)
         rows = [(m, value, witness) for m, (value, witness) in zip(grid, sweep)]
@@ -151,7 +151,7 @@ def test_c04_prefix_lower_bound_suite(corpus):
     start = time.perf_counter()
     violations = 0
     for dist in corpus:
-        step = profile_step_function(split_and_match(dist).surplus_profile())
+        step = profile_step_function(scheme_surplus(split_and_match(dist)))
         for k in range(1, dist.n + 1):
             lhs = 4 * integration_prefix(step, dist.cdf[k - 1])
             if lhs < truncated_upper_bound(dist, k):
@@ -246,7 +246,7 @@ def test_c09_universal_lower_bound_family():
         result = max_min_surplus_lp(inst.dist.values, universal_raw_masses(eps))
         ok &= result.value == inst.best_min_surplus
         final = monotone_fair_scheme(inst.dist).final
-        profile = final.surplus_profile()
+        profile = scheme_surplus(final)
         grid = adversary_grid(profile)
         sweep = adversary_sorted_prefix(inst.dist, grid)
         _, alpha = certify(profile_step_function(profile), grid, sweep)

@@ -1,8 +1,9 @@
 """Scheme accounting against a plain-Fraction oracle.
 
 `SignalingScheme` and `DecomposedScheme` both account for themselves
-through `market.class_sums`, which sums each class's mass, unsold mass and
-surplus on reduced int pairs; a `SignalingScheme` takes its revenue from
+through `market.class_sums`, which takes entries (weight, posterior, price
+index) and sums each class's unused prior mass, unsold mass and surplus on
+reduced int pairs; a `SignalingScheme` takes its revenue from
 those sums, and a `Signal` is priced when built, on integers over a common
 denominator.  The oracles below sum with one `Fraction` per operation, and
 the scheme oracle sums each class's payment directly, so every derived
@@ -38,7 +39,7 @@ from fairsignal.market import (
 )
 from fairsignal.splitmatch import BinarySignalEntry, DecomposedScheme, SingletonEntry
 
-from conftest import random_scheme, structured_priors
+from conftest import perfbench_module, random_scheme, structured_priors
 
 F = Fraction
 
@@ -54,20 +55,22 @@ def reference_price_index(signal: Signal) -> int:
     return best_i
 
 
-def reference_class_sums(dist: ValueDistribution, terms):
-    """(masses, unsold, surpluses) of ``(i, mass, k)`` terms, one Fraction
-    per operation."""
+def reference_class_sums(dist: ValueDistribution, entries):
+    """(unused, unsold, surpluses) of ``(w, support, k)`` entries, one
+    Fraction per operation."""
     values = dist.values
-    mass = [F(0)] * dist.n
+    unused = list(dist.masses)
     unsold = [F(0)] * dist.n
     gained = [F(0)] * dist.n
-    for i, m, k in terms:
-        mass[i] += m
-        if k > i:
-            unsold[i] += m
-        if k < i:
-            gained[i] += m * (values[i] - values[k])
-    return mass, unsold, tuple(g / f for g, f in zip(gained, dist.masses))
+    for w, support, k in entries:
+        for i, f in support:
+            m = w * f
+            unused[i] -= m
+            if k > i:
+                unsold[i] += m
+            if k < i:
+                gained[i] += m * (values[i] - values[k])
+    return unused, unsold, tuple(g / f for g, f in zip(gained, dist.masses))
 
 
 def reference_scheme_accounting(dist: ValueDistribution, entries):
@@ -202,32 +205,49 @@ def as_pairs(xs):
 
 
 @st.composite
-def priced_terms(draw):
-    """A prior and terms (i, mass, k) with k below, at and above i."""
+def priced_entries(draw):
+    """A prior and entries (w, support, k) whose shares sit below, at and
+    above the price index k."""
     _, dist = draw(structured_priors(max_n=8))
     index = st.integers(0, dist.n - 1)
-    mass = st.fractions(min_value=0, max_value=3, max_denominator=10**12)
-    return dist, draw(st.lists(st.tuples(index, mass, index), max_size=30))
+    share = st.fractions(min_value=0, max_value=3, max_denominator=10**12)
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=10**6)
+    support = st.lists(st.tuples(index, share), max_size=4)
+    return dist, draw(st.lists(st.tuples(weight, support, index), max_size=12))
 
 
 class TestClassSums:
-    @given(priced_terms())
+    @given(priced_entries())
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_loop(self, case):
-        dist, terms = case
-        got = class_sums(dist, [(i, m.numerator, m.denominator, k) for i, m, k in terms])
-        mass, unsold, surpluses = reference_class_sums(dist, terms)
-        assert got == (as_pairs(mass), as_pairs(unsold), surpluses)
+        dist, entries = case
+        unused, unsold, surpluses = reference_class_sums(dist, entries)
+        assert class_sums(dist, entries) == (as_pairs(unused), as_pairs(unsold), surpluses)
 
     def test_each_side_of_the_price(self):
         dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
         # class 1 sells 1/8 at price 1 and none of 1/8 priced at 5
-        terms = [(0, 1, 2, 0), (1, 1, 8, 0), (1, 1, 8, 2), (2, 1, 4, 2)]
-        assert class_sums(dist, terms) == (
-            [(1, 2), (1, 4), (1, 4)],
+        entries = [
+            (F(5, 8), ((0, F(4, 5)), (1, F(1, 5))), 0),
+            (F(3, 8), ((1, F(1, 3)), (2, F(2, 3))), 2),
+        ]
+        assert class_sums(dist, entries) == (
+            [(0, 1), (0, 1), (0, 1)],
             [(0, 1), (1, 8), (0, 1)],
             (F(0), F(1, 2), F(0)),
         )
+
+    def test_negative_unused_mass(self):
+        # the entries put 3/4 on class 0, whose prior mass is 1/2
+        dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
+        entries = [(F(1, 2), ((0, F(1)),), 0), (F(1, 2), ((0, F(1, 2)), (2, F(1, 2))), 0)]
+        assert class_sums(dist, entries) == (
+            [(-1, 4), (1, 4), (0, 1)],
+            [(0, 1), (0, 1), (0, 1)],
+            (F(0), F(0), F(4)),
+        )
+        unused, _, _ = reference_class_sums(dist, entries)
+        assert unused == [F(-1, 4), F(1, 4), F(0)]
 
 
     # two coprime denominators of about 200,000 bits: either fits the limit,
@@ -236,23 +256,23 @@ class TestClassSums:
 
     def test_refuses_an_overlong_mass(self):
         dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
-        terms = [(1, 1, d, 1) for d in self.LONG]
-        class_sums(dist, terms[:1])  # within the limit
+        entries = [(F(1), ((1, F(1, d)),), 1) for d in self.LONG]
+        class_sums(dist, entries[:1])  # within the limit
         with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
-            class_sums(dist, terms)
+            class_sums(dist, entries)
 
     @pytest.mark.parametrize("k", [0, 2], ids=["surplus", "unsold"])
     def test_refuses_an_overlong_sum_under_a_short_mass(self, k):
         # each unit of class 1 sells 1 - 1/d at v_1 and puts 1/d at v_k, so
-        # class 1's mass stays within 200,000 bits while its surplus (k = 0)
-        # or unsold (k = 2) sum reaches about 400,000
+        # class 1's unused mass stays within 200,000 bits while its surplus
+        # (k = 0) or unsold (k = 2) sum reaches about 400,000
         dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
-        terms = []
+        entries = []
         for d in self.LONG:
-            terms += [(1, d - 1, d, 1), (1, 1, d, k)]
-        class_sums(dist, terms[:3])  # within the limit
+            entries += [(F(1), ((1, F(d - 1, d)),), 1), (F(1), ((1, F(1, d)),), k)]
+        class_sums(dist, entries[:3])  # within the limit
         with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
-            class_sums(dist, terms)
+            class_sums(dist, entries)
 
 
 class TestRevenue:
@@ -293,6 +313,14 @@ class TestAgainstOracle:
         check_pipeline(dist)
         check_signaling(dist, no_signal(dist).entries)
         check_signaling(dist, scheme_from_rows(dist, random_rows(rng, dist)).entries)
+
+    @pytest.mark.parametrize("family", perfbench_module("instances").FAMILIES)
+    def test_benchmark_scale(self, family):
+        # the benchmark's families at its support sizes (n = 193 here), where
+        # the stages' weights reach denominators of up to about 2,000 bits
+        rng = random.Random(5)
+        payload = perfbench_module("instances").make_instance(family, rng.randint(128, 256), rng)
+        check_pipeline(ValueDistribution.from_pairs(payload["values"], payload["masses"]))
 
     def test_plausibility_errors(self, corpus):
         rng = random.Random(11)

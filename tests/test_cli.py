@@ -658,7 +658,7 @@ class TestLowerbound:
         code, _, _ = run_cli(capsys, "lowerbound", "universal", "1/1000")
         assert code == 0
         dist = universal_lb_instance(F(1, 1000)).dist
-        grid = adversary_grid(monotone_fair_scheme(dist).final.surplus_profile())
+        grid = adversary_grid(scheme_surplus(monotone_fair_scheme(dist).final))
         assert len(captured) == len(grid)
         assert all(p.constraints == captured[0].constraints for p in captured)
 

@@ -72,7 +72,7 @@ class TestIron:
         assert ironed.intervals == ()
 
     def test_greedy_output_running_example(self, running_example):
-        profile = split_and_match(running_example).surplus_profile()
+        profile = scheme_surplus(split_and_match(running_example))
         ironed = iron(profile)
         assert ironed.ironed_values == (F(0), F(1, 2), F(3, 4), F(3, 4))
         assert len(ironed.intervals) == 1
@@ -108,7 +108,7 @@ class TestIron:
         rng = random.Random(59)
         for _ in range(100):
             dist = random_distribution(rng)
-            profile = split_and_match(dist).surplus_profile()
+            profile = scheme_surplus(split_and_match(dist))
             ironed = iron(profile)
             step = profile_step_function(profile)
             # the ironed values integrate to the envelope: never above the
@@ -126,20 +126,20 @@ class TestIron:
         rng = random.Random(61)
         for _ in range(100):
             dist = random_distribution(rng)
-            profile = split_and_match(dist).surplus_profile()
+            profile = scheme_surplus(split_and_match(dist))
             assert list(iron(profile).ironed_values) == envelope_oracle(profile)
 
     def test_ironed_values_weakly_increasing(self):
         rng = random.Random(67)
         for _ in range(100):
-            profile = split_and_match(random_distribution(rng)).surplus_profile()
+            profile = scheme_surplus(split_and_match(random_distribution(rng)))
             vals = iron(profile).ironed_values
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 class TestPairRectangles:
     def test_running_example_single_pair(self, running_example):
-        profile = split_and_match(running_example).surplus_profile()
+        profile = scheme_surplus(split_and_match(running_example))
         ironed = iron(profile)
         pairs = pair_rectangles(profile, ironed, 0)
         assert len(pairs) == 1
@@ -158,7 +158,7 @@ class TestPairRectangles:
         multi_pair_intervals = 0
         for _ in range(150):
             dist = random_distribution(rng)
-            profile = split_and_match(dist).surplus_profile()
+            profile = scheme_surplus(split_and_match(dist))
             ironed = iron(profile)
             for t, interval in enumerate(ironed.intervals):
                 pairs = pair_rectangles(profile, ironed, t)
@@ -187,7 +187,7 @@ class TestPairRectangles:
         rng = random.Random(77)
         for _ in range(150):
             dist = random_distribution(rng)
-            profile = split_and_match(dist).surplus_profile()
+            profile = scheme_surplus(split_and_match(dist))
             ironed = iron(profile)
             for interval in ironed.intervals:
                 plus = minus = F(0)
@@ -252,7 +252,7 @@ def smooth_checked(dist: ValueDistribution) -> DecomposedScheme:
     """`smooth` of the greedy decomposition, checked field by field against
     the reference."""
     base = split_and_match(dist)
-    profile = base.surplus_profile()
+    profile = scheme_surplus(base)
     ironed = iron(profile)
     pairs = tuple(
         pair_rectangles(profile, ironed, t) for t in range(len(ironed.intervals))
@@ -282,7 +282,7 @@ class TestSmooth:
     def test_running_example_noop(self, running_example):
         # the only deficit is shallower than half the level
         base = split_and_match(running_example)
-        profile = base.surplus_profile()
+        profile = scheme_surplus(base)
         ironed = iron(profile)
         pairs = tuple(
             pair_rectangles(profile, ironed, t) for t in range(len(ironed.intervals))
@@ -295,7 +295,7 @@ class TestSmooth:
     def test_monotone_profile_identity(self):
         d = ValueDistribution.from_pairs([1, 4], [F(1, 2), F(1, 2)])
         base = split_and_match(d)
-        ironed = iron(base.surplus_profile())
+        ironed = iron(scheme_surplus(base))
         smoothed = smooth(base, ironed, ())
         assert smoothed.binaries == base.binaries
         assert smoothed.singletons == base.singletons
@@ -306,7 +306,7 @@ class TestSmooth:
         for _ in range(300):
             dist = random_distribution(rng)
             base = split_and_match(dist)
-            profile = base.surplus_profile()
+            profile = scheme_surplus(base)
             ironed = iron(profile)
             pairs = tuple(
                 pair_rectangles(profile, ironed, t)
@@ -344,7 +344,7 @@ class TestFinalize:
 
     def test_five_value_pipeline(self, fig3_instance):
         res = monotone_fair_scheme(fig3_instance)
-        target = envelope_oracle(res.base.surplus_profile())
+        target = envelope_oracle(scheme_surplus(res.base))
         assert [2 * cs for cs in res.final.surpluses] == target
         scheme = res.final.to_signaling_scheme()
         assert is_efficient(scheme)
@@ -374,7 +374,7 @@ class TestFinalize:
         assert mixture(scheme) == dist.masses
         assert is_efficient(scheme)
         assert is_monotone(scheme_surplus(scheme))
-        step = profile_step_function(res.base.surplus_profile())
+        step = profile_step_function(scheme_surplus(res.base))
         for k in range(1, dist.n + 1):
             lhs = 4 * integration_prefix(step, dist.cdf[k - 1])
             assert lhs >= truncated_upper_bound(dist, k)

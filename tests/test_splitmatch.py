@@ -7,17 +7,21 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsignal.market import (
     InvariantViolation,
+    Signal,
     ValueDistribution,
     is_efficient,
     scheme_revenue,
+    scheme_surplus,
 )
 from fairsignal.splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
     SingletonEntry,
+    binary_posterior,
     split_and_match,
     truncated_upper_bound,
 )
@@ -90,6 +94,29 @@ def test_single_value_distribution():
     scheme = split_and_match(d)
     assert scheme.binaries == ()
     assert scheme.singletons == (SingletonEntry(0, F(1)),)
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6),
+        min_size=2, max_size=6, unique=True,
+    ),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_binary_posterior_is_equal_revenue(values, data):
+    values = sorted(values)
+    dist = ValueDistribution.from_pairs(values, [F(1, len(values))] * len(values))
+    g = data.draw(st.integers(0, len(values) - 2))
+    t = data.draw(st.integers(g + 1, len(values) - 1))
+    posterior = binary_posterior(dist, g, t)
+    (giver, giver_share), (taker, taker_share) = posterior
+    assert (giver, taker) == (g, t)
+    assert giver_share > 0 and taker_share > 0
+    assert giver_share + taker_share == 1
+    # posting v_g sells to both, posting v_t to the taker alone: both earn v_g
+    assert values[t] * taker_share == values[g]
+    assert Signal(dist, posterior).optimal_price_index == g
 
 
 class TestFromBinaries:
@@ -203,7 +230,7 @@ class TestTruncatedUpperBound:
         rng = random.Random(43)
         for _ in range(150):
             dist = random_distribution(rng)
-            step = profile_step_function(split_and_match(dist).surplus_profile())
+            step = profile_step_function(scheme_surplus(split_and_match(dist)))
             for k in range(1, dist.n + 1):
                 lhs = 4 * integration_prefix(step, dist.cdf[k - 1])
                 assert lhs >= truncated_upper_bound(dist, k)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsignal.cli import certify
-from fairsignal.market import SurplusProfile, scheme_surplus
+from fairsignal.market import SurplusProfile, ValueDistribution, scheme_surplus
 from fairsignal.steps import (
     StepFunction,
     certification_grid,
@@ -125,6 +125,22 @@ class TestWelfare:
         assert evaluate_welfare(profile, "nash") == pytest.approx(
             expected, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "surpluses, expected",
+        [
+            # each surplus lies past the float range, which float() would
+            # round to 0 or refuse; their weighted logs still fit
+            ((F(1, 10**400), F(10**400)), 1.0),
+            ((F(1, 10**400), F(1, 10**400)), 0.0),
+            ((F(10**400), F(10**400)), math.inf),
+            # the lower surplus fits a float, the higher and their mean do not
+            ((F(10**300), F(10**320)), math.inf),
+        ],
+    )
+    def test_nash_past_the_float_range(self, surpluses, expected):
+        dist = ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"])
+        assert evaluate_welfare(SurplusProfile(dist, surpluses), "nash") == expected
 
     def test_unknown_kind_rejected(self, running_example):
         profile = SurplusProfile(running_example, (F(1),) * 4)
