@@ -10,24 +10,41 @@ full revelation.
 
 The tableau is kept as an integer matrix with a single running denominator
 (the previous pivot), so every pivot is a fraction-free (Bareiss) update
-and no floating point ever enters.  Bland's rule picks pivots, which rules
-out cycling from any feasible basis.
+and no floating point ever enters.  It is condensed, as in the integer
+pivoting dictionary of Avis's lrs: it keeps one column per nonbasic
+variable, since a basic variable's column is den in its own row and 0
+elsewhere.  Variables are labelled structural first, then one slack per
+row; ``cols`` labels the columns and ``basis`` the rows.  A pivot on row r
+and column c updates every other row by the Bareiss formula, then puts the
+leaving variable's column where the entering one was: -f in a row whose
+column-c entry was f, and the old den in row r.
+
+Pricing is Dantzig's rule: the most negative reduced cost enters, ties to
+the lowest label.  After a degenerate pivot (the leaving row's right-hand
+side is 0) Bland's rule takes over, the lowest-labelled negative column,
+until the next nondegenerate pivot.  The ratio test breaks ties on the
+lowest basis label throughout.  This terminates: Bland's rule cannot cycle
+from any basis, so every degenerate stretch ends, and every nondegenerate
+pivot strictly raises the objective, so no basis recurs after one.
 
 Warm start.  ``solve_lp(lp, start=previous)`` continues from the final
 basis of a previous solve over the same rows, with a new objective (the
 parametric objective of Gass and Saaty, 1955).  Changing c keeps that basis
 primal feasible, so only the objective row is rebuilt, as the sum over
-basic rows of c_B times the row, less den times c; that is the row pivoting
-to the basis from scratch gives, so later pivots still divide exactly.  A
-cold solve is the same path from the slack basis.
+basic rows of c_B times the row, less den times c, on the nonbasic columns;
+that is the row pivoting to the basis from scratch gives, so later pivots
+still divide exactly.  Pivots replace rows rather than edit them, so one
+result can start any number of solves.  A cold solve is the same path from
+the slack basis.
 
 Every answer is proved, cold or warm, against the integer rows built once
 from the constraints.  The point is re-checked against every row and sign
-restriction, and the final objective row's slack columns give duals
-y_r = z_r * s_r / (den * s_c), with s_r a row's and s_c the objective's
-integer scale; y >= 0, y^T A >= c and b.y = c.x are checked exactly.  A
-feasible dual of equal value proves the point optimal, so a solver defect
-cannot surface silently.
+restriction, and the final objective row gives the duals: y_r = z_r * s_r /
+(den * s_c) if row r's slack is nonbasic with entry z_r, and 0 if it is
+basic, with s_r a row's and s_c the objective's integer scale.  y >= 0,
+y^T A >= c and b.y = c.x are checked exactly.  A feasible dual of equal
+value proves the point optimal, so a solver defect cannot surface
+silently.
 """
 
 from __future__ import annotations
@@ -81,11 +98,15 @@ def _integer_row(
 
 
 class _Tableau:
-    """Integer simplex tableau; true entries are ints divided by self.den."""
+    """Condensed integer simplex tableau; true entries are ints over self.den.
+
+    Row i holds basic variable ``basis[i]``; column j holds nonbasic variable
+    ``cols[j]``; the last entry of each row is its right-hand side, and the
+    last row is the objective row.
+    """
 
     def __init__(self, lp: LinearProgram):
         nvars = lp.n_vars
-        ncols = nvars + len(lp.constraints)
         self.constraints = tuple(lp.constraints)
         self.nvars = nvars
         # the integer rows, sparse, for the certificate
@@ -96,27 +117,27 @@ class _Tableau:
             if int_rhs < 0:
                 raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
             self.program.append(([(j, a) for j, a in enumerate(row) if a], int_rhs))
-            row += [0] * (ncols - nvars) + [int_rhs]
-            row[nvars + r] = 1
-            rows.append(row)
-        self.rows = rows + [[0] * (ncols + 1)]  # then the objective row
-        self.basis = list(range(nvars, ncols))
+            rows.append(row + [int_rhs])
+        self.rows = rows + [[0] * (nvars + 1)]  # then the objective row
+        self.cols = list(range(nvars))
+        self.basis = list(range(nvars, nvars + len(rows)))
         self.den = 1
-        self.m = len(self.basis)
+        self.m = len(rows)
 
     def copy(self) -> _Tableau:
         # pivots and pricing replace rows rather than edit them
         twin = copy.copy(self)
         twin.rows = list(self.rows)
+        twin.cols = list(self.cols)
         twin.basis = list(self.basis)
         return twin
 
     def price(self, objective: Sequence[int]) -> None:
         """Objective row of max objective.x at the current basis."""
-        den = self.den
-        z = [-den * a for a in objective] + [0] * (len(self.rows[0]) - self.nvars)
+        nvars = self.nvars
+        z = [-self.den * objective[b] if b < nvars else 0 for b in self.cols] + [0]
         for i, b in enumerate(self.basis):
-            if b < self.nvars and objective[b]:
+            if b < nvars and objective[b]:
                 cb = objective[b]
                 z = [x + cb * y for x, y in zip(z, self.rows[i])]
         self.rows[-1] = z
@@ -131,9 +152,14 @@ class _Tableau:
                 continue
             row = rows[k]
             f = row[c]
-            rows[k] = [(x * piv - f * y) // den for x, y in zip(row, prow)]
+            new = [(x * piv - f * y) // den for x, y in zip(row, prow)]
+            new[c] = -f
+            rows[k] = new
+        prow = list(prow)
+        prow[c] = den
+        rows[r] = prow
         self.den = piv
-        self.basis[r] = c
+        self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
 
     def _choose_row(self, c: int) -> Optional[int]:
         best = None
@@ -149,21 +175,31 @@ class _Tableau:
                 best, best_num, best_den = i, rhs, a
         return best
 
+    def _choose_column(self, bland: bool) -> Optional[int]:
+        """The most negative reduced cost, ties to the lowest label; with
+        ``bland``, the lowest-labelled negative one (Bland's rule)."""
+        z = self.rows[-1]
+        negative = [j for j in range(len(self.cols)) if z[j] < 0]
+        if not negative:
+            return None
+        if bland:
+            return min(negative, key=lambda j: self.cols[j])
+        return min(negative, key=lambda j: (z[j], self.cols[j]))
+
     def run(self) -> None:
-        """Primal simplex with Bland's rule, to optimality."""
-        ncols = len(self.rows[0]) - 1
+        """Primal simplex to optimality: Dantzig's rule, and Bland's rule
+        after a degenerate pivot until the next nondegenerate one."""
+        degenerate = False
         while True:
-            z = self.rows[-1]
-            entering = None
-            for j in range(ncols):
-                if z[j] < 0:
-                    entering = j
-                    break
+            entering = self._choose_column(degenerate)
             if entering is None:
                 return
             leaving = self._choose_row(entering)
             if leaving is None:
-                raise InvariantViolation(f"LP unbounded along column {entering}")
+                raise InvariantViolation(
+                    f"LP unbounded along variable {self.cols[entering]}"
+                )
+            degenerate = self.rows[leaving][-1] == 0
             self.pivot(leaving, entering)
 
     def certify(
@@ -172,9 +208,10 @@ class _Tableau:
         """The basic point and its value, proved optimal.
 
         x_j = v_j / den for the basic values v_j, and the duals are
-        y_r = z_r * s_r / (den * scale).  Multiplied through by den (and
-        scale), x >= 0, A x <= b, y >= 0, y^T A >= c and b.y = c.x are
-        checks on the integer rows, v and z.
+        y_r = z_r * s_r / (den * scale), z_r the objective row's entry in
+        the column of row r's slack, or 0 if that slack is basic.
+        Multiplied through by den (and scale), x >= 0, A x <= b, y >= 0,
+        y^T A >= c and b.y = c.x are checks on the integer rows, v and z.
         """
         den = self.den
         nvars = self.nvars
@@ -184,7 +221,10 @@ class _Tableau:
                 v[b] = self.rows[i][-1]
         if any(x < 0 for x in v):
             raise InvariantViolation("solver produced a negative variable")
-        duals = self.rows[-1][nvars:-1]
+        duals = [0] * self.m
+        for j, b in enumerate(self.cols):
+            if b >= nvars:
+                duals[b - nvars] = self.rows[-1][j]
         if any(y < 0 for y in duals):
             raise InvariantViolation("dual certificate has a negative multiplier")
         lhs = [0] * nvars

@@ -92,7 +92,12 @@ def write_instance(dist: ValueDistribution, path) -> None:
 
 def taker_fraction(dist: ValueDistribution, binary) -> Fraction:
     """v_g / v_t: the posterior mass an equal-revenue binary puts on its
-    taker; the giver holds the rest."""
+    taker; the giver holds the rest.
+
+    This restates `splitmatch.binary_posterior` on purpose: the greedy's
+    invariant check and `reference_smooth` use it as references written
+    independently of the code they check.  Other tests read
+    `binary_posterior`."""
     return dist.values[binary.giver] / dist.values[binary.taker]
 
 

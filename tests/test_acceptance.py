@@ -34,6 +34,7 @@ from fairsignal.oracles import (
 from fairsignal.splitmatch import (
     BinarySignalEntry,
     SingletonEntry,
+    binary_posterior,
     split_and_match,
     truncated_upper_bound,
 )
@@ -48,7 +49,6 @@ from fairsignal.steps import (
 from conftest import (
     adversary_witnesses,
     max_min_surplus_lp,
-    taker_fraction,
     universal_raw_masses,
 )
 
@@ -129,7 +129,7 @@ def test_c03_split_match_trace(fig3_instance):
     scheme = split_and_match(fig3_instance)
     first = scheme.binaries[0]
     ok = (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
-    ok &= 1 - taker_fraction(fig3_instance, first) == F(1, 2)
+    ok &= binary_posterior(fig3_instance, 0, 1) == ((0, F(1, 2)), (1, F(1, 2)))
     ok &= scheme.binaries == (
         BinarySignalEntry(0, 1, F(1, 10)),
         BinarySignalEntry(1, 2, F(9, 40)),

@@ -144,6 +144,194 @@ def test_warm_start_matches_vertex_enumeration(program):
             assert result.value == brute_force_2d(second)
 
 
+def brute_force_3d(lp: LinearProgram) -> Fraction:
+    """Optimal value by enumerating the vertices of every triple of planes."""
+    rows = [tuple(F(-(i == j)) for j in range(3)) + (F(0),) for i in range(3)]  # x >= 0
+    rows += [tuple(c) + (r,) for c, r in lp.constraints]
+
+    def det(m):
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+
+    best = None
+    for planes in itertools.combinations(rows, 3):
+        d = det([p[:3] for p in planes])
+        if d == 0:
+            continue
+        # Cramer's rule: replace column k by the right-hand sides
+        x = [
+            det([p[:k] + (p[3],) + p[k + 1 : 3] for p in planes]) / d
+            for k in range(3)
+        ]
+        if all(sum(a * v for a, v in zip(row, x)) <= row[3] for row in rows):
+            val = sum(c * v for c, v in zip(lp.objective, x))
+            if best is None or val > best:
+                best = val
+    return best
+
+
+def random_ints(rng: random.Random, k: int, lo: int, hi: int) -> tuple[Fraction, ...]:
+    return tuple(F(rng.randint(lo, hi)) for _ in range(k))
+
+
+def bounded_program_3d(rng: random.Random) -> LinearProgram:
+    lp = LinearProgram(objective=random_ints(rng, 3, -4, 6))
+    box = F(rng.randint(2, 9))
+    for j in range(3):
+        lp.add(tuple(F(i == j) for i in range(3)), box)
+    for _ in range(rng.randint(0, 4)):
+        lp.add(random_ints(rng, 3, -3, 4), F(rng.randint(0, 8)))
+    return lp
+
+
+def homogeneous_program_nd(rng: random.Random, k: int = 3) -> LinearProgram:
+    """"<= 0" rows through the origin, which make degenerate vertices, in a
+    k-dimensional box, sometimes with a random row that holds at the origin."""
+    lp = LinearProgram(objective=random_ints(rng, k, -4, 6))
+    box = F(rng.randint(2, 9))
+    for j in range(k):
+        lp.add(tuple(F(i == j) for i in range(k)), box)
+    for _ in range(rng.randint(1, k + 1)):
+        lp.add(random_ints(rng, k, -3, 4), F(0))
+    if rng.random() < 0.5:
+        lp.add(random_ints(rng, k, -3, 4), F(rng.randint(0, 8)))
+    return lp
+
+
+@pytest.mark.parametrize("program", [bounded_program_3d, homogeneous_program_nd])
+def test_three_variables_match_vertex_enumeration(program):
+    """Beyond two variables: cold solves, then a warm chain of objectives
+    with fractional coefficients over the same rows."""
+    rng = random.Random(149)
+    for _ in range(60):
+        first = program(rng)
+        result = solve_lp(first)
+        assert result.value == brute_force_3d(first)
+        for _ in range(3):
+            objective = tuple(c / rng.randint(1, 3) for c in random_ints(rng, 3, -4, 6))
+            second = LinearProgram(objective, first.constraints)
+            result = solve_lp(second, start=result)
+            assert result.value == brute_force_3d(second)
+
+
+def tableau_state(result: LPResult) -> tuple:
+    tab = result._tableau
+    return [list(row) for row in tab.rows], list(tab.basis), list(tab.cols), tab.den
+
+
+@pytest.mark.parametrize("program", [bounded_program_3d, homogeneous_program_nd])
+def test_one_start_serves_two_objectives_in_either_order(program):
+    """Warm solves from one start agree with cold solves, give the same
+    answer whichever objective goes first, and leave the start intact."""
+    rng = random.Random(151)
+    for _ in range(40):
+        lp = program(rng)
+        start = solve_lp(lp)
+        before = tableau_state(start)
+        seconds = [
+            LinearProgram(random_ints(rng, 3, -4, 6), lp.constraints) for _ in range(2)
+        ]
+        forward = [solve_lp(second, start=start) for second in seconds]
+        backward = [solve_lp(second, start=start) for second in reversed(seconds)]
+        assert tableau_state(start) == before
+        for second, a, b in zip(seconds, forward, reversed(backward)):
+            assert a.value == b.value == solve_lp(second).value
+            assert a.point == b.point
+
+
+def capped_pivots(monkeypatch, cap: int) -> list:
+    """Record each pivot as (objective row, column labels, pivot row's
+    right-hand side, entering column), and fail past ``cap`` pivots."""
+    pivot = lp_module._Tableau.pivot
+    record = []
+
+    def recording_pivot(tab, r, c):
+        record.append((list(tab.rows[-1]), list(tab.cols), tab.rows[r][-1], c))
+        if len(record) > cap:
+            raise AssertionError(f"more than {cap} pivots: cycling?")
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", recording_pivot)
+    return record
+
+
+@pytest.mark.parametrize(
+    "objective, rows, value",
+    [
+        # Beale (1955)
+        (
+            (F(3, 4), F(-20), F(1, 2), F(-6)),
+            [
+                ((F(1, 4), F(-8), F(-1), F(9)), F(0)),
+                ((F(1, 2), F(-12), F(-1, 2), F(3)), F(0)),
+                ((F(0), F(0), F(1), F(0)), F(1)),
+            ],
+            F(5, 4),
+        ),
+        # Chvatal, Linear Programming (1983), section 3
+        (
+            (F(10), F(-57), F(-9), F(-24)),
+            [
+                ((F(1, 2), F(-11, 2), F(-5, 2), F(9)), F(0)),
+                ((F(1, 2), F(-3, 2), F(-1, 2), F(1)), F(0)),
+                ((F(1), F(0), F(0), F(0)), F(1)),
+            ],
+            F(1),
+        ),
+    ],
+    ids=["beale", "chvatal"],
+)
+def test_textbook_cycling_examples(monkeypatch, objective, rows, value):
+    """Programs on which the textbook largest-coefficient rule cycles.  Here
+    the integer rows are scaled, so Dantzig's rule alone does not cycle on
+    them either; `test_pivot_rule` is what guards the fallback."""
+    capped_pivots(monkeypatch, 20)
+    assert solve_lp(LinearProgram(objective, rows)).value == value
+
+
+def tied_program() -> LinearProgram:
+    """max x + y + z over a unit box cut by 2x - y <= 1: its third pivot
+    chooses between z and the first row's slack, tied at the lowest reduced
+    cost, with the slack's column first."""
+    lp = LinearProgram(objective=(F(1), F(1), F(1)))
+    lp.add((F(2), F(-1), F(0)), F(1))
+    lp.add((F(0), F(-1), F(0)), F(2))
+    for j in range(3):
+        lp.add(tuple(F(i == j) for i in range(3)), F(1))
+    return lp
+
+
+def test_pivot_rule(monkeypatch):
+    """Each entering column is the most negative reduced cost, ties to the
+    lowest label, unless the pivot before was degenerate; then it is the
+    lowest-labelled negative one (Bland's rule).  The programs must include
+    pivots where the two rules disagree, where the lowest label is not the
+    first column, and a tie where it is not.  Dantzig's rule alone does not
+    cycle on the textbook examples, so this test, not they, guards the
+    fallback."""
+    record = capped_pivots(monkeypatch, 200)
+    rng = random.Random(157)
+    seen = {"rules differ": 0, "labels differ": 0, "tie": 0}
+    for lp in [tied_program()] + [homogeneous_program_nd(rng, 5) for _ in range(80)]:
+        del record[:]
+        solve_lp(lp)
+        for k, (z, cols, _, entering) in enumerate(record):
+            negative = [j for j in range(len(cols)) if z[j] < 0]
+            dantzig = min(negative, key=lambda j: (z[j], cols[j]))
+            bland = min(negative, key=lambda j: cols[j])
+            if k and record[k - 1][2] == 0:
+                assert entering == bland
+                seen["rules differ"] += dantzig != bland
+                seen["labels differ"] += min(negative) != bland
+            else:
+                assert entering == dantzig
+                seen["tie"] += min(negative, key=lambda j: z[j]) != dantzig
+    assert all(seen.values()), seen
+
+
 def test_start_from_other_rows_is_refused():
     rng = random.Random(139)
     lp = bounded_program(rng)

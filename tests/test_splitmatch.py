@@ -66,7 +66,7 @@ class TestFiveValueInstance:
         scheme = split_and_match(fig3_instance)
         first = scheme.binaries[0]
         assert (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
-        assert taker_fraction(fig3_instance, first) == F(1, 2)
+        assert binary_posterior(fig3_instance, 0, 1) == ((0, F(1, 2)), (1, F(1, 2)))
         signal, weight = scheme.to_signaling_scheme().entries[0]
         assert (signal.support, weight) == (((0, F(1, 2)), (1, F(1, 2))), F(1, 10))
 
