@@ -19,13 +19,27 @@ and column c updates every other row by the Bareiss formula, then puts the
 leaving variable's column where the entering one was: -f in a row whose
 column-c entry was f, and the old den in row r.
 
-Pricing is Dantzig's rule: the most negative reduced cost enters, ties to
-the lowest label.  After a degenerate pivot (the leaving row's right-hand
-side is 0) Bland's rule takes over, the lowest-labelled negative column,
-until the next nondegenerate pivot.  The ratio test breaks ties on the
-lowest basis label throughout.  This terminates: Bland's rule cannot cycle
-from any basis, so every degenerate stretch ends, and every nondegenerate
-pivot strictly raises the objective, so no basis recurs after one.
+Units.  Scaling each row by the lcm of its denominators leaves common
+factors in the columns: in the canonical LPs, the prior's mass
+denominator D sits in every mass column.  Each structural column j is
+therefore divided by the gcd g_j of its integer entries, so the tableau
+measures variable j in units of 1/g_j.  Every solve, cold or warm,
+divides c_j by the same g_j, and the point comes back in the caller's
+units, x_j = v_j / (den * g_j) for the basic value v_j.  Bareiss's
+integers are minors of the integer rows, so a factor left in a column
+would lengthen the integers of every pivot.
+
+Pricing is the largest-improvement rule: among the negative reduced costs
+z_j, the column whose own ratio test gives the largest gain
+-z_j * rhs_r / a_rj enters, gains compared by integer cross-multiplication
+and tied ones to the lowest label.  The gain is the rise in the objective,
+so unlike Dantzig's most negative z_j it does not depend on a column's
+units.  After a degenerate pivot (the leaving row's right-hand side is 0)
+Bland's rule takes over, the lowest-labelled negative column, until the
+next nondegenerate pivot.  The ratio test breaks ties on the lowest basis
+label throughout.  This terminates: Bland's rule cannot cycle from any
+basis, so every degenerate stretch ends, and every nondegenerate pivot
+strictly raises the objective, so no basis recurs after one.
 
 Warm start.  ``solve_lp(lp, start=previous)`` continues from the final
 basis of a previous solve over the same rows, with a new objective (the
@@ -38,7 +52,9 @@ result can start any number of solves.  A cold solve is the same path from
 the slack basis.
 
 Every answer is proved, cold or warm, against the integer rows built once
-from the constraints.  The point is re-checked against every row and sign
+from the constraints, in the tableau's units: dividing column j and c_j by
+g_j keeps every dual feasible at the same value, so the same duals prove
+the caller's program.  The point is re-checked against every row and sign
 restriction, and the final objective row gives the duals: y_r = z_r * s_r /
 (den * s_c) if row r's slack is nonbasic with entry z_r, and 0 if it is
 basic, with s_r a row's and s_c the objective's integer scale.  y >= 0,
@@ -109,15 +125,20 @@ class _Tableau:
         nvars = lp.n_vars
         self.constraints = tuple(lp.constraints)
         self.nvars = nvars
-        # the integer rows, sparse, for the certificate
-        self.program: list[tuple[list[tuple[int, int]], int]] = []
         rows = []
         for r, (coeffs, rhs) in enumerate(lp.constraints):
             row, int_rhs, _ = _integer_row(coeffs, rhs)
             if int_rhs < 0:
                 raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
-            self.program.append(([(j, a) for j, a in enumerate(row) if a], int_rhs))
             rows.append(row + [int_rhs])
+        # variable j is measured in units of 1/units[j]: its column's gcd
+        self.units = [math.gcd(*(row[j] for row in rows)) or 1 for j in range(nvars)]
+        for row in rows:
+            row[:nvars] = [a // g for a, g in zip(row, self.units)]
+        # the integer rows, sparse, for the certificate
+        self.program = [
+            ([(j, a) for j, a in enumerate(row[:-1]) if a], row[-1]) for row in rows
+        ]
         self.rows = rows + [[0] * (nvars + 1)]  # then the objective row
         self.cols = list(range(nvars))
         self.basis = list(range(nvars, nvars + len(rows)))
@@ -175,30 +196,39 @@ class _Tableau:
                 best, best_num, best_den = i, rhs, a
         return best
 
-    def _choose_column(self, bland: bool) -> Optional[int]:
-        """The most negative reduced cost, ties to the lowest label; with
-        ``bland``, the lowest-labelled negative one (Bland's rule)."""
+    def _choose_pivot(self, bland: bool) -> Optional[tuple[int, int]]:
+        """(row, column) of the next pivot, or None at an optimum.
+
+        The entering column is the negative reduced cost whose own ratio
+        test gives the largest gain -z_j * rhs_r / a_rj, ties to the lowest
+        label; with ``bland``, the lowest-labelled negative one (Bland's
+        rule).  Columns are visited in label order, so a strict comparison
+        keeps the lowest label on a tie.
+        """
         z = self.rows[-1]
-        negative = [j for j in range(len(self.cols)) if z[j] < 0]
-        if not negative:
-            return None
-        if bland:
-            return min(negative, key=lambda j: self.cols[j])
-        return min(negative, key=lambda j: (z[j], self.cols[j]))
+        negative = sorted((b, j) for j, b in enumerate(self.cols) if z[j] < 0)
+        best = None
+        best_num, best_a = -1, 1
+        for b, j in negative:
+            r = self._choose_row(j)
+            if r is None:
+                raise InvariantViolation(f"LP unbounded along variable {b}")
+            if bland:
+                return r, j
+            num, a = -z[j] * self.rows[r][-1], self.rows[r][j]
+            if num * best_a > best_num * a:
+                best, best_num, best_a = (r, j), num, a
+        return best
 
     def run(self) -> None:
-        """Primal simplex to optimality: Dantzig's rule, and Bland's rule
-        after a degenerate pivot until the next nondegenerate one."""
+        """Primal simplex to optimality: the largest-gain rule, and Bland's
+        rule after a degenerate pivot until the next nondegenerate one."""
         degenerate = False
         while True:
-            entering = self._choose_column(degenerate)
-            if entering is None:
+            chosen = self._choose_pivot(degenerate)
+            if chosen is None:
                 return
-            leaving = self._choose_row(entering)
-            if leaving is None:
-                raise InvariantViolation(
-                    f"LP unbounded along variable {self.cols[entering]}"
-                )
+            leaving, entering = chosen
             degenerate = self.rows[leaving][-1] == 0
             self.pivot(leaving, entering)
 
@@ -207,9 +237,10 @@ class _Tableau:
     ) -> tuple[tuple[Fraction, ...], Fraction]:
         """The basic point and its value, proved optimal.
 
-        x_j = v_j / den for the basic values v_j, and the duals are
-        y_r = z_r * s_r / (den * scale), z_r the objective row's entry in
-        the column of row r's slack, or 0 if that slack is basic.
+        x_j = v_j / (den * g_j) for the basic values v_j and the column
+        units g_j, and the duals are y_r = z_r * s_r / (den * scale), z_r
+        the objective row's entry in the column of row r's slack, or 0 if
+        that slack is basic.
         Multiplied through by den (and scale), x >= 0, A x <= b, y >= 0,
         y^T A >= c and b.y = c.x are checks on the integer rows, v and z.
         """
@@ -245,7 +276,8 @@ class _Tableau:
                 f"dual value {Fraction(by, den * scale)} differs from "
                 f"primal value {Fraction(cx, den * scale)}"
             )
-        return tuple(Fraction(x, den) for x in v), Fraction(cx, den * scale)
+        point = tuple(Fraction(x, den * g) for x, g in zip(v, self.units))
+        return point, Fraction(cx, den * scale)
 
 
 def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
@@ -266,7 +298,9 @@ def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
         ):
             raise ValueError("start was not solved over this program's constraints")
         tab = tab.copy()
-    objective, _, scale = _integer_row(lp.objective, Fraction(0))
+    objective, _, scale = _integer_row(
+        [c / g for c, g in zip(lp.objective, tab.units)], Fraction(0)
+    )
     tab.price(objective)
     tab.run()
     point, value = tab.certify(objective, scale)

@@ -42,7 +42,7 @@ DEFAULT_MAX_N = 8
 # 10**MAX_PARAMETER_EXPONENT.  The reports print integers about 4x as long
 # as the parameter's, and the universal family's adversary LPs slow down
 # with epsilon's length: on a 2-vCPU VM, `lowerbound universal` takes about
-# 0.65 s at 10**-1000, and its sweep about 5 s at 10**-3000.
+# 0.23 s at 10**-1000, and its sweep about 1.4 s at 10**-3000.
 MAX_PARAMETER_EXPONENT = 1000
 
 
@@ -112,7 +112,7 @@ def adversary_sorted_prefix(
     Only lambda's objective coefficient depends on m, so the rows are built
     once and each mass is solved from the previous mass's optimal basis
     (`solve_lp`'s ``start``); on an ascending grid consecutive optima lie
-    few pivots apart, about 4 per mass on the certify-small benchmark.
+    few pivots apart, about 3 per mass on the certify-small benchmark.
     Only the values are returned: every optimal point is proved feasible
     by `solve_lp`'s certificate, so the canonical scheme it describes is
     Bayes plausible by construction.

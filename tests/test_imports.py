@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, reads no
 private name of another package module and no private `fractions` API,
 every function, class and method it defines is reached from outside
-tests, and every dataclass field it declares is read outside tests.
+tests, and every dataclass field it declares is read outside tests; the
+exact modules, `lp` and `oracles`, use no float.
 
 No linter is a dependency, so these stdlib checks stand in for one.
 ``__init__.py`` is exempt from the first and the last: its imports are
@@ -156,6 +157,50 @@ def test_the_check_sees_private_fraction_api():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_no_private_fraction_api(path):
     assert private_fraction_uses(path.read_text(encoding="utf-8")) == []
+
+
+# The exact modules: every number they report is a rational, never a float.
+EXACT = ("lp.py", "oracles.py")
+FLOAT_MATH = ("inf", "log", "isclose")
+
+
+def float_uses(source: str) -> list[str]:
+    """Each float in ``source``: a float literal, a ``float(`` call, and
+    ``math.inf``, ``math.log`` or ``math.isclose``, read or imported."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "float":
+            out.append((node.lineno, "float("))
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH:
+            if getattr(node.value, "id", "") == "math":
+                out.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = [alias.name for alias in node.names if alias.name in FLOAT_MATH]
+            out += [(node.lineno, f"math.{name}") for name in names]
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+def test_the_check_sees_a_float():
+    source = (
+        "import math\nfrom math import gcd, isclose\n"
+        "a = float(1) + 0.5 + 1e3 + math.inf\nb = math.lcm(2, 3) + gcd(4, 6)\n"
+        "c = math.log(a) > 10**3 and isclose(a, b)\n"
+    )
+    assert float_uses(source) == [
+        "math.isclose (line 2)",
+        "0.5 (line 3)",
+        "1000.0 (line 3)",
+        "float( (line 3)",
+        "math.inf (line 3)",
+        "math.log (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_module_uses_no_float(name):
+    assert float_uses((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 def definitions(module: str, tree: ast.Module) -> list[tuple[str, ast.AST, bool]]:

@@ -242,14 +242,49 @@ def test_one_start_serves_two_objectives_in_either_order(program):
             assert a.point == b.point
 
 
+@pytest.mark.parametrize("k", [3**40, F(1, 7**25)], ids=["large", "small"])
+@pytest.mark.parametrize("program", [bounded_program_3d, homogeneous_program_nd])
+def test_a_column_in_other_units(program, k):
+    """Multiplying one column, its coefficients and its objective entry, by
+    k measures that variable in units of 1/k: the value stays, the
+    variable's coordinate is divided by k and the others stay, cold and
+    warm-started with a new objective.  The solver divides each column by
+    the gcd of its integer entries, so this checks that the point comes
+    back in the caller's units, and that an integer k leaves the tableau's
+    integers as they were."""
+    rng = random.Random(163)
+
+    def rescaled(lp, j):
+        def times(coeffs):
+            return tuple(a * k if i == j else a for i, a in enumerate(coeffs))
+
+        return LinearProgram(times(lp.objective), [(times(c), r) for c, r in lp.constraints])
+
+    for _ in range(30):
+        lp = program(rng)
+        second = LinearProgram(random_ints(rng, 3, -4, 6), lp.constraints)
+        j = rng.randrange(3)
+        cold, scaled_cold = solve_lp(lp), solve_lp(rescaled(lp, j))
+        warm = solve_lp(second, start=cold)
+        scaled_warm = solve_lp(rescaled(second, j), start=scaled_cold)
+        for result, scaled in [(cold, scaled_cold), (warm, scaled_warm)]:
+            assert scaled.value == result.value
+            assert scaled.point == tuple(x / k if i == j else x for i, x in enumerate(result.point))
+            if isinstance(k, int):
+                # no row's scale changes, so the column's gcd takes all of k
+                assert tableau_state(scaled) == tableau_state(result)
+
+
 def capped_pivots(monkeypatch, cap: int) -> list:
-    """Record each pivot as (objective row, column labels, pivot row's
-    right-hand side, entering column), and fail past ``cap`` pivots."""
+    """Record each pivot as (rows, column labels, basis labels, pivot row,
+    entering column), taken before the pivot, and fail past ``cap`` pivots.
+    The rows hold every candidate column's entries and the right-hand
+    sides, enough to redo each candidate's ratio test."""
     pivot = lp_module._Tableau.pivot
     record = []
 
     def recording_pivot(tab, r, c):
-        record.append((list(tab.rows[-1]), list(tab.cols), tab.rows[r][-1], c))
+        record.append(([list(row) for row in tab.rows], list(tab.cols), list(tab.basis), r, c))
         if len(record) > cap:
             raise AssertionError(f"more than {cap} pivots: cycling?")
         pivot(tab, r, c)
@@ -293,42 +328,69 @@ def test_textbook_cycling_examples(monkeypatch, objective, rows, value):
 
 
 def tied_program() -> LinearProgram:
-    """max x + y + z over a unit box cut by 2x - y <= 1: its third pivot
-    chooses between z and the first row's slack, tied at the lowest reduced
-    cost, with the slack's column first."""
-    lp = LinearProgram(objective=(F(1), F(1), F(1)))
-    lp.add((F(2), F(-1), F(0)), F(1))
-    lp.add((F(0), F(-1), F(0)), F(2))
-    for j in range(3):
-        lp.add(tuple(F(i == j) for i in range(3)), F(1))
+    """max 2x + y + z over x - z <= 1, -x + 2y <= 1 and the box x, z <= 2,
+    y <= 1.  x enters (gain 2, tied with z), then z (gain 3); the third
+    pivot chooses between y and the first row's slack, both of gain 1,
+    with the slack's column first."""
+    lp = LinearProgram(objective=(F(2), F(1), F(1)))
+    lp.add((F(1), F(0), F(-1)), F(1))
+    lp.add((F(-1), F(2), F(0)), F(1))
+    for j, bound in enumerate((2, 1, 2)):
+        lp.add(tuple(F(i == j) for i in range(3)), F(bound))
     return lp
 
 
+def ratio_test(rows, basis, j) -> tuple[Fraction, int]:
+    """Column j's step rhs_r / a_rj and leaving row r: the least ratio over
+    rows with a positive entry, ties to the lowest basis label."""
+    candidates = [
+        (F(row[-1], row[j]), basis[i], i) for i, row in enumerate(rows[:-1]) if row[j] > 0
+    ]
+    step, _, r = min(candidates)
+    return step, r
+
+
 def test_pivot_rule(monkeypatch):
-    """Each entering column is the most negative reduced cost, ties to the
-    lowest label, unless the pivot before was degenerate; then it is the
-    lowest-labelled negative one (Bland's rule).  The programs must include
-    pivots where the two rules disagree, where the lowest label is not the
-    first column, and a tie where it is not.  Dantzig's rule alone does not
-    cycle on the textbook examples, so this test, not they, guards the
-    fallback."""
+    """Each entering column is the negative reduced cost whose own ratio
+    test gives the largest gain -z_j * rhs_r / a_rj, ties to the lowest
+    label, unless the pivot before was degenerate; then it is the
+    lowest-labelled negative one (Bland's rule).  The leaving row is the
+    ratio test's, ties to the lowest basis label.  Gains are recomputed in
+    `Fraction`s from the recorded rows.  The programs must include pivots
+    where the largest gain is not Dantzig's most negative reduced cost, nor
+    Bland's lowest label; pivots after a degenerate one where Bland's
+    choice is not the largest gain, and where the lowest label is not the
+    first column; and a positive gain tie broken by label, not by
+    position.  The largest-gain rule alone does not cycle on the textbook
+    examples either, so this test, not they, guards the fallback."""
     record = capped_pivots(monkeypatch, 200)
     rng = random.Random(157)
-    seen = {"rules differ": 0, "labels differ": 0, "tie": 0}
+    seen = dict.fromkeys(
+        ["gain not Dantzig", "gain not Bland", "Bland not gain", "labels differ", "tie"], 0
+    )
     for lp in [tied_program()] + [homogeneous_program_nd(rng, 5) for _ in range(80)]:
         del record[:]
         solve_lp(lp)
-        for k, (z, cols, _, entering) in enumerate(record):
+        degenerate = False
+        for rows, cols, basis, leaving, entering in record:
+            z = rows[-1]
             negative = [j for j in range(len(cols)) if z[j] < 0]
+            gain = {j: -z[j] * ratio_test(rows, basis, j)[0] for j in negative}
+            largest = min(negative, key=lambda j: (-gain[j], cols[j]))
             dantzig = min(negative, key=lambda j: (z[j], cols[j]))
             bland = min(negative, key=lambda j: cols[j])
-            if k and record[k - 1][2] == 0:
+            if degenerate:
                 assert entering == bland
-                seen["rules differ"] += dantzig != bland
+                seen["Bland not gain"] += bland != largest
                 seen["labels differ"] += min(negative) != bland
             else:
-                assert entering == dantzig
-                seen["tie"] += min(negative, key=lambda j: z[j]) != dantzig
+                assert entering == largest
+                seen["gain not Dantzig"] += largest != dantzig
+                seen["gain not Bland"] += largest != bland
+                tie = min(negative, key=lambda j: -gain[j]) != largest
+                seen["tie"] += tie and gain[largest] > 0
+            assert leaving == ratio_test(rows, basis, entering)[1]
+            degenerate = rows[leaving][-1] == 0
     assert all(seen.values()), seen
 
 

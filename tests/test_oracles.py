@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairsignal import lp as lp_module
 from fairsignal import oracles
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.lp import LinearProgram, LPResult, solve_lp
@@ -489,6 +490,32 @@ def test_sweep_matches_cold_solves(dist, monkeypatch):
     assert [lp.objective[-1] for lp in captured] == masses
     for lp, value in zip(captured, sweep):
         assert solve_lp(lp).value == value
+
+
+# The pivot count of the sweeps in `test_sweep_pivots_stay_pinned`, as
+# measured under the largest-gain rule.
+SWEEP_PIVOTS = 430
+
+
+def test_sweep_pivots_stay_pinned(monkeypatch):
+    """The adversary sweeps over every reference instance's certification
+    masses take at most SWEEP_PIVOTS pivots in all, so a change that costs
+    pivots shows here, not only as time.  A change that raises the count on
+    purpose updates the pin and says so in CHANGES.md; one that lowers it
+    lowers the pin."""
+    pivots = 0
+    pivot = lp_module._Tableau.pivot
+
+    def counting(tab, r, c):
+        nonlocal pivots
+        pivots += 1
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", counting)
+    for param in reference_instances():
+        (dist,) = param.values
+        adversary_sorted_prefix(dist, certification_masses(dist))
+    assert pivots <= SWEEP_PIVOTS
 
 
 @pytest.mark.parametrize("name", ["running_example", "fig3_instance"])
