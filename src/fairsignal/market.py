@@ -355,8 +355,21 @@ class SignalingScheme:
         for i, ((un, ud), f) in enumerate(zip(unused, dist.masses)):
             if un:
                 raise PlausibilityError(i, f, f - Fraction(un, ud))
+        self._set_surpluses_and_revenue(unsold, surpluses)
+
+    @classmethod
+    def efficient(cls, dist: ValueDistribution, entries, surpluses) -> "SignalingScheme":
+        """Entries their maker summed to the prior and to ``surpluses`` through `class_sums`,
+        each sold at its lowest support so that no class is unsold; none is summed again."""
+        scheme = object.__new__(cls)
+        object.__setattr__(scheme, "dist", dist)
+        object.__setattr__(scheme, "entries", entries)
+        scheme._set_surpluses_and_revenue([(0, 1)] * dist.n, surpluses)
+        return scheme
+
+    def _set_surpluses_and_revenue(self, unsold, surpluses) -> None:
         revenue = (0, 1)  # see scheme_revenue
-        for v, f, (un, ud), s in zip(dist.values, dist.masses, unsold, surpluses):
+        for v, f, (un, ud), s in zip(self.dist.values, self.dist.masses, unsold, surpluses):
             sold = pair_sum(f.numerator, f.denominator, -un, ud)
             kept = pair_product(f.numerator, f.denominator, s.numerator, s.denominator)
             revenue = pair_sum(*revenue, *pair_product(v.numerator, v.denominator, *sold))

@@ -7,7 +7,7 @@ binary signal (posterior `binary_posterior`) that exhausts at least one of
 the two budgets; the prior mass the binaries leave unused becomes
 singletons.  Every buyer pays the lowest value in their signal, so the
 item always sells.  A `DecomposedScheme` is built from its binaries alone
-and accounts for itself through `market.class_sums`.
+and accounts for itself once, through `market.class_sums`.
 """
 
 from __future__ import annotations
@@ -100,13 +100,16 @@ class DecomposedScheme:
         object.__setattr__(self, "surpluses", surpluses)
 
     def to_signaling_scheme(self) -> SignalingScheme:
+        """Its signals with the stage's own sums, which price each binary at its giver."""
         entries = []
         for b in self.binaries:
             signal = Signal(self.dist, binary_posterior(self.dist, b.giver, b.taker))
+            if signal.optimal_price_index != b.giver:
+                raise InvariantViolation(f"{b} is not priced at its giver value")
             entries.append((signal, b.weight))
         for s in self.singletons:
             entries.append((Signal.singleton(self.dist, s.index), s.weight))
-        return SignalingScheme(self.dist, tuple(entries))
+        return SignalingScheme.efficient(self.dist, tuple(entries), self.surpluses)
 
 
 def split_and_match(dist: ValueDistribution) -> DecomposedScheme:

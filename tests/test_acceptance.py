@@ -18,6 +18,7 @@ from fairsignal.cli import certify
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import (
     PlausibilityError,
+    SignalingScheme,
     buyer_optimal_scheme,
     is_efficient,
     is_monotone,
@@ -172,10 +173,11 @@ def test_c05_pipeline_identity(corpus, pipelines):
         final = pipe.final.surpluses
         if any(2 * cs != s for cs, s in zip(final, pipe.ironed.ironed_values)):
             violations += 1
-        # every stage's mixture must equal the prior exactly
+        # every stage's mixture must equal the prior exactly; the checked
+        # constructor sums it, as the stage's own hand-over does not
         for stage in (pipe.base, pipe.smoothed, pipe.final):
             try:
-                stage.to_signaling_scheme()
+                SignalingScheme(stage.dist, stage.to_signaling_scheme().entries)
             except PlausibilityError:
                 violations += 1
         scheme = pipe.final.to_signaling_scheme()

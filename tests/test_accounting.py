@@ -159,11 +159,16 @@ def _derived(stage: DecomposedScheme):
 
 
 def check_pipeline(dist: ValueDistribution) -> None:
-    """Every stage of the pipeline and its signaling form match the oracles."""
+    """Every stage of the pipeline and its signaling form match the oracles,
+    and the sums a stage hands its signaling form are the checked
+    constructor's."""
     result = monotone_fair_scheme(dist)
     for stage in (result.base, result.smoothed, result.final):
         check_decomposed(dist, stage.binaries)
-        check_signaling(dist, stage.to_signaling_scheme().entries)
+        handed = stage.to_signaling_scheme()
+        checked = SignalingScheme(dist, handed.entries)
+        assert (handed.entries, *_accounted(handed)) == (checked.entries, *_accounted(checked))
+        check_signaling(dist, handed.entries)
 
 
 def random_rows(rng: random.Random, dist: ValueDistribution):

@@ -438,19 +438,22 @@ class TestVerify:
         owners = (cli, fileio, ironing, oracles, DecomposedScheme)
         before = [dict(vars(owner)) for owner in owners]
         recorder = perfbench_module("tracing").SpanRecorder()
-        recorder.install()
         try:
+            recorder.install()
             wrapped = {
                 (owner.__name__, name)
                 for owner, names in zip(owners, before)
                 for name, value in names.items()
                 if vars(owner)[name] is not value
             }
+        except KeyError as missing:
+            pytest.fail(f"the benchmark's tracer wraps {missing}, which the package lacks")
         finally:
             recorder.uninstall()
         assert {
             ("fairsignal.cli", "adversary_sorted_prefix"),
             ("fairsignal.oracles", "solve_lp"),
+            ("DecomposedScheme", "to_signaling_scheme"),
         } <= wrapped
         assert [dict(vars(owner)) for owner in owners] == before
 
@@ -593,21 +596,55 @@ def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, caps
 
     monkeypatch.setattr(Signal, "__post_init__", counted)
     dist = request.getfixturevalue(instance)
-    path, scheme = str(tmp_path / "instance.json"), str(tmp_path / "final.json")
+    path = str(tmp_path / "instance.json")
     write_instance(dist, path)
     signals = []
-    for argv in (
-        ("build", "--in", path, "--scheme", "final", "--out", scheme),
-        ("verify", "--in", path, "--scheme", scheme, "--require", "efficient,monotone"),
-    ):
-        code, stdout, _ = run_cli(capsys, *argv)
-        assert code == 0
-        signals.append(int(re.search(r"^signals: (\d+)$", stdout, re.M).group(1)))
+    # both kinds that `build` converts from a pipeline stage
+    for kind, require in (("final", "efficient,monotone"), ("splitmatch", "efficient")):
+        scheme = str(tmp_path / f"{kind}.json")
+        for argv in (
+            ("build", "--in", path, "--scheme", kind, "--out", scheme),
+            ("verify", "--in", path, "--scheme", scheme, "--require", require),
+        ):
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == 0
+            signals.append(int(re.search(r"^signals: (\d+)$", stdout, re.M).group(1)))
     # each command also prices the prior once, for its Myerson price
     prior = tuple(enumerate(dist.masses))
     assert [signal.support == prior for signal in priced].count(True) == len(signals)
     assert len(priced) == sum(signals) + len(signals)
     assert len({id(signal) for signal in priced}) == len(priced)
+
+
+@pytest.mark.parametrize("instance", ["running_example", "fig3_instance"])
+def test_each_stage_is_summed_once_per_command(instance, request, tmp_path, capsys, monkeypatch):
+    # build sums each pipeline stage it runs once and hands the output
+    # stage's sums to its scheme; verify sums the scheme it reads, afresh
+    from fairsignal import market, splitmatch
+
+    original, calls = market.class_sums, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(market, "class_sums", counted)
+    monkeypatch.setattr(splitmatch, "class_sums", counted)
+    path = str(tmp_path / "instance.json")
+    write_instance(request.getfixturevalue(instance), path)
+    counts = []
+    for kind in ("final", "splitmatch"):
+        scheme = str(tmp_path / f"{kind}.json")
+        for argv in (
+            ("build", "--in", path, "--scheme", kind, "--out", scheme),
+            ("verify", "--in", path, "--scheme", scheme),
+        ):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            counts.append(len(calls))
+    # final: the base, smoothed and final stages; splitmatch: its one stage
+    assert counts == [3, 1, 1, 1]
 
 
 class TestLowerbound:

@@ -15,6 +15,7 @@ from fairsignal.ironing import (
     smooth,
 )
 from fairsignal.market import (
+    SignalingScheme,
     SurplusProfile,
     ValueDistribution,
     is_efficient,
@@ -321,7 +322,8 @@ class TestSmooth:
                 for i in range(dist.n)
             ):
                 checked += 1
-            smoothed.to_signaling_scheme()  # raises unless the mixture is the prior
+            # the checked constructor raises unless the mixture is the prior
+            SignalingScheme(dist, smoothed.to_signaling_scheme().entries)
         assert checked > 0  # corpus really exercises the lifting branch
 
 

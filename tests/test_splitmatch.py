@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairsignal import splitmatch
 from fairsignal.market import (
     InvariantViolation,
     Signal,
+    SignalingScheme,
     ValueDistribution,
     is_efficient,
     scheme_revenue,
@@ -137,6 +139,19 @@ class TestFromBinaries:
         with pytest.raises(InvariantViolation, match="value index 0 is oversubscribed by 1/4"):
             DecomposedScheme(running_example, [BinarySignalEntry(0, 1, F(1))])
 
+    def test_hand_over_refuses_a_binary_priced_off_its_giver(self, running_example, monkeypatch):
+        # the stage's sums price each binary at its giver, so a posterior
+        # that sells at its taker would hand over wrong surpluses
+        stage = split_and_match(running_example)
+
+        def taker_priced(dist, g, t):
+            ratio = (1 + dist.values[g] / dist.values[t]) / 2
+            return (g, 1 - ratio), (t, ratio)
+
+        monkeypatch.setattr(splitmatch, "binary_posterior", taker_priced)
+        with pytest.raises(InvariantViolation, match="is not priced at its giver value"):
+            stage.to_signaling_scheme()
+
     @pytest.mark.parametrize("derived", ["singletons", "surpluses"])
     def test_derived_fields_cannot_be_passed(self, running_example, derived):
         # a stage is its binaries; what they leave and pay is not an input
@@ -162,7 +177,8 @@ class TestGreedyInvariants:
             # the giver frontier never moves left
             for b0, b1 in zip(scheme.binaries, scheme.binaries[1:]):
                 assert b0.giver <= b1.giver
-            sig = scheme.to_signaling_scheme()  # validates Bayes plausibility
+            # the checked constructor validates Bayes plausibility
+            sig = SignalingScheme(dist, scheme.to_signaling_scheme().entries)
             assert is_efficient(sig)
             # every binary's posterior is revenue-tied between its two supports
             for b, (signal, weight) in zip(scheme.binaries, sig.entries):
