@@ -26,7 +26,7 @@ from .market import (
 from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
-    binary_posterior,
+    binary_shares,
     split_and_match,
 )
 from .steps import profile_step_function
@@ -54,14 +54,20 @@ def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[int]:
     """Indices of the points on the lower convex hull, collinear ones kept.
 
     ``points`` must have strictly increasing abscissae.  The returned
-    indices are exactly the points that lie on the hull.
+    indices are exactly the points that lie on the hull.  The cross
+    products compare integers: each difference is an unreduced pair with a
+    positive denominator, so clearing the denominators keeps the order.
     """
+    pts = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points]
     hull: list[int] = []
-    for k, (x, y) in enumerate(points):
+    for k, (xn, xd, yn, yd) in enumerate(pts):
         while len(hull) >= 2:
-            (x0, y0), (x1, y1) = points[hull[-2]], points[hull[-1]]
-            # pop the middle point only when it lies strictly above the chord
-            if (y1 - y0) * (x - x1) > (y - y1) * (x1 - x0):
+            (xn0, xd0, yn0, yd0), (xn1, xd1, yn1, yd1) = pts[hull[-2]], pts[hull[-1]]
+            # pop the middle point only when it lies strictly above the chord:
+            # (y1 - y0) * (x - x1) > (y - y1) * (x1 - x0)
+            rise0, run0 = yn1 * yd0 - yn0 * yd1, xn1 * xd0 - xn0 * xd1
+            rise1, run1 = yn * yd1 - yn1 * yd, xn * xd1 - xn1 * xd
+            if rise0 * run1 * (yd * xd0) > rise1 * run0 * (yd0 * xd):
                 hull.pop()
             else:
                 break
@@ -216,9 +222,9 @@ def smooth(
             cut[vp] += giver_cut
             for b in by_taker[vp]:
                 # the giver mass freed from b, re-paired with the deficit value
-                (_, freed_share), _ = binary_posterior(dist, b.giver, vp)
-                (_, giver_share), _ = binary_posterior(dist, b.giver, vm)
-                new_weight = b.weight * giver_cut * freed_share / giver_share
+                (fn, fd), _ = binary_shares(dist, b.giver, vp)
+                (gn, gd), _ = binary_shares(dist, b.giver, vm)
+                new_weight = b.weight * giver_cut * Fraction(fn * gd, fd * gn)
                 new_binaries.append(BinarySignalEntry(b.giver, vm, new_weight))
     survivors = _reweighted(scheme.binaries, [1 - c for c in cut])
     return DecomposedScheme(dist, survivors + new_binaries)

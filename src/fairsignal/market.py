@@ -8,10 +8,11 @@ ties toward the lowest price.
 
 Every value the module returns is a `Fraction`, but `class_sums`, which
 accounts for the entries (weight, posterior, price index) of every scheme,
-runs on reduced int pairs: `pair_product` and `pair_sum` keep a pair in
-lowest terms by `Fraction`'s own gcd steps, without an object per
-operation.  A `Signal` is priced when built: its price walk compares
-revenues on its posterior scaled to integers over one common denominator.
+takes and sums reduced int pairs: `pair_product` and `pair_sum` keep a
+pair in lowest terms by `Fraction`'s own gcd steps, without an object per
+operation, and `splitmatch`'s greedy runs its budgets on them too.  A
+`Signal` is priced when built: its price walk compares revenues on its
+posterior scaled to integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -291,10 +292,11 @@ def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
     return dist.values[k], dist.values[k] * sum(dist.masses[k:], Fraction(0))
 
 
-def class_sums(dist: ValueDistribution, entries: Iterable[tuple[Fraction, Iterable, int]]):
+def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int], Iterable, int]]):
     """Per-class sums of a scheme's entries ``(w, support, k)``: weight w of
     a posterior whose ``support`` gives each class i its share f, priced at
-    v_k, so class i has mass w * f in the entry.
+    v_k, so class i has mass w * f in the entry.  w and every f are reduced
+    int pairs (numerator, positive denominator).
 
     Returns each class's unused prior mass (f_i less its mass in the
     entries) and unsold mass (k > i) as reduced pairs, and its expected
@@ -307,17 +309,16 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[Fraction, Iterab
     unused = [(f.numerator, f.denominator) for f in dist.masses]
     unsold = [(0, 1)] * dist.n
     gained = [(0, 1)] * dist.n
-    for w, support, k in entries:
-        wn, wd = w.numerator, w.denominator
-        for i, f in support:
-            mn, md = pair_product(wn, wd, f.numerator, f.denominator)
-            unused[i] = pair_sum(*unused[i], -mn, md)
+    for (wn, wd), support, k in entries:
+        for i, (fn, fd) in support:
+            mn, md = pair_product(wn, wd, fn, fd)
+            unused[i] = un = moved = pair_sum(*unused[i], -mn, md)
             if k > i:
-                unsold[i] = pair_sum(*unsold[i], mn, md)
+                unsold[i] = moved = pair_sum(*unsold[i], mn, md)
             elif k < i:
                 gain = pair_sum(vn[i], vd[i], -vn[k], vd[k])
-                gained[i] = pair_sum(*gained[i], *pair_product(mn, md, *gain))
-            if max(unused[i][1], unsold[i][1], gained[i][1]).bit_length() > _MAX_RATIONAL_BITS:
+                gained[i] = moved = pair_sum(*gained[i], *pair_product(mn, md, *gain))
+            if max(un[1], moved[1]).bit_length() > _MAX_RATIONAL_BITS:
                 raise MarketError(DERIVED_TOO_LONG)
     surpluses = tuple(
         Fraction(tn * f.denominator, td * f.numerator)
@@ -350,7 +351,14 @@ class SignalingScheme:
                 raise MarketError("signal belongs to a different distribution")
             if weight <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
-        priced = ((w, s.support, s.optimal_price_index) for s, w in self.entries)
+        priced = (
+            (
+                (w.numerator, w.denominator),
+                [(i, (f.numerator, f.denominator)) for i, f in s.support],
+                s.optimal_price_index,
+            )
+            for s, w in self.entries
+        )
         unused, unsold, surpluses = class_sums(dist, priced)
         for i, ((un, ud), f) in enumerate(zip(unused, dist.masses)):
             if un:
@@ -397,7 +405,11 @@ class SurplusProfile:
                 raise MarketError(f"surpluses must be non-negative, got {cs}")
 
     def total(self) -> Fraction:
-        """Mass-weighted total consumer surplus."""
+        """Mass-weighted total consumer surplus, summed once per profile."""
+        return self._total
+
+    @cached_property
+    def _total(self) -> Fraction:
         return sum(
             (f * cs for f, cs in zip(self.dist.masses, self.surpluses)), Fraction(0)
         )

@@ -3,11 +3,15 @@
 Each value's mass is split into a giver half and a taker half.  The greedy
 pass repeatedly pairs the lowest value with remaining giver budget to the
 lowest higher value with remaining taker budget, emitting an equal-revenue
-binary signal (posterior `binary_posterior`) that exhausts at least one of
-the two budgets; the prior mass the binaries leave unused becomes
-singletons.  Every buyer pays the lowest value in their signal, so the
-item always sells.  A `DecomposedScheme` is built from its binaries alone
-and accounts for itself once, through `market.class_sums`.
+binary signal (shares `binary_shares`) that exhausts at least one of the
+two budgets; the prior mass the binaries leave unused becomes singletons.
+Every buyer pays the lowest value in their signal, so the item always
+sells.  A `DecomposedScheme` is built from its binaries alone and accounts
+for itself once, through `market.class_sums`.
+
+The greedy's budgets and a binary's shares are reduced int pairs, kept in
+lowest terms by `market.pair_product` and `market.pair_sum`; each binary's
+weight is a `Fraction`, reduced once by its constructor.
 """
 
 from __future__ import annotations
@@ -22,14 +26,27 @@ from .market import (
     SignalingScheme,
     ValueDistribution,
     class_sums,
+    pair_product,
+    pair_sum,
 )
+
+
+def binary_shares(
+    dist: ValueDistribution, g: int, t: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Shares of the equal-revenue binary on (v_g, v_t), g < t, as reduced
+    pairs: 1 - v_g/v_t on the giver and v_g/v_t on the taker."""
+    vg, vt = dist.values[g], dist.values[t]
+    rn, rd = pair_product(vg.numerator, vg.denominator, vt.denominator, vt.numerator)
+    return (rd - rn, rd), (rn, rd)
 
 
 def binary_posterior(
     dist: ValueDistribution, g: int, t: int
 ) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
     """Posterior of the equal-revenue binary on (v_g, v_t), g < t: mass
-    1 - v_g/v_t on the giver and v_g/v_t on the taker."""
+    1 - v_g/v_t on the giver and v_g/v_t on the taker, the `binary_shares`
+    as Fractions."""
     ratio = dist.values[g] / dist.values[t]
     return (g, 1 - ratio), (t, ratio)
 
@@ -70,7 +87,7 @@ class DecomposedScheme:
 
     Only the binaries are given, in any sequence, stored as a tuple; the
     rest follows from their `class_sums` entries, one per binary: its
-    weight and `binary_posterior`, priced at v_g.  Value i's singleton
+    weight and `binary_shares`, priced at v_g.  Value i's singleton
     weight is the prior mass the binaries leave unused on i, so the mixture
     matches the prior exactly; a value on which the binaries place more
     than f_i is an invariant violation.
@@ -84,7 +101,12 @@ class DecomposedScheme:
     def __post_init__(self):
         dist = self.dist
         entries = (
-            (b.weight, binary_posterior(dist, b.giver, b.taker), b.giver) for b in self.binaries
+            (
+                (b.weight.numerator, b.weight.denominator),
+                zip((b.giver, b.taker), binary_shares(dist, b.giver, b.taker)),
+                b.giver,
+            )
+            for b in self.binaries
         )
         unused, _, surpluses = class_sums(dist, entries)
         singletons = []
@@ -123,24 +145,34 @@ def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
     in the order the greedy pass emits them, so they are also its ledger.
     """
     # remaining giver and taker budgets, each starting at half the prior mass
-    giver = [f / 2 for f in dist.masses]
+    giver = [pair_product(f.numerator, f.denominator, 1, 2) for f in dist.masses]
     taker = list(giver)
     binaries: list[BinarySignalEntry] = []
     n = dist.n
     s = l = 0
     while True:
-        while s < n and not giver[s] > 0:
+        while s < n and giver[s][0] <= 0:
             s += 1
         l = max(l, s + 1)
-        while l < n and not taker[l] > 0:
+        while l < n and taker[l][0] <= 0:
             l += 1
         if l >= n:
             break
-        (_, giver_share), (_, taker_share) = binary_posterior(dist, s, l)
-        weight = min(giver[s] / giver_share, taker[l] / taker_share)
+        (gn, gd), (tn, td) = giver[s], taker[l]
+        (p, r), (q, _) = binary_shares(dist, s, l)  # p/r on the giver, q/r on the taker
+        # the weight is the smaller of gn/gd / (p/r) and tn/td / (q/r): the
+        # budget that binds is spent exactly, the other loses weight * share
+        if gn * td * q <= tn * gd * p:
+            weight = Fraction(gn * r, gd * p)
+            giver[s] = (0, 1)
+            mn, md = pair_product(weight.numerator, weight.denominator, q, r)
+            taker[l] = pair_sum(tn, td, -mn, md)
+        else:
+            weight = Fraction(tn * r, td * q)
+            taker[l] = (0, 1)
+            mn, md = pair_product(weight.numerator, weight.denominator, p, r)
+            giver[s] = pair_sum(gn, gd, -mn, md)
         binaries.append(BinarySignalEntry(s, l, weight))
-        giver[s] -= weight * giver_share
-        taker[l] -= weight * taker_share
     return DecomposedScheme(dist, binaries)
 
 

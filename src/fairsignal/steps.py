@@ -82,8 +82,17 @@ class StepFunction:
 
 
 def profile_step_function(profile: SurplusProfile) -> StepFunction:
-    """Step function of a surplus profile: segment i spans value i's mass."""
-    return StepFunction(profile.dist.cdf, profile.surpluses)
+    """Step function of a surplus profile: segment i spans value i's mass.
+
+    It is built once per profile and kept on it, so that the profile's grid
+    and its prefix sums share one set of integrals and one rearrangement.
+    """
+    step = vars(profile).get("_step_function")
+    if step is None:
+        step = StepFunction(profile.dist.cdf, profile.surpluses)
+        # derived from the fields, so kept beside them on the frozen profile
+        object.__setattr__(profile, "_step_function", step)
+    return step
 
 
 def integration_prefix(f: StepFunction, m: Fraction) -> Fraction:
@@ -114,12 +123,36 @@ def certification_grid(*fs: StepFunction) -> tuple[Fraction, ...]:
 
     Every prefix sum of every f is linear between consecutive grid points
     (and vanishes at 0), so a ratio of two of them is monotone on each cell
-    and its extremes over (0, 1] occur on this grid.
+    and its extremes over (0, 1] occur on this grid.  The strictly
+    increasing tuples are merged by comparison, as hashing a Fraction costs
+    a modular inverse.
     """
-    grid: set[Fraction] = set()
+    grid: tuple[Fraction, ...] = ()
     for f in fs:
-        grid |= set(f.breakpoints) | set(sorted_breakpoints(f))
-    return tuple(sorted(grid))
+        for edges in (f.breakpoints, sorted_breakpoints(f)):
+            grid = _merged(grid, edges)
+    return grid
+
+
+def _merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Union of two strictly increasing tuples, strictly increasing."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x == y:
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    out += a[i:]
+    out += b[j:]
+    return tuple(out)
 
 
 def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, float]:

@@ -209,6 +209,15 @@ def as_pairs(xs):
     return [(x.numerator, x.denominator) for x in xs]
 
 
+def pair_entries(entries):
+    """Entries ``(w, support, k)`` written with Fractions, in the shape
+    `class_sums` takes: w and every share as a reduced int pair."""
+    return [
+        ((w.numerator, w.denominator), [(i, (f.numerator, f.denominator)) for i, f in support], k)
+        for w, support, k in entries
+    ]
+
+
 @st.composite
 def priced_entries(draw):
     """A prior and entries (w, support, k) whose shares sit below, at and
@@ -227,7 +236,9 @@ class TestClassSums:
     def test_matches_fraction_loop(self, case):
         dist, entries = case
         unused, unsold, surpluses = reference_class_sums(dist, entries)
-        assert class_sums(dist, entries) == (as_pairs(unused), as_pairs(unsold), surpluses)
+        assert class_sums(dist, pair_entries(entries)) == (
+            as_pairs(unused), as_pairs(unsold), surpluses
+        )
 
     def test_each_side_of_the_price(self):
         dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
@@ -236,7 +247,7 @@ class TestClassSums:
             (F(5, 8), ((0, F(4, 5)), (1, F(1, 5))), 0),
             (F(3, 8), ((1, F(1, 3)), (2, F(2, 3))), 2),
         ]
-        assert class_sums(dist, entries) == (
+        assert class_sums(dist, pair_entries(entries)) == (
             [(0, 1), (0, 1), (0, 1)],
             [(0, 1), (1, 8), (0, 1)],
             (F(0), F(1, 2), F(0)),
@@ -246,7 +257,7 @@ class TestClassSums:
         # the entries put 3/4 on class 0, whose prior mass is 1/2
         dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
         entries = [(F(1, 2), ((0, F(1)),), 0), (F(1, 2), ((0, F(1, 2)), (2, F(1, 2))), 0)]
-        assert class_sums(dist, entries) == (
+        assert class_sums(dist, pair_entries(entries)) == (
             [(-1, 4), (1, 4), (0, 1)],
             [(0, 1), (0, 1), (0, 1)],
             (F(0), F(0), F(4)),
@@ -262,9 +273,9 @@ class TestClassSums:
     def test_refuses_an_overlong_mass(self):
         dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
         entries = [(F(1), ((1, F(1, d)),), 1) for d in self.LONG]
-        class_sums(dist, entries[:1])  # within the limit
+        class_sums(dist, pair_entries(entries[:1]))  # within the limit
         with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
-            class_sums(dist, entries)
+            class_sums(dist, pair_entries(entries))
 
     @pytest.mark.parametrize("k", [0, 2], ids=["surplus", "unsold"])
     def test_refuses_an_overlong_sum_under_a_short_mass(self, k):
@@ -275,9 +286,9 @@ class TestClassSums:
         entries = []
         for d in self.LONG:
             entries += [(F(1), ((1, F(d - 1, d)),), 1), (F(1), ((1, F(1, d)),), k)]
-        class_sums(dist, entries[:3])  # within the limit
+        class_sums(dist, pair_entries(entries[:3]))  # within the limit
         with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
-            class_sums(dist, entries)
+            class_sums(dist, pair_entries(entries))
 
 
 class TestRevenue:

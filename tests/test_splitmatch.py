@@ -24,12 +24,13 @@ from fairsignal.splitmatch import (
     DecomposedScheme,
     SingletonEntry,
     binary_posterior,
+    binary_shares,
     split_and_match,
     truncated_upper_bound,
 )
 from fairsignal.steps import integration_prefix, profile_step_function
 
-from conftest import random_distribution, structured_priors, taker_fraction
+from conftest import perfbench_module, random_distribution, structured_priors, taker_fraction
 
 F = Fraction
 
@@ -114,6 +115,10 @@ def test_binary_posterior_is_equal_revenue(values, data):
     posterior = binary_posterior(dist, g, t)
     (giver, giver_share), (taker, taker_share) = posterior
     assert (giver, taker) == (g, t)
+    # the shares the stages sum are these, in lowest terms
+    assert binary_shares(dist, g, t) == tuple(
+        (share.numerator, share.denominator) for share in (giver_share, taker_share)
+    )
     assert giver_share > 0 and taker_share > 0
     assert giver_share + taker_share == 1
     # posting v_g sells to both, posting v_t to the taker alone: both earn v_g
@@ -191,8 +196,9 @@ class TestGreedyInvariants:
 
 
 def reference_ledger(dist: ValueDistribution) -> list[tuple[int, int, Fraction]]:
-    """(giver, taker, weight) of each round of the greedy pass, with both
-    indices found by a scan from the bottom of the grid every round."""
+    """(giver, taker, weight) of each round of the greedy pass, on Fraction
+    budgets, with both indices found by a scan from the bottom of the grid
+    every round."""
     giver = [f / 2 for f in dist.masses]
     taker = list(giver)
     out = []
@@ -217,7 +223,8 @@ def ledger(dist: ValueDistribution) -> list[tuple[int, int, Fraction]]:
 
 
 class TestForwardPointers:
-    """The forward-only pointers emit the ledger of the scans from 0."""
+    """The forward-only pointers and int-pair budgets emit the ledger of the
+    Fraction scans from 0."""
 
     def test_corpus(self, corpus):
         for dist in corpus:
@@ -228,6 +235,15 @@ class TestForwardPointers:
     def test_structured_families(self, case):
         _, dist = case
         assert ledger(dist) == reference_ledger(dist)
+
+    @pytest.mark.parametrize("family", perfbench_module("instances").FAMILIES)
+    def test_benchmark_families(self, family):
+        # the int-pair budgets at the benchmark's support sizes
+        make_instance = perfbench_module("instances").make_instance
+        for n in (128, 192, 256):
+            payload = make_instance(family, n, random.Random(f"ledger:{family}:{n}"))
+            dist = ValueDistribution.from_pairs(payload["values"], payload["masses"])
+            assert ledger(dist) == reference_ledger(dist)
 
 
 class TestTruncatedUpperBound:

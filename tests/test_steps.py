@@ -275,6 +275,21 @@ def probe_masses(f: StepFunction) -> list[Fraction]:
     return sorted(m for m in out if 0 < m <= 1)
 
 
+class TestCertificationGrid:
+    @given(st.lists(step_functions(value_strategy=pooled_values), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_merge_equals_sorted_union(self, fs):
+        edges = set()
+        for f in fs:
+            edges |= set(f.breakpoints) | set(walk_sorted_breakpoints(f))
+        assert certification_grid(*fs) == tuple(sorted(edges))
+
+    def test_one_step_function_per_profile(self, nonmonotone_scheme):
+        # a profile's grid and its prefix sums share one set of integrals
+        profile = scheme_surplus(nonmonotone_scheme)
+        assert profile_step_function(profile) is profile_step_function(profile)
+
+
 class TestPrefixOracle:
     @given(step_functions(max_segments=40, value_strategy=pooled_values))
     @settings(max_examples=60, deadline=None)
