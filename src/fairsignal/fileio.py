@@ -86,13 +86,18 @@ def _dump_json(payload, path: str) -> None:
         fh.write(json_text(payload) + "\n")
 
 
+def _is_object(x) -> bool:
+    """True for a JSON object; a parsed one is a plain dict, tested first."""
+    return type(x) is dict or isinstance(x, Mapping)
+
+
 def _is_array(x) -> bool:
     """True for a JSON array; a string is a Sequence but not an array."""
     return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
 
 
 def payload_to_instance(payload) -> ValueDistribution:
-    if not isinstance(payload, Mapping):
+    if not _is_object(payload):
         raise MarketError("instance file must hold an object")
     try:
         values = payload["values"]
@@ -121,14 +126,14 @@ def scheme_payload(scheme: SignalingScheme) -> dict:
 
 
 def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
-    if not isinstance(payload, Mapping) or not _is_array(payload.get("entries")):
+    if not _is_object(payload) or not _is_array(payload.get("entries")):
         raise MarketError("scheme file must hold an object with an entries array")
     entries = []
     for entry in payload["entries"]:
         if (
-            not isinstance(entry, Mapping)
+            not _is_object(entry)
             or "weight" not in entry
-            or not isinstance(entry.get("support"), Mapping)
+            or not _is_object(entry.get("support"))
         ):
             raise MarketError("each scheme entry must hold a weight and a support object")
         weight = as_fraction(entry["weight"])

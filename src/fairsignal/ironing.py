@@ -180,9 +180,9 @@ def _reweighted(
     out = []
     for b in binaries:
         c = factors[b.taker]
-        if c < 0:
+        if c.numerator < 0:
             raise InvariantViolation("binary signal weight went negative")
-        if c > 0:
+        if c.numerator > 0:
             out.append(BinarySignalEntry(b.giver, b.taker, b.weight * c))
     return out
 

@@ -10,9 +10,12 @@ Every value the module returns is a `Fraction`, but `class_sums`, which
 accounts for the entries (weight, posterior, price index) of every scheme,
 takes and sums reduced int pairs: `pair_product` and `pair_sum` keep a
 pair in lowest terms by `Fraction`'s own gcd steps, without an object per
-operation, and `splitmatch`'s greedy runs its budgets on them too.  A
-`Signal` is priced when built: its price walk compares revenues on its
-posterior scaled to integers over one common denominator.
+operation.  `splitmatch`'s greedy runs its budgets on them too, and so do
+`dot` (the expected value, a profile's total surplus) and the posted
+revenues.  A `Signal` is priced when built: its price walk compares
+revenues on its posterior scaled to integers over one common denominator
+(`common_denominator`).  A sign test reads a rational's numerator rather
+than comparing it with 0 through `Fraction`'s generic comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -73,6 +76,29 @@ def pair_sum(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     return t // g2, s * (bd // g2)
 
 
+def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
+    """Sum of x * y over the rationals of xs and ys in step, taken on
+    reduced int pairs and made a `Fraction` once."""
+    total = (0, 1)
+    for x, y in zip(xs, ys):
+        xy = pair_product(x.numerator, x.denominator, y.numerator, y.denominator)
+        total = pair_sum(*total, *xy)
+    return Fraction(*total)
+
+
+def common_denominator(xs: Iterable[Fraction]) -> Optional[int]:
+    """Least common denominator of the rationals xs, or None once it passes
+    the input limit: it is built one rational at a time, so a hostile
+    denominator stops it early."""
+    den = 1
+    for x in xs:
+        if den % x.denominator:
+            den = math.lcm(den, x.denominator)
+            if den.bit_length() > _MAX_RATIONAL_BITS:
+                return None
+    return den
+
+
 class MarketError(Exception):
     """Base error for invalid market-model inputs."""
 
@@ -110,14 +136,8 @@ def as_fraction(x: RationalLike) -> Fraction:
     MarketError.  A decimal exponent that alone exceeds MAX_INT_DIGITS is
     refused before Fraction would build its power of ten.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise MarketError("bool is not a rational value")
-    if isinstance(x, int):
-        value = Fraction(x)
-    elif isinstance(x, (float, str)):
-        text = repr(x) if isinstance(x, float) else x.strip()
+    if isinstance(x, (str, float)):  # a file's rationals are strings, so first
+        text = x.strip() if isinstance(x, str) else repr(x)
         num, slash, den = text.partition("/")
         plain = num.isdecimal() and (den.isdecimal() or not slash)
         exponent = None if plain else _EXPONENT.search(text)
@@ -133,6 +153,12 @@ def as_fraction(x: RationalLike) -> Fraction:
             value = Fraction(int(num), int(den or 1)) if plain else Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise MarketError(f"cannot read {x!r} as a rational") from None
+    elif isinstance(x, Fraction):
+        return x
+    elif isinstance(x, bool):
+        raise MarketError("bool is not a rational value")
+    elif isinstance(x, int):
+        value = Fraction(x)
     else:
         raise MarketError(f"cannot interpret {type(x).__name__} as a rational")
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
@@ -154,16 +180,16 @@ class ValueDistribution:
         if len(self.values) != len(self.masses):
             raise InvalidDistribution("values and masses must have equal length")
         for v in self.values:
-            if v <= 0:
+            if v.numerator <= 0:
                 raise InvalidDistribution(f"values must be positive, got {v}")
         for lo, hi in zip(self.values, self.values[1:]):
             if lo >= hi:
                 raise InvalidDistribution("values must be strictly increasing")
         for f in self.masses:
-            if f <= 0:
+            if f.numerator <= 0:
                 raise InvalidDistribution(f"masses must be positive, got {f}")
-        if sum(self.masses) != 1:
-            raise InvalidDistribution(f"masses sum to {sum(self.masses)}, expected 1")
+        if self.cdf[-1] != 1:
+            raise InvalidDistribution(f"masses sum to {self.cdf[-1]}, expected 1")
 
     @classmethod
     def from_pairs(
@@ -181,7 +207,7 @@ class ValueDistribution:
         if len(vs) != len(fs):
             raise InvalidDistribution("values and masses must have equal length")
         for f in fs:
-            if f < 0:
+            if f.numerator < 0:
                 raise InvalidDistribution(f"masses must be non-negative, got {f}")
         for lo, hi in zip(vs, vs[1:]):
             if lo > hi:
@@ -194,7 +220,7 @@ class ValueDistribution:
             else:
                 merged_v.append(v)
                 merged_f.append(f)
-        kept = [(v, f) for v, f in zip(merged_v, merged_f) if f > 0]
+        kept = [(v, f) for v, f in zip(merged_v, merged_f) if f.numerator > 0]
         if not kept:
             raise InvalidDistribution("no value carries positive mass")
         return cls(tuple(v for v, _ in kept), tuple(f for _, f in kept))
@@ -214,16 +240,17 @@ class ValueDistribution:
         return tuple(out)
 
     def posted_revenues(self) -> tuple[Fraction, ...]:
-        """Revenue v_i * G(v_i) for each candidate posted price."""
-        out = []
-        tail = Fraction(1)
-        for v, f in zip(self.values, self.masses):
-            out.append(v * tail)
-            tail -= f
-        return tuple(out)
+        """Revenue v_i * G(v_i) for each candidate posted price, with the
+        tail mass G(v_i) = 1 - F(v_{i-1}) read off ``cdf``."""
+        # 1 - n/d is (d - n)/d, in lowest terms when n/d is
+        tails = [(1, 1)] + [(c.denominator - c.numerator, c.denominator) for c in self.cdf[:-1]]
+        return tuple(
+            Fraction(*pair_product(v.numerator, v.denominator, tn, td))
+            for v, (tn, td) in zip(self.values, tails)
+        )
 
     def expected_value(self) -> Fraction:
-        return sum((v * f for v, f in zip(self.values, self.masses)), Fraction(0))
+        return dot(self.values, self.masses)
 
 
 @dataclass(frozen=True)
@@ -249,14 +276,12 @@ class Signal:
             if i in seen:
                 raise MarketError(f"duplicate support index {i}")
             seen.add(i)
-            if f <= 0:
+            if f.numerator <= 0:
                 raise MarketError(f"support masses must be positive, got {f}")
         support = tuple(sorted(self.support, key=lambda p: p[0]))
-        den = 1
-        for _, f in support:  # one at a time, so a hostile lcm stops early
-            den = math.lcm(den, f.denominator)
-            if den.bit_length() > _MAX_RATIONAL_BITS:
-                raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
+        den = common_denominator(f for _, f in support)
+        if den is None:
+            raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
         scaled = [f.numerator * (den // f.denominator) for _, f in support]
         if sum(scaled) != den:
             total = sum((f for _, f in support), Fraction(0))
@@ -289,7 +314,7 @@ def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
     in revenue go to the lowest price, as for every signal.
     """
     k = Signal(dist, tuple(enumerate(dist.masses))).optimal_price_index
-    return dist.values[k], dist.values[k] * sum(dist.masses[k:], Fraction(0))
+    return dist.values[k], dist.values[k] * (1 - dist.cdf[k - 1] if k else 1)
 
 
 def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int], Iterable, int]]):
@@ -349,7 +374,7 @@ class SignalingScheme:
         for signal, weight in self.entries:
             if signal.dist is not dist and signal.dist != dist:
                 raise MarketError("signal belongs to a different distribution")
-            if weight <= 0:
+            if weight.numerator <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
         priced = (
             (
@@ -401,7 +426,7 @@ class SurplusProfile:
         if len(self.surpluses) != self.dist.n:
             raise MarketError("one surplus per value required")
         for cs in self.surpluses:
-            if cs < 0:
+            if cs.numerator < 0:
                 raise MarketError(f"surpluses must be non-negative, got {cs}")
 
     def total(self) -> Fraction:
@@ -410,9 +435,7 @@ class SurplusProfile:
 
     @cached_property
     def _total(self) -> Fraction:
-        return sum(
-            (f * cs for f, cs in zip(self.dist.masses, self.surpluses)), Fraction(0)
-        )
+        return dot(self.dist.masses, self.surpluses)
 
 
 def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
@@ -496,7 +519,7 @@ def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Frac
             mass = t * q
             row[i] = row.get(i, Fraction(0)) + mass
             residual[i] -= mass
-            if residual[i] == 0:
+            if not residual[i].numerator:
                 del residual[i]
     scheme = scheme_from_rows(dist, rows)
     total = scheme_surplus(scheme).total()

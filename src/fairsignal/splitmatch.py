@@ -67,7 +67,7 @@ class BinarySignalEntry:
     def __post_init__(self):
         if self.giver >= self.taker:
             raise MarketError("giver index must be below taker index")
-        if self.weight <= 0:
+        if self.weight.numerator <= 0:
             raise MarketError("weight must be positive")
 
 
@@ -77,7 +77,7 @@ class SingletonEntry:
     weight: Fraction
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if self.weight.numerator <= 0:
             raise MarketError("weight must be positive")
 
 

@@ -5,23 +5,25 @@ expected surplus.  Two prefix sums drive all comparisons here: the plain
 integral from 0, and the integral after rearranging segments in ascending
 order (the least surplus any sub-population of a given mass can carry).
 Each ``StepFunction`` computes, once, its cumulative integral at every
-breakpoint (``integrals``) and its ascending rearrangement (``ascending``);
-the plain prefix interpolates ``integrals`` and the sorted prefix is the
-plain prefix of ``ascending``.  Both are piecewise linear in the mass
-argument, so a finite grid of breakpoints certifies inequalities for every
-mass.
+breakpoint (``integrals``), its ascending rearrangement (``ascending``) and
+its breakpoints as integers over their common denominator (``lattice``);
+the plain prefix places a mass among those integers, reads the stored
+integral at a breakpoint and interpolates between two, and the sorted
+prefix is the plain prefix of ``ascending``.  Both are piecewise linear in
+the mass argument, so a finite grid of breakpoints certifies inequalities
+for every mass.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
-from .market import MarketError, SurplusProfile
+from .market import MarketError, SurplusProfile, common_denominator
 
 WELFARE_KINDS = ("utilitarian", "nash", "maxmin")
 
@@ -43,15 +45,15 @@ class StepFunction:
             raise MarketError("step function needs at least one segment")
         if len(self.breakpoints) != len(self.values):
             raise MarketError("one value per segment required")
-        prev = Fraction(0)
-        for b in self.breakpoints:
-            if b <= prev:
+        pn, pd = 0, 1
+        for b in self.breakpoints:  # b > prev, cross-multiplied
+            if b.numerator * pd <= pn * b.denominator:
                 raise MarketError("breakpoints must be strictly increasing")
-            prev = b
+            pn, pd = b.numerator, b.denominator
         if self.breakpoints[-1] != 1:
             raise MarketError("last breakpoint must be exactly 1")
         for v in self.values:
-            if v < 0:
+            if v.numerator < 0:
                 raise MarketError("segment values must be non-negative")
 
     @cached_property
@@ -65,20 +67,41 @@ class StepFunction:
         return tuple(out)
 
     @cached_property
+    def lattice(self) -> Optional[tuple[int, tuple[int, ...]]]:
+        """(D, keys): D the breakpoints' common denominator and keys[k] the
+        integer D * breakpoints[k]; None if D would pass the input limit,
+        where `common_denominator` gives it up."""
+        den = common_denominator(self.breakpoints)
+        if den is None:
+            return None
+        return den, tuple(b.numerator * (den // b.denominator) for b in self.breakpoints)
+
+    @cached_property
     def ascending(self) -> "StepFunction":
-        """Ascending rearrangement, one segment per distinct value."""
-        widths: dict[Fraction, Fraction] = {}
-        left = Fraction(0)
-        for right, value in zip(self.breakpoints, self.values):
-            widths[value] = widths.get(value, Fraction(0)) + (right - left)
-            left = right
-        values = sorted(widths)
-        edges = []
-        acc = Fraction(0)
-        for v in values:
-            acc += widths[v]
-            edges.append(acc)
-        return StepFunction(tuple(edges), tuple(values))
+        """Ascending rearrangement, one segment per distinct value.
+
+        Segment indices are sorted by value (stably) and equal neighbours
+        merged.  While the segments placed so far are exactly the first
+        ones of f, their right edge is f's own breakpoint; only past a
+        segment placed out of order is an edge summed from widths.
+        """
+        breakpoints, values = self.breakpoints, self.values
+        edges: list[Fraction] = []
+        distinct: list[Fraction] = []
+        edge = Fraction(0)
+        top = -1  # largest index placed so far
+        for placed, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+            top = max(top, i)
+            if top == placed:
+                edge = breakpoints[placed]
+            else:
+                edge += breakpoints[i] - (breakpoints[i - 1] if i else 0)
+            if distinct and values[i] == distinct[-1]:
+                edges[-1] = edge
+            else:
+                edges.append(edge)
+                distinct.append(values[i])
+        return StepFunction(tuple(edges), tuple(distinct))
 
 
 def profile_step_function(profile: SurplusProfile) -> StepFunction:
@@ -96,10 +119,23 @@ def profile_step_function(profile: SurplusProfile) -> StepFunction:
 
 
 def integration_prefix(f: StepFunction, m: Fraction) -> Fraction:
-    """Integral of f over (0, m]."""
-    if not 0 < m <= 1:
+    """Integral of f over (0, m].
+
+    m * D is placed among the integer keys of ``f.lattice``: at a
+    breakpoint the stored integral is returned, elsewhere the segment's
+    value is interpolated from its left edge.  Past the lattice's limit
+    the breakpoints themselves are bisected.
+    """
+    if not 0 < m.numerator <= m.denominator:
         raise MarketError(f"prefix mass {m} outside (0, 1]")
-    k = bisect_left(f.breakpoints, m)
+    if f.lattice is None:
+        k = bisect_left(f.breakpoints, m)
+    else:
+        den, keys = f.lattice
+        q, r = divmod(m.numerator * den, m.denominator)
+        k = bisect_right(keys, q)  # keys below m * D, and q if r is 0
+        if not r and k and keys[k - 1] == q:  # m is breakpoint k - 1
+            return f.integrals[k]
     left = f.breakpoints[k - 1] if k else Fraction(0)
     return f.integrals[k] + f.values[k] * (m - left)
 
@@ -170,7 +206,7 @@ def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, floa
     surpluses = profile.surpluses
     if kind == "maxmin":
         return min(surpluses)
-    if any(cs == 0 for cs in surpluses):
+    if any(not cs.numerator for cs in surpluses):
         return 0.0
     # logs of numerator and denominator: math.log takes ints of any size
     logs = (math.log(cs.numerator) - math.log(cs.denominator) for cs in surpluses)

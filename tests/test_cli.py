@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 import re
 import sys
@@ -428,6 +429,57 @@ class TestVerify:
         assert recorder.counts["steps.grid_points"] == len(grid)
         assert recorder.counts["oracles.adversary_calls"] == 1
         assert recorder.counts["lp.solve_calls"] == len(grid)
+
+    @pytest.mark.parametrize("grid", [None, "1/3,2/7,1"], ids=["own-grid", "off-lattice"])
+    def test_prefix_sums_run_once_per_grid_mass(
+        self, grid, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        # the benchmark's steps.prefix_grid_s times the calls verify makes to
+        # these two names and its steps.grid_points counts sorted_prefix's,
+        # so each must run exactly once per row of the table, at its mass
+        from fairsignal import cli
+
+        calls = {"integration_prefix": [], "sorted_prefix": []}
+        for name, masses in calls.items():
+            def counted(step, m, original=getattr(cli, name), masses=masses):
+                masses.append(m)
+                return original(step, m)
+
+            monkeypatch.setattr(cli, name, counted)
+        out = str(tmp_path / "final.json")
+        table = str(tmp_path / "table.csv")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
+        calls["integration_prefix"].clear()
+        calls["sorted_prefix"].clear()
+        argv = ["verify", "--in", instance_file, "--scheme", out, "--out", table]
+        code, _, _ = run_cli(capsys, *argv, *(["--grid", grid] if grid else []))
+        assert code == 0
+        with open(table) as fh:
+            rows = [F(row["m"]) for row in csv.DictReader(fh)]
+        assert len(rows) == (3 if grid else 4)
+        assert calls["integration_prefix"] == calls["sorted_prefix"] == rows
+
+    def test_grid_off_the_lattice_table(self, tmp_path, capsys):
+        # 1/3 and 2/7 are off the lattice of the breakpoints' common
+        # denominator 4; the table is the one bisecting the Fraction
+        # breakpoints themselves gives
+        golden = os.path.join(os.path.dirname(__file__), "golden", "running_example")
+        table = str(tmp_path / "table.csv")
+        code, stdout, _ = run_cli(
+            capsys, "verify", "--in", os.path.join(golden, "instance.json"),
+            "--scheme", os.path.join(golden, "scheme_final.json"),
+            "--grid", "1/3,2/7", "--out", table,
+        )
+        assert code == 0
+        assert stdout.endswith("m | Pfv | PF\n2/7 | 1/112 | 1/112\n1/3 | 1/48 | 1/48\n")
+        with open(table, "rb") as fh:
+            assert fh.read() == (
+                b"m,m_decimal,integration_prefix,integration_prefix_decimal,sorted_prefix,"
+                b"sorted_prefix_decimal,adversary_prefix,adversary_prefix_decimal,ratio,"
+                b"ratio_decimal\r\n"
+                b"2/7,0.285714285714,1/112,0.008928571429,1/112,0.008928571429,,,,\r\n"
+                b"1/3,0.333333333333,1/48,0.020833333333,1/48,0.020833333333,,,,\r\n"
+            )
 
     def test_benchmark_trace_installs_and_uninstalls(self):
         # the traced benchmark wraps package names by hand, so renaming one

@@ -150,6 +150,9 @@ LONG = "1" + "0" * MAX_INT_DIGITS  # one digit past the limit
     [
         " 3/4 ", "-1/2", "+1/2", "1_000/3", "1/0", "0x10", "1e5", "7", "0", "0/5",
         "007/014", "12/18", "3 / 4", "5/", "/5", "1/2/3", "",
+        # other decimal digits, surrounding whitespace and a zero denominator
+        "٣/٤", "３", " 3", "3\n", "0/0",
+        # past the limit, int() raises ValueError, which must become MarketError
         LONG, "1/" + LONG, LONG + "/3", "9" * MAX_INT_DIGITS,
     ],
     ids=lambda t: t if len(t) < 20 else f"{len(t)}-chars",

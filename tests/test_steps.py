@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairsignal import market
 from fairsignal.cli import certify
+from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import SurplusProfile, ValueDistribution, scheme_surplus
 from fairsignal.steps import (
     StepFunction,
@@ -20,6 +23,8 @@ from fairsignal.steps import (
     sorted_breakpoints,
     sorted_prefix,
 )
+
+from conftest import perfbench_module, structured_priors
 
 F = Fraction
 
@@ -233,14 +238,33 @@ def walk_integration_prefix(f: StepFunction, m: Fraction) -> Fraction:
     return total
 
 
-def walk_ascending_segments(f: StepFunction) -> list[tuple[Fraction, Fraction]]:
-    """(width, value) pairs sorted by value ascending, equal values merged."""
+def reference_ascending(f: StepFunction) -> StepFunction:
+    """The ascending rearrangement as StepFunction.ascending built it before
+    it sorted segment indices: each distinct value's widths summed in a
+    dict keyed by the value, then the values sorted."""
     widths: dict[Fraction, Fraction] = {}
     left = F(0)
     for right, value in zip(f.breakpoints, f.values):
         widths[value] = widths.get(value, F(0)) + (right - left)
         left = right
-    return [(widths[v], v) for v in sorted(widths)]
+    values = sorted(widths)
+    edges = []
+    acc = F(0)
+    for v in values:
+        acc += widths[v]
+        edges.append(acc)
+    return StepFunction(tuple(edges), tuple(values))
+
+
+def segments(f: StepFunction) -> list[tuple[Fraction, Fraction]]:
+    """(width, value) of each segment of f, left to right."""
+    lefts = (F(0),) + f.breakpoints[:-1]
+    return [(right - left, v) for left, right, v in zip(lefts, f.breakpoints, f.values)]
+
+
+def walk_ascending_segments(f: StepFunction) -> list[tuple[Fraction, Fraction]]:
+    """(width, value) pairs sorted by value ascending, equal values merged."""
+    return segments(reference_ascending(f))
 
 
 def walk_sorted_prefix(f: StepFunction, m: Fraction) -> Fraction:
@@ -262,6 +286,21 @@ def walk_sorted_breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
         acc += width
         out.append(acc)
     return tuple(out)
+
+
+def walk_prefixes(segs, masses):
+    """Integral over (0, m] of the (width, value) segments laid end to end
+    from 0, at each of the ascending masses: one walk for all of them."""
+    out = []
+    done = left = F(0)  # the integral over the segments passed, their right edge
+    k = 0
+    for m in masses:
+        while left + segs[k][0] < m:
+            done += segs[k][0] * segs[k][1]
+            left += segs[k][0]
+            k += 1
+        out.append(done + (m - left) * segs[k][1])
+    return out
 
 
 def probe_masses(f: StepFunction) -> list[Fraction]:
@@ -298,3 +337,86 @@ class TestPrefixOracle:
         for m in probe_masses(f):
             assert integration_prefix(f, m) == walk_integration_prefix(f, m)
             assert sorted_prefix(f, m) == walk_sorted_prefix(f, m)
+
+    # off the breakpoints' lattice: masses a third of a lattice step away
+    # from every grid mass, on either side
+
+    @staticmethod
+    def masses_around(grid):
+        den = math.lcm(*(m.denominator for m in grid))
+        off = {m + step for m in grid for step in (F(-1, 3 * den), F(1, 3 * den))}
+        return sorted(set(grid) | {m for m in off if 0 < m <= 1})
+
+    def check_grid(self, f: StepFunction):
+        """Both prefixes at every grid mass and next to it, against one
+        segment walk over the masses in ascending order."""
+        masses = self.masses_around(certification_grid(f))
+        assert [integration_prefix(f, m) for m in masses] == walk_prefixes(segments(f), masses)
+        assert [sorted_prefix(f, m) for m in masses] == walk_prefixes(
+            walk_ascending_segments(f), masses
+        )
+
+    def check_profiles(self, dist: ValueDistribution):
+        result = monotone_fair_scheme(dist)
+        for stage in (result.base, result.final):  # the splitmatch and final profiles
+            self.check_grid(profile_step_function(scheme_surplus(stage)))
+
+    def test_corpus(self, corpus):
+        for dist in corpus:
+            self.check_profiles(dist)
+
+    @given(structured_priors(max_n=24))
+    @settings(max_examples=25, deadline=None)
+    def test_structured_priors(self, case):
+        self.check_profiles(case[1])
+
+    @pytest.mark.parametrize("family", perfbench_module("instances").FAMILIES)
+    def test_benchmark_scale(self, family):
+        # the instances of test_accounting.py's test_benchmark_scale
+        rng = random.Random(5)
+        payload = perfbench_module("instances").make_instance(family, rng.randint(128, 256), rng)
+        self.check_profiles(ValueDistribution.from_pairs(payload["values"], payload["masses"]))
+
+    def test_denominator_past_the_limit_is_never_built(self, monkeypatch):
+        # three pairwise coprime denominators of about 200,000 bits: their
+        # common denominator passes the input limit at the second, and the
+        # third is never folded in
+        big = 2**200_000
+        f = StepFunction((F(1, big + 3), F(1, big + 1), F(1, big - 1), F(1)), (F(0),) * 4)
+        built = []
+        lcm = math.lcm
+
+        def recorded(*args):
+            out = lcm(*args)
+            built.append(out.bit_length())
+            return out
+
+        monkeypatch.setattr(math, "lcm", recorded)
+        assert f.lattice is None
+        assert max(built) <= 2 * 200_001
+
+    @given(step_functions(max_segments=12, value_strategy=pooled_values))
+    @settings(max_examples=60, deadline=None)
+    def test_bisection_past_the_limit_equals_segment_walks(self, f):
+        # with the limit at 0 bits no common denominator but 1 fits, so
+        # every mass is placed by bisecting the breakpoints themselves
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market, "_MAX_RATIONAL_BITS", 0)
+            assert (f.lattice is None) == (len(f.breakpoints) > 1)
+            for m in probe_masses(f):
+                assert integration_prefix(f, m) == walk_integration_prefix(f, m)
+                assert sorted_prefix(f, m) == walk_sorted_prefix(f, m)
+
+
+class TestAscending:
+    @given(
+        step_functions(max_segments=12, value_strategy=pooled_values),
+        st.sampled_from(["as drawn", "non-decreasing", "non-increasing"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_dict_keyed_reference(self, f, order):
+        # pooled values make ties common, so equal neighbours must merge
+        if order != "as drawn":
+            values = sorted(f.values, reverse=order == "non-increasing")
+            f = StepFunction(f.breakpoints, tuple(values))
+        assert f.ascending == reference_ascending(f)
