@@ -39,7 +39,6 @@ from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
     SingletonEntry,
-    binary_posterior,
     split_and_match,
     truncated_upper_bound,
 )

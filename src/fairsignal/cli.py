@@ -8,6 +8,7 @@ stdout; tables can be exported as CSV or JSON for plotting.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -328,10 +329,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads every command with, built on its first call
+    rather than at import, so that importing the module builds none."""
+    return make_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 builds may lack it
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as e:

@@ -3,11 +3,13 @@
 Rationals are serialized as "p/q" strings so nothing is lost to decimal
 rounding; on input, plain numbers and decimal strings are also accepted
 and converted exactly.  Every JSON output shares one layout
-(``json_text``).  The loaders raise MarketError for any content they
-cannot read and OSError only when the file cannot be opened.  Reports and
-tables write each value in one text form (``as_text``): a table cell is
-the exact rational or ``inf``, and the CSV table adds a 12-decimal
-rounding of each for plotting.
+(``json_text``); `save_scheme` writes it for a scheme file straight from
+the signals' int-pair shares, and `load_scheme` reads each share back
+into one (`market.rational_pair`).  The loaders raise MarketError for
+any content they cannot read and OSError only when the file cannot be
+opened.  Reports and tables write each value in one text form
+(``as_text``): a table cell is the exact rational or ``inf``, and the
+CSV table adds a 12-decimal rounding of each for plotting.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .market import (
     SignalingScheme,
     ValueDistribution,
     as_fraction,
+    pair_text,
+    rational_pair,
 )
 
 
@@ -119,7 +123,7 @@ def scheme_payload(scheme: SignalingScheme) -> dict:
         entries.append(
             {
                 "weight": str(weight),
-                "support": {str(i): str(f) for i, f in signal.support},
+                "support": {str(i): pair_text(n, d) for i, (n, d) in signal.shares},
             }
         )
     return {"entries": entries}
@@ -138,10 +142,10 @@ def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
             raise MarketError("each scheme entry must hold a weight and a support object")
         weight = as_fraction(entry["weight"])
         try:
-            support = tuple((int(i), as_fraction(f)) for i, f in entry["support"].items())
+            shares = tuple((int(i), rational_pair(f)) for i, f in entry["support"].items())
         except ValueError as e:  # a support index that is not an integer
             raise MarketError(str(e)) from None
-        entries.append((Signal(dist, support), weight))
+        entries.append((Signal(dist, shares), weight))
     return SignalingScheme(dist, tuple(entries))
 
 
@@ -150,7 +154,19 @@ def load_scheme(path: str, dist: ValueDistribution) -> SignalingScheme:
 
 
 def save_scheme(scheme: SignalingScheme, path: str) -> None:
-    _dump_json(scheme_payload(scheme), path)
+    """The scheme file: ``json_text(scheme_payload(scheme))`` and a newline,
+    written straight from the shares.  Its layout is fixed, and no key or
+    rational in it needs escaping; support keys sort as strings, as
+    ``sort_keys`` sorts them ("10" before "2")."""
+    entries = []
+    for signal, weight in scheme.entries:
+        support = sorted((str(i), pair_text(n, d)) for i, (n, d) in signal.shares)
+        lines = ",\n".join(f'        "{i}": "{f}"' for i, f in support)
+        entries.append(
+            f'    {{\n      "support": {{\n{lines}\n      }},\n      "weight": "{weight}"\n    }}'
+        )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "entries": [\n' + ",\n".join(entries) + "\n  ]\n}\n")
 
 
 def write_majorization_table(path: str, rows: Sequence[Mapping], fmt: str) -> None:

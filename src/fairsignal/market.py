@@ -1,21 +1,26 @@
 """Core market model: value distributions, signals, schemes, posted prices.
 
-All quantities are exact rationals (`fractions.Fraction`).  A signal is a
+All quantities are exact rationals: `fractions.Fraction`s, or reduced int
+pairs where said so.  A signal is a
 posterior over a subset of the value grid; a signaling scheme is a weighted
 collection of signals whose mixture reproduces the prior exactly.  The
 seller best-responds to each posterior with a posted price, breaking revenue
 ties toward the lowest price.
 
-Every value the module returns is a `Fraction`, but `class_sums`, which
-accounts for the entries (weight, posterior, price index) of every scheme,
-takes and sums reduced int pairs: `pair_product` and `pair_sum` keep a
-pair in lowest terms by `Fraction`'s own gcd steps, without an object per
-operation.  `splitmatch`'s greedy runs its budgets on them too, and so do
-`dot` (the expected value, a profile's total surplus) and the posted
-revenues.  A `Signal` is priced when built: its price walk compares
-revenues on its posterior scaled to integers over one common denominator
-(`common_denominator`).  A sign test reads a rational's numerator rather
-than comparing it with 0 through `Fraction`'s generic comparison.
+A signal stores its posterior as reduced int pairs (numerator, positive
+denominator), the form its readers take; ``Signal.support`` is its
+`Fraction` view.  Accounting results are `Fraction`s, but `class_sums`,
+which accounts for the entries (weight, posterior, price index) of every
+scheme, takes and sums reduced int pairs: `pair_product` and `pair_sum`
+keep a pair in lowest terms by `Fraction`'s own gcd steps, without an
+object per operation.  `splitmatch`'s greedy runs its budgets on them
+too, and so do `dot` (the expected value, a profile's total surplus) and
+the posted revenues.  A `Signal` is priced when built: its price walk
+compares revenues on its shares scaled to integers over one common
+denominator (`common_denominator`).  A sign test reads a rational's
+numerator rather than comparing it with 0 through `Fraction`'s generic
+comparison.  `as_fraction` and `rational_pair` read a rational's text
+through one parser.
 """
 
 from __future__ import annotations
@@ -86,17 +91,23 @@ def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
     return Fraction(*total)
 
 
-def common_denominator(xs: Iterable[Fraction]) -> Optional[int]:
-    """Least common denominator of the rationals xs, or None once it passes
-    the input limit: it is built one rational at a time, so a hostile
-    denominator stops it early."""
+def common_denominator(dens: Iterable[int]) -> Optional[int]:
+    """Least common multiple of the denominators dens, or None once it
+    passes the input limit: it is built one denominator at a time, so a
+    hostile denominator stops it early."""
     den = 1
-    for x in xs:
-        if den % x.denominator:
-            den = math.lcm(den, x.denominator)
+    for d in dens:
+        if den % d:
+            den = math.lcm(den, d)
             if den.bit_length() > _MAX_RATIONAL_BITS:
                 return None
     return den
+
+
+def pair_text(n: int, d: int) -> str:
+    """The reduced pair n/d written as ``str`` writes the `Fraction`: "n"
+    when d is 1, else "n/d"."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class MarketError(Exception):
@@ -126,6 +137,44 @@ class PlausibilityError(MarketError):
         )
 
 
+def _read_rational(x: Union[str, float]) -> tuple[int, int]:
+    """Numerator and nonzero denominator of a rational's text, or of a
+    float's shortest decimal repr, not necessarily reduced.
+
+    "p" and "p/q" in decimal digits are read by int(), as Fraction would
+    read them, under the same int/str limit; any other text goes to
+    Fraction's own parser.  A decimal exponent that alone exceeds
+    MAX_INT_DIGITS is refused before Fraction would build its power of ten.
+    """
+    text = x.strip() if isinstance(x, str) else repr(x)
+    num, slash, den = text.partition("/")
+    plain = num.isdecimal() and (den.isdecimal() or not slash)
+    exponent = None if plain else _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        # length first: int() of a long digit string is itself slow
+        too_long = len(digits) > len(str(MAX_INT_DIGITS))
+        if too_long or int(digits or 0) > MAX_INT_DIGITS:
+            raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+    try:
+        if plain:
+            n, d = int(num), int(den or 1)
+            if d:
+                return n, d
+        else:
+            value = Fraction(text)
+            return value.numerator, value.denominator
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise MarketError(f"cannot read {x!r} as a rational")
+
+
+def _check_length(n: int, d: int) -> None:
+    """Refuse a rational read from input whose n or d passes MAX_INT_DIGITS."""
+    if max(n.bit_length(), d.bit_length()) > _MAX_RATIONAL_BITS:
+        raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+
+
 def as_fraction(x: RationalLike) -> Fraction:
     """Convert to an exact Fraction.
 
@@ -133,26 +182,10 @@ def as_fraction(x: RationalLike) -> Fraction:
     shortest decimal representation so that 0.1 becomes exactly 1/10.
     Anything else, a string or float that names no finite rational, or a
     numerator or denominator longer than MAX_INT_DIGITS digits raises
-    MarketError.  A decimal exponent that alone exceeds MAX_INT_DIGITS is
-    refused before Fraction would build its power of ten.
+    MarketError (see `_read_rational`).
     """
     if isinstance(x, (str, float)):  # a file's rationals are strings, so first
-        text = x.strip() if isinstance(x, str) else repr(x)
-        num, slash, den = text.partition("/")
-        plain = num.isdecimal() and (den.isdecimal() or not slash)
-        exponent = None if plain else _EXPONENT.search(text)
-        if exponent is not None:
-            digits = exponent.group(1).replace("_", "").lstrip("0")
-            # length first: int() of a long digit string is itself slow
-            too_long = len(digits) > len(str(MAX_INT_DIGITS))
-            if too_long or int(digits or 0) > MAX_INT_DIGITS:
-                raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
-        try:
-            # "p" or "p/q" in decimal digits needs no parser; int() reads
-            # them as Fraction would, under the same int/str limit
-            value = Fraction(int(num), int(den or 1)) if plain else Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise MarketError(f"cannot read {x!r} as a rational") from None
+        value = Fraction(*_read_rational(x))
     elif isinstance(x, Fraction):
         return x
     elif isinstance(x, bool):
@@ -161,10 +194,24 @@ def as_fraction(x: RationalLike) -> Fraction:
         value = Fraction(x)
     else:
         raise MarketError(f"cannot interpret {type(x).__name__} as a rational")
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    if bits > _MAX_RATIONAL_BITS:
-        raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+    _check_length(value.numerator, value.denominator)
     return value
+
+
+def rational_pair(x: RationalLike) -> tuple[int, int]:
+    """``as_fraction(x)`` as a reduced pair (numerator, positive
+    denominator), under the same checks and messages; a string is read and
+    reduced without building a Fraction."""
+    if not isinstance(x, str):
+        value = as_fraction(x)
+        return value.numerator, value.denominator
+    n, d = _read_rational(x)
+    g = math.gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
+    _check_length(n, d)
+    return n, d
 
 
 @dataclass(frozen=True)
@@ -255,56 +302,72 @@ class ValueDistribution:
 
 @dataclass(frozen=True)
 class Signal:
-    """A posterior over the value grid, stored sparsely as (index, mass).
+    """A posterior over the value grid, stored sparsely as (index, share).
 
-    ``optimal_price_index``, the revenue-maximizing price index (lowest tie
-    first), is found when the signal is built, comparing revenues on the
-    masses scaled to integers over their common denominator.
+    Each share is a reduced int pair (numerator, positive denominator), the
+    form its readers take: the price walk, `class_sums` and the scheme
+    file.  ``support`` gives the same posterior as `Fraction`s, built on
+    first read.  ``optimal_price_index``, the revenue-maximizing price index
+    (lowest tie first), is found when the signal is built, comparing
+    revenues on the shares scaled to integers over their common
+    denominator.
     """
 
     dist: ValueDistribution
-    support: tuple[tuple[int, Fraction], ...]
+    shares: tuple[tuple[int, tuple[int, int]], ...]
     optimal_price_index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.support:
+        if not self.shares:
             raise MarketError("signal support must be nonempty")
         seen = set()
-        for i, f in self.support:
+        for i, (n, d) in self.shares:
             if not 0 <= i < self.dist.n:
                 raise MarketError(f"support index {i} out of range")
             if i in seen:
                 raise MarketError(f"duplicate support index {i}")
             seen.add(i)
-            if f.numerator <= 0:
-                raise MarketError(f"support masses must be positive, got {f}")
-        support = tuple(sorted(self.support, key=lambda p: p[0]))
-        den = common_denominator(f for _, f in support)
+            if n <= 0 or d <= 0:
+                raise MarketError(f"support masses must be positive, got {pair_text(n, d)}")
+        shares = tuple(sorted(self.shares))  # indices are distinct, so by index
+        den = common_denominator(d for _, (_, d) in shares)
         if den is None:
             raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
-        scaled = [f.numerator * (den // f.denominator) for _, f in support]
+        scaled = [n * (den // d) for _, (n, d) in shares]
         if sum(scaled) != den:
-            total = sum((f for _, f in support), Fraction(0))
+            total = Fraction(sum(scaled), den)
             raise MarketError(f"signal masses sum to {total}, expected 1")
         values = self.dist.values
         best_i = None
         best_num, best_den = 0, 1  # best revenue times den, as a fraction
         tail = den  # mass at index i and above, times den
-        for (i, _), m in zip(support, scaled):
+        for (i, _), m in zip(shares, scaled):
             v = values[i]
             if best_i is None or v.numerator * tail * best_den > best_num * v.denominator:
                 best_i, best_num, best_den = i, v.numerator * tail, v.denominator
             tail -= m
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "optimal_price_index", best_i)
 
     @classmethod
+    def from_support(
+        cls, dist: ValueDistribution, support: Iterable[tuple[int, Fraction]]
+    ) -> "Signal":
+        """The signal of a posterior given as (index, `Fraction` mass) pairs."""
+        return cls(dist, tuple((i, (f.numerator, f.denominator)) for i, f in support))
+
+    @classmethod
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":
-        return cls(dist, ((index, Fraction(1)),))
+        return cls(dist, ((index, (1, 1)),))
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, Fraction], ...]:
+        """The shares as (index, `Fraction`) pairs, by index."""
+        return tuple((i, Fraction(n, d)) for i, (n, d) in self.shares)
 
     @property
     def lowest_index(self) -> int:
-        return self.support[0][0]
+        return self.shares[0][0]
 
 
 def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
@@ -313,7 +376,7 @@ def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
     The seller's best response to the prior as a single posterior, so ties
     in revenue go to the lowest price, as for every signal.
     """
-    k = Signal(dist, tuple(enumerate(dist.masses))).optimal_price_index
+    k = Signal.from_support(dist, enumerate(dist.masses)).optimal_price_index
     return dist.values[k], dist.values[k] * (1 - dist.cdf[k - 1] if k else 1)
 
 
@@ -377,11 +440,7 @@ class SignalingScheme:
             if weight.numerator <= 0:
                 raise MarketError(f"signal weights must be positive, got {weight}")
         priced = (
-            (
-                (w.numerator, w.denominator),
-                [(i, (f.numerator, f.denominator)) for i, f in s.support],
-                s.optimal_price_index,
-            )
+            ((w.numerator, w.denominator), s.shares, s.optimal_price_index)
             for s, w in self.entries
         )
         unused, unsold, surpluses = class_sums(dist, priced)
@@ -474,7 +533,7 @@ def scheme_from_rows(
         if not row:
             continue
         weight = sum(row.values(), Fraction(0))
-        signal = Signal(dist, tuple((i, m / weight) for i, m in sorted(row.items())))
+        signal = Signal.from_support(dist, ((i, m / weight) for i, m in sorted(row.items())))
         entries.append((signal, weight))
     return SignalingScheme(dist, tuple(entries))
 
@@ -489,7 +548,7 @@ def full_revelation(dist: ValueDistribution) -> SignalingScheme:
 
 def no_signal(dist: ValueDistribution) -> SignalingScheme:
     """Reveal nothing: the prior itself as a single signal."""
-    signal = Signal(dist, tuple(enumerate(dist.masses)))
+    signal = Signal.from_support(dist, enumerate(dist.masses))
     return SignalingScheme(dist, ((signal, Fraction(1)),))
 
 

@@ -199,10 +199,10 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
         masses=((N**2 - 1) / total, (N**2 + 1) / total, (N**3 + N) / total),
     )
     buyer_optimal = buyer_optimal_scheme(dist)[0]
-    a1 = Signal(
+    a1 = Signal.from_support(
         dist, ((0, (N**2 - 1) / (N**2 + N)), (1, (N + 1) / (N**2 + N)))
     )
-    a2 = Signal(dist, ((1, Fraction(1) / (N + 1)), (2, N / (N + 1))))
+    a2 = Signal.from_support(dist, ((1, Fraction(1) / (N + 1)), (2, N / (N + 1))))
     a3 = Signal.singleton(dist, 2)
     alternative = SignalingScheme(
         dist,

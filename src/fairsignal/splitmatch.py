@@ -41,21 +41,11 @@ def binary_shares(
     return (rd - rn, rd), (rn, rd)
 
 
-def binary_posterior(
-    dist: ValueDistribution, g: int, t: int
-) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
-    """Posterior of the equal-revenue binary on (v_g, v_t), g < t: mass
-    1 - v_g/v_t on the giver and v_g/v_t on the taker, the `binary_shares`
-    as Fractions."""
-    ratio = dist.values[g] / dist.values[t]
-    return (g, 1 - ratio), (t, ratio)
-
-
 @dataclass(frozen=True)
 class BinarySignalEntry:
     """Equal-revenue binary signal on (v_giver, v_taker), weighted.
 
-    Its posterior is `binary_posterior`, so both posted prices yield
+    Its posterior's shares are `binary_shares`, so both posted prices yield
     revenue v_g and the seller charges the giver value.  The taker class
     therefore gains v_t - v_g.
     """
@@ -125,7 +115,8 @@ class DecomposedScheme:
         """Its signals with the stage's own sums, which price each binary at its giver."""
         entries = []
         for b in self.binaries:
-            signal = Signal(self.dist, binary_posterior(self.dist, b.giver, b.taker))
+            on_giver, on_taker = binary_shares(self.dist, b.giver, b.taker)
+            signal = Signal(self.dist, ((b.giver, on_giver), (b.taker, on_taker)))
             if signal.optimal_price_index != b.giver:
                 raise InvariantViolation(f"{b} is not priced at its giver value")
             entries.append((signal, b.weight))

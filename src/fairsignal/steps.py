@@ -71,7 +71,7 @@ class StepFunction:
         """(D, keys): D the breakpoints' common denominator and keys[k] the
         integer D * breakpoints[k]; None if D would pass the input limit,
         where `common_denominator` gives it up."""
-        den = common_denominator(self.breakpoints)
+        den = common_denominator(b.denominator for b in self.breakpoints)
         if den is None:
             return None
         return den, tuple(b.numerator * (den // b.denominator) for b in self.breakpoints)
@@ -83,25 +83,38 @@ class StepFunction:
         Segment indices are sorted by value (stably) and equal neighbours
         merged.  While the segments placed so far are exactly the first
         ones of f, their right edge is f's own breakpoint; only past a
-        segment placed out of order is an edge summed from widths.
+        segment placed out of order is an edge summed from widths.  When
+        f is already non-decreasing, every edge is f's breakpoint, and the
+        rearrangement's integrals are f's stored ones at those edges.
         """
         breakpoints, values = self.breakpoints, self.values
         edges: list[Fraction] = []
+        kept: list[int] = []  # the index in f of each edge's last segment
         distinct: list[Fraction] = []
         edge = Fraction(0)
         top = -1  # largest index placed so far
+        in_order = True
         for placed, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
             top = max(top, i)
+            in_order = in_order and i == placed
             if top == placed:
                 edge = breakpoints[placed]
             else:
                 edge += breakpoints[i] - (breakpoints[i - 1] if i else 0)
             if distinct and values[i] == distinct[-1]:
                 edges[-1] = edge
+                kept[-1] = i
             else:
                 edges.append(edge)
+                kept.append(i)
                 distinct.append(values[i])
-        return StepFunction(tuple(edges), tuple(distinct))
+        out = StepFunction(tuple(edges), tuple(distinct))
+        if in_order:
+            # each edge is f's breakpoint kept[k], so f's integral there is the
+            # rearrangement's; a cached property is set like any attribute
+            integrals = (self.integrals[0],) + tuple(self.integrals[k + 1] for k in kept)
+            object.__setattr__(out, "integrals", integrals)
+        return out
 
 
 def profile_step_function(profile: SurplusProfile) -> StepFunction:

@@ -60,12 +60,12 @@ def nonmonotone_scheme(running_example) -> SignalingScheme:
     with weight 1/2.
     """
     d = running_example
-    s1 = Signal(
+    s1 = Signal.from_support(
         d,
         ((0, Fraction(1, 2)), (1, Fraction(3, 10)), (2, Fraction(1, 30)), (3, Fraction(1, 6))),
     )
-    s2 = Signal(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
-    s3 = Signal(d, ((2, Fraction(2, 3)), (3, Fraction(1, 3))))
+    s2 = Signal.from_support(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
+    s3 = Signal.from_support(d, ((2, Fraction(2, 3)), (3, Fraction(1, 3))))
     return SignalingScheme(
         d, ((s1, Fraction(1, 2)), (s2, Fraction(1, 6)), (s3, Fraction(1, 3)))
     )
@@ -75,9 +75,9 @@ def nonmonotone_scheme(running_example) -> SignalingScheme:
 def monotone_scheme(running_example) -> SignalingScheme:
     """Surplus-maximizing scheme with surplus profile (0, 1/7, 10/7, 17/7)."""
     d = running_example
-    s1 = Signal(d, ((0, Fraction(7, 10)), (1, Fraction(1, 10)), (2, Fraction(1, 5))))
-    s2 = Signal(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
-    s3 = Signal(d, ((2, Fraction(13, 24)), (3, Fraction(11, 24))))
+    s1 = Signal.from_support(d, ((0, Fraction(7, 10)), (1, Fraction(1, 10)), (2, Fraction(1, 5))))
+    s2 = Signal.from_support(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
+    s3 = Signal.from_support(d, ((2, Fraction(13, 24)), (3, Fraction(11, 24))))
     return SignalingScheme(
         d, ((s1, Fraction(5, 14)), (s2, Fraction(5, 14)), (s3, Fraction(2, 7)))
     )
@@ -94,10 +94,10 @@ def taker_fraction(dist: ValueDistribution, binary) -> Fraction:
     """v_g / v_t: the posterior mass an equal-revenue binary puts on its
     taker; the giver holds the rest.
 
-    This restates `splitmatch.binary_posterior` on purpose: the greedy's
-    invariant check and `reference_smooth` use it as references written
-    independently of the code they check.  Other tests read
-    `binary_posterior`."""
+    This restates `splitmatch.binary_shares` as a `Fraction` on purpose:
+    the greedy's invariant check and `reference_smooth` use it as
+    references written independently of the code they check.  Other tests
+    read `binary_shares`."""
     return dist.values[binary.giver] / dist.values[binary.taker]
 
 
@@ -133,7 +133,7 @@ def random_scheme(rng: random.Random, dist: ValueDistribution) -> SignalingSchem
         weight = sum(pot, Fraction(0))
         if weight == 0:
             continue
-        signal = Signal(
+        signal = Signal.from_support(
             dist,
             tuple((i, m / weight) for i, m in enumerate(pot) if m > 0),
         )

@@ -35,7 +35,7 @@ from fairsignal.oracles import (
 from fairsignal.splitmatch import (
     BinarySignalEntry,
     SingletonEntry,
-    binary_posterior,
+    binary_shares,
     split_and_match,
     truncated_upper_bound,
 )
@@ -130,7 +130,7 @@ def test_c03_split_match_trace(fig3_instance):
     scheme = split_and_match(fig3_instance)
     first = scheme.binaries[0]
     ok = (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
-    ok &= binary_posterior(fig3_instance, 0, 1) == ((0, F(1, 2)), (1, F(1, 2)))
+    ok &= binary_shares(fig3_instance, 0, 1) == ((1, 2), (1, 2))
     ok &= scheme.binaries == (
         BinarySignalEntry(0, 1, F(1, 10)),
         BinarySignalEntry(1, 2, F(9, 40)),

@@ -374,11 +374,11 @@ class TestAgainstOracle:
 
 def test_signal_scales_over_the_lcm():
     dist = ValueDistribution.from_pairs([1, 2, 5, 6], ["1/4"] * 4)
-    signal = Signal(dist, ((3, F(1, 6)), (0, F(1, 2)), (2, F(1, 3))))
+    signal = Signal.from_support(dist, ((3, F(1, 6)), (0, F(1, 2)), (2, F(1, 3))))
     assert signal.support == ((0, F(1, 2)), (2, F(1, 3)), (3, F(1, 6)))
     # revenues 1, 5 * 1/2, 6 * 1/6: the interior price wins
     assert signal.optimal_price_index == 2
-    tie = Signal(dist, ((1, F(2, 3)), (3, F(1, 3))))  # revenues 2 * 1 = 6 * 1/3
+    tie = Signal.from_support(dist, ((1, F(2, 3)), (3, F(1, 3))))  # revenues 2 * 1 = 6 * 1/3
     assert tie.optimal_price_index == reference_price_index(tie) == 1
 
 
@@ -389,4 +389,4 @@ def test_signal_refuses_an_overlong_common_denominator():
     odd = 2**_MAX_RATIONAL_BITS - 1
     support = ((0, F(1, 2)), (1, F(1, odd)), (2, F(1, 3)))
     with pytest.raises(MarketError, match="^signal denominator longer than 100000 digits$"):
-        Signal(dist, support)
+        Signal.from_support(dist, support)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairsignal.cli import main
+from fairsignal.cli import SCHEME_KINDS, main, make_parser
 from fairsignal.fileio import load_scheme, save_scheme, scheme_payload
 from fairsignal.market import (
     MAX_INT_DIGITS,
@@ -626,6 +626,32 @@ class TestVerify:
         assert stderr.startswith("error: invalid scheme file:")
         assert stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            ('"0": "1/0", "1": "1/2"', "cannot read '1/0' as a rational"),
+            ('"0": "-1/2", "1": "1/2"', "support masses must be positive, got -1/2"),
+            ('"0": "0", "1": "1"', "support masses must be positive, got 0"),
+            ('"0": "1/' + "9" * MAX_INT_DIGITS + '", "1": "1/2"',
+             f"rational longer than {MAX_INT_DIGITS} digits"),
+            ('"0": "1/2", "0": "1/2"', "duplicate key '0' in a JSON object"),
+            ('"0": "1/2", "00": "1/2"', "duplicate support index 0"),
+        ],
+        ids=[
+            "zero-denominator", "negative", "zero", "too-long", "duplicate-key",
+            "duplicate-index",
+        ],
+    )
+    def test_refused_share_exits_2(self, support, message, tmp_path, capsys):
+        instance = str(tmp_path / "instance.json")
+        write_instance(ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"]), instance)
+        path = tmp_path / "scheme.json"
+        path.write_text('{"entries": [{"weight": "1", "support": {' + support + "}}]}")
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance, "--scheme", str(path)
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: invalid scheme file: {message}\n")
+
     def test_bad_grid_reported_before_scheme_is_read(self, instance_file, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         code, stdout, stderr = run_cli(
@@ -666,6 +692,63 @@ def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, caps
     assert [signal.support == prior for signal in priced].count(True) == len(signals)
     assert len(priced) == sum(signals) + len(signals)
     assert len({id(signal) for signal in priced}) == len(priced)
+
+
+def test_scheme_files_are_written_and_read_without_fractions(
+    instance_file, tmp_path, capsys, monkeypatch
+):
+    # build writes each signal's shares as they are and verify sums them as
+    # read; neither builds the Fraction view nor runs the generic JSON writer
+    from fairsignal import fileio
+
+    def refuse(*args):
+        raise AssertionError("scheme file went through Fractions or json_text")
+
+    monkeypatch.setattr(Signal, "support", property(refuse))
+    monkeypatch.setattr(fileio, "json_text", refuse)
+    for kind in SCHEME_KINDS:
+        scheme = str(tmp_path / f"{kind}.json")
+        for argv in (
+            ("build", "--in", instance_file, "--scheme", kind, "--out", scheme),
+            ("verify", "--in", instance_file, "--scheme", scheme),
+        ):
+            code, _, stderr = run_cli(capsys, *argv)
+            assert (code, stderr) == (0, "")
+
+
+def test_two_commands_build_one_parser(instance_file, tmp_path, capsys, monkeypatch):
+    from fairsignal import cli
+
+    original, built = cli.make_parser, []
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "make_parser", counted)
+    cli._parser.cache_clear()
+    out = str(tmp_path / "final.json")
+    for argv in (
+        ("build", "--in", instance_file, "--scheme", "final", "--out", out),
+        ("verify", "--in", instance_file, "--scheme", out),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("build", "--help"), ("build",), ("nosuch",), ()],
+    ids=["help", "build-help", "missing-option", "unknown-command", "no-command"],
+)
+def test_help_and_usage_errors_as_from_a_fresh_parser(argv, capsys):
+    with pytest.raises(SystemExit) as fresh:
+        make_parser().parse_args(list(argv))
+    expected = capsys.readouterr()
+    for _ in range(2):  # the second call reuses the parser of the first
+        with pytest.raises(SystemExit) as got:
+            main(list(argv))
+        assert got.value.code == fresh.value.code == (0 if "--help" in argv else 2)
+        assert capsys.readouterr() == expected
 
 
 @pytest.mark.parametrize("instance", ["running_example", "fig3_instance"])

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.fileio import (
     decimal_str,
+    json_text,
     load_instance,
     load_scheme,
     payload_to_instance,
@@ -16,10 +22,10 @@ from fairsignal.fileio import (
     scheme_payload,
     write_majorization_table,
 )
-from fairsignal.market import MarketError, ValueDistribution, full_revelation
+from fairsignal.market import MarketError, ValueDistribution, full_revelation, no_signal
 from fairsignal.splitmatch import split_and_match
 
-from conftest import write_instance
+from conftest import random_scheme, structured_priors, write_instance
 
 F = Fraction
 
@@ -120,6 +126,59 @@ class TestSchemeFiles:
         path.write_text(raw)
         with pytest.raises(MarketError, match=f"^duplicate key {key} in a JSON object$"):
             load_scheme(str(path), ValueDistribution.from_pairs([3], [1]))
+
+    @staticmethod
+    def check_layout(scheme, path):
+        """save_scheme writes exactly json_text's layout of scheme_payload."""
+        save_scheme(scheme, str(path))
+        assert path.read_text(encoding="utf-8") == json_text(scheme_payload(scheme)) + "\n"
+
+    def test_layout_equals_json_text_on_corpus(self, corpus, tmp_path):
+        rng = random.Random(24)
+        for dist in corpus:
+            for kind in SCHEME_KINDS:
+                self.check_layout(build_named_scheme(dist, kind), tmp_path / "scheme.json")
+            self.check_layout(random_scheme(rng, dist), tmp_path / "scheme.json")
+
+    @given(structured_priors())
+    @settings(max_examples=25, deadline=None)
+    def test_layout_equals_json_text_on_structured_priors(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            for kind in ("final", "splitmatch", "nosignal"):
+                self.check_layout(build_named_scheme(case[1], kind), pathlib.Path(tmp) / "s.json")
+
+    def test_support_keys_sort_as_strings(self, tmp_path):
+        # sort_keys orders "10" before "2"; integer shares are written "1"
+        dist = ValueDistribution.from_pairs(range(1, 13), ["1/12"] * 12)
+        path = tmp_path / "scheme.json"
+        self.check_layout(no_signal(dist), path)
+        keys = json.loads(path.read_text())["entries"][0]["support"]
+        assert list(keys) == ["0", "1", "10", "11"] + [str(i) for i in range(2, 10)]
+        self.check_layout(full_revelation(dist), path)
+        assert '"10": "1"' in path.read_text()
+
+    def test_shares_load_reduced(self, running_example, tmp_path):
+        # unreduced, decimal, exponent and integer shares, and their reduced form
+        reduced = {"0": "1/2", "1": "1/2", "2": "1/2", "3": "1/2"}
+        written = {"0": "2/4", "1": "0.5", "2": "5e-1", "3": "1/2"}
+        schemes = []
+        for support in (reduced, written):
+            path = tmp_path / "scheme.json"
+            entries = [
+                {"weight": "1/2", "support": {"0": support["0"], "1": support["1"]}},
+                {"weight": "1/4", "support": {"2": support["2"], "3": support["3"]}},
+                {"weight": "1/8", "support": {"2": "1"}},
+                {"weight": "1/8", "support": {"3": "10e-1"}},
+            ]
+            path.write_text(json.dumps({"entries": entries}))
+            schemes.append(load_scheme(str(path), running_example))
+        assert schemes[0] == schemes[1]
+        assert [s.shares for s in schemes[1].signals] == [
+            ((0, (1, 2)), (1, (1, 2))),
+            ((2, (1, 2)), (3, (1, 2))),
+            ((2, (1, 1)),),
+            ((3, (1, 1)),),
+        ]
 
     def test_deterministic_bytes(self, running_example, tmp_path):
         scheme = split_and_match(running_example).to_signaling_scheme()

@@ -203,7 +203,7 @@ class TestMyerson:
 
 class TestOptimalPrice:
     def test_equal_revenue_binary_tie(self, running_example):
-        signal = Signal(running_example, ((0, F(1, 2)), (1, F(1, 2))))
+        signal = Signal.from_support(running_example, ((0, F(1, 2)), (1, F(1, 2))))
         assert signal.dist.values[signal.optimal_price_index] == F(1)
 
     def test_singleton(self, running_example):
@@ -212,7 +212,7 @@ class TestOptimalPrice:
 
     def test_two_point_comparison(self):
         d = ValueDistribution.from_pairs([1, 10], [F(1, 2), F(1, 2)])
-        signal = Signal(d, ((0, F(2, 3)), (1, F(1, 3))))
+        signal = Signal.from_support(d, ((0, F(2, 3)), (1, F(1, 3))))
         assert signal.dist.values[signal.optimal_price_index] == F(10)
 
     def test_scale_invariance(self):
@@ -222,7 +222,7 @@ class TestOptimalPrice:
             d = random_distribution(rng)
             raw = {i: F(rng.randint(1, 9)) for i in sorted(rng.sample(range(d.n), rng.randint(1, d.n)))}
             total = sum(raw.values())
-            signal = Signal(d, tuple((i, m / total) for i, m in raw.items()))
+            signal = Signal.from_support(d, tuple((i, m / total) for i, m in raw.items()))
             best = min(
                 (i for i in raw),
                 key=lambda i: (

@@ -232,11 +232,11 @@ class TestBuyerOptimalLowerBound:
         N = F(n)
         inst = buyer_optimal_lb_instance(n)
         dist = inst.dist
-        s1 = Signal(
+        s1 = Signal.from_support(
             dist,
             ((0, (N**2 - 1) / (N**2 + N)), (1, 1 / (N**2 + N)), (2, N / (N**2 + N))),
         )
-        s2 = Signal(dist, ((1, 1 / (N + 1)), (2, N / (N + 1))))
+        s2 = Signal.from_support(dist, ((1, 1 / (N + 1)), (2, N / (N + 1))))
         reference = ((s1, 1 / (N + 1)), (s2, N / (N + 1)))
         scheme, _ = buyer_optimal_scheme(dist)
         assert scheme.entries == reference

@@ -23,7 +23,6 @@ from fairsignal.splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
     SingletonEntry,
-    binary_posterior,
     binary_shares,
     split_and_match,
     truncated_upper_bound,
@@ -69,9 +68,10 @@ class TestFiveValueInstance:
         scheme = split_and_match(fig3_instance)
         first = scheme.binaries[0]
         assert (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
-        assert binary_posterior(fig3_instance, 0, 1) == ((0, F(1, 2)), (1, F(1, 2)))
+        assert binary_shares(fig3_instance, 0, 1) == ((1, 2), (1, 2))
         signal, weight = scheme.to_signaling_scheme().entries[0]
-        assert (signal.support, weight) == (((0, F(1, 2)), (1, F(1, 2))), F(1, 10))
+        assert (signal.shares, weight) == (((0, (1, 2)), (1, (1, 2))), F(1, 10))
+        assert signal.support == ((0, F(1, 2)), (1, F(1, 2)))
 
     def test_full_ledger_trace(self, fig3_instance):
         # frozen from an independent hand run of the greedy ledger
@@ -112,18 +112,17 @@ def test_binary_posterior_is_equal_revenue(values, data):
     dist = ValueDistribution.from_pairs(values, [F(1, len(values))] * len(values))
     g = data.draw(st.integers(0, len(values) - 2))
     t = data.draw(st.integers(g + 1, len(values) - 1))
-    posterior = binary_posterior(dist, g, t)
-    (giver, giver_share), (taker, taker_share) = posterior
+    shares = binary_shares(dist, g, t)
+    signal = Signal(dist, tuple(zip((g, t), shares)))
+    (giver, giver_share), (taker, taker_share) = signal.support
     assert (giver, taker) == (g, t)
-    # the shares the stages sum are these, in lowest terms
-    assert binary_shares(dist, g, t) == tuple(
-        (share.numerator, share.denominator) for share in (giver_share, taker_share)
-    )
+    # the shares are in lowest terms: the posterior's Fractions, taken apart
+    assert shares == tuple((f.numerator, f.denominator) for f in (giver_share, taker_share))
     assert giver_share > 0 and taker_share > 0
     assert giver_share + taker_share == 1
     # posting v_g sells to both, posting v_t to the taker alone: both earn v_g
     assert values[t] * taker_share == values[g]
-    assert Signal(dist, posterior).optimal_price_index == g
+    assert signal.optimal_price_index == g
 
 
 class TestFromBinaries:
@@ -151,9 +150,9 @@ class TestFromBinaries:
 
         def taker_priced(dist, g, t):
             ratio = (1 + dist.values[g] / dist.values[t]) / 2
-            return (g, 1 - ratio), (t, ratio)
+            return tuple((f.numerator, f.denominator) for f in (1 - ratio, ratio))
 
-        monkeypatch.setattr(splitmatch, "binary_posterior", taker_priced)
+        monkeypatch.setattr(splitmatch, "binary_shares", taker_priced)
         with pytest.raises(InvariantViolation, match="is not priced at its giver value"):
             stage.to_signaling_scheme()
 

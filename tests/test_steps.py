@@ -409,6 +409,26 @@ class TestPrefixOracle:
 
 
 class TestAscending:
+    @staticmethod
+    def check_integrals(dist: ValueDistribution):
+        """The rearrangement's integrals equal those summed afresh; for the
+        final (non-decreasing) profile they are f's own, set when built."""
+        result = monotone_fair_scheme(dist)
+        for stage in (result.base, result.final):
+            a = profile_step_function(scheme_surplus(stage)).ascending
+            seeded = "integrals" in vars(a)  # before any read computes them
+            assert seeded or stage is result.base
+            assert a.integrals == StepFunction(a.breakpoints, a.values).integrals
+
+    def test_integrals_corpus(self, corpus):
+        for dist in corpus:
+            self.check_integrals(dist)
+
+    @given(structured_priors())
+    @settings(max_examples=25, deadline=None)
+    def test_integrals_structured_priors(self, case):
+        self.check_integrals(case[1])
+
     @given(
         step_functions(max_segments=12, value_strategy=pooled_values),
         st.sampled_from(["as drawn", "non-decreasing", "non-increasing"]),
