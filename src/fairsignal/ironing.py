@@ -183,7 +183,7 @@ def _reweighted(
         if c.numerator < 0:
             raise InvariantViolation("binary signal weight went negative")
         if c.numerator > 0:
-            out.append(BinarySignalEntry(b.giver, b.taker, b.weight * c))
+            out.append(BinarySignalEntry(b.giver, b.taker, b.weight * c, b.shares))
     return out
 
 
@@ -200,8 +200,11 @@ def smooth(
     equal-revenue binaries from the freed givers onto the deficit value.
     Each cut is a share of a binary's original weight, so the shares are
     summed per taker class and applied once, after the pairs; the pair loop
-    reads only the binaries indexed under its excess value.  The mass the
-    binaries no longer use returns as singletons.
+    reads only the binaries indexed under its excess value, and each
+    re-paired binary's shares are computed once, here.  The mass the
+    binaries no longer use returns as singletons.  When no pair lifts a
+    class there is no cut and no new binary, and ``scheme`` itself is
+    handed on, with the sums it already holds.
     """
     dist = scheme.dist
     cut = [Fraction(0)] * dist.n  # share of each taker class's binaries removed
@@ -222,10 +225,13 @@ def smooth(
             cut[vp] += giver_cut
             for b in by_taker[vp]:
                 # the giver mass freed from b, re-paired with the deficit value
-                (fn, fd), _ = binary_shares(dist, b.giver, vp)
-                (gn, gd), _ = binary_shares(dist, b.giver, vm)
+                (fn, fd), _ = b.shares
+                shares = binary_shares(dist, b.giver, vm)
+                (gn, gd), _ = shares
                 new_weight = b.weight * giver_cut * Fraction(fn * gd, fd * gn)
-                new_binaries.append(BinarySignalEntry(b.giver, vm, new_weight))
+                new_binaries.append(BinarySignalEntry(b.giver, vm, new_weight, shares))
+    if not any(cut):
+        return scheme  # no pair lifted a class, so no binary was made either
     survivors = _reweighted(scheme.binaries, [1 - c for c in cut])
     return DecomposedScheme(dist, survivors + new_binaries)
 
@@ -263,7 +269,8 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
 
     The result is efficient and monotone with per-class surplus exactly
     half the ironed surplus.  Every stage is a `DecomposedScheme` built
-    from its binaries alone, so its mixture matches the prior.
+    from its binaries alone, so its mixture matches the prior; when
+    smoothing lifts no class, ``smoothed`` is ``base`` itself.
     """
     base = split_and_match(dist)
     profile = scheme_surplus(base)

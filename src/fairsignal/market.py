@@ -14,10 +14,10 @@ which accounts for the entries (weight, posterior, price index) of every
 scheme, takes and sums reduced int pairs: `pair_product` and `pair_sum`
 keep a pair in lowest terms by `Fraction`'s own gcd steps, without an
 object per operation.  `splitmatch`'s greedy runs its budgets on them
-too, and so do `dot` (the expected value, a profile's total surplus) and
-the posted revenues.  A `Signal` is priced when built: its price walk
-compares revenues on its shares scaled to integers over one common
-denominator (`common_denominator`).  A sign test reads a rational's
+too, and so do `dot` (the expected value, once per distribution, and a
+scheme's total surplus) and the posted revenues.  A `Signal` is priced
+when built: its price walk compares revenues on its shares scaled to
+integers over one common denominator (`common_denominator`).  A sign test reads a rational's
 numerator rather than comparing it with 0 through `Fraction`'s generic
 comparison.  `as_fraction` and `rational_pair` read a rational's text
 through one parser.
@@ -222,6 +222,11 @@ class ValueDistribution:
     masses: tuple[Fraction, ...]
 
     def __post_init__(self):
+        self._check(ordered=False)
+
+    def _check(self, ordered: bool) -> None:
+        """Check the invariants; ``ordered`` skips the order of the values,
+        which `from_pairs` has compared already."""
         if len(self.values) == 0:
             raise InvalidDistribution("support must be nonempty")
         if len(self.values) != len(self.masses):
@@ -229,9 +234,10 @@ class ValueDistribution:
         for v in self.values:
             if v.numerator <= 0:
                 raise InvalidDistribution(f"values must be positive, got {v}")
-        for lo, hi in zip(self.values, self.values[1:]):
-            if lo >= hi:
-                raise InvalidDistribution("values must be strictly increasing")
+        if not ordered:
+            for lo, hi in zip(self.values, self.values[1:]):  # lo >= hi, cross-multiplied
+                if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:
+                    raise InvalidDistribution("values must be strictly increasing")
         for f in self.masses:
             if f.numerator <= 0:
                 raise InvalidDistribution(f"masses must be positive, got {f}")
@@ -247,7 +253,10 @@ class ValueDistribution:
         """Ingest raw values/masses.
 
         Values must be non-decreasing; duplicates are merged by summing
-        masses and zero-mass values are dropped.
+        masses and zero-mass values are dropped.  Each value is compared
+        with the one before it once, by integer cross products, which both
+        checks the order and finds the duplicates; the distribution built
+        does not compare them again.
         """
         vs = [as_fraction(v) for v in values]
         fs = [as_fraction(f) for f in masses]
@@ -256,21 +265,29 @@ class ValueDistribution:
         for f in fs:
             if f.numerator < 0:
                 raise InvalidDistribution(f"masses must be non-negative, got {f}")
-        for lo, hi in zip(vs, vs[1:]):
-            if lo > hi:
-                raise InvalidDistribution("values must be non-decreasing on input")
-        merged_v: list[Fraction] = []
-        merged_f: list[Fraction] = []
-        for v, f in zip(vs, fs):
-            if merged_v and v == merged_v[-1]:
-                merged_f[-1] += f
-            else:
+        # the sign of hi - lo for each value after the first
+        order = [
+            hi.numerator * lo.denominator - lo.numerator * hi.denominator
+            for lo, hi in zip(vs, vs[1:])
+        ]
+        if any(d < 0 for d in order):
+            raise InvalidDistribution("values must be non-decreasing on input")
+        merged_v: list[Fraction] = vs[:1]
+        merged_f: list[Fraction] = fs[:1]
+        for v, f, d in zip(vs[1:], fs[1:], order):
+            if d:
                 merged_v.append(v)
                 merged_f.append(f)
+            else:
+                merged_f[-1] += f
         kept = [(v, f) for v, f in zip(merged_v, merged_f) if f.numerator > 0]
         if not kept:
             raise InvalidDistribution("no value carries positive mass")
-        return cls(tuple(v for v, _ in kept), tuple(f for _, f in kept))
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "values", tuple(v for v, _ in kept))
+        object.__setattr__(dist, "masses", tuple(f for _, f in kept))
+        dist._check(ordered=True)
+        return dist
 
     @property
     def n(self) -> int:
@@ -297,6 +314,11 @@ class ValueDistribution:
         )
 
     def expected_value(self) -> Fraction:
+        """E[v], summed once per distribution."""
+        return self._expected_value
+
+    @cached_property
+    def _expected_value(self) -> Fraction:
         return dot(self.values, self.masses)
 
 
@@ -422,14 +444,16 @@ class SignalingScheme:
     The weights are not summed: each posterior sums to 1, so the weights
     sum to the mixture's total, which the check that no class has unused
     prior mass makes 1.  Each signal is one `class_sums` entry, priced at
-    its optimal price; ``surpluses`` holds each class's expected surplus and
-    ``revenue`` the seller's expected revenue, which follows from the
-    classes' unsold mass and surplus (see `scheme_revenue`).
+    its optimal price; ``surpluses`` holds each class's expected surplus,
+    ``total_surplus`` their mass-weighted total, summed once, and
+    ``revenue`` the seller's expected revenue, the rest of E[v] once the
+    unsold mass and that total are taken out (see `scheme_revenue`).
     """
 
     dist: ValueDistribution
     entries: tuple[tuple[Signal, Fraction], ...]
     surpluses: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    total_surplus: Fraction = field(init=False, compare=False, repr=False)
     revenue: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -456,17 +480,22 @@ class SignalingScheme:
         scheme = object.__new__(cls)
         object.__setattr__(scheme, "dist", dist)
         object.__setattr__(scheme, "entries", entries)
-        scheme._set_surpluses_and_revenue([(0, 1)] * dist.n, surpluses)
+        scheme._set_surpluses_and_revenue((), surpluses)
         return scheme
 
     def _set_surpluses_and_revenue(self, unsold, surpluses) -> None:
-        revenue = (0, 1)  # see scheme_revenue
-        for v, f, (un, ud), s in zip(self.dist.values, self.dist.masses, unsold, surpluses):
-            sold = pair_sum(f.numerator, f.denominator, -un, ud)
-            kept = pair_product(f.numerator, f.denominator, s.numerator, s.denominator)
-            revenue = pair_sum(*revenue, *pair_product(v.numerator, v.denominator, *sold))
-            revenue = pair_sum(*revenue, -kept[0], kept[1])
+        """Sum the total surplus once and take revenue as E[v] less each
+        class's ``unsold`` mass (reduced pairs; empty when every class
+        sells) at its value, less that total: see `scheme_revenue`."""
+        dist = self.dist
+        total = dot(dist.masses, surpluses)
+        ev = dist.expected_value()
+        revenue = pair_sum(ev.numerator, ev.denominator, -total.numerator, total.denominator)
+        for v, (un, ud) in zip(dist.values, unsold):
+            if un:
+                revenue = pair_sum(*revenue, *pair_product(-v.numerator, v.denominator, un, ud))
         object.__setattr__(self, "surpluses", surpluses)
+        object.__setattr__(self, "total_surplus", total)
         object.__setattr__(self, "revenue", Fraction(*revenue))
 
     @property
@@ -489,7 +518,8 @@ class SurplusProfile:
                 raise MarketError(f"surpluses must be non-negative, got {cs}")
 
     def total(self) -> Fraction:
-        """Mass-weighted total consumer surplus, summed once per profile."""
+        """Mass-weighted total consumer surplus: a scheme's own total, which
+        `scheme_surplus` hands over, or else summed once per profile."""
         return self._total
 
     @cached_property
@@ -498,15 +528,26 @@ class SurplusProfile:
 
 
 def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
-    """Expected consumer surplus of each value class under any scheme."""
-    return SurplusProfile(scheme.dist, scheme.surpluses)
+    """Expected consumer surplus of each value class under any scheme.
+
+    A `SignalingScheme` hands its ``total_surplus`` to the profile, as
+    `steps.profile_step_function` keeps its step function on it, so the
+    total is not summed again; the profile of a pipeline stage sums its
+    own when asked."""
+    profile = SurplusProfile(scheme.dist, scheme.surpluses)
+    if isinstance(scheme, SignalingScheme):
+        # the cached total, set on the frozen profile like any attribute
+        object.__setattr__(profile, "_total", scheme.total_surplus)
+    return profile
 
 
 def scheme_revenue(scheme: SignalingScheme) -> Fraction:
-    """Expected revenue, from the mass sold and the surplus kept: a unit of
-    class i that sells pays v_i less its buyer's surplus, so revenue is
-    sum_i v_i (f_i - unsold_i) - sum_i f_i s_i, with unsold_i the class's
-    mass in signals priced above v_i and s_i its surplus."""
+    """Expected revenue, the whole pie less what is not sold and what the
+    buyers keep: a unit of class i that sells pays v_i less its buyer's
+    surplus, so revenue is E[v] - sum_i v_i unsold_i - CS, with unsold_i
+    the class's mass in signals priced above v_i and CS = sum_i f_i s_i
+    the total consumer surplus.  An efficient scheme sells everything, so
+    its revenue is E[v] - CS."""
     return scheme.revenue
 
 
@@ -581,7 +622,7 @@ def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Frac
             if not residual[i].numerator:
                 del residual[i]
     scheme = scheme_from_rows(dist, rows)
-    total = scheme_surplus(scheme).total()
+    total = scheme.total_surplus
     best = dist.expected_value() - myerson(dist)[1]
     if total != best or not is_efficient(scheme):
         raise InvariantViolation(f"buyer-optimal surplus {total} != {best} or inefficient")

@@ -11,7 +11,9 @@ for itself once, through `market.class_sums`.
 
 The greedy's budgets and a binary's shares are reduced int pairs, kept in
 lowest terms by `market.pair_product` and `market.pair_sum`; each binary's
-weight is a `Fraction`, reduced once by its constructor.
+weight is a `Fraction`, reduced once by its constructor.  A binary's
+shares are made once, by whoever makes the binary, and travel with it
+through every stage and into its `Signal`.
 """
 
 from __future__ import annotations
@@ -45,14 +47,19 @@ def binary_shares(
 class BinarySignalEntry:
     """Equal-revenue binary signal on (v_giver, v_taker), weighted.
 
-    Its posterior's shares are `binary_shares`, so both posted prices yield
-    revenue v_g and the seller charges the giver value.  The taker class
-    therefore gains v_t - v_g.
+    Its posterior's ``shares`` (on the giver, on the taker) are
+    `binary_shares`, so both posted prices yield revenue v_g and the
+    seller charges the giver value.  The taker class therefore gains
+    v_t - v_g.  The shares follow from the pair of values, so they take
+    no part in comparisons; whoever makes the binary computes them once
+    (the greedy or `ironing.smooth`'s re-pairing), and a reweighted binary
+    keeps them.
     """
 
     giver: int
     taker: int
     weight: Fraction
+    shares: tuple[tuple[int, int], tuple[int, int]] = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.giver >= self.taker:
@@ -77,7 +84,7 @@ class DecomposedScheme:
 
     Only the binaries are given, in any sequence, stored as a tuple; the
     rest follows from their `class_sums` entries, one per binary: its
-    weight and `binary_shares`, priced at v_g.  Value i's singleton
+    weight and the shares it carries, priced at v_g.  Value i's singleton
     weight is the prior mass the binaries leave unused on i, so the mixture
     matches the prior exactly; a value on which the binaries place more
     than f_i is an invariant violation.
@@ -93,7 +100,7 @@ class DecomposedScheme:
         entries = (
             (
                 (b.weight.numerator, b.weight.denominator),
-                zip((b.giver, b.taker), binary_shares(dist, b.giver, b.taker)),
+                zip((b.giver, b.taker), b.shares),
                 b.giver,
             )
             for b in self.binaries
@@ -112,10 +119,11 @@ class DecomposedScheme:
         object.__setattr__(self, "surpluses", surpluses)
 
     def to_signaling_scheme(self) -> SignalingScheme:
-        """Its signals with the stage's own sums, which price each binary at its giver."""
+        """Its signals, each binary's from the shares it carries, with the
+        stage's own sums, which price each binary at its giver."""
         entries = []
         for b in self.binaries:
-            on_giver, on_taker = binary_shares(self.dist, b.giver, b.taker)
+            on_giver, on_taker = b.shares
             signal = Signal(self.dist, ((b.giver, on_giver), (b.taker, on_taker)))
             if signal.optimal_price_index != b.giver:
                 raise InvariantViolation(f"{b} is not priced at its giver value")
@@ -150,7 +158,8 @@ def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
         if l >= n:
             break
         (gn, gd), (tn, td) = giver[s], taker[l]
-        (p, r), (q, _) = binary_shares(dist, s, l)  # p/r on the giver, q/r on the taker
+        shares = binary_shares(dist, s, l)
+        (p, r), (q, _) = shares  # p/r on the giver, q/r on the taker
         # the weight is the smaller of gn/gd / (p/r) and tn/td / (q/r): the
         # budget that binds is spent exactly, the other loses weight * share
         if gn * td * q <= tn * gd * p:
@@ -163,7 +172,7 @@ def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
             taker[l] = (0, 1)
             mn, md = pair_product(weight.numerator, weight.denominator, p, r)
             giver[s] = pair_sum(gn, gd, -mn, md)
-        binaries.append(BinarySignalEntry(s, l, weight))
+        binaries.append(BinarySignalEntry(s, l, weight, shares))
     return DecomposedScheme(dist, binaries)
 
 

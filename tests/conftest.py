@@ -24,6 +24,7 @@ from fairsignal.market import (
     as_fraction,
     scheme_from_rows,
 )
+from fairsignal.splitmatch import BinarySignalEntry, binary_shares
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -49,6 +50,14 @@ def fig3_instance() -> ValueDistribution:
     return ValueDistribution.from_pairs(
         [1, 2, 3, 4, 6], ["0.1", "0.3", "0.3", "0.1", "0.2"]
     )
+
+
+@pytest.fixture
+def lifted_instance() -> ValueDistribution:
+    """Three values 5, 23, 25 whose greedy stage leaves class 25 so far
+    below its ironed level that smoothing lifts it (the smallest such
+    instance of the corpus)."""
+    return ValueDistribution.from_pairs([5, 23, 25], ["2/3", "1/6", "1/6"])
 
 
 @pytest.fixture
@@ -88,6 +97,14 @@ def write_instance(dist: ValueDistribution, path) -> None:
     payload = {"values": list(map(str, dist.values)), "masses": list(map(str, dist.masses))}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
+
+
+def binary(
+    dist: ValueDistribution, giver: int, taker: int, weight: Fraction
+) -> BinarySignalEntry:
+    """The equal-revenue binary on (v_giver, v_taker) with its shares made
+    here, for a test that builds a stage by hand."""
+    return BinarySignalEntry(giver, taker, weight, binary_shares(dist, giver, taker))
 
 
 def taker_fraction(dist: ValueDistribution, binary) -> Fraction:

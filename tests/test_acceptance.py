@@ -33,7 +33,6 @@ from fairsignal.oracles import (
     universal_lb_instance,
 )
 from fairsignal.splitmatch import (
-    BinarySignalEntry,
     SingletonEntry,
     binary_shares,
     split_and_match,
@@ -49,6 +48,7 @@ from fairsignal.steps import (
 
 from conftest import (
     adversary_witnesses,
+    binary,
     max_min_surplus_lp,
     universal_raw_masses,
 )
@@ -132,11 +132,11 @@ def test_c03_split_match_trace(fig3_instance):
     ok = (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
     ok &= binary_shares(fig3_instance, 0, 1) == ((1, 2), (1, 2))
     ok &= scheme.binaries == (
-        BinarySignalEntry(0, 1, F(1, 10)),
-        BinarySignalEntry(1, 2, F(9, 40)),
-        BinarySignalEntry(1, 3, F(1, 10)),
-        BinarySignalEntry(1, 4, F(3, 80)),
-        BinarySignalEntry(2, 4, F(7, 40)),
+        binary(fig3_instance, 0, 1, F(1, 10)),
+        binary(fig3_instance, 1, 2, F(9, 40)),
+        binary(fig3_instance, 1, 3, F(1, 10)),
+        binary(fig3_instance, 1, 4, F(3, 80)),
+        binary(fig3_instance, 2, 4, F(7, 40)),
     )
     ok &= scheme.singletons == (
         SingletonEntry(0, F(1, 20)),

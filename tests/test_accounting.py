@@ -364,7 +364,7 @@ class TestAgainstOracle:
                 continue
             # two more units of weight put at least 1 more on the giver or the taker
             b = binaries[-1]
-            binaries[-1] = BinarySignalEntry(b.giver, b.taker, b.weight + 2)
+            binaries[-1] = BinarySignalEntry(b.giver, b.taker, b.weight + 2, b.shares)
             with pytest.raises(InvariantViolation) as got:
                 DecomposedScheme(dist, tuple(binaries))
             with pytest.raises(InvariantViolation) as expected:

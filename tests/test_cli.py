@@ -751,10 +751,17 @@ def test_help_and_usage_errors_as_from_a_fresh_parser(argv, capsys):
         assert capsys.readouterr() == expected
 
 
-@pytest.mark.parametrize("instance", ["running_example", "fig3_instance"])
-def test_each_stage_is_summed_once_per_command(instance, request, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "instance, final_stages",
+    [("running_example", 2), ("fig3_instance", 2), ("lifted_instance", 3)],
+    ids=["running_example", "fig3_instance", "lifted_instance"],
+)
+def test_each_stage_is_summed_once_per_command(
+    instance, final_stages, request, tmp_path, capsys, monkeypatch
+):
     # build sums each pipeline stage it runs once and hands the output
-    # stage's sums to its scheme; verify sums the scheme it reads, afresh
+    # stage's sums to its scheme; verify sums the scheme it reads, afresh.
+    # Smoothing that lifts no class hands the base stage on unsummed.
     from fairsignal import market, splitmatch
 
     original, calls = market.class_sums, []
@@ -778,8 +785,77 @@ def test_each_stage_is_summed_once_per_command(instance, request, tmp_path, caps
             code, _, _ = run_cli(capsys, *argv)
             assert code == 0
             counts.append(len(calls))
-    # final: the base, smoothed and final stages; splitmatch: its one stage
-    assert counts == [3, 1, 1, 1]
+    # final: the base, the smoothed if it differs, and the final stage;
+    # splitmatch: its one stage
+    assert counts == [final_stages, 1, 1, 1]
+
+
+@pytest.mark.parametrize("instance", ["running_example", "fig3_instance", "lifted_instance"])
+def test_each_binary_gets_its_shares_once(instance, request, tmp_path, capsys, monkeypatch):
+    # the greedy makes one binary per round and smoothing one per freed
+    # giver of each lifting pair; each computes that binary's shares, and
+    # every later stage, the scheme and its file read them off the binary
+    from fairsignal import ironing, splitmatch
+
+    dist = request.getfixturevalue(instance)
+    result = monotone_fair_scheme(dist)
+    repaired = sum(
+        sum(b.taker == pair.plus_index for b in result.base.binaries)
+        for interval, pairs in zip(result.ironed.intervals, result.pairings)
+        for pair in pairs
+        if 2 * pair.minus_height > interval.level
+    )
+    assert (repaired > 0) == (instance == "lifted_instance")
+    original, calls = splitmatch.binary_shares, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(splitmatch, "binary_shares", counted)
+    monkeypatch.setattr(ironing, "binary_shares", counted)
+    path = str(tmp_path / "instance.json")
+    write_instance(dist, path)
+    scheme = str(tmp_path / "final.json")
+    counts = []
+    for argv in (
+        ("build", "--in", path, "--scheme", "final", "--out", scheme),
+        ("verify", "--in", path, "--scheme", scheme),
+    ):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        counts.append(len(calls))
+    assert counts == [len(result.base.binaries) + repaired, 0]
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_each_command_sums_the_pie_and_the_surplus_once(
+    kind, running_example, tmp_path, capsys, monkeypatch
+):
+    # E[v] is summed once per distribution and a scheme's total surplus
+    # once, with its revenue; the report and the profile reuse both
+    from fairsignal import market
+
+    original, calls = market.dot, []
+
+    def counted(xs, ys):
+        xs, ys = tuple(xs), tuple(ys)
+        calls.append((xs, ys))
+        return original(xs, ys)
+
+    monkeypatch.setattr(market, "dot", counted)
+    path = str(tmp_path / "instance.json")
+    write_instance(running_example, path)
+    scheme = str(tmp_path / f"{kind}.json")
+    for argv in (
+        ("build", "--in", path, "--scheme", kind, "--out", scheme),
+        ("verify", "--in", path, "--scheme", scheme),
+    ):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        pie = [c for c in calls if c == (running_example.values, running_example.masses)]
+        totals = [c for c in calls if c[0] == running_example.masses]
+        assert (len(pie), len(totals)) == (1, 1)
 
 
 class TestLowerbound:

@@ -23,15 +23,15 @@ from fairsignal.market import (
     scheme_surplus,
 )
 from fairsignal.splitmatch import (
-    BinarySignalEntry,
     DecomposedScheme,
     SingletonEntry,
+    binary_shares,
     split_and_match,
     truncated_upper_bound,
 )
 from fairsignal.steps import StepFunction, integration_prefix, profile_step_function
 
-from conftest import mixture, random_distribution, structured_priors, taker_fraction
+from conftest import binary, mixture, random_distribution, structured_priors, taker_fraction
 
 F = Fraction
 
@@ -228,10 +228,10 @@ def reference_smooth(scheme, ironed, pairings) -> tuple:
                     weights[j] -= removed
                     g = b.giver
                     w = removed * (1 - values[g] / values[vp]) / (1 - values[g] / values[vm])
-                    added.append(BinarySignalEntry(g, vm, w))
+                    added.append(binary(dist, g, vm, w))
     assert all(w >= 0 for w in weights)
     binaries = [
-        BinarySignalEntry(b.giver, b.taker, w)
+        binary(dist, b.giver, b.taker, w)
         for b, w in zip(scheme.binaries, weights)
         if w > 0
     ] + added
@@ -325,6 +325,46 @@ class TestSmooth:
             # the checked constructor raises unless the mixture is the prior
             SignalingScheme(dist, smoothed.to_signaling_scheme().entries)
         assert checked > 0  # corpus really exercises the lifting branch
+
+
+def check_hand_over(dist: ValueDistribution) -> bool:
+    """Check that smoothing hands its input on exactly when no pair lifts a
+    class, and that the smoothed and final stages equal stages rebuilt
+    from binaries with fresh shares; returns whether a pair lifts."""
+    res = monotone_fair_scheme(dist)
+    lifts = any(
+        2 * pair.minus_height > interval.level
+        for interval, pairs in zip(res.ironed.intervals, res.pairings)
+        for pair in pairs
+    )
+    assert (res.smoothed is res.base) == (not lifts)
+    for stage in (res.smoothed, res.final):
+        fresh = DecomposedScheme(
+            dist,
+            [binary(dist, b.giver, b.taker, b.weight) for b in stage.binaries],
+        )
+        assert fresh.binaries == stage.binaries
+        assert fresh.singletons == stage.singletons
+        assert fresh.surpluses == stage.surpluses
+        assert [b.shares for b in stage.binaries] == [
+            binary_shares(dist, b.giver, b.taker) for b in stage.binaries
+        ]
+    return lifts
+
+
+class TestHandOver:
+    def test_corpus(self, corpus):
+        lifted = sum(check_hand_over(dist) for dist in corpus)
+        assert 0 < lifted < len(corpus)  # 117 instances lift a class
+
+    @given(structured_priors())
+    @settings(max_examples=30, deadline=None)
+    def test_structured_families(self, case):
+        _, dist = case
+        check_hand_over(dist)
+
+    def test_lifted_instance(self, lifted_instance):
+        assert check_hand_over(lifted_instance)
 
 
 class TestFinalize:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.market import (
@@ -85,6 +86,37 @@ class TestValueDistribution:
 
     def test_cdf_is_summed_once(self, running_example):
         assert running_example.cdf is running_example.cdf
+
+    def test_expected_value_is_summed_once(self, running_example):
+        assert running_example.expected_value() is running_example.expected_value()
+
+    def test_values_are_ordered_by_cross_products(self, monkeypatch):
+        # from_pairs compares each value with the one before it once, on
+        # integers, and the distribution it builds does not compare again
+        rng = random.Random(5)
+        values = sorted(F(rng.randint(1, 60), rng.randint(1, 9)) for _ in range(40))
+        raw = [str(v) if k % 2 else f"{2 * v.numerator}/{2 * v.denominator}"
+               for k, v in enumerate(values)]
+        masses = [F(1, 40)] * 40
+        expected = {}
+        for v in values:
+            expected[v] = expected.get(v, F(0)) + F(1, 40)
+
+        def refuse(*args):
+            raise AssertionError("values compared as Fractions")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        d = ValueDistribution.from_pairs(raw, masses)
+        monkeypatch.undo()
+        assert len(set(values)) < len(values)  # duplicates to merge
+        assert (d.values, d.masses) == (tuple(expected), tuple(expected.values()))
+        assert d == ValueDistribution(d.values, d.masses)
+
+    @pytest.mark.parametrize("values", [(1, 1, 2), (1, 3, 2), ("1/2", "2/4", 2)])
+    def test_unordered_values_rejected_by_constructor(self, values):
+        with pytest.raises(InvalidDistribution, match="^values must be strictly increasing$"):
+            ValueDistribution(tuple(map(as_fraction, values)), (F(1, 3),) * 3)
 
     def test_as_fraction_exact_decimals(self):
         assert as_fraction("0.1") == F(1, 10)
@@ -307,6 +339,20 @@ class TestSchemeRevenue:
                 assert scheme_surplus(scheme).surpluses == reference_surpluses(scheme)
             priced_above_lowest += not is_efficient(schemes[-1])
         assert priced_above_lowest > 100  # random schemes price above their lowest support
+
+    @given(structured_priors(max_n=24), st.randoms(use_true_random=False))
+    @settings(max_examples=20, deadline=None)
+    def test_per_signal_sum_on_structured_priors(self, case, rng):
+        # revenue is E[v] less the unsold mass at its values and the total
+        # surplus; a random scheme leaves mass unsold
+        _, dist = case
+        schemes = [build_named_scheme(dist, k) for k in SCHEME_KINDS]
+        for scheme in schemes + [random_scheme(rng, dist)]:
+            assert scheme.revenue == reference_revenue(scheme)
+            total = sum(
+                (f * cs for f, cs in zip(dist.masses, reference_surpluses(scheme))), F(0)
+            )
+            assert scheme_surplus(scheme).total() == scheme.total_surplus == total
 
     def test_reference_schemes(self, nonmonotone_scheme, monotone_scheme):
         assert scheme_revenue(nonmonotone_scheme) == F(5, 2)

@@ -20,7 +20,6 @@ from fairsignal.market import (
     scheme_surplus,
 )
 from fairsignal.splitmatch import (
-    BinarySignalEntry,
     DecomposedScheme,
     SingletonEntry,
     binary_shares,
@@ -29,7 +28,13 @@ from fairsignal.splitmatch import (
 )
 from fairsignal.steps import integration_prefix, profile_step_function
 
-from conftest import perfbench_module, random_distribution, structured_priors, taker_fraction
+from conftest import (
+    binary,
+    perfbench_module,
+    random_distribution,
+    structured_priors,
+    taker_fraction,
+)
 
 F = Fraction
 
@@ -39,9 +44,9 @@ class TestRunningExample:
         # the binaries, in emission order, are the greedy ledger
         scheme = split_and_match(running_example)
         assert scheme.binaries == (
-            BinarySignalEntry(0, 1, F(1, 4)),
-            BinarySignalEntry(1, 2, F(5, 24)),
-            BinarySignalEntry(2, 3, F(3, 20)),
+            binary(running_example, 0, 1, F(1, 4)),
+            binary(running_example, 1, 2, F(5, 24)),
+            binary(running_example, 2, 3, F(3, 20)),
         )
         assert scheme.singletons == (
             SingletonEntry(0, F(1, 8)),
@@ -77,11 +82,11 @@ class TestFiveValueInstance:
         # frozen from an independent hand run of the greedy ledger
         scheme = split_and_match(fig3_instance)
         assert scheme.binaries == (
-            BinarySignalEntry(0, 1, F(1, 10)),
-            BinarySignalEntry(1, 2, F(9, 40)),
-            BinarySignalEntry(1, 3, F(1, 10)),
-            BinarySignalEntry(1, 4, F(3, 80)),
-            BinarySignalEntry(2, 4, F(7, 40)),
+            binary(fig3_instance, 0, 1, F(1, 10)),
+            binary(fig3_instance, 1, 2, F(9, 40)),
+            binary(fig3_instance, 1, 3, F(1, 10)),
+            binary(fig3_instance, 1, 4, F(3, 80)),
+            binary(fig3_instance, 2, 4, F(7, 40)),
         )
         assert scheme.singletons == (
             SingletonEntry(0, F(1, 20)),
@@ -135,24 +140,25 @@ class TestFromBinaries:
         ],
     )
     def test_singletons_carry_unused_mass(self, running_example, weight, singletons):
-        scheme = DecomposedScheme(running_example, [BinarySignalEntry(0, 1, weight)])
+        scheme = DecomposedScheme(running_example, [binary(running_example, 0, 1, weight)])
         assert scheme.singletons == tuple(SingletonEntry(i, w) for i, w in singletons)
 
     def test_oversubscribed_value_raises(self, running_example):
         # the giver half of weight 1 puts mass 1/2 on a value of mass 1/4
+        entry = binary(running_example, 0, 1, F(1))
         with pytest.raises(InvariantViolation, match="value index 0 is oversubscribed by 1/4"):
-            DecomposedScheme(running_example, [BinarySignalEntry(0, 1, F(1))])
+            DecomposedScheme(running_example, [entry])
 
     def test_hand_over_refuses_a_binary_priced_off_its_giver(self, running_example, monkeypatch):
         # the stage's sums price each binary at its giver, so a posterior
-        # that sells at its taker would hand over wrong surpluses
-        stage = split_and_match(running_example)
-
+        # that sells at its taker would hand over wrong surpluses.  The
+        # greedy makes each binary's shares, so it is given the bad ones.
         def taker_priced(dist, g, t):
             ratio = (1 + dist.values[g] / dist.values[t]) / 2
             return tuple((f.numerator, f.denominator) for f in (1 - ratio, ratio))
 
         monkeypatch.setattr(splitmatch, "binary_shares", taker_priced)
+        stage = split_and_match(running_example)
         with pytest.raises(InvariantViolation, match="is not priced at its giver value"):
             stage.to_signaling_scheme()
 
