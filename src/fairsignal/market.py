@@ -15,7 +15,8 @@ scheme, takes and sums reduced int pairs: `pair_product` and `pair_sum`
 keep a pair in lowest terms by `Fraction`'s own gcd steps, without an
 object per operation.  `splitmatch`'s greedy runs its budgets on them
 too, and so do `dot` (the expected value, once per distribution, and a
-scheme's total surplus) and the posted revenues.  A `Signal` is priced
+scheme's total surplus), the posted revenues and the buyer-optimal
+peeling.  A `Signal` is priced
 when built: its price walk compares revenues on its shares scaled to
 integers over one common denominator (`common_denominator`).  A sign test reads a rational's
 numerator rather than comparing it with 0 through `Fraction`'s generic
@@ -25,12 +26,13 @@ through one parser.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -562,20 +564,20 @@ def is_monotone(profile: SurplusProfile) -> bool:
 
 
 def scheme_from_rows(
-    dist: ValueDistribution, rows: Sequence[Mapping[int, Fraction]]
+    dist: ValueDistribution, rows: Iterable[Sequence[tuple[int, tuple[int, int]]]]
 ) -> SignalingScheme:
-    """One signal per non-empty row, in row order, weighted by its total.
-
-    Each row maps value indices to positive masses; the signal's posterior
-    is the row divided by its total.
-    """
+    """One signal per non-empty row of (value index, positive mass) pairs,
+    each mass a reduced int pair, in row order and weighted by its total:
+    the signal's posterior is the row divided by its total, on pairs."""
     entries = []
     for row in rows:
         if not row:
             continue
-        weight = sum(row.values(), Fraction(0))
-        signal = Signal.from_support(dist, ((i, m / weight) for i, m in sorted(row.items())))
-        entries.append((signal, weight))
+        wn, wd = 0, 1
+        for _, mass in row:
+            wn, wd = pair_sum(wn, wd, *mass)
+        shares = tuple((i, pair_product(mn, md, wd, wn)) for i, (mn, md) in row)
+        entries.append((Signal(dist, shares), Fraction(wn, wd)))
     return SignalingScheme(dist, tuple(entries))
 
 
@@ -593,35 +595,83 @@ def no_signal(dist: ValueDistribution) -> SignalingScheme:
     return SignalingScheme(dist, ((signal, Fraction(1)),))
 
 
+class _Time(tuple):
+    """A time as a reduced int pair, ordered as the rational it is; equal
+    times are equal tuples, so a heap of (time, index) breaks ties by index."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self[0] * other[1] < other[0] * self[1]
+
+
 def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Fraction]:
     """Scheme maximizing total consumer surplus, and that maximum E[v] - R*.
 
-    Equal-revenue peeling (Bergemann, Brooks and Morris, AER 2015): subtract
-    from the residual, as far as it allows, the segment with tail mass
-    s_1 / s_j at each live value s_1 < ... < s_k, and drop the values that
-    run out.  A segment costs every live price the same revenue, so R* is
-    spent exactly, tied Myerson prices stay live and every segment sells at
-    its lowest support.  Segments sharing a lowest support are merged into
-    one signal, which still sells there; the scheme is built once and its
-    efficiency and total are re-checked.
+    Equal-revenue peeling (Bergemann, Brooks and Morris, AER 2015): a round
+    subtracts from the residual, as far as it allows, t times the segment
+    with tail mass s_1 / s_j at each live value s_1 < ... < s_k.  A segment
+    costs every live price the same revenue, so R* is spent exactly, tied
+    Myerson prices stay live and every segment sells at its lowest support.
+    The rounds sharing a lowest support make one row and one signal.  A
+    mixture, efficiency or total that fails its re-check is a bug.
+
+    The rounds run as events on reduced int pairs.  As time tau grows by
+    t * s_1 per round, a live value v_i loses mass at the constant rate
+    1/v_i - 1/v_j, v_j its live successor (1/v_i at the top), until it runs
+    out.  The rate reads only v_i's successor, so a value that leaves
+    changes the rate and leave time of its live predecessor alone.  A heap
+    pops leave times, and the values with an equal one leave together, as
+    one round's minimum drops them together: none stays live with nothing
+    left, to give a zero share or an empty row.  When the lowest live value
+    leaves, its row closes, and each value live at its opening gets what it
+    lost since.  Each leaver pushes at most one time, so the work is
+    O(n log n) plus the size of the scheme.
     """
-    residual = dict(enumerate(dist.masses))  # live index -> mass left
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(dist.n)]
-    for _ in range(dist.n):  # at most n rounds
-        if not residual:
-            break
-        live = list(residual)
-        tails = [dist.values[live[0]] / dist.values[i] for i in live] + [Fraction(0)]
-        segment = tuple(zip(live, (a - b for a, b in zip(tails, tails[1:]))))
-        t = min(residual[i] / q for i, q in segment)
-        row = rows[live[0]]
-        for i, q in segment:
-            mass = t * q
-            row[i] = row.get(i, Fraction(0)) + mass
-            residual[i] -= mass
-            if not residual[i].numerator:
-                del residual[i]
-    scheme = scheme_from_rows(dist, rows)
+    n = dist.n
+    inv = [(v.denominator, v.numerator) for v in dist.values]  # 1/v_i
+    # the live values as a ring through n, whose successor is the lowest
+    prev, succ = [n, *range(n)], [*range(1, n + 1), 0]
+    rate, leave, heap = [(1, 1)] * n, [None] * (n + 1), []  # None once gone, and at n
+
+    def left_at(i, tau):  # the mass live value i has left at tau
+        return pair_product(*rate[i], *pair_sum(*leave[i], -tau[0], tau[1]))
+
+    def rerate(i, tau, left):  # from its mass left at tau and its live successor
+        j = succ[i]
+        rate[i] = rn, rd = inv[i] if j == n else pair_sum(*inv[i], -inv[j][0], inv[j][1])
+        leave[i] = _Time(pair_sum(*tau, *pair_product(*left, rd, rn)))
+        heapq.heappush(heap, (leave[i], i))
+
+    opened = [(f.numerator, f.denominator) for f in dist.masses]  # left as the row opened
+    for i in range(n):
+        rerate(i, (0, 1), opened[i])
+    row, rows = [], []  # the open row, the closed rows
+    while heap:
+        tau, low, group = heap[0][0], succ[n], []
+        while heap and heap[0][0] == tau:
+            t, j = heapq.heappop(heap)
+            if leave[j] is t:  # else re-rated since t was pushed
+                leave[j] = None
+                group.append(j)
+        for j in reversed(group):  # from the top, so a predecessor is re-rated once
+            p, s = prev[j], succ[j]
+            succ[p], prev[s] = s, p
+            if leave[p] is not None:
+                rerate(p, tau, left_at(p, tau))
+        row += [(j, opened[j]) for j in group]
+        if succ[n] != low:  # the row's lowest value is gone
+            j = succ[n]
+            while j < n:
+                left = left_at(j, tau)
+                row.append((j, pair_sum(*opened[j], -left[0], left[1])))
+                opened[j], j = left, succ[j]
+            rows.append(row)
+            row = []
+    try:
+        scheme = scheme_from_rows(dist, rows)
+    except PlausibilityError as e:
+        raise InvariantViolation(f"buyer-optimal mixture: {e}") from e
     total = scheme.total_surplus
     best = dist.expected_value() - myerson(dist)[1]
     if total != best or not is_efficient(scheme):

@@ -1,5 +1,6 @@
 """Shared fixtures and test oracles: reference instances and schemes, the
-random corpus, adversary witnesses and the max-min surplus LP."""
+random corpus, adversary witnesses, the max-min surplus LP and the
+round-by-round buyer-optimal peeling."""
 
 from __future__ import annotations
 
@@ -179,7 +180,47 @@ def scheme_from_point(dist: ValueDistribution, point: Sequence[Fraction]) -> Sig
         row = {k: diagonal} if diagonal > 0 else {}
         row.update((i, x[(k, i)]) for i in range(k + 1, dist.n) if x[(k, i)] > 0)
         rows.append(row)
-    return scheme_from_rows(dist, rows)
+    return scheme_from_rows(dist, pair_rows(rows))
+
+
+def pair_rows(rows: Sequence[dict[int, Fraction]]) -> list[list[tuple[int, tuple[int, int]]]]:
+    """Rows of `Fraction` masses (index -> mass) as `market.scheme_from_rows`
+    takes them: (index, reduced pair) in index order."""
+    return [[(i, (f.numerator, f.denominator)) for i, f in sorted(row.items())] for row in rows]
+
+
+def reference_buyer_optimal_rows(dist: ValueDistribution) -> list[dict[int, Fraction]]:
+    """Test oracle: the equal-revenue peeling round by round, in `Fraction`s,
+    one row per lowest support (an empty row where no round starts).
+
+    Each round takes the segment with tail mass s_1 / s_j at each live
+    value s_1 < ... < s_k, subtracts t times it, the largest t the residual
+    allows, and drops the values that run out; its masses go to the row of
+    s_1.  At most n rounds and O(n^2) exact operations: the reference that
+    `market.buyer_optimal_scheme`'s event-driven peeling must equal."""
+    residual = dict(enumerate(dist.masses))  # live index -> mass left
+    rows: list[dict[int, Fraction]] = [dict() for _ in range(dist.n)]
+    for _ in range(dist.n):  # at most n rounds
+        if not residual:
+            break
+        live = list(residual)
+        tails = [dist.values[live[0]] / dist.values[i] for i in live] + [Fraction(0)]
+        segment = tuple(zip(live, (a - b for a, b in zip(tails, tails[1:]))))
+        t = min(residual[i] / q for i, q in segment)
+        row = rows[live[0]]
+        for i, q in segment:
+            mass = t * q
+            row[i] = row.get(i, Fraction(0)) + mass
+            residual[i] -= mass
+            if not residual[i]:
+                del residual[i]
+    assert not residual, "peeling left mass after n rounds"
+    return rows
+
+
+def reference_buyer_optimal_scheme(dist: ValueDistribution) -> SignalingScheme:
+    """The scheme of `reference_buyer_optimal_rows`, one signal per non-empty row."""
+    return scheme_from_rows(dist, pair_rows(reference_buyer_optimal_rows(dist)))
 
 
 def adversary_witnesses(

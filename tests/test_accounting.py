@@ -39,7 +39,7 @@ from fairsignal.market import (
 )
 from fairsignal.splitmatch import BinarySignalEntry, DecomposedScheme, SingletonEntry
 
-from conftest import perfbench_module, random_scheme, structured_priors
+from conftest import pair_rows, perfbench_module, random_scheme, structured_priors
 
 F = Fraction
 
@@ -172,9 +172,9 @@ def check_pipeline(dist: ValueDistribution) -> None:
 
 
 def random_rows(rng: random.Random, dist: ValueDistribution):
-    """Rows of masses that mix to the prior, each row spread over a random
-    subset of values, so prices fall inside supports as well as at their
-    lowest value."""
+    """Rows of masses (as reduced pairs) that mix to the prior, each row
+    spread over a random subset of values, so prices fall inside supports
+    as well as at their lowest value."""
     k = rng.randint(1, dist.n + 1)
     rows = [dict() for _ in range(k)]
     for i, f in enumerate(dist.masses):
@@ -182,7 +182,7 @@ def random_rows(rng: random.Random, dist: ValueDistribution):
         shares = [rng.randint(1, 9) for _ in pots]
         for q, share in zip(pots, shares):
             rows[q][i] = f * F(share, sum(shares))
-    return rows
+    return pair_rows(rows)
 
 
 class TestPairArithmetic:

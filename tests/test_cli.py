@@ -253,6 +253,41 @@ class TestBuild:
         assert code == 3
         assert "invariant" in stderr
 
+    def test_buyeropt_mixture_fault_exits_3(self, instance_file, capsys, monkeypatch):
+        # a fault in building the buyer-optimal scheme is a bug, not bad input
+        from fairsignal import market
+
+        original = market.scheme_from_rows
+
+        def corrupted(dist, rows):
+            rows = [list(row) for row in rows]
+            i, (n, d) = rows[0][-1]
+            rows[0][-1] = (i, (n, 2 * d))
+            return original(dist, rows)
+
+        monkeypatch.setattr(market, "scheme_from_rows", corrupted)
+        code, stdout, stderr = run_cli(
+            capsys, "build", "--in", instance_file, "--scheme", "buyeropt"
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("error: internal invariant violated: buyer-optimal mixture: ")
+        assert "mixture mass at value index" in stderr
+
+    @pytest.mark.parametrize("family", ["random", "clustered"])
+    def test_buyeropt_at_n_512(self, family, tmp_path, capsys):
+        # the event-driven peeling builds these in well under a second
+        payload = perfbench_module("instances").make_instance(
+            family, 512, random.Random(f"buyeropt:{family}:512")
+        )
+        instance = str(tmp_path / "instance.json")
+        with open(instance, "w") as fh:
+            json.dump(payload, fh)
+        code, stdout, _ = run_cli(capsys, "build", "--in", instance, "--scheme", "buyeropt")
+        assert code == 0
+        report = dict(line.split(": ", 1) for line in stdout.splitlines())
+        best = F(report["expected value"]) - F(report["myerson revenue"])
+        assert F(report["buyer-optimal surplus"]) == best > 0
+
     def test_rationals_beyond_default_digit_limit(self, tmp_path, capsys):
         # the final scheme of this instance holds a 12,945-character rational;
         # no clustered instance with n <= 128 came near the 4,300-digit limit

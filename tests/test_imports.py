@@ -2,7 +2,8 @@
 private name of another package module and no private `fractions` API,
 every function, class and method it defines is reached from outside
 tests, and every dataclass field it declares is read outside tests; the
-exact modules, `lp` and `oracles`, use no float.
+exact modules, `ironing`, `lp`, `market`, `oracles` and `splitmatch`, use
+no float.
 
 No linter is a dependency, so these stdlib checks stand in for one.
 ``__init__.py`` is exempt from the first and the last: its imports are
@@ -160,7 +161,7 @@ def test_module_uses_no_private_fraction_api(path):
 
 
 # The exact modules: every number they report is a rational, never a float.
-EXACT = ("lp.py", "oracles.py")
+EXACT = ("ironing.py", "lp.py", "market.py", "oracles.py", "splitmatch.py")
 FLOAT_MATH = ("inf", "log", "isclose")
 
 

@@ -33,7 +33,15 @@ from fairsignal.market import (
     scheme_surplus,
 )
 
-from conftest import mixture, random_distribution, random_scheme, structured_priors
+from conftest import (
+    mixture,
+    pair_rows,
+    perfbench_module,
+    random_distribution,
+    random_scheme,
+    reference_buyer_optimal_scheme,
+    structured_priors,
+)
 
 F = Fraction
 
@@ -55,7 +63,7 @@ def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
         for i, f in signal.support:
             row = rows[i] if i < k else rows[k]
             row[i] = row.get(i, Fraction(0)) + weight * f
-    return scheme_from_rows(dist, rows)
+    return scheme_from_rows(dist, pair_rows(rows))
 
 
 class TestValueDistribution:
@@ -419,6 +427,15 @@ class TestCanonicalize:
             assert scheme_revenue(canon) + total == dist.expected_value()
 
 
+def assert_peels_like_the_reference(dist: ValueDistribution) -> SignalingScheme:
+    """The event-driven peeling's scheme, checked to be the round-by-round
+    reference's exactly: the same signals with the same shares and weights,
+    in the same order."""
+    scheme = buyer_optimal_scheme(dist)[0]
+    assert scheme.entries == reference_buyer_optimal_scheme(dist).entries
+    return scheme
+
+
 class TestBuyerOptimalPeeling:
     @given(structured_priors())
     @settings(max_examples=20, deadline=None)
@@ -437,3 +454,40 @@ class TestBuyerOptimalPeeling:
             assert tied <= {i for i, _ in signal.support}
         if family == "equal_revenue":
             assert scheme.entries == no_signal(dist).entries
+
+    def test_equals_the_reference_on_the_corpus(self, corpus):
+        for dist in corpus:
+            assert_peels_like_the_reference(dist)
+
+    @given(structured_priors(max_n=40))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_reference_on_structured_priors(self, case):
+        _, dist = case
+        assert_peels_like_the_reference(dist)
+
+    @pytest.mark.parametrize("family", perfbench_module("instances").FAMILIES)
+    def test_equals_the_reference_on_benchmark_families(self, family):
+        make_instance = perfbench_module("instances").make_instance
+        for n in range(1, 41):
+            payload = make_instance(family, n, random.Random(f"peel:{family}:{n}"))
+            dist = ValueDistribution.from_pairs(payload["values"], payload["masses"])
+            assert_peels_like_the_reference(dist)
+
+    @pytest.mark.parametrize(
+        "values, masses, signals",
+        [
+            # one value
+            ([3], ["1"], 1),
+            # equal revenue: every value leaves at one time, in one signal
+            ([1, 2, 4], ["1/2", "1/4", "1/4"], 1),
+            # the lowest value leaves together with the next one
+            ([1, 2, 3], ["3/8", "1/8", "1/2"], 2),
+            # 2 and 3 leave together, neither lowest, and 1 is re-rated against 4
+            ([1, 2, 3, 4], ["1/2", "1/12", "1/24", "3/8"], 2),
+            # 2 and 4 leave together, apart, and 1 and 3 are re-rated
+            ([1, 2, 3, 4, 5], ["1/2", "1/12", "1/12", "1/40", "37/120"], 2),
+        ],
+    )
+    def test_equal_leave_times(self, values, masses, signals):
+        dist = ValueDistribution.from_pairs(values, masses)
+        assert len(assert_peels_like_the_reference(dist).entries) == signals
