@@ -6,9 +6,11 @@ one slack, the slacks form the starting basis, and there is no phase 1.
 A row with a negative right-hand side raises ValueError before any pivot,
 and an unbounded program raises InvariantViolation, since no caller builds
 one.  The canonical LPs of `oracles` have this form because they start at
-full revelation.
+full revelation.  Coefficients, right-hand sides and objective entries are
+ints or Fractions; a float raises TypeError when it is solved, since its
+binary rounding would enter the program as an exact rational.
 
-The tableau is kept as an integer matrix with a single running denominator
+The tableau is kept as an integer matrix over a running denominator den
 (the previous pivot), so every pivot is a fraction-free (Bareiss) update
 and no floating point ever enters.  It is condensed, as in the integer
 pivoting dictionary of Avis's lrs: it keeps one column per nonbasic
@@ -17,7 +19,27 @@ elsewhere.  Variables are labelled structural first, then one slack per
 row; ``cols`` labels the columns and ``basis`` the rows.  A pivot on row r
 and column c updates every other row by the Bareiss formula, then puts the
 leaving variable's column where the entering one was: -f in a row whose
-column-c entry was f, and the old den in row r.
+column-c entry was f, and the old den in row r.  That is the eager form,
+which every row follows; the rows are stored as follows.
+
+Deferred scaling.  The eager update rewrites every row at every pivot,
+even a row whose entry f in the entering column is 0: its true values do
+not change, and its integers only follow the running den.  Here row i is
+stored at its own stamp t_i, the den at which it was last written, and
+its true entries are its integers over t_i; the eager integers are
+x * den / t_i, which are integers because the eager update's are.  A pivot
+on (r, c) brings row r to den, then leaves every row with f = 0 as it is
+and writes each other row k at the stamp piv: (x * piv - f * y) / t_k is
+the eager row's (x' * piv - f' * y) / den with x' = x * den / t_k and
+f' = f * den / t_k, so it is the eager integer and the division is exact,
+and so is its column-c entry -f' = -f * den / t_k.  The pivot row keeps
+its integers, den in column c, at the stamp piv.  A row's stamp is a
+positive factor common to all its entries, so every comparison made
+within one row, or between the objective row and ratios within one row,
+is unchanged: the ratio test's rhs_r / a_rj, the gain -z_j * rhs_r / a_rj
+and the degeneracy test rhs_r = 0.  The pivots are therefore exactly the
+eager tableau's.  Pricing and the certificate, which add rows or read
+values, read them brought to den.
 
 Units.  Scaling each row by the lcm of its denominators leaves common
 factors in the columns: in the canonical LPs, the prior's mass
@@ -47,9 +69,10 @@ parametric objective of Gass and Saaty, 1955).  Changing c keeps that basis
 primal feasible, so only the objective row is rebuilt, as the sum over
 basic rows of c_B times the row, less den times c, on the nonbasic columns;
 that is the row pivoting to the basis from scratch gives, so later pivots
-still divide exactly.  Pivots replace rows rather than edit them, so one
-result can start any number of solves.  A cold solve is the same path from
-the slack basis.
+still divide exactly.  Its integers c_j / g_j, over the lcm of their
+denominators, are built from the nonzero c_j alone.  Pivots replace rows
+rather than edit them, so one result can start any number of solves.  A
+cold solve is the same path from the slack basis.
 
 Every answer is proved, cold or warm, against the integer rows built once
 from the constraints, in the tableau's units: dividing column j and c_j by
@@ -90,7 +113,7 @@ class LinearProgram:
     def add(self, coeffs: Sequence[Fraction], rhs: Fraction) -> None:
         if len(coeffs) != self.n_vars:
             raise ValueError("coefficient vector has wrong length")
-        self.constraints.append((tuple(coeffs), Fraction(rhs)))
+        self.constraints.append((tuple(coeffs), rhs))
 
 
 @dataclass(frozen=True)
@@ -101,20 +124,39 @@ class LPResult:
     _tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
 
-def _integer_row(
-    coeffs: Sequence[Fraction], rhs: Fraction
-) -> tuple[list[int], int, int]:
-    """The row times its scale, the lcm of its denominators, and the scale."""
+def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int]:
+    """The row times its scale, the lcm of its denominators."""
     scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
     return (
         [c.numerator * (scale // c.denominator) for c in coeffs],
         rhs.numerator * (scale // rhs.denominator),
-        scale,
     )
 
 
+def _integer_objective(
+    objective: Sequence[Fraction], units: Sequence[int]
+) -> tuple[list[int], int]:
+    """c_j / g_j times the lcm of their denominators, and that lcm, built
+    from the nonzero c_j only."""
+    terms = []
+    for j, c in enumerate(objective):
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"objective entry {j} is {c!r}, not an int or a Fraction")
+        if c:
+            # c_j is reduced, so only g_j can share a factor with its numerator
+            p, g = c.numerator, units[j]
+            common = math.gcd(p, g)
+            terms.append((j, p // common, c.denominator * (g // common)))
+    scale = math.lcm(*(q for _, _, q in terms))
+    integer = [0] * len(objective)
+    for j, p, q in terms:
+        integer[j] = p * (scale // q)
+    return integer, scale
+
+
 class _Tableau:
-    """Condensed integer simplex tableau; true entries are ints over self.den.
+    """Condensed integer simplex tableau; row i's true entries are its ints
+    over ``stamps[i]``, and ``den`` is the running Bareiss denominator.
 
     Row i holds basic variable ``basis[i]``; column j holds nonbasic variable
     ``cols[j]``; the last entry of each row is its right-hand side, and the
@@ -127,7 +169,10 @@ class _Tableau:
         self.nvars = nvars
         rows = []
         for r, (coeffs, rhs) in enumerate(lp.constraints):
-            row, int_rhs, _ = _integer_row(coeffs, rhs)
+            try:
+                row, int_rhs = _integer_row(coeffs, rhs)
+            except AttributeError:  # no numerator and denominator: a float, say
+                raise TypeError(f"row {r} has an entry that is not an int or a Fraction") from None
             if int_rhs < 0:
                 raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
             rows.append(row + [int_rhs])
@@ -140,18 +185,28 @@ class _Tableau:
             ([(j, a) for j, a in enumerate(row[:-1]) if a], row[-1]) for row in rows
         ]
         self.rows = rows + [[0] * (nvars + 1)]  # then the objective row
+        self.stamps = [1] * len(self.rows)
         self.cols = list(range(nvars))
         self.basis = list(range(nvars, nvars + len(rows)))
         self.den = 1
         self.m = len(rows)
 
     def copy(self) -> _Tableau:
-        # pivots and pricing replace rows rather than edit them
+        # pivots and pricing replace rows rather than edit them, but they
+        # rewrite the entries of stamps, cols and basis
         twin = copy.copy(self)
         twin.rows = list(self.rows)
+        twin.stamps = list(self.stamps)
         twin.cols = list(self.cols)
         twin.basis = list(self.basis)
         return twin
+
+    def row_at_den(self, i: int) -> list[int]:
+        """Row i as the eager tableau stores it, over the running den."""
+        row, stamp, den = self.rows[i], self.stamps[i], self.den
+        if stamp == den:
+            return row
+        return [x * den // stamp for x in row]
 
     def price(self, objective: Sequence[int]) -> None:
         """Objective row of max objective.x at the current basis."""
@@ -160,25 +215,29 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             if b < nvars and objective[b]:
                 cb = objective[b]
-                z = [x + cb * y for x, y in zip(z, self.rows[i])]
+                z = [x + cb * y for x, y in zip(z, self.row_at_den(i))]
         self.rows[-1] = z
+        self.stamps[-1] = self.den
 
     def pivot(self, r: int, c: int) -> None:
-        rows = self.rows
-        prow = rows[r]
-        piv = prow[c]  # positive: _choose_row takes only entries above 0
+        rows, stamps = self.rows, self.stamps
         den = self.den
+        prow = self.row_at_den(r)
+        piv = prow[c]  # positive: _choose_row takes only entries above 0
         for k in range(len(rows)):
-            if k == r:
-                continue
             row = rows[k]
             f = row[c]
-            new = [(x * piv - f * y) // den for x, y in zip(row, prow)]
-            new[c] = -f
+            if f == 0 or k == r:
+                continue  # a row with no entry in column c keeps its true values
+            stamp = stamps[k]
+            new = [(x * piv - f * y) // stamp for x, y in zip(row, prow)]
+            new[c] = -f * den // stamp
             rows[k] = new
+            stamps[k] = piv
         prow = list(prow)
         prow[c] = den
         rows[r] = prow
+        stamps[r] = piv
         self.den = piv
         self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
 
@@ -249,13 +308,14 @@ class _Tableau:
         v = [0] * nvars
         for i, b in enumerate(self.basis):
             if b < nvars:
-                v[b] = self.rows[i][-1]
+                v[b] = self.rows[i][-1] * den // self.stamps[i]
         if any(x < 0 for x in v):
             raise InvariantViolation("solver produced a negative variable")
         duals = [0] * self.m
+        z = self.row_at_den(self.m)
         for j, b in enumerate(self.cols):
             if b >= nvars:
-                duals[b - nvars] = self.rows[-1][j]
+                duals[b - nvars] = z[j]
         if any(y < 0 for y in duals):
             raise InvariantViolation("dual certificate has a negative multiplier")
         lhs = [0] * nvars
@@ -298,9 +358,7 @@ def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
         ):
             raise ValueError("start was not solved over this program's constraints")
         tab = tab.copy()
-    objective, _, scale = _integer_row(
-        [c / g for c, g in zip(lp.objective, tab.units)], Fraction(0)
-    )
+    objective, scale = _integer_objective(lp.objective, tab.units)
     tab.price(objective)
     tab.run()
     point, value = tab.certify(objective, scale)

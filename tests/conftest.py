@@ -1,22 +1,25 @@
 """Shared fixtures and test oracles: reference instances and schemes, the
-random corpus, adversary witnesses, the max-min surplus LP and the
-round-by-round buyer-optimal peeling."""
+random corpus, adversary witnesses, the max-min surplus LP, the
+round-by-round buyer-optimal peeling and the eager Bareiss tableau."""
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
+from fairsignal import lp as lp_module
 from fairsignal import oracles
-from fairsignal.lp import LinearProgram, solve_lp
+from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import (
     MarketError,
     Signal,
@@ -243,6 +246,155 @@ def adversary_witnesses(
         values = oracles.adversary_sorted_prefix(dist, masses)
     assert len(points) == len(values)
     return [(value, scheme_from_point(dist, point)) for value, point in zip(values, points)]
+
+
+class EagerTableau:
+    """Test oracle: the condensed Bareiss tableau with every row rewritten
+    at every pivot, all over the one running den.
+
+    Its pivot, pricing and pivot choice are the eager formulas that
+    `lp._Tableau` follows, written without row stamps, and it keeps its
+    own Bland flag, set by each pivot and cleared by pricing, as
+    `lp._Tableau.run` does.  The integer rows, column units and objective
+    are built here in `Fraction`s."""
+
+    def __init__(self, lp: LinearProgram):
+        n = lp.n_vars
+        rows = []
+        for coeffs, rhs in lp.constraints:
+            row = [Fraction(a) for a in coeffs] + [Fraction(rhs)]
+            scale = math.lcm(*(a.denominator for a in row))
+            rows.append([int(a * scale) for a in row])
+        self.units = [math.gcd(*(row[j] for row in rows)) or 1 for j in range(n)]
+        for row in rows:
+            row[:n] = [a // g for a, g in zip(row, self.units)]
+        self.rows = rows + [[0] * (n + 1)]
+        self.cols = list(range(n))
+        self.basis = list(range(n, n + len(rows)))
+        self.den = 1
+        self.bland = False
+
+    def copy(self) -> EagerTableau:
+        return copy.deepcopy(self)
+
+    def integer_objective(self, objective: Sequence[Fraction]) -> tuple[list[int], int]:
+        """c_j / g_j over the lcm of their denominators, and that lcm."""
+        scaled = [Fraction(c) / g for c, g in zip(objective, self.units)]
+        scale = math.lcm(*(c.denominator for c in scaled))
+        return [int(c * scale) for c in scaled], scale
+
+    def price(self, objective: Sequence[int]) -> None:
+        n = len(self.units)
+        z = [-self.den * objective[b] if b < n else 0 for b in self.cols] + [0]
+        for i, b in enumerate(self.basis):
+            if b < n and objective[b]:
+                z = [x + objective[b] * y for x, y in zip(z, self.rows[i])]
+        self.rows[-1] = z
+        self.bland = False
+
+    def ratio_row(self, c: int) -> Optional[int]:
+        """Least rhs_i / a_ic over a_ic > 0, ties to the lowest basis label."""
+        ratios = [
+            (Fraction(row[-1], row[c]), self.basis[i], i)
+            for i, row in enumerate(self.rows[:-1])
+            if row[c] > 0
+        ]
+        return min(ratios)[2] if ratios else None
+
+    def choose_pivot(self) -> Optional[tuple[int, int]]:
+        """(row, column) of the next pivot, or None at an optimum: the
+        largest gain -z_j * rhs_r / a_rj, ties to the lowest label, or the
+        lowest-labelled negative column after a degenerate pivot."""
+        z = self.rows[-1]
+        negative = sorted((b, j) for j, b in enumerate(self.cols) if z[j] < 0)
+        if not negative:
+            return None
+        if self.bland:
+            j = negative[0][1]
+            return self.ratio_row(j), j
+        best = None
+        for _, j in negative:
+            r = self.ratio_row(j)
+            gain = -z[j] * Fraction(self.rows[r][-1], self.rows[r][j])
+            if best is None or gain > best[0]:
+                best = gain, (r, j)
+        return best[1]
+
+    def pivot(self, r: int, c: int) -> None:
+        prow = self.rows[r]
+        piv, den = prow[c], self.den
+        self.bland = prow[-1] == 0
+        for k, row in enumerate(self.rows):
+            if k != r:
+                f = row[c]
+                new = [(x * piv - f * y) // den for x, y in zip(row, prow)]
+                new[c] = -f
+                self.rows[k] = new
+        self.rows[r] = prow[:c] + [den] + prow[c + 1 :]
+        self.den = piv
+        self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
+
+    def point_and_value(
+        self, objective: Sequence[int], scale: int
+    ) -> tuple[tuple[Fraction, ...], Fraction]:
+        v = [0] * len(self.units)
+        for i, b in enumerate(self.basis):
+            if b < len(v):
+                v[b] = self.rows[i][-1]
+        point = tuple(Fraction(x, self.den * g) for x, g in zip(v, self.units))
+        return point, Fraction(sum(c * x for c, x in zip(objective, v)), self.den * scale)
+
+
+def assert_follows_eager(tab, twin: EagerTableau) -> None:
+    """``tab`` has the eager twin's labels and den, and each of its rows,
+    brought from its stamp to den, is the eager row integer for integer."""
+    assert (tab.basis, tab.cols, tab.den) == (twin.basis, twin.cols, twin.den)
+    assert len(tab.rows) == len(tab.stamps) == len(twin.rows)
+    for row, stamp, eager in zip(tab.rows, tab.stamps, twin.rows):
+        assert [x * tab.den for x in row] == [e * stamp for e in eager]
+
+
+def eager_lockstep(patch: pytest.MonkeyPatch) -> Callable[..., LPResult]:
+    """A `solve_lp` whose every pricing and pivot `lp._Tableau` makes is
+    matched by an `EagerTableau` twin; ``patch`` routes the tableau's
+    methods through the check.  The twin of a warm solve is a copy of the
+    twin that ended its start, so one start can serve several solves.
+    After pricing and after each pivot, `assert_follows_eager` holds; each
+    pivot is the one the twin chooses, the twin finds no pivot at the end,
+    and the result is the twin's point and value."""
+    price, pivot = lp_module._Tableau.price, lp_module._Tableau.pivot
+    ends: dict[int, tuple[LPResult, EagerTableau]] = {}
+    running: list[tuple[EagerTableau, LinearProgram]] = []
+
+    def checked_price(tab, objective):
+        twin, lp = running[-1]
+        eager, _ = twin.integer_objective(lp.objective)
+        assert list(objective) == eager
+        price(tab, objective)
+        twin.price(eager)
+        assert_follows_eager(tab, twin)
+
+    def checked_pivot(tab, r, c):
+        twin = running[-1][0]
+        assert (r, c) == twin.choose_pivot()
+        pivot(tab, r, c)
+        twin.pivot(r, c)
+        assert_follows_eager(tab, twin)
+
+    def solve(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
+        twin = EagerTableau(lp) if start is None else ends[id(start)][1].copy()
+        running.append((twin, lp))
+        result = solve_lp(lp, start=start)
+        assert twin.choose_pivot() is None
+        assert (result.point, result.value) == twin.point_and_value(
+            *twin.integer_objective(lp.objective)
+        )
+        ends[id(result)] = (result, twin)  # the result is kept, so its id stays its own
+        return result
+
+    patch.setattr(lp_module._Tableau, "price", checked_price)
+    patch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+    return solve
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from fairsignal import lp as lp_module
 from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import InvariantViolation
 
+from conftest import eager_lockstep
+
 F = Fraction
 
 
@@ -20,6 +22,31 @@ def test_single_bound():
     lp.add((F(1),), F(3))
     res = solve_lp(lp)
     assert (res.value, res.point) == (F(3), (F(3),))
+
+
+def test_ints_are_exact_entries():
+    lp = LinearProgram(objective=(1, F(1, 2)))
+    lp.add((1, 2), 3)
+    lp.add((F(1), 0), F(5, 2))
+    res = solve_lp(lp)
+    assert (res.value, res.point) == (F(21, 8), (F(5, 2), F(1, 4)))
+
+
+@pytest.mark.parametrize(
+    "objective, row, rhs, message",
+    [
+        ((F(1),), (F(1),), 0.1, "row 0"),
+        ((F(1),), (0.5,), F(1), "row 0"),
+        ((F(1), 0.0), (F(1), F(1)), F(1), "objective entry 1"),
+    ],
+    ids=["rhs", "coefficient", "objective"],
+)
+def test_floats_are_refused(objective, row, rhs, message):
+    """A float would carry its binary rounding into the exact program."""
+    lp = LinearProgram(objective=objective)
+    lp.add(row, rhs)
+    with pytest.raises(TypeError, match=message):
+        solve_lp(lp)
 
 
 def test_rows_that_fail_at_the_origin_are_refused(monkeypatch):
@@ -218,8 +245,10 @@ def test_three_variables_match_vertex_enumeration(program):
 
 
 def tableau_state(result: LPResult) -> tuple:
+    """Rows brought from their stamps to den, labels and den."""
     tab = result._tableau
-    return [list(row) for row in tab.rows], list(tab.basis), list(tab.cols), tab.den
+    rows = [[x * tab.den // stamp for x in row] for row, stamp in zip(tab.rows, tab.stamps)]
+    return rows, list(tab.basis), list(tab.cols), tab.den
 
 
 @pytest.mark.parametrize("program", [bounded_program_3d, homogeneous_program_nd])
@@ -240,6 +269,33 @@ def test_one_start_serves_two_objectives_in_either_order(program):
         for second, a, b in zip(seconds, forward, reversed(backward)):
             assert a.value == b.value == solve_lp(second).value
             assert a.point == b.point
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        bounded_program,
+        homogeneous_program,
+        bounded_program_3d,
+        lambda rng: homogeneous_program_nd(rng, 5),
+    ],
+    ids=["bounded", "homogeneous", "bounded_3d", "homogeneous_5d"],
+)
+def test_deferred_rows_follow_the_eager_tableau(monkeypatch, program):
+    """Every pricing and pivot, cold and warm, matches `conftest.EagerTableau`
+    row for row, with one start serving two objectives and a warm chain."""
+    solve = eager_lockstep(monkeypatch)
+    rng = random.Random(167)
+    for _ in range(40):
+        lp = program(rng)
+
+        def other():
+            objective = tuple(F(rng.randint(-4, 6), rng.randint(1, 3)) for _ in lp.objective)
+            return LinearProgram(objective, lp.constraints)
+
+        start = solve(lp)
+        solve(other(), start=solve(other(), start=start))
+        solve(other(), start=start)
 
 
 @pytest.mark.parametrize("k", [3**40, F(1, 7**25)], ids=["large", "small"])
@@ -452,6 +508,7 @@ def test_moved_point_fails_its_check(monkeypatch, x, message):
         run(tab)
         i = tab.basis.index(0)
         tab.rows[i] = tab.rows[i][:-1] + [x * tab.den]
+        tab.stamps[i] = tab.den
 
     monkeypatch.setattr(lp_module._Tableau, "run", run_then_move)
     with pytest.raises(InvariantViolation, match=message):

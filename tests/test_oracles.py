@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from fairsignal import lp as lp_module
 from fairsignal import oracles
@@ -34,10 +35,12 @@ from fairsignal.steps import profile_step_function, sorted_prefix
 
 from conftest import (
     adversary_witnesses,
+    eager_lockstep,
     max_min_surplus_lp,
     perfbench_module,
     random_distribution,
     scheme_from_point,
+    structured_priors,
     universal_optimal_point,
     universal_raw_masses,
 )
@@ -516,6 +519,17 @@ def test_sweep_pivots_stay_pinned(monkeypatch):
         (dist,) = param.values
         adversary_sorted_prefix(dist, certification_masses(dist))
     assert pivots <= SWEEP_PIVOTS
+
+
+@given(structured_priors(max_n=10))
+@settings(max_examples=15, deadline=None)
+def test_sweeps_follow_the_eager_tableau(case):
+    """Every pricing and pivot of a sweep over the certification masses
+    matches `conftest.EagerTableau` row for row."""
+    _, dist = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "solve_lp", eager_lockstep(patch))
+        adversary_sorted_prefix(dist, certification_masses(dist), max_support=dist.n)
 
 
 @pytest.mark.parametrize("name", ["running_example", "fig3_instance"])
