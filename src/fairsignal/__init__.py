@@ -14,24 +14,24 @@ from .market import (
     PlausibilityError,
     Signal,
     SignalingScheme,
-    SurplusProfile,
     ValueDistribution,
     as_fraction,
     buyer_optimal_scheme,
     full_revelation,
     is_efficient,
-    is_monotone,
     myerson,
     no_signal,
     scheme_revenue,
-    scheme_surplus,
 )
 from .steps import (
     StepFunction,
+    SurplusProfile,
     certification_grid,
     evaluate_welfare,
     integration_prefix,
+    is_monotone,
     profile_step_function,
+    scheme_surplus,
     sorted_breakpoints,
     sorted_prefix,
 )

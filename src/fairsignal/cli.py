@@ -25,17 +25,14 @@ from .market import (
     MarketError,
     PlausibilityError,
     SignalingScheme,
-    SurplusProfile,
     ValueDistribution,
     as_fraction,
     buyer_optimal_scheme,
     full_revelation,
     is_efficient,
-    is_monotone,
     myerson,
     no_signal,
     scheme_revenue,
-    scheme_surplus,
 )
 from .oracles import (
     DEFAULT_MAX_N,
@@ -49,9 +46,12 @@ from .splitmatch import split_and_match
 from .steps import (
     WELFARE_KINDS,
     StepFunction,
+    SurplusProfile,
     evaluate_welfare,
     integration_prefix,
+    is_monotone,
     profile_step_function,
+    scheme_surplus,
     sorted_prefix,
 )
 
@@ -82,7 +82,7 @@ def _instance_lines(dist: ValueDistribution) -> list[str]:
         f"instance: n={dist.n}",
         "values: [" + ", ".join(map(str, dist.values)) + "]",
         "masses: [" + ", ".join(map(str, dist.masses)) + "]",
-        f"expected value: {dist.expected_value()}",
+        f"expected value: {dist.expected_value}",
         f"myerson price: {price}",
         f"myerson revenue: {revenue}",
         "posted revenues: [" + ", ".join(map(str, dist.posted_revenues())) + "]",
@@ -100,7 +100,7 @@ def _scheme_report(
         f"signals: {len(scheme.entries)}",
         f"revenue: {scheme_revenue(scheme)}",
         "surplus profile: [" + ", ".join(map(str, profile.surpluses)) + "]",
-        f"total consumer surplus: {profile.total()}",
+        f"total consumer surplus: {profile.total}",
         f"efficient: {as_text(flags['efficient'])}",
         f"monotone: {as_text(flags['monotone'])}",
     ]
@@ -191,9 +191,11 @@ def cmd_build(args) -> int:
     report, profile, _ = _scheme_report(args.scheme, scheme)
     lines = _instance_lines(dist) + report
     if args.scheme == "buyeropt":
-        lines.append(f"buyer-optimal surplus: {profile.total()}")
+        lines.append(f"buyer-optimal surplus: {profile.total}")
     if args.format == "json":
-        print(fileio.json_text({"report": lines, "scheme": fileio.scheme_payload(scheme)}))
+        # json_text({"report": lines, "scheme": ...}), the scheme nested a level deeper
+        body = f'"report": {fileio.json_text(lines)},\n"scheme": {fileio.scheme_text(scheme)}'
+        print("{\n  " + body.replace("\n", "\n  ") + "\n}")
     else:
         print("\n".join(lines))
     if args.out:

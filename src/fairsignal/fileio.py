@@ -3,9 +3,9 @@
 Rationals are serialized as "p/q" strings so nothing is lost to decimal
 rounding; on input, plain numbers and decimal strings are also accepted
 and converted exactly.  Every JSON output shares one layout
-(``json_text``); `save_scheme` writes it for a scheme file straight from
-the signals' int-pair shares, and `load_scheme` reads each share back
-into one (`market.rational_pair`).  The loaders raise MarketError for
+(``json_text``); `scheme_text` writes it for a scheme straight from the
+signals' int-pair shares, and `load_scheme` reads each share back into
+one (`market.rational_pair`).  The loaders raise MarketError for
 any content they cannot read and OSError only when the file cannot be
 opened.  Reports and tables write each value in one text form
 (``as_text``): a table cell is the exact rational or ``inf``, and the
@@ -117,18 +117,6 @@ def load_instance(path: str) -> ValueDistribution:
     return payload_to_instance(_load_json(path))
 
 
-def scheme_payload(scheme: SignalingScheme) -> dict:
-    entries = []
-    for signal, weight in scheme.entries:
-        entries.append(
-            {
-                "weight": str(weight),
-                "support": {str(i): pair_text(n, d) for i, (n, d) in signal.shares},
-            }
-        )
-    return {"entries": entries}
-
-
 def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
     if not _is_object(payload) or not _is_array(payload.get("entries")):
         raise MarketError("scheme file must hold an object with an entries array")
@@ -153,11 +141,12 @@ def load_scheme(path: str, dist: ValueDistribution) -> SignalingScheme:
     return payload_to_scheme(dist, _load_json(path))
 
 
-def save_scheme(scheme: SignalingScheme, path: str) -> None:
-    """The scheme file: ``json_text(scheme_payload(scheme))`` and a newline,
-    written straight from the shares.  Its layout is fixed, and no key or
-    rational in it needs escaping; support keys sort as strings, as
-    ``sort_keys`` sorts them ("10" before "2")."""
+def scheme_text(scheme: SignalingScheme) -> str:
+    """The scheme's JSON in ``json_text``'s layout, written straight from
+    the shares: an object whose ``entries`` each hold a ``support`` (index
+    to share) and a ``weight``.  No key or rational in it needs escaping;
+    support keys sort as strings, as ``sort_keys`` sorts them ("10"
+    before "2")."""
     entries = []
     for signal, weight in scheme.entries:
         support = sorted((str(i), pair_text(n, d)) for i, (n, d) in signal.shares)
@@ -165,8 +154,13 @@ def save_scheme(scheme: SignalingScheme, path: str) -> None:
         entries.append(
             f'    {{\n      "support": {{\n{lines}\n      }},\n      "weight": "{weight}"\n    }}'
         )
+    return '{\n  "entries": [\n' + ",\n".join(entries) + "\n  ]\n}"
+
+
+def save_scheme(scheme: SignalingScheme, path: str) -> None:
+    """The scheme file: `scheme_text` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "entries": [\n' + ",\n".join(entries) + "\n  ]\n}\n")
+        fh.write(scheme_text(scheme) + "\n")
 
 
 def write_majorization_table(path: str, rows: Sequence[Mapping], fmt: str) -> None:

@@ -17,19 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .market import (
-    InvariantViolation,
-    SurplusProfile,
-    ValueDistribution,
-    scheme_surplus,
-)
+from .market import InvariantViolation, ValueDistribution
 from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
     binary_shares,
     split_and_match,
 )
-from .steps import profile_step_function
+from .steps import SurplusProfile, profile_step_function, scheme_surplus
 
 
 @dataclass(frozen=True)

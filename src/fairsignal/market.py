@@ -1,27 +1,9 @@
-"""Core market model: value distributions, signals, schemes, posted prices.
+"""Core market model: value distributions, signals, signaling schemes
+and their accounting, posted prices, and the reading of rationals.
 
-All quantities are exact rationals: `fractions.Fraction`s, or reduced int
-pairs where said so.  A signal is a
-posterior over a subset of the value grid; a signaling scheme is a weighted
-collection of signals whose mixture reproduces the prior exactly.  The
-seller best-responds to each posterior with a posted price, breaking revenue
-ties toward the lowest price.
-
-A signal stores its posterior as reduced int pairs (numerator, positive
-denominator), the form its readers take; ``Signal.support`` is its
-`Fraction` view.  Accounting results are `Fraction`s, but `class_sums`,
-which accounts for the entries (weight, posterior, price index) of every
-scheme, takes and sums reduced int pairs: `pair_product` and `pair_sum`
-keep a pair in lowest terms by `Fraction`'s own gcd steps, without an
-object per operation.  `splitmatch`'s greedy runs its budgets on them
-too, and so do `dot` (the expected value, once per distribution, and a
-scheme's total surplus), the posted revenues and the buyer-optimal
-peeling.  A `Signal` is priced
-when built: its price walk compares revenues on its shares scaled to
-integers over one common denominator (`common_denominator`).  A sign test reads a rational's
-numerator rather than comparing it with 0 through `Fraction`'s generic
-comparison.  `as_fraction` and `rational_pair` read a rational's text
-through one parser.
+Every quantity is an exact rational.  Where the arithmetic runs hot it is
+a reduced int pair (numerator, positive denominator) rather than a
+`Fraction`, kept in lowest terms by `pair_product` and `pair_sum`.
 """
 
 from __future__ import annotations
@@ -224,11 +206,6 @@ class ValueDistribution:
     masses: tuple[Fraction, ...]
 
     def __post_init__(self):
-        self._check(ordered=False)
-
-    def _check(self, ordered: bool) -> None:
-        """Check the invariants; ``ordered`` skips the order of the values,
-        which `from_pairs` has compared already."""
         if len(self.values) == 0:
             raise InvalidDistribution("support must be nonempty")
         if len(self.values) != len(self.masses):
@@ -236,10 +213,9 @@ class ValueDistribution:
         for v in self.values:
             if v.numerator <= 0:
                 raise InvalidDistribution(f"values must be positive, got {v}")
-        if not ordered:
-            for lo, hi in zip(self.values, self.values[1:]):  # lo >= hi, cross-multiplied
-                if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:
-                    raise InvalidDistribution("values must be strictly increasing")
+        for lo, hi in zip(self.values, self.values[1:]):  # lo >= hi, cross-multiplied
+            if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:
+                raise InvalidDistribution("values must be strictly increasing")
         for f in self.masses:
             if f.numerator <= 0:
                 raise InvalidDistribution(f"masses must be positive, got {f}")
@@ -257,8 +233,7 @@ class ValueDistribution:
         Values must be non-decreasing; duplicates are merged by summing
         masses and zero-mass values are dropped.  Each value is compared
         with the one before it once, by integer cross products, which both
-        checks the order and finds the duplicates; the distribution built
-        does not compare them again.
+        checks the order and finds the duplicates.
         """
         vs = [as_fraction(v) for v in values]
         fs = [as_fraction(f) for f in masses]
@@ -285,11 +260,7 @@ class ValueDistribution:
         kept = [(v, f) for v, f in zip(merged_v, merged_f) if f.numerator > 0]
         if not kept:
             raise InvalidDistribution("no value carries positive mass")
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "values", tuple(v for v, _ in kept))
-        object.__setattr__(dist, "masses", tuple(f for _, f in kept))
-        dist._check(ordered=True)
-        return dist
+        return cls(tuple(v for v, _ in kept), tuple(f for _, f in kept))
 
     @property
     def n(self) -> int:
@@ -315,12 +286,9 @@ class ValueDistribution:
             for v, (tn, td) in zip(self.values, tails)
         )
 
+    @cached_property
     def expected_value(self) -> Fraction:
         """E[v], summed once per distribution."""
-        return self._expected_value
-
-    @cached_property
-    def _expected_value(self) -> Fraction:
         return dot(self.values, self.masses)
 
 
@@ -330,8 +298,7 @@ class Signal:
 
     Each share is a reduced int pair (numerator, positive denominator), the
     form its readers take: the price walk, `class_sums` and the scheme
-    file.  ``support`` gives the same posterior as `Fraction`s, built on
-    first read.  ``optimal_price_index``, the revenue-maximizing price index
+    file.  ``optimal_price_index``, the revenue-maximizing price index
     (lowest tie first), is found when the signal is built, comparing
     revenues on the shares scaled to integers over their common
     denominator.
@@ -383,11 +350,6 @@ class Signal:
     @classmethod
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":
         return cls(dist, ((index, (1, 1)),))
-
-    @cached_property
-    def support(self) -> tuple[tuple[int, Fraction], ...]:
-        """The shares as (index, `Fraction`) pairs, by index."""
-        return tuple((i, Fraction(n, d)) for i, (n, d) in self.shares)
 
     @property
     def lowest_index(self) -> int:
@@ -477,8 +439,14 @@ class SignalingScheme:
 
     @classmethod
     def efficient(cls, dist: ValueDistribution, entries, surpluses) -> "SignalingScheme":
-        """Entries their maker summed to the prior and to ``surpluses`` through `class_sums`,
-        each sold at its lowest support so that no class is unsold; none is summed again."""
+        """The scheme of entries their maker summed to the prior and to
+        ``surpluses`` through `class_sums`, each sold at its lowest support
+        so that no class is unsold.  It skips the constructor's mixture
+        check and the `class_sums` that re-derives ``surpluses``; its one
+        maker, `splitmatch.DecomposedScheme.to_signaling_scheme`, has them
+        done already: the stage fills every unused mass with a singleton
+        and raises on an oversubscribed value, and each binary's signal is
+        checked to be priced at its giver."""
         scheme = object.__new__(cls)
         object.__setattr__(scheme, "dist", dist)
         object.__setattr__(scheme, "entries", entries)
@@ -491,7 +459,7 @@ class SignalingScheme:
         sells) at its value, less that total: see `scheme_revenue`."""
         dist = self.dist
         total = dot(dist.masses, surpluses)
-        ev = dist.expected_value()
+        ev = dist.expected_value
         revenue = pair_sum(ev.numerator, ev.denominator, -total.numerator, total.denominator)
         for v, (un, ud) in zip(dist.values, unsold):
             if un:
@@ -503,44 +471,6 @@ class SignalingScheme:
     @property
     def signals(self) -> tuple[Signal, ...]:
         return tuple(s for s, _ in self.entries)
-
-
-@dataclass(frozen=True)
-class SurplusProfile:
-    """Per-value expected consumer surplus under some scheme."""
-
-    dist: ValueDistribution
-    surpluses: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.surpluses) != self.dist.n:
-            raise MarketError("one surplus per value required")
-        for cs in self.surpluses:
-            if cs.numerator < 0:
-                raise MarketError(f"surpluses must be non-negative, got {cs}")
-
-    def total(self) -> Fraction:
-        """Mass-weighted total consumer surplus: a scheme's own total, which
-        `scheme_surplus` hands over, or else summed once per profile."""
-        return self._total
-
-    @cached_property
-    def _total(self) -> Fraction:
-        return dot(self.dist.masses, self.surpluses)
-
-
-def scheme_surplus(scheme: SignalingScheme) -> SurplusProfile:
-    """Expected consumer surplus of each value class under any scheme.
-
-    A `SignalingScheme` hands its ``total_surplus`` to the profile, as
-    `steps.profile_step_function` keeps its step function on it, so the
-    total is not summed again; the profile of a pipeline stage sums its
-    own when asked."""
-    profile = SurplusProfile(scheme.dist, scheme.surpluses)
-    if isinstance(scheme, SignalingScheme):
-        # the cached total, set on the frozen profile like any attribute
-        object.__setattr__(profile, "_total", scheme.total_surplus)
-    return profile
 
 
 def scheme_revenue(scheme: SignalingScheme) -> Fraction:
@@ -556,11 +486,6 @@ def scheme_revenue(scheme: SignalingScheme) -> Fraction:
 def is_efficient(scheme: SignalingScheme) -> bool:
     """True iff every signal's optimal price is its lowest support value."""
     return all(s.optimal_price_index == s.lowest_index for s in scheme.signals)
-
-
-def is_monotone(profile: SurplusProfile) -> bool:
-    """True iff expected surplus is non-decreasing in buyer value."""
-    return all(a <= b for a, b in zip(profile.surpluses, profile.surpluses[1:]))
 
 
 def scheme_from_rows(
@@ -673,7 +598,7 @@ def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Frac
     except PlausibilityError as e:
         raise InvariantViolation(f"buyer-optimal mixture: {e}") from e
     total = scheme.total_surplus
-    best = dist.expected_value() - myerson(dist)[1]
+    best = dist.expected_value - myerson(dist)[1]
     if total != best or not is_efficient(scheme):
         raise InvariantViolation(f"buyer-optimal surplus {total} != {best} or inefficient")
     return scheme, total

@@ -29,13 +29,11 @@ from .market import (
     MarketError,
     Signal,
     SignalingScheme,
-    SurplusProfile,
     ValueDistribution,
     as_fraction,
     buyer_optimal_scheme,
-    scheme_surplus,
 )
-from .steps import certification_grid, profile_step_function
+from .steps import SurplusProfile, certification_grid, profile_step_function
 
 DEFAULT_MAX_N = 8
 # A lower-bound parameter's numerator and denominator may not exceed
@@ -64,15 +62,15 @@ def _add_canonical_constraints(
     width = lp.n_vars
     values = dist.values
     for i in range(1, n):  # the diagonal x[i][i] stays non-negative
-        coeffs = [Fraction(0)] * width
+        coeffs = [0] * width
         for k in range(i):
-            coeffs[col[(k, i)]] = Fraction(1)
+            coeffs[col[(k, i)]] = 1
         lp.add(coeffs, dist.masses[i])
     for k in range(n):
         # revenue of signal k at v_j is at most its revenue at v_k; x[k][k]
         # enters through f_k
         for j in range(k + 1, n):
-            coeffs = [Fraction(0)] * width
+            coeffs = [0] * width
             for i in range(k + 1, n):
                 coeffs[col[(k, i)]] = (values[j] if i >= j else 0) - values[k]
             for lower in range(k):
@@ -127,18 +125,18 @@ def adversary_sorted_prefix(
     nu0 = len(cols)
     lam = nu0 + n
     width = lam + 1
-    objective = [Fraction(0)] * width
+    objective = [0] * width
     for i in range(n):
         objective[nu0 + i] = -dist.masses[i]
     rows = LinearProgram(objective=tuple(objective))
     _add_canonical_constraints(rows, dist, col)
     for i in range(n):
-        coeffs = [Fraction(0)] * width
+        coeffs = [0] * width
         coeffs[lam] = dist.masses[i]
         coeffs[nu0 + i] = -dist.masses[i]
         for k in range(i):
             coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
-        rows.add(coeffs, Fraction(0))
+        rows.add(coeffs, 0)
     out = []
     result = None
     for m in masses:
@@ -214,10 +212,10 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     )
     # closed-form (mid, high) surpluses; the low class earns nothing
     denom = N**2 + 1
-    optimal_cs = scheme_surplus(buyer_optimal).surpluses
+    optimal_cs = buyer_optimal.surpluses
     if optimal_cs[1:] != ((N - 1) / denom, (N + N**2) / denom):
         raise InvariantViolation("buyer-optimal surplus mismatch")
-    alternative_cs = scheme_surplus(alternative).surpluses
+    alternative_cs = alternative.surpluses
     if alternative_cs[1:] != ((N**2 - 1) / denom, (N**2 - N) / denom):
         raise InvariantViolation("alternative surplus mismatch")
     ratio = min(c for c in alternative_cs if c > 0) / min(c for c in optimal_cs if c > 0)

@@ -1,29 +1,24 @@
-"""Step functions on (0, 1], prefix sums, and majorization comparisons.
+"""Surplus profiles, their step functions on (0, 1], prefix sums,
+majorization comparisons and welfare.
 
 A surplus profile induces a step function mapping population quantiles to
 expected surplus.  Two prefix sums drive all comparisons here: the plain
 integral from 0, and the integral after rearranging segments in ascending
 order (the least surplus any sub-population of a given mass can carry).
-Each ``StepFunction`` computes, once, its cumulative integral at every
-breakpoint (``integrals``), its ascending rearrangement (``ascending``) and
-its breakpoints as integers over their common denominator (``lattice``);
-the plain prefix places a mass among those integers, reads the stored
-integral at a breakpoint and interpolates between two, and the sorted
-prefix is the plain prefix of ``ascending``.  Both are piecewise linear in
-the mass argument, so a finite grid of breakpoints certifies inequalities
-for every mass.
+Both are piecewise linear in the mass argument, so a finite grid of
+breakpoints certifies inequalities for every mass.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
-from .market import MarketError, SurplusProfile, common_denominator
+from .market import MarketError, SignalingScheme, ValueDistribution, common_denominator
 
 WELFARE_KINDS = ("utilitarian", "nash", "maxmin")
 
@@ -34,11 +29,13 @@ class StepFunction:
 
     ``breakpoints`` are the right edges of the segments, strictly increasing
     and ending at exactly 1; ``values`` holds one non-negative value per
-    segment.
+    segment.  ``integrals``, the integral over (0, b] at b = 0 and at every
+    breakpoint b, is summed when built unless its maker has it already.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    integrals: Optional[tuple[Fraction, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.breakpoints:
@@ -55,16 +52,13 @@ class StepFunction:
         for v in self.values:
             if v.numerator < 0:
                 raise MarketError("segment values must be non-negative")
-
-    @cached_property
-    def integrals(self) -> tuple[Fraction, ...]:
-        """Integral over (0, b] at b = 0 and at every breakpoint b."""
-        out = [Fraction(0)]
-        left = Fraction(0)
-        for right, value in zip(self.breakpoints, self.values):
-            out.append(out[-1] + value * (right - left))
-            left = right
-        return tuple(out)
+        if self.integrals is None:
+            out = [Fraction(0)]
+            left = Fraction(0)
+            for right, value in zip(self.breakpoints, self.values):
+                out.append(out[-1] + value * (right - left))
+                left = right
+            object.__setattr__(self, "integrals", tuple(out))
 
     @cached_property
     def lattice(self) -> Optional[tuple[int, tuple[int, ...]]]:
@@ -108,27 +102,52 @@ class StepFunction:
                 edges.append(edge)
                 kept.append(i)
                 distinct.append(values[i])
-        out = StepFunction(tuple(edges), tuple(distinct))
-        if in_order:
-            # each edge is f's breakpoint kept[k], so f's integral there is the
-            # rearrangement's; a cached property is set like any attribute
+        integrals = None
+        if in_order:  # each edge is f's breakpoint kept[k], with f's integral there
             integrals = (self.integrals[0],) + tuple(self.integrals[k + 1] for k in kept)
-            object.__setattr__(out, "integrals", integrals)
-        return out
+        return StepFunction(tuple(edges), tuple(distinct), integrals)
+
+
+@dataclass(frozen=True)
+class SurplusProfile:
+    """Per-value expected consumer surplus under some scheme, and its
+    mass-weighted ``total`` when the scheme has summed one: a
+    `SignalingScheme` has, a pipeline stage has not."""
+
+    dist: ValueDistribution
+    surpluses: tuple[Fraction, ...]
+    total: Optional[Fraction] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if len(self.surpluses) != self.dist.n:
+            raise MarketError("one surplus per value required")
+        for cs in self.surpluses:
+            if cs.numerator < 0:
+                raise MarketError(f"surpluses must be non-negative, got {cs}")
+
+    @cached_property
+    def step_function(self) -> StepFunction:
+        """Segment i spans value i's mass.  Built once, so that the
+        profile's grid and its prefix sums share one set of integrals and
+        one rearrangement."""
+        return StepFunction(self.dist.cdf, self.surpluses)
+
+
+def scheme_surplus(scheme) -> SurplusProfile:
+    """Expected consumer surplus of each value class under a scheme or a
+    pipeline stage, with a `SignalingScheme`'s ``total_surplus``."""
+    total = scheme.total_surplus if isinstance(scheme, SignalingScheme) else None
+    return SurplusProfile(scheme.dist, scheme.surpluses, total)
+
+
+def is_monotone(profile: SurplusProfile) -> bool:
+    """True iff expected surplus is non-decreasing in buyer value."""
+    return all(a <= b for a, b in zip(profile.surpluses, profile.surpluses[1:]))
 
 
 def profile_step_function(profile: SurplusProfile) -> StepFunction:
-    """Step function of a surplus profile: segment i spans value i's mass.
-
-    It is built once per profile and kept on it, so that the profile's grid
-    and its prefix sums share one set of integrals and one rearrangement.
-    """
-    step = vars(profile).get("_step_function")
-    if step is None:
-        step = StepFunction(profile.dist.cdf, profile.surpluses)
-        # derived from the fields, so kept beside them on the frozen profile
-        object.__setattr__(profile, "_step_function", step)
-    return step
+    """The step function of a surplus profile, its ``step_function``."""
+    return profile.step_function
 
 
 def integration_prefix(f: StepFunction, m: Fraction) -> Fraction:
@@ -207,14 +226,16 @@ def _merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction,
 def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, float]:
     """Welfare of the per-buyer surplus allocation, mass-weighted.
 
-    utilitarian: weighted sum (exact); maxmin: minimum over value classes
+    utilitarian: the profile's total (exact); maxmin: minimum over value classes
     (exact); nash: weighted geometric mean, in floating point via logs; 0 if
     some class earns nothing, inf if the mean passes the float range.
     """
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare kind {kind!r}")
     if kind == "utilitarian":
-        return profile.total()
+        if profile.total is None:
+            raise ValueError("utilitarian welfare needs the profile's total")
+        return profile.total
     masses = profile.dist.masses
     surpluses = profile.surpluses
     if kind == "maxmin":

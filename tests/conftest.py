@@ -162,11 +162,16 @@ def random_scheme(rng: random.Random, dist: ValueDistribution) -> SignalingSchem
     return SignalingScheme(dist, tuple(entries))
 
 
+def support(signal: Signal) -> tuple[tuple[int, Fraction], ...]:
+    """A signal's shares as (index, `Fraction`) pairs, by index."""
+    return tuple((i, Fraction(n, d)) for i, (n, d) in signal.shares)
+
+
 def mixture(scheme: SignalingScheme) -> tuple[Fraction, ...]:
     """Weighted sum of a scheme's posteriors, one mass per value."""
     out = [Fraction(0)] * scheme.dist.n
     for signal, weight in scheme.entries:
-        for i, f in signal.support:
+        for i, f in support(signal):
             out[i] += weight * f
     return tuple(out)
 

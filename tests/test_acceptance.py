@@ -21,10 +21,8 @@ from fairsignal.market import (
     SignalingScheme,
     buyer_optimal_scheme,
     is_efficient,
-    is_monotone,
     myerson,
     scheme_revenue,
-    scheme_surplus,
 )
 from fairsignal.oracles import (
     adversary_grid,
@@ -42,7 +40,9 @@ from fairsignal.steps import (
     certification_grid,
     evaluate_welfare,
     integration_prefix,
+    is_monotone,
     profile_step_function,
+    scheme_surplus,
     sorted_prefix,
 )
 
@@ -80,7 +80,7 @@ def certificates(corpus, pipelines):
     for dist, pipe in zip(corpus, pipelines):
         if dist.n > 6:
             continue
-        profile = scheme_surplus(pipe.final)
+        profile = scheme_surplus(pipe.final.to_signaling_scheme())
         grid = adversary_grid(profile)
         sweep = adversary_witnesses(dist, grid)
         rows = [(m, value, witness) for m, (value, witness) in zip(grid, sweep)]
@@ -112,7 +112,7 @@ def test_c02_reference_schemes(nonmonotone_scheme, monotone_scheme):
     prof_b = scheme_surplus(monotone_scheme)
     ok = prof_a.surpluses == (F(0), F(3, 5), F(2, 5), F(3))
     ok &= prof_b.surpluses == (F(0), F(1, 7), F(10, 7), F(17, 7))
-    ok &= prof_a.total() == prof_b.total() == F(1)
+    ok &= prof_a.total == prof_b.total == F(1)
     ok &= scheme_revenue(nonmonotone_scheme) == F(5, 2)
     ok &= scheme_revenue(monotone_scheme) == F(5, 2)
     step_a = profile_step_function(prof_a)
@@ -215,7 +215,7 @@ def test_c07_buyer_optimal_identity(corpus):
     for dist in corpus:
         _, total = buyer_optimal_scheme(dist)
         _, revenue = myerson(dist)
-        if total != dist.expected_value() - revenue:
+        if total != dist.expected_value - revenue:
             violations += 1
     ok = violations == 0
     report(

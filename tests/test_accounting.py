@@ -39,7 +39,7 @@ from fairsignal.market import (
 )
 from fairsignal.splitmatch import BinarySignalEntry, DecomposedScheme, SingletonEntry
 
-from conftest import pair_rows, perfbench_module, random_scheme, structured_priors
+from conftest import pair_rows, perfbench_module, random_scheme, structured_priors, support
 
 F = Fraction
 
@@ -47,7 +47,7 @@ F = Fraction
 def reference_price_index(signal: Signal) -> int:
     """Revenue-maximizing price index over the posterior, lowest tie first."""
     best_i, best_rev, tail = None, F(0), F(1)
-    for i, f in signal.support:
+    for i, f in support(signal):
         rev = signal.dist.values[i] * tail
         if best_i is None or rev > best_rev:
             best_i, best_rev = i, rev
@@ -83,7 +83,7 @@ def reference_scheme_accounting(dist: ValueDistribution, entries):
     for signal, weight in entries:
         k = reference_price_index(signal)
         price = values[k]
-        for i, f in signal.support:
+        for i, f in support(signal):
             mass = weight * f
             mixture[i] += mass
             if i >= k:
@@ -140,7 +140,7 @@ def check_signaling(dist: ValueDistribution, entries) -> str:
     assert got == expected
     for signal, _ in entries:
         assert signal.optimal_price_index == reference_price_index(signal)
-    below = any(s.support[0][0] < s.optimal_price_index for s, _ in entries)
+    below = any(support(s)[0][0] < s.optimal_price_index for s, _ in entries)
     return "below" if below else "at"
 
 
@@ -299,7 +299,7 @@ class TestRevenue:
         assert scheme_revenue(scheme) == F(5, 2)
         # half the mass is unsold, so the surplus alone would overstate revenue
         kept = sum(f * s for f, s in zip(running_example.masses, scheme.surpluses))
-        assert running_example.expected_value() - kept > F(5, 2)
+        assert running_example.expected_value - kept > F(5, 2)
 
     def test_no_signal_earns_the_myerson_revenue(self, corpus):
         above_lowest = 0
@@ -375,7 +375,7 @@ class TestAgainstOracle:
 def test_signal_scales_over_the_lcm():
     dist = ValueDistribution.from_pairs([1, 2, 5, 6], ["1/4"] * 4)
     signal = Signal.from_support(dist, ((3, F(1, 6)), (0, F(1, 2)), (2, F(1, 3))))
-    assert signal.support == ((0, F(1, 2)), (2, F(1, 3)), (3, F(1, 6)))
+    assert support(signal) == ((0, F(1, 2)), (2, F(1, 3)), (3, F(1, 6)))
     # revenues 1, 5 * 1/2, 6 * 1/6: the interior price wins
     assert signal.optimal_price_index == 2
     tie = Signal.from_support(dist, ((1, F(2, 3)), (3, F(1, 3))))  # revenues 2 * 1 = 6 * 1/3

@@ -13,18 +13,19 @@ from fractions import Fraction
 import pytest
 
 from fairsignal.cli import SCHEME_KINDS, main, make_parser
-from fairsignal.fileio import load_scheme, save_scheme, scheme_payload
-from fairsignal.market import (
-    MAX_INT_DIGITS,
-    Signal,
-    ValueDistribution,
-    full_revelation,
-    scheme_surplus,
-)
+from fairsignal.fileio import load_scheme, save_scheme, scheme_text
+from fairsignal.market import MAX_INT_DIGITS, Signal, ValueDistribution, full_revelation
+from fairsignal.steps import scheme_surplus
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.oracles import adversary_grid, universal_lb_instance
 
-from conftest import max_min_surplus_lp, perfbench_module, universal_raw_masses, write_instance
+from conftest import (
+    max_min_surplus_lp,
+    perfbench_module,
+    support,
+    universal_raw_masses,
+    write_instance,
+)
 
 F = Fraction
 
@@ -356,7 +357,7 @@ class TestVerify:
         self, case, instance_file, running_example, tmp_path, capsys
     ):
         # a weight total other than 1 is caught as a mixture off the prior
-        entries = scheme_payload(full_revelation(running_example))["entries"]
+        entries = json.loads(scheme_text(full_revelation(running_example)))["entries"]
         if case == "lone_singleton":
             entries = [{"weight": "1", "support": {"0": "1"}}]
         elif case == "no_entries":
@@ -724,7 +725,7 @@ def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, caps
             signals.append(int(re.search(r"^signals: (\d+)$", stdout, re.M).group(1)))
     # each command also prices the prior once, for its Myerson price
     prior = tuple(enumerate(dist.masses))
-    assert [signal.support == prior for signal in priced].count(True) == len(signals)
+    assert [support(signal) == prior for signal in priced].count(True) == len(signals)
     assert len(priced) == sum(signals) + len(signals)
     assert len({id(signal) for signal in priced}) == len(priced)
 
@@ -733,13 +734,12 @@ def test_scheme_files_are_written_and_read_without_fractions(
     instance_file, tmp_path, capsys, monkeypatch
 ):
     # build writes each signal's shares as they are and verify sums them as
-    # read; neither builds the Fraction view nor runs the generic JSON writer
+    # read; neither runs the generic JSON writer
     from fairsignal import fileio
 
     def refuse(*args):
-        raise AssertionError("scheme file went through Fractions or json_text")
+        raise AssertionError("scheme file went through json_text")
 
-    monkeypatch.setattr(Signal, "support", property(refuse))
     monkeypatch.setattr(fileio, "json_text", refuse)
     for kind in SCHEME_KINDS:
         scheme = str(tmp_path / f"{kind}.json")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import pathlib
 import random
@@ -11,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from fairsignal.cli import SCHEME_KINDS, build_named_scheme
+from fairsignal.cli import SCHEME_KINDS, build_named_scheme, main
 from fairsignal.fileio import (
     decimal_str,
     json_text,
@@ -19,7 +21,7 @@ from fairsignal.fileio import (
     load_scheme,
     payload_to_instance,
     save_scheme,
-    scheme_payload,
+    scheme_text,
     write_majorization_table,
 )
 from fairsignal.market import MarketError, ValueDistribution, full_revelation, no_signal
@@ -100,8 +102,8 @@ class TestSchemeFiles:
         save_scheme(scheme, path)
         assert load_scheme(path, running_example) == scheme
 
-    def test_payload_shape(self, running_example):
-        payload = scheme_payload(full_revelation(running_example))
+    def test_text_shape(self, running_example):
+        payload = json.loads(scheme_text(full_revelation(running_example)))
         assert payload == {
             "entries": [
                 {"weight": "1/4", "support": {"0": "1"}},
@@ -128,33 +130,53 @@ class TestSchemeFiles:
             load_scheme(str(path), ValueDistribution.from_pairs([3], [1]))
 
     @staticmethod
-    def check_layout(scheme, path):
-        """save_scheme writes exactly json_text's layout of scheme_payload."""
-        save_scheme(scheme, str(path))
-        assert path.read_text(encoding="utf-8") == json_text(scheme_payload(scheme)) + "\n"
+    def check_layout(text):
+        """``text`` is json_text's layout of the JSON it holds, and a newline."""
+        assert json_text(json.loads(text)) + "\n" == text
 
-    def test_layout_equals_json_text_on_corpus(self, corpus, tmp_path):
+    def check_file(self, scheme, path):
+        save_scheme(scheme, str(path))
+        self.check_layout(path.read_text(encoding="utf-8"))
+
+    def check_build(self, dist, kind, tmp):
+        """build --format json's stdout and its --out file each hold
+        json_text's layout, and stdout's scheme is the file's."""
+        instance, out = str(tmp / "instance.json"), tmp / "scheme.json"
+        write_instance(dist, instance)
+        argv = ["build", "--in", instance, "--scheme", kind, "--format", "json", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        self.check_layout(stdout.getvalue())
+        self.check_layout(text)
+        assert json.loads(stdout.getvalue())["scheme"] == json.loads(text)
+
+    def test_layout_round_trips_on_corpus(self, corpus, tmp_path):
+        # every kind's file, and build --format json on every tenth instance
         rng = random.Random(24)
-        for dist in corpus:
+        for k, dist in enumerate(corpus):
             for kind in SCHEME_KINDS:
-                self.check_layout(build_named_scheme(dist, kind), tmp_path / "scheme.json")
-            self.check_layout(random_scheme(rng, dist), tmp_path / "scheme.json")
+                if k % 10:
+                    self.check_file(build_named_scheme(dist, kind), tmp_path / "scheme.json")
+                else:
+                    self.check_build(dist, kind, tmp_path)
+            self.check_file(random_scheme(rng, dist), tmp_path / "scheme.json")
 
     @given(structured_priors())
     @settings(max_examples=25, deadline=None)
-    def test_layout_equals_json_text_on_structured_priors(self, case):
+    def test_layout_round_trips_on_structured_priors(self, case):
         with tempfile.TemporaryDirectory() as tmp:
             for kind in ("final", "splitmatch", "nosignal"):
-                self.check_layout(build_named_scheme(case[1], kind), pathlib.Path(tmp) / "s.json")
+                self.check_build(case[1], kind, pathlib.Path(tmp))
 
     def test_support_keys_sort_as_strings(self, tmp_path):
         # sort_keys orders "10" before "2"; integer shares are written "1"
         dist = ValueDistribution.from_pairs(range(1, 13), ["1/12"] * 12)
         path = tmp_path / "scheme.json"
-        self.check_layout(no_signal(dist), path)
+        self.check_file(no_signal(dist), path)
         keys = json.loads(path.read_text())["entries"][0]["support"]
         assert list(keys) == ["0", "1", "10", "11"] + [str(i) for i in range(2, 10)]
-        self.check_layout(full_revelation(dist), path)
+        self.check_file(full_revelation(dist), path)
         assert '"10": "1"' in path.read_text()
 
     def test_shares_load_reduced(self, running_example, tmp_path):

@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, reads no
 private name of another package module and no private `fractions` API,
-every function, class and method it defines is reached from outside
-tests, and every dataclass field it declares is read outside tests; the
-exact modules, `ironing`, `lp`, `market`, `oracles` and `splitmatch`, use
-no float.
+plants no value on an object from outside its constructor, every
+function, class and method it defines is reached from outside tests, and
+every dataclass field it declares is read outside tests; the exact
+modules, `ironing`, `lp`, `market`, `oracles` and `splitmatch`, use no
+float.
 
 No linter is a dependency, so these stdlib checks stand in for one.
 ``__init__.py`` is exempt from the first and the last: its imports are
@@ -158,6 +159,78 @@ def test_the_check_sees_private_fraction_api():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_no_private_fraction_api(path):
     assert private_fraction_uses(path.read_text(encoding="utf-8")) == []
+
+
+def _is_object_call(node: ast.AST, attr: str) -> bool:
+    """True for a call ``object.<attr>(...)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        and getattr(node.func.value, "id", "") == "object"
+    )
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a module or function body, not those of a function,
+    lambda or class nested in it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def planted_attributes(source: str) -> list[str]:
+    """Each write onto an object from outside its constructor: an
+    ``object.__setattr__`` whose first argument is neither ``self`` nor a
+    name the same function bound from ``object.__new__``, and each call of
+    ``vars``."""
+    tree = ast.parse(source)
+    out = []
+    for scope in [tree] + [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]:
+        nodes = list(_own_nodes(scope))
+        fresh = {"self"} if scope is not tree else set()
+        for node in nodes:
+            if isinstance(node, ast.Assign) and _is_object_call(node.value, "__new__"):
+                fresh |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            if _is_object_call(node, "__setattr__"):
+                target = node.args[0] if node.args else None
+                if not (isinstance(target, ast.Name) and target.id in fresh):
+                    out.append((node.lineno, "object.__setattr__"))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "vars":
+                out.append((node.lineno, "vars("))
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+def test_the_check_sees_a_planted_attribute():
+    source = (
+        "class Box:\n    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'size', 1)\n"
+        "    @classmethod\n    def made(cls):\n        box = object.__new__(cls)\n"
+        "        object.__setattr__(box, 'size', 2)\n        return box\n"
+        "    def grown(self, other):\n        object.__setattr__(other, 'size', 3)\n"
+        "        def inner(box):\n            object.__setattr__(box, 'size', 4)\n"
+        "        return vars(other)\n"
+        "def plant(box):\n    object.__setattr__(box.inner, 'size', 5)\n"
+        "object.__setattr__(Box, 'size', 6)\n"
+    )
+    assert planted_attributes(source) == [
+        "object.__setattr__ (line 10)",
+        "object.__setattr__ (line 12)",
+        "vars( (line 13)",
+        "object.__setattr__ (line 15)",
+        "object.__setattr__ (line 16)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_plants_no_attribute(path):
+    assert planted_attributes(path.read_text(encoding="utf-8")) == []
 
 
 # The exact modules: every number they report is a rational, never a float.

@@ -14,14 +14,7 @@ from fairsignal.ironing import (
     pair_rectangles,
     smooth,
 )
-from fairsignal.market import (
-    SignalingScheme,
-    SurplusProfile,
-    ValueDistribution,
-    is_efficient,
-    is_monotone,
-    scheme_surplus,
-)
+from fairsignal.market import SignalingScheme, ValueDistribution, is_efficient
 from fairsignal.splitmatch import (
     DecomposedScheme,
     SingletonEntry,
@@ -29,7 +22,14 @@ from fairsignal.splitmatch import (
     split_and_match,
     truncated_upper_bound,
 )
-from fairsignal.steps import StepFunction, integration_prefix, profile_step_function
+from fairsignal.steps import (
+    StepFunction,
+    SurplusProfile,
+    integration_prefix,
+    is_monotone,
+    profile_step_function,
+    scheme_surplus,
+)
 
 from conftest import binary, mixture, random_distribution, structured_priors, taker_fraction
 

@@ -25,13 +25,12 @@ from fairsignal.market import (
     buyer_optimal_scheme,
     full_revelation,
     is_efficient,
-    is_monotone,
     myerson,
     no_signal,
     scheme_from_rows,
     scheme_revenue,
-    scheme_surplus,
 )
+from fairsignal.steps import is_monotone, scheme_surplus
 
 from conftest import (
     mixture,
@@ -41,6 +40,7 @@ from conftest import (
     random_scheme,
     reference_buyer_optimal_scheme,
     structured_priors,
+    support,
 )
 
 F = Fraction
@@ -60,7 +60,7 @@ def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
     rows: list[dict[int, Fraction]] = [dict() for _ in range(dist.n)]
     for signal, weight in scheme.entries:
         k = signal.optimal_price_index
-        for i, f in signal.support:
+        for i, f in support(signal):
             row = rows[i] if i < k else rows[k]
             row[i] = row.get(i, Fraction(0)) + weight * f
     return scheme_from_rows(dist, pair_rows(rows))
@@ -69,7 +69,7 @@ def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
 class TestValueDistribution:
     def test_running_example_cdf(self, running_example):
         assert running_example.cdf == (F(1, 4), F(1, 2), F(3, 4), F(1))
-        assert running_example.expected_value() == F(7, 2)
+        assert running_example.expected_value == F(7, 2)
 
     def test_duplicates_merged(self):
         d = ValueDistribution.from_pairs([1, 2, 2, 5], ["1/4"] * 4)
@@ -96,11 +96,11 @@ class TestValueDistribution:
         assert running_example.cdf is running_example.cdf
 
     def test_expected_value_is_summed_once(self, running_example):
-        assert running_example.expected_value() is running_example.expected_value()
+        assert running_example.expected_value is running_example.expected_value
 
     def test_values_are_ordered_by_cross_products(self, monkeypatch):
-        # from_pairs compares each value with the one before it once, on
-        # integers, and the distribution it builds does not compare again
+        # from_pairs compares each value with the one before it on integers,
+        # and so does the constructor it ends in
         rng = random.Random(5)
         values = sorted(F(rng.randint(1, 60), rng.randint(1, 9)) for _ in range(40))
         raw = [str(v) if k % 2 else f"{2 * v.numerator}/{2 * v.denominator}"
@@ -273,7 +273,7 @@ class TestOptimalPrice:
             k = signal.optimal_price_index
             assert k == best
             tail = sum(m for j, m in raw.items() if j >= best) / total
-            revenue = d.values[k] * sum(f for j, f in signal.support if j >= k)
+            revenue = d.values[k] * sum(f for j, f in support(signal) if j >= k)
             assert revenue == d.values[best] * tail
 
 
@@ -311,7 +311,7 @@ def reference_revenue(scheme: SignalingScheme) -> Fraction:
     for signal, weight in scheme.entries:
         tail = Fraction(1)
         best = Fraction(0)
-        for i, f in signal.support:
+        for i, f in support(signal):
             best = max(best, scheme.dist.values[i] * tail)
             tail -= f
         total += weight * best
@@ -325,12 +325,12 @@ def reference_surpluses(scheme: SignalingScheme) -> tuple[Fraction, ...]:
     for signal, weight in scheme.entries:
         tail = Fraction(1)
         best = None
-        for i, f in signal.support:
+        for i, f in support(signal):
             if best is None or dist.values[i] * tail > best[1]:
                 best = (i, dist.values[i] * tail)
             tail -= f
         price = dist.values[best[0]]
-        for i, f in signal.support:
+        for i, f in support(signal):
             totals[i] += weight * f * max(dist.values[i] - price, Fraction(0))
     return tuple(t / f for t, f in zip(totals, dist.masses))
 
@@ -360,7 +360,7 @@ class TestSchemeRevenue:
             total = sum(
                 (f * cs for f, cs in zip(dist.masses, reference_surpluses(scheme))), F(0)
             )
-            assert scheme_surplus(scheme).total() == scheme.total_surplus == total
+            assert scheme_surplus(scheme).total == scheme.total_surplus == total
 
     def test_reference_schemes(self, nonmonotone_scheme, monotone_scheme):
         assert scheme_revenue(nonmonotone_scheme) == F(5, 2)
@@ -373,8 +373,8 @@ class TestSchemeRevenue:
         # for efficient schemes, revenue plus total surplus is the whole pie
         for scheme in (nonmonotone_scheme, monotone_scheme):
             assert is_efficient(scheme)
-            total = scheme_surplus(scheme).total()
-            assert scheme_revenue(scheme) + total == scheme.dist.expected_value()
+            total = scheme_surplus(scheme).total
+            assert scheme_revenue(scheme) + total == scheme.dist.expected_value
 
 
 class TestFlags:
@@ -409,7 +409,7 @@ class TestCanonicalize:
         assert scheme_surplus(canon).surpluses == (F(0), F(0), F(0), F(1))
         by_low = {s.lowest_index: s for s in canon.signals}
         assert set(by_low) == {0, 1, 2}
-        assert by_low[2].support == ((2, F(1, 2)), (3, F(1, 2)))
+        assert support(by_low[2]) == ((2, F(1, 2)), (3, F(1, 2)))
 
     def test_random_schemes(self):
         rng = random.Random(23)
@@ -423,8 +423,8 @@ class TestCanonicalize:
             assert is_efficient(canon)
             assert scheme_surplus(canon).surpluses == scheme_surplus(scheme).surpluses
             # efficiency identity now holds even if the source was wasteful
-            total = scheme_surplus(canon).total()
-            assert scheme_revenue(canon) + total == dist.expected_value()
+            total = scheme_surplus(canon).total
+            assert scheme_revenue(canon) + total == dist.expected_value
 
 
 def assert_peels_like_the_reference(dist: ValueDistribution) -> SignalingScheme:
@@ -447,11 +447,11 @@ class TestBuyerOptimalPeeling:
         lows = [s.lowest_index for s in scheme.signals]
         assert len(lows) == len(set(lows)) <= dist.n
         revenues = dist.posted_revenues()
-        assert total == dist.expected_value() - max(revenues)
-        assert scheme_surplus(scheme).total() == total
+        assert total == dist.expected_value - max(revenues)
+        assert scheme_surplus(scheme).total == total
         tied = {i for i, r in enumerate(revenues) if r == max(revenues)}
         for signal in scheme.signals:
-            assert tied <= {i for i, _ in signal.support}
+            assert tied <= {i for i, _ in support(signal)}
         if family == "equal_revenue":
             assert scheme.entries == no_signal(dist).entries
 

@@ -23,7 +23,6 @@ from fairsignal.market import (
     buyer_optimal_scheme,
     is_efficient,
     myerson,
-    scheme_surplus,
 )
 from fairsignal.oracles import (
     adversary_grid,
@@ -31,7 +30,7 @@ from fairsignal.oracles import (
     buyer_optimal_lb_instance,
     universal_lb_instance,
 )
-from fairsignal.steps import profile_step_function, sorted_prefix
+from fairsignal.steps import profile_step_function, scheme_surplus, sorted_prefix
 
 from conftest import (
     adversary_witnesses,
@@ -41,6 +40,7 @@ from conftest import (
     random_distribution,
     scheme_from_point,
     structured_priors,
+    support,
     universal_optimal_point,
     universal_raw_masses,
 )
@@ -73,7 +73,7 @@ class TestBuyerOptimal:
         scheme, total = buyer_optimal_scheme(running_example)
         assert total == F(1)
         assert is_efficient(scheme)
-        assert scheme_surplus(scheme).total() == F(1)
+        assert scheme_surplus(scheme).total == F(1)
 
     def test_single_value(self):
         d = ValueDistribution.from_pairs([4], [1])
@@ -83,7 +83,7 @@ class TestBuyerOptimal:
     def test_five_value_instance(self, fig3_instance):
         _, total = buyer_optimal_scheme(fig3_instance)
         _, revenue = myerson(fig3_instance)
-        assert total == fig3_instance.expected_value() - revenue == F(7, 5)
+        assert total == fig3_instance.expected_value - revenue == F(7, 5)
 
     def test_original_prices_stay_optimal_in_each_signal(self):
         # in a surplus-maximizing scheme, no signal can beat the old price
@@ -96,10 +96,10 @@ class TestBuyerOptimal:
             tied = [i for i, r in enumerate(revenues) if r == best]
             for signal, _ in scheme.entries:
                 k = signal.optimal_price_index
-                rev = dist.values[k] * sum(f for j, f in signal.support if j >= k)
+                rev = dist.values[k] * sum(f for j, f in support(signal) if j >= k)
                 for i in tied:
                     tail = sum(
-                        (f for j, f in signal.support if j >= i), F(0)
+                        (f for j, f in support(signal) if j >= i), F(0)
                     )
                     assert dist.values[i] * tail == rev
 
@@ -225,7 +225,7 @@ class TestBuyerOptimalLowerBound:
     def test_reference_scheme_is_buyer_optimal(self):
         inst = buyer_optimal_lb_instance(3)
         _, best = buyer_optimal_scheme(inst.dist)
-        assert scheme_surplus(inst.buyer_optimal).total() == best
+        assert scheme_surplus(inst.buyer_optimal).total == best
         assert is_efficient(inst.buyer_optimal)
         assert is_efficient(inst.alternative)
 
@@ -256,7 +256,7 @@ def test_lp_optimum_is_the_peeled_total_on_corpus(corpus):
     LP totals are equal on it without peeling each instance twice."""
     for dist in corpus:
         _, revenue = myerson(dist)
-        assert solve_buyer_optimal_lp(dist).value == dist.expected_value() - revenue
+        assert solve_buyer_optimal_lp(dist).value == dist.expected_value - revenue
 
 
 def capture_lps(monkeypatch, solve=solve_lp) -> list[LinearProgram]:
@@ -428,7 +428,7 @@ class TestReferenceFormulation:
         scheme, total = lp_buyer_optimal_scheme(dist)
         assert total == buyer_optimal_scheme(dist)[1]
         assert is_efficient(scheme)
-        assert scheme_surplus(scheme).total() == total
+        assert scheme_surplus(scheme).total == total
         SignalingScheme(dist, scheme.entries)
         masses = certification_masses(dist)
         for m, (value, witness) in zip(masses, adversary_witnesses(dist, masses)):

@@ -17,7 +17,6 @@ from fairsignal.market import (
     ValueDistribution,
     is_efficient,
     scheme_revenue,
-    scheme_surplus,
 )
 from fairsignal.splitmatch import (
     DecomposedScheme,
@@ -26,13 +25,14 @@ from fairsignal.splitmatch import (
     split_and_match,
     truncated_upper_bound,
 )
-from fairsignal.steps import integration_prefix, profile_step_function
+from fairsignal.steps import integration_prefix, profile_step_function, scheme_surplus
 
 from conftest import (
     binary,
     perfbench_module,
     random_distribution,
     structured_priors,
+    support,
     taker_fraction,
 )
 
@@ -76,7 +76,7 @@ class TestFiveValueInstance:
         assert binary_shares(fig3_instance, 0, 1) == ((1, 2), (1, 2))
         signal, weight = scheme.to_signaling_scheme().entries[0]
         assert (signal.shares, weight) == (((0, (1, 2)), (1, (1, 2))), F(1, 10))
-        assert signal.support == ((0, F(1, 2)), (1, F(1, 2)))
+        assert support(signal) == ((0, F(1, 2)), (1, F(1, 2)))
 
     def test_full_ledger_trace(self, fig3_instance):
         # frozen from an independent hand run of the greedy ledger
@@ -119,7 +119,7 @@ def test_binary_posterior_is_equal_revenue(values, data):
     t = data.draw(st.integers(g + 1, len(values) - 1))
     shares = binary_shares(dist, g, t)
     signal = Signal(dist, tuple(zip((g, t), shares)))
-    (giver, giver_share), (taker, taker_share) = signal.support
+    (giver, giver_share), (taker, taker_share) = support(signal)
     assert (giver, taker) == (g, t)
     # the shares are in lowest terms: the posterior's Fractions, taken apart
     assert shares == tuple((f.numerator, f.denominator) for f in (giver_share, taker_share))
@@ -192,7 +192,7 @@ class TestGreedyInvariants:
             assert is_efficient(sig)
             # every binary's posterior is revenue-tied between its two supports
             for b, (signal, weight) in zip(scheme.binaries, sig.entries):
-                (giver, _), (taker, on_taker) = signal.support
+                (giver, _), (taker, on_taker) = support(signal)
                 assert (giver, taker, weight) == (b.giver, b.taker, b.weight)
                 assert dist.values[b.giver] * 1 == dist.values[b.taker] * on_taker
 

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 from fairsignal import market
 from fairsignal.cli import certify
 from fairsignal.ironing import monotone_fair_scheme
-from fairsignal.market import SurplusProfile, ValueDistribution, scheme_surplus
+from fairsignal.market import ValueDistribution
+from fairsignal.splitmatch import split_and_match
 from fairsignal.steps import (
     StepFunction,
+    SurplusProfile,
     certification_grid,
     evaluate_welfare,
     integration_prefix,
     profile_step_function,
+    scheme_surplus,
     sorted_breakpoints,
     sorted_prefix,
 )
@@ -114,7 +117,7 @@ class TestAlphaBetween:
 
 class TestWelfare:
     def test_single_winner_profile(self, running_example):
-        profile = SurplusProfile(running_example, (F(0), F(0), F(0), F(1)))
+        profile = SurplusProfile(running_example, (F(0), F(0), F(0), F(1)), F(1, 4))
         assert evaluate_welfare(profile, "utilitarian") == F(1, 4)
         assert evaluate_welfare(profile, "maxmin") == F(0)
         assert evaluate_welfare(profile, "nash") == 0.0
@@ -151,6 +154,14 @@ class TestWelfare:
         profile = SurplusProfile(running_example, (F(1),) * 4)
         with pytest.raises(ValueError):
             evaluate_welfare(profile, "rawlsian")
+
+    def test_utilitarian_needs_a_total(self, running_example):
+        # a pipeline stage's profile carries no total; its scheme's does
+        stage = split_and_match(running_example)
+        with pytest.raises(ValueError, match="needs the profile's total"):
+            evaluate_welfare(scheme_surplus(stage), "utilitarian")
+        scheme = stage.to_signaling_scheme()
+        assert evaluate_welfare(scheme_surplus(scheme), "utilitarian") == scheme.total_surplus
 
 
 # hypothesis strategies for small exact step functions
