@@ -129,11 +129,18 @@ def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
         ):
             raise MarketError("each scheme entry must hold a weight and a support object")
         weight = as_fraction(entry["weight"])
-        try:
-            shares = tuple((int(i), rational_pair(f)) for i, f in entry["support"].items())
-        except ValueError as e:  # a support index that is not an integer
-            raise MarketError(str(e)) from None
-        entries.append((Signal(dist, shares), weight))
+        shares = []
+        for i, f in entry["support"].items():
+            # the writer's keys are ASCII digits; int() would also read
+            # "1_0", " 3", "+2" and other scripts' digits
+            if not (i.isascii() and i.isdigit()):
+                raise MarketError(f"support index {i!r} is not written in ASCII digits")
+            try:
+                index = int(i)
+            except ValueError as e:  # digits past the int/str conversion limit
+                raise MarketError(str(e)) from None
+            shares.append((index, rational_pair(f)))
+        entries.append((Signal(dist, tuple(shares)), weight))
     return SignalingScheme(dist, tuple(entries))
 
 

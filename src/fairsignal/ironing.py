@@ -13,11 +13,10 @@ efficient scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .market import InvariantViolation, ValueDistribution
+from .market import InvariantViolation, Record, ValueDistribution
 from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
@@ -27,22 +26,32 @@ from .splitmatch import (
 from .steps import SurplusProfile, profile_step_function, scheme_surplus
 
 
-@dataclass(frozen=True)
-class IroningInterval:
+class IroningInterval(Record):
     """Maximal open interval where the envelope lies strictly below F."""
 
+    _compared = ("left", "right", "level", "classes")
     left: Fraction
     right: Fraction
     level: Fraction
     classes: tuple[int, ...]
 
+    def __init__(self, left: Fraction, right: Fraction, level: Fraction, classes: tuple[int, ...]):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "classes", classes)
 
-@dataclass(frozen=True)
-class IronedFunction:
+
+class IronedFunction(Record):
     """Envelope derivative per class, and the intervals where it is flat."""
 
+    _compared = ("ironed_values", "intervals")
     ironed_values: tuple[Fraction, ...]
     intervals: tuple[IroningInterval, ...]
+
+    def __init__(self, ironed_values: tuple[Fraction, ...], intervals: tuple[IroningInterval, ...]):
+        object.__setattr__(self, "ironed_values", ironed_values)
+        object.__setattr__(self, "intervals", intervals)
 
 
 def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[int]:
@@ -100,8 +109,7 @@ def iron(profile: SurplusProfile) -> IronedFunction:
     return IronedFunction(tuple(ironed), tuple(intervals))
 
 
-@dataclass(frozen=True)
-class RectanglePair:
+class RectanglePair(Record):
     """Equal-area excess/deficit rectangles inside one ironing interval.
 
     The plus rectangle sits above the ironed level on a single class with
@@ -109,6 +117,10 @@ class RectanglePair:
     right, on a class with surplus beneath it.
     """
 
+    _compared = (
+        "plus_index", "minus_index", "plus_left", "plus_width", "plus_height",
+        "minus_left", "minus_width", "minus_height",
+    )
     plus_index: int
     minus_index: int
     plus_left: Fraction
@@ -117,6 +129,26 @@ class RectanglePair:
     minus_left: Fraction
     minus_width: Fraction
     minus_height: Fraction
+
+    def __init__(
+        self,
+        plus_index: int,
+        minus_index: int,
+        plus_left: Fraction,
+        plus_width: Fraction,
+        plus_height: Fraction,
+        minus_left: Fraction,
+        minus_width: Fraction,
+        minus_height: Fraction,
+    ):
+        object.__setattr__(self, "plus_index", plus_index)
+        object.__setattr__(self, "minus_index", minus_index)
+        object.__setattr__(self, "plus_left", plus_left)
+        object.__setattr__(self, "plus_width", plus_width)
+        object.__setattr__(self, "plus_height", plus_height)
+        object.__setattr__(self, "minus_left", minus_left)
+        object.__setattr__(self, "minus_width", minus_width)
+        object.__setattr__(self, "minus_height", minus_height)
 
 
 def pair_rectangles(
@@ -248,15 +280,29 @@ def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedSche
     return DecomposedScheme(scheme.dist, _reweighted(scheme.binaries, factors))
 
 
-@dataclass(frozen=True)
-class FairSchemeResult:
+class FairSchemeResult(Record):
     """All intermediate artifacts of the monotone-scheme pipeline."""
 
+    _compared = ("base", "ironed", "pairings", "smoothed", "final")
     base: DecomposedScheme
     ironed: IronedFunction
     pairings: tuple[tuple[RectanglePair, ...], ...]
     smoothed: DecomposedScheme
     final: DecomposedScheme
+
+    def __init__(
+        self,
+        base: DecomposedScheme,
+        ironed: IronedFunction,
+        pairings: tuple[tuple[RectanglePair, ...], ...],
+        smoothed: DecomposedScheme,
+        final: DecomposedScheme,
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "ironed", ironed)
+        object.__setattr__(self, "pairings", pairings)
+        object.__setattr__(self, "smoothed", smoothed)
+        object.__setattr__(self, "final", final)
 
 
 def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:

@@ -90,21 +90,30 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .market import InvariantViolation
+from .market import InvariantViolation, Record
 
 
-@dataclass
-class LinearProgram:
-    """max c.x subject to ``coeffs . x <= rhs`` for each constraint, x >= 0."""
+class LinearProgram(Record):
+    """max c.x subject to ``coeffs . x <= rhs`` for each constraint, x >= 0.
 
+    Its fields are fixed, but ``add`` appends to its list of constraints,
+    so it has no hash."""
+
+    _compared = ("objective", "constraints")
+    __hash__ = None
     objective: tuple[Fraction, ...]
-    constraints: list[tuple[tuple[Fraction, ...], Fraction]] = field(
-        default_factory=list
-    )
+    constraints: list[tuple[tuple[Fraction, ...], Fraction]]
+
+    def __init__(
+        self,
+        objective: tuple[Fraction, ...],
+        constraints: Optional[list[tuple[tuple[Fraction, ...], Fraction]]] = None,
+    ):
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", [] if constraints is None else constraints)
 
     @property
     def n_vars(self) -> int:
@@ -116,12 +125,21 @@ class LinearProgram:
         self.constraints.append((tuple(coeffs), rhs))
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
+    """An optimal value and point, and the final tableau, which
+    `solve_lp(..., start=)` continues from."""
+
+    _compared = ("value", "point")
     value: Fraction
     point: tuple[Fraction, ...]
-    # the final tableau, which `solve_lp(..., start=)` continues from
-    _tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
+    _tableau: Optional[_Tableau]
+
+    def __init__(
+        self, value: Fraction, point: tuple[Fraction, ...], _tableau: Optional[_Tableau] = None
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "_tableau", _tableau)
 
 
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int]:

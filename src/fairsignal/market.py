@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -92,6 +91,39 @@ def pair_text(n: int, d: int) -> str:
     """The reduced pair n/d written as ``str`` writes the `Fraction`: "n"
     when d is 1, else "n/d"."""
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+class Record:
+    """An immutable record.  A subclass declares its fields as annotations;
+    its ``__init__`` sets each through ``object.__setattr__``, then calls
+    ``__post_init__`` where the class has checks.  Equality, hash and repr
+    read the fields named in ``_compared``, in order, and no other: a field
+    derived from them, or a solver's working state, is left out.  Assigning
+    or deleting any attribute raises AttributeError.
+    """
+
+    _compared = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class MarketError(Exception):
@@ -198,12 +230,17 @@ def rational_pair(x: RationalLike) -> tuple[int, int]:
     return n, d
 
 
-@dataclass(frozen=True)
-class ValueDistribution:
+class ValueDistribution(Record):
     """Discrete prior over buyer values v_1 < ... < v_n with positive masses."""
 
+    _compared = ("values", "masses")
     values: tuple[Fraction, ...]
     masses: tuple[Fraction, ...]
+
+    def __init__(self, values: tuple[Fraction, ...], masses: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "masses", masses)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -292,8 +329,7 @@ class ValueDistribution:
         return dot(self.values, self.masses)
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(Record):
     """A posterior over the value grid, stored sparsely as (index, share).
 
     Each share is a reduced int pair (numerator, positive denominator), the
@@ -304,9 +340,15 @@ class Signal:
     denominator.
     """
 
+    _compared = ("dist", "shares")
     dist: ValueDistribution
     shares: tuple[tuple[int, tuple[int, int]], ...]
-    optimal_price_index: int = field(init=False, compare=False, repr=False)
+    optimal_price_index: int
+
+    def __init__(self, dist: ValueDistribution, shares: tuple[tuple[int, tuple[int, int]], ...]):
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "shares", shares)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.shares:
@@ -401,8 +443,7 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
     return unused, unsold, surpluses
 
 
-@dataclass(frozen=True)
-class SignalingScheme:
+class SignalingScheme(Record):
     """Weighted signals whose mixture equals the prior exactly.
 
     The weights are not summed: each posterior sums to 1, so the weights
@@ -414,11 +455,17 @@ class SignalingScheme:
     unsold mass and that total are taken out (see `scheme_revenue`).
     """
 
+    _compared = ("dist", "entries")
     dist: ValueDistribution
     entries: tuple[tuple[Signal, Fraction], ...]
-    surpluses: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
-    total_surplus: Fraction = field(init=False, compare=False, repr=False)
-    revenue: Fraction = field(init=False, compare=False, repr=False)
+    surpluses: tuple[Fraction, ...]
+    total_surplus: Fraction
+    revenue: Fraction
+
+    def __init__(self, dist: ValueDistribution, entries: tuple[tuple[Signal, Fraction], ...]):
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         dist = self.dist

@@ -19,7 +19,6 @@ Both refuse a parameter longer than `MAX_PARAMETER_EXPONENT` allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +26,7 @@ from .lp import LinearProgram, solve_lp
 from .market import (
     InvariantViolation,
     MarketError,
+    Record,
     Signal,
     SignalingScheme,
     ValueDistribution,
@@ -158,8 +158,7 @@ def adversary_grid(profile: SurplusProfile) -> tuple[Fraction, ...]:
     return certification_grid(profile_step_function(profile))
 
 
-@dataclass(frozen=True)
-class BuyerOptimalLowerBound:
+class BuyerOptimalLowerBound(Record):
     """Three-value family where buyer optimality forbids fair splits.
 
     The unique buyer-optimal scheme (`buyer_optimal_scheme`) starves the
@@ -169,10 +168,23 @@ class BuyerOptimalLowerBound:
     instance checks both schemes against their closed-form surpluses.
     """
 
+    _compared = ("dist", "buyer_optimal", "alternative", "ratio")
     dist: ValueDistribution
     buyer_optimal: SignalingScheme
     alternative: SignalingScheme
     ratio: Fraction
+
+    def __init__(
+        self,
+        dist: ValueDistribution,
+        buyer_optimal: SignalingScheme,
+        alternative: SignalingScheme,
+        ratio: Fraction,
+    ):
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "buyer_optimal", buyer_optimal)
+        object.__setattr__(self, "alternative", alternative)
+        object.__setattr__(self, "ratio", ratio)
 
 
 def check_parameter_length(parameter: Fraction) -> None:
@@ -222,16 +234,20 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     return BuyerOptimalLowerBound(dist, buyer_optimal, alternative, ratio)
 
 
-@dataclass(frozen=True)
-class UniversalLowerBound:
+class UniversalLowerBound(Record):
     """Three-value family forcing the majorization factor toward 3/2.
 
     ``best_min_surplus`` is the closed-form best minimum of the two upper
     classes' per-buyer surpluses over all schemes; epsilon is v_2 - 1.
     """
 
+    _compared = ("dist", "best_min_surplus")
     dist: ValueDistribution
     best_min_surplus: Fraction
+
+    def __init__(self, dist: ValueDistribution, best_min_surplus: Fraction):
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "best_min_surplus", best_min_surplus)
 
 
 def universal_lb_instance(epsilon) -> UniversalLowerBound:

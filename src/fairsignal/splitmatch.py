@@ -18,12 +18,13 @@ through every stage and into its `Signal`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .market import (
     InvariantViolation,
     MarketError,
+    Record,
     Signal,
     SignalingScheme,
     ValueDistribution,
@@ -43,8 +44,7 @@ def binary_shares(
     return (rd - rn, rd), (rn, rd)
 
 
-@dataclass(frozen=True)
-class BinarySignalEntry:
+class BinarySignalEntry(Record):
     """Equal-revenue binary signal on (v_giver, v_taker), weighted.
 
     Its posterior's ``shares`` (on the giver, on the taker) are
@@ -56,10 +56,24 @@ class BinarySignalEntry:
     keeps them.
     """
 
+    _compared = ("giver", "taker", "weight")
     giver: int
     taker: int
     weight: Fraction
-    shares: tuple[tuple[int, int], tuple[int, int]] = field(compare=False, repr=False)
+    shares: tuple[tuple[int, int], tuple[int, int]]
+
+    def __init__(
+        self,
+        giver: int,
+        taker: int,
+        weight: Fraction,
+        shares: tuple[tuple[int, int], tuple[int, int]],
+    ):
+        object.__setattr__(self, "giver", giver)
+        object.__setattr__(self, "taker", taker)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "shares", shares)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.giver >= self.taker:
@@ -68,18 +82,25 @@ class BinarySignalEntry:
             raise MarketError("weight must be positive")
 
 
-@dataclass(frozen=True)
-class SingletonEntry:
+class SingletonEntry(Record):
+    """The singleton signal on value ``index``, weighted: it reveals the
+    value, sells at it and leaves its buyers no surplus."""
+
+    _compared = ("index", "weight")
     index: int
     weight: Fraction
+
+    def __init__(self, index: int, weight: Fraction):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "weight", weight)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.weight.numerator <= 0:
             raise MarketError("weight must be positive")
 
 
-@dataclass(frozen=True)
-class DecomposedScheme:
+class DecomposedScheme(Record):
     """A scheme made of equal-revenue binaries and singletons only.
 
     Only the binaries are given, in any sequence, stored as a tuple; the
@@ -90,10 +111,16 @@ class DecomposedScheme:
     than f_i is an invariant violation.
     """
 
+    _compared = ("dist", "binaries")
     dist: ValueDistribution
     binaries: tuple[BinarySignalEntry, ...]
-    singletons: tuple[SingletonEntry, ...] = field(init=False, compare=False)
-    surpluses: tuple[Fraction, ...] = field(init=False, compare=False)
+    singletons: tuple[SingletonEntry, ...]
+    surpluses: tuple[Fraction, ...]
+
+    def __init__(self, dist: ValueDistribution, binaries: Iterable[BinarySignalEntry]):
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "binaries", tuple(binaries))
+        self.__post_init__()
 
     def __post_init__(self):
         dist = self.dist
@@ -114,7 +141,6 @@ class DecomposedScheme:
                 )
             if un > 0:
                 singletons.append(SingletonEntry(i, Fraction(un, ud)))
-        object.__setattr__(self, "binaries", tuple(self.binaries))
         object.__setattr__(self, "singletons", tuple(singletons))
         object.__setattr__(self, "surpluses", surpluses)
 

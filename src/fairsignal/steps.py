@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
-from .market import MarketError, SignalingScheme, ValueDistribution, common_denominator
+from .market import MarketError, Record, SignalingScheme, ValueDistribution, common_denominator
 
 WELFARE_KINDS = ("utilitarian", "nash", "maxmin")
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(Record):
     """Right-continuous-from-the-left step function on (0, 1].
 
     ``breakpoints`` are the right edges of the segments, strictly increasing
@@ -33,9 +31,21 @@ class StepFunction:
     breakpoint b, is summed when built unless its maker has it already.
     """
 
+    _compared = ("breakpoints", "values")
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    integrals: Optional[tuple[Fraction, ...]] = field(default=None, compare=False, repr=False)
+    integrals: tuple[Fraction, ...]
+
+    def __init__(
+        self,
+        breakpoints: tuple[Fraction, ...],
+        values: tuple[Fraction, ...],
+        integrals: Optional[tuple[Fraction, ...]] = None,
+    ):
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "integrals", integrals)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.breakpoints:
@@ -108,15 +118,26 @@ class StepFunction:
         return StepFunction(tuple(edges), tuple(distinct), integrals)
 
 
-@dataclass(frozen=True)
-class SurplusProfile:
+class SurplusProfile(Record):
     """Per-value expected consumer surplus under some scheme, and its
     mass-weighted ``total`` when the scheme has summed one: a
     `SignalingScheme` has, a pipeline stage has not."""
 
+    _compared = ("dist", "surpluses")
     dist: ValueDistribution
     surpluses: tuple[Fraction, ...]
-    total: Optional[Fraction] = field(default=None, compare=False)
+    total: Optional[Fraction]
+
+    def __init__(
+        self,
+        dist: ValueDistribution,
+        surpluses: tuple[Fraction, ...],
+        total: Optional[Fraction] = None,
+    ):
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "surpluses", surpluses)
+        object.__setattr__(self, "total", total)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.surpluses) != self.dist.n:

@@ -672,10 +672,18 @@ class TestVerify:
              f"rational longer than {MAX_INT_DIGITS} digits"),
             ('"0": "1/2", "0": "1/2"', "duplicate key '0' in a JSON object"),
             ('"0": "1/2", "00": "1/2"', "duplicate support index 0"),
+            # int() reads each of these keys, as 10, 3, 2 and 3, but the
+            # writer writes none of them
+            ('"0": "1/2", "1_0": "1/2"', "support index '1_0' is not written in ASCII digits"),
+            ('"0": "1/2", " 3": "1/2"', "support index ' 3' is not written in ASCII digits"),
+            ('"0": "1/2", "+2": "1/2"', "support index '+2' is not written in ASCII digits"),
+            ('"0": "1/2", "\\u0663": "1/2"',
+             "support index '\u0663' is not written in ASCII digits"),
         ],
         ids=[
             "zero-denominator", "negative", "zero", "too-long", "duplicate-key",
-            "duplicate-index",
+            "duplicate-index", "underscore-index", "space-index", "plus-index",
+            "arabic-indic-index",
         ],
     )
     def test_refused_share_exits_2(self, support, message, tmp_path, capsys):

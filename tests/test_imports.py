@@ -2,20 +2,24 @@
 private name of another package module and no private `fractions` API,
 plants no value on an object from outside its constructor, every
 function, class and method it defines is reached from outside tests, and
-every dataclass field it declares is read outside tests; the exact
-modules, `ironing`, `lp`, `market`, `oracles` and `splitmatch`, use no
-float.
+every field of a record class (a subclass of `market.Record`) it
+declares is read outside tests; the exact modules, `ironing`, `lp`,
+`market`, `oracles` and `splitmatch`, use no float; and starting the CLI
+imports neither `dataclasses` nor `inspect`.
 
 No linter is a dependency, so these stdlib checks stand in for one.
-``__init__.py`` is exempt from the first and the last: its imports are
-the package's public names, and exporting a name does not make it
-reachable.
+``__init__.py`` is exempt from the import and reachability checks: its
+imports are the package's public names, and exporting a name does not
+make it reachable.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -33,7 +37,7 @@ TEST_ORACLES = (
     ),
 )
 
-# Dataclass fields that no code outside the tests reads, on purpose.  Each
+# Record fields that no code outside the tests reads, on purpose.  Each
 # needs a reason.
 _TRACE = "a pipeline artifact for the trace files of `build --trace DIR`"
 ARTIFACTS = (
@@ -47,6 +51,31 @@ ARTIFACTS = (
     ("ironing.FairSchemeResult.smoothed", _TRACE),
     ("lp.LPResult.point", "the optimal point, which the tests check as a witness"),
 )
+
+
+# A fresh start of the CLI imports the package and builds its parser; the
+# child lists the modules that added beyond those it started with, so a
+# site hook that preloads modules changes nothing.
+START = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import fairsignal.cli\n"
+    "fairsignal.cli.make_parser()\n"
+    "print(' '.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def test_cli_start_imports_neither_dataclasses_nor_inspect():
+    # the two take about 10 ms of each start on a 2-vCPU VM, and the
+    # package's records are plain classes that need neither
+    path = [str(ROOT / "src"), *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    child = subprocess.run(
+        [sys.executable, "-c", START], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(child.stdout.split())
+    assert "fairsignal.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -360,19 +389,19 @@ def test_every_definition_is_reachable():
     assert set(oracles) <= set(found), "a listed test oracle is now reachable"
 
 
-def dataclass_fields(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+def record_fields(module: str, tree: ast.Module) -> list[tuple[str, str]]:
     """(``module.Class.field``, field) for every annotated field of every
-    top-level class decorated with ``dataclass``."""
+    top-level class with ``Record`` (or ``module.Record``) among its
+    bases."""
     out = []
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-            if name == "dataclass":
-                break
-        else:
+        bases = [
+            base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+            for base in node.bases
+        ]
+        if "Record" not in bases:
             continue
         for item in node.body:
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
@@ -382,7 +411,7 @@ def dataclass_fields(module: str, tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def unread_fields(sources: dict[str, str], benchmark: list[str]) -> list[str]:
-    """Dataclass fields declared in ``sources`` (module name -> code) whose
+    """Record fields declared in ``sources`` (module name -> code) whose
     name no attribute read (``x.field`` in a load) of the package or of a
     benchmark script spells."""
     trees = {module: ast.parse(code) for module, code in sources.items()}
@@ -394,19 +423,19 @@ def unread_fields(sources: dict[str, str], benchmark: list[str]) -> list[str]:
     return [
         qualified
         for module, tree in trees.items()
-        for qualified, field in dataclass_fields(module, tree)
+        for qualified, field in record_fields(module, tree)
         if field not in read
     ]
 
 
 def test_the_check_sees_an_unread_field():
     sources = {
-        "a": "from dataclasses import dataclass, field\n"
-        "\n@dataclass(frozen=True)\nclass Pair:\n    low: int\n    high: int\n"
-        "    spare: int = field(init=False)\n\n    def width(self):\n"
+        "a": "from .market import Record\n"
+        "\nclass Pair(Record):\n    _compared = ('low', 'high')\n    low: int\n    high: int\n"
+        "    spare: int\n\n    def width(self):\n"
         "        return self.high - self.low\n"
         "\nclass Plain:\n    unused: int\n",
-        "b": "import dataclasses\n\n@dataclasses.dataclass\nclass Box:\n"
+        "b": "from . import market\n\nclass Box(market.Record):\n"
         "    size: int\n    label: str\n\ndef grow(box):\n    box.spare = box.size\n",
     }
     assert unread_fields(sources, []) == ["a.Pair.spare", "b.Box.label"]
