@@ -50,7 +50,6 @@ from .steps import (
     evaluate_welfare,
     integration_prefix,
     is_monotone,
-    profile_step_function,
     scheme_surplus,
     sorted_prefix,
 )
@@ -221,7 +220,7 @@ def cmd_verify(args) -> int:
     rival = None
     if with_adversary:
         rival = adversary_sorted_prefix(dist, grid, args.max_support)
-    rows, alpha = certify(profile_step_function(profile), grid, rival)
+    rows, alpha = certify(profile.step_function, grid, rival)
 
     lines = _instance_lines(dist) + scheme_lines
     if with_adversary:
@@ -282,7 +281,7 @@ def cmd_lowerbound(args) -> int:
         ]
         if value != inst.best_min_surplus:
             raise InvariantViolation("max-min LP value differs from closed form")
-        _, alpha = certify(profile_step_function(profile), grid, rival)
+        _, alpha = certify(profile.step_function, grid, rival)
         lines.append(f"certified alpha of monotone scheme: {as_text(alpha)}")
     print("\n".join(lines))
     return EXIT_OK

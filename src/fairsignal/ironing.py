@@ -23,35 +23,23 @@ from .splitmatch import (
     binary_shares,
     split_and_match,
 )
-from .steps import SurplusProfile, profile_step_function, scheme_surplus
+from .steps import SurplusProfile, scheme_surplus
 
 
 class IroningInterval(Record):
     """Maximal open interval where the envelope lies strictly below F."""
 
-    _compared = ("left", "right", "level", "classes")
     left: Fraction
     right: Fraction
     level: Fraction
     classes: tuple[int, ...]
 
-    def __init__(self, left: Fraction, right: Fraction, level: Fraction, classes: tuple[int, ...]):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "classes", classes)
-
 
 class IronedFunction(Record):
     """Envelope derivative per class, and the intervals where it is flat."""
 
-    _compared = ("ironed_values", "intervals")
     ironed_values: tuple[Fraction, ...]
     intervals: tuple[IroningInterval, ...]
-
-    def __init__(self, ironed_values: tuple[Fraction, ...], intervals: tuple[IroningInterval, ...]):
-        object.__setattr__(self, "ironed_values", ironed_values)
-        object.__setattr__(self, "intervals", intervals)
 
 
 def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[int]:
@@ -88,7 +76,7 @@ def iron(profile: SurplusProfile) -> IronedFunction:
     constant on each ironing interval and equals the original surplus
     elsewhere; values at discontinuities are left limits.
     """
-    step = profile_step_function(profile)
+    step = profile.step_function
     xs = (Fraction(0),) + step.breakpoints
     ys = step.integrals
     contact = _lower_hull(list(zip(xs, ys)))
@@ -117,10 +105,6 @@ class RectanglePair(Record):
     right, on a class with surplus beneath it.
     """
 
-    _compared = (
-        "plus_index", "minus_index", "plus_left", "plus_width", "plus_height",
-        "minus_left", "minus_width", "minus_height",
-    )
     plus_index: int
     minus_index: int
     plus_left: Fraction
@@ -129,26 +113,6 @@ class RectanglePair(Record):
     minus_left: Fraction
     minus_width: Fraction
     minus_height: Fraction
-
-    def __init__(
-        self,
-        plus_index: int,
-        minus_index: int,
-        plus_left: Fraction,
-        plus_width: Fraction,
-        plus_height: Fraction,
-        minus_left: Fraction,
-        minus_width: Fraction,
-        minus_height: Fraction,
-    ):
-        object.__setattr__(self, "plus_index", plus_index)
-        object.__setattr__(self, "minus_index", minus_index)
-        object.__setattr__(self, "plus_left", plus_left)
-        object.__setattr__(self, "plus_width", plus_width)
-        object.__setattr__(self, "plus_height", plus_height)
-        object.__setattr__(self, "minus_left", minus_left)
-        object.__setattr__(self, "minus_width", minus_width)
-        object.__setattr__(self, "minus_height", minus_height)
 
 
 def pair_rectangles(
@@ -202,7 +166,7 @@ def pair_rectangles(
 
 def _reweighted(
     binaries: Sequence[BinarySignalEntry], factors: Sequence[Fraction]
-) -> list[BinarySignalEntry]:
+) -> tuple[BinarySignalEntry, ...]:
     """``binaries`` with weights scaled by their taker's factor, zeros dropped."""
     out = []
     for b in binaries:
@@ -211,7 +175,7 @@ def _reweighted(
             raise InvariantViolation("binary signal weight went negative")
         if c.numerator > 0:
             out.append(BinarySignalEntry(b.giver, b.taker, b.weight * c, b.shares))
-    return out
+    return tuple(out)
 
 
 def smooth(
@@ -260,7 +224,7 @@ def smooth(
     if not any(cut):
         return scheme  # no pair lifted a class, so no binary was made either
     survivors = _reweighted(scheme.binaries, [1 - c for c in cut])
-    return DecomposedScheme(dist, survivors + new_binaries)
+    return DecomposedScheme(dist, survivors + tuple(new_binaries))
 
 
 def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedScheme:
@@ -283,26 +247,11 @@ def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedSche
 class FairSchemeResult(Record):
     """All intermediate artifacts of the monotone-scheme pipeline."""
 
-    _compared = ("base", "ironed", "pairings", "smoothed", "final")
     base: DecomposedScheme
     ironed: IronedFunction
     pairings: tuple[tuple[RectanglePair, ...], ...]
     smoothed: DecomposedScheme
     final: DecomposedScheme
-
-    def __init__(
-        self,
-        base: DecomposedScheme,
-        ironed: IronedFunction,
-        pairings: tuple[tuple[RectanglePair, ...], ...],
-        smoothed: DecomposedScheme,
-        final: DecomposedScheme,
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "ironed", ironed)
-        object.__setattr__(self, "pairings", pairings)
-        object.__setattr__(self, "smoothed", smoothed)
-        object.__setattr__(self, "final", final)
 
 
 def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:

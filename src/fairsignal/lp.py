@@ -102,18 +102,13 @@ class LinearProgram(Record):
     Its fields are fixed, but ``add`` appends to its list of constraints,
     so it has no hash."""
 
-    _compared = ("objective", "constraints")
     __hash__ = None
     objective: tuple[Fraction, ...]
-    constraints: list[tuple[tuple[Fraction, ...], Fraction]]
+    constraints: Optional[list[tuple[tuple[Fraction, ...], Fraction]]] = None
 
-    def __init__(
-        self,
-        objective: tuple[Fraction, ...],
-        constraints: Optional[list[tuple[tuple[Fraction, ...], Fraction]]] = None,
-    ):
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", [] if constraints is None else constraints)
+    def __post_init__(self):
+        if self.constraints is None:  # a fresh list, so no two programs share one
+            object.__setattr__(self, "constraints", [])
 
     @property
     def n_vars(self) -> int:
@@ -132,14 +127,7 @@ class LPResult(Record):
     _compared = ("value", "point")
     value: Fraction
     point: tuple[Fraction, ...]
-    _tableau: Optional[_Tableau]
-
-    def __init__(
-        self, value: Fraction, point: tuple[Fraction, ...], _tableau: Optional[_Tableau] = None
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "_tableau", _tableau)
+    _tableau: Optional[_Tableau] = None
 
 
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int]:

@@ -94,15 +94,58 @@ def pair_text(n: int, d: int) -> str:
 
 
 class Record:
-    """An immutable record.  A subclass declares its fields as annotations;
-    its ``__init__`` sets each through ``object.__setattr__``, then calls
-    ``__post_init__`` where the class has checks.  Equality, hash and repr
-    read the fields named in ``_compared``, in order, and no other: a field
-    derived from them, or a solver's working state, is left out.  Assigning
-    or deleting any attribute raises AttributeError.
+    """An immutable record.  A subclass declares its fields once, as
+    annotations, with any default on the field's own line.  The
+    constructor takes them in that order, by position or by keyword, less
+    those named in ``_derived``, which the subclass's ``__post_init__``
+    sets; it binds each through ``object.__setattr__``, then calls
+    ``__post_init__``, where a subclass has its checks.  Equality, hash and
+    repr read the fields named in ``_compared``, by default the
+    constructor's, in order, and no other: a derived field, or a solver's
+    working state, is left out.  Assigning or deleting any attribute
+    raises AttributeError.
     """
 
-    _compared = ()
+    _fields = _compared = _derived = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        annotated = cls.__dict__.get("__annotations__", ())
+        cls._fields = tuple(name for name in annotated if name not in cls._derived)
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The constructor fields' values in order, from ``args``, then
+        ``kwargs``, then the class's defaults, refused as a function with
+        these parameters would refuse them."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} arguments, {len(args)} given")
+        values = list(args)
+        for field in cls._fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls.__dict__:
+                values.append(cls.__dict__[field])
+            else:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        for field in kwargs:
+            got = "multiple values for" if field in cls._fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {got} argument {field!r}")
+        return values
+
+    def __post_init__(self):
+        """A subclass's checks, and the fields it derives."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -233,14 +276,8 @@ def rational_pair(x: RationalLike) -> tuple[int, int]:
 class ValueDistribution(Record):
     """Discrete prior over buyer values v_1 < ... < v_n with positive masses."""
 
-    _compared = ("values", "masses")
     values: tuple[Fraction, ...]
     masses: tuple[Fraction, ...]
-
-    def __init__(self, values: tuple[Fraction, ...], masses: tuple[Fraction, ...]):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "masses", masses)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -340,15 +377,10 @@ class Signal(Record):
     denominator.
     """
 
-    _compared = ("dist", "shares")
+    _derived = ("optimal_price_index",)
     dist: ValueDistribution
     shares: tuple[tuple[int, tuple[int, int]], ...]
     optimal_price_index: int
-
-    def __init__(self, dist: ValueDistribution, shares: tuple[tuple[int, tuple[int, int]], ...]):
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "shares", shares)
-        self.__post_init__()
 
     def __post_init__(self):
         if not self.shares:
@@ -455,17 +487,12 @@ class SignalingScheme(Record):
     unsold mass and that total are taken out (see `scheme_revenue`).
     """
 
-    _compared = ("dist", "entries")
+    _derived = ("surpluses", "total_surplus", "revenue")
     dist: ValueDistribution
     entries: tuple[tuple[Signal, Fraction], ...]
     surpluses: tuple[Fraction, ...]
     total_surplus: Fraction
     revenue: Fraction
-
-    def __init__(self, dist: ValueDistribution, entries: tuple[tuple[Signal, Fraction], ...]):
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
 
     def __post_init__(self):
         dist = self.dist

@@ -33,7 +33,7 @@ from .market import (
     as_fraction,
     buyer_optimal_scheme,
 )
-from .steps import SurplusProfile, certification_grid, profile_step_function
+from .steps import SurplusProfile, certification_grid
 
 DEFAULT_MAX_N = 8
 # A lower-bound parameter's numerator and denominator may not exceed
@@ -155,7 +155,7 @@ def adversary_grid(profile: SurplusProfile) -> tuple[Fraction, ...]:
     in m (a maximum of functions linear in m), so adversary <= alpha * PF
     at both ends of a cell holds on the whole cell.
     """
-    return certification_grid(profile_step_function(profile))
+    return certification_grid(profile.step_function)
 
 
 class BuyerOptimalLowerBound(Record):
@@ -168,23 +168,10 @@ class BuyerOptimalLowerBound(Record):
     instance checks both schemes against their closed-form surpluses.
     """
 
-    _compared = ("dist", "buyer_optimal", "alternative", "ratio")
     dist: ValueDistribution
     buyer_optimal: SignalingScheme
     alternative: SignalingScheme
     ratio: Fraction
-
-    def __init__(
-        self,
-        dist: ValueDistribution,
-        buyer_optimal: SignalingScheme,
-        alternative: SignalingScheme,
-        ratio: Fraction,
-    ):
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "buyer_optimal", buyer_optimal)
-        object.__setattr__(self, "alternative", alternative)
-        object.__setattr__(self, "ratio", ratio)
 
 
 def check_parameter_length(parameter: Fraction) -> None:
@@ -241,13 +228,8 @@ class UniversalLowerBound(Record):
     classes' per-buyer surpluses over all schemes; epsilon is v_2 - 1.
     """
 
-    _compared = ("dist", "best_min_surplus")
     dist: ValueDistribution
     best_min_surplus: Fraction
-
-    def __init__(self, dist: ValueDistribution, best_min_surplus: Fraction):
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "best_min_surplus", best_min_surplus)
 
 
 def universal_lb_instance(epsilon) -> UniversalLowerBound:

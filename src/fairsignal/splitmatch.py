@@ -19,7 +19,6 @@ through every stage and into its `Signal`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .market import (
     InvariantViolation,
@@ -62,19 +61,6 @@ class BinarySignalEntry(Record):
     weight: Fraction
     shares: tuple[tuple[int, int], tuple[int, int]]
 
-    def __init__(
-        self,
-        giver: int,
-        taker: int,
-        weight: Fraction,
-        shares: tuple[tuple[int, int], tuple[int, int]],
-    ):
-        object.__setattr__(self, "giver", giver)
-        object.__setattr__(self, "taker", taker)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "shares", shares)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.giver >= self.taker:
             raise MarketError("giver index must be below taker index")
@@ -86,14 +72,8 @@ class SingletonEntry(Record):
     """The singleton signal on value ``index``, weighted: it reveals the
     value, sells at it and leaves its buyers no surplus."""
 
-    _compared = ("index", "weight")
     index: int
     weight: Fraction
-
-    def __init__(self, index: int, weight: Fraction):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "weight", weight)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.weight.numerator <= 0:
@@ -103,7 +83,7 @@ class SingletonEntry(Record):
 class DecomposedScheme(Record):
     """A scheme made of equal-revenue binaries and singletons only.
 
-    Only the binaries are given, in any sequence, stored as a tuple; the
+    Only the binaries are given, as a tuple in any order; the
     rest follows from their `class_sums` entries, one per binary: its
     weight and the shares it carries, priced at v_g.  Value i's singleton
     weight is the prior mass the binaries leave unused on i, so the mixture
@@ -111,16 +91,11 @@ class DecomposedScheme(Record):
     than f_i is an invariant violation.
     """
 
-    _compared = ("dist", "binaries")
+    _derived = ("singletons", "surpluses")
     dist: ValueDistribution
     binaries: tuple[BinarySignalEntry, ...]
     singletons: tuple[SingletonEntry, ...]
     surpluses: tuple[Fraction, ...]
-
-    def __init__(self, dist: ValueDistribution, binaries: Iterable[BinarySignalEntry]):
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "binaries", tuple(binaries))
-        self.__post_init__()
 
     def __post_init__(self):
         dist = self.dist
@@ -199,7 +174,7 @@ def split_and_match(dist: ValueDistribution) -> DecomposedScheme:
             mn, md = pair_product(weight.numerator, weight.denominator, p, r)
             giver[s] = pair_sum(gn, gd, -mn, md)
         binaries.append(BinarySignalEntry(s, l, weight, shares))
-    return DecomposedScheme(dist, binaries)
+    return DecomposedScheme(dist, tuple(binaries))
 
 
 def truncated_upper_bound(dist: ValueDistribution, k: int) -> Fraction:

@@ -34,18 +34,7 @@ class StepFunction(Record):
     _compared = ("breakpoints", "values")
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    integrals: tuple[Fraction, ...]
-
-    def __init__(
-        self,
-        breakpoints: tuple[Fraction, ...],
-        values: tuple[Fraction, ...],
-        integrals: Optional[tuple[Fraction, ...]] = None,
-    ):
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "integrals", integrals)
-        self.__post_init__()
+    integrals: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
         if not self.breakpoints:
@@ -126,18 +115,7 @@ class SurplusProfile(Record):
     _compared = ("dist", "surpluses")
     dist: ValueDistribution
     surpluses: tuple[Fraction, ...]
-    total: Optional[Fraction]
-
-    def __init__(
-        self,
-        dist: ValueDistribution,
-        surpluses: tuple[Fraction, ...],
-        total: Optional[Fraction] = None,
-    ):
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "surpluses", surpluses)
-        object.__setattr__(self, "total", total)
-        self.__post_init__()
+    total: Optional[Fraction] = None
 
     def __post_init__(self):
         if len(self.surpluses) != self.dist.n:
@@ -167,7 +145,9 @@ def is_monotone(profile: SurplusProfile) -> bool:
 
 
 def profile_step_function(profile: SurplusProfile) -> StepFunction:
-    """The step function of a surplus profile, its ``step_function``."""
+    """The step function of a surplus profile, its ``step_function``.  The
+    package reads the property; this stays for `perfbench/tracing.py`,
+    which imports it, and as a public name."""
     return profile.step_function
 
 

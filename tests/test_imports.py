@@ -3,9 +3,11 @@ private name of another package module and no private `fractions` API,
 plants no value on an object from outside its constructor, every
 function, class and method it defines is reached from outside tests, and
 every field of a record class (a subclass of `market.Record`) it
-declares is read outside tests; the exact modules, `ironing`, `lp`,
-`market`, `oracles` and `splitmatch`, use no float; and starting the CLI
-imports neither `dataclasses` nor `inspect`.
+declares is read outside tests; no record class writes its own
+``__init__`` or names in ``_compared`` or ``_derived`` a field it does
+not declare; the exact modules, `ironing`, `lp`, `market`, `oracles` and
+`splitmatch`, use no float; and starting the CLI imports neither
+`dataclasses` nor `inspect`.
 
 No linter is a dependency, so these stdlib checks stand in for one.
 ``__init__.py`` is exempt from the import and reachability checks: its
@@ -389,25 +391,81 @@ def test_every_definition_is_reachable():
     assert set(oracles) <= set(found), "a listed test oracle is now reachable"
 
 
-def record_fields(module: str, tree: ast.Module) -> list[tuple[str, str]]:
-    """(``module.Class.field``, field) for every annotated field of every
-    top-level class with ``Record`` (or ``module.Record``) among its
-    bases."""
-    out = []
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = [
+def record_classes(tree: ast.Module) -> list[ast.ClassDef]:
+    """Every top-level class with ``Record`` (or ``module.Record``) among
+    its bases."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and "Record"
+        in [
             base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
             for base in node.bases
         ]
-        if "Record" not in bases:
-            continue
+    ]
+
+
+def annotated_fields(node: ast.ClassDef) -> list[str]:
+    return [
+        item.target.id
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def record_fields(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(``module.Class.field``, field) for every annotated field of every
+    record class."""
+    return [
+        (f"{module}.{node.name}.{field}", field)
+        for node in record_classes(tree)
+        for field in annotated_fields(node)
+    ]
+
+
+def declaration_faults(module: str, tree: ast.Module) -> list[str]:
+    """Each ``__init__`` a record class defines, where `Record.__init__`
+    binds the fields, and each name its ``_compared`` or ``_derived`` gives
+    that is not one of its annotated fields."""
+    out = []
+    for node in record_classes(tree):
+        fields = annotated_fields(node)
         for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                field = item.target.id
-                out.append((f"{module}.{node.name}.{field}", field))
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                out.append(f"{module}.{node.name}.__init__")
+            if not isinstance(item, ast.Assign):
+                continue
+            for target in item.targets:
+                if getattr(target, "id", "") in ("_compared", "_derived"):
+                    names = ast.literal_eval(item.value)
+                    out += [
+                        f"{module}.{node.name}.{target.id}: {name}"
+                        for name in names
+                        if name not in fields
+                    ]
     return out
+
+
+def test_the_check_sees_a_faulty_declaration():
+    source = (
+        "from . import market\n"
+        "\nclass Pair(market.Record):\n    _compared = ('low', 'hihg')\n"
+        "    _derived = ('width',)\n    low: int\n    high: int\n    width: int\n"
+        "\nclass Box(market.Record):\n    _derived = ('sise',)\n    size: int\n"
+        "    def __init__(self, size):\n        pass\n"
+        "\nclass Plain:\n    _compared = ('spare',)\n    def __init__(self):\n        pass\n"
+    )
+    assert declaration_faults("a", ast.parse(source)) == [
+        "a.Pair._compared: hihg", "a.Box._derived: sise", "a.Box.__init__"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_declare_their_fields_once(path):
+    # the constructor, equality, hash and repr read the annotations, so a
+    # name outside them or a hand-written __init__ would go unnoticed
+    assert declaration_faults(path.stem, ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def unread_fields(sources: dict[str, str], benchmark: list[str]) -> list[str]:

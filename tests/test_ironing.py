@@ -341,7 +341,7 @@ def check_hand_over(dist: ValueDistribution) -> bool:
     for stage in (res.smoothed, res.final):
         fresh = DecomposedScheme(
             dist,
-            [binary(dist, b.giver, b.taker, b.weight) for b in stage.binaries],
+            tuple(binary(dist, b.giver, b.taker, b.weight) for b in stage.binaries),
         )
         assert fresh.binaries == stage.binaries
         assert fresh.singletons == stage.singletons

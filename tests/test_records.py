@@ -1,7 +1,8 @@
 """The package's records (subclasses of `market.Record`) are immutable
 values: fields are fixed, equality and hash read exactly the compared
 fields, derived fields are not constructor arguments, and every other
-field can be passed by its keyword."""
+field can be passed by position or keyword, is required unless it has a
+default, and no other argument is taken."""
 
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ from fractions import Fraction
 import pytest
 
 from fairsignal.ironing import monotone_fair_scheme
-from fairsignal.lp import LinearProgram, solve_lp
+from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import Record, Signal, ValueDistribution
 from fairsignal.oracles import buyer_optimal_lb_instance, universal_lb_instance
 from fairsignal.splitmatch import BinarySignalEntry, binary_shares, split_and_match
-from fairsignal.steps import scheme_surplus
+from fairsignal.steps import StepFunction, SurplusProfile, scheme_surplus
 
 # Fields left out of equality and hash: each follows from the compared
 # fields, or is a solver's working state.
@@ -32,6 +33,13 @@ DERIVED = {
     "Signal": {"optimal_price_index"},
     "SignalingScheme": {"surpluses", "total_surplus", "revenue"},
     "DecomposedScheme": {"singletons", "surpluses"},
+}
+# The one constructor field of a class that may be omitted.
+DEFAULTED = {
+    "StepFunction": "integrals",
+    "SurplusProfile": "total",
+    "LPResult": "_tableau",
+    "LinearProgram": "constraints",
 }
 
 
@@ -71,6 +79,13 @@ RECORDS = one_of_each()
 
 def fields(record: Record) -> list[str]:
     return list(type(record).__annotations__)
+
+
+def arguments(record: Record) -> dict:
+    """The constructor arguments that rebuild ``record``, by keyword, in
+    declaration order."""
+    derived = DERIVED.get(type(record).__name__, set())
+    return {field: getattr(record, field) for field in fields(record) if field not in derived}
 
 
 def with_field(record: Record, name: str, value) -> Record:
@@ -128,12 +143,62 @@ def test_equality_and_hash_read_exactly_the_compared_fields(name):
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_constructor_takes_every_field_but_the_derived_by_keyword(name):
     record = RECORDS[name]
-    derived = DERIVED.get(name, set())
-    given = {field: getattr(record, field) for field in fields(record) if field not in derived}
+    given = arguments(record)
     assert type(record)(**given) == record
-    for field in derived:
+    for field in DERIVED.get(name, set()):
         with pytest.raises(TypeError, match=field):
             type(record)(**given, **{field: getattr(record, field)})
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_positional_construction_equals_keyword_construction(name):
+    record = RECORDS[name]
+    given = arguments(record)
+    built = type(record)(*given.values())
+    assert built == type(record)(**given) == record
+    # the uncompared fields too are bound in declaration order
+    assert {field: getattr(built, field) for field in given} == given
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_omitting_a_required_field_raises_naming_it(name):
+    record = RECORDS[name]
+    given = arguments(record)
+    for field in given:
+        if field == DEFAULTED.get(name):
+            continue
+        rest = {other: value for other, value in given.items() if other != field}
+        with pytest.raises(TypeError, match=f"missing required argument '{field}'"):
+            type(record)(**rest)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_an_argument_beyond_the_fields_raises(name):
+    record = RECORDS[name]
+    cls, given = type(record), arguments(record)
+    with pytest.raises(TypeError, match=f"takes {len(given)} arguments, {len(given) + 1} given"):
+        cls(*given.values(), None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'spare'"):
+        cls(**given, spare=None)
+    first = next(iter(given))
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*given.values(), **{first: given[first]})
+
+
+def test_omitted_defaults_apply():
+    step = RECORDS["StepFunction"]
+    assert StepFunction(step.breakpoints, step.values).integrals == step.integrals
+    profile = RECORDS["SurplusProfile"]
+    assert profile.total is not None
+    assert SurplusProfile(profile.dist, profile.surpluses).total is None
+    result = RECORDS["LPResult"]
+    assert result._tableau is not None
+    assert LPResult(result.value, result.point)._tableau is None
+    # each program without constraints gets a list of its own
+    first, second = LinearProgram((Fraction(1),)), LinearProgram((Fraction(1),))
+    first.add((Fraction(1),), Fraction(1))
+    assert first.constraints == [((Fraction(1),), Fraction(1))]
+    assert second.constraints == []
 
 
 def test_binary_repr_is_unchanged():

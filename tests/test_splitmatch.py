@@ -140,14 +140,14 @@ class TestFromBinaries:
         ],
     )
     def test_singletons_carry_unused_mass(self, running_example, weight, singletons):
-        scheme = DecomposedScheme(running_example, [binary(running_example, 0, 1, weight)])
+        scheme = DecomposedScheme(running_example, (binary(running_example, 0, 1, weight),))
         assert scheme.singletons == tuple(SingletonEntry(i, w) for i, w in singletons)
 
     def test_oversubscribed_value_raises(self, running_example):
         # the giver half of weight 1 puts mass 1/2 on a value of mass 1/4
         entry = binary(running_example, 0, 1, F(1))
         with pytest.raises(InvariantViolation, match="value index 0 is oversubscribed by 1/4"):
-            DecomposedScheme(running_example, [entry])
+            DecomposedScheme(running_example, (entry,))
 
     def test_hand_over_refuses_a_binary_priced_off_its_giver(self, running_example, monkeypatch):
         # the stage's sums price each binary at its giver, so a posterior

@@ -423,13 +423,15 @@ class TestAscending:
     @staticmethod
     def check_integrals(dist: ValueDistribution):
         """The rearrangement's integrals equal those summed afresh; for the
-        final (non-decreasing) profile they are f's own, set when built."""
+        final (non-decreasing) profile they are f's own objects, handed on
+        rather than summed again."""
         result = monotone_fair_scheme(dist)
         for stage in (result.base, result.final):
-            a = profile_step_function(scheme_surplus(stage)).ascending
-            seeded = "integrals" in vars(a)  # before any read computes them
-            assert seeded or stage is result.base
+            f = profile_step_function(scheme_surplus(stage))
+            a = f.ascending
             assert a.integrals == StepFunction(a.breakpoints, a.values).integrals
+        own = {id(x) for x in f.integrals}  # f is the final stage's
+        assert all(id(x) in own for x in a.integrals)
 
     def test_integrals_corpus(self, corpus):
         for dist in corpus:
