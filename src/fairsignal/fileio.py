@@ -48,14 +48,11 @@ def decimal_str(x) -> str:
 def as_text(x) -> str:
     """The one text form of a reported value, in reports and tables alike.
 
-    A flag is ``true`` or ``false`` and a float (a Nash welfare, an
-    infinite ratio) has 12 significant digits, so infinity is ``inf``;
-    anything else, an exact rational above all, is written by ``str``.
+    A flag is ``true`` or ``false``; anything else, an exact rational or
+    an infinite ratio (``inf``), is written by ``str``.
     """
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.12g}"
     return str(x)
 
 

@@ -11,11 +11,10 @@ breakpoints certifies inequalities for every mass.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .market import MarketError, Record, SignalingScheme, ValueDistribution, common_denominator
 
@@ -224,12 +223,14 @@ def _merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction,
     return tuple(out)
 
 
-def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, float]:
-    """Welfare of the per-buyer surplus allocation, mass-weighted.
+def evaluate_welfare(profile: SurplusProfile, kind: str) -> Fraction:
+    """Welfare of the per-buyer surplus allocation, mass-weighted, exact.
 
-    utilitarian: the profile's total (exact); maxmin: minimum over value classes
-    (exact); nash: weighted geometric mean, in floating point via logs; 0 if
-    some class earns nothing, inf if the mean passes the float range.
+    utilitarian: the profile's total.  nash and maxmin: 0 once a class
+    earns 0, as class 1 does under every scheme: each posted price is at
+    least v_1.  Otherwise maxmin is the least surplus and nash raises
+    ValueError, as a weighted geometric mean of positive rationals is
+    irrational in general (surpluses 1 and 2 at masses 1/2 give sqrt 2).
     """
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare kind {kind!r}")
@@ -237,15 +238,8 @@ def evaluate_welfare(profile: SurplusProfile, kind: str) -> Union[Fraction, floa
         if profile.total is None:
             raise ValueError("utilitarian welfare needs the profile's total")
         return profile.total
-    masses = profile.dist.masses
-    surpluses = profile.surpluses
+    if any(not cs.numerator for cs in profile.surpluses):  # stops at class 1
+        return Fraction(0)
     if kind == "maxmin":
-        return min(surpluses)
-    if any(not cs.numerator for cs in surpluses):
-        return 0.0
-    # logs of numerator and denominator: math.log takes ints of any size
-    logs = (math.log(cs.numerator) - math.log(cs.denominator) for cs in surpluses)
-    try:
-        return math.exp(sum(float(f) * x for f, x in zip(masses, logs)))
-    except OverflowError:  # the mean itself lies past the float range
-        return math.inf
+        return min(profile.surpluses)
+    raise ValueError("nash welfare with no zero class is irrational in general")

@@ -1,6 +1,7 @@
 """Shared fixtures and test oracles: reference instances and schemes, the
-random corpus, adversary witnesses, the max-min surplus LP, the
-round-by-round buyer-optimal peeling and the eager Bareiss tableau."""
+random corpus, adversary witnesses, the certified factor between two step
+functions, the max-min surplus LP, the round-by-round buyer-optimal
+peeling and the eager Bareiss tableau."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from fairsignal import lp as lp_module
 from fairsignal import oracles
+from fairsignal.cli import certify
 from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import (
     MarketError,
@@ -29,6 +31,7 @@ from fairsignal.market import (
     scheme_from_rows,
 )
 from fairsignal.splitmatch import BinarySignalEntry, binary_shares
+from fairsignal.steps import StepFunction, certification_grid, sorted_prefix
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -251,6 +254,14 @@ def adversary_witnesses(
         values = oracles.adversary_sorted_prefix(dist, masses)
     assert len(points) == len(values)
     return [(value, scheme_from_point(dist, point)) for value, point in zip(values, points)]
+
+
+def alpha_against(f1: StepFunction, f2: StepFunction):
+    """Smallest alpha with alpha * PF(f1, m) >= PF(f2, m) for every mass m:
+    `cli.certify` on the grid of both, with f2's sorted prefixes as rival."""
+    grid = certification_grid(f1, f2)
+    _, alpha = certify(f1, grid, [sorted_prefix(f2, m) for m in grid])
+    return alpha
 
 
 class EagerTableau:

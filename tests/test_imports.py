@@ -5,9 +5,9 @@ function, class and method it defines is reached from outside tests, and
 every field of a record class (a subclass of `market.Record`) it
 declares is read outside tests; no record class writes its own
 ``__init__`` or names in ``_compared`` or ``_derived`` a field it does
-not declare; the exact modules, `ironing`, `lp`, `market`, `oracles` and
-`splitmatch`, use no float; and starting the CLI imports neither
-`dataclasses` nor `inspect`.
+not declare; the exact modules, `ironing`, `lp`, `market`, `oracles`,
+`splitmatch` and `steps`, use no float; and starting the CLI imports
+neither `dataclasses` nor `inspect`.
 
 No linter is a dependency, so these stdlib checks stand in for one.
 ``__init__.py`` is exempt from the import and reachability checks: its
@@ -265,24 +265,25 @@ def test_module_plants_no_attribute(path):
 
 
 # The exact modules: every number they report is a rational, never a float.
-EXACT = ("ironing.py", "lp.py", "market.py", "oracles.py", "splitmatch.py")
-FLOAT_MATH = ("inf", "log", "isclose")
+EXACT = ("ironing.py", "lp.py", "market.py", "oracles.py", "splitmatch.py", "steps.py")
+# The `math` names that take and give ints only; any other reads or makes a float.
+INT_MATH = ("gcd", "lcm", "isqrt", "comb", "perm", "factorial")
 
 
 def float_uses(source: str) -> list[str]:
     """Each float in ``source``: a float literal, a ``float(`` call, and
-    ``math.inf``, ``math.log`` or ``math.isclose``, read or imported."""
+    any `math` name outside INT_MATH, read or imported."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             out.append((node.lineno, repr(node.value)))
         elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "float":
             out.append((node.lineno, "float("))
-        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH:
+        elif isinstance(node, ast.Attribute) and node.attr not in INT_MATH:
             if getattr(node.value, "id", "") == "math":
                 out.append((node.lineno, f"math.{node.attr}"))
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
-            names = [alias.name for alias in node.names if alias.name in FLOAT_MATH]
+            names = [alias.name for alias in node.names if alias.name not in INT_MATH]
             out += [(node.lineno, f"math.{name}") for name in names]
     return [f"{name} (line {line})" for line, name in sorted(out)]
 
@@ -292,6 +293,7 @@ def test_the_check_sees_a_float():
         "import math\nfrom math import gcd, isclose\n"
         "a = float(1) + 0.5 + 1e3 + math.inf\nb = math.lcm(2, 3) + gcd(4, 6)\n"
         "c = math.log(a) > 10**3 and isclose(a, b)\n"
+        "d = math.exp(c) + math.sqrt(math.isqrt(9))\n"
     )
     assert float_uses(source) == [
         "math.isclose (line 2)",
@@ -300,6 +302,8 @@ def test_the_check_sees_a_float():
         "float( (line 3)",
         "math.inf (line 3)",
         "math.log (line 5)",
+        "math.exp (line 6)",
+        "math.sqrt (line 6)",
     ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsignal import market
-from fairsignal.cli import certify
+from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import ValueDistribution
 from fairsignal.splitmatch import split_and_match
@@ -27,16 +27,9 @@ from fairsignal.steps import (
     sorted_prefix,
 )
 
-from conftest import perfbench_module, structured_priors
+from conftest import alpha_against, perfbench_module, structured_priors
 
 F = Fraction
-
-
-def alpha_against(f1: StepFunction, f2: StepFunction):
-    """Smallest alpha with alpha * PF(f1, m) >= PF(f2, m) for every mass m."""
-    grid = certification_grid(f1, f2)
-    _, alpha = certify(f1, grid, [sorted_prefix(f2, m) for m in grid])
-    return alpha
 
 
 def quartile_step(values) -> StepFunction:
@@ -115,40 +108,60 @@ class TestAlphaBetween:
         assert alpha_against(pos, zero) == F(0)
 
 
+def assert_exact_zero(welfare) -> None:
+    assert type(welfare) is Fraction and welfare == 0
+
+
 class TestWelfare:
     def test_single_winner_profile(self, running_example):
         profile = SurplusProfile(running_example, (F(0), F(0), F(0), F(1)), F(1, 4))
         assert evaluate_welfare(profile, "utilitarian") == F(1, 4)
-        assert evaluate_welfare(profile, "maxmin") == F(0)
-        assert evaluate_welfare(profile, "nash") == 0.0
+        assert_exact_zero(evaluate_welfare(profile, "maxmin"))
+        assert_exact_zero(evaluate_welfare(profile, "nash"))
 
     def test_reference_totals(self, nonmonotone_scheme, monotone_scheme):
         for scheme in (nonmonotone_scheme, monotone_scheme):
             profile = scheme_surplus(scheme)
             assert evaluate_welfare(profile, "utilitarian") == F(1)
 
-    def test_nash_weighted_geometric_mean(self, running_example):
-        profile = SurplusProfile(running_example, (F(1), F(2), F(3), F(4)))
-        expected = (1 * 2 * 3 * 4) ** 0.25
-        assert evaluate_welfare(profile, "nash") == pytest.approx(
-            expected, rel=1e-12
-        )
-
     @pytest.mark.parametrize(
-        "surpluses, expected",
+        "surpluses",
         [
-            # each surplus lies past the float range, which float() would
-            # round to 0 or refuse; their weighted logs still fit
-            ((F(1, 10**400), F(10**400)), 1.0),
-            ((F(1, 10**400), F(1, 10**400)), 0.0),
-            ((F(10**400), F(10**400)), math.inf),
-            # the lower surplus fits a float, the higher and their mean do not
-            ((F(10**300), F(10**320)), math.inf),
+            (F(1), F(2)),
+            (F(1, 3), F(1, 3)),
+            # surpluses past the float range
+            (F(1, 10**400), F(10**400)),
+            (F(1, 10**400), F(1, 10**400)),
+            (F(10**400), F(10**400)),
+            (F(10**300), F(10**320)),
         ],
     )
-    def test_nash_past_the_float_range(self, surpluses, expected):
-        dist = ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"])
-        assert evaluate_welfare(SurplusProfile(dist, surpluses), "nash") == expected
+    def test_nash_needs_a_zero_class(self, surpluses):
+        # with no class at 0 the geometric mean has no exact value in general
+        # (sqrt 2 for the first profile), so nash refuses; maxmin is exact
+        profile = SurplusProfile(ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"]), surpluses)
+        with pytest.raises(ValueError, match="no zero class"):
+            evaluate_welfare(profile, "nash")
+        assert evaluate_welfare(profile, "maxmin") == min(surpluses)
+
+    @staticmethod
+    def check_schemes(dist: ValueDistribution) -> None:
+        # every posted price is at least v_1, so class 1 earns 0 under every
+        # scheme, and nash and maxmin are an exact 0
+        for kind in SCHEME_KINDS:
+            profile = scheme_surplus(build_named_scheme(dist, kind))
+            assert profile.surpluses[0] == 0, kind
+            assert_exact_zero(evaluate_welfare(profile, "nash"))
+            assert_exact_zero(evaluate_welfare(profile, "maxmin"))
+
+    def test_every_scheme_on_the_corpus_leaves_class_one_at_zero(self, corpus):
+        for dist in corpus:
+            self.check_schemes(dist)
+
+    @given(structured_priors())
+    @settings(max_examples=25, deadline=None)
+    def test_every_scheme_on_structured_priors_leaves_class_one_at_zero(self, case):
+        self.check_schemes(case[1])
 
     def test_unknown_kind_rejected(self, running_example):
         profile = SurplusProfile(running_example, (F(1),) * 4)
