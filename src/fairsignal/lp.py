@@ -3,12 +3,14 @@
 A program is in standard form: maximize c.x subject to rows A x <= b with
 b >= 0, and x >= 0.  The origin is then a feasible vertex: every row gets
 one slack, the slacks form the starting basis, and there is no phase 1.
-A row with a negative right-hand side raises ValueError before any pivot,
-and an unbounded program raises InvariantViolation, since no caller builds
-one.  The canonical LPs of `oracles` have this form because they start at
-full revelation.  Coefficients, right-hand sides and objective entries are
-ints or Fractions; a float raises TypeError when it is solved, since its
-binary rounding would enter the program as an exact rational.
+The canonical LPs of `oracles` have this form because they start at full
+revelation.  A row is given as its nonzeros, (column, coefficient) pairs
+in strictly increasing column order.  A row with a negative right-hand
+side, or whose columns do not so increase, raises ValueError before any
+pivot, and an unbounded program raises InvariantViolation, since no caller
+builds one.  Coefficients, right-hand sides and objective entries are ints
+or Fractions; a float raises TypeError when it is solved, since its binary
+rounding would enter the program as an exact rational.
 
 The tableau is kept as an integer matrix over a running denominator den
 (the previous pivot), so every pivot is a fraction-free (Bareiss) update
@@ -97,27 +99,16 @@ from .market import InvariantViolation, Record
 
 
 class LinearProgram(Record):
-    """max c.x subject to ``coeffs . x <= rhs`` for each constraint, x >= 0.
+    """max c.x subject to ``row . x <= rhs`` for each ``(row, rhs)`` of
+    ``constraints``, and x >= 0.  A row is a tuple of (column, coefficient)
+    pairs in strictly increasing column order; a column it leaves out is 0."""
 
-    Its fields are fixed, but ``add`` appends to its list of constraints,
-    so it has no hash."""
-
-    __hash__ = None
     objective: tuple[Fraction, ...]
-    constraints: Optional[list[tuple[tuple[Fraction, ...], Fraction]]] = None
-
-    def __post_init__(self):
-        if self.constraints is None:  # a fresh list, so no two programs share one
-            object.__setattr__(self, "constraints", [])
+    constraints: tuple[tuple[tuple[tuple[int, Fraction], ...], Fraction], ...]
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
-
-    def add(self, coeffs: Sequence[Fraction], rhs: Fraction) -> None:
-        if len(coeffs) != self.n_vars:
-            raise ValueError("coefficient vector has wrong length")
-        self.constraints.append((tuple(coeffs), rhs))
 
 
 class LPResult(Record):
@@ -127,16 +118,32 @@ class LPResult(Record):
     _compared = ("value", "point")
     value: Fraction
     point: tuple[Fraction, ...]
-    _tableau: Optional[_Tableau] = None
+    _tableau: Optional[_Tableau]
 
 
-def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int]:
-    """The row times its scale, the lcm of its denominators."""
-    scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return (
-        [c.numerator * (scale // c.denominator) for c in coeffs],
-        rhs.numerator * (scale // rhs.denominator),
-    )
+def _integer_row(
+    r: int, row: Sequence[tuple[int, Fraction]], rhs: Fraction, gcds: list[int]
+) -> tuple[list[tuple[int, int]], int]:
+    """Row r's pairs and right-hand side times its scale, the lcm of their
+    denominators, with each entry folded into its column's gcd in ``gcds``.
+    A malformed row, or one that fails at the origin, raises."""
+    try:
+        scale = math.lcm(rhs.denominator, *(a.denominator for _, a in row))
+    except AttributeError:  # no numerator and denominator: a float, say
+        raise TypeError(f"row {r} has an entry that is not an int or a Fraction") from None
+    except (TypeError, ValueError):  # an entry that does not unpack as a pair
+        raise TypeError(f"row {r} is not a sequence of (column, coefficient) pairs") from None
+    if rhs < 0:
+        raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
+    pairs, last = [], -1
+    for j, a in row:
+        if not last < j < len(gcds):
+            raise ValueError(f"row {r}: column {j} after {last}, of {len(gcds)} variables")
+        a = a.numerator * (scale // a.denominator)
+        gcds[j] = math.gcd(gcds[j], a)
+        pairs.append((j, a))
+        last = j
+    return pairs, rhs.numerator * (scale // rhs.denominator)
 
 
 def _integer_objective(
@@ -171,31 +178,25 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         nvars = lp.n_vars
-        self.constraints = tuple(lp.constraints)
+        self.constraints = lp.constraints
         self.nvars = nvars
-        rows = []
-        for r, (coeffs, rhs) in enumerate(lp.constraints):
-            try:
-                row, int_rhs = _integer_row(coeffs, rhs)
-            except AttributeError:  # no numerator and denominator: a float, say
-                raise TypeError(f"row {r} has an entry that is not an int or a Fraction") from None
-            if int_rhs < 0:
-                raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
-            rows.append(row + [int_rhs])
+        gcds = [0] * nvars
+        rows = enumerate(lp.constraints)
+        program = [_integer_row(r, row, rhs, gcds) for r, (row, rhs) in rows]
         # variable j is measured in units of 1/units[j]: its column's gcd
-        self.units = [math.gcd(*(row[j] for row in rows)) or 1 for j in range(nvars)]
-        for row in rows:
-            row[:nvars] = [a // g for a, g in zip(row, self.units)]
-        # the integer rows, sparse, for the certificate
-        self.program = [
-            ([(j, a) for j, a in enumerate(row[:-1]) if a], row[-1]) for row in rows
-        ]
-        self.rows = rows + [[0] * (nvars + 1)]  # then the objective row
+        self.units = units = [g or 1 for g in gcds]
+        # the integer rows, sparse for the certificate and dense for the tableau
+        self.program = [([(j, a // units[j]) for j, a in row], rhs) for row, rhs in program]
+        self.rows = [[0] * nvars + [rhs] for _, rhs in self.program]
+        for (row, _), dense in zip(self.program, self.rows):
+            for j, a in row:
+                dense[j] = a
+        self.m = len(program)
+        self.rows.append([0] * (nvars + 1))  # then the objective row
         self.stamps = [1] * len(self.rows)
         self.cols = list(range(nvars))
-        self.basis = list(range(nvars, nvars + len(rows)))
+        self.basis = list(range(nvars, nvars + self.m))
         self.den = 1
-        self.m = len(rows)
 
     def copy(self) -> _Tableau:
         # pivots and pricing replace rows rather than edit them, but they
@@ -350,18 +351,16 @@ def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
     """Maximize, from the origin or from the final basis of ``start``.
 
     ``start`` must be a result of `solve_lp` over the same constraints, with
-    any objective; ValueError refuses any other.  Raises ValueError, before
-    any pivot, on a row with a negative right-hand side, and
-    InvariantViolation on an unbounded program, or on an answer that fails
-    its exact primal or dual check.
+    any objective; ValueError refuses any other.  Raises, before any pivot,
+    ValueError on a row with a negative right-hand side or misplaced columns
+    and TypeError on a malformed one, and InvariantViolation on an unbounded
+    program, or on an answer that fails its exact primal or dual check.
     """
     if start is None:
         tab = _Tableau(lp)
     else:
         tab = start._tableau
-        if tab is None or tab.nvars != lp.n_vars or tab.constraints != tuple(
-            lp.constraints
-        ):
+        if tab is None or tab.nvars != lp.n_vars or tab.constraints != lp.constraints:
             raise ValueError("start was not solved over this program's constraints")
         tab = tab.copy()
     objective, scale = _integer_objective(lp.objective, tab.units)

@@ -55,27 +55,29 @@ def _canonical_columns(n: int) -> list[tuple[int, int]]:
     return [(k, i) for k in range(n) for i in range(k + 1, n)]
 
 
-def _add_canonical_constraints(
-    lp: LinearProgram, dist: ValueDistribution, col: dict[tuple[int, int], int]
-) -> None:
+def _canonical_rows(
+    dist: ValueDistribution, col: dict[tuple[int, int], int]
+) -> list[tuple[tuple[tuple[int, Fraction], ...], Fraction]]:
+    """The canonical polytope's rows, as `lp.LinearProgram` takes them.
+
+    Every coefficient is nonzero (values strictly increase and are
+    positive), and each row lists its columns in increasing order: the
+    blocks of lower prices, then its own price's block."""
     n = dist.n
-    width = lp.n_vars
     values = dist.values
-    for i in range(1, n):  # the diagonal x[i][i] stays non-negative
-        coeffs = [0] * width
-        for k in range(i):
-            coeffs[col[(k, i)]] = 1
-        lp.add(coeffs, dist.masses[i])
+    # the diagonal x[i][i] stays non-negative
+    rows = [(tuple((col[(k, i)], 1) for k in range(i)), dist.masses[i]) for i in range(1, n)]
     for k in range(n):
         # revenue of signal k at v_j is at most its revenue at v_k; x[k][k]
         # enters through f_k
+        lower = tuple((col[(below, k)], values[k]) for below in range(k))
         for j in range(k + 1, n):
-            coeffs = [0] * width
-            for i in range(k + 1, n):
-                coeffs[col[(k, i)]] = (values[j] if i >= j else 0) - values[k]
-            for lower in range(k):
-                coeffs[col[(lower, k)]] = values[k]
-            lp.add(coeffs, values[k] * dist.masses[k])
+            own = tuple(
+                (col[(k, i)], (values[j] if i >= j else 0) - values[k])
+                for i in range(k + 1, n)
+            )
+            rows.append((lower + own, values[k] * dist.masses[k]))
+    return rows
 
 
 def check_adversary_support(dist: ValueDistribution, max_support: int) -> None:
@@ -124,25 +126,16 @@ def adversary_sorted_prefix(
     col = {kc: idx for idx, kc in enumerate(cols)}
     nu0 = len(cols)
     lam = nu0 + n
-    width = lam + 1
-    objective = [0] * width
+    rows = _canonical_rows(dist, col)
     for i in range(n):
-        objective[nu0 + i] = -dist.masses[i]
-    rows = LinearProgram(objective=tuple(objective))
-    _add_canonical_constraints(rows, dist, col)
-    for i in range(n):
-        coeffs = [0] * width
-        coeffs[lam] = dist.masses[i]
-        coeffs[nu0 + i] = -dist.masses[i]
-        for k in range(i):
-            coeffs[col[(k, i)]] = -(dist.values[i] - dist.values[k])
-        rows.add(coeffs, 0)
+        capacity = [(col[(k, i)], dist.values[k] - dist.values[i]) for k in range(i)]
+        rows.append(((*capacity, (nu0 + i, -dist.masses[i]), (lam, dist.masses[i])), 0))
+    rows = tuple(rows)
+    costs = (0,) * nu0 + tuple(-f for f in dist.masses)
     out = []
     result = None
     for m in masses:
-        objective[lam] = m
-        lp = LinearProgram(tuple(objective), rows.constraints)
-        result = solve_lp(lp, start=result)
+        result = solve_lp(LinearProgram(costs + (m,), rows), start=result)
         out.append(result.value)
     return out
 

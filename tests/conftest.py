@@ -277,8 +277,10 @@ class EagerTableau:
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
         rows = []
-        for coeffs, rhs in lp.constraints:
-            row = [Fraction(a) for a in coeffs] + [Fraction(rhs)]
+        for entries, rhs in lp.constraints:
+            row = [Fraction(0)] * n + [Fraction(rhs)]
+            for j, a in entries:
+                row[j] = Fraction(a)
             scale = math.lcm(*(a.denominator for a in row))
             rows.append([int(a * scale) for a in row])
         self.units = [math.gcd(*(row[j] for row in rows)) or 1 for j in range(n)]
@@ -440,19 +442,18 @@ def max_min_surplus_lp(
         # surpluses divide by f2 and f3; the low-value mass may vanish
         raise MarketError("masses must be positive (low value may be zero)")
     names = ("x", "y", "z", "yp", "zp", "zpp", "smin")
-
-    def row(**entries: Fraction) -> tuple[Fraction, ...]:
-        return tuple(entries.get(name, Fraction(0)) for name in names)
-
-    lp = LinearProgram(objective=row(smin=Fraction(1)))
-    lp.add(row(y=v1 - v2, smin=f2), Fraction(0))
-    lp.add(row(z=v1 - v3, zp=v2 - v3, smin=f3), Fraction(0))
-    lp.add(row(x=-v1, y=v2 - v1, z=v2 - v1), Fraction(0))
-    lp.add(row(x=-v1, y=-v1, z=v3 - v1), Fraction(0))
-    lp.add(row(yp=-v2, zp=v3 - v2), Fraction(0))
-    lp.add(row(x=Fraction(1)), f1)
-    lp.add(row(y=Fraction(1), yp=Fraction(1)), f2)
-    lp.add(row(z=Fraction(1), zp=Fraction(1), zpp=Fraction(1)), f3)
+    x, y, z, yp, zp, zpp, smin = range(len(names))
+    rows = (
+        (((y, v1 - v2), (smin, f2)), 0),
+        (((z, v1 - v3), (zp, v2 - v3), (smin, f3)), 0),
+        (((x, -v1), (y, v2 - v1), (z, v2 - v1)), 0),
+        (((x, -v1), (y, -v1), (z, v3 - v1)), 0),
+        (((yp, -v2), (zp, v3 - v2)), 0),
+        (((x, 1),), f1),
+        (((y, 1), (yp, 1)), f2),
+        (((z, 1), (zp, 1), (zpp, 1)), f3),
+    )
+    lp = LinearProgram((0,) * smin + (1,), rows)
     result = solve_lp(lp)
     return MaxMinSurplusResult(result.value, dict(zip(names, result.point)))
 

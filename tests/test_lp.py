@@ -17,17 +17,41 @@ from conftest import eager_lockstep
 F = Fraction
 
 
+def nonzeros(coeffs) -> tuple[tuple[int, Fraction], ...]:
+    """A dense row's (column, coefficient) pairs, as `LinearProgram` takes it."""
+    return tuple((j, a) for j, a in enumerate(coeffs) if a)
+
+
+def dense(row, n: int) -> tuple[Fraction, ...]:
+    """A row's n coefficients, the columns it leaves out 0."""
+    coeffs = [F(0)] * n
+    for j, a in row:
+        coeffs[j] = a
+    return tuple(coeffs)
+
+
+def program(objective, rows) -> LinearProgram:
+    """max objective.x over ``coeffs . x <= rhs`` for dense ``(coeffs, rhs)``."""
+    return LinearProgram(tuple(objective), tuple((nonzeros(c), r) for c, r in rows))
+
+
+def no_pivot(monkeypatch) -> None:
+    """Fail the test if the solver pivots."""
+
+    def refuse(*args):
+        raise AssertionError("pivoted")
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", refuse)
+
+
 def test_single_bound():
-    lp = LinearProgram(objective=(F(1),))
-    lp.add((F(1),), F(3))
+    lp = LinearProgram((F(1),), ((((0, F(1)),), F(3)),))
     res = solve_lp(lp)
     assert (res.value, res.point) == (F(3), (F(3),))
 
 
 def test_ints_are_exact_entries():
-    lp = LinearProgram(objective=(1, F(1, 2)))
-    lp.add((1, 2), 3)
-    lp.add((F(1), 0), F(5, 2))
+    lp = LinearProgram((1, F(1, 2)), ((((0, 1), (1, 2)), 3), (((0, F(1)),), F(5, 2))))
     res = solve_lp(lp)
     assert (res.value, res.point) == (F(21, 8), (F(5, 2), F(1, 4)))
 
@@ -35,52 +59,77 @@ def test_ints_are_exact_entries():
 @pytest.mark.parametrize(
     "objective, row, rhs, message",
     [
-        ((F(1),), (F(1),), 0.1, "row 0"),
-        ((F(1),), (0.5,), F(1), "row 0"),
-        ((F(1), 0.0), (F(1), F(1)), F(1), "objective entry 1"),
+        ((F(1),), ((0, F(1)),), 0.1, "row 0"),
+        ((F(1),), ((0, 0.5),), F(1), "row 0"),
+        ((F(1), 0.0), ((0, F(1)), (1, F(1))), F(1), "objective entry 1"),
     ],
     ids=["rhs", "coefficient", "objective"],
 )
 def test_floats_are_refused(objective, row, rhs, message):
     """A float would carry its binary rounding into the exact program."""
-    lp = LinearProgram(objective=objective)
-    lp.add(row, rhs)
+    lp = LinearProgram(objective, ((row, rhs),))
     with pytest.raises(TypeError, match=message):
         solve_lp(lp)
 
 
 def test_rows_that_fail_at_the_origin_are_refused(monkeypatch):
     # no phase 1: each row must hold at x = 0, or nothing is pivoted
-    def no_pivot(*args):
-        raise AssertionError("pivoted")
-
-    monkeypatch.setattr(lp_module._Tableau, "pivot", no_pivot)
-    lp = LinearProgram(
-        objective=(F(1),), constraints=[((F(1),), F(2)), ((F(1),), F(-1))]
-    )
+    no_pivot(monkeypatch)
+    lp = LinearProgram((F(1),), ((((0, F(1)),), F(2)), (((0, F(1)),), F(-1))))
     with pytest.raises(ValueError):
         solve_lp(lp)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        ((1, F(1)), (0, F(1))),
+        ((0, F(1)), (0, F(1))),
+        ((-1, F(1)),),
+        ((0, F(1)), (2, F(1))),
+        ((3, F(1)),),
+    ],
+    ids=["out_of_order", "repeated", "negative", "past_the_last", "far_past"],
+)
+def test_misplaced_columns_are_refused(monkeypatch, row):
+    """Columns must strictly increase within range(n_vars).  Unchecked,
+    column -1 would land in the dense row's right-hand side, a repeated
+    column would keep only its last coefficient, and a column past the
+    last would raise IndexError or none at all.  The good row comes first,
+    so the check is not just on the first row."""
+    no_pivot(monkeypatch)
+    lp = LinearProgram((F(1), F(1)), ((((0, F(1)), (1, F(1))), F(2)), (row, F(2))))
+    with pytest.raises(ValueError, match="row 1"):
+        solve_lp(lp)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(F(1), F(1)), (0, 1), ((0, F(1), F(2)),), ((0,),)],
+    ids=["dense_fractions", "dense_ints", "triple", "single"],
+)
+def test_rows_that_are_not_pairs_are_refused(monkeypatch, row):
+    no_pivot(monkeypatch)
+    lp = LinearProgram((F(1), F(1)), ((((0, F(1)),), F(1)), (row, F(2))))
+    with pytest.raises(TypeError, match="row 1 is not a sequence of"):
+        solve_lp(lp)
+
+
 def test_unbounded():
-    lp = LinearProgram(objective=(F(1), F(1)))
-    lp.add((F(1), F(-1)), F(1))
+    lp = program((F(1), F(1)), [((F(1), F(-1)), F(1))])
     with pytest.raises(InvariantViolation):
         solve_lp(lp)
 
 
 def test_degenerate_constraints():
-    lp = LinearProgram(objective=(F(1), F(1)))
-    for _ in range(3):
-        lp.add((F(1), F(1)), F(1))
-    lp.add((F(2), F(2)), F(2))
-    assert solve_lp(lp).value == F(1)
+    rows = [((F(1), F(1)), F(1))] * 3 + [((F(2), F(2)), F(2))]
+    assert solve_lp(program((F(1), F(1)), rows)).value == F(1)
 
 
 def test_exact_rationals_survive():
-    lp = LinearProgram(objective=(F(1, 3), F(1, 7)))
-    lp.add((F(2, 5), F(1, 9)), F(22, 45))
-    lp.add((F(1), F(1)), F(2))
+    lp = program(
+        (F(1, 3), F(1, 7)), [((F(2, 5), F(1, 9)), F(22, 45)), ((F(1), F(1)), F(2))]
+    )
     res = solve_lp(lp)
     assert res.value == F(1, 3) * res.point[0] + F(1, 7) * res.point[1]
     assert F(2, 5) * res.point[0] + F(1, 9) * res.point[1] <= F(22, 45)
@@ -89,7 +138,7 @@ def test_exact_rationals_survive():
 def brute_force_2d(lp: LinearProgram) -> Fraction:
     """Optimal value by enumerating all constraint-pair vertices."""
     rows = [(F(-1), F(0), F(0)), (F(0), F(-1), F(0))]  # x >= 0, y >= 0
-    rows += [(c[0], c[1], r) for c, r in lp.constraints]
+    rows += [dense(row, 2) + (r,) for row, r in lp.constraints]
 
     def feasible(x, y):
         return all(a * x + b * y <= r for a, b, r in rows)
@@ -114,27 +163,24 @@ def origin_row(rng: random.Random) -> tuple[tuple[Fraction, Fraction], Fraction]
 
 
 def bounded_program(rng: random.Random) -> LinearProgram:
-    lp = LinearProgram(objective=random_objective(rng))
+    objective = random_objective(rng)
     box = F(rng.randint(2, 9))
-    lp.add((F(1), F(0)), box)
-    lp.add((F(0), F(1)), box)
-    for _ in range(rng.randint(0, 4)):
-        lp.add(*origin_row(rng))
-    return lp
+    rows = [((F(1), F(0)), box), ((F(0), F(1)), box)]
+    rows += [origin_row(rng) for _ in range(rng.randint(0, 4))]
+    return program(objective, rows)
 
 
 def homogeneous_program(rng: random.Random) -> LinearProgram:
     """"<= 0" rows, the shape of the adversary's capacity rows, mixed with a
     random row that holds at the origin, in a box."""
-    lp = LinearProgram(objective=random_objective(rng))
+    objective = random_objective(rng)
     box = F(rng.randint(2, 9))
-    lp.add((F(1), F(0)), box)
-    lp.add((F(0), F(1)), box)
+    rows = [((F(1), F(0)), box), ((F(0), F(1)), box)]
     for _ in range(rng.randint(1, 3)):
-        lp.add((F(rng.randint(-3, 4)), F(rng.randint(-3, 4))), F(0))
+        rows.append(((F(rng.randint(-3, 4)), F(rng.randint(-3, 4))), F(0)))
     if rng.random() < 0.5:
-        lp.add(*origin_row(rng))
-    return lp
+        rows.append(origin_row(rng))
+    return program(objective, rows)
 
 
 def random_objective(rng: random.Random) -> tuple[Fraction, Fraction]:
@@ -174,7 +220,7 @@ def test_warm_start_matches_vertex_enumeration(program):
 def brute_force_3d(lp: LinearProgram) -> Fraction:
     """Optimal value by enumerating the vertices of every triple of planes."""
     rows = [tuple(F(-(i == j)) for j in range(3)) + (F(0),) for i in range(3)]  # x >= 0
-    rows += [tuple(c) + (r,) for c, r in lp.constraints]
+    rows += [dense(row, 3) + (r,) for row, r in lp.constraints]
 
     def det(m):
         return (
@@ -204,28 +250,29 @@ def random_ints(rng: random.Random, k: int, lo: int, hi: int) -> tuple[Fraction,
     return tuple(F(rng.randint(lo, hi)) for _ in range(k))
 
 
+def box_rows(k: int, bound: Fraction) -> list:
+    """x_j <= bound for each of k variables, as dense rows."""
+    return [(tuple(F(i == j) for i in range(k)), bound) for j in range(k)]
+
+
 def bounded_program_3d(rng: random.Random) -> LinearProgram:
-    lp = LinearProgram(objective=random_ints(rng, 3, -4, 6))
-    box = F(rng.randint(2, 9))
-    for j in range(3):
-        lp.add(tuple(F(i == j) for i in range(3)), box)
+    objective = random_ints(rng, 3, -4, 6)
+    rows = box_rows(3, F(rng.randint(2, 9)))
     for _ in range(rng.randint(0, 4)):
-        lp.add(random_ints(rng, 3, -3, 4), F(rng.randint(0, 8)))
-    return lp
+        rows.append((random_ints(rng, 3, -3, 4), F(rng.randint(0, 8))))
+    return program(objective, rows)
 
 
 def homogeneous_program_nd(rng: random.Random, k: int = 3) -> LinearProgram:
     """"<= 0" rows through the origin, which make degenerate vertices, in a
     k-dimensional box, sometimes with a random row that holds at the origin."""
-    lp = LinearProgram(objective=random_ints(rng, k, -4, 6))
-    box = F(rng.randint(2, 9))
-    for j in range(k):
-        lp.add(tuple(F(i == j) for i in range(k)), box)
+    objective = random_ints(rng, k, -4, 6)
+    rows = box_rows(k, F(rng.randint(2, 9)))
     for _ in range(rng.randint(1, k + 1)):
-        lp.add(random_ints(rng, k, -3, 4), F(0))
+        rows.append((random_ints(rng, k, -3, 4), F(0)))
     if rng.random() < 0.5:
-        lp.add(random_ints(rng, k, -3, 4), F(rng.randint(0, 8)))
-    return lp
+        rows.append((random_ints(rng, k, -3, 4), F(rng.randint(0, 8))))
+    return program(objective, rows)
 
 
 @pytest.mark.parametrize("program", [bounded_program_3d, homogeneous_program_nd])
@@ -311,10 +358,11 @@ def test_a_column_in_other_units(program, k):
     rng = random.Random(163)
 
     def rescaled(lp, j):
-        def times(coeffs):
-            return tuple(a * k if i == j else a for i, a in enumerate(coeffs))
+        def times(pairs):
+            return tuple((i, a * k if i == j else a) for i, a in pairs)
 
-        return LinearProgram(times(lp.objective), [(times(c), r) for c, r in lp.constraints])
+        objective = tuple(a for _, a in times(enumerate(lp.objective)))
+        return LinearProgram(objective, tuple((times(row), r) for row, r in lp.constraints))
 
     for _ in range(30):
         lp = program(rng)
@@ -380,7 +428,7 @@ def test_textbook_cycling_examples(monkeypatch, objective, rows, value):
     the integer rows are scaled, so Dantzig's rule alone does not cycle on
     them either; `test_pivot_rule` is what guards the fallback."""
     capped_pivots(monkeypatch, 20)
-    assert solve_lp(LinearProgram(objective, rows)).value == value
+    assert solve_lp(program(objective, rows)).value == value
 
 
 def tied_program() -> LinearProgram:
@@ -388,12 +436,10 @@ def tied_program() -> LinearProgram:
     y <= 1.  x enters (gain 2, tied with z), then z (gain 3); the third
     pivot chooses between y and the first row's slack, both of gain 1,
     with the slack's column first."""
-    lp = LinearProgram(objective=(F(2), F(1), F(1)))
-    lp.add((F(1), F(0), F(-1)), F(1))
-    lp.add((F(-1), F(2), F(0)), F(1))
+    rows = [((F(1), F(0), F(-1)), F(1)), ((F(-1), F(2), F(0)), F(1))]
     for j, bound in enumerate((2, 1, 2)):
-        lp.add(tuple(F(i == j) for i in range(3)), F(bound))
-    return lp
+        rows.append((tuple(F(i == j) for i in range(3)), F(bound)))
+    return program((F(2), F(1), F(1)), rows)
 
 
 def ratio_test(rows, basis, j) -> tuple[Fraction, int]:
@@ -453,21 +499,17 @@ def test_pivot_rule(monkeypatch):
 def test_start_from_other_rows_is_refused():
     rng = random.Random(139)
     lp = bounded_program(rng)
-    other = bounded_program(rng)
-    other.add((F(1), F(1)), F(20))
+    other = LinearProgram(lp.objective, lp.constraints + ((((0, F(1)), (1, F(1))), F(20)),))
     with pytest.raises(ValueError):
         solve_lp(other, start=solve_lp(lp))
     # a result that carries no tableau cannot be continued either
     with pytest.raises(ValueError):
-        solve_lp(lp, start=LPResult(F(0), (F(0), F(0))))
+        solve_lp(lp, start=LPResult(F(0), (F(0), F(0)), None))
 
 
 def box_program(objective) -> LinearProgram:
     """max objective.(x, y) over the box 0 <= x, y <= 1."""
-    lp = LinearProgram(objective=objective)
-    lp.add((F(1), F(0)), F(1))
-    lp.add((F(0), F(1)), F(1))
-    return lp
+    return program(objective, box_rows(2, F(1)))
 
 
 def test_early_stop_fails_dual_check(monkeypatch):

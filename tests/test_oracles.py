@@ -55,9 +55,8 @@ def solve_buyer_optimal_lp(dist: ValueDistribution):
     cols = oracles._canonical_columns(dist.n)
     col = {kc: idx for idx, kc in enumerate(cols)}
     objective = tuple(dist.values[i] - dist.values[k] for k, i in cols)
-    lp = LinearProgram(objective=objective)
-    oracles._add_canonical_constraints(lp, dist, col)
-    return oracles.solve_lp(lp)
+    rows = tuple(oracles._canonical_rows(dist, col))
+    return oracles.solve_lp(LinearProgram(objective, rows))
 
 
 def lp_buyer_optimal_scheme(
@@ -335,7 +334,9 @@ def diagonal_substitution(
     x[i][i] >= 0 becomes the row sum_{k<i} x[k][i] <= f_i, which is vacuous
     for the lowest value; both are asserted.  Each ``>=`` row is negated
     into a ``<=`` row.  The extra columns keep their coefficients and move
-    down by the n diagonal columns."""
+    down by the n diagonal columns.  Each row is given as its nonzeros, so
+    it equals the solver's row only if every coefficient of the solver's
+    is nonzero and in its own column."""
     n = dist.n
     canonical = [(k, i) for k in range(n) for i in range(k + 1, n)]
     nx = len(col)
@@ -346,9 +347,12 @@ def diagonal_substitution(
         shift = sum((d * f for d, f in zip(diagonal, dist.masses)), F(0))
         return out + list(coeffs[nx:]), rhs - shift
 
-    coeffs, constant = substitute(objective, F(0))
+    def nonzeros(coeffs):
+        return tuple((j, a) for j, a in enumerate(coeffs) if a)
+
+    costs, constant = substitute(objective, F(0))
     assert constant == 0
-    lp = LinearProgram(objective=tuple(coeffs))
+    standard = []
     for i in range(n):
         sign_row = [F(0)] * len(objective)
         sign_row[col[(i, i)]] = F(-1)  # -x[i][i] <= 0
@@ -358,15 +362,16 @@ def diagonal_substitution(
         else:
             row_i = [F(int(value == i)) for _, value in canonical]
             assert coeffs == row_i + [F(0)] * (len(objective) - nx)
-            lp.add(coeffs, rhs)
+            standard.append((nonzeros(coeffs), rhs))
     for coeffs, sense, rhs in rows:
         coeffs, rhs = substitute(coeffs, rhs)
         if sense == "==":
             assert not any(coeffs) and rhs == 0
         elif sense == ">=":
-            lp.add([-a for a in coeffs], -rhs)
+            standard.append((nonzeros([-a for a in coeffs]), -rhs))
         else:
-            lp.add(coeffs, rhs)
+            standard.append((nonzeros(coeffs), rhs))
+    lp = LinearProgram(tuple(costs), tuple(standard))
     return lp, frozenset(j - n for j in free)
 
 
@@ -407,7 +412,7 @@ class TestReferenceFormulation:
         m enters both forms only as lambda's objective coefficient, so they
         are the same program at every m.  Nothing is solved: the capture
         answers with the origin, full revelation."""
-        origin = lambda lp, start: LPResult(F(0), (F(0),) * lp.n_vars)
+        origin = lambda lp, start: LPResult(F(0), (F(0),) * lp.n_vars, None)
         captured = capture_lps(monkeypatch, solve=origin)
         m = F(1, 3)
         adversary_sorted_prefix(dist, [m])
@@ -440,7 +445,10 @@ class TestReferenceFormulation:
 def highs_value(optimize, lp: LinearProgram) -> float:
     """Optimal value of ``lp`` by HiGHS in floating point, with its last
     column, the adversary's lambda, free."""
-    a_ub = [[float(a) for a in coeffs] for coeffs, _ in lp.constraints]
+    a_ub = [[0.0] * lp.n_vars for _ in lp.constraints]
+    for dense, (row, _) in zip(a_ub, lp.constraints):
+        for j, a in row:
+            dense[j] = float(a)
     b_ub = [float(rhs) for _, rhs in lp.constraints]
     bounds = [(0, None)] * (lp.n_vars - 1) + [(None, None)]
     c = [-float(a) for a in lp.objective]
@@ -474,7 +482,12 @@ def test_nonnegative_lambda_loses_nothing(dist, monkeypatch):
     sweep = adversary_sorted_prefix(dist, masses)
     assert [lp.objective[-1] for lp in captured] == masses
     rows = captured[0].constraints
-    free_rows = [(coeffs + (-coeffs[-1],), rhs) for coeffs, rhs in rows]
+    lam = captured[0].n_vars - 1
+    # lambda is each row's last entry, if the row has one
+    free_rows = tuple(
+        (row + ((lam + 1, -row[-1][1]),) if row[-1][0] == lam else row, rhs)
+        for row, rhs in rows
+    )
     result = None
     for lp, value in zip(captured, sweep):
         assert lp.constraints == rows
