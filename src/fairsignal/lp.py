@@ -10,7 +10,8 @@ side, or whose columns do not so increase, raises ValueError before any
 pivot, and an unbounded program raises InvariantViolation, since no caller
 builds one.  Coefficients, right-hand sides and objective entries are ints
 or Fractions; a float raises TypeError when it is solved, since its binary
-rounding would enter the program as an exact rational.
+rounding would enter the program as an exact rational, and so does a bool,
+an int to Python but not a number of the program.
 
 The tableau is kept as an integer matrix over a running denominator den
 (the previous pivot), so every pivot is a fraction-free (Bareiss) update
@@ -63,7 +64,12 @@ Bland's rule takes over, the lowest-labelled negative column, until the
 next nondegenerate pivot.  The ratio test breaks ties on the lowest basis
 label throughout.  This terminates: Bland's rule cannot cycle from any
 basis, so every degenerate stretch ends, and every nondegenerate pivot
-strictly raises the objective, so no basis recurs after one.
+strictly raises the objective, so no basis recurs after one.  A column's
+ratio test is skipped when one row already shows it cannot win: the
+least ratio is at most rhs_h / a_hj for any row h with a_hj > 0, so
+-z_j * rhs_h / a_hj bounds the column's gain, taken from the row that
+won the variable's last ratio test.  A column whose bound does not beat
+the best gain so far would not have entered, so the pivots are the same.
 
 Warm start.  ``solve_lp(lp, start=previous)`` continues from the final
 basis of a previous solve over the same rows, with a new objective (the
@@ -80,9 +86,10 @@ Every answer is proved, cold or warm, against the integer rows built once
 from the constraints, in the tableau's units: dividing column j and c_j by
 g_j keeps every dual feasible at the same value, so the same duals prove
 the caller's program.  The point is re-checked against every row and sign
-restriction, and the final objective row gives the duals: y_r = z_r * s_r /
-(den * s_c) if row r's slack is nonbasic with entry z_r, and 0 if it is
-basic, with s_r a row's and s_c the objective's integer scale.  y >= 0,
+restriction, A x summed column by column over the nonzero basic values,
+and the final objective row gives the duals: y_r = z_r * s_r / (den * s_c)
+if row r's slack is nonbasic with entry z_r, and 0 if it is basic, with
+s_r a row's and s_c the objective's integer scale.  y >= 0,
 y^T A >= c and b.y = c.x are checked exactly.  A feasible dual of equal
 value proves the point optimal, so a solver defect cannot surface
 silently.
@@ -133,6 +140,8 @@ def _integer_row(
         raise TypeError(f"row {r} has an entry that is not an int or a Fraction") from None
     except (TypeError, ValueError):  # an entry that does not unpack as a pair
         raise TypeError(f"row {r} is not a sequence of (column, coefficient) pairs") from None
+    if isinstance(rhs, bool) or any(isinstance(a, bool) for _, a in row):
+        raise TypeError(f"row {r} has a bool entry, not an int or a Fraction")
     if rhs < 0:
         raise ValueError(f"row {r} (<= {rhs}) does not hold at the origin")
     pairs, last = [], -1
@@ -153,7 +162,7 @@ def _integer_objective(
     from the nonzero c_j only."""
     terms = []
     for j, c in enumerate(objective):
-        if not isinstance(c, (int, Fraction)):
+        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
             raise TypeError(f"objective entry {j} is {c!r}, not an int or a Fraction")
         if c:
             # c_j is reduced, so only g_j can share a factor with its numerator
@@ -188,15 +197,20 @@ class _Tableau:
         # the integer rows, sparse for the certificate and dense for the tableau
         self.program = [([(j, a // units[j]) for j, a in row], rhs) for row, rhs in program]
         self.rows = [[0] * nvars + [rhs] for _, rhs in self.program]
-        for (row, _), dense in zip(self.program, self.rows):
+        # and, for the certificate's A x <= b, each column's (row, entry)s
+        self.columns = [[] for _ in range(nvars)]
+        for r, ((row, _), dense) in enumerate(zip(self.program, self.rows)):
             for j, a in row:
                 dense[j] = a
+                self.columns[j].append((r, a))
         self.m = len(program)
         self.rows.append([0] * (nvars + 1))  # then the objective row
         self.stamps = [1] * len(self.rows)
         self.cols = list(range(nvars))
         self.basis = list(range(nvars, nvars + self.m))
         self.den = 1
+        # variable label -> the row that won its last ratio test
+        self.bounding = {}
 
     def copy(self) -> _Tableau:
         # pivots and pricing replace rows rather than edit them, but they
@@ -206,6 +220,7 @@ class _Tableau:
         twin.stamps = list(self.stamps)
         twin.cols = list(self.cols)
         twin.basis = list(self.basis)
+        twin.bounding = dict(self.bounding)
         return twin
 
     def row_at_den(self, i: int) -> list[int]:
@@ -269,19 +284,29 @@ class _Tableau:
         test gives the largest gain -z_j * rhs_r / a_rj, ties to the lowest
         label; with ``bland``, the lowest-labelled negative one (Bland's
         rule).  Columns are visited in label order, so a strict comparison
-        keeps the lowest label on a tie.
+        keeps the lowest label on a tie.  A column whose one-row bound
+        -z_j * rhs_h / a_hj, h the row that won its variable's last ratio
+        test, does not beat the best gain so far cannot enter, and its
+        ratio test is skipped; the chosen pivot is the same, ties included.
         """
-        z = self.rows[-1]
+        rows = self.rows
+        z = rows[-1]
         negative = sorted((b, j) for j, b in enumerate(self.cols) if z[j] < 0)
         best = None
-        best_num, best_a = -1, 1
+        best_num, best_a = -1, 1  # below every gain: the first column is tested
         for b, j in negative:
+            h = None if bland else self.bounding.get(b)
+            if h is not None:
+                a, rhs = rows[h][j], rows[h][-1]
+                if a > 0 and -z[j] * rhs * best_a <= best_num * a:
+                    continue
             r = self._choose_row(j)
             if r is None:
                 raise InvariantViolation(f"LP unbounded along variable {b}")
+            self.bounding[b] = r
             if bland:
                 return r, j
-            num, a = -z[j] * self.rows[r][-1], self.rows[r][j]
+            num, a = -z[j] * rows[r][-1], rows[r][j]
             if num * best_a > best_num * a:
                 best, best_num, best_a = (r, j), num, a
         return best
@@ -313,11 +338,15 @@ class _Tableau:
         den = self.den
         nvars = self.nvars
         v = [0] * nvars
+        ax = [0] * self.m
         for i, b in enumerate(self.basis):
             if b < nvars:
-                v[b] = self.rows[i][-1] * den // self.stamps[i]
-        if any(x < 0 for x in v):
-            raise InvariantViolation("solver produced a negative variable")
+                v[b] = x = self.rows[i][-1] * den // self.stamps[i]
+                if x < 0:
+                    raise InvariantViolation("solver produced a negative variable")
+                if x:
+                    for r, a in self.columns[b]:
+                        ax[r] += a * x
         duals = [0] * self.m
         z = self.row_at_den(self.m)
         for j, b in enumerate(self.cols):
@@ -327,8 +356,8 @@ class _Tableau:
             raise InvariantViolation("dual certificate has a negative multiplier")
         lhs = [0] * nvars
         by = 0
-        for r, (y, (row, rhs)) in enumerate(zip(duals, self.program)):
-            if sum(a * v[j] for j, a in row) > den * rhs:
+        for r, (total, y, (row, rhs)) in enumerate(zip(ax, duals, self.program)):
+            if total > den * rhs:
                 raise InvariantViolation(f"solver point violates row {r}")
             if y:
                 for j, a in row:
@@ -343,7 +372,8 @@ class _Tableau:
                 f"dual value {Fraction(by, den * scale)} differs from "
                 f"primal value {Fraction(cx, den * scale)}"
             )
-        point = tuple(Fraction(x, den * g) for x, g in zip(v, self.units))
+        zero = Fraction(0)
+        point = tuple(Fraction(x, den * g) if x else zero for x, g in zip(v, self.units))
         return point, Fraction(cx, den * scale)
 
 

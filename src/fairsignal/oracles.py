@@ -8,12 +8,16 @@ priced at v_i: the prior fixes it as f_i less the mass of value i priced
 lower.  Every row is then a ``<=`` row with a non-negative right-hand
 side and every variable is non-negative, the standard form of `lp`: the
 origin is full revelation, a feasible vertex where every row holds, which
-is where its one-phase simplex starts.  The adversary maximizes the
-sorted prefix sum over a grid of masses, one warm-started LP per mass,
-which certifies approximate majorization; the buyer-optimal baseline
-needs no LP (see `market.buyer_optimal_scheme`).  The two three-value
-instance families pin down the lower bounds; the universal family's
-max-min surplus is read off the same adversary (`cli.cmd_lowerbound`).
+is where its one-phase simplex starts.  The LP keeps no row another row
+implies: below the top class, a class's revenue row implies its diagonal
+row (`_canonical_rows`), and the lowest class, which earns nothing, is
+folded into the adversary's multiplier (`adversary_sorted_prefix`).  The
+adversary maximizes the sorted prefix sum over a grid of masses, one
+warm-started LP per mass, which certifies approximate majorization; the
+buyer-optimal baseline needs no LP (see `market.buyer_optimal_scheme`).
+The two three-value instance families pin down the lower bounds; the
+universal family's max-min surplus is read off the same adversary
+(`cli.cmd_lowerbound`).
 Both refuse a parameter longer than `MAX_PARAMETER_EXPONENT` allows.
 """
 
@@ -62,21 +66,28 @@ def _canonical_rows(
 
     Every coefficient is nonzero (values strictly increase and are
     positive), and each row lists its columns in increasing order: the
-    blocks of lower prices, then its own price's block."""
+    blocks of lower prices, then its own price's block.
+
+    Of the rows keeping each diagonal x[k][k] non-negative, only the top
+    class's is given.  Below the top, class k's revenue row against
+    v_{k+1} reads v_k * sum_{l<k} x[l][k] + (v_{k+1} - v_k) *
+    sum_{i>k} x[k][i] <= v_k * f_k; divided by v_k, it bounds
+    sum_{l<k} x[l][k] by f_k less a non-negative sum, so it implies the
+    diagonal row."""
     n = dist.n
     values = dist.values
-    # the diagonal x[i][i] stays non-negative
-    rows = [(tuple((col[(k, i)], 1) for k in range(i)), dist.masses[i]) for i in range(1, n)]
+    # the top diagonal x[n-1][n-1] stays non-negative
+    top = n - 1
+    rows = [(tuple((col[(k, top)], 1) for k in range(top)), dist.masses[top])] if top else []
     for k in range(n):
         # revenue of signal k at v_j is at most its revenue at v_k; x[k][k]
         # enters through f_k
         lower = tuple((col[(below, k)], values[k]) for below in range(k))
+        rhs, cut = values[k] * dist.masses[k], -values[k]
         for j in range(k + 1, n):
-            own = tuple(
-                (col[(k, i)], (values[j] if i >= j else 0) - values[k])
-                for i in range(k + 1, n)
-            )
-            rows.append((lower + own, values[k] * dist.masses[k]))
+            gap = values[j] - values[k]
+            own = tuple((col[(k, i)], gap if i >= j else cut) for i in range(k + 1, n))
+            rows.append((lower + own, rhs))
     return rows
 
 
@@ -109,10 +120,17 @@ def adversary_sorted_prefix(
     0, while any point with lambda < 0 has value m * lambda - sum_i f_i nu_i
     < 0 (m > 0, nu >= 0).  Every optimum therefore already has lambda >= 0.
 
+    The lowest class earns nothing under any scheme, since every posted
+    price is at least v_1, so its row reads lambda <= nu_1; with lambda >= 0
+    and nu_1's cost f_1, nu_1 = lambda at every optimum.  The LP therefore
+    has no nu_1 and no row for it, and lambda's objective coefficient is
+    m - f_1: at n=7 it has 28 rows and 28 columns instead of 34 and 29, and
+    at m <= f_1 its origin is optimal.
+
     Only lambda's objective coefficient depends on m, so the rows are built
     once and each mass is solved from the previous mass's optimal basis
     (`solve_lp`'s ``start``); on an ascending grid consecutive optima lie
-    few pivots apart, about 3 per mass on the certify-small benchmark.
+    few pivots apart, about 2.8 per mass on the certify-small benchmark.
     Only the values are returned: every optimal point is proved feasible
     by `solve_lp`'s certificate, so the canonical scheme it describes is
     Bayes plausible by construction.
@@ -124,18 +142,20 @@ def adversary_sorted_prefix(
     n = dist.n
     cols = _canonical_columns(n)
     col = {kc: idx for idx, kc in enumerate(cols)}
-    nu0 = len(cols)
-    lam = nu0 + n
+    # class i >= 1's nu is column nu + i, and lambda follows them
+    nu = len(cols) - 1
+    lam = nu + n
     rows = _canonical_rows(dist, col)
-    for i in range(n):
+    for i in range(1, n):
         capacity = [(col[(k, i)], dist.values[k] - dist.values[i]) for k in range(i)]
-        rows.append(((*capacity, (nu0 + i, -dist.masses[i]), (lam, dist.masses[i])), 0))
+        rows.append(((*capacity, (nu + i, -dist.masses[i]), (lam, dist.masses[i])), 0))
     rows = tuple(rows)
-    costs = (0,) * nu0 + tuple(-f for f in dist.masses)
+    costs = (0,) * len(cols) + tuple(-f for f in dist.masses[1:])
+    lowest = dist.masses[0]
     out = []
     result = None
     for m in masses:
-        result = solve_lp(LinearProgram(costs + (m,), rows), start=result)
+        result = solve_lp(LinearProgram(costs + (m - lowest,), rows), start=result)
         out.append(result.value)
     return out
 

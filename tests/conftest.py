@@ -179,6 +179,19 @@ def mixture(scheme: SignalingScheme) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def nonzeros(coeffs) -> tuple[tuple[int, Fraction], ...]:
+    """A dense row's (column, coefficient) pairs, as `LinearProgram` takes it."""
+    return tuple((j, a) for j, a in enumerate(coeffs) if a)
+
+
+def dense(row, n: int) -> tuple[Fraction, ...]:
+    """A row's n coefficients, the columns it leaves out 0."""
+    coeffs = [Fraction(0)] * n
+    for j, a in row:
+        coeffs[j] = a
+    return tuple(coeffs)
+
+
 def scheme_from_point(dist: ValueDistribution, point: Sequence[Fraction]) -> SignalingScheme:
     """The canonical scheme of an LP point over `oracles._canonical_columns`
     (later columns are ignored): signal k posts v_k and holds x[k][i] of

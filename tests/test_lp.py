@@ -12,22 +12,9 @@ from fairsignal import lp as lp_module
 from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import InvariantViolation
 
-from conftest import eager_lockstep
+from conftest import dense, eager_lockstep, nonzeros
 
 F = Fraction
-
-
-def nonzeros(coeffs) -> tuple[tuple[int, Fraction], ...]:
-    """A dense row's (column, coefficient) pairs, as `LinearProgram` takes it."""
-    return tuple((j, a) for j, a in enumerate(coeffs) if a)
-
-
-def dense(row, n: int) -> tuple[Fraction, ...]:
-    """A row's n coefficients, the columns it leaves out 0."""
-    coeffs = [F(0)] * n
-    for j, a in row:
-        coeffs[j] = a
-    return tuple(coeffs)
 
 
 def program(objective, rows) -> LinearProgram:
@@ -67,6 +54,24 @@ def test_ints_are_exact_entries():
 )
 def test_floats_are_refused(objective, row, rhs, message):
     """A float would carry its binary rounding into the exact program."""
+    lp = LinearProgram(objective, ((row, rhs),))
+    with pytest.raises(TypeError, match=message):
+        solve_lp(lp)
+
+
+@pytest.mark.parametrize(
+    "objective, row, rhs, message",
+    [
+        ((1, 1), ((0, True), (1, 1)), 1, "row 0"),
+        ((1, 1), ((0, 1), (1, 1)), True, "row 0"),
+        ((True, 1), ((0, 1), (1, 1)), 1, "objective entry 0"),
+        ((1, False), ((0, 1), (1, 1)), 1, "objective entry 1"),
+    ],
+    ids=["coefficient", "rhs", "objective", "false_objective"],
+)
+def test_bools_are_refused(objective, row, rhs, message):
+    """A bool is an int to Python but no rational to the program, as
+    `market.as_fraction` holds too."""
     lp = LinearProgram(objective, ((row, rhs),))
     with pytest.raises(TypeError, match=message):
         solve_lp(lp)

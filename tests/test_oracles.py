@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +35,10 @@ from fairsignal.steps import profile_step_function, scheme_surplus, sorted_prefi
 
 from conftest import (
     adversary_witnesses,
+    dense,
     eager_lockstep,
     max_min_surplus_lp,
+    nonzeros,
     perfbench_module,
     random_distribution,
     scheme_from_point,
@@ -271,13 +274,15 @@ def capture_lps(monkeypatch, solve=solve_lp) -> list[LinearProgram]:
     return captured
 
 
-def reference_rows(dist: ValueDistribution, extra: int) -> tuple[list, dict]:
+def reference_rows(dist: ValueDistribution, extra: int) -> tuple[list, dict, dict]:
     """Reference form of the canonical polytope, as test data: a column for
     every x[k][i] with k <= i, diagonal included, one ``==`` mass row per
     value and the price-optimality rows as ``>= 0`` rows.  ``extra`` columns
     follow the x columns.  `solve_lp`'s standard form cannot express the
     mass equalities; `diagonal_substitution` maps this form onto the
-    canonical LPs instead."""
+    canonical LPs instead.  Returns the rows, the column of each x[k][i]
+    and the row index of each price-optimality row (k, j): signal k
+    priced at v_k against v_j."""
     n = dist.n
     cols = [(k, i) for k in range(n) for i in range(k, n)]
     col = {kc: idx for idx, kc in enumerate(cols)}
@@ -288,6 +293,7 @@ def reference_rows(dist: ValueDistribution, extra: int) -> tuple[list, dict]:
         for k in range(i + 1):
             coeffs[col[(k, i)]] = F(1)
         rows.append((coeffs, "==", dist.masses[i]))
+    revenue = {}
     for k in range(n):
         for j in range(k + 1, n):
             coeffs = [F(0)] * width
@@ -295,19 +301,20 @@ def reference_rows(dist: ValueDistribution, extra: int) -> tuple[list, dict]:
                 coeffs[col[(k, i)]] = dist.values[k] - (
                     dist.values[j] if i >= j else F(0)
                 )
+            revenue[(k, j)] = len(rows)
             rows.append((coeffs, ">=", F(0)))
-    return rows, col
+    return rows, col, revenue
 
 
 def reference_buyer_optimal(dist: ValueDistribution):
-    rows, col = reference_rows(dist, 0)
+    rows, col, _ = reference_rows(dist, 0)
     objective = [dist.values[i] - dist.values[k] for k, i in col]
     return objective, frozenset(), rows, col
 
 
 def reference_adversary(dist: ValueDistribution, m: Fraction):
     n = dist.n
-    rows, col = reference_rows(dist, n + 1)
+    rows, col, _ = reference_rows(dist, n + 1)
     nu0 = len(col)
     lam = nu0 + n
     objective = [F(0)] * (lam + 1)
@@ -324,6 +331,38 @@ def reference_adversary(dist: ValueDistribution, m: Fraction):
     return objective, frozenset({lam}), rows, col
 
 
+def substitute_diagonal(
+    dist: ValueDistribution, col: dict, coeffs, rhs
+) -> tuple[list[Fraction], Fraction]:
+    """The reference row ``coeffs`` against ``rhs`` with each x[i][i]
+    replaced by f_i - sum_{k<i} x[k][i]: its coefficients over the canonical
+    columns, then the extra columns, and its new right-hand side."""
+    n = dist.n
+    diagonal = [coeffs[col[(i, i)]] for i in range(n)]
+    out = [coeffs[col[(k, i)]] - diagonal[i] for k in range(n) for i in range(k + 1, n)]
+    shift = sum((d * f for d, f in zip(diagonal, dist.masses)), F(0))
+    return out + list(coeffs[len(col):]), rhs - shift
+
+
+def sign_row(col: dict, width: int, i: int) -> list[Fraction]:
+    """-x[i][i] <= 0 as a reference row's coefficients."""
+    coeffs = [F(0)] * width
+    coeffs[col[(i, i)]] = F(-1)
+    return coeffs
+
+
+def diagonal_row(dist: ValueDistribution, col: dict, width: int, i: int):
+    """The sign restriction x[i][i] >= 0 after the substitution, for i > 0:
+    sum_{k<i} x[k][i] <= f_i, as a ``(row, rhs)`` pair; its form is
+    asserted."""
+    coeffs, rhs = substitute_diagonal(dist, col, sign_row(col, width, i), F(0))
+    n = dist.n
+    canonical = [value for k in range(n) for value in range(k + 1, n)]
+    assert coeffs == [F(int(value == i)) for value in canonical] + [F(0)] * (width - len(col))
+    assert rhs == dist.masses[i]
+    return nonzeros(coeffs), rhs
+
+
 def diagonal_substitution(
     dist: ValueDistribution, objective, free, rows, col
 ) -> tuple[LinearProgram, frozenset]:
@@ -338,33 +377,13 @@ def diagonal_substitution(
     it equals the solver's row only if every coefficient of the solver's
     is nonzero and in its own column."""
     n = dist.n
-    canonical = [(k, i) for k in range(n) for i in range(k + 1, n)]
-    nx = len(col)
-
-    def substitute(coeffs, rhs):
-        diagonal = [coeffs[col[(i, i)]] for i in range(n)]
-        out = [coeffs[col[(k, i)]] - diagonal[i] for k, i in canonical]
-        shift = sum((d * f for d, f in zip(diagonal, dist.masses)), F(0))
-        return out + list(coeffs[nx:]), rhs - shift
-
-    def nonzeros(coeffs):
-        return tuple((j, a) for j, a in enumerate(coeffs) if a)
-
-    costs, constant = substitute(objective, F(0))
+    costs, constant = substitute_diagonal(dist, col, objective, F(0))
     assert constant == 0
-    standard = []
-    for i in range(n):
-        sign_row = [F(0)] * len(objective)
-        sign_row[col[(i, i)]] = F(-1)  # -x[i][i] <= 0
-        coeffs, rhs = substitute(sign_row, F(0))
-        if i == 0:
-            assert not any(coeffs) and rhs == dist.masses[0]
-        else:
-            row_i = [F(int(value == i)) for _, value in canonical]
-            assert coeffs == row_i + [F(0)] * (len(objective) - nx)
-            standard.append((nonzeros(coeffs), rhs))
+    standard = [diagonal_row(dist, col, len(objective), i) for i in range(1, n)]
+    coeffs, rhs = substitute_diagonal(dist, col, sign_row(col, len(objective), 0), F(0))
+    assert not any(coeffs) and rhs == dist.masses[0]
     for coeffs, sense, rhs in rows:
-        coeffs, rhs = substitute(coeffs, rhs)
+        coeffs, rhs = substitute_diagonal(dist, col, coeffs, rhs)
         if sense == "==":
             assert not any(coeffs) and rhs == 0
         elif sense == ">=":
@@ -399,12 +418,73 @@ def reference_instances() -> list:
     return params
 
 
+def implied_diagonal_rows(dist: ValueDistribution, extra: int) -> list:
+    """The rows x[k][k] >= 0 for 0 < k < n - 1 after the substitution, with
+    ``extra`` columns after the x columns, which the solver leaves out
+    (`test_omitted_diagonal_rows_are_implied`)."""
+    col = reference_rows(dist, 0)[1]
+    width = len(col) + extra
+    return [diagonal_row(dist, col, width, k) for k in range(1, dist.n - 1)]
+
+
+def reduced(lp: LinearProgram, omitted: Sequence, source: Optional[int] = None):
+    """``lp`` without the rows of ``omitted``, each asserted present once,
+    and, given ``source``, with that column folded into the last one: its
+    variable set equal to the last, so each row's and the objective's
+    coefficient is added to the last column's and its column goes, the
+    columns after it moving down by one.  A row the fold empties must hold
+    at 0 <= rhs and goes."""
+    rows = list(lp.constraints)
+    for row in omitted:
+        assert rows.count(row) == 1
+        rows.remove(row)
+    if source is None:
+        return LinearProgram(lp.objective, tuple(rows))
+    width = lp.n_vars
+
+    def fold(coeffs):
+        coeffs = list(coeffs)
+        coeffs[-1] += coeffs.pop(source)
+        return coeffs
+
+    folded = []
+    for row, rhs in rows:
+        coeffs = fold(dense(row, width))
+        if any(coeffs):
+            folded.append((nonzeros(coeffs), rhs))
+        else:
+            assert rhs >= 0
+    return LinearProgram(tuple(fold(lp.objective)), tuple(folded))
+
+
+def unreduced_adversary(dist: ValueDistribution, m: Fraction) -> tuple[LinearProgram, frozenset]:
+    """The reference adversary at mass m after the substitution, every
+    diagonal row and nu_1 kept, and the columns it leaves free: lambda, its
+    last."""
+    return diagonal_substitution(dist, *reference_adversary(dist, m))
+
+
+def with_free_columns(lp: LinearProgram, free: frozenset) -> LinearProgram:
+    """``lp`` with one more column per free column j, j's negation, so that
+    their difference takes any sign, as `solve_lp` can solve it."""
+    free = sorted(free)
+    width = lp.n_vars
+    rows = []
+    for row, rhs in lp.constraints:
+        coeffs = dict(row)
+        negated = tuple((width + t, -coeffs[j]) for t, j in enumerate(free) if j in coeffs)
+        rows.append((row + negated, rhs))
+    objective = lp.objective + tuple(-lp.objective[j] for j in free)
+    return LinearProgram(objective, tuple(rows))
+
+
 class TestReferenceFormulation:
     """The LPs without diagonal columns against the formulation with them."""
 
     @pytest.mark.parametrize("dist", reference_instances())
     def test_diagonal_substitution_gives_the_canonical_lps(self, dist, monkeypatch):
-        """Substituting the diagonal out of the reference rows gives, row for
+        """Substituting the diagonal out of the reference rows, leaving out
+        the implied diagonal rows and folding nu_1 into lambda gives, row for
         row and right-hand side for right-hand side, the LPs `oracles` hands
         to the solver.  The only other difference is that the reference
         leaves lambda, the adversary's last column, free, where the solver
@@ -417,16 +497,18 @@ class TestReferenceFormulation:
         m = F(1, 3)
         adversary_sorted_prefix(dist, [m])
         lp_buyer_optimal_scheme(dist)
+        adversary, free = unreduced_adversary(dist, m)
+        buyer_optimal, none = diagonal_substitution(dist, *reference_buyer_optimal(dist))
+        nu1 = len(oracles._canonical_columns(dist.n))
         expected = [
-            diagonal_substitution(dist, *reference_adversary(dist, m)),
-            diagonal_substitution(dist, *reference_buyer_optimal(dist)),
+            reduced(adversary, implied_diagonal_rows(dist, dist.n + 1), source=nu1),
+            reduced(buyer_optimal, implied_diagonal_rows(dist, 0)),
         ]
         assert len(captured) == len(expected)
-        for lp, (ref, _) in zip(captured, expected):
+        for lp, ref in zip(captured, expected):
             assert lp.objective == ref.objective
             assert lp.constraints == ref.constraints
-        lam = captured[0].n_vars - 1
-        assert [free for _, free in expected] == [frozenset({lam}), frozenset()]
+        assert (free, none) == (frozenset({adversary.n_vars - 1}), frozenset())
 
     @pytest.mark.parametrize("dist", reference_instances())
     def test_values_and_witnesses_match_reference(self, dist):
@@ -442,75 +524,110 @@ class TestReferenceFormulation:
             assert sorted_prefix(step, m) == value
 
 
-def highs_value(optimize, lp: LinearProgram) -> float:
-    """Optimal value of ``lp`` by HiGHS in floating point, with its last
-    column, the adversary's lambda, free."""
+@pytest.mark.parametrize("dist", reference_instances())
+def test_omitted_diagonal_rows_are_implied(dist):
+    """Each diagonal row the solver leaves out, sum_{l<k} x[l][k] <= f_k for
+    0 < k < n - 1, is dominated coefficient for coefficient by class k's
+    price-optimality row against v_{k+1} divided by v_k, whose right-hand
+    side is f_k: for x >= 0 that row implies it.  Exact, and nothing is
+    solved."""
+    rows, col, revenue = reference_rows(dist, 0)
+    omitted = implied_diagonal_rows(dist, 0)
+    assert len(omitted) == max(dist.n - 2, 0)
+    for k, (row, f) in enumerate(omitted, start=1):
+        coeffs, sense, rhs = rows[revenue[(k, k + 1)]]
+        assert sense == ">="
+        price_row, bound = substitute_diagonal(dist, col, [-a for a in coeffs], -rhs)
+        v = dist.values[k]
+        assert bound / v == f
+        assert all(a / v >= d for a, d in zip(price_row, dense(row, len(price_row))))
+
+
+def highs_value(optimize, lp: LinearProgram, free: frozenset) -> float:
+    """Optimal value of ``lp`` by HiGHS in floating point, with the columns
+    of ``free`` free."""
     a_ub = [[0.0] * lp.n_vars for _ in lp.constraints]
-    for dense, (row, _) in zip(a_ub, lp.constraints):
+    for dense_row, (row, _) in zip(a_ub, lp.constraints):
         for j, a in row:
-            dense[j] = float(a)
+            dense_row[j] = float(a)
     b_ub = [float(rhs) for _, rhs in lp.constraints]
-    bounds = [(0, None)] * (lp.n_vars - 1) + [(None, None)]
+    bounds = [(None, None) if j in free else (0, None) for j in range(lp.n_vars)]
     c = [-float(a) for a in lp.objective]
     res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return -res.fun
 
 
+def swept_objectives(dist: ValueDistribution, masses, captured) -> None:
+    """The sweep handed over one LP per mass, lambda's coefficient m - f_1."""
+    assert [lp.objective[-1] for lp in captured] == [m - dist.masses[0] for m in masses]
+
+
 @pytest.mark.parametrize("dist", reference_instances())
 def test_adversary_values_match_highs(dist, monkeypatch):
     """Independent optimality check: HiGHS, which shares no code with
-    `solve_lp`, solves the same adversary rows at every grid mass, with
-    lambda free as in the dual it comes from."""
+    `solve_lp`, solves the unreduced reference program at every grid mass,
+    every diagonal row and nu_1 kept and lambda free as in the dual it
+    comes from, and agrees with the sweep."""
     optimize = pytest.importorskip("scipy.optimize")
     captured = capture_lps(monkeypatch)
     masses = certification_masses(dist)
     sweep = adversary_sorted_prefix(dist, masses)
-    assert [lp.objective[-1] for lp in captured] == masses
-    for lp, value in zip(captured, sweep):
-        assert math.isclose(value, highs_value(optimize, lp), rel_tol=1e-9)
+    swept_objectives(dist, masses, captured)
+    for m, value in zip(masses, sweep):
+        expected = highs_value(optimize, *unreduced_adversary(dist, m))
+        assert math.isclose(value, expected, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("dist", reference_instances())
 def test_nonnegative_lambda_loses_nothing(dist, monkeypatch):
-    """Exact check that the adversary may keep lambda >= 0: one more column
-    equal to lambda's negation, which lets lambda take any sign, leaves the
-    optimum unchanged at every grid mass.  The free-lambda programs share
-    their rows, so they are swept from mass to mass like the adversary's."""
+    """Exact check that the adversary may keep lambda >= 0: the unreduced
+    reference program, every diagonal row and nu_1 kept, has the sweep's
+    value at every grid mass both with lambda >= 0 and with lambda free
+    (one more column equal to lambda's negation).  Each form shares its
+    rows from mass to mass, so each is swept like the adversary."""
     captured = capture_lps(monkeypatch)
     masses = certification_masses(dist)
     sweep = adversary_sorted_prefix(dist, masses)
-    assert [lp.objective[-1] for lp in captured] == masses
-    rows = captured[0].constraints
-    lam = captured[0].n_vars - 1
-    # lambda is each row's last entry, if the row has one
-    free_rows = tuple(
-        (row + ((lam + 1, -row[-1][1]),) if row[-1][0] == lam else row, rhs)
-        for row, rhs in rows
-    )
-    result = None
-    for lp, value in zip(captured, sweep):
-        assert lp.constraints == rows
-        free_lambda = LinearProgram(lp.objective + (-lp.objective[-1],), free_rows)
-        result = solve_lp(free_lambda, start=result)
-        assert result.value == value
+    swept_objectives(dist, masses, captured)
+    signed = free = None
+    for m, value in zip(masses, sweep):
+        lp, columns = unreduced_adversary(dist, m)
+        signed = solve_lp(lp, start=signed)
+        free = solve_lp(with_free_columns(lp, columns), start=free)
+        assert signed.value == free.value == value
 
 
 @pytest.mark.parametrize("dist", reference_instances())
 def test_sweep_matches_cold_solves(dist, monkeypatch):
     """Each mass of a warm-started sweep has the value of the same LP solved
-    from the origin."""
+    from the origin, and of the unreduced reference program, lambda free,
+    solved from the origin."""
     captured = capture_lps(monkeypatch)
     masses = certification_masses(dist)
     sweep = adversary_sorted_prefix(dist, masses)
-    assert [lp.objective[-1] for lp in captured] == masses
-    for lp, value in zip(captured, sweep):
+    swept_objectives(dist, masses, captured)
+    for m, lp, value in zip(masses, captured, sweep):
         assert solve_lp(lp).value == value
+        assert solve_lp(with_free_columns(*unreduced_adversary(dist, m))).value == value
+
+
+@pytest.mark.parametrize("dist", reference_instances())
+def test_masses_within_the_lowest_class_take_no_pivot(dist, monkeypatch):
+    """At m <= f_1 every prefix lies in the lowest class, which earns
+    nothing, and lambda's coefficient m - f_1 is not positive: the origin
+    is optimal, and the sweep takes no pivot."""
+    def refuse(*args):
+        raise AssertionError("pivoted")
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", refuse)
+    f1 = dist.masses[0]
+    assert adversary_sorted_prefix(dist, [f1 / 3, f1 / 2, f1]) == [0, 0, 0]
 
 
 # The pivot count of the sweeps in `test_sweep_pivots_stay_pinned`, as
 # measured under the largest-gain rule.
-SWEEP_PIVOTS = 430
+SWEEP_PIVOTS = 369
 
 
 def test_sweep_pivots_stay_pinned(monkeypatch):
