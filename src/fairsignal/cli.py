@@ -171,6 +171,17 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     return tuple(sorted(set(grid)))
 
 
+def _support_size(text: str) -> int:
+    """A --max-support value: an int of at least 1."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {size}")
+    return size
+
+
 def _load(what: str, loader, *args):
     """``loader(*args)``, with a file it cannot open or parse reported as
     bad input that names ``what``."""
@@ -317,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("csv", "json"), default="csv")
     v.add_argument(
         "--max-support",
-        type=int,
+        type=_support_size,
         default=DEFAULT_MAX_N,
         help="largest support size the adversary LP accepts (default %(default)s)",
     )

@@ -44,6 +44,26 @@ and the degeneracy test rhs_r = 0.  The pivots are therefore exactly the
 eager tableau's.  Pricing and the certificate, which add rows or read
 values, read them brought to den.
 
+Derived rows.  Only the objective row and the rows of basic structural
+variables are stored.  A basic slack's row is its constraint with the
+basic structurals eliminated, the row the revised simplex method never
+keeps (Chvatal, 1983, ch. 7).  Substituting x_b = (rhs_b - sum_j E_b[j] x_j)
+/ den into constraint q, a_q x <= b_q, gives the slack of q the row
+E_q[j] = den * a_q[v_j] - sum_b a_q[b] * E_b[j] and the right-hand side
+den * b_q - sum_b a_q[b] * rhs_b, with b over the basic structurals, E_b
+and rhs_b their rows at den, and v_j column j's variable (a_q is 0 on
+every slack).  A row is fixed by the basis, den on its own basic variable
+and 0 on the others, so these are the eager integers: every ratio, gain
+and degeneracy test reads the values it read with every row stored, and
+the pivots are the same.  Pricing and the certificate read only stored
+rows and the objective row, so the certificate is the same too.  A ratio
+test computes only a derived row's entry in the tested column, from the
+(row of b, a_q[b]) pairs that each constraint keeps, and its right-hand
+side once per pivot; the pivot row alone is derived in full.  A pivot
+rewrites only stored rows, drops the row of a slack that enters, and
+refreshes the pairs of the constraints that hold the entering or leaving
+variable.
+
 Units.  Scaling each row by the lcm of its denominators leaves common
 factors in the columns: in the canonical LPs, the prior's mass
 denominator D sits in every mass column.  Each structural column j is
@@ -100,7 +120,7 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .market import InvariantViolation, Record
 
@@ -177,12 +197,15 @@ def _integer_objective(
 
 
 class _Tableau:
-    """Condensed integer simplex tableau; row i's true entries are its ints
-    over ``stamps[i]``, and ``den`` is the running Bareiss denominator.
+    """Condensed integer simplex tableau over the running Bareiss
+    denominator ``den``.
 
     Row i holds basic variable ``basis[i]``; column j holds nonbasic variable
     ``cols[j]``; the last entry of each row is its right-hand side, and the
-    last row is the objective row.
+    last row is the objective row.  Only the objective row and the rows of
+    basic structurals are stored, row i's true entries its ints over
+    ``stamps[i]``; ``rows[i]`` is None where a slack is basic, and
+    `row_at_den` derives that row from the slack's constraint.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -194,41 +217,90 @@ class _Tableau:
         program = [_integer_row(r, row, rhs, gcds) for r, (row, rhs) in rows]
         # variable j is measured in units of 1/units[j]: its column's gcd
         self.units = units = [g or 1 for g in gcds]
-        # the integer rows, sparse for the certificate and dense for the tableau
+        # the integer rows, sparse for the certificate and dense for derived rows
         self.program = [([(j, a // units[j]) for j, a in row], rhs) for row, rhs in program]
-        self.rows = [[0] * nvars + [rhs] for _, rhs in self.program]
-        # and, for the certificate's A x <= b, each column's (row, entry)s
+        self.dense = [[0] * nvars for _ in program]
+        # and each column's (row, entry)s, for A x <= b and for `basics`
         self.columns = [[] for _ in range(nvars)]
-        for r, ((row, _), dense) in enumerate(zip(self.program, self.rows)):
+        for q, ((row, _), dense) in enumerate(zip(self.program, self.dense)):
             for j, a in row:
                 dense[j] = a
-                self.columns[j].append((r, a))
-        self.m = len(program)
-        self.rows.append([0] * (nvars + 1))  # then the objective row
-        self.stamps = [1] * len(self.rows)
+                self.columns[j].append((q, a))
+        self.m = m = len(program)
+        # every slack is basic at the origin, so only the objective row is stored
+        self.rows = [None] * m + [[0] * (nvars + 1)]
+        self.stamps = [1] * (m + 1)
         self.cols = list(range(nvars))
-        self.basis = list(range(nvars, nvars + self.m))
+        self.basis = list(range(nvars, nvars + m))
         self.den = 1
+        # constraint q -> (row of b, a_q[b]) for each basic structural b in q
+        self.basics = [()] * m
+        # derived row -> its right-hand side at den; a pivot replaces the dict
+        self.derived_rhs = {i: rhs for i, (_, rhs) in enumerate(self.program)}
         # variable label -> the row that won its last ratio test
         self.bounding = {}
 
     def copy(self) -> _Tableau:
-        # pivots and pricing replace rows rather than edit them, but they
-        # rewrite the entries of stamps, cols and basis
+        # pivots and pricing replace rows, pairs and derived_rhs rather than
+        # edit them, but they rewrite the entries of these lists
         twin = copy.copy(self)
         twin.rows = list(self.rows)
         twin.stamps = list(self.stamps)
         twin.cols = list(self.cols)
         twin.basis = list(self.basis)
+        twin.basics = list(self.basics)
         twin.bounding = dict(self.bounding)
         return twin
 
     def row_at_den(self, i: int) -> list[int]:
-        """Row i as the eager tableau stores it, over the running den."""
-        row, stamp, den = self.rows[i], self.stamps[i], self.den
+        """Row i as the eager tableau has it, over the running den: brought
+        from its stamp if stored, derived from its slack's constraint q as
+        den * (a_q, b_q) - sum of a_q[b] * (row of b) if not."""
+        row, den = self.rows[i], self.den
+        if row is None:
+            q = self.basis[i] - self.nvars
+            nvars, a_q = self.nvars, self.dense[q]
+            row = [den * a_q[v] if v < nvars else 0 for v in self.cols]
+            row.append(den * self.program[q][1])
+            for k, a in self.basics[q]:
+                row = [x - a * y for x, y in zip(row, self.row_at_den(k))]
+            return row
+        stamp = self.stamps[i]
         if stamp == den:
             return row
         return [x * den // stamp for x in row]
+
+    def _entry(self, i: int, c: int) -> int:
+        """Row i's column-c entry over its stamp, or over den if derived."""
+        row = self.rows[i]
+        if row is not None:
+            return row[c]
+        q, v = self.basis[i] - self.nvars, self.cols[c]
+        rows, stamps, den = self.rows, self.stamps, self.den
+        a = den * self.dense[q][v] if v < self.nvars else 0
+        for k, aq in self.basics[q]:
+            a -= aq * rows[k][c] * den // stamps[k]
+        return a
+
+    def _rhs(self, i: int) -> int:
+        """Row i's right-hand side over its stamp, or over den if derived."""
+        row = self.rows[i]
+        return self.derived_rhs[i] if row is None else row[-1]
+
+    def _derive_rhs(self) -> None:
+        """Each derived row's right-hand side at den, once per pivot."""
+        rows, stamps, den, nvars = self.rows, self.stamps, self.den, self.nvars
+        values = {}  # stored row -> its right-hand side at den
+        for k, row in enumerate(rows[: self.m]):
+            if row is not None:
+                values[k] = row[-1] if stamps[k] == den else row[-1] * den // stamps[k]
+        self.derived_rhs = derived = {}
+        for i, b in enumerate(self.basis):
+            if b >= nvars:
+                rhs = den * self.program[b - nvars][1]
+                for k, a in self.basics[b - nvars]:
+                    rhs -= a * values[k]
+                derived[i] = rhs
 
     def price(self, objective: Sequence[int]) -> None:
         """Objective row of max objective.x at the current basis."""
@@ -246,36 +318,74 @@ class _Tableau:
         den = self.den
         prow = self.row_at_den(r)
         piv = prow[c]  # positive: _choose_row takes only entries above 0
-        for k in range(len(rows)):
-            row = rows[k]
+        for k, row in enumerate(rows):
+            if row is None or k == r:
+                continue  # a derived row is derived again when read
             f = row[c]
-            if f == 0 or k == r:
+            if f == 0:
                 continue  # a row with no entry in column c keeps its true values
             stamp = stamps[k]
             new = [(x * piv - f * y) // stamp for x, y in zip(row, prow)]
             new[c] = -f * den // stamp
             rows[k] = new
             stamps[k] = piv
-        prow = list(prow)
-        prow[c] = den
-        rows[r] = prow
-        stamps[r] = piv
+        leaving, entering = self.basis[r], self.cols[c]
+        if entering < self.nvars:
+            rows[r] = prow[:c] + [den] + prow[c + 1 :]
+            stamps[r] = piv
+        else:
+            rows[r] = None
         self.den = piv
-        self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
+        self.basis[r], self.cols[c] = entering, leaving
+        # only the constraints that hold the leaving or entering structural
+        # change their basic structurals
+        basics = self.basics
+        if leaving < self.nvars:
+            for q, _ in self.columns[leaving]:
+                basics[q] = tuple(pair for pair in basics[q] if pair[0] != r)
+        if entering < self.nvars:
+            for q, a in self.columns[entering]:
+                basics[q] += ((r, a),)
+        self._derive_rhs()
 
-    def _choose_row(self, c: int) -> Optional[int]:
+    def _positive(self, c: int) -> Iterator[tuple[int, int, int]]:
+        """(row, entry, right-hand side) of each constraint row whose
+        column-c entry is positive, over the row's stamp if stored and over
+        den if derived.  A derived row's entry is computed alone, from the
+        stored rows' column-c entries brought to den."""
+        rows, stamps, den = self.rows, self.stamps, self.den
+        column = {}  # stored row -> its nonzero column-c entry at den
+        for i in range(self.m):
+            row = rows[i]
+            if row is not None and row[c]:
+                a, stamp = row[c], stamps[i]
+                column[i] = a if stamp == den else a * den // stamp
+                if a > 0:
+                    yield i, a, row[-1]
+        v, nvars, dense, basis = self.cols[c], self.nvars, self.dense, self.basis
+        for i, rhs in self.derived_rhs.items():
+            q = basis[i] - nvars
+            a = den * dense[q][v] if v < nvars else 0
+            for k, aq in self.basics[q]:
+                y = column.get(k)
+                if y:
+                    a -= aq * y
+            if a > 0:
+                yield i, a, rhs
+
+    def _choose_row(self, c: int) -> Optional[tuple[int, int, int]]:
+        """Column c's ratio test: the row r with the least rhs_r / a_rc over
+        a_rc > 0, ties to the lowest basis label, with a_rc and rhs_r as
+        `_positive` gives them, or None if no entry is positive."""
+        basis = self.basis
         best = None
         best_num = best_den = 0
-        for i in range(self.m):
-            a = self.rows[i][c]
-            if a <= 0:
-                continue
-            rhs = self.rows[i][-1]
+        for i, a, rhs in self._positive(c):
             if best is None or rhs * best_den < best_num * a or (
-                rhs * best_den == best_num * a and self.basis[i] < self.basis[best]
+                rhs * best_den == best_num * a and basis[i] < basis[best]
             ):
                 best, best_num, best_den = i, rhs, a
-        return best
+        return None if best is None else (best, best_den, best_num)
 
     def _choose_pivot(self, bland: bool) -> Optional[tuple[int, int]]:
         """(row, column) of the next pivot, or None at an optimum.
@@ -289,24 +399,24 @@ class _Tableau:
         test, does not beat the best gain so far cannot enter, and its
         ratio test is skipped; the chosen pivot is the same, ties included.
         """
-        rows = self.rows
-        z = rows[-1]
+        z = self.rows[-1]
         negative = sorted((b, j) for j, b in enumerate(self.cols) if z[j] < 0)
         best = None
         best_num, best_a = -1, 1  # below every gain: the first column is tested
         for b, j in negative:
             h = None if bland else self.bounding.get(b)
             if h is not None:
-                a, rhs = rows[h][j], rows[h][-1]
-                if a > 0 and -z[j] * rhs * best_a <= best_num * a:
+                a = self._entry(h, j)
+                if a > 0 and -z[j] * self._rhs(h) * best_a <= best_num * a:
                     continue
-            r = self._choose_row(j)
-            if r is None:
+            chosen = self._choose_row(j)
+            if chosen is None:
                 raise InvariantViolation(f"LP unbounded along variable {b}")
+            r, a, rhs = chosen
             self.bounding[b] = r
             if bland:
                 return r, j
-            num, a = -z[j] * rows[r][-1], rows[r][j]
+            num = -z[j] * rhs
             if num * best_a > best_num * a:
                 best, best_num, best_a = (r, j), num, a
         return best
@@ -320,7 +430,7 @@ class _Tableau:
             if chosen is None:
                 return
             leaving, entering = chosen
-            degenerate = self.rows[leaving][-1] == 0
+            degenerate = self._rhs(leaving) == 0
             self.pivot(leaving, entering)
 
     def certify(

@@ -444,6 +444,19 @@ class TestVerify:
         assert code == 0
         assert "certified alpha: " in stdout
 
+    @pytest.mark.parametrize("size", ["0", "-3", "x"])
+    def test_max_support_that_is_not_a_positive_int_exits_2(self, nine_value_files, capsys, size):
+        instance, scheme = nine_value_files
+        with pytest.raises(SystemExit) as exit:
+            run_cli(
+                capsys, "verify", "--in", instance, "--scheme", scheme,
+                "--adversary", "--grid", "1", "--max-support", size,
+            )
+        assert exit.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "argument --max-support: " in stderr
+        assert "adversary oracle limited" not in stderr
+
     def test_trace_counts_one_call_per_grid_mass(
         self, instance_file, running_example, tmp_path, capsys
     ):

@@ -297,9 +297,9 @@ def test_three_variables_match_vertex_enumeration(program):
 
 
 def tableau_state(result: LPResult) -> tuple:
-    """Rows brought from their stamps to den, labels and den."""
+    """Every row at den, stored or derived, labels and den."""
     tab = result._tableau
-    rows = [[x * tab.den // stamp for x in row] for row, stamp in zip(tab.rows, tab.stamps)]
+    rows = [tab.row_at_den(i) for i in range(len(tab.rows))]
     return rows, list(tab.basis), list(tab.cols), tab.den
 
 
@@ -387,13 +387,15 @@ def test_a_column_in_other_units(program, k):
 def capped_pivots(monkeypatch, cap: int) -> list:
     """Record each pivot as (rows, column labels, basis labels, pivot row,
     entering column), taken before the pivot, and fail past ``cap`` pivots.
-    The rows hold every candidate column's entries and the right-hand
-    sides, enough to redo each candidate's ratio test."""
+    The rows, every one at den, stored or derived, hold every candidate
+    column's entries and the right-hand sides, enough to redo each
+    candidate's ratio test."""
     pivot = lp_module._Tableau.pivot
     record = []
 
     def recording_pivot(tab, r, c):
-        record.append(([list(row) for row in tab.rows], list(tab.cols), list(tab.basis), r, c))
+        rows = [list(tab.row_at_den(i)) for i in range(len(tab.rows))]
+        record.append((rows, list(tab.cols), list(tab.basis), r, c))
         if len(record) > cap:
             raise AssertionError(f"more than {cap} pivots: cycling?")
         pivot(tab, r, c)
@@ -501,6 +503,40 @@ def test_pivot_rule(monkeypatch):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize(
+    "program",
+    [bounded_program_3d, lambda rng: homogeneous_program_nd(rng, 5)],
+    ids=["bounded_3d", "homogeneous_5d"],
+)
+def test_entries_read_alone_are_the_rows(monkeypatch, program):
+    """The ratio tests and the gain bound read entries one at a time, a
+    derived row's without deriving the row: `_entry` and `_rhs` for one
+    row, `_positive` for one column.  After every pivot of cold and warm
+    solves, each is the row at den, brought to the row's stamp if it is
+    stored."""
+    pivot = lp_module._Tableau.pivot
+
+    def checked_pivot(tab, r, c):
+        pivot(tab, r, c)
+        scaled = []
+        for i in range(tab.m):
+            stamp = tab.den if tab.rows[i] is None else tab.stamps[i]
+            scaled.append([x * stamp // tab.den for x in tab.row_at_den(i)])
+            entries = [tab._entry(i, j) for j in range(len(tab.cols))]
+            assert entries + [tab._rhs(i)] == scaled[i]
+        for j in range(len(tab.cols)):
+            positive = [(i, row[j], row[-1]) for i, row in enumerate(scaled) if row[j] > 0]
+            assert sorted(tab._positive(j)) == positive
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+    rng = random.Random(173)
+    for _ in range(30):
+        lp = program(rng)
+        start = solve_lp(lp)
+        second = LinearProgram(random_ints(rng, len(lp.objective), -4, 6), lp.constraints)
+        solve_lp(second, start=start)
+
+
 def test_start_from_other_rows_is_refused():
     rng = random.Random(139)
     lp = bounded_program(rng)
@@ -524,7 +560,7 @@ def test_early_stop_fails_dual_check(monkeypatch):
     def one_pivot(tab):
         z = tab.rows[-1]
         entering = next(j for j in range(len(z) - 1) if z[j] < 0)
-        tab.pivot(tab._choose_row(entering), entering)
+        tab.pivot(tab._choose_row(entering)[0], entering)
 
     monkeypatch.setattr(lp_module._Tableau, "run", one_pivot)
     with pytest.raises(InvariantViolation, match="dual"):

@@ -651,6 +651,39 @@ def test_sweep_pivots_stay_pinned(monkeypatch):
     assert pivots <= SWEEP_PIVOTS
 
 
+# The row updates of the same sweeps in `test_sweep_row_updates_stay_pinned`,
+# as measured with only the basic structurals' rows stored.
+SWEEP_ROW_UPDATES = 2153
+
+
+def test_sweep_row_updates_stay_pinned(monkeypatch):
+    """The pivots of the sweeps in `test_sweep_pivots_stay_pinned` rewrite
+    at most SWEEP_ROW_UPDATES rows in all, the objective row included and
+    the pivot row not, so a change that stores or rewrites more rows shows
+    here.  A change that raises the count on purpose updates the pin and
+    says so in CHANGES.md; one that lowers it lowers the pin.  After every
+    pivot, the row of each basic structural is stored and no basic slack's
+    row is."""
+    updates = 0
+    pivot = lp_module._Tableau.pivot
+
+    def counting(tab, r, c):
+        nonlocal updates
+        before = list(tab.rows)
+        pivot(tab, r, c)
+        updates += sum(
+            new is not old and k != r for k, (old, new) in enumerate(zip(before, tab.rows))
+        )
+        for row, b in zip(tab.rows, tab.basis):
+            assert (row is not None) == (b < tab.nvars)
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", counting)
+    for param in reference_instances():
+        (dist,) = param.values
+        adversary_sorted_prefix(dist, certification_masses(dist))
+    assert updates <= SWEEP_ROW_UPDATES
+
+
 @given(structured_priors(max_n=10))
 @settings(max_examples=15, deadline=None)
 def test_sweeps_follow_the_eager_tableau(case):
