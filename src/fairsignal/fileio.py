@@ -4,8 +4,8 @@ Rationals are serialized as "p/q" strings so nothing is lost to decimal
 rounding; on input, plain numbers and decimal strings are also accepted
 and converted exactly.  Every JSON output shares one layout
 (``json_text``); `scheme_text` writes it for a scheme straight from the
-signals' int-pair shares, and `load_scheme` reads each share back into
-one (`market.rational_pair`).  The loaders raise MarketError for
+signals' int-pair shares and weights, and `load_scheme` reads each back
+into one (`market.rational_pair`).  The loaders raise MarketError for
 any content they cannot read and OSError only when the file cannot be
 opened.  Reports and tables write each value in one text form
 (``as_text``): a table cell is the exact rational or ``inf``, and the
@@ -125,7 +125,7 @@ def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
             or not _is_object(entry.get("support"))
         ):
             raise MarketError("each scheme entry must hold a weight and a support object")
-        weight = as_fraction(entry["weight"])
+        weight = rational_pair(entry["weight"])
         shares = []
         for i, f in entry["support"].items():
             # the writer's keys are ASCII digits; int() would also read
@@ -147,14 +147,15 @@ def load_scheme(path: str, dist: ValueDistribution) -> SignalingScheme:
 
 def scheme_text(scheme: SignalingScheme) -> str:
     """The scheme's JSON in ``json_text``'s layout, written straight from
-    the shares: an object whose ``entries`` each hold a ``support`` (index
-    to share) and a ``weight``.  No key or rational in it needs escaping;
-    support keys sort as strings, as ``sort_keys`` sorts them ("10"
-    before "2")."""
+    the shares and weights: an object whose ``entries`` each hold a
+    ``support`` (index to share) and a ``weight``.  No key or rational in
+    it needs escaping; support keys sort as strings, as ``sort_keys``
+    sorts them ("10" before "2")."""
     entries = []
-    for signal, weight in scheme.entries:
+    for signal, (wn, wd) in scheme.entries:
         support = sorted((str(i), pair_text(n, d)) for i, (n, d) in signal.shares)
         lines = ",\n".join(f'        "{i}": "{f}"' for i, f in support)
+        weight = pair_text(wn, wd)
         entries.append(
             f'    {{\n      "support": {{\n{lines}\n      }},\n      "weight": "{weight}"\n    }}'
         )

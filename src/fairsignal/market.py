@@ -419,7 +419,7 @@ class Signal(Record):
         cls, dist: ValueDistribution, support: Iterable[tuple[int, Fraction]]
     ) -> "Signal":
         """The signal of a posterior given as (index, `Fraction` mass) pairs."""
-        return cls(dist, tuple((i, (f.numerator, f.denominator)) for i, f in support))
+        return cls(dist, tuple((i, f.as_integer_ratio()) for i, f in support))
 
     @classmethod
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":
@@ -447,14 +447,16 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
     int pairs (numerator, positive denominator).
 
     Returns each class's unused prior mass (f_i less its mass in the
-    entries) and unsold mass (k > i) as reduced pairs, and its expected
-    surplus, the sum of w * f * (v_i - v_k) over k < i divided by f_i, as a
-    `Fraction`.  Each sum runs share by share on reduced pairs; one whose
-    denominator passes the input limit raises MarketError at once.
+    entries) and unsold mass (k > i) as reduced pairs, its expected
+    surplus, the sum of w * f * (v_i - v_k) over k < i divided by f_i, and
+    the surpluses' mass-weighted total, the undivided sums summed, as
+    `Fraction`s.  Each sum runs share by share (the total class by class)
+    on reduced pairs; one whose denominator passes the input limit raises
+    MarketError at once.
     """
     vn = [v.numerator for v in dist.values]
     vd = [v.denominator for v in dist.values]
-    unused = [(f.numerator, f.denominator) for f in dist.masses]
+    unused = [f.as_integer_ratio() for f in dist.masses]
     unsold = [(0, 1)] * dist.n
     gained = [(0, 1)] * dist.n
     for (wn, wd), support, k in entries:
@@ -472,67 +474,69 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
         Fraction(tn * f.denominator, td * f.numerator)
         for (tn, td), f in zip(gained, dist.masses)
     )
-    return unused, unsold, surpluses
+    total = (0, 1)
+    for g in gained:
+        total = pair_sum(*total, *g)
+        if total[1].bit_length() > _MAX_RATIONAL_BITS:
+            raise MarketError(DERIVED_TOO_LONG)
+    return unused, unsold, surpluses, Fraction(*total)
 
 
 class SignalingScheme(Record):
     """Weighted signals whose mixture equals the prior exactly.
 
-    The weights are not summed: each posterior sums to 1, so the weights
-    sum to the mixture's total, which the check that no class has unused
-    prior mass makes 1.  Each signal is one `class_sums` entry, priced at
-    its optimal price; ``surpluses`` holds each class's expected surplus,
-    ``total_surplus`` their mass-weighted total, summed once, and
+    Each weight is a reduced int pair (numerator, positive denominator), as
+    each share is.  The weights are not summed: each posterior sums to 1,
+    so the weights sum to the mixture's total, which the check that no
+    class has unused prior mass makes 1.  Each signal is one `class_sums`
+    entry, priced at its optimal price; ``surpluses`` holds each class's
+    expected surplus, ``total_surplus`` their mass-weighted total, and
     ``revenue`` the seller's expected revenue, the rest of E[v] once the
     unsold mass and that total are taken out (see `scheme_revenue`).
     """
 
     _derived = ("surpluses", "total_surplus", "revenue")
     dist: ValueDistribution
-    entries: tuple[tuple[Signal, Fraction], ...]
+    entries: tuple[tuple[Signal, tuple[int, int]], ...]
     surpluses: tuple[Fraction, ...]
     total_surplus: Fraction
     revenue: Fraction
 
     def __post_init__(self):
         dist = self.dist
-        for signal, weight in self.entries:
+        for signal, (n, d) in self.entries:
             if signal.dist is not dist and signal.dist != dist:
                 raise MarketError("signal belongs to a different distribution")
-            if weight.numerator <= 0:
-                raise MarketError(f"signal weights must be positive, got {weight}")
-        priced = (
-            ((w.numerator, w.denominator), s.shares, s.optimal_price_index)
-            for s, w in self.entries
-        )
-        unused, unsold, surpluses = class_sums(dist, priced)
+            if n <= 0 or d <= 0:
+                raise MarketError(f"signal weights must be positive, got {pair_text(n, d)}")
+        priced = ((w, s.shares, s.optimal_price_index) for s, w in self.entries)
+        unused, unsold, surpluses, total = class_sums(dist, priced)
         for i, ((un, ud), f) in enumerate(zip(unused, dist.masses)):
             if un:
                 raise PlausibilityError(i, f, f - Fraction(un, ud))
-        self._set_surpluses_and_revenue(unsold, surpluses)
+        self._set_surpluses_and_revenue(unsold, surpluses, total)
 
     @classmethod
-    def efficient(cls, dist: ValueDistribution, entries, surpluses) -> "SignalingScheme":
-        """The scheme of entries their maker summed to the prior and to
-        ``surpluses`` through `class_sums`, each sold at its lowest support
-        so that no class is unsold.  It skips the constructor's mixture
-        check and the `class_sums` that re-derives ``surpluses``; its one
-        maker, `splitmatch.DecomposedScheme.to_signaling_scheme`, has them
-        done already: the stage fills every unused mass with a singleton
-        and raises on an oversubscribed value, and each binary's signal is
-        checked to be priced at its giver."""
+    def efficient(cls, dist: ValueDistribution, entries, surpluses, total) -> "SignalingScheme":
+        """The scheme of entries their maker summed to the prior, to
+        ``surpluses`` and their ``total`` through `class_sums`, each sold
+        at its lowest support so that no class is unsold.  It skips the
+        constructor's mixture check and the `class_sums` that re-derives
+        the sums; its one maker, `splitmatch.DecomposedScheme.to_signaling_scheme`,
+        has them done already: the stage fills every unused mass with a
+        singleton and raises on an oversubscribed value, and each binary's
+        signal is checked to be priced at its giver."""
         scheme = object.__new__(cls)
         object.__setattr__(scheme, "dist", dist)
         object.__setattr__(scheme, "entries", entries)
-        scheme._set_surpluses_and_revenue((), surpluses)
+        scheme._set_surpluses_and_revenue((), surpluses, total)
         return scheme
 
-    def _set_surpluses_and_revenue(self, unsold, surpluses) -> None:
-        """Sum the total surplus once and take revenue as E[v] less each
-        class's ``unsold`` mass (reduced pairs; empty when every class
-        sells) at its value, less that total: see `scheme_revenue`."""
+    def _set_surpluses_and_revenue(self, unsold, surpluses, total) -> None:
+        """Take revenue as E[v] less each class's ``unsold`` mass (reduced
+        pairs; empty when every class sells) at its value, less the
+        ``total`` surplus: see `scheme_revenue`."""
         dist = self.dist
-        total = dot(dist.masses, surpluses)
         ev = dist.expected_value
         revenue = pair_sum(ev.numerator, ev.denominator, -total.numerator, total.denominator)
         for v, (un, ud) in zip(dist.values, unsold):
@@ -576,22 +580,20 @@ def scheme_from_rows(
         for _, mass in row:
             wn, wd = pair_sum(wn, wd, *mass)
         shares = tuple((i, pair_product(mn, md, wd, wn)) for i, (mn, md) in row)
-        entries.append((Signal(dist, shares), Fraction(wn, wd)))
+        entries.append((Signal(dist, shares), (wn, wd)))
     return SignalingScheme(dist, tuple(entries))
 
 
 def full_revelation(dist: ValueDistribution) -> SignalingScheme:
     """Reveal the exact value: one singleton signal per value."""
-    return SignalingScheme(
-        dist,
-        tuple((Signal.singleton(dist, i), f) for i, f in enumerate(dist.masses)),
-    )
+    masses = enumerate(dist.masses)
+    return scheme_from_rows(dist, ([(i, f.as_integer_ratio())] for i, f in masses))
 
 
 def no_signal(dist: ValueDistribution) -> SignalingScheme:
     """Reveal nothing: the prior itself as a single signal."""
-    signal = Signal.from_support(dist, enumerate(dist.masses))
-    return SignalingScheme(dist, ((signal, Fraction(1)),))
+    masses = enumerate(dist.masses)
+    return scheme_from_rows(dist, [[(i, f.as_integer_ratio()) for i, f in masses]])
 
 
 class _Time(tuple):
@@ -642,7 +644,7 @@ def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Frac
         leave[i] = _Time(pair_sum(*tau, *pair_product(*left, rd, rn)))
         heapq.heappush(heap, (leave[i], i))
 
-    opened = [(f.numerator, f.denominator) for f in dist.masses]  # left as the row opened
+    opened = [f.as_integer_ratio() for f in dist.masses]  # left as the row opened
     for i in range(n):
         rerate(i, (0, 1), opened[i])
     row, rows = [], []  # the open row, the closed rows

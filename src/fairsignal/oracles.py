@@ -214,13 +214,10 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     )
     a2 = Signal.from_support(dist, ((1, Fraction(1) / (N + 1)), (2, N / (N + 1))))
     a3 = Signal.singleton(dist, 2)
+    weights = (1 / (N + 1), (N - 1) / (N + 1), 1 / (N + 1))
     alternative = SignalingScheme(
         dist,
-        (
-            (a1, Fraction(1) / (N + 1)),
-            (a2, (N - 1) / (N + 1)),
-            (a3, Fraction(1) / (N + 1)),
-        ),
+        tuple((a, w.as_integer_ratio()) for a, w in zip((a1, a2, a3), weights)),
     )
     # closed-form (mid, high) surpluses; the low class earns nothing
     denom = N**2 + 1

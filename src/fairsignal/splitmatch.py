@@ -88,26 +88,24 @@ class DecomposedScheme(Record):
     weight and the shares it carries, priced at v_g.  Value i's singleton
     weight is the prior mass the binaries leave unused on i, so the mixture
     matches the prior exactly; a value on which the binaries place more
-    than f_i is an invariant violation.
+    than f_i is an invariant violation.  ``surpluses`` holds each class's
+    expected surplus and ``total_surplus`` their mass-weighted total.
     """
 
-    _derived = ("singletons", "surpluses")
+    _derived = ("singletons", "surpluses", "total_surplus")
     dist: ValueDistribution
     binaries: tuple[BinarySignalEntry, ...]
     singletons: tuple[SingletonEntry, ...]
     surpluses: tuple[Fraction, ...]
+    total_surplus: Fraction
 
     def __post_init__(self):
         dist = self.dist
         entries = (
-            (
-                (b.weight.numerator, b.weight.denominator),
-                zip((b.giver, b.taker), b.shares),
-                b.giver,
-            )
+            (b.weight.as_integer_ratio(), zip((b.giver, b.taker), b.shares), b.giver)
             for b in self.binaries
         )
-        unused, _, surpluses = class_sums(dist, entries)
+        unused, _, surpluses, total = class_sums(dist, entries)
         singletons = []
         for i, (un, ud) in enumerate(unused):
             if un < 0:
@@ -118,20 +116,24 @@ class DecomposedScheme(Record):
                 singletons.append(SingletonEntry(i, Fraction(un, ud)))
         object.__setattr__(self, "singletons", tuple(singletons))
         object.__setattr__(self, "surpluses", surpluses)
+        object.__setattr__(self, "total_surplus", total)
 
     def to_signaling_scheme(self) -> SignalingScheme:
-        """Its signals, each binary's from the shares it carries, with the
-        stage's own sums, which price each binary at its giver."""
+        """Its signals, each binary's from the shares it carries and each
+        weight as a reduced pair, with the stage's own sums, which price
+        each binary at its giver."""
         entries = []
         for b in self.binaries:
             on_giver, on_taker = b.shares
             signal = Signal(self.dist, ((b.giver, on_giver), (b.taker, on_taker)))
             if signal.optimal_price_index != b.giver:
                 raise InvariantViolation(f"{b} is not priced at its giver value")
-            entries.append((signal, b.weight))
+            entries.append((signal, b.weight.as_integer_ratio()))
         for s in self.singletons:
-            entries.append((Signal.singleton(self.dist, s.index), s.weight))
-        return SignalingScheme.efficient(self.dist, tuple(entries), self.surpluses)
+            entries.append((Signal.singleton(self.dist, s.index), s.weight.as_integer_ratio()))
+        return SignalingScheme.efficient(
+            self.dist, tuple(entries), self.surpluses, self.total_surplus
+        )
 
 
 def split_and_match(dist: ValueDistribution) -> DecomposedScheme:

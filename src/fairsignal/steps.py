@@ -16,7 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .market import MarketError, Record, SignalingScheme, ValueDistribution, common_denominator
+from .market import MarketError, Record, ValueDistribution, common_denominator
 
 WELFARE_KINDS = ("utilitarian", "nash", "maxmin")
 
@@ -108,13 +108,12 @@ class StepFunction(Record):
 
 class SurplusProfile(Record):
     """Per-value expected consumer surplus under some scheme, and its
-    mass-weighted ``total`` when the scheme has summed one: a
-    `SignalingScheme` has, a pipeline stage has not."""
+    mass-weighted ``total``, the one the scheme summed (`scheme_surplus`)."""
 
     _compared = ("dist", "surpluses")
     dist: ValueDistribution
     surpluses: tuple[Fraction, ...]
-    total: Optional[Fraction] = None
+    total: Fraction
 
     def __post_init__(self):
         if len(self.surpluses) != self.dist.n:
@@ -133,9 +132,8 @@ class SurplusProfile(Record):
 
 def scheme_surplus(scheme) -> SurplusProfile:
     """Expected consumer surplus of each value class under a scheme or a
-    pipeline stage, with a `SignalingScheme`'s ``total_surplus``."""
-    total = scheme.total_surplus if isinstance(scheme, SignalingScheme) else None
-    return SurplusProfile(scheme.dist, scheme.surpluses, total)
+    pipeline stage, with its ``total_surplus``."""
+    return SurplusProfile(scheme.dist, scheme.surpluses, scheme.total_surplus)
 
 
 def is_monotone(profile: SurplusProfile) -> bool:
@@ -235,8 +233,6 @@ def evaluate_welfare(profile: SurplusProfile, kind: str) -> Fraction:
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare kind {kind!r}")
     if kind == "utilitarian":
-        if profile.total is None:
-            raise ValueError("utilitarian welfare needs the profile's total")
         return profile.total
     if any(not cs.numerator for cs in profile.surpluses):  # stops at class 1
         return Fraction(0)

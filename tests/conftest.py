@@ -28,10 +28,11 @@ from fairsignal.market import (
     SignalingScheme,
     ValueDistribution,
     as_fraction,
+    dot,
     scheme_from_rows,
 )
 from fairsignal.splitmatch import BinarySignalEntry, binary_shares
-from fairsignal.steps import StepFunction, certification_grid, sorted_prefix
+from fairsignal.steps import StepFunction, SurplusProfile, certification_grid, sorted_prefix
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -82,9 +83,7 @@ def nonmonotone_scheme(running_example) -> SignalingScheme:
     )
     s2 = Signal.from_support(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
     s3 = Signal.from_support(d, ((2, Fraction(2, 3)), (3, Fraction(1, 3))))
-    return SignalingScheme(
-        d, ((s1, Fraction(1, 2)), (s2, Fraction(1, 6)), (s3, Fraction(1, 3)))
-    )
+    return SignalingScheme(d, ((s1, (1, 2)), (s2, (1, 6)), (s3, (1, 3))))
 
 
 @pytest.fixture
@@ -94,9 +93,7 @@ def monotone_scheme(running_example) -> SignalingScheme:
     s1 = Signal.from_support(d, ((0, Fraction(7, 10)), (1, Fraction(1, 10)), (2, Fraction(1, 5))))
     s2 = Signal.from_support(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
     s3 = Signal.from_support(d, ((2, Fraction(13, 24)), (3, Fraction(11, 24))))
-    return SignalingScheme(
-        d, ((s1, Fraction(5, 14)), (s2, Fraction(5, 14)), (s3, Fraction(2, 7)))
-    )
+    return SignalingScheme(d, ((s1, (5, 14)), (s2, (5, 14)), (s3, (2, 7))))
 
 
 def write_instance(dist: ValueDistribution, path) -> None:
@@ -161,8 +158,19 @@ def random_scheme(rng: random.Random, dist: ValueDistribution) -> SignalingSchem
             dist,
             tuple((i, m / weight) for i, m in enumerate(pot) if m > 0),
         )
-        entries.append((signal, weight))
+        entries.append((signal, pair(weight)))
     return SignalingScheme(dist, tuple(entries))
+
+
+def pair(x: Fraction) -> tuple[int, int]:
+    """A `Fraction` as the reduced int pair a scheme's weights and shares
+    are held as."""
+    return x.numerator, x.denominator
+
+
+def hand_profile(dist: ValueDistribution, surpluses: Sequence[Fraction]) -> SurplusProfile:
+    """A profile built by hand, with its mass-weighted total."""
+    return SurplusProfile(dist, tuple(surpluses), dot(dist.masses, surpluses))
 
 
 def support(signal: Signal) -> tuple[tuple[int, Fraction], ...]:
@@ -175,7 +183,7 @@ def mixture(scheme: SignalingScheme) -> tuple[Fraction, ...]:
     out = [Fraction(0)] * scheme.dist.n
     for signal, weight in scheme.entries:
         for i, f in support(signal):
-            out[i] += weight * f
+            out[i] += Fraction(*weight) * f
     return tuple(out)
 
 

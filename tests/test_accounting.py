@@ -29,6 +29,7 @@ from fairsignal.market import (
     SignalingScheme,
     ValueDistribution,
     class_sums,
+    dot,
     full_revelation,
     myerson,
     no_signal,
@@ -39,7 +40,7 @@ from fairsignal.market import (
 )
 from fairsignal.splitmatch import BinarySignalEntry, DecomposedScheme, SingletonEntry
 
-from conftest import pair_rows, perfbench_module, random_scheme, structured_priors, support
+from conftest import pair, pair_rows, perfbench_module, random_scheme, structured_priors, support
 
 F = Fraction
 
@@ -74,7 +75,7 @@ def reference_class_sums(dist: ValueDistribution, entries):
 
 
 def reference_scheme_accounting(dist: ValueDistribution, entries):
-    """(surpluses, revenue) of the weighted signals, or the
+    """(surpluses, total surplus, revenue) of the weighted signals, or the
     `PlausibilityError` their mixture raises, from per-class Fraction sums."""
     values = dist.values
     mixture = [F(0)] * dist.n
@@ -84,7 +85,7 @@ def reference_scheme_accounting(dist: ValueDistribution, entries):
         k = reference_price_index(signal)
         price = values[k]
         for i, f in support(signal):
-            mass = weight * f
+            mass = F(*weight) * f
             mixture[i] += mass
             if i >= k:
                 paid[i] += mass * price
@@ -94,11 +95,11 @@ def reference_scheme_accounting(dist: ValueDistribution, entries):
         if mixture[i] != f:
             raise PlausibilityError(i, f, mixture[i])
     surpluses = tuple(t / f for t, f in zip(gained, dist.masses))
-    return surpluses, sum(paid, F(0))
+    return surpluses, sum(gained, F(0)), sum(paid, F(0))
 
 
 def reference_decomposition(dist: ValueDistribution, binaries):
-    """(singletons, surpluses) of a binary decomposition, or the
+    """(singletons, surpluses, total surplus) of a binary decomposition, or the
     oversubscription `InvariantViolation`, from per-class Fraction sums."""
     values = dist.values
     unused = list(dist.masses)
@@ -115,7 +116,7 @@ def reference_decomposition(dist: ValueDistribution, binaries):
         if w > 0:
             singletons.append(SingletonEntry(i, w))
     surpluses = tuple(t / f for t, f in zip(gained, dist.masses))
-    return tuple(singletons), surpluses
+    return tuple(singletons), surpluses, sum(gained, F(0))
 
 
 def error_fields(error: Exception):
@@ -145,7 +146,7 @@ def check_signaling(dist: ValueDistribution, entries) -> str:
 
 
 def _accounted(scheme: SignalingScheme):
-    return scheme.surpluses, scheme.revenue
+    return scheme.surpluses, scheme.total_surplus, scheme.revenue
 
 
 def check_decomposed(dist: ValueDistribution, binaries) -> None:
@@ -155,7 +156,7 @@ def check_decomposed(dist: ValueDistribution, binaries) -> None:
 
 
 def _derived(stage: DecomposedScheme):
-    return stage.singletons, stage.surpluses
+    return stage.singletons, stage.surpluses, stage.total_surplus
 
 
 def check_pipeline(dist: ValueDistribution) -> None:
@@ -165,6 +166,7 @@ def check_pipeline(dist: ValueDistribution) -> None:
     result = monotone_fair_scheme(dist)
     for stage in (result.base, result.smoothed, result.final):
         check_decomposed(dist, stage.binaries)
+        assert stage.total_surplus == dot(dist.masses, stage.surpluses)
         handed = stage.to_signaling_scheme()
         checked = SignalingScheme(dist, handed.entries)
         assert (handed.entries, *_accounted(handed)) == (checked.entries, *_accounted(checked))
@@ -236,8 +238,9 @@ class TestClassSums:
     def test_matches_fraction_loop(self, case):
         dist, entries = case
         unused, unsold, surpluses = reference_class_sums(dist, entries)
+        total = sum((f * s for f, s in zip(dist.masses, surpluses)), F(0))
         assert class_sums(dist, pair_entries(entries)) == (
-            as_pairs(unused), as_pairs(unsold), surpluses
+            as_pairs(unused), as_pairs(unsold), surpluses, total
         )
 
     def test_each_side_of_the_price(self):
@@ -251,6 +254,7 @@ class TestClassSums:
             [(0, 1), (0, 1), (0, 1)],
             [(0, 1), (1, 8), (0, 1)],
             (F(0), F(1, 2), F(0)),
+            F(1, 8),
         )
 
     def test_negative_unused_mass(self):
@@ -261,6 +265,7 @@ class TestClassSums:
             [(-1, 4), (1, 4), (0, 1)],
             [(0, 1), (0, 1), (0, 1)],
             (F(0), F(0), F(4)),
+            F(1),
         )
         unused, _, _ = reference_class_sums(dist, entries)
         assert unused == [F(-1, 4), F(1, 4), F(0)]
@@ -287,6 +292,15 @@ class TestClassSums:
         for d in self.LONG:
             entries += [(F(1), ((1, F(d - 1, d)),), 1), (F(1), ((1, F(1, d)),), k)]
         class_sums(dist, pair_entries(entries[:3]))  # within the limit
+        with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
+            class_sums(dist, pair_entries(entries))
+
+    def test_refuses_an_overlong_total_of_short_sums(self):
+        # classes 1 and 2 each gain 1/d at v_0, so each surplus sum stays
+        # within 200,000 bits while their total reaches about 400,000
+        dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
+        entries = [(F(1), ((i, F(1, d)),), 0) for i, d in zip((1, 2), self.LONG)]
+        class_sums(dist, pair_entries(entries[:1]))  # within the limit
         with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
             class_sums(dist, pair_entries(entries))
 
@@ -346,7 +360,7 @@ class TestAgainstOracle:
             j = rng.randrange(len(entries))
             signal, weight = entries[j]
             if rng.random() < 0.5 or len(entries) == 1:
-                entries[j] = (signal, weight * F(rng.randint(2, 5), rng.randint(6, 9)))
+                entries[j] = (signal, pair(F(*weight) * F(rng.randint(2, 5), rng.randint(6, 9))))
             else:
                 del entries[j]
             with pytest.raises(PlausibilityError) as got:

@@ -709,6 +709,33 @@ class TestVerify:
         )
         assert (code, stdout, stderr) == (2, "", f"error: invalid scheme file: {message}\n")
 
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ('"1/0"', "cannot read '1/0' as a rational"),
+            ('"-1/2"', "signal weights must be positive, got -1/2"),
+            ('"0"', "signal weights must be positive, got 0"),
+            ('"1/' + "9" * MAX_INT_DIGITS + '"', f"rational longer than {MAX_INT_DIGITS} digits"),
+            ('"abc"', "cannot read 'abc' as a rational"),
+            ('""', "cannot read '' as a rational"),
+            ("true", "bool is not a rational value"),
+            ("{}", "cannot interpret dict as a rational"),
+            ("[]", "cannot interpret list as a rational"),
+        ],
+        ids=["zero-denominator", "negative", "zero", "too-long", "text", "empty", "bool",
+             "object", "array"],
+    )
+    def test_refused_weight_exits_2(self, weight, message, tmp_path, capsys):
+        instance = str(tmp_path / "instance.json")
+        write_instance(ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"]), instance)
+        path = tmp_path / "scheme.json"
+        support = '"support": {"0": "1/2", "1": "1/2"}'
+        path.write_text('{"entries": [{"weight": ' + weight + ", " + support + "}]}")
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance, "--scheme", str(path)
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: invalid scheme file: {message}\n")
+
     def test_bad_grid_reported_before_scheme_is_read(self, instance_file, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         code, stdout, stderr = run_cli(
@@ -884,34 +911,57 @@ def test_each_binary_gets_its_shares_once(instance, request, tmp_path, capsys, m
     assert counts == [len(result.base.binaries) + repaired, 0]
 
 
+# The class sums `build` runs per kind: a checked scheme's one, or one per
+# pipeline stage it builds (the running example's smoothing lifts no class,
+# so `final` builds the base and the final stage), whose schemes reuse them.
+BUILD_SUMS = {
+    "splitmatch": ["stage"],
+    "final": ["stage", "stage"],
+    "buyeropt": ["scheme"],
+    "fullreveal": ["scheme"],
+    "nosignal": ["scheme"],
+}
+
+
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_each_command_sums_the_pie_and_the_surplus_once(
     kind, running_example, tmp_path, capsys, monkeypatch
 ):
-    # E[v] is summed once per distribution and a scheme's total surplus
-    # once, with its revenue; the report and the profile reuse both
-    from fairsignal import market
+    # E[v] is summed once per distribution; a total surplus is summed with
+    # its other class sums, by the `class_sums` of the scheme or stage that
+    # holds it, and `verify` runs one, which checks the file; the report
+    # and the profile reuse both
+    from fairsignal import market, splitmatch
 
-    original, calls = market.dot, []
+    original_dot, calls = market.dot, []
 
-    def counted(xs, ys):
+    def counted_dot(xs, ys):
         xs, ys = tuple(xs), tuple(ys)
         calls.append((xs, ys))
-        return original(xs, ys)
+        return original_dot(xs, ys)
 
-    monkeypatch.setattr(market, "dot", counted)
+    def counted_sums(module, label):
+        original = module.class_sums
+
+        def counted(dist, entries):
+            calls.append(label)
+            return original(dist, entries)
+
+        monkeypatch.setattr(module, "class_sums", counted)
+
+    monkeypatch.setattr(market, "dot", counted_dot)
+    counted_sums(market, "scheme")
+    counted_sums(splitmatch, "stage")
     path = str(tmp_path / "instance.json")
     write_instance(running_example, path)
     scheme = str(tmp_path / f"{kind}.json")
-    for argv in (
-        ("build", "--in", path, "--scheme", kind, "--out", scheme),
-        ("verify", "--in", path, "--scheme", scheme),
-    ):
-        calls.clear()
-        assert run_cli(capsys, *argv)[0] == 0
-        pie = [c for c in calls if c == (running_example.values, running_example.masses)]
-        totals = [c for c in calls if c[0] == running_example.masses]
-        assert (len(pie), len(totals)) == (1, 1)
+    pie = (running_example.values, running_example.masses)
+    assert run_cli(capsys, "build", "--in", path, "--scheme", kind, "--out", scheme)[0] == 0
+    assert [c for c in calls if c != pie] == BUILD_SUMS[kind]
+    assert calls.count(pie) == 1
+    calls.clear()
+    assert run_cli(capsys, "verify", "--in", path, "--scheme", scheme)[0] == 0
+    assert calls == ["scheme", pie]
 
 
 class TestLowerbound:

@@ -31,7 +31,14 @@ from fairsignal.steps import (
     scheme_surplus,
 )
 
-from conftest import binary, mixture, random_distribution, structured_priors, taker_fraction
+from conftest import (
+    binary,
+    hand_profile,
+    mixture,
+    random_distribution,
+    structured_priors,
+    taker_fraction,
+)
 
 F = Fraction
 
@@ -67,7 +74,7 @@ def envelope_oracle(profile: SurplusProfile) -> list[Fraction]:
 
 class TestIron:
     def test_monotone_profile_untouched(self, running_example):
-        profile = SurplusProfile(running_example, (F(0), F(1), F(2), F(3)))
+        profile = hand_profile(running_example, (F(0), F(1), F(2), F(3)))
         ironed = iron(profile)
         assert ironed.ironed_values == profile.surpluses
         assert ironed.intervals == ()
@@ -84,7 +91,7 @@ class TestIron:
 
     def test_two_interval_profile(self, running_example):
         # hand-computed hull with two separate sagging sections
-        profile = SurplusProfile(running_example, (F(2), F(0), F(4), F(0)))
+        profile = hand_profile(running_example, (F(2), F(0), F(4), F(0)))
         ironed = iron(profile)
         assert ironed.ironed_values == (F(1), F(1), F(2), F(2))
         assert [
@@ -97,7 +104,7 @@ class TestIron:
     def test_collinear_contacts(self, running_example):
         # cumulative surplus (0, 1/2, 1/2, 3/4, 1): the last three vertices
         # lie on the chord from the origin, so all of them touch the hull
-        profile = SurplusProfile(running_example, (F(2), F(0), F(1), F(1)))
+        profile = hand_profile(running_example, (F(2), F(0), F(1), F(1)))
         ironed = iron(profile)
         # popping a collinear contact would add an interval over classes (2, 3)
         assert [
@@ -151,7 +158,7 @@ class TestPairRectangles:
         assert p.plus_width * p.plus_height == F(1, 16)
 
     def test_no_intervals_means_no_pairs(self, running_example):
-        profile = SurplusProfile(running_example, (F(0), F(1), F(2), F(3)))
+        profile = hand_profile(running_example, (F(0), F(1), F(2), F(3)))
         assert iron(profile).intervals == ()
 
     def test_area_balance_and_ordering(self):

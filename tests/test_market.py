@@ -34,6 +34,7 @@ from fairsignal.steps import is_monotone, scheme_surplus
 
 from conftest import (
     mixture,
+    pair,
     pair_rows,
     perfbench_module,
     random_distribution,
@@ -62,7 +63,7 @@ def canonicalize(scheme: SignalingScheme) -> SignalingScheme:
         k = signal.optimal_price_index
         for i, f in support(signal):
             row = rows[i] if i < k else rows[k]
-            row[i] = row.get(i, Fraction(0)) + weight * f
+            row[i] = row.get(i, Fraction(0)) + Fraction(*weight) * f
     return scheme_from_rows(dist, pair_rows(rows))
 
 
@@ -293,13 +294,15 @@ class TestSchemeSurplus:
     def test_plausibility_enforced(self, running_example):
         signal = Signal.singleton(running_example, 0)
         with pytest.raises(PlausibilityError) as err:
-            SignalingScheme(running_example, ((signal, F(1)),))
+            SignalingScheme(running_example, ((signal, (1, 1)),))
         assert err.value.index in (0, 1)
 
     @pytest.mark.parametrize("scale", [F(1, 2), F(2)])
     def test_scaled_weights_are_implausible(self, running_example, scale):
         # a weight total other than 1 shows as a mixture that misses the prior
-        entries = tuple((s, w * scale) for s, w in full_revelation(running_example).entries)
+        entries = tuple(
+            (s, pair(F(*w) * scale)) for s, w in full_revelation(running_example).entries
+        )
         with pytest.raises(PlausibilityError) as err:
             SignalingScheme(running_example, entries)
         assert err.value.index == 0
@@ -314,7 +317,7 @@ def reference_revenue(scheme: SignalingScheme) -> Fraction:
         for i, f in support(signal):
             best = max(best, scheme.dist.values[i] * tail)
             tail -= f
-        total += weight * best
+        total += Fraction(*weight) * best
     return total
 
 
@@ -331,7 +334,7 @@ def reference_surpluses(scheme: SignalingScheme) -> tuple[Fraction, ...]:
             tail -= f
         price = dist.values[best[0]]
         for i, f in support(signal):
-            totals[i] += weight * f * max(dist.values[i] - price, Fraction(0))
+            totals[i] += Fraction(*weight) * f * max(dist.values[i] - price, Fraction(0))
     return tuple(t / f for t, f in zip(totals, dist.masses))
 
 

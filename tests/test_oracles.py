@@ -242,7 +242,7 @@ class TestBuyerOptimalLowerBound:
             ((0, (N**2 - 1) / (N**2 + N)), (1, 1 / (N**2 + N)), (2, N / (N**2 + N))),
         )
         s2 = Signal.from_support(dist, ((1, 1 / (N + 1)), (2, N / (N + 1))))
-        reference = ((s1, 1 / (N + 1)), (s2, N / (N + 1)))
+        reference = ((s1, (1, n + 1)), (s2, (n, n + 1)))
         scheme, _ = buyer_optimal_scheme(dist)
         assert scheme.entries == reference
         assert inst.buyer_optimal.entries == reference

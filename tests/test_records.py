@@ -15,7 +15,7 @@ from fairsignal.lp import LinearProgram, solve_lp
 from fairsignal.market import Record, Signal, ValueDistribution
 from fairsignal.oracles import buyer_optimal_lb_instance, universal_lb_instance
 from fairsignal.splitmatch import BinarySignalEntry, binary_shares, split_and_match
-from fairsignal.steps import StepFunction, SurplusProfile, scheme_surplus
+from fairsignal.steps import StepFunction, scheme_surplus
 
 # Fields left out of equality and hash: each follows from the compared
 # fields, or is a solver's working state.
@@ -23,7 +23,7 @@ UNCOMPARED = {
     "Signal": {"optimal_price_index"},
     "SignalingScheme": {"surpluses", "total_surplus", "revenue"},
     "BinarySignalEntry": {"shares"},
-    "DecomposedScheme": {"singletons", "surpluses"},
+    "DecomposedScheme": {"singletons", "surpluses", "total_surplus"},
     "StepFunction": {"integrals"},
     "SurplusProfile": {"total"},
     "LPResult": {"_tableau"},
@@ -32,12 +32,11 @@ UNCOMPARED = {
 DERIVED = {
     "Signal": {"optimal_price_index"},
     "SignalingScheme": {"surpluses", "total_surplus", "revenue"},
-    "DecomposedScheme": {"singletons", "surpluses"},
+    "DecomposedScheme": {"singletons", "surpluses", "total_surplus"},
 }
 # The one constructor field of a class that may be omitted.
 DEFAULTED = {
     "StepFunction": "integrals",
-    "SurplusProfile": "total",
 }
 
 
@@ -186,9 +185,6 @@ def test_an_argument_beyond_the_fields_raises(name):
 def test_omitted_defaults_apply():
     step = RECORDS["StepFunction"]
     assert StepFunction(step.breakpoints, step.values).integrals == step.integrals
-    profile = RECORDS["SurplusProfile"]
-    assert profile.total is not None
-    assert SurplusProfile(profile.dist, profile.surpluses).total is None
 
 
 def test_binary_repr_is_unchanged():

@@ -75,7 +75,7 @@ class TestFiveValueInstance:
         assert (first.giver, first.taker, first.weight) == (0, 1, F(1, 10))
         assert binary_shares(fig3_instance, 0, 1) == ((1, 2), (1, 2))
         signal, weight = scheme.to_signaling_scheme().entries[0]
-        assert (signal.shares, weight) == (((0, (1, 2)), (1, (1, 2))), F(1, 10))
+        assert (signal.shares, weight) == (((0, (1, 2)), (1, (1, 2))), (1, 10))
         assert support(signal) == ((0, F(1, 2)), (1, F(1, 2)))
 
     def test_full_ledger_trace(self, fig3_instance):
@@ -193,7 +193,7 @@ class TestGreedyInvariants:
             # every binary's posterior is revenue-tied between its two supports
             for b, (signal, weight) in zip(scheme.binaries, sig.entries):
                 (giver, _), (taker, on_taker) = support(signal)
-                assert (giver, taker, weight) == (b.giver, b.taker, b.weight)
+                assert (giver, taker, F(*weight)) == (b.giver, b.taker, b.weight)
                 assert dist.values[b.giver] * 1 == dist.values[b.taker] * on_taker
 
     def test_deterministic(self, fig3_instance):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fairsignal import market
 from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.ironing import monotone_fair_scheme
-from fairsignal.market import ValueDistribution
+from fairsignal.market import SignalingScheme, ValueDistribution
 from fairsignal.splitmatch import split_and_match
 from fairsignal.steps import (
     StepFunction,
@@ -27,7 +27,7 @@ from fairsignal.steps import (
     sorted_prefix,
 )
 
-from conftest import alpha_against, perfbench_module, structured_priors
+from conftest import alpha_against, hand_profile, perfbench_module, structured_priors
 
 F = Fraction
 
@@ -139,7 +139,7 @@ class TestWelfare:
     def test_nash_needs_a_zero_class(self, surpluses):
         # with no class at 0 the geometric mean has no exact value in general
         # (sqrt 2 for the first profile), so nash refuses; maxmin is exact
-        profile = SurplusProfile(ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"]), surpluses)
+        profile = hand_profile(ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"]), surpluses)
         with pytest.raises(ValueError, match="no zero class"):
             evaluate_welfare(profile, "nash")
         assert evaluate_welfare(profile, "maxmin") == min(surpluses)
@@ -164,17 +164,17 @@ class TestWelfare:
         self.check_schemes(case[1])
 
     def test_unknown_kind_rejected(self, running_example):
-        profile = SurplusProfile(running_example, (F(1),) * 4)
+        profile = hand_profile(running_example, (F(1),) * 4)
         with pytest.raises(ValueError):
             evaluate_welfare(profile, "rawlsian")
 
-    def test_utilitarian_needs_a_total(self, running_example):
-        # a pipeline stage's profile carries no total; its scheme's does
+    def test_utilitarian_reads_the_stage_total(self, running_example):
+        # the stage's total is the one its scheme's entries sum to when the
+        # checked constructor re-derives it
         stage = split_and_match(running_example)
-        with pytest.raises(ValueError, match="needs the profile's total"):
-            evaluate_welfare(scheme_surplus(stage), "utilitarian")
-        scheme = stage.to_signaling_scheme()
-        assert evaluate_welfare(scheme_surplus(scheme), "utilitarian") == scheme.total_surplus
+        entries = stage.to_signaling_scheme().entries
+        total = SignalingScheme(running_example, entries).total_surplus
+        assert evaluate_welfare(scheme_surplus(stage), "utilitarian") == stage.total_surplus == total
 
 
 # hypothesis strategies for small exact step functions
