@@ -3,7 +3,8 @@ and their accounting, posted prices, and the reading of rationals.
 
 Every quantity is an exact rational.  Where the arithmetic runs hot it is
 a reduced int pair (numerator, positive denominator) rather than a
-`Fraction`, kept in lowest terms by `pair_product` and `pair_sum`.
+`Fraction`, kept in lowest terms by `pair_product` and `pair_sum`;
+`class_sums` keeps its running sums unreduced and reduces each once.
 """
 
 from __future__ import annotations
@@ -62,6 +63,23 @@ def pair_sum(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     if g2 == 1:
         return t, s * bd
     return t // g2, s * (bd // g2)
+
+
+def _lcm_sum(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad) + (bn/bd) over lcm(ad, bd), not reduced, for positive
+    denominators.  When bd divides ad it takes one division and no gcd."""
+    q, r = divmod(ad, bd)
+    if not r:
+        return an + bn * q, ad
+    g = math.gcd(ad, bd)
+    s = bd // g
+    return an * s + bn * (ad // g), ad * s
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for a positive d."""
+    g = math.gcd(n, d)
+    return (n // g, d // g) if g > 1 else (n, d)
 
 
 def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
@@ -264,11 +282,7 @@ def rational_pair(x: RationalLike) -> tuple[int, int]:
     if not isinstance(x, str):
         value = as_fraction(x)
         return value.numerator, value.denominator
-    n, d = _read_rational(x)
-    g = math.gcd(n, d)
-    if g > 1:
-        n //= g
-        d //= g
+    n, d = _reduced(*_read_rational(x))
     _check_length(n, d)
     return n, d
 
@@ -383,34 +397,39 @@ class Signal(Record):
     optimal_price_index: int
 
     def __post_init__(self):
-        if not self.shares:
+        shares = self.shares
+        if not shares:
             raise MarketError("signal support must be nonempty")
+        size = self.dist.n
         seen = set()
-        for i, (n, d) in self.shares:
-            if not 0 <= i < self.dist.n:
+        den = 1  # the shares' common denominator, None once it is too long
+        for i, (n, d) in shares:
+            if not 0 <= i < size:
                 raise MarketError(f"support index {i} out of range")
             if i in seen:
                 raise MarketError(f"duplicate support index {i}")
             seen.add(i)
             if n <= 0 or d <= 0:
                 raise MarketError(f"support masses must be positive, got {pair_text(n, d)}")
-        shares = tuple(sorted(self.shares))  # indices are distinct, so by index
-        den = common_denominator(d for _, (_, d) in shares)
+            if den is not None and den % d:
+                den = math.lcm(den, d)
+                if den.bit_length() > _MAX_RATIONAL_BITS:
+                    den = None
         if den is None:
             raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
-        scaled = [n * (den // d) for _, (n, d) in shares]
-        if sum(scaled) != den:
-            total = Fraction(sum(scaled), den)
-            raise MarketError(f"signal masses sum to {total}, expected 1")
+        if len(shares) > 1:
+            shares = tuple(sorted(shares))  # indices are distinct, so by index
         values = self.dist.values
         best_i = None
         best_num, best_den = 0, 1  # best revenue times den, as a fraction
-        tail = den  # mass at index i and above, times den
-        for (i, _), m in zip(shares, scaled):
+        tail = den  # mass at index i and above, times den; 0 past the last
+        for i, (n, d) in shares:
             v = values[i]
             if best_i is None or v.numerator * tail * best_den > best_num * v.denominator:
                 best_i, best_num, best_den = i, v.numerator * tail, v.denominator
-            tail -= m
+            tail -= n * (den // d)
+        if tail:
+            raise MarketError(f"signal masses sum to {Fraction(den - tail, den)}, expected 1")
         object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "optimal_price_index", best_i)
 
@@ -450,9 +469,13 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
     entries) and unsold mass (k > i) as reduced pairs, its expected
     surplus, the sum of w * f * (v_i - v_k) over k < i divided by f_i, and
     the surpluses' mass-weighted total, the undivided sums summed, as
-    `Fraction`s.  Each sum runs share by share (the total class by class)
-    on reduced pairs; one whose denominator passes the input limit raises
-    MarketError at once.
+    `Fraction`s.  Each class's sums run share by share as pairs over the
+    lcm of their terms' denominators (`_lcm_sum`), each term its plain
+    product, and each is reduced once, at the end: a surplus as its
+    `Fraction`, the total class by class as reduced pairs f_i * s_i.  A
+    sum whose reduced denominator passes the input limit raises
+    MarketError at once; a running denominator is a multiple of it, so
+    the class's sums are reduced and checked only when one passes.
     """
     vn = [v.numerator for v in dist.values]
     vd = [v.denominator for v in dist.values]
@@ -461,22 +484,27 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
     gained = [(0, 1)] * dist.n
     for (wn, wd), support, k in entries:
         for i, (fn, fd) in support:
-            mn, md = pair_product(wn, wd, fn, fd)
-            unused[i] = un = moved = pair_sum(*unused[i], -mn, md)
+            mn, md = wn * fn, wd * fd
+            unused[i] = un = moved = _lcm_sum(*unused[i], -mn, md)
             if k > i:
-                unsold[i] = moved = pair_sum(*unsold[i], mn, md)
-            elif k < i:
-                gain = pair_sum(vn[i], vd[i], -vn[k], vd[k])
-                gained[i] = moved = pair_sum(*gained[i], *pair_product(mn, md, *gain))
+                unsold[i] = moved = _lcm_sum(*unsold[i], mn, md)
+            elif k < i:  # m * (v_i - v_k)
+                gn, gd = vn[i] * vd[k] - vn[k] * vd[i], vd[i] * vd[k]
+                gained[i] = moved = _lcm_sum(*gained[i], mn * gn, md * gd)
             if max(un[1], moved[1]).bit_length() > _MAX_RATIONAL_BITS:
-                raise MarketError(DERIVED_TOO_LONG)
+                for sums in (unused, unsold, gained):
+                    sums[i] = _reduced(*sums[i])
+                    if sums[i][1].bit_length() > _MAX_RATIONAL_BITS:
+                        raise MarketError(DERIVED_TOO_LONG)
+    unused = [_reduced(*u) for u in unused]
+    unsold = [_reduced(*u) for u in unsold]
     surpluses = tuple(
         Fraction(tn * f.denominator, td * f.numerator)
         for (tn, td), f in zip(gained, dist.masses)
     )
     total = (0, 1)
-    for g in gained:
-        total = pair_sum(*total, *g)
+    for s, f in zip(surpluses, dist.masses):
+        total = pair_sum(*total, *pair_product(s.numerator, s.denominator, *f.as_integer_ratio()))
         if total[1].bit_length() > _MAX_RATIONAL_BITS:
             raise MarketError(DERIVED_TOO_LONG)
     return unused, unsold, surpluses, Fraction(*total)

@@ -304,6 +304,23 @@ class TestClassSums:
         with pytest.raises(MarketError, match="^a derived rational is longer than 100000 digits$"):
             class_sums(dist, pair_entries(entries))
 
+    @pytest.mark.parametrize("k", [0, 1, 2], ids=["surplus", "unused", "unsold"])
+    def test_accepts_a_short_sum_over_a_long_common_denominator(self, k):
+        # 1/(PQ) + 1/(PR) = 1/(QR) when P = Q + R: each mass and the
+        # reduced sum fit the limit, while their lcm PQR does not
+        q, r = 2**112_000 + 1, 2**112_000 - 1
+        p = q + r
+        assert max((p * q).bit_length(), (q * r).bit_length()) <= _MAX_RATIONAL_BITS
+        assert (p * q * r).bit_length() > _MAX_RATIONAL_BITS
+        dist = ValueDistribution.from_pairs([1, 2, 5], ["1/2", "1/4", "1/4"])
+        entries = [(F(1), ((1, F(1, d)),), k) for d in (p * q, p * r)]
+        unused, unsold, surpluses = reference_class_sums(dist, entries)
+        total = dist.masses[1] * surpluses[1]
+        assert unused[1] == F(1, 4) - F(1, q * r)
+        assert class_sums(dist, pair_entries(entries)) == (
+            as_pairs(unused), as_pairs(unsold), surpluses, total
+        )
+
 
 class TestRevenue:
     def test_unsold_mass_earns_nothing(self, running_example):
