@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import math
 import re
 import sys
@@ -353,11 +352,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 builds may lack it
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
     args = _parser().parse_args(argv)
-    # The package builds no reference cycles, so the cyclic collector
-    # would only walk the command's live objects; it is paused while the
-    # command runs and resumed after it, as it was found.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except InvariantViolation as e:
@@ -371,9 +365,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"error: {DERIVED_TOO_LONG}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

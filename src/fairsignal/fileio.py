@@ -62,16 +62,12 @@ def json_text(payload) -> str:
 
 
 def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; a key given twice raises MarketError,
-    naming the first key repeated.  The pairs are walked only when the
-    dict came out shorter than they are."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise MarketError(f"duplicate key {key!r} in a JSON object")
-            seen.add(key)
+    """A JSON object as a dict; a key given twice raises MarketError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MarketError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
     return obj
 
 

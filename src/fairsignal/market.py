@@ -402,7 +402,6 @@ class Signal(Record):
             raise MarketError("signal support must be nonempty")
         size = self.dist.n
         seen = set()
-        den = 1  # the shares' common denominator, None once it is too long
         for i, (n, d) in shares:
             if not 0 <= i < size:
                 raise MarketError(f"support index {i} out of range")
@@ -411,10 +410,7 @@ class Signal(Record):
             seen.add(i)
             if n <= 0 or d <= 0:
                 raise MarketError(f"support masses must be positive, got {pair_text(n, d)}")
-            if den is not None and den % d:
-                den = math.lcm(den, d)
-                if den.bit_length() > _MAX_RATIONAL_BITS:
-                    den = None
+        den = common_denominator(d for _, (_, d) in shares)
         if den is None:
             raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
         if len(shares) > 1:
@@ -471,8 +467,8 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
     the surpluses' mass-weighted total, the undivided sums summed, as
     `Fraction`s.  Each class's sums run share by share as pairs over the
     lcm of their terms' denominators (`_lcm_sum`), each term its plain
-    product, and each is reduced once, at the end: a surplus as its
-    `Fraction`, the total class by class as reduced pairs f_i * s_i.  A
+    product, and each is reduced once, at the end; the total is summed
+    class by class from the reduced undivided surplus sums.  A
     sum whose reduced denominator passes the input limit raises
     MarketError at once; a running denominator is a multiple of it, so
     the class's sums are reduced and checked only when one passes.
@@ -498,13 +494,14 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
                         raise MarketError(DERIVED_TOO_LONG)
     unused = [_reduced(*u) for u in unused]
     unsold = [_reduced(*u) for u in unsold]
+    gained = [_reduced(*g) for g in gained]
     surpluses = tuple(
         Fraction(tn * f.denominator, td * f.numerator)
         for (tn, td), f in zip(gained, dist.masses)
     )
     total = (0, 1)
-    for s, f in zip(surpluses, dist.masses):
-        total = pair_sum(*total, *pair_product(s.numerator, s.denominator, *f.as_integer_ratio()))
+    for g in gained:
+        total = pair_sum(*total, *g)
         if total[1].bit_length() > _MAX_RATIONAL_BITS:
             raise MarketError(DERIVED_TOO_LONG)
     return unused, unsold, surpluses, Fraction(*total)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import os
 import random
@@ -980,75 +979,6 @@ def test_each_command_sums_the_pie_and_the_surplus_once(
     calls.clear()
     assert run_cli(capsys, "verify", "--in", path, "--scheme", scheme)[0] == 0
     assert calls == ["scheme", pie]
-
-
-class TestCollector:
-    """`main` pauses the cyclic collector while a command runs and leaves
-    it as it found it, however the command ends."""
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-    @pytest.mark.parametrize(
-        "require, error, code",
-        [
-            ("", None, 0),
-            ("monotone", None, 1),
-            ("", MarketError, 2),
-            ("", InvariantViolation, 3),
-            ("", RuntimeError, None),
-        ],
-        ids=["exit-0", "exit-1", "exit-2", "exit-3", "uncaught"],
-    )
-    def test_paused_while_a_command_runs(
-        self, require, error, code, enabled, instance_file, nonmonotone_scheme, tmp_path,
-        capsys, monkeypatch,
-    ):
-        from fairsignal import cli
-
-        path = str(tmp_path / "scheme.json")
-        save_scheme(nonmonotone_scheme, path)
-        seen = []
-
-        def spied(scheme, original=cli.is_efficient):
-            seen.append(gc.isenabled())
-            if error:
-                raise error("forced for the collector test")
-            return original(scheme)
-
-        monkeypatch.setattr(cli, "is_efficient", spied)
-        argv = ["verify", "--in", instance_file, "--scheme", path, "--require", require]
-        was = gc.isenabled()
-        gc.enable() if enabled else gc.disable()
-        try:
-            if code is None:
-                with pytest.raises(error, match="forced"):
-                    main(argv)
-            else:
-                assert main(argv) == code
-            assert gc.isenabled() == enabled
-        finally:
-            gc.enable() if was else gc.disable()
-        assert seen == [False]
-
-    def test_commands_leave_few_cycles(self, corpus, tmp_path, capsys):
-        # what the paused collector leaves for its next pass: a few parser
-        # and encoder objects per command, none of the command's own data
-        files = []
-        for k, dist in enumerate(corpus[:40]):
-            instance = str(tmp_path / f"instance{k}.json")
-            write_instance(dist, instance)
-            files.append((instance, str(tmp_path / f"final{k}.json")))
-        gc.collect()
-        gc.disable()
-        try:
-            for instance, scheme in files:
-                build = ("build", "--in", instance, "--scheme", "final", "--out", scheme)
-                verify = ("verify", "--in", instance, "--scheme", scheme,
-                          "--require", "efficient,monotone")
-                assert run_cli(capsys, *build)[0] == run_cli(capsys, *verify)[0] == 0
-            unreachable = gc.collect()
-        finally:
-            gc.enable()
-        assert unreachable < 100 * 2 * len(files)
 
 
 class TestLowerbound:
