@@ -219,19 +219,20 @@ def cmd_verify(args) -> int:
     for r in required:
         if r not in REQUIREMENTS:
             raise MarketError(f"unknown requirement {r!r}")
-    grid = _parse_grid(args.grid) if args.grid else None
+    shown = _parse_grid(args.grid) if args.grid else None
     with_adversary = args.adversary or "majorized" in required
     if with_adversary:
         check_adversary_support(dist, args.max_support)
     scheme = _load("scheme file", fileio.load_scheme, args.scheme_file, dist)
 
     scheme_lines, profile, flags = _scheme_report("file", scheme)
-    if grid is None:
-        grid = adversary_grid(profile)
-    rival = None
-    if with_adversary:
-        rival = adversary_sorted_prefix(dist, grid, args.max_support)
+    own = adversary_grid(profile)  # alpha is read here, where the ratio binds
+    shown = shown or own
+    grid = tuple(sorted(set(own).union(shown))) if with_adversary else shown
+    rival = adversary_sorted_prefix(dist, grid, args.max_support) if with_adversary else None
     rows, alpha = certify(profile.step_function, grid, rival)
+    if len(grid) > len(shown):  # the table shows only the given masses
+        rows = [row for row in rows if row["m"] in shown]
 
     lines = _instance_lines(dist) + scheme_lines
     if with_adversary:

@@ -113,15 +113,14 @@ def pair_text(n: int, d: int) -> str:
 
 class Record:
     """An immutable record.  A subclass declares its fields once, as
-    annotations, with any default on the field's own line.  The
-    constructor takes them in that order, by position or by keyword, less
-    those named in ``_derived``, which the subclass's ``__post_init__``
-    sets; it binds each through ``object.__setattr__``, then calls
-    ``__post_init__``, where a subclass has its checks.  Equality, hash and
-    repr read the fields named in ``_compared``, by default the
-    constructor's, in order, and no other: a derived field, or a solver's
-    working state, is left out.  Assigning or deleting any attribute
-    raises AttributeError.
+    annotations.  The constructor takes them in that order, by position or
+    by keyword, each required, less those named in ``_derived``, which the
+    subclass's ``__post_init__`` sets; it binds each through
+    ``object.__setattr__``, then calls ``__post_init__``, where a subclass
+    has its checks.  Equality, hash and repr read the fields named in
+    ``_compared``, by default the constructor's, in order, and no other: a
+    derived field, or a solver's working state, is left out.  Assigning or
+    deleting any attribute raises AttributeError.
     """
 
     _fields = _compared = _derived = ()
@@ -144,19 +143,16 @@ class Record:
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
         """The constructor fields' values in order, from ``args``, then
-        ``kwargs``, then the class's defaults, refused as a function with
-        these parameters would refuse them."""
+        ``kwargs``, refused as a function with these parameters would
+        refuse them."""
         name = cls.__qualname__
         if len(args) > len(cls._fields):
             raise TypeError(f"{name}() takes {len(cls._fields)} arguments, {len(args)} given")
         values = list(args)
         for field in cls._fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in cls.__dict__:
-                values.append(cls.__dict__[field])
-            else:
+            if field not in kwargs:
                 raise TypeError(f"{name}() missing required argument {field!r}")
+            values.append(kwargs.pop(field))
         for field in kwargs:
             got = "multiple values for" if field in cls._fields else "an unexpected keyword"
             raise TypeError(f"{name}() got {got} argument {field!r}")

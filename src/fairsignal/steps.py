@@ -27,13 +27,13 @@ class StepFunction(Record):
     ``breakpoints`` are the right edges of the segments, strictly increasing
     and ending at exactly 1; ``values`` holds one non-negative value per
     segment.  ``integrals``, the integral over (0, b] at b = 0 and at every
-    breakpoint b, is summed when built unless its maker has it already.
+    breakpoint b, is summed when built.
     """
 
-    _compared = ("breakpoints", "values")
+    _derived = ("integrals",)
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    integrals: Optional[tuple[Fraction, ...]] = None
+    integrals: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not self.breakpoints:
@@ -50,13 +50,12 @@ class StepFunction(Record):
         for v in self.values:
             if v.numerator < 0:
                 raise MarketError("segment values must be non-negative")
-        if self.integrals is None:
-            out = [Fraction(0)]
-            left = Fraction(0)
-            for right, value in zip(self.breakpoints, self.values):
-                out.append(out[-1] + value * (right - left))
-                left = right
-            object.__setattr__(self, "integrals", tuple(out))
+        out = [Fraction(0)]
+        left = Fraction(0)
+        for right, value in zip(self.breakpoints, self.values):
+            out.append(out[-1] + value * (right - left))
+            left = right
+        object.__setattr__(self, "integrals", tuple(out))
 
     @cached_property
     def lattice(self) -> Optional[tuple[int, tuple[int, ...]]]:
@@ -75,35 +74,25 @@ class StepFunction(Record):
         Segment indices are sorted by value (stably) and equal neighbours
         merged.  While the segments placed so far are exactly the first
         ones of f, their right edge is f's own breakpoint; only past a
-        segment placed out of order is an edge summed from widths.  When
-        f is already non-decreasing, every edge is f's breakpoint, and the
-        rearrangement's integrals are f's stored ones at those edges.
+        segment placed out of order is an edge summed from widths.
         """
         breakpoints, values = self.breakpoints, self.values
         edges: list[Fraction] = []
-        kept: list[int] = []  # the index in f of each edge's last segment
         distinct: list[Fraction] = []
         edge = Fraction(0)
         top = -1  # largest index placed so far
-        in_order = True
         for placed, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
             top = max(top, i)
-            in_order = in_order and i == placed
             if top == placed:
                 edge = breakpoints[placed]
             else:
                 edge += breakpoints[i] - (breakpoints[i - 1] if i else 0)
             if distinct and values[i] == distinct[-1]:
                 edges[-1] = edge
-                kept[-1] = i
             else:
                 edges.append(edge)
-                kept.append(i)
                 distinct.append(values[i])
-        integrals = None
-        if in_order:  # each edge is f's breakpoint kept[k], with f's integral there
-            integrals = (self.integrals[0],) + tuple(self.integrals[k + 1] for k in kept)
-        return StepFunction(tuple(edges), tuple(distinct), integrals)
+        return StepFunction(tuple(edges), tuple(distinct))
 
 
 class SurplusProfile(Record):

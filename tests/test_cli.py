@@ -281,6 +281,51 @@ class TestBuild:
         assert stderr.startswith("error: internal invariant violated: buyer-optimal mixture: ")
         assert "mixture mass at value index" in stderr
 
+    def test_buyeropt_total_fault_exits_3(self, instance_file, capsys, monkeypatch):
+        # the check reads the Myerson revenue: E[v] - R* = 7/2 - 5/2 = 1
+        from fairsignal import market
+
+        original = market.myerson
+
+        def misread(dist):
+            price, revenue = original(dist)
+            return price, revenue + F(1, 8)
+
+        monkeypatch.setattr(market, "myerson", misread)
+        code, stdout, stderr = run_cli(
+            capsys, "build", "--in", instance_file, "--scheme", "buyeropt"
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == (
+            "error: internal invariant violated: buyer-optimal surplus 1 != 7/8 or inefficient\n"
+        )
+
+    def test_unfinalized_scheme_exits_3(self, instance_file, capsys, monkeypatch):
+        # the final stage is checked at exactly half the ironed level
+        from fairsignal import ironing
+
+        monkeypatch.setattr(ironing, "finalize", lambda scheme, ironed: scheme)
+        code, stdout, stderr = run_cli(
+            capsys, "build", "--in", instance_file, "--scheme", "final"
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == (
+            "error: internal invariant violated: final surplus must be half the ironed level\n"
+        )
+
+    def test_unsmoothed_scheme_exits_3(self, lifted_instance, tmp_path, capsys, monkeypatch):
+        # smoothing lifts class 25; without it the class is below half its level
+        from fairsignal import ironing
+
+        instance = str(tmp_path / "instance.json")
+        write_instance(lifted_instance, instance)
+        monkeypatch.setattr(ironing, "smooth", lambda base, ironed, pairings: base)
+        code, stdout, stderr = run_cli(capsys, "build", "--in", instance, "--scheme", "final")
+        assert (code, stdout) == (3, "")
+        assert stderr == (
+            "error: internal invariant violated: smoothed surplus fell below half the level\n"
+        )
+
     @pytest.mark.parametrize("family", ["random", "clustered"])
     def test_buyeropt_at_n_512(self, family, tmp_path, capsys):
         # the event-driven peeling builds these in well under a second
@@ -752,6 +797,80 @@ class TestVerify:
             capsys, "verify", "--in", instance, "--scheme", str(path)
         )
         assert (code, stdout, stderr) == (2, "", f"error: invalid scheme file: {message}\n")
+
+    def test_grid_does_not_replace_the_certification_grid(self, capsys):
+        # 1/5 misses every mass where full revelation's ratio binds; the
+        # table shows it alone, but alpha is read on the scheme's own grid
+        golden = os.path.join(os.path.dirname(__file__), "golden", "running_example")
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", os.path.join(golden, "instance.json"),
+            "--scheme", os.path.join(golden, "scheme_fullreveal.json"),
+            "--grid", "1/5", "--require", "majorized",
+        )
+        assert (code, stderr) == (1, "")
+        assert "\ncertified alpha: inf\nmajorized (alpha <= 8): false\n" in stdout
+        assert stdout.endswith(
+            "m | Pfv | PF | adversary PF | ratio\n1/5 | 0 | 0 | 0 | 0\n"
+            "failed requirements: majorized\n"
+        )
+
+    def test_grid_leaves_alpha_unchanged_on_corpus(self, corpus, tmp_path, capsys):
+        rng = random.Random(6)
+        sample = rng.sample([dist for dist in corpus if dist.n <= 6], 40)
+        instance, scheme = str(tmp_path / "instance.json"), str(tmp_path / "scheme.json")
+        for dist in sample:
+            write_instance(dist, instance)
+            masses = sorted({F(rng.randint(1, 12), 12), F(rng.randint(1, 7), 7)})
+            grid = ",".join(map(str, masses))
+            for kind in SCHEME_KINDS:
+                run_cli(capsys, "build", "--in", instance, "--scheme", kind, "--out", scheme)
+                argv = ["verify", "--in", instance, "--scheme", scheme, "--adversary"]
+                _, own, _ = run_cli(capsys, *argv)
+                code, given, _ = run_cli(capsys, *argv, "--grid", grid)
+                assert code == 0
+                alpha = re.search(r"^certified alpha: .*$", own, re.M).group()
+                assert re.search(r"^certified alpha: .*$", given, re.M).group() == alpha
+                table = given.split("m | Pfv | PF | adversary PF | ratio\n")[1]
+                assert [F(row.split(" | ")[0]) for row in table.splitlines()] == masses
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([1, 2], "instance file must hold an object"),
+            ({"values": ["1", "2"], "masses": ["0", "0"]}, "no value carries positive mass"),
+            ({"values": ["1", "2"], "masses": ["-1/2", "3/2"]},
+             "masses must be non-negative, got -1/2"),
+        ],
+        ids=["array", "no-positive-mass", "negative-mass"],
+    )
+    def test_refused_instance_exits_2(self, content, message, instance_file, tmp_path, capsys):
+        scheme = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", scheme)
+        path = tmp_path / "bad_instance.json"
+        path.write_text(json.dumps(content))
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", str(path), "--scheme", scheme
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: invalid instance: {message}\n")
+
+    def test_unknown_requirement_exits_2(self, instance_file, tmp_path, capsys):
+        scheme = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", scheme)
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", scheme, "--require", "foo"
+        )
+        assert (code, stdout, stderr) == (2, "", "error: unknown requirement 'foo'\n")
+
+    def test_support_key_past_the_digit_limit_exits_2(self, instance_file, tmp_path, capsys):
+        # the rest of the message is Python's own, which varies by version
+        path = tmp_path / "scheme.json"
+        key = "1" * (MAX_INT_DIGITS + 1)
+        path.write_text('{"entries": [{"weight": "1", "support": {"' + key + '": "1"}}]}')
+        code, stdout, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", str(path)
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: invalid scheme file: ")
 
     def test_bad_grid_reported_before_scheme_is_read(self, instance_file, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

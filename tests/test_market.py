@@ -127,6 +127,20 @@ class TestValueDistribution:
         with pytest.raises(InvalidDistribution, match="^values must be strictly increasing$"):
             ValueDistribution(tuple(map(as_fraction, values)), (F(1, 3),) * 3)
 
+    @pytest.mark.parametrize(
+        "values, masses, message",
+        [
+            ((), (), "support must be nonempty"),
+            ((F(1), F(2)), (F(1),), "values and masses must have equal length"),
+            ((F(1), F(2)), (F(0), F(1)), "masses must be positive, got 0"),
+        ],
+        ids=["empty", "unequal-lengths", "zero-mass"],
+    )
+    def test_constructor_refusals(self, values, masses, message):
+        with pytest.raises(InvalidDistribution) as refused:
+            ValueDistribution(values, masses)
+        assert str(refused.value) == message
+
     def test_as_fraction_exact_decimals(self):
         assert as_fraction("0.1") == F(1, 10)
         assert as_fraction(0.1) == F(1, 10)
@@ -494,3 +508,11 @@ class TestBuyerOptimalPeeling:
     def test_equal_leave_times(self, values, masses, signals):
         dist = ValueDistribution.from_pairs(values, masses)
         assert len(assert_peels_like_the_reference(dist).entries) == signals
+
+
+def test_scheme_refuses_a_signal_of_another_distribution(running_example):
+    other = ValueDistribution.from_pairs([1, 2, 5, 7], ["1/4"] * 4)
+    entries = [(Signal.singleton(other, i), (1, 4)) for i in range(4)]
+    with pytest.raises(MarketError) as refused:
+        SignalingScheme(running_example, tuple(entries))
+    assert str(refused.value) == "signal belongs to a different distribution"

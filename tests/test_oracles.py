@@ -112,6 +112,12 @@ class TestAdversary:
         _, total = buyer_optimal_scheme(running_example)
         assert value == total == F(1)
 
+    @pytest.mark.parametrize("m", [F(0), F(-1, 2), F(5, 4)], ids=["zero", "negative", "above-1"])
+    def test_mass_outside_unit_interval_refused(self, running_example, m):
+        with pytest.raises(MarketError) as refused:
+            adversary_sorted_prefix(running_example, [F(1, 2), m])
+        assert str(refused.value) == f"prefix mass {m} outside (0, 1]"
+
     def test_lowest_class_never_gains(self, running_example):
         [value] = adversary_sorted_prefix(running_example, [F(1, 4)])
         assert value == F(0)

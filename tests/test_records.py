@@ -1,8 +1,8 @@
 """The package's records (subclasses of `market.Record`) are immutable
 values: fields are fixed, equality and hash read exactly the compared
 fields, derived fields are not constructor arguments, and every other
-field can be passed by position or keyword, is required unless it has a
-default, and no other argument is taken."""
+field can be passed by position or keyword, is required, and no other
+argument is taken."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from fairsignal.lp import LinearProgram, solve_lp
 from fairsignal.market import Record, Signal, ValueDistribution
 from fairsignal.oracles import buyer_optimal_lb_instance, universal_lb_instance
 from fairsignal.splitmatch import BinarySignalEntry, binary_shares, split_and_match
-from fairsignal.steps import StepFunction, scheme_surplus
+from fairsignal.steps import scheme_surplus
 
 # Fields left out of equality and hash: each follows from the compared
 # fields, or is a solver's working state.
@@ -33,10 +33,7 @@ DERIVED = {
     "Signal": {"optimal_price_index"},
     "SignalingScheme": {"surpluses", "total_surplus", "revenue"},
     "DecomposedScheme": {"singletons", "surpluses", "total_surplus"},
-}
-# The one constructor field of a class that may be omitted.
-DEFAULTED = {
-    "StepFunction": "integrals",
+    "StepFunction": {"integrals"},
 }
 
 
@@ -162,8 +159,6 @@ def test_omitting_a_required_field_raises_naming_it(name):
     record = RECORDS[name]
     given = arguments(record)
     for field in given:
-        if field == DEFAULTED.get(name):
-            continue
         rest = {other: value for other, value in given.items() if other != field}
         with pytest.raises(TypeError, match=f"missing required argument '{field}'"):
             type(record)(**rest)
@@ -180,11 +175,6 @@ def test_an_argument_beyond_the_fields_raises(name):
     first = next(iter(given))
     with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
         cls(*given.values(), **{first: given[first]})
-
-
-def test_omitted_defaults_apply():
-    step = RECORDS["StepFunction"]
-    assert StepFunction(step.breakpoints, step.values).integrals == step.integrals
 
 
 def test_binary_repr_is_unchanged():

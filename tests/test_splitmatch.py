@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fairsignal import splitmatch
 from fairsignal.market import (
     InvariantViolation,
+    MarketError,
     Signal,
     SignalingScheme,
     ValueDistribution,
@@ -19,6 +20,7 @@ from fairsignal.market import (
     scheme_revenue,
 )
 from fairsignal.splitmatch import (
+    BinarySignalEntry,
     DecomposedScheme,
     SingletonEntry,
     binary_shares,
@@ -95,6 +97,30 @@ class TestFiveValueInstance:
             SingletonEntry(3, F(1, 20)),
             SingletonEntry(4, F(1, 10)),
         )
+
+
+@pytest.mark.parametrize(
+    "giver, taker, weight, message",
+    [
+        (1, 1, F(1, 2), "giver index must be below taker index"),
+        (2, 1, F(1, 2), "giver index must be below taker index"),
+        (0, 1, F(0), "weight must be positive"),
+        (0, 1, F(-1, 2), "weight must be positive"),
+    ],
+    ids=["equal-indices", "giver-above-taker", "zero-weight", "negative-weight"],
+)
+def test_binary_entry_refusals(running_example, giver, taker, weight, message):
+    shares = binary_shares(running_example, 0, 1)
+    with pytest.raises(MarketError) as refused:
+        BinarySignalEntry(giver, taker, weight, shares)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("weight", [F(0), F(-1, 4)], ids=["zero", "negative"])
+def test_singleton_entry_refuses_a_weight_not_positive(weight):
+    with pytest.raises(MarketError) as refused:
+        SingletonEntry(0, weight)
+    assert str(refused.value) == "weight must be positive"
 
 
 def test_single_value_distribution():

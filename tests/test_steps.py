@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from fairsignal import market
 from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.ironing import monotone_fair_scheme
-from fairsignal.market import SignalingScheme, ValueDistribution
+from fairsignal.market import MarketError, SignalingScheme, ValueDistribution
 from fairsignal.splitmatch import split_and_match
 from fairsignal.steps import (
     StepFunction,
@@ -207,6 +208,46 @@ def masses(draw):
     return draw(
         st.fractions(min_value=F(1, 64), max_value=1, max_denominator=64)
     )
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "breakpoints, values, message",
+        [
+            ((), (), "step function needs at least one segment"),
+            ((F(1, 2), F(1)), (F(1),), "one value per segment required"),
+            ((F(1, 2), F(1, 2), F(1)), (F(1),) * 3, "breakpoints must be strictly increasing"),
+            ((F(0), F(1)), (F(1),) * 2, "breakpoints must be strictly increasing"),
+            ((F(1, 4), F(1, 2)), (F(1),) * 2, "last breakpoint must be exactly 1"),
+            ((F(1, 2), F(1)), (F(1), F(-1)), "segment values must be non-negative"),
+        ],
+        ids=["empty", "unequal-lengths", "repeated-breakpoint", "zero-breakpoint",
+             "short-of-1", "negative-value"],
+    )
+    def test_step_function_refusals(self, breakpoints, values, message):
+        with pytest.raises(MarketError) as refused:
+            StepFunction(breakpoints, values)
+        assert str(refused.value) == message
+
+    def test_step_function_takes_no_integrals(self):
+        f = quartile_step([0, 1, 2, 3])
+        with pytest.raises(TypeError, match="takes 2 arguments, 3 given"):
+            StepFunction(f.breakpoints, f.values, f.integrals)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'integrals'"):
+            StepFunction(f.breakpoints, f.values, integrals=f.integrals)
+
+    @pytest.mark.parametrize(
+        "surpluses, message",
+        [
+            ((F(0), F(0), F(1)), "one surplus per value required"),
+            ((F(0), F(0), F(-1, 2), F(1)), "surpluses must be non-negative, got -1/2"),
+        ],
+        ids=["too-few", "negative"],
+    )
+    def test_surplus_profile_refusals(self, running_example, surpluses, message):
+        with pytest.raises(MarketError) as refused:
+            SurplusProfile(running_example, surpluses, F(0))
+        assert str(refused.value) == message
 
 
 class TestStepFunctionProperties:
@@ -435,16 +476,15 @@ class TestPrefixOracle:
 class TestAscending:
     @staticmethod
     def check_integrals(dist: ValueDistribution):
-        """The rearrangement's integrals equal those summed afresh; for the
-        final (non-decreasing) profile they are f's own objects, handed on
-        rather than summed again."""
+        """The rearrangement's integrals equal those summed afresh from its
+        segments' widths."""
         result = monotone_fair_scheme(dist)
         for stage in (result.base, result.final):
-            f = profile_step_function(scheme_surplus(stage))
-            a = f.ascending
-            assert a.integrals == StepFunction(a.breakpoints, a.values).integrals
-        own = {id(x) for x in f.integrals}  # f is the final stage's
-        assert all(id(x) in own for x in a.integrals)
+            a = profile_step_function(scheme_surplus(stage)).ascending
+            lefts = (F(0),) + a.breakpoints[:-1]
+            widths = [right - left for left, right in zip(lefts, a.breakpoints)]
+            summed = accumulate((v * w for v, w in zip(a.values, widths)), initial=F(0))
+            assert a.integrals == tuple(summed)
 
     def test_integrals_corpus(self, corpus):
         for dist in corpus:
