@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .market import InvariantViolation, Record, ValueDistribution
+from .market import InvariantViolation, Record, ValueDistribution, pair_product, reduced_fraction
 from .splitmatch import (
     BinarySignalEntry,
     DecomposedScheme,
@@ -165,16 +165,19 @@ def pair_rectangles(
 
 
 def _reweighted(
-    binaries: Sequence[BinarySignalEntry], factors: Sequence[Fraction]
+    binaries: Sequence[BinarySignalEntry], factors: Sequence[tuple[int, int]]
 ) -> tuple[BinarySignalEntry, ...]:
-    """``binaries`` with weights scaled by their taker's factor, zeros dropped."""
+    """``binaries`` with weights scaled by their taker's factor, a reduced
+    pair, zeros dropped."""
     out = []
     for b in binaries:
-        c = factors[b.taker]
-        if c.numerator < 0:
+        cn, cd = factors[b.taker]
+        if cn < 0:
             raise InvariantViolation("binary signal weight went negative")
-        if c.numerator > 0:
-            out.append(BinarySignalEntry(b.giver, b.taker, b.weight * c, b.shares))
+        if cn > 0:
+            w = b.weight
+            weight = reduced_fraction(*pair_product(w.numerator, w.denominator, cn, cd))
+            out.append(BinarySignalEntry(b.giver, b.taker, weight, b.shares))
     return tuple(out)
 
 
@@ -223,7 +226,9 @@ def smooth(
                 new_binaries.append(BinarySignalEntry(b.giver, vm, new_weight, shares))
     if not any(cut):
         return scheme  # no pair lifted a class, so no binary was made either
-    survivors = _reweighted(scheme.binaries, [1 - c for c in cut])
+    # 1 - n/d is (d - n)/d, in lowest terms when n/d is
+    kept = [(c.denominator - c.numerator, c.denominator) for c in cut]
+    survivors = _reweighted(scheme.binaries, kept)
     return DecomposedScheme(dist, survivors + tuple(new_binaries))
 
 
@@ -234,13 +239,13 @@ def finalize(scheme: DecomposedScheme, ironed: IronedFunction) -> DecomposedSche
     signal in which they are the taker; the freed mass on the giver and
     taker values returns as singletons, which carry no surplus.
     """
-    current = scheme.surpluses
-    target = ironed.ironed_values
-    for cs, s in zip(current, target):
-        if 2 * cs < s:
+    factors = []
+    for cs, s in zip(scheme.surpluses, ironed.ironed_values):
+        cn, cd, sn, sd = cs.numerator, cs.denominator, s.numerator, s.denominator
+        if 2 * cn * sd < sn * cd:  # 2 * cs < s
             raise InvariantViolation("smoothed surplus fell below half the level")
-    # every binary pays its taker surplus, so no binary reads a factor of 0
-    factors = [s / (2 * cs) if cs else 0 for cs, s in zip(current, target)]
+        # s / (2 * cs); every binary pays its taker surplus, so none reads a 0
+        factors.append(pair_product(sn, sd, *pair_product(cd, cn, 1, 2)) if cn else (0, 1))
     return DecomposedScheme(scheme.dist, _reweighted(scheme.binaries, factors))
 
 
@@ -271,6 +276,6 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
     smoothed = smooth(base, ironed, pairings)
     final = finalize(smoothed, ironed)
     for cs, s in zip(final.surpluses, ironed.ironed_values):
-        if 2 * cs != s:
+        if 2 * cs.numerator * s.denominator != s.numerator * cs.denominator:  # 2 * cs != s
             raise InvariantViolation("final surplus must be half the ironed level")
     return FairSchemeResult(base, ironed, pairings, smoothed, final)

@@ -4,13 +4,16 @@ and their accounting, posted prices, and the reading of rationals.
 Every quantity is an exact rational.  Where the arithmetic runs hot it is
 a reduced int pair (numerator, positive denominator) rather than a
 `Fraction`, kept in lowest terms by `pair_product` and `pair_sum`;
-`class_sums` keeps its running sums unreduced and reduces each once.
+`class_sums` keeps its running sums unreduced and reduces each once, and
+a long reduced pair becomes a `Fraction` through `reduced_fraction`,
+with no second gcd.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -82,6 +85,36 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return (n // g, d // g) if g > 1 else (n, d)
 
 
+class _Rational:
+    """Registered as a `numbers.Rational`, so that `Fraction` copies a
+    subclass's numerator and denominator, with no gcd.  The view below
+    subclasses it rather than being registered itself: the ABC caches a
+    registered class's subclasses, but looks each registered class up in
+    its registry again at every isinstance."""
+
+    __slots__ = ()
+
+
+numbers.Rational.register(_Rational)
+
+
+class _ReducedPair(_Rational):
+    """A reduced pair, as `reduced_fraction` hands it to `Fraction`."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator = n
+        self.denominator = d
+
+
+def reduced_fraction(n: int, d: int) -> Fraction:
+    """The `Fraction` of n/d, already in lowest terms with d > 0, made
+    without the gcd ``Fraction(n, d)`` runs.  That gcd is the cost on long
+    pairs; on short ones ``Fraction(n, d)`` is the cheaper call."""
+    return Fraction(_ReducedPair(n, d))
+
+
 def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
     """Sum of x * y over the rationals of xs and ys in step, taken on
     reduced int pairs and made a `Fraction` once."""
@@ -89,7 +122,7 @@ def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
     for x, y in zip(xs, ys):
         xy = pair_product(x.numerator, x.denominator, y.numerator, y.denominator)
         total = pair_sum(*total, *xy)
-    return Fraction(*total)
+    return reduced_fraction(*total)
 
 
 def common_denominator(dens: Iterable[int]) -> Optional[int]:
@@ -214,21 +247,23 @@ def _read_rational(x: Union[str, float]) -> tuple[int, int]:
     """Numerator and nonzero denominator of a rational's text, or of a
     float's shortest decimal repr, not necessarily reduced.
 
-    "p" and "p/q" in decimal digits are read by int(), as Fraction would
-    read them, under the same int/str limit; any other text goes to
+    Plain ASCII "p" and "p/q" are read by two int() calls, as Fraction
+    would read them, under the same int/str limit; any other text goes to
     Fraction's own parser.  A decimal exponent that alone exceeds
     MAX_INT_DIGITS is refused before Fraction would build its power of ten.
     """
-    text = x.strip() if isinstance(x, str) else repr(x)
+    text = x if isinstance(x, str) else repr(x)
     num, slash, den = text.partition("/")
-    plain = num.isdecimal() and (den.isdecimal() or not slash)
-    exponent = None if plain else _EXPONENT.search(text)
-    if exponent is not None:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        # length first: int() of a long digit string is itself slow
-        too_long = len(digits) > len(str(MAX_INT_DIGITS))
-        if too_long or int(digits or 0) > MAX_INT_DIGITS:
-            raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+    plain = text.isascii() and num.isdigit() and (den.isdigit() or not slash)
+    if not plain:
+        text = text.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            # length first: int() of a long digit string is itself slow
+            too_long = len(digits) > len(str(MAX_INT_DIGITS))
+            if too_long or int(digits or 0) > MAX_INT_DIGITS:
+                raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
     try:
         if plain:
             n, d = int(num), int(den or 1)
@@ -406,20 +441,32 @@ class Signal(Record):
             seen.add(i)
             if n <= 0 or d <= 0:
                 raise MarketError(f"support masses must be positive, got {pair_text(n, d)}")
-        den = common_denominator(d for _, (_, d) in shares)
+        values = self.dist.values
+        (i, (n, d)), (j, (m, e)) = shares[0], shares[-1]
+        short = len(shares) <= 2 and e == d  # one share, or two over one denominator
+        if short:
+            den = d if d.bit_length() <= _MAX_RATIONAL_BITS else None
+        else:
+            den = common_denominator(d for _, (_, d) in shares)
         if den is None:
             raise MarketError(f"signal denominator longer than {MAX_INT_DIGITS} digits")
-        if len(shares) > 1:
+        if short:  # priced without the sort and the walk
+            if i > j:
+                shares, i, n, j, m = shares[::-1], j, m, i, n
+            vi, vj = values[i], values[j]
+            # v_i sells all d of d, v_j the d - n above v_i; a tie goes to v_i
+            sells_j = vj.numerator * (d - n) * vi.denominator > vi.numerator * d * vj.denominator
+            best_i, tail = j if sells_j else i, d - n - (m if j != i else 0)
+        else:
             shares = tuple(sorted(shares))  # indices are distinct, so by index
-        values = self.dist.values
-        best_i = None
-        best_num, best_den = 0, 1  # best revenue times den, as a fraction
-        tail = den  # mass at index i and above, times den; 0 past the last
-        for i, (n, d) in shares:
-            v = values[i]
-            if best_i is None or v.numerator * tail * best_den > best_num * v.denominator:
-                best_i, best_num, best_den = i, v.numerator * tail, v.denominator
-            tail -= n * (den // d)
+            best_i = None
+            best_num, best_den = 0, 1  # best revenue times den, as a fraction
+            tail = den  # mass at index i and above, times den; 0 past the last
+            for i, (n, d) in shares:
+                v = values[i]
+                if best_i is None or v.numerator * tail * best_den > best_num * v.denominator:
+                    best_i, best_num, best_den = i, v.numerator * tail, v.denominator
+                tail -= n * (den // d)
         if tail:
             raise MarketError(f"signal masses sum to {Fraction(den - tail, den)}, expected 1")
         object.__setattr__(self, "shares", shares)
@@ -461,7 +508,8 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
     entries) and unsold mass (k > i) as reduced pairs, its expected
     surplus, the sum of w * f * (v_i - v_k) over k < i divided by f_i, and
     the surpluses' mass-weighted total, the undivided sums summed, as
-    `Fraction`s.  Each class's sums run share by share as pairs over the
+    `Fraction`s made from their reduced pairs with no second gcd
+    (`reduced_fraction`).  Each class's sums run share by share as pairs over the
     lcm of their terms' denominators (`_lcm_sum`), each term its plain
     product, and each is reduced once, at the end; the total is summed
     class by class from the reduced undivided surplus sums.  A
@@ -492,15 +540,15 @@ def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int],
     unsold = [_reduced(*u) for u in unsold]
     gained = [_reduced(*g) for g in gained]
     surpluses = tuple(
-        Fraction(tn * f.denominator, td * f.numerator)
-        for (tn, td), f in zip(gained, dist.masses)
+        reduced_fraction(*pair_product(*g, f.denominator, f.numerator))
+        for g, f in zip(gained, dist.masses)
     )
     total = (0, 1)
     for g in gained:
         total = pair_sum(*total, *g)
         if total[1].bit_length() > _MAX_RATIONAL_BITS:
             raise MarketError(DERIVED_TOO_LONG)
-    return unused, unsold, surpluses, Fraction(*total)
+    return unused, unsold, surpluses, reduced_fraction(*total)
 
 
 class SignalingScheme(Record):
@@ -565,7 +613,7 @@ class SignalingScheme(Record):
                 revenue = pair_sum(*revenue, *pair_product(-v.numerator, v.denominator, un, ud))
         object.__setattr__(self, "surpluses", surpluses)
         object.__setattr__(self, "total_surplus", total)
-        object.__setattr__(self, "revenue", Fraction(*revenue))
+        object.__setattr__(self, "revenue", reduced_fraction(*revenue))
 
     @property
     def signals(self) -> tuple[Signal, ...]:

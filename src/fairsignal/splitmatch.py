@@ -30,6 +30,7 @@ from .market import (
     class_sums,
     pair_product,
     pair_sum,
+    reduced_fraction,
 )
 
 
@@ -113,7 +114,7 @@ class DecomposedScheme(Record):
                     f"value index {i} is oversubscribed by {Fraction(-un, ud)}"
                 )
             if un > 0:
-                singletons.append(SingletonEntry(i, Fraction(un, ud)))
+                singletons.append(SingletonEntry(i, reduced_fraction(un, ud)))
         object.__setattr__(self, "singletons", tuple(singletons))
         object.__setattr__(self, "surpluses", surpluses)
         object.__setattr__(self, "total_surplus", total)

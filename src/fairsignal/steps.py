@@ -16,7 +16,15 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .market import MarketError, Record, ValueDistribution, common_denominator
+from .market import (
+    MarketError,
+    Record,
+    ValueDistribution,
+    common_denominator,
+    pair_product,
+    pair_sum,
+    reduced_fraction,
+)
 
 WELFARE_KINDS = ("utilitarian", "nash", "maxmin")
 
@@ -50,11 +58,16 @@ class StepFunction(Record):
         for v in self.values:
             if v.numerator < 0:
                 raise MarketError("segment values must be non-negative")
-        out = [Fraction(0)]
-        left = Fraction(0)
-        for right, value in zip(self.breakpoints, self.values):
-            out.append(out[-1] + value * (right - left))
-            left = right
+        # summed on reduced pairs, each integral made a Fraction once
+        integral, total, left = Fraction(0), (0, 1), Fraction(0)
+        out = [integral]
+        for b, v in zip(self.breakpoints, self.values):
+            if v.numerator:  # a zero segment adds nothing
+                width = pair_sum(b.numerator, b.denominator, -left.numerator, left.denominator)
+                total = pair_sum(*total, *pair_product(v.numerator, v.denominator, *width))
+                integral = reduced_fraction(*total)
+            out.append(integral)
+            left = b
         object.__setattr__(self, "integrals", tuple(out))
 
     @cached_property
@@ -66,6 +79,13 @@ class StepFunction(Record):
         if den is None:
             return None
         return den, tuple(b.numerator * (den // b.denominator) for b in self.breakpoints)
+
+    @cached_property
+    def non_decreasing(self) -> bool:
+        """True iff no segment's value is below the one before it: such an
+        f is its own ascending rearrangement."""
+        values = self.values
+        return all(a <= b for a, b in zip(values, values[1:]))
 
     @cached_property
     def ascending(self) -> "StepFunction":
@@ -163,14 +183,19 @@ def sorted_prefix(f: StepFunction, m: Fraction) -> Fraction:
     """Integral over (0, m] after rearranging segments in ascending order.
 
     Equals the minimum total surplus carried by any measurable selection of
-    mass m.
+    mass m.  A non-decreasing f is its own rearrangement, so it is read
+    as it stands and ``ascending`` is not built.
     """
-    return integration_prefix(f.ascending, m)
+    return integration_prefix(f if f.non_decreasing else f.ascending, m)
 
 
 def sorted_breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
-    """Masses at which the ascending rearrangement changes value."""
-    return f.ascending.breakpoints
+    """Masses at which the ascending rearrangement changes value: for a
+    non-decreasing f, its own edges between unequal values, and 1."""
+    if not f.non_decreasing:
+        return f.ascending.breakpoints
+    b, v = f.breakpoints, f.values
+    return tuple(x for x, lo, hi in zip(b, v, v[1:]) if lo != hi) + b[-1:]
 
 
 def certification_grid(*fs: StepFunction) -> tuple[Fraction, ...]:

@@ -12,6 +12,7 @@ field must match them exactly, errors included.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -35,10 +36,12 @@ from fairsignal.market import (
     no_signal,
     pair_product,
     pair_sum,
+    reduced_fraction,
     scheme_from_rows,
     scheme_revenue,
 )
 from fairsignal.splitmatch import BinarySignalEntry, DecomposedScheme, SingletonEntry
+from fairsignal.steps import scheme_surplus
 
 from conftest import pair, pair_rows, perfbench_module, random_scheme, structured_priors, support
 
@@ -205,6 +208,55 @@ class TestPairArithmetic:
         assert pair_product(0, 1, 5, 7) == (0, 1)
         assert pair_product(4, 9, 3, 2) == (2, 3)
         assert pair_sum(1, 6, 1, 3) == (1, 2)
+
+
+class TestReducedFraction:
+    @pytest.mark.parametrize("bits", [1, 2, 7, 63, 64, 65, 300, 500, 1000, 5000])
+    def test_equals_fraction_of_the_pair(self, bits):
+        rng = random.Random(bits)
+        for _ in range(40):
+            n = rng.getrandbits(bits) * rng.choice((1, -1))
+            d = rng.getrandbits(bits) | 1 << (bits - 1)
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+            got, want = reduced_fraction(n, d), F(n, d)
+            assert type(got) is F and got == want
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_fraction_copies_the_view_without_a_gcd(self):
+        # reduced_fraction rests on Fraction copying a numbers.Rational's
+        # numerator and denominator as they are: a Python whose Fraction
+        # reduces the view (2/4 would read 1/2) or refuses it fails here
+        x = reduced_fraction(2, 4)
+        assert type(x) is F
+        assert (x.numerator, x.denominator) == (2, 4)
+
+    @staticmethod
+    def check_lowest_terms(dist: ValueDistribution):
+        """Every rational made from a reduced pair without a gcd is in
+        lowest terms with a positive denominator."""
+        result = monotone_fair_scheme(dist)
+        made = [dist.expected_value]
+        for stage in (result.base, result.smoothed, result.final):
+            made += stage.surpluses + (stage.total_surplus,)
+            made += tuple(b.weight for b in stage.binaries)
+            made += tuple(s.weight for s in stage.singletons)
+            made += scheme_surplus(stage).step_function.integrals
+        signals = result.final.to_signaling_scheme()
+        scheme = SignalingScheme(dist, signals.entries)  # summed afresh
+        made += scheme.surpluses + (scheme.total_surplus, scheme.revenue)
+        made += scheme_surplus(scheme).step_function.integrals
+        for x in made:
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1, x
+
+    def test_lowest_terms_corpus(self, corpus):
+        for dist in corpus:
+            self.check_lowest_terms(dist)
+
+    @given(structured_priors())
+    @settings(max_examples=40, deadline=None)
+    def test_lowest_terms_structured_priors(self, case):
+        self.check_lowest_terms(case[1])
 
 
 def as_pairs(xs):
@@ -421,3 +473,106 @@ def test_signal_refuses_an_overlong_common_denominator():
     support = ((0, F(1, 2)), (1, F(1, odd)), (2, F(1, 3)))
     with pytest.raises(MarketError, match="^signal denominator longer than 100000 digits$"):
         Signal.from_support(dist, support)
+
+
+def reference_signal(dist: ValueDistribution, shares):
+    """A signal's stored shares and price index, or its refusal's message,
+    by a plain `Fraction` walk over every share in index order."""
+    if not shares:
+        return "signal support must be nonempty"
+    seen = set()
+    for i, (n, d) in shares:
+        if not 0 <= i < dist.n:
+            return f"support index {i} out of range"
+        if i in seen:
+            return f"duplicate support index {i}"
+        seen.add(i)
+        if n <= 0 or d <= 0:
+            return f"support masses must be positive, got {n if d == 1 else f'{n}/{d}'}"
+    if math.lcm(*(d for _, (_, d) in shares)).bit_length() > _MAX_RATIONAL_BITS:
+        return "signal denominator longer than 100000 digits"
+    ordered = tuple(sorted(shares))
+    total = sum((F(n, d) for _, (n, d) in ordered), F(0))
+    if total != 1:
+        return f"signal masses sum to {total}, expected 1"
+    best, best_revenue, tail = None, None, F(1)
+    for i, (n, d) in ordered:
+        revenue = dist.values[i] * tail
+        if best is None or revenue > best_revenue:
+            best, best_revenue = i, revenue
+        tail -= F(n, d)
+    return ordered, best
+
+
+def signal_outcome(dist: ValueDistribution, shares):
+    try:
+        signal = Signal(dist, shares)
+    except MarketError as e:
+        return str(e)
+    return signal.shares, signal.optimal_price_index
+
+
+LONG_DEN = 2**_MAX_RATIONAL_BITS  # one bit past the limit
+SHORT_SUPPORTS = {
+    "one": ((2, (1, 1)),),
+    "one-not-one": ((2, (1, 2)),),
+    "one-zero": ((1, (0, 1)),),
+    "one-negative": ((1, (-1, 1)),),
+    "one-negative-denominator": ((1, (1, -1)),),
+    "one-out-of-range": ((4, (1, 1)),),
+    "one-below-range": ((-1, (1, 1)),),
+    "one-overlong": ((0, (LONG_DEN, LONG_DEN)),),
+    "two-sorted": ((0, (1, 4)), (3, (3, 4))),
+    "two-unsorted": ((3, (3, 4)), (0, (1, 4))),
+    "two-unequal-denominators": ((1, (1, 2)), (3, (2, 4))),
+    "two-unequal-not-one": ((1, (1, 2)), (3, (1, 3))),
+    "two-duplicate": ((1, (1, 2)), (1, (1, 2))),
+    "two-out-of-range-duplicate": ((5, (1, 2)), (5, (1, 2))),
+    "two-zero-then-duplicate": ((1, (0, 2)), (1, (1, 2))),
+    "two-second-out-of-range": ((1, (1, 2)), (7, (1, 2))),
+    "two-zero": ((1, (1, 1)), (2, (0, 1))),
+    "two-negative": ((0, (3, 2)), (2, (-1, 2))),
+    "two-not-one": ((0, (1, 3)), (1, (1, 3))),
+    "two-overlong": ((0, (1, LONG_DEN)), (1, (LONG_DEN - 1, LONG_DEN))),
+    "two-tie": ((0, (1, 2)), (1, (1, 2))),
+    "two-tie-unsorted": ((1, (1, 2)), (0, (1, 2))),
+    "two-low-wins": ((2, (1, 4)), (3, (3, 4))),
+    "three": ((3, (1, 6)), (0, (1, 2)), (2, (1, 3))),
+}
+
+
+@pytest.mark.parametrize("shares", SHORT_SUPPORTS.values(), ids=SHORT_SUPPORTS)
+def test_short_supports_match_the_fraction_walk(shares):
+    # one- and two-share supports over one denominator are checked and
+    # priced without the general walk; checks, messages and order agree
+    dist = ValueDistribution.from_pairs([1, 2, 3, 4], ["1/4"] * 4)
+    assert signal_outcome(dist, shares) == reference_signal(dist, shares)
+
+
+def test_short_supports_pin_their_prices():
+    dist = ValueDistribution.from_pairs([1, 2, 3, 4], ["1/4"] * 4)
+    # revenues 1 at v_1 and 2 * 1/2 at v_2: the tie goes to the lower price
+    assert signal_outcome(dist, SHORT_SUPPORTS["two-tie-unsorted"]) == (
+        ((0, (1, 2)), (1, (1, 2))), 0
+    )
+    assert signal_outcome(dist, SHORT_SUPPORTS["two-unsorted"])[1] == 3  # 4 * 3/4 > 1
+    assert signal_outcome(dist, SHORT_SUPPORTS["two-low-wins"])[1] == 2  # 3 > 4 * 3/4
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-1, 4), st.tuples(st.integers(-1, 6), st.integers(-1, 6))),
+        min_size=1, max_size=2,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_random_short_supports_match_the_fraction_walk(shares, one_denominator):
+    dist = ValueDistribution.from_pairs([1, 3, 4, 9], ["1/8", "1/4", "1/8", "1/2"])
+    if one_denominator:  # the fast path's case, with sums of 1 common
+        shares = [(i, (n, shares[0][1][1])) for i, (n, _) in shares]
+        if len(shares) == 2 and shares[0][1][1] > 0 and shares[0][1][0] > 0:
+            d, n = shares[0][1][1], shares[0][1][0]
+            shares[1] = (shares[1][0], (d - n, d))
+    shares = tuple(shares)
+    assert signal_outcome(dist, shares) == reference_signal(dist, shares)

@@ -560,6 +560,29 @@ class TestVerify:
         assert len(rows) == (3 if grid else 4)
         assert calls["integration_prefix"] == calls["sorted_prefix"] == rows
 
+    @pytest.mark.parametrize("extra", [["--adversary"], ["--require", "efficient,monotone"]])
+    def test_final_scheme_is_read_as_its_own_rearrangement(
+        self, extra, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        # a final scheme's profile is non-decreasing, so its grid and its
+        # sorted prefix sums read the step function itself
+        from fairsignal import cli
+
+        profiles = []
+
+        def recorded(scheme, original=cli.scheme_surplus):
+            profiles.append(original(scheme))
+            return profiles[-1]
+
+        out = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
+        monkeypatch.setattr(cli, "scheme_surplus", recorded)
+        code, _, _ = run_cli(capsys, "verify", "--in", instance_file, "--scheme", out, *extra)
+        assert code == 0
+        [profile] = profiles
+        assert profile.step_function.non_decreasing
+        assert "ascending" not in profile.step_function.__dict__
+
     def test_grid_off_the_lattice_table(self, tmp_path, capsys):
         # 1/3 and 2/7 are off the lattice of the breakpoints' common
         # denominator 4; the table is the one bisecting the Fraction

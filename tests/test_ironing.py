@@ -5,16 +5,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from fairsignal.ironing import (
+    _reweighted,
     finalize,
     iron,
     monotone_fair_scheme,
     pair_rectangles,
     smooth,
 )
-from fairsignal.market import SignalingScheme, ValueDistribution, is_efficient
+from fairsignal.market import InvariantViolation, SignalingScheme, ValueDistribution, is_efficient
 from fairsignal.splitmatch import (
     DecomposedScheme,
     SingletonEntry,
@@ -384,6 +386,24 @@ class TestFinalize:
             (1, 2): F(5, 64),
             (2, 3): F(9, 80),
         }
+
+    def test_weights_match_fraction_factors(self, corpus):
+        # each binary is scaled by s / (2 * cs) of its taker, on reduced pairs
+        for dist in corpus[:300]:
+            res = monotone_fair_scheme(dist)
+            cs, s = res.smoothed.surpluses, res.ironed.ironed_values
+            expected = [
+                (b.giver, b.taker, b.weight * s[b.taker] / (2 * cs[b.taker]))
+                for b in res.smoothed.binaries
+            ]
+            got = [(b.giver, b.taker, b.weight) for b in res.final.binaries]
+            assert got == [e for e in expected if e[2]]
+
+    def test_negative_factor_is_refused(self, running_example):
+        base = split_and_match(running_example)
+        with pytest.raises(InvariantViolation, match="^binary signal weight went negative$"):
+            _reweighted(base.binaries, [(-1, 2)] * running_example.n)
+        assert _reweighted(base.binaries, [(0, 1)] * running_example.n) == ()
 
     def test_identity_when_already_half(self, running_example):
         res = monotone_fair_scheme(running_example)

@@ -27,6 +27,7 @@ from fairsignal.market import (
     is_efficient,
     myerson,
     no_signal,
+    rational_pair,
     scheme_from_rows,
     scheme_revenue,
 )
@@ -221,6 +222,57 @@ def test_as_fraction_reads_digit_strings_as_fraction_does(text, limit):
     finally:
         sys.set_int_max_str_digits(previous)
     assert got == expected
+
+
+def decimal(n: int) -> str:
+    """n in decimal digits, past the default int/str conversion limit."""
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
+AT_LIMIT = 2**_MAX_RATIONAL_BITS - 1  # the longest denominator read
+READER_TABLE = [
+    # plain ASCII "p" and "p/q", read by int() and reduced once
+    ("7", (7, 1)), ("007", (7, 1)), ("2/4", (1, 2)), ("0/5", (0, 1)),
+    ("1/" + decimal(AT_LIMIT), (1, AT_LIMIT)),
+    ("1/" + decimal(AT_LIMIT + 1), f"rational longer than {MAX_INT_DIGITS} digits"),
+    ("5/0", "cannot read '5/0' as a rational"),
+    (LONG, f"cannot read {LONG!r} as a rational"),
+    # anything else goes to the general reader
+    (" 1/2", (1, 2)), ("1/2 ", (1, 2)), ("+1", (1, 1)), ("-1/2", (-1, 2)),
+    ("1_0", (10, 1)), ("1e3", (1000, 1)), ("0.5", (1, 2)),
+    ("٣/٤", (3, 4)), ("١٢/٨", (3, 2)),
+]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit to set"
+)
+@pytest.mark.parametrize(
+    "text, expected", READER_TABLE,
+    ids=[t if len(t) < 20 else f"{len(t)}-chars" for t, _ in READER_TABLE],
+)
+def test_readers_agree_on_the_pinned_table(text, expected):
+    # as_fraction and rational_pair give the same value, or the same
+    # message, for plain and general text alike, under the CLI's limit
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_INT_DIGITS)
+    try:
+        value = read_outcome(as_fraction, text)
+        pair_read = read_outcome(rational_pair, text)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    if isinstance(expected, str):
+        assert value == pair_read == expected
+    else:
+        assert type(value) is Fraction and (value.numerator, value.denominator) == expected
+        assert pair_read == expected
 
 
 class TestMyerson:

@@ -506,3 +506,30 @@ class TestAscending:
             values = sorted(f.values, reverse=order == "non-increasing")
             f = StepFunction(f.breakpoints, tuple(values))
         assert f.ascending == reference_ascending(f)
+
+
+class TestSortedProfile:
+    @given(step_functions(max_segments=12, value_strategy=pooled_values))
+    @settings(max_examples=150, deadline=None)
+    def test_non_decreasing_is_its_own_rearrangement(self, f):
+        # pooled values make ties common: f's edges between equal values
+        # are no sorted breakpoints
+        f = StepFunction(f.breakpoints, tuple(sorted(f.values)))
+        assert f.non_decreasing
+        edges = sorted_breakpoints(f)
+        prefixes = [sorted_prefix(f, m) for m in probe_masses(f)]
+        assert "ascending" not in f.__dict__
+        assert edges == f.ascending.breakpoints
+        assert prefixes == [integration_prefix(f.ascending, m) for m in probe_masses(f)]
+
+
+@given(step_functions(max_segments=12, value_strategy=pooled_values))
+@settings(max_examples=150, deadline=None)
+def test_integrals_equal_a_fraction_sum(f):
+    # summed on reduced pairs, zero segments skipped, each made a Fraction once
+    lefts = (F(0),) + f.breakpoints[:-1]
+    widths = [right - left for left, right in zip(lefts, f.breakpoints)]
+    summed = tuple(accumulate((v * w for v, w in zip(f.values, widths)), initial=F(0)))
+    assert f.integrals == summed
+    for x in f.integrals:
+        assert type(x) is F and math.gcd(x.numerator, x.denominator) == 1
