@@ -160,7 +160,12 @@ def _table_lines(rows: Sequence[dict], with_adversary: bool) -> list[str]:
     header = "m | Pfv | PF"
     if with_adversary:
         header += " | adversary PF | ratio"
-    return [header] + [" | ".join(map(as_text, row.values())) for row in rows]
+    lines = [header]
+    for m, pfv, pf, *rest in map(dict.values, rows):
+        pfv_text = as_text(pfv)  # on its own grid a monotone profile's PF is its Pfv
+        pf_text = pfv_text if pf is pfv else as_text(pf)
+        lines.append(" | ".join([as_text(m), pfv_text, pf_text, *map(as_text, rest)]))
+    return lines
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:

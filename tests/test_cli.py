@@ -1123,6 +1123,23 @@ def test_each_command_sums_the_pie_and_the_surplus_once(
     assert calls == ["scheme", pie]
 
 
+@pytest.mark.parametrize("instance", ["running_example", "fig3_instance", "lifted_instance"])
+def test_each_table_value_is_written_once(instance, request, monkeypatch):
+    # on its own grid a monotone profile's Pfv and PF are one object, and
+    # the table turns it into text once per row
+    from fairsignal import cli
+
+    dist = request.getfixturevalue(instance)
+    profile = scheme_surplus(cli.build_named_scheme(dist, "final"))
+    rows, _ = cli.certify(profile.step_function, adversary_grid(profile))
+    assert all(row["integration_prefix"] is row["sorted_prefix"] for row in rows)
+    written = []
+    monkeypatch.setattr(cli, "as_text", lambda value: written.append(value) or str(value))
+    lines = cli._table_lines(rows, False)
+    assert lines[1:] == [f"{r['m']} | {r['sorted_prefix']} | {r['sorted_prefix']}" for r in rows]
+    assert sorted(written) == sorted(v for r in rows for v in (r["m"], r["sorted_prefix"]))
+
+
 class TestLowerbound:
     def test_buyeropt_ratio(self, capsys):
         code, stdout, _ = run_cli(capsys, "lowerbound", "buyeropt", "5")

@@ -10,9 +10,6 @@ not declare; the exact modules, `ironing`, `lp`, `market`, `oracles`,
 neither `dataclasses` nor `inspect`.
 
 No linter is a dependency, so these stdlib checks stand in for one.
-``__init__.py`` is exempt from the import and reachability checks: its
-imports are the package's public names, and exporting a name does not
-make it reachable.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fairsignal"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Definitions that only tests reach, on purpose.  Each needs a reason.

@@ -596,3 +596,12 @@ def test_moved_point_fails_its_check(monkeypatch, x, message):
     monkeypatch.setattr(lp_module._Tableau, "run", run_then_move)
     with pytest.raises(InvariantViolation, match=message):
         solve_lp(box_program((F(1), F(1))))
+
+
+def test_negative_multiplier_fails_dual_check():
+    """The optimum of max x subject to x <= 1, priced for max -x: the basis
+    stays primal feasible, but the slack's multiplier is -1."""
+    tab = solve_lp(program((F(1),), [((F(1),), F(1))]))._tableau.copy()
+    tab.price([-1])
+    with pytest.raises(InvariantViolation, match="^dual certificate has a negative multiplier$"):
+        tab.certify([-1], 1)

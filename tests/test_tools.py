@@ -1,17 +1,22 @@
-"""The source-line counter under ``tools/``: docstrings, comments and blank
-lines are not code; every other line a token touches is."""
+"""The scripts under ``tools/``: the source-line counter, where docstrings,
+comments and blank lines are not code and every other line a token touches
+is; and the benchmark grid, whose cells finish or are cut at their budget."""
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import re
+import signal
+import subprocess
+from fractions import Fraction as F
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def src_lines():
-    path = os.path.join(ROOT, "tools", "src_lines.py")
-    spec = importlib.util.spec_from_file_location("src_lines", path)
+def tool(name):
+    path = os.path.join(ROOT, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -39,7 +44,7 @@ not a docstring"""
 
 def test_counts_lines_and_code_lines():
     # code: import, class, x's two lines, def, return's two lines
-    assert src_lines().count(SOURCE) == (17, 7)
+    assert tool("src_lines").count(SOURCE) == (17, 7)
 
 
 def test_counts_a_tree_per_module_and_in_total(tmp_path, capsys):
@@ -47,10 +52,39 @@ def test_counts_a_tree_per_module_and_in_total(tmp_path, capsys):
     (tmp_path / "pkg" / "a.py").write_text(SOURCE)
     (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# done\n")
     (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
-    assert src_lines().main(["src_lines.py", str(tmp_path)]) == 0
+    assert tool("src_lines").main(["src_lines.py", str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == [
         [os.path.join("pkg", "a.py"), "17", "7"],
         [os.path.join("pkg", "b.py"), "3", "1"],
         ["total", "20", "8"],
     ]
+
+
+def test_a_grid_cell_reports_both_commands(tmp_path):
+    cell = tool("bench_grid").run_cell("random", 8, 60, str(tmp_path))
+    assert cell["finished"] and "reason" not in cell
+    assert (cell["family"], cell["n"], cell["build_exit"], cell["verify_exit"]) == (
+        "random", 8, 0, 0
+    )
+    assert cell["build_s"] > 0 and cell["verify_s"] > 0
+    scheme = tmp_path / "scheme.json"
+    assert cell["scheme_bytes"] == scheme.stat().st_size
+    denominators = [F(text).denominator for text in re.findall(r'"([-\d/]+)"', scheme.read_text())]
+    assert cell["max_den_bits"] == max(denominators).bit_length() > 1
+
+
+def test_a_grid_cell_over_budget_is_killed_and_kept(tmp_path, monkeypatch):
+    # no interpreter starts in a millisecond, so the child is killed before
+    # it reports anything
+    grid, children = tool("bench_grid"), []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(grid.subprocess, "Popen", Recorded)
+    cell = grid.run_cell("random", 8, 0.001, str(tmp_path))
+    assert cell == {"family": "random", "n": 8, "finished": False, "reason": "budget"}
+    assert [child.returncode for child in children] == [-signal.SIGKILL]
