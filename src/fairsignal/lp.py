@@ -11,108 +11,70 @@ pivot, and an unbounded program raises InvariantViolation, since no caller
 builds one.  Coefficients, right-hand sides and objective entries are ints
 or Fractions; a float raises TypeError when it is solved, since its binary
 rounding would enter the program as an exact rational, and so does a bool,
-an int to Python but not a number of the program.
+an int to Python but not a number of the program.  ``solve_lp(lp,
+start=previous)`` continues from the final basis of a previous solve over
+the same rows, with a new objective (Gass and Saaty, 1955): a new c keeps
+that basis primal feasible.
 
-The tableau is kept as an integer matrix over a running denominator den
-(the previous pivot), so every pivot is a fraction-free (Bareiss) update
-and no floating point ever enters.  It is condensed, as in the integer
-pivoting dictionary of Avis's lrs: it keeps one column per nonbasic
-variable, since a basic variable's column is den in its own row and 0
-elsewhere.  Variables are labelled structural first, then one slack per
-row; ``cols`` labels the columns and ``basis`` the rows.  A pivot on row r
-and column c updates every other row by the Bareiss formula, then puts the
-leaving variable's column where the entering one was: -f in a row whose
-column-c entry was f, and the old den in row r.  That is the eager form,
-which every row follows; the rows are stored as follows.
+The README's LP paragraph describes the tableau: condensed integer
+(Bareiss) rows over the running denominator den, each column in its own
+units 1/g_j, each stored row at its own stamp, and a basic slack's row
+derived from its constraint.  The code relies on these invariants:
 
-Deferred scaling.  The eager update rewrites every row at every pivot,
-even a row whose entry f in the entering column is 0: its true values do
-not change, and its integers only follow the running den.  Here row i is
-stored at its own stamp t_i, the den at which it was last written, and
-its true entries are its integers over t_i; the eager integers are
-x * den / t_i, which are integers because the eager update's are.  A pivot
-on (r, c) brings row r to den, then leaves every row with f = 0 as it is
-and writes each other row k at the stamp piv: (x * piv - f * y) / t_k is
-the eager row's (x' * piv - f' * y) / den with x' = x * den / t_k and
-f' = f * den / t_k, so it is the eager integer and the division is exact,
-and so is its column-c entry -f' = -f * den / t_k.  The pivot row keeps
-its integers, den in column c, at the stamp piv.  A row's stamp is a
-positive factor common to all its entries, so every comparison made
-within one row, or between the objective row and ratios within one row,
-is unchanged: the ratio test's rhs_r / a_rj, the gain -z_j * rhs_r / a_rj
-and the degeneracy test rhs_r = 0.  The pivots are therefore exactly the
-eager tableau's.  Pricing and the certificate, which add rows or read
-values, read them brought to den.
-
-Derived rows.  Only the objective row and the rows of basic structural
-variables are stored.  A basic slack's row is its constraint with the
-basic structurals eliminated, the row the revised simplex method never
-keeps (Chvatal, 1983, ch. 7).  Substituting x_b = (rhs_b - sum_j E_b[j] x_j)
-/ den into constraint q, a_q x <= b_q, gives the slack of q the row
-E_q[j] = den * a_q[v_j] - sum_b a_q[b] * E_b[j] and the right-hand side
-den * b_q - sum_b a_q[b] * rhs_b, with b over the basic structurals, E_b
-and rhs_b their rows at den, and v_j column j's variable (a_q is 0 on
-every slack).  A row is fixed by the basis, den on its own basic variable
-and 0 on the others, so these are the eager integers: every ratio, gain
-and degeneracy test reads the values it read with every row stored, and
-the pivots are the same.  Pricing and the certificate read only stored
-rows and the objective row, so the certificate is the same too.  A ratio
-test computes only a derived row's entry in the tested column, from the
-(row of b, a_q[b]) pairs that each constraint keeps, and its right-hand
-side once per pivot; the pivot row alone is derived in full.  A pivot
-rewrites only stored rows, drops the row of a slack that enters, and
-refreshes the pairs of the constraints that hold the entering or leaving
-variable.
-
-Units.  Scaling each row by the lcm of its denominators leaves common
-factors in the columns: in the canonical LPs, the prior's mass
-denominator D sits in every mass column.  Each structural column j is
-therefore divided by the gcd g_j of its integer entries, so the tableau
-measures variable j in units of 1/g_j.  Every solve, cold or warm,
-divides c_j by the same g_j, and the point comes back in the caller's
-units, x_j = v_j / (den * g_j) for the basic value v_j.  Bareiss's
-integers are minors of the integer rows, so a factor left in a column
-would lengthen the integers of every pivot.
+- Every division is exact.  The eager Bareiss integers are minors of the
+  integer rows.  A stored row's true entries are its ints over its stamp
+  t, the den at which it was last written, so the eager row is x * den / t.
+  A pivot on (r, c), y the pivot row at den, writes a row k whose
+  column-c entry f is nonzero as (x * piv - f * y) / t_k.  That is
+  (x' * piv - f' * y) / den, the eager update of its eager integers x' and
+  f', so it is an integer, and so is its new column-c entry -f * den / t_k.
+  A warm start rebuilds the objective row as the pivots from the slack
+  basis to its basis would leave it, sum_B c_B * (row of B) - den * c, so
+  later pivots divide exactly too.
+- Every pivot is the eager tableau's.  A stamp is a positive factor
+  common to one row, so the ratio test's rhs_r / a_rj and the gain
+  -z_j * rhs_r / a_rj, compared within one row and against the objective
+  row, are unchanged.  A basic slack's row is fixed by the basis, den on
+  its own basic variable and 0 on the others, so the row derived from its
+  constraint q, den * (a_q, b_q) - sum_b a_q[b] * (row of b) over the
+  basic structurals b (Chvatal, 1983, ch. 7), is the eager row.  Pricing
+  and the certificate read rows brought to den.
+- Column units change no answer.  Dividing column j and c_j by g_j keeps
+  every dual feasible at the same value, and the point comes back as
+  x_j = v_j / (den * g_j) for the basic value v_j.
 
 Pricing is the largest-improvement rule: among the negative reduced costs
 z_j, the column whose own ratio test gives the largest gain
 -z_j * rhs_r / a_rj enters, gains compared by integer cross-multiplication
-and tied ones to the lowest label.  The gain is the rise in the objective,
-so unlike Dantzig's most negative z_j it does not depend on a column's
-units.  After a degenerate pivot (the leaving row's right-hand side is 0)
-Bland's rule takes over, the lowest-labelled negative column, until the
-next nondegenerate pivot.  The ratio test breaks ties on the lowest basis
-label throughout.  This terminates: Bland's rule cannot cycle from any
-basis, so every degenerate stretch ends, and every nondegenerate pivot
-strictly raises the objective, so no basis recurs after one.  A column's
-ratio test is skipped when one row already shows it cannot win: the
-least ratio is at most rhs_h / a_hj for any row h with a_hj > 0, so
--z_j * rhs_h / a_hj bounds the column's gain, taken from the row that
-won the variable's last ratio test.  A column whose bound does not beat
-the best gain so far would not have entered, so the pivots are the same.
+and tied ones to the lowest label.  It leaves at its ratio test's row, tied
+ones to the lowest basis label.  The gain is the rise in the objective, so
+unlike Dantzig's most negative z_j it does not depend on a column's units.
+A column's ratio test is skipped when one row already shows it cannot win:
+the least ratio is at most rhs_h / a_hj for any row h with a_hj > 0, so
+-z_j * rhs_h / a_hj bounds the column's gain, taken from the row that won
+the variable's last ratio test.  A column whose bound does not beat the
+best gain so far would not have entered, so the pivots are the same.
 
-Warm start.  ``solve_lp(lp, start=previous)`` continues from the final
-basis of a previous solve over the same rows, with a new objective (the
-parametric objective of Gass and Saaty, 1955).  Changing c keeps that basis
-primal feasible, so only the objective row is rebuilt, as the sum over
-basic rows of c_B times the row, less den times c, on the nonbasic columns;
-that is the row pivoting to the basis from scratch gives, so later pivots
-still divide exactly.  Its integers c_j / g_j, over the lcm of their
-denominators, are built from the nonzero c_j alone.  Pivots replace rows
-rather than edit them, so one result can start any number of solves.  A
-cold solve is the same path from the slack basis.
+This rule terminates.  A pivot never lowers the objective, so a basis
+that recurs does so in a cycle of pivots that leave the objective where
+it is: each is degenerate, and its gain, the largest, is 0.  So every
+negative column's gain is 0: a tested column's is at most the largest,
+and a skipped column's at most its bound, which did not beat the best
+gain so far.  No column then beats the first one tested, the
+lowest-labelled negative one, so it enters, and the leaving variable is
+the lowest-labelled among the rows that tie in the ratio test.  These are
+Bland's choices at every pivot of the cycle, and Bland's rule cannot
+cycle (Bland, "New finite pivoting rules for the simplex method", Math.
+Oper. Res. 2(2), 1977).
 
 Every answer is proved, cold or warm, against the integer rows built once
-from the constraints, in the tableau's units: dividing column j and c_j by
-g_j keeps every dual feasible at the same value, so the same duals prove
-the caller's program.  The point is re-checked against every row and sign
-restriction, A x summed column by column over the nonzero basic values,
-and the final objective row gives the duals: y_r = z_r * s_r / (den * s_c)
-if row r's slack is nonbasic with entry z_r, and 0 if it is basic, with
-s_r a row's and s_c the objective's integer scale.  y >= 0,
-y^T A >= c and b.y = c.x are checked exactly.  A feasible dual of equal
-value proves the point optimal, so a solver defect cannot surface
-silently.
+from the constraints.  The point is re-checked against every row and sign
+restriction, and the final objective row gives the duals:
+y_r = z_r * s_r / (den * s_c) if row r's slack is nonbasic with entry z_r,
+and 0 if it is basic, with s_r a row's and s_c the objective's integer
+scale.  y >= 0, y^T A >= c and b.y = c.x are checked exactly.  A feasible
+dual of equal value proves the point optimal, so a solver defect cannot
+surface silently.
 """
 
 from __future__ import annotations
@@ -387,13 +349,12 @@ class _Tableau:
                 best, best_num, best_den = i, rhs, a
         return None if best is None else (best, best_den, best_num)
 
-    def _choose_pivot(self, bland: bool) -> Optional[tuple[int, int]]:
+    def _choose_pivot(self) -> Optional[tuple[int, int]]:
         """(row, column) of the next pivot, or None at an optimum.
 
         The entering column is the negative reduced cost whose own ratio
         test gives the largest gain -z_j * rhs_r / a_rj, ties to the lowest
-        label; with ``bland``, the lowest-labelled negative one (Bland's
-        rule).  Columns are visited in label order, so a strict comparison
+        label.  Columns are visited in label order, so a strict comparison
         keeps the lowest label on a tie.  A column whose one-row bound
         -z_j * rhs_h / a_hj, h the row that won its variable's last ratio
         test, does not beat the best gain so far cannot enter, and its
@@ -404,7 +365,7 @@ class _Tableau:
         best = None
         best_num, best_a = -1, 1  # below every gain: the first column is tested
         for b, j in negative:
-            h = None if bland else self.bounding.get(b)
+            h = self.bounding.get(b)
             if h is not None:
                 a = self._entry(h, j)
                 if a > 0 and -z[j] * self._rhs(h) * best_a <= best_num * a:
@@ -414,24 +375,18 @@ class _Tableau:
                 raise InvariantViolation(f"LP unbounded along variable {b}")
             r, a, rhs = chosen
             self.bounding[b] = r
-            if bland:
-                return r, j
             num = -z[j] * rhs
             if num * best_a > best_num * a:
                 best, best_num, best_a = (r, j), num, a
         return best
 
     def run(self) -> None:
-        """Primal simplex to optimality: the largest-gain rule, and Bland's
-        rule after a degenerate pivot until the next nondegenerate one."""
-        degenerate = False
+        """Primal simplex to optimality by `_choose_pivot`'s rule."""
         while True:
-            chosen = self._choose_pivot(degenerate)
+            chosen = self._choose_pivot()
             if chosen is None:
                 return
-            leaving, entering = chosen
-            degenerate = self._rhs(leaving) == 0
-            self.pivot(leaving, entering)
+            self.pivot(*chosen)
 
     def certify(
         self, objective: Sequence[int], scale: int

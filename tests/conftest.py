@@ -290,10 +290,8 @@ class EagerTableau:
     at every pivot, all over the one running den.
 
     Its pivot, pricing and pivot choice are the eager formulas that
-    `lp._Tableau` follows, written without row stamps, and it keeps its
-    own Bland flag, set by each pivot and cleared by pricing, as
-    `lp._Tableau.run` does.  The integer rows, column units and objective
-    are built here in `Fraction`s."""
+    `lp._Tableau` follows, written without row stamps.  The integer rows,
+    column units and objective are built here in `Fraction`s."""
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
@@ -311,7 +309,6 @@ class EagerTableau:
         self.cols = list(range(n))
         self.basis = list(range(n, n + len(rows)))
         self.den = 1
-        self.bland = False
 
     def copy(self) -> EagerTableau:
         return copy.deepcopy(self)
@@ -329,7 +326,6 @@ class EagerTableau:
             if b < n and objective[b]:
                 z = [x + objective[b] * y for x, y in zip(z, self.rows[i])]
         self.rows[-1] = z
-        self.bland = False
 
     def ratio_row(self, c: int) -> Optional[int]:
         """Least rhs_i / a_ic over a_ic > 0, ties to the lowest basis label."""
@@ -342,15 +338,11 @@ class EagerTableau:
 
     def choose_pivot(self) -> Optional[tuple[int, int]]:
         """(row, column) of the next pivot, or None at an optimum: the
-        largest gain -z_j * rhs_r / a_rj, ties to the lowest label, or the
-        lowest-labelled negative column after a degenerate pivot."""
+        largest gain -z_j * rhs_r / a_rj, ties to the lowest label."""
         z = self.rows[-1]
         negative = sorted((b, j) for j, b in enumerate(self.cols) if z[j] < 0)
         if not negative:
             return None
-        if self.bland:
-            j = negative[0][1]
-            return self.ratio_row(j), j
         best = None
         for _, j in negative:
             r = self.ratio_row(j)
@@ -362,7 +354,6 @@ class EagerTableau:
     def pivot(self, r: int, c: int) -> None:
         prow = self.rows[r]
         piv, den = prow[c], self.den
-        self.bland = prow[-1] == 0
         for k, row in enumerate(self.rows):
             if k != r:
                 f = row[c]

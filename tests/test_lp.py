@@ -433,7 +433,8 @@ def capped_pivots(monkeypatch, cap: int) -> list:
 def test_textbook_cycling_examples(monkeypatch, objective, rows, value):
     """Programs on which the textbook largest-coefficient rule cycles.  Here
     the integer rows are scaled, so Dantzig's rule alone does not cycle on
-    them either; `test_pivot_rule` is what guards the fallback."""
+    them either, nor does the largest-gain rule; `test_pivot_rule` checks
+    the tie-breaks that rule cycling out."""
     capped_pivots(monkeypatch, 20)
     assert solve_lp(program(objective, rows)).value == value
 
@@ -462,25 +463,21 @@ def ratio_test(rows, basis, j) -> tuple[Fraction, int]:
 def test_pivot_rule(monkeypatch):
     """Each entering column is the negative reduced cost whose own ratio
     test gives the largest gain -z_j * rhs_r / a_rj, ties to the lowest
-    label, unless the pivot before was degenerate; then it is the
-    lowest-labelled negative one (Bland's rule).  The leaving row is the
-    ratio test's, ties to the lowest basis label.  Gains are recomputed in
-    `Fraction`s from the recorded rows.  The programs must include pivots
-    where the largest gain is not Dantzig's most negative reduced cost, nor
-    Bland's lowest label; pivots after a degenerate one where Bland's
-    choice is not the largest gain, and where the lowest label is not the
-    first column; and a positive gain tie broken by label, not by
-    position.  The largest-gain rule alone does not cycle on the textbook
-    examples either, so this test, not they, guards the fallback."""
+    label, and the leaving row is its ratio test's, ties to the lowest
+    basis label.  Gains are recomputed in `Fraction`s from the recorded
+    rows.  Where every gain is 0, as at every pivot of a cycle, the
+    entering column is therefore Bland's, the lowest-labelled negative one,
+    and so is the leaving row: this is what rules cycling out (see `lp`).
+    The programs must include pivots where the largest gain is not
+    Dantzig's most negative reduced cost, nor Bland's lowest label; a
+    positive gain tie broken by label, not by position; and pivots where
+    every gain is 0 and the lowest label is not the first negative column."""
     record = capped_pivots(monkeypatch, 200)
     rng = random.Random(157)
-    seen = dict.fromkeys(
-        ["gain not Dantzig", "gain not Bland", "Bland not gain", "labels differ", "tie"], 0
-    )
+    seen = dict.fromkeys(["gain not Dantzig", "gain not Bland", "tie", "zero, labels differ"], 0)
     for lp in [tied_program()] + [homogeneous_program_nd(rng, 5) for _ in range(80)]:
         del record[:]
         solve_lp(lp)
-        degenerate = False
         for rows, cols, basis, leaving, entering in record:
             z = rows[-1]
             negative = [j for j in range(len(cols)) if z[j] < 0]
@@ -488,18 +485,16 @@ def test_pivot_rule(monkeypatch):
             largest = min(negative, key=lambda j: (-gain[j], cols[j]))
             dantzig = min(negative, key=lambda j: (z[j], cols[j]))
             bland = min(negative, key=lambda j: cols[j])
-            if degenerate:
-                assert entering == bland
-                seen["Bland not gain"] += bland != largest
-                seen["labels differ"] += min(negative) != bland
-            else:
-                assert entering == largest
+            assert entering == largest
+            assert leaving == ratio_test(rows, basis, entering)[1]
+            if any(gain.values()):
                 seen["gain not Dantzig"] += largest != dantzig
                 seen["gain not Bland"] += largest != bland
                 tie = min(negative, key=lambda j: -gain[j]) != largest
                 seen["tie"] += tie and gain[largest] > 0
-            assert leaving == ratio_test(rows, basis, entering)[1]
-            degenerate = rows[leaving][-1] == 0
+            else:
+                assert entering == bland
+                seen["zero, labels differ"] += min(negative) != bland
     assert all(seen.values()), seen
 
 

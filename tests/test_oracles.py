@@ -633,7 +633,7 @@ def test_masses_within_the_lowest_class_take_no_pivot(dist, monkeypatch):
 
 # The pivot count of the sweeps in `test_sweep_pivots_stay_pinned`, as
 # measured under the largest-gain rule.
-SWEEP_PIVOTS = 369
+SWEEP_PIVOTS = 351
 
 
 def test_sweep_pivots_stay_pinned(monkeypatch):
@@ -659,7 +659,7 @@ def test_sweep_pivots_stay_pinned(monkeypatch):
 
 # The row updates of the same sweeps in `test_sweep_row_updates_stay_pinned`,
 # as measured with only the basic structurals' rows stored.
-SWEEP_ROW_UPDATES = 2153
+SWEEP_ROW_UPDATES = 2051
 
 
 def test_sweep_row_updates_stay_pinned(monkeypatch):

@@ -1,6 +1,7 @@
 """The scripts under ``tools/``: the source-line counter, where docstrings,
 comments and blank lines are not code and every other line a token touches
-is; and the benchmark grid, whose cells finish or are cut at their budget."""
+is; and the benchmark grid, whose cells finish or are cut at their budget
+and count the simplex pivots of each command."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import re
 import signal
 import subprocess
 from fractions import Fraction as F
+
+from fairsignal import cli, lp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,12 +65,14 @@ def test_counts_a_tree_per_module_and_in_total(tmp_path, capsys):
 
 
 def test_a_grid_cell_reports_both_commands(tmp_path):
-    cell = tool("bench_grid").run_cell("random", 8, 60, str(tmp_path))
+    cell = tool("bench_grid").run_cell("pipeline", "random", 8, 60, str(tmp_path))
     assert cell["finished"] and "reason" not in cell
-    assert (cell["family"], cell["n"], cell["build_exit"], cell["verify_exit"]) == (
-        "random", 8, 0, 0
+    assert (cell["grid"], cell["family"], cell["n"], cell["build_exit"], cell["verify_exit"]) == (
+        "pipeline", "random", 8, 0, 0
     )
     assert cell["build_s"] > 0 and cell["verify_s"] > 0
+    # neither command of the pipeline grid solves an LP
+    assert cell["build_pivots"] == cell["verify_pivots"] == 0
     scheme = tmp_path / "scheme.json"
     assert cell["scheme_bytes"] == scheme.stat().st_size
     denominators = [F(text).denominator for text in re.findall(r'"([-\d/]+)"', scheme.read_text())]
@@ -85,6 +90,20 @@ def test_a_grid_cell_over_budget_is_killed_and_kept(tmp_path, monkeypatch):
             children.append(self)
 
     monkeypatch.setattr(grid.subprocess, "Popen", Recorded)
-    cell = grid.run_cell("random", 8, 0.001, str(tmp_path))
-    assert cell == {"family": "random", "n": 8, "finished": False, "reason": "budget"}
+    cell = grid.run_cell("pipeline", "random", 8, 0.001, str(tmp_path))
+    assert cell == {
+        "grid": "pipeline", "family": "random", "n": 8, "finished": False, "reason": "budget"
+    }
     assert [child.returncode for child in children] == [-signal.SIGKILL]
+
+
+def test_an_adversary_cell_counts_the_pivots_of_its_verify(tmp_path, monkeypatch):
+    cell = tool("bench_grid").run_cell("adversary", "random", 6, 60, str(tmp_path))
+    assert cell["finished"] and (cell["build_exit"], cell["verify_exit"]) == (0, 0)
+    # the same verify, run in this process, makes as many pivots
+    pivots, pivot = [], lp._Tableau.pivot
+    monkeypatch.setattr(lp._Tableau, "pivot", lambda tab, r, c: pivots.append(pivot(tab, r, c)))
+    argv = ["verify", "--in", str(tmp_path / "instance.json"),
+            "--scheme", str(tmp_path / "scheme.json"), "--adversary", "--max-support", "6"]
+    assert cli.main(argv) == 0
+    assert cell["build_pivots"] == 0 < cell["verify_pivots"] == len(pivots)
