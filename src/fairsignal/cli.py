@@ -50,6 +50,7 @@ from .steps import (
     evaluate_welfare,
     integration_prefix,
     is_monotone,
+    merged,
     scheme_surplus,
     sorted_prefix,
 )
@@ -127,41 +128,28 @@ def certify(
     step: StepFunction,
     grid: Sequence[Fraction],
     rival: Optional[Sequence[Fraction]] = None,
-) -> tuple[list[dict], Union[Fraction, float, None]]:
-    """Per-mass prefix table of ``step`` and its certified factor against ``rival``.
+) -> tuple[list[tuple], Union[Fraction, float, None]]:
+    """Per-mass table of ``step`` and its certified factor against ``rival``,
+    which holds one value per grid mass.
 
-    ``rival`` holds one value per grid mass.  Each row holds ``m``,
-    ``integration_prefix`` and ``sorted_prefix`` (PF).  With a rival it also
-    holds ``adversary_prefix`` (the rival's value) and ``ratio``: 0 where the
-    rival is 0, math.inf where only PF is 0, else rival / PF.  alpha is the
-    largest ratio, or None without a rival.
+    Each row holds the columns of ``fileio.TABLE_FIELDS``: m, Pfv and PF,
+    then, with a rival, its value and the ratio (0 where the rival is 0,
+    math.inf where only PF is 0, else rival / PF).  alpha is the largest
+    ratio, or None without a rival.
     """
-    if rival is not None and len(rival) != len(grid):
-        raise ValueError("rival needs one value per grid mass")
-    rows = []
-    for k, m in enumerate(grid):
-        row = {
-            "m": m,
-            "integration_prefix": integration_prefix(step, m),
-            "sorted_prefix": sorted_prefix(step, m),
-        }
-        if rival is not None:
-            adv = rival[k]
-            pf = row["sorted_prefix"]
-            row["adversary_prefix"] = adv
-            row["ratio"] = Fraction(0) if adv == 0 else math.inf if pf == 0 else adv / pf
-        rows.append(row)
+    rows = [(m, integration_prefix(step, m), sorted_prefix(step, m)) for m in grid]
     if rival is None:
         return rows, None
-    return rows, max(row["ratio"] for row in rows)
+    rows = [
+        (m, pfv, pf, adv, Fraction(0) if adv == 0 else math.inf if pf == 0 else adv / pf)
+        for (m, pfv, pf), adv in zip(rows, rival, strict=True)
+    ]
+    return rows, max(row[-1] for row in rows)
 
 
-def _table_lines(rows: Sequence[dict], with_adversary: bool) -> list[str]:
-    header = "m | Pfv | PF"
-    if with_adversary:
-        header += " | adversary PF | ratio"
-    lines = [header]
-    for m, pfv, pf, *rest in map(dict.values, rows):
+def _table_lines(rows: Sequence[tuple]) -> list[str]:
+    lines = [" | ".join(("m", "Pfv", "PF", "adversary PF", "ratio")[: len(rows[0])])]
+    for m, pfv, pf, *rest in rows:
         pfv_text = as_text(pfv)  # on its own grid a monotone profile's PF is its Pfv
         pf_text = pfv_text if pf is pfv else as_text(pf)
         lines.append(" | ".join([as_text(m), pfv_text, pf_text, *map(as_text, rest)]))
@@ -233,20 +221,21 @@ def cmd_verify(args) -> int:
     scheme_lines, profile, flags = _scheme_report("file", scheme)
     own = adversary_grid(profile)  # alpha is read here, where the ratio binds
     shown = shown or own
-    grid = tuple(sorted(set(own).union(shown))) if with_adversary else shown
+    grid = merged(own, shown) if with_adversary else shown
     rival = adversary_sorted_prefix(dist, grid, args.max_support) if with_adversary else None
     rows, alpha = certify(profile.step_function, grid, rival)
     if len(grid) > len(shown):  # the table shows only the given masses
-        rows = [row for row in rows if row["m"] in shown]
+        picked = set(shown)
+        rows = [row for row in rows if row[0] in picked]
 
     lines = _instance_lines(dist) + scheme_lines
     if with_adversary:
-        flags["majorized"] = alpha != math.inf and alpha <= MAJORIZATION_FACTOR
+        flags["majorized"] = alpha <= MAJORIZATION_FACTOR
         lines.append(f"certified alpha: {as_text(alpha)}")
         lines.append(
             f"majorized (alpha <= {MAJORIZATION_FACTOR}): {as_text(flags['majorized'])}"
         )
-    lines += _table_lines(rows, with_adversary)
+    lines += _table_lines(rows)
     print("\n".join(lines))
 
     if args.out:

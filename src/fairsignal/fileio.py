@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import decimal
 import json
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .market import (
     MarketError,
@@ -28,6 +28,10 @@ from .market import (
     pair_text,
     rational_pair,
 )
+
+# the columns of a majorization table row, in order; a row without a
+# rival holds the first three
+TABLE_FIELDS = ("m", "integration_prefix", "sorted_prefix", "adversary_prefix", "ratio")
 
 
 def decimal_str(x) -> str:
@@ -87,25 +91,15 @@ def _dump_json(payload, path: str) -> None:
         fh.write(json_text(payload) + "\n")
 
 
-def _is_object(x) -> bool:
-    """True for a JSON object; a parsed one is a plain dict, tested first."""
-    return type(x) is dict or isinstance(x, Mapping)
-
-
-def _is_array(x) -> bool:
-    """True for a JSON array; a string is a Sequence but not an array."""
-    return isinstance(x, Sequence) and not isinstance(x, (str, bytes))
-
-
 def payload_to_instance(payload) -> ValueDistribution:
-    if not _is_object(payload):
+    if not isinstance(payload, dict):
         raise MarketError("instance file must hold an object")
     try:
         values = payload["values"]
         masses = payload["masses"]
     except KeyError as missing:
         raise MarketError(f"instance file lacks key {missing}") from None
-    if not _is_array(values) or not _is_array(masses):
+    if not isinstance(values, list) or not isinstance(masses, list):
         raise MarketError("values and masses must be arrays")
     return ValueDistribution.from_pairs(values, masses)
 
@@ -115,14 +109,14 @@ def load_instance(path: str) -> ValueDistribution:
 
 
 def payload_to_scheme(dist: ValueDistribution, payload) -> SignalingScheme:
-    if not _is_object(payload) or not _is_array(payload.get("entries")):
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise MarketError("scheme file must hold an object with an entries array")
     entries = []
     for entry in payload["entries"]:
         if (
-            not _is_object(entry)
+            not isinstance(entry, dict)
             or "weight" not in entry
-            or not _is_object(entry.get("support"))
+            or not isinstance(entry.get("support"), dict)
         ):
             raise MarketError("each scheme entry must hold a weight and a support object")
         weight = rational_pair(entry["weight"])
@@ -168,30 +162,16 @@ def save_scheme(scheme: SignalingScheme, path: str) -> None:
         fh.write(scheme_text(scheme) + "\n")
 
 
-def write_majorization_table(path: str, rows: Sequence[Mapping], fmt: str) -> None:
-    """Per-mass certification rows (see cli.certify) as ``csv`` or ``json``."""
+def write_majorization_table(path: str, rows: Sequence[tuple], fmt: str) -> None:
+    """Rows of `cli.certify` as ``csv`` or ``json``.  A row without a rival's
+    columns leaves them blank in CSV and omits them in JSON."""
     if fmt == "json":
-        _dump_json([{k: as_text(v) for k, v in row.items()} for row in rows], path)
+        _dump_json([{k: as_text(v) for k, v in zip(TABLE_FIELDS, row)} for row in rows], path)
         return
-    fields = [
-        "m",
-        "integration_prefix",
-        "sorted_prefix",
-        "adversary_prefix",
-        "ratio",
-    ]
+    blank = ["", ""] * len(TABLE_FIELDS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = []
-        for f in fields:
-            header += [f, f + "_decimal"]
-        writer.writerow(header)
+        writer.writerow([name for f in TABLE_FIELDS for name in (f, f + "_decimal")])
         for row in rows:
-            out = []
-            for f in fields:
-                val = row.get(f)
-                if val is None:
-                    out += ["", ""]
-                else:
-                    out += [as_text(val), decimal_str(val)]
-            writer.writerow(out)
+            cells = [text for v in row for text in (as_text(v), decimal_str(v))]
+            writer.writerow(cells + blank[len(cells):])

@@ -198,24 +198,20 @@ def sorted_breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
     return tuple(x for x, lo, hi in zip(b, v, v[1:]) if lo != hi) + b[-1:]
 
 
-def certification_grid(*fs: StepFunction) -> tuple[Fraction, ...]:
-    """Segment edges and sorted breakpoints of every f, ascending.
+def certification_grid(f: StepFunction) -> tuple[Fraction, ...]:
+    """f's segment edges and sorted breakpoints, ascending.
 
-    Every prefix sum of every f is linear between consecutive grid points
-    (and vanishes at 0), so a ratio of two of them is monotone on each cell
-    and its extremes over (0, 1] occur on this grid.  The strictly
-    increasing tuples are merged by comparison, as hashing a Fraction costs
-    a modular inverse.
+    Both prefix sums of f are linear between consecutive grid points (and
+    vanish at 0).  So on the `merged` grid of two step functions a ratio
+    of their prefix sums is monotone on each cell, and its extremes over
+    (0, 1] occur on the grid.
     """
-    grid: tuple[Fraction, ...] = ()
-    for f in fs:
-        for edges in (f.breakpoints, sorted_breakpoints(f)):
-            grid = _merged(grid, edges)
-    return grid
+    return merged(f.breakpoints, sorted_breakpoints(f))
 
 
-def _merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Union of two strictly increasing tuples, strictly increasing."""
+def merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Union of two strictly increasing tuples, strictly increasing, merged
+    by comparison, as hashing a Fraction costs a modular inverse."""
     out = []
     i = j = 0
     while i < len(a) and j < len(b):

@@ -32,7 +32,13 @@ from fairsignal.market import (
     scheme_from_rows,
 )
 from fairsignal.splitmatch import BinarySignalEntry, binary_shares
-from fairsignal.steps import StepFunction, SurplusProfile, certification_grid, sorted_prefix
+from fairsignal.steps import (
+    StepFunction,
+    SurplusProfile,
+    certification_grid,
+    merged,
+    sorted_prefix,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -279,8 +285,8 @@ def adversary_witnesses(
 
 def alpha_against(f1: StepFunction, f2: StepFunction):
     """Smallest alpha with alpha * PF(f1, m) >= PF(f2, m) for every mass m:
-    `cli.certify` on the grid of both, with f2's sorted prefixes as rival."""
-    grid = certification_grid(f1, f2)
+    `cli.certify` on the merged grid of both, with f2's sorted prefixes as rival."""
+    grid = merged(certification_grid(f1), certification_grid(f2))
     _, alpha = certify(f1, grid, [sorted_prefix(f2, m) for m in grid])
     return alpha
 

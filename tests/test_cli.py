@@ -22,7 +22,7 @@ from fairsignal.market import (
     ValueDistribution,
     full_revelation,
 )
-from fairsignal.steps import scheme_surplus
+from fairsignal.steps import StepFunction, scheme_surplus
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.oracles import adversary_grid, universal_lb_instance
 
@@ -837,6 +837,36 @@ class TestVerify:
             "failed requirements: majorized\n"
         )
 
+    def test_many_given_masses_are_shown_in_order(self, tmp_path, capsys):
+        # 350 masses: 1/2 and 1 are on the scheme's grid, 1/4 and 3/4 are on
+        # it but not given, and the rest are off it.  The table shows exactly
+        # the given masses, and alpha is the one of the scheme's grid
+        golden = os.path.join(os.path.dirname(__file__), "golden", "running_example")
+        argv = [
+            "verify", "--in", os.path.join(golden, "instance.json"),
+            "--scheme", os.path.join(golden, "scheme_splitmatch.json"), "--adversary",
+        ]
+        masses = [F(k, 350) for k in range(1, 351)]
+        header = "m | Pfv | PF | adversary PF | ratio\n"
+        code, own, _ = run_cli(capsys, *argv)
+        assert code == 0
+        own_rows = {F(line.split(" | ")[0]): line for line in own.split(header)[1].splitlines()}
+        assert sorted(own_rows.keys() & set(masses)) == [F(1, 2), F(1)]
+        assert sorted(own_rows.keys() - set(masses)) == [F(1, 4), F(3, 4)]
+
+        out = str(tmp_path / "table.csv")
+        code, given, _ = run_cli(capsys, *argv, "--grid", ",".join(map(str, masses)), "--out", out)
+        assert code == 0
+        alpha = re.search(r"^certified alpha: .*$", own, re.M).group()
+        assert re.search(r"^certified alpha: .*$", given, re.M).group() == alpha
+        table = given.split(header)[1].splitlines()
+        assert [F(line.split(" | ")[0]) for line in table] == masses
+        assert [line for line in table if F(line.split(" | ")[0]) in own_rows] == [
+            own_rows[m] for m in masses if m in own_rows
+        ]
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert [F(row["m"]) for row in csv.DictReader(fh)] == masses
+
     def test_grid_leaves_alpha_unchanged_on_corpus(self, corpus, tmp_path, capsys):
         rng = random.Random(6)
         sample = rng.sample([dist for dist in corpus if dist.n <= 6], 40)
@@ -1132,12 +1162,20 @@ def test_each_table_value_is_written_once(instance, request, monkeypatch):
     dist = request.getfixturevalue(instance)
     profile = scheme_surplus(cli.build_named_scheme(dist, "final"))
     rows, _ = cli.certify(profile.step_function, adversary_grid(profile))
-    assert all(row["integration_prefix"] is row["sorted_prefix"] for row in rows)
+    assert all(pfv is pf for _, pfv, pf in rows)  # rows of three: no rival
     written = []
     monkeypatch.setattr(cli, "as_text", lambda value: written.append(value) or str(value))
-    lines = cli._table_lines(rows, False)
-    assert lines[1:] == [f"{r['m']} | {r['sorted_prefix']} | {r['sorted_prefix']}" for r in rows]
-    assert sorted(written) == sorted(v for r in rows for v in (r["m"], r["sorted_prefix"]))
+    lines = cli._table_lines(rows)
+    assert lines == ["m | Pfv | PF"] + [f"{m} | {pf} | {pf}" for m, _, pf in rows]
+    assert sorted(written) == sorted(v for m, _, pf in rows for v in (m, pf))
+
+
+def test_certify_needs_one_rival_value_per_mass():
+    from fairsignal import cli
+
+    step = StepFunction((F(1, 2), F(1)), (F(1), F(2)))
+    with pytest.raises(ValueError):
+        cli.certify(step, (F(1, 2), F(1)), [F(1)])
 
 
 class TestLowerbound:

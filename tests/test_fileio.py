@@ -211,21 +211,28 @@ class TestSchemeFiles:
 
 
 class TestCsvWriters:
+    # one row with a rival's columns and one without, as `cli.certify`
+    # returns them in TABLE_FIELDS order
+    ROWS = [(F(1, 2), F(1, 16), F(1, 16), F(3, 14), F(24, 7)), (F(1), F(1, 2), F(3, 8))]
+
     def test_majorization_table(self, tmp_path):
-        rows = [
-            {
-                "m": F(1, 2),
-                "integration_prefix": F(1, 16),
-                "sorted_prefix": F(1, 16),
-                "adversary_prefix": F(3, 14),
-                "ratio": F(24, 7),
-            }
-        ]
         path = tmp_path / "table.csv"
-        write_majorization_table(str(path), rows, "csv")
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0].startswith("m,m_decimal,integration_prefix")
-        assert lines[1].split(",")[:4] == ["1/2", "0.5", "1/16", "0.0625"]
+        write_majorization_table(str(path), self.ROWS, "csv")
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "m,m_decimal,integration_prefix,integration_prefix_decimal,sorted_prefix,"
+            "sorted_prefix_decimal,adversary_prefix,adversary_prefix_decimal,ratio,ratio_decimal",
+            "1/2,0.5,1/16,0.0625,1/16,0.0625,3/14,0.214285714286,24/7,3.428571428571",
+            "1,1.0,1/2,0.5,3/8,0.375,,,,",
+        ]
+
+    def test_majorization_table_json(self, tmp_path):
+        path = tmp_path / "table.json"
+        write_majorization_table(str(path), self.ROWS, "json")
+        assert json.loads(path.read_text(encoding="utf-8")) == [
+            {"m": "1/2", "integration_prefix": "1/16", "sorted_prefix": "1/16",
+             "adversary_prefix": "3/14", "ratio": "24/7"},
+            {"m": "1", "integration_prefix": "1/2", "sorted_prefix": "3/8"},
+        ]
 
 
 def test_decimal_str_rounds_to_twelve_places():

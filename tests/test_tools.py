@@ -1,7 +1,8 @@
 """The scripts under ``tools/``: the source-line counter, where docstrings,
 comments and blank lines are not code and every other line a token touches
 is; and the benchmark grid, whose cells finish or are cut at their budget
-and count the simplex pivots of each command."""
+and count the simplex pivots of each command.  Also the outputs of one
+seed-1 cycle of each ``perfbench/`` workload, pinned by their digests."""
 
 from __future__ import annotations
 
@@ -10,9 +11,14 @@ import os
 import re
 import signal
 import subprocess
+import sys
 from fractions import Fraction as F
 
+import pytest
+
 from fairsignal import cli, lp
+
+from conftest import PERFBENCH
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,3 +113,32 @@ def test_an_adversary_cell_counts_the_pivots_of_its_verify(tmp_path, monkeypatch
             "--scheme", str(tmp_path / "scheme.json"), "--adversary", "--max-support", "6"]
     assert cli.main(argv) == 0
     assert cell["build_pivots"] == 0 < cell["verify_pivots"] == len(pivots)
+
+
+# sha256 over the stdout and written files of one seed-1 cycle, in order
+PERFBENCH_DIGESTS = {
+    "pipeline-large": "40da8dbbc7a7a6c93854884660f15fbc07dcc357d1f89237ac07accb1fb3660a",
+    "certify-small": "2ad746c45fa421b9b016625a38f1b1b881609e827eda99382a7d1cb3aa9913ce",
+    "buyeropt-mid": "470f8a7eedc89f57044e042138a57d35110bbe2edf190373b85b2f1d93c3556b",
+}
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """``perfbench/run.py`` as the script runs: its sibling scripts importable
+    and itself in ``sys.modules``, where its dataclasses look it up."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(PERFBENCH)
+        spec = importlib.util.spec_from_file_location("run", os.path.join(PERFBENCH, "run.py"))
+        module = importlib.util.module_from_spec(spec)
+        patch.setitem(sys.modules, "run", module)
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH_DIGESTS))
+def test_a_benchmark_cycle_keeps_its_outputs(name, perfbench_run):
+    assert sorted(perfbench_run.WORKLOADS) == sorted(PERFBENCH_DIGESTS)
+    result = perfbench_run.run_workload(name, 1, seconds=0, trace=False)
+    assert (result["cycles"], result["failures"]) == (1, [])
+    assert result["digest"] == PERFBENCH_DIGESTS[name]
