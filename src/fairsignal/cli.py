@@ -69,7 +69,7 @@ EXIT_INVARIANT = 3
 # instance at n=256).  Parsing one 10**5-digit integer takes 0.1-0.2 s and
 # a 10**6-digit one about 10 s (Python 3.11, 2-vCPU Xeon VM), so `main`
 # raises the limit to MAX_INT_DIGITS rather than lifting it, and
-# `as_fraction` refuses any rational read from input that is longer.  A
+# `rational_pair` refuses any rational read from input that is longer.  A
 # rational derived from shorter input (a sum, a revenue) can still pass
 # the limit when printed; Python then raises a ValueError with this
 # message, which `main` reports as bad input.
@@ -253,8 +253,8 @@ def cmd_lowerbound(args) -> int:
     if args.kind == "buyeropt":
         # the instance checked both schemes against their closed forms
         inst = buyer_optimal_lb_instance(args.parameter)
-        _, mid_opt, high_opt = scheme_surplus(inst.buyer_optimal).surpluses
-        _, mid_alt, high_alt = scheme_surplus(inst.alternative).surpluses
+        _, mid_opt, high_opt = inst.buyer_optimal.surpluses
+        _, mid_alt, high_alt = inst.alternative.surpluses
         lines += _instance_lines(inst.dist)
         lines += [
             f"buyer-optimal cs (mid, high): {mid_opt}, {high_opt}",

@@ -277,45 +277,34 @@ def _read_rational(x: Union[str, float]) -> tuple[int, int]:
     raise MarketError(f"cannot read {x!r} as a rational")
 
 
-def _check_length(n: int, d: int) -> None:
-    """Refuse a rational read from input whose n or d passes MAX_INT_DIGITS."""
-    if max(n.bit_length(), d.bit_length()) > _MAX_RATIONAL_BITS:
-        raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
+def rational_pair(x: RationalLike) -> tuple[int, int]:
+    """An outside rational as a reduced pair (numerator, positive
+    denominator).
 
-
-def as_fraction(x: RationalLike) -> Fraction:
-    """Convert to an exact Fraction.
-
-    Strings may be "p/q" or decimal literals; floats are converted via their
-    shortest decimal representation so that 0.1 becomes exactly 1/10.
-    Anything else, a string or float that names no finite rational, or a
-    numerator or denominator longer than MAX_INT_DIGITS digits raises
-    MarketError (see `_read_rational`).
+    Strings may be "p/q" or decimal literals; floats are read via their
+    shortest decimal representation so that 0.1 becomes exactly 1/10; a
+    Fraction is taken as it is.  Anything else, a string or float that
+    names no finite rational, or a numerator or denominator longer than
+    MAX_INT_DIGITS digits raises MarketError (see `_read_rational`).
     """
     if isinstance(x, (str, float)):  # a file's rationals are strings, so first
-        value = Fraction(*_read_rational(x))
+        n, d = _reduced(*_read_rational(x))
     elif isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     elif isinstance(x, bool):
         raise MarketError("bool is not a rational value")
     elif isinstance(x, int):
-        value = Fraction(x)
+        n, d = x, 1
     else:
         raise MarketError(f"cannot interpret {type(x).__name__} as a rational")
-    _check_length(value.numerator, value.denominator)
-    return value
-
-
-def rational_pair(x: RationalLike) -> tuple[int, int]:
-    """``as_fraction(x)`` as a reduced pair (numerator, positive
-    denominator), under the same checks and messages; a string is read and
-    reduced without building a Fraction."""
-    if not isinstance(x, str):
-        value = as_fraction(x)
-        return value.numerator, value.denominator
-    n, d = _reduced(*_read_rational(x))
-    _check_length(n, d)
+    if max(n.bit_length(), d.bit_length()) > _MAX_RATIONAL_BITS:
+        raise MarketError(f"rational longer than {MAX_INT_DIGITS} digits")
     return n, d
+
+
+def as_fraction(x: RationalLike) -> Fraction:
+    """The exact Fraction of x, read by `rational_pair`."""
+    return Fraction(*rational_pair(x))
 
 
 class ValueDistribution(Record):
@@ -560,8 +549,7 @@ class SignalingScheme(Record):
     class has unused prior mass makes 1.  Each signal is one `class_sums`
     entry, priced at its optimal price; ``surpluses`` holds each class's
     expected surplus, ``total_surplus`` their mass-weighted total, and
-    ``revenue`` the seller's expected revenue, the rest of E[v] once the
-    unsold mass and that total are taken out (see `scheme_revenue`).
+    ``revenue`` the seller's expected revenue (see `scheme_revenue`).
     """
 
     _derived = ("surpluses", "total_surplus", "revenue")
@@ -602,9 +590,8 @@ class SignalingScheme(Record):
         return scheme
 
     def _set_surpluses_and_revenue(self, unsold, surpluses, total) -> None:
-        """Take revenue as E[v] less each class's ``unsold`` mass (reduced
-        pairs; empty when every class sells) at its value, less the
-        ``total`` surplus: see `scheme_revenue`."""
+        """Set the derived fields, revenue as `scheme_revenue` states it;
+        ``unsold`` holds reduced pairs, one per class, or none if all sell."""
         dist = self.dist
         ev = dist.expected_value
         revenue = pair_sum(ev.numerator, ev.denominator, -total.numerator, total.denominator)

@@ -91,22 +91,15 @@ class StepFunction(Record):
     def ascending(self) -> "StepFunction":
         """Ascending rearrangement, one segment per distinct value.
 
-        Segment indices are sorted by value (stably) and equal neighbours
-        merged.  While the segments placed so far are exactly the first
-        ones of f, their right edge is f's own breakpoint; only past a
-        segment placed out of order is an edge summed from widths.
+        Segment indices are sorted by value (stably), each right edge is
+        the sum of the widths placed so far, and equal neighbours merged.
         """
         breakpoints, values = self.breakpoints, self.values
         edges: list[Fraction] = []
         distinct: list[Fraction] = []
         edge = Fraction(0)
-        top = -1  # largest index placed so far
-        for placed, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
-            top = max(top, i)
-            if top == placed:
-                edge = breakpoints[placed]
-            else:
-                edge += breakpoints[i] - (breakpoints[i - 1] if i else 0)
+        for i in sorted(range(len(values)), key=values.__getitem__):
+            edge += breakpoints[i] - (breakpoints[i - 1] if i else 0)
             if distinct and values[i] == distinct[-1]:
                 edges[-1] = edge
             else:
@@ -190,12 +183,8 @@ def sorted_prefix(f: StepFunction, m: Fraction) -> Fraction:
 
 
 def sorted_breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
-    """Masses at which the ascending rearrangement changes value: for a
-    non-decreasing f, its own edges between unequal values, and 1."""
-    if not f.non_decreasing:
-        return f.ascending.breakpoints
-    b, v = f.breakpoints, f.values
-    return tuple(x for x, lo, hi in zip(b, v, v[1:]) if lo != hi) + b[-1:]
+    """Masses at which the ascending rearrangement changes value, and 1."""
+    return f.ascending.breakpoints
 
 
 def certification_grid(f: StepFunction) -> tuple[Fraction, ...]:
@@ -204,8 +193,12 @@ def certification_grid(f: StepFunction) -> tuple[Fraction, ...]:
     Both prefix sums of f are linear between consecutive grid points (and
     vanish at 0).  So on the `merged` grid of two step functions a ratio
     of their prefix sums is monotone on each cell, and its extremes over
-    (0, 1] occur on the grid.
+    (0, 1] occur on the grid.  A non-decreasing f's sorted breakpoints are
+    among its own edges, so its grid is its breakpoints and ``ascending``
+    is not built.
     """
+    if f.non_decreasing:
+        return f.breakpoints
     return merged(f.breakpoints, sorted_breakpoints(f))
 
 

@@ -248,19 +248,37 @@ READER_TABLE = [
     (" 1/2", (1, 2)), ("1/2 ", (1, 2)), ("+1", (1, 1)), ("-1/2", (-1, 2)),
     ("1_0", (10, 1)), ("1e3", (1000, 1)), ("0.5", (1, 2)),
     ("٣/٤", (3, 4)), ("١٢/٨", (3, 2)),
+    # inputs that are no text
+    (7, (7, 1)), (AT_LIMIT, (AT_LIMIT, 1)),
+    (10**MAX_INT_DIGITS, f"rational longer than {MAX_INT_DIGITS} digits"),
+    (True, "bool is not a rational value"),
+    (0.1, (1, 10)),
+    (float("nan"), "cannot read nan as a rational"),
+    (float("inf"), "cannot read inf as a rational"),
+    (F(-6, 4), (-3, 2)),
+    (None, "cannot interpret NoneType as a rational"),
+    ([1], "cannot interpret list as a rational"),
 ]
+
+
+def reader_id(raw) -> str:
+    """A short test id for a reader input: a long text or int by its length."""
+    if isinstance(raw, str):
+        return raw if len(raw) < 20 else f"{len(raw)}-chars"
+    if isinstance(raw, int) and raw.bit_length() > 64:
+        return f"{raw.bit_length()}-bit-int"
+    return f"{type(raw).__name__}-{raw!r}"
 
 
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit to set"
 )
 @pytest.mark.parametrize(
-    "text, expected", READER_TABLE,
-    ids=[t if len(t) < 20 else f"{len(t)}-chars" for t, _ in READER_TABLE],
+    "text, expected", READER_TABLE, ids=[reader_id(t) for t, _ in READER_TABLE]
 )
 def test_readers_agree_on_the_pinned_table(text, expected):
     # as_fraction and rational_pair give the same value, or the same
-    # message, for plain and general text alike, under the CLI's limit
+    # message, for text and every other input alike, under the CLI's limit
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:

@@ -518,10 +518,12 @@ class TestSortedProfile:
         # are no sorted breakpoints
         f = StepFunction(f.breakpoints, tuple(sorted(f.values)))
         assert f.non_decreasing
-        edges = sorted_breakpoints(f)
+        assert certification_grid(f) == f.breakpoints
         prefixes = [sorted_prefix(f, m) for m in probe_masses(f)]
         assert "ascending" not in f.__dict__
-        assert edges == f.ascending.breakpoints
+        b, v = f.breakpoints, f.values
+        rises = tuple(x for x, lo, hi in zip(b, v, v[1:]) if lo != hi) + b[-1:]
+        assert sorted_breakpoints(f) == rises
         assert prefixes == [integration_prefix(f.ascending, m) for m in probe_masses(f)]
 
 
