@@ -30,7 +30,6 @@ from .market import (
     buyer_optimal_scheme,
     full_revelation,
     is_efficient,
-    myerson,
     no_signal,
     scheme_revenue,
 )
@@ -77,7 +76,7 @@ _DIGIT_LIMIT = re.compile(r"Exceeds the limit \(\d+ digits\) for integer string 
 
 
 def _instance_lines(dist: ValueDistribution) -> list[str]:
-    price, revenue = myerson(dist)
+    price, revenue = dist.myerson
     return [
         f"instance: n={dist.n}",
         "values: [" + ", ".join(map(str, dist.values)) + "]",

@@ -9,14 +9,20 @@ into one (`market.rational_pair`).  The loaders raise MarketError for
 any content they cannot read and OSError only when the file cannot be
 opened.  Reports and tables write each value in one text form
 (``as_text``): a table cell is the exact rational or ``inf``, and the
-CSV table adds a 12-decimal rounding of each for plotting.
+CSV table adds a 12-decimal rounding of each for plotting.  Every file
+the CLI writes, the scheme file and both tables, is built whole and then
+written by one writer, ``_write_text``, which overwrites an existing file
+in place.
 """
 
 from __future__ import annotations
 
 import csv
 import decimal
+import io
 import json
+import os
+import stat
 from typing import Sequence
 
 from .market import (
@@ -86,9 +92,26 @@ def _load_json(path: str):
             raise MarketError("JSON nested deeper than the parser allows") from None
 
 
-def _dump_json(payload, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload) + "\n")
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``; the one writer of every output file.
+
+    A truncate to zero makes ext4, XFS and btrfs flush the file on close
+    (0.2-0.5 ms a file on an ext4 VM), so an existing file is written in
+    place from its start and, if regular, cut to the written length (a
+    device such as /dev/null cannot be cut); a symlink is followed and the
+    mode bits kept.  Callers build the whole text first, so a text that
+    cannot be built leaves the file as it was.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def payload_to_instance(payload) -> ValueDistribution:
@@ -158,20 +181,21 @@ def scheme_text(scheme: SignalingScheme) -> str:
 
 def save_scheme(scheme: SignalingScheme, path: str) -> None:
     """The scheme file: `scheme_text` and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scheme_text(scheme) + "\n")
+    _write_text(path, scheme_text(scheme) + "\n")
 
 
 def write_majorization_table(path: str, rows: Sequence[tuple], fmt: str) -> None:
     """Rows of `cli.certify` as ``csv`` or ``json``.  A row without a rival's
     columns leaves them blank in CSV and omits them in JSON."""
     if fmt == "json":
-        _dump_json([{k: as_text(v) for k, v in zip(TABLE_FIELDS, row)} for row in rows], path)
+        table = [{k: as_text(v) for k, v in zip(TABLE_FIELDS, row)} for row in rows]
+        _write_text(path, json_text(table) + "\n")
         return
     blank = ["", ""] * len(TABLE_FIELDS)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for f in TABLE_FIELDS for name in (f, f + "_decimal")])
-        for row in rows:
-            cells = [text for v in row for text in (as_text(v), decimal_str(v))]
-            writer.writerow(cells + blank[len(cells):])
+    sheet = io.StringIO(newline="")  # the csv module's "\r\n" ends each row
+    writer = csv.writer(sheet)
+    writer.writerow([name for f in TABLE_FIELDS for name in (f, f + "_decimal")])
+    for row in rows:
+        cells = [text for v in row for text in (as_text(v), decimal_str(v))]
+        writer.writerow(cells + blank[len(cells):])
+    _write_text(path, sheet.getvalue())

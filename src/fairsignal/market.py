@@ -399,6 +399,17 @@ class ValueDistribution(Record):
         """E[v], summed once per distribution."""
         return dot(self.values, self.masses)
 
+    @cached_property
+    def myerson(self) -> tuple[Fraction, Fraction]:
+        """Optimal posted price without signaling and its revenue, priced
+        once per distribution.
+
+        The seller's best response to the prior as a single posterior, so
+        ties in revenue go to the lowest price, as for every signal.
+        """
+        k = Signal.from_support(self, enumerate(self.masses)).optimal_price_index
+        return self.values[k], self.values[k] * (1 - self.cdf[k - 1] if k else 1)
+
 
 class Signal(Record):
     """A posterior over the value grid, stored sparsely as (index, share).
@@ -475,16 +486,6 @@ class Signal(Record):
     @property
     def lowest_index(self) -> int:
         return self.shares[0][0]
-
-
-def myerson(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
-    """Optimal posted price without signaling and its revenue.
-
-    The seller's best response to the prior as a single posterior, so ties
-    in revenue go to the lowest price, as for every signal.
-    """
-    k = Signal.from_support(dist, enumerate(dist.masses)).optimal_price_index
-    return dist.values[k], dist.values[k] * (1 - dist.cdf[k - 1] if k else 1)
 
 
 def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int], Iterable, int]]):
@@ -730,7 +731,7 @@ def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Frac
     except PlausibilityError as e:
         raise InvariantViolation(f"buyer-optimal mixture: {e}") from e
     total = scheme.total_surplus
-    best = dist.expected_value - myerson(dist)[1]
+    best = dist.expected_value - dist.myerson[1]
     if total != best or not is_efficient(scheme):
         raise InvariantViolation(f"buyer-optimal surplus {total} != {best} or inefficient")
     return scheme, total

@@ -18,9 +18,9 @@ from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import (
     PlausibilityError,
     SignalingScheme,
+    ValueDistribution,
     buyer_optimal_scheme,
     is_efficient,
-    myerson,
     scheme_revenue,
 )
 from fairsignal.oracles import (
@@ -87,14 +87,17 @@ def certificates(corpus, pipelines):
 
 
 def test_c01_running_example_pricing(running_example):
-    price, revenue = myerson(running_example)
+    price, revenue = running_example.myerson
     ok = (price, revenue) == (F(5), F(5, 2))
     ok &= running_example.posted_revenues() == (F(1), F(3, 2), F(5, 2), F(3, 2))
-    myerson(running_example)  # warm up before timing
-    best = min(
-        _timed(lambda: (myerson(running_example), running_example.posted_revenues()))
-        for _ in range(5)
-    )
+
+    def priced():
+        # a fresh distribution, since each prices itself once and keeps it
+        dist = ValueDistribution(running_example.values, running_example.masses)
+        return dist.myerson, dist.posted_revenues()
+
+    priced()  # warm up before timing
+    best = min(_timed(priced) for _ in range(5))
     ok &= best < 1e-3
     report(1, f"running-example pricing, exact, {best * 1e6:.0f}us < 1ms", ok)
 
@@ -212,7 +215,7 @@ def test_c07_buyer_optimal_identity(corpus):
     violations = 0
     for dist in corpus:
         _, total = buyer_optimal_scheme(dist)
-        _, revenue = myerson(dist)
+        _, revenue = dist.myerson
         if total != dist.expected_value - revenue:
             violations += 1
     ok = violations == 0

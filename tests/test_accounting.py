@@ -32,7 +32,6 @@ from fairsignal.market import (
     class_sums,
     dot,
     full_revelation,
-    myerson,
     no_signal,
     pair_product,
     pair_sum,
@@ -378,7 +377,7 @@ class TestRevenue:
     def test_unsold_mass_earns_nothing(self, running_example):
         # the prior sells at its Myerson price 5, above the values 1 and 2
         scheme = no_signal(running_example)
-        assert myerson(running_example) == (F(5), F(5, 2))
+        assert running_example.myerson == (F(5), F(5, 2))
         assert scheme_revenue(scheme) == F(5, 2)
         # half the mass is unsold, so the surplus alone would overstate revenue
         kept = sum(f * s for f, s in zip(running_example.masses, scheme.surpluses))
@@ -387,7 +386,7 @@ class TestRevenue:
     def test_no_signal_earns_the_myerson_revenue(self, corpus):
         above_lowest = 0
         for dist in corpus:
-            price, revenue = myerson(dist)
+            price, revenue = dist.myerson
             assert scheme_revenue(no_signal(dist)) == revenue
             above_lowest += price > dist.values[0]
         assert above_lowest > 100

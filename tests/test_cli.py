@@ -15,6 +15,7 @@ import pytest
 from fairsignal.cli import SCHEME_KINDS, main, make_parser
 from fairsignal.fileio import load_scheme, save_scheme, scheme_text
 from fairsignal.market import (
+    DERIVED_TOO_LONG,
     MAX_INT_DIGITS,
     InvariantViolation,
     MarketError,
@@ -38,6 +39,11 @@ F = Fraction
 
 # nested far deeper than the JSON parser's recursion limit
 DEEP_ARRAY = b"[" * 100_000 + b"]" * 100_000
+
+# what Python raises when printing an int past its digit limit, and an
+# --out file that a failed command must leave as it is
+DIGIT_LIMIT_MESSAGE = "Exceeds the limit (100000 digits) for integer string conversion"
+OLD_OUT = b"an earlier command's output\n"
 
 
 @pytest.fixture
@@ -233,6 +239,24 @@ class TestBuild:
         assert stderr.startswith("error: ")
         assert stderr.count("\n") == 1
 
+    def test_text_too_long_to_write_keeps_the_old_out(
+        self, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        # the scheme's text is built whole before the file is opened
+        from fairsignal import fileio
+
+        def too_long(scheme):
+            raise ValueError(DIGIT_LIMIT_MESSAGE)
+
+        monkeypatch.setattr(fileio, "scheme_text", too_long)
+        out = tmp_path / "s.json"
+        out.write_bytes(OLD_OUT)
+        code, _, stderr = run_cli(
+            capsys, "build", "--in", instance_file, "--scheme", "final", "--out", str(out)
+        )
+        assert (code, stderr) == (2, f"error: {DERIVED_TOO_LONG}\n")
+        assert out.read_bytes() == OLD_OUT
+
     def test_json_format(self, instance_file, capsys):
         code, stdout, _ = run_cli(
             capsys, "build", "--in", instance_file, "--scheme", "nosignal",
@@ -283,15 +307,13 @@ class TestBuild:
 
     def test_buyeropt_total_fault_exits_3(self, instance_file, capsys, monkeypatch):
         # the check reads the Myerson revenue: E[v] - R* = 7/2 - 5/2 = 1
-        from fairsignal import market
-
-        original = market.myerson
+        original = ValueDistribution.myerson.func
 
         def misread(dist):
             price, revenue = original(dist)
             return price, revenue + F(1, 8)
 
-        monkeypatch.setattr(market, "myerson", misread)
+        monkeypatch.setattr(ValueDistribution, "myerson", property(misread))
         code, stdout, stderr = run_cli(
             capsys, "build", "--in", instance_file, "--scheme", "buyeropt"
         )
@@ -710,6 +732,29 @@ class TestVerify:
         assert stderr.startswith("error: ")
         assert stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_too_long_to_write_keeps_the_old_out(
+        self, fmt, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        # the CSV table once went out row by row, its header before any cell
+        from fairsignal import fileio
+
+        scheme = str(tmp_path / "final.json")
+        run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", scheme)
+
+        def too_long(value):
+            raise ValueError(DIGIT_LIMIT_MESSAGE)
+
+        monkeypatch.setattr(fileio, "as_text", too_long)
+        out = tmp_path / f"t.{fmt}"
+        out.write_bytes(OLD_OUT)
+        code, _, stderr = run_cli(
+            capsys, "verify", "--in", instance_file, "--scheme", scheme,
+            "--out", str(out), "--format", fmt,
+        )
+        assert (code, stderr) == (2, f"error: {DERIVED_TOO_LONG}\n")
+        assert out.read_bytes() == OLD_OUT
+
     @pytest.mark.parametrize("grid", ["abc", "1/2,,1", "1/0"])
     def test_malformed_grid_exits_2(self, grid, instance_file, tmp_path, capsys):
         out = str(tmp_path / "final.json")
@@ -950,8 +995,14 @@ def test_each_signal_is_priced_once_per_scheme(instance, request, tmp_path, caps
     path = str(tmp_path / "instance.json")
     write_instance(dist, path)
     signals = []
-    # both kinds that `build` converts from a pipeline stage
-    for kind, require in (("final", "efficient,monotone"), ("splitmatch", "efficient")):
+    # both kinds that `build` converts from a pipeline stage, and the
+    # buyer-optimal scheme, whose total check reads the Myerson revenue
+    # that the report prints
+    for kind, require in (
+        ("final", "efficient,monotone"),
+        ("splitmatch", "efficient"),
+        ("buyeropt", "efficient"),
+    ):
         scheme = str(tmp_path / f"{kind}.json")
         for argv in (
             ("build", "--in", path, "--scheme", kind, "--out", scheme),

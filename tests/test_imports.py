@@ -129,10 +129,10 @@ def private_reads(source: str) -> list[str]:
 def test_the_check_sees_a_private_read():
     source = (
         "from . import fileio\nfrom .market import _digits, as_fraction\n"
-        "fileio._dump_json(as_fraction(_digits), fileio.__name__)\n"
+        "fileio._write_text(as_fraction(_digits), fileio.__name__)\n"
         "_own = fileio.load_scheme\n"
     )
-    assert private_reads(source) == ["market._digits (line 2)", "fileio._dump_json (line 3)"]
+    assert private_reads(source) == ["market._digits (line 2)", "fileio._write_text (line 3)"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -25,7 +25,6 @@ from fairsignal.market import (
     buyer_optimal_scheme,
     full_revelation,
     is_efficient,
-    myerson,
     no_signal,
     rational_pair,
     scheme_from_rows,
@@ -295,13 +294,13 @@ def test_readers_agree_on_the_pinned_table(text, expected):
 
 class TestMyerson:
     def test_running_example(self, running_example):
-        price, revenue = myerson(running_example)
+        price, revenue = running_example.myerson
         assert (price, revenue) == (F(5), F(5, 2))
         assert running_example.posted_revenues() == (F(1), F(3, 2), F(5, 2), F(3, 2))
 
     def test_single_value(self):
         d = ValueDistribution.from_pairs([3], [1])
-        assert myerson(d) == (F(3), F(3))
+        assert d.myerson == (F(3), F(3))
 
     def test_exhaustive_scan_matches(self, fig3_instance):
         # independent oracle: scan every candidate price
@@ -313,17 +312,17 @@ class TestMyerson:
                     best = (v, rev)
             return best
 
-        assert myerson(fig3_instance) == scan(fig3_instance)
-        assert myerson(fig3_instance) == (F(2), F(9, 5))
+        assert fig3_instance.myerson == scan(fig3_instance)
+        assert fig3_instance.myerson == (F(2), F(9, 5))
         rng = random.Random(7)
         for _ in range(50):
             d = random_distribution(rng)
-            assert myerson(d) == scan(d)
+            assert d.myerson == scan(d)
 
     def test_tie_breaks_low(self):
         # both prices 1 and 2 give revenue 1
         d = ValueDistribution.from_pairs([1, 2], [F(1, 2), F(1, 2)])
-        assert myerson(d) == (F(1), F(1))
+        assert d.myerson == (F(1), F(1))
 
 
 class TestOptimalPrice:

@@ -23,7 +23,6 @@ from fairsignal.market import (
     ValueDistribution,
     buyer_optimal_scheme,
     is_efficient,
-    myerson,
 )
 from fairsignal.oracles import (
     adversary_grid,
@@ -84,7 +83,7 @@ class TestBuyerOptimal:
 
     def test_five_value_instance(self, fig3_instance):
         _, total = buyer_optimal_scheme(fig3_instance)
-        _, revenue = myerson(fig3_instance)
+        _, revenue = fig3_instance.myerson
         assert total == fig3_instance.expected_value - revenue == F(7, 5)
 
     def test_original_prices_stay_optimal_in_each_signal(self):
@@ -263,7 +262,7 @@ def test_lp_optimum_is_the_peeled_total_on_corpus(corpus):
     only after re-checking it; c07 peels this same corpus, so the peeled and
     LP totals are equal on it without peeling each instance twice."""
     for dist in corpus:
-        _, revenue = myerson(dist)
+        _, revenue = dist.myerson
         assert solve_buyer_optimal_lp(dist).value == dist.expected_value - revenue
 
 

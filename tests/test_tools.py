@@ -1,7 +1,8 @@
 """The scripts under ``tools/``: the source-line counter, where docstrings,
 comments and blank lines are not code and every other line a token touches
-is; and the benchmark grid, whose cells finish or are cut at their budget
-and count the simplex pivots of each command.  Also the outputs of one
+is; the benchmark grid, whose cells finish or are cut at their budget
+and count the simplex pivots of each command; and the CLI profiler, which
+lists the self time of each module that ran.  Also the outputs of one
 seed-1 cycle of each ``perfbench/`` workload, pinned by their digests."""
 
 from __future__ import annotations
@@ -113,6 +114,43 @@ def test_an_adversary_cell_counts_the_pivots_of_its_verify(tmp_path, monkeypatch
             "--scheme", str(tmp_path / "scheme.json"), "--adversary", "--max-support", "6"]
     assert cli.main(argv) == 0
     assert cell["build_pivots"] == 0 < cell["verify_pivots"] == len(pivots)
+
+
+RUNNING_EXAMPLE = os.path.join(ROOT, "tests", "golden", "running_example")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--scheme", "final", "--out", "{out}"],
+        ["verify", "--scheme", os.path.join(RUNNING_EXAMPLE, "scheme_final.json"), "--adversary"],
+    ],
+    ids=["build", "verify"],
+)
+def test_the_profiler_lists_each_module_that_ran_in_order(argv, tmp_path, capsys):
+    argv = [arg.format(out=tmp_path / "out.json") for arg in argv]
+    argv += ["--in", os.path.join(RUNNING_EXAMPLE, "instance.json")]
+    package = os.path.dirname(cli.__file__)
+    ran = set()
+
+    def record(frame, event, arg):
+        path = frame.f_code.co_filename
+        if event == "call" and os.path.dirname(path) == package:
+            ran.add(os.path.basename(path)[:-3])
+
+    sys.setprofile(record)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert tool("profile_cli").main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("exit code: 0\n")
+    # the rows between the module table's header and its total
+    rows = out.split("\nmodule ", 1)[1].split("\ntotal ", 1)[0].splitlines()[1:]
+    assert [row.split()[0] for row in rows] == sorted(ran) + ["(other)"]
+    assert {"cli", "fileio", "market", "steps"} < ran
 
 
 # sha256 over the stdout and written files of one seed-1 cycle, in order
