@@ -84,7 +84,7 @@ def _instance_lines(dist: ValueDistribution) -> list[str]:
         f"expected value: {dist.expected_value}",
         f"myerson price: {price}",
         f"myerson revenue: {revenue}",
-        "posted revenues: [" + ", ".join(map(str, dist.posted_revenues())) + "]",
+        "posted revenues: [" + ", ".join(map(str, dist.posted_revenues)) + "]",
     ]
 
 

@@ -384,9 +384,11 @@ class ValueDistribution(Record):
             out.append(acc)
         return tuple(out)
 
+    @cached_property
     def posted_revenues(self) -> tuple[Fraction, ...]:
         """Revenue v_i * G(v_i) for each candidate posted price, with the
-        tail mass G(v_i) = 1 - F(v_{i-1}) read off ``cdf``."""
+        tail mass G(v_i) = 1 - F(v_{i-1}) read off ``cdf``.  Computed once
+        per distribution."""
         # 1 - n/d is (d - n)/d, in lowest terms when n/d is
         tails = [(1, 1)] + [(c.denominator - c.numerator, c.denominator) for c in self.cdf[:-1]]
         return tuple(
@@ -401,14 +403,16 @@ class ValueDistribution(Record):
 
     @cached_property
     def myerson(self) -> tuple[Fraction, Fraction]:
-        """Optimal posted price without signaling and its revenue, priced
-        once per distribution.
+        """Optimal posted price without signaling and its revenue, read off
+        ``posted_revenues``.
 
         The seller's best response to the prior as a single posterior, so
-        ties in revenue go to the lowest price, as for every signal.
+        ties in revenue go to the lowest price, as for every signal: ``max``
+        keeps the first of equal revenues.
         """
-        k = Signal.from_support(self, enumerate(self.masses)).optimal_price_index
-        return self.values[k], self.values[k] * (1 - self.cdf[k - 1] if k else 1)
+        revenues = self.posted_revenues
+        k = max(range(self.n), key=revenues.__getitem__)
+        return self.values[k], revenues[k]
 
 
 class Signal(Record):
@@ -471,13 +475,6 @@ class Signal(Record):
             raise MarketError(f"signal masses sum to {Fraction(den - tail, den)}, expected 1")
         object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "optimal_price_index", best_i)
-
-    @classmethod
-    def from_support(
-        cls, dist: ValueDistribution, support: Iterable[tuple[int, Fraction]]
-    ) -> "Signal":
-        """The signal of a posterior given as (index, `Fraction` mass) pairs."""
-        return cls(dist, tuple((i, f.as_integer_ratio()) for i, f in support))
 
     @classmethod
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":

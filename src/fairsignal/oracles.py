@@ -209,10 +209,12 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
         masses=((N**2 - 1) / total, (N**2 + 1) / total, (N**3 + N) / total),
     )
     buyer_optimal = buyer_optimal_scheme(dist)[0]
-    a1 = Signal.from_support(
-        dist, ((0, (N**2 - 1) / (N**2 + N)), (1, (N + 1) / (N**2 + N)))
-    )
-    a2 = Signal.from_support(dist, ((1, Fraction(1) / (N + 1)), (2, N / (N + 1))))
+    # N = p/q; each share below is in lowest terms, as p/q is
+    # a1: (N^2 - 1)/(N^2 + N) = (p - q)/p and (N + 1)/(N^2 + N) = q/p
+    # a2: 1/(N + 1) = q/(p + q) and N/(N + 1) = p/(p + q)
+    p, q = N.numerator, N.denominator
+    a1 = Signal(dist, ((0, (p - q, p)), (1, (q, p))))
+    a2 = Signal(dist, ((1, (q, p + q)), (2, (p, p + q))))
     a3 = Signal.singleton(dist, 2)
     weights = (1 / (N + 1), (N - 1) / (N + 1), 1 / (N + 1))
     alternative = SignalingScheme(

@@ -227,18 +227,14 @@ def merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, 
 def evaluate_welfare(profile: SurplusProfile, kind: str) -> Fraction:
     """Welfare of the per-buyer surplus allocation, mass-weighted, exact.
 
-    utilitarian: the profile's total.  nash and maxmin: 0 once a class
-    earns 0, as class 1 does under every scheme: each posted price is at
-    least v_1.  Otherwise maxmin is the least surplus and nash raises
-    ValueError, as a weighted geometric mean of positive rationals is
-    irrational in general (surpluses 1 and 2 at masses 1/2 give sqrt 2).
+    utilitarian: the profile's total.  nash and maxmin: 0, what the lowest
+    class earns under every scheme, as each posted price is at least v_1.
+    A profile whose lowest class earns more is refused with ValueError.
     """
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare kind {kind!r}")
     if kind == "utilitarian":
         return profile.total
-    if any(not cs.numerator for cs in profile.surpluses):  # stops at class 1
-        return Fraction(0)
-    if kind == "maxmin":
-        return min(profile.surpluses)
-    raise ValueError("nash welfare with no zero class is irrational in general")
+    if profile.surpluses[0]:
+        raise ValueError(f"{kind} welfare needs the lowest class to earn 0")
+    return Fraction(0)

@@ -83,12 +83,9 @@ def nonmonotone_scheme(running_example) -> SignalingScheme:
     with weight 1/2.
     """
     d = running_example
-    s1 = Signal.from_support(
-        d,
-        ((0, Fraction(1, 2)), (1, Fraction(3, 10)), (2, Fraction(1, 30)), (3, Fraction(1, 6))),
-    )
-    s2 = Signal.from_support(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
-    s3 = Signal.from_support(d, ((2, Fraction(2, 3)), (3, Fraction(1, 3))))
+    s1 = Signal(d, ((0, (1, 2)), (1, (3, 10)), (2, (1, 30)), (3, (1, 6))))
+    s2 = Signal(d, ((1, (3, 5)), (2, (1, 15)), (3, (1, 3))))
+    s3 = Signal(d, ((2, (2, 3)), (3, (1, 3))))
     return SignalingScheme(d, ((s1, (1, 2)), (s2, (1, 6)), (s3, (1, 3))))
 
 
@@ -96,9 +93,9 @@ def nonmonotone_scheme(running_example) -> SignalingScheme:
 def monotone_scheme(running_example) -> SignalingScheme:
     """Surplus-maximizing scheme with surplus profile (0, 1/7, 10/7, 17/7)."""
     d = running_example
-    s1 = Signal.from_support(d, ((0, Fraction(7, 10)), (1, Fraction(1, 10)), (2, Fraction(1, 5))))
-    s2 = Signal.from_support(d, ((1, Fraction(3, 5)), (2, Fraction(1, 15)), (3, Fraction(1, 3))))
-    s3 = Signal.from_support(d, ((2, Fraction(13, 24)), (3, Fraction(11, 24))))
+    s1 = Signal(d, ((0, (7, 10)), (1, (1, 10)), (2, (1, 5))))
+    s2 = Signal(d, ((1, (3, 5)), (2, (1, 15)), (3, (1, 3))))
+    s3 = Signal(d, ((2, (13, 24)), (3, (11, 24))))
     return SignalingScheme(d, ((s1, (5, 14)), (s2, (5, 14)), (s3, (2, 7))))
 
 
@@ -160,10 +157,7 @@ def random_scheme(rng: random.Random, dist: ValueDistribution) -> SignalingSchem
         weight = sum(pot, Fraction(0))
         if weight == 0:
             continue
-        signal = Signal.from_support(
-            dist,
-            tuple((i, m / weight) for i, m in enumerate(pot) if m > 0),
-        )
+        signal = Signal(dist, tuple((i, pair(m / weight)) for i, m in enumerate(pot) if m > 0))
         entries.append((signal, pair(weight)))
     return SignalingScheme(dist, tuple(entries))
 

@@ -89,12 +89,12 @@ def certificates(corpus, pipelines):
 def test_c01_running_example_pricing(running_example):
     price, revenue = running_example.myerson
     ok = (price, revenue) == (F(5), F(5, 2))
-    ok &= running_example.posted_revenues() == (F(1), F(3, 2), F(5, 2), F(3, 2))
+    ok &= running_example.posted_revenues == (F(1), F(3, 2), F(5, 2), F(3, 2))
 
     def priced():
         # a fresh distribution, since each prices itself once and keeps it
         dist = ValueDistribution(running_example.values, running_example.masses)
-        return dist.myerson, dist.posted_revenues()
+        return dist.myerson, dist.posted_revenues
 
     priced()  # warm up before timing
     best = min(_timed(priced) for _ in range(5))

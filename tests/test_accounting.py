@@ -456,11 +456,11 @@ class TestAgainstOracle:
 
 def test_signal_scales_over_the_lcm():
     dist = ValueDistribution.from_pairs([1, 2, 5, 6], ["1/4"] * 4)
-    signal = Signal.from_support(dist, ((3, F(1, 6)), (0, F(1, 2)), (2, F(1, 3))))
+    signal = Signal(dist, ((3, (1, 6)), (0, (1, 2)), (2, (1, 3))))
     assert support(signal) == ((0, F(1, 2)), (2, F(1, 3)), (3, F(1, 6)))
     # revenues 1, 5 * 1/2, 6 * 1/6: the interior price wins
     assert signal.optimal_price_index == 2
-    tie = Signal.from_support(dist, ((1, F(2, 3)), (3, F(1, 3))))  # revenues 2 * 1 = 6 * 1/3
+    tie = Signal(dist, ((1, (2, 3)), (3, (1, 3))))  # revenues 2 * 1 = 6 * 1/3
     assert tie.optimal_price_index == reference_price_index(tie) == 1
 
 
@@ -469,9 +469,9 @@ def test_signal_refuses_an_overlong_common_denominator():
     # denominator of the full length does not; it fails at that entry
     dist = ValueDistribution.from_pairs([1, 2, 5, 6], ["1/4"] * 4)
     odd = 2**_MAX_RATIONAL_BITS - 1
-    support = ((0, F(1, 2)), (1, F(1, odd)), (2, F(1, 3)))
+    shares = ((0, (1, 2)), (1, (1, odd)), (2, (1, 3)))
     with pytest.raises(MarketError, match="^signal denominator longer than 100000 digits$"):
-        Signal.from_support(dist, support)
+        Signal(dist, shares)
 
 
 def reference_signal(dist: ValueDistribution, shares):

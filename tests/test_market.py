@@ -296,7 +296,7 @@ class TestMyerson:
     def test_running_example(self, running_example):
         price, revenue = running_example.myerson
         assert (price, revenue) == (F(5), F(5, 2))
-        assert running_example.posted_revenues() == (F(1), F(3, 2), F(5, 2), F(3, 2))
+        assert running_example.posted_revenues == (F(1), F(3, 2), F(5, 2), F(3, 2))
 
     def test_single_value(self):
         d = ValueDistribution.from_pairs([3], [1])
@@ -324,10 +324,56 @@ class TestMyerson:
         d = ValueDistribution.from_pairs([1, 2], [F(1, 2), F(1, 2)])
         assert d.myerson == (F(1), F(1))
 
+    @staticmethod
+    def check_one_posterior(dist: ValueDistribution) -> None:
+        # on a fresh distribution, so that neither price is read from a cache
+        fresh = ValueDistribution(dist.values, dist.masses)
+        assert fresh.myerson == prior_as_one_posterior(fresh)
+
+    def test_corpus_matches_the_prior_as_one_posterior(self, corpus):
+        for dist in corpus:
+            self.check_one_posterior(dist)
+
+    @given(structured_priors())
+    @settings(max_examples=40, deadline=None)
+    def test_structured_priors_match_the_prior_as_one_posterior(self, case):
+        self.check_one_posterior(case[1])
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_equal_revenue_ties_go_to_the_lowest_price(self, n):
+        # tail mass 1/v at v = 1..n: every posted price earns 1
+        tails = [F(1, v) for v in range(1, n + 1)] + [F(0)]
+        d = ValueDistribution(
+            tuple(F(v) for v in range(1, n + 1)), tuple(a - b for a, b in zip(tails, tails[1:]))
+        )
+        assert d.posted_revenues == (F(1),) * n
+        assert d.myerson == (F(1), F(1)) == prior_as_one_posterior(d)
+
+    def test_builds_no_signal(self, running_example, monkeypatch):
+        def refuse(signal):
+            raise AssertionError("the prior was priced as a Signal")
+
+        monkeypatch.setattr(Signal, "__post_init__", refuse)
+        d = ValueDistribution(running_example.values, running_example.masses)
+        assert d.myerson == (F(5), F(5, 2))
+        assert d.posted_revenues == (F(1), F(3, 2), F(5, 2), F(3, 2))
+        # the curve is walked once and the price read off it
+        assert d.posted_revenues is d.posted_revenues
+        assert d.myerson[1] is d.posted_revenues[2]
+
+
+def prior_as_one_posterior(dist: ValueDistribution) -> tuple[Fraction, Fraction]:
+    """The Myerson price and revenue of the prior priced as one posterior by
+    `Signal`, whose ties go to the lowest price: the oracle for `myerson`,
+    which reads them off the posted-price revenue curve instead."""
+    signal = Signal(dist, tuple((i, f.as_integer_ratio()) for i, f in enumerate(dist.masses)))
+    k = signal.optimal_price_index
+    return dist.values[k], dist.values[k] * sum(dist.masses[k:])
+
 
 class TestOptimalPrice:
     def test_equal_revenue_binary_tie(self, running_example):
-        signal = Signal.from_support(running_example, ((0, F(1, 2)), (1, F(1, 2))))
+        signal = Signal(running_example, ((0, (1, 2)), (1, (1, 2))))
         assert signal.dist.values[signal.optimal_price_index] == F(1)
 
     def test_singleton(self, running_example):
@@ -336,7 +382,7 @@ class TestOptimalPrice:
 
     def test_two_point_comparison(self):
         d = ValueDistribution.from_pairs([1, 10], [F(1, 2), F(1, 2)])
-        signal = Signal.from_support(d, ((0, F(2, 3)), (1, F(1, 3))))
+        signal = Signal(d, ((0, (2, 3)), (1, (1, 3))))
         assert signal.dist.values[signal.optimal_price_index] == F(10)
 
     def test_scale_invariance(self):
@@ -346,7 +392,7 @@ class TestOptimalPrice:
             d = random_distribution(rng)
             raw = {i: F(rng.randint(1, 9)) for i in sorted(rng.sample(range(d.n), rng.randint(1, d.n)))}
             total = sum(raw.values())
-            signal = Signal.from_support(d, tuple((i, m / total) for i, m in raw.items()))
+            signal = Signal(d, tuple((i, pair(m / total)) for i, m in raw.items()))
             best = min(
                 (i for i in raw),
                 key=lambda i: (
@@ -532,7 +578,7 @@ class TestBuyerOptimalPeeling:
         assert is_efficient(scheme)
         lows = [s.lowest_index for s in scheme.signals]
         assert len(lows) == len(set(lows)) <= dist.n
-        revenues = dist.posted_revenues()
+        revenues = dist.posted_revenues
         assert total == dist.expected_value - max(revenues)
         assert scheme_surplus(scheme).total == total
         tied = {i for i, r in enumerate(revenues) if r == max(revenues)}

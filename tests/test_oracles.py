@@ -38,6 +38,7 @@ from conftest import (
     eager_lockstep,
     max_min_surplus_lp,
     nonzeros,
+    pair,
     perfbench_module,
     random_distribution,
     scheme_from_point,
@@ -92,7 +93,7 @@ class TestBuyerOptimal:
         for _ in range(40):
             dist = random_distribution(rng, max_n=6)
             scheme, _ = buyer_optimal_scheme(dist)
-            revenues = dist.posted_revenues()
+            revenues = dist.posted_revenues
             best = max(revenues)
             tied = [i for i, r in enumerate(revenues) if r == best]
             for signal, _ in scheme.entries:
@@ -242,11 +243,9 @@ class TestBuyerOptimalLowerBound:
         N = F(n)
         inst = buyer_optimal_lb_instance(n)
         dist = inst.dist
-        s1 = Signal.from_support(
-            dist,
-            ((0, (N**2 - 1) / (N**2 + N)), (1, 1 / (N**2 + N)), (2, N / (N**2 + N))),
-        )
-        s2 = Signal.from_support(dist, ((1, 1 / (N + 1)), (2, N / (N + 1))))
+        den = N**2 + N
+        s1 = Signal(dist, ((0, pair((N**2 - 1) / den)), (1, pair(1 / den)), (2, pair(N / den))))
+        s2 = Signal(dist, ((1, pair(1 / (N + 1))), (2, pair(N / (N + 1)))))
         reference = ((s1, (1, n + 1)), (s2, (n, n + 1)))
         scheme, _ = buyer_optimal_scheme(dist)
         assert scheme.entries == reference

@@ -136,15 +136,19 @@ class TestWelfare:
             (F(1, 10**400), F(1, 10**400)),
             (F(10**400), F(10**400)),
             (F(10**300), F(10**320)),
+            # a zero class above the lowest one does not count
+            (F(1), F(0)),
         ],
     )
     def test_nash_needs_a_zero_class(self, surpluses):
-        # with no class at 0 the geometric mean has no exact value in general
-        # (sqrt 2 for the first profile), so nash refuses; maxmin is exact
+        # no scheme leaves the lowest class above 0, so nash and maxmin
+        # refuse a profile that does
         profile = hand_profile(ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"]), surpluses)
-        with pytest.raises(ValueError, match="no zero class"):
-            evaluate_welfare(profile, "nash")
-        assert evaluate_welfare(profile, "maxmin") == min(surpluses)
+        for kind in ("nash", "maxmin"):
+            refusal = f"^{kind} welfare needs the lowest class to earn 0$"
+            with pytest.raises(ValueError, match=refusal):
+                evaluate_welfare(profile, kind)
+        assert evaluate_welfare(profile, "utilitarian") == profile.total
 
     @staticmethod
     def check_schemes(dist: ValueDistribution) -> None:
