@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a requested guarantee failed, 2 malformed input,
 3 internal invariant violation.  Reports are plain deterministic text on
-stdout; tables can be exported as CSV or JSON for plotting.
+stdout, printed after any ``--out`` file is written; tables can be
+exported as CSV or JSON for plotting.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -111,7 +113,7 @@ def _scheme_report(
 def build_named_scheme(dist: ValueDistribution, name: str) -> SignalingScheme:
     """The scheme of each kind in SCHEME_KINDS."""
     if name == "buyeropt":
-        return buyer_optimal_scheme(dist)[0]
+        return buyer_optimal_scheme(dist)
     if name == "splitmatch":
         return split_and_match(dist).to_signaling_scheme()
     if name == "final":
@@ -187,25 +189,23 @@ def _load(what: str, loader, *args):
         raise MarketError(f"invalid {what}: {e}") from None
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[int, str]:
     dist = _load("instance", fileio.load_instance, args.instance)
     scheme = build_named_scheme(dist, args.scheme)
     report, profile, _ = _scheme_report(args.scheme, scheme)
     lines = _instance_lines(dist) + report
     if args.scheme == "buyeropt":
         lines.append(f"buyer-optimal surplus: {profile.total}")
+    if args.out:
+        fileio.save_scheme(scheme, args.out)
     if args.format == "json":
         # json_text({"report": lines, "scheme": ...}), the scheme nested a level deeper
         body = f'"report": {fileio.json_text(lines)},\n"scheme": {fileio.scheme_text(scheme)}'
-        print("{\n  " + body.replace("\n", "\n  ") + "\n}")
-    else:
-        print("\n".join(lines))
-    if args.out:
-        fileio.save_scheme(scheme, args.out)
-    return EXIT_OK
+        return EXIT_OK, "{\n  " + body.replace("\n", "\n  ") + "\n}"
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     dist = _load("instance", fileio.load_instance, args.instance)
     required = [r for r in args.require.split(",") if r] if args.require else []
     for r in required:
@@ -235,19 +235,17 @@ def cmd_verify(args) -> int:
             f"majorized (alpha <= {MAJORIZATION_FACTOR}): {as_text(flags['majorized'])}"
         )
     lines += _table_lines(rows)
-    print("\n".join(lines))
 
     if args.out:
         fileio.write_majorization_table(args.out, rows, args.format)
 
     failed = [r for r in required if not flags[r]]
     if failed:
-        print("failed requirements: " + ", ".join(failed))
-        return EXIT_GUARANTEE_FAILED
-    return EXIT_OK
+        lines.append("failed requirements: " + ", ".join(failed))
+    return EXIT_GUARANTEE_FAILED if failed else EXIT_OK, "\n".join(lines)
 
 
-def cmd_lowerbound(args) -> int:
+def cmd_lowerbound(args) -> tuple[int, str]:
     lines = []
     if args.kind == "buyeropt":
         # the instance checked both schemes against their closed forms
@@ -288,8 +286,7 @@ def cmd_lowerbound(args) -> int:
             raise InvariantViolation("max-min LP value differs from closed form")
         _, alpha = certify(profile.step_function, grid, rival)
         lines.append(f"certified alpha of monotone scheme: {as_text(alpha)}")
-    print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -343,11 +340,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and print its report, the one write to stdout."""
     if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 builds may lack it
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, report = args.func(args)
     except InvariantViolation as e:
         print(f"error: internal invariant violated: {e}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -359,6 +357,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"error: {DERIVED_TOO_LONG}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:  # stdout closed early: send the rest to devnull (see `signal`'s docs)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

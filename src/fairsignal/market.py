@@ -17,6 +17,7 @@ import numbers
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
@@ -377,12 +378,7 @@ class ValueDistribution(Record):
     @cached_property
     def cdf(self) -> tuple[Fraction, ...]:
         """F(v_i) for each i; the last entry is exactly 1.  Summed once."""
-        out = []
-        acc = Fraction(0)
-        for f in self.masses:
-            acc += f
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.masses))
 
     @cached_property
     def posted_revenues(self) -> tuple[Fraction, ...]:
@@ -660,8 +656,8 @@ class _Time(tuple):
         return self[0] * other[1] < other[0] * self[1]
 
 
-def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Fraction]:
-    """Scheme maximizing total consumer surplus, and that maximum E[v] - R*.
+def buyer_optimal_scheme(dist: ValueDistribution) -> SignalingScheme:
+    """Scheme maximizing total consumer surplus, E[v] - R* in all.
 
     Equal-revenue peeling (Bergemann, Brooks and Morris, AER 2015): a round
     subtracts from the residual, as far as it allows, t times the segment
@@ -731,4 +727,4 @@ def buyer_optimal_scheme(dist: ValueDistribution) -> tuple[SignalingScheme, Frac
     best = dist.expected_value - dist.myerson[1]
     if total != best or not is_efficient(scheme):
         raise InvariantViolation(f"buyer-optimal surplus {total} != {best} or inefficient")
-    return scheme, total
+    return scheme

@@ -208,7 +208,7 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
         values=(Fraction(1), N, N + 1),
         masses=((N**2 - 1) / total, (N**2 + 1) / total, (N**3 + N) / total),
     )
-    buyer_optimal = buyer_optimal_scheme(dist)[0]
+    buyer_optimal = buyer_optimal_scheme(dist)
     # N = p/q; each share below is in lowest terms, as p/q is
     # a1: (N^2 - 1)/(N^2 + N) = (p - q)/p and (N + 1)/(N^2 + N) = q/p
     # a2: 1/(N + 1) = q/(p + q) and N/(N + 1) = p/(p + q)

@@ -11,9 +11,11 @@ breakpoints certifies inequalities for every mass.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, groupby
 from typing import Optional
 
 from .market import (
@@ -55,9 +57,8 @@ class StepFunction(Record):
             pn, pd = b.numerator, b.denominator
         if self.breakpoints[-1] != 1:
             raise MarketError("last breakpoint must be exactly 1")
-        for v in self.values:
-            if v.numerator < 0:
-                raise MarketError("segment values must be non-negative")
+        if any(v.numerator < 0 for v in self.values):
+            raise MarketError("segment values must be non-negative")
         # summed on reduced pairs, each integral made a Fraction once
         integral, total, left = Fraction(0), (0, 1), Fraction(0)
         out = [integral]
@@ -91,21 +92,14 @@ class StepFunction(Record):
     def ascending(self) -> "StepFunction":
         """Ascending rearrangement, one segment per distinct value.
 
-        Segment indices are sorted by value (stably), each right edge is
-        the sum of the widths placed so far, and equal neighbours merged.
+        Segment indices are sorted by value (stably), the widths of each
+        run of equal values summed, and the right edges accumulated.
         """
         breakpoints, values = self.breakpoints, self.values
-        edges: list[Fraction] = []
-        distinct: list[Fraction] = []
-        edge = Fraction(0)
-        for i in sorted(range(len(values)), key=values.__getitem__):
-            edge += breakpoints[i] - (breakpoints[i - 1] if i else 0)
-            if distinct and values[i] == distinct[-1]:
-                edges[-1] = edge
-            else:
-                edges.append(edge)
-                distinct.append(values[i])
-        return StepFunction(tuple(edges), tuple(distinct))
+        widths = [b - a for a, b in zip((0,) + breakpoints, breakpoints)]
+        runs = groupby(sorted(range(len(values)), key=values.__getitem__), key=values.__getitem__)
+        distinct, sums = zip(*((v, sum(widths[i] for i in run)) for v, run in runs))
+        return StepFunction(tuple(accumulate(sums)), distinct)
 
 
 class SurplusProfile(Record):
@@ -203,25 +197,10 @@ def certification_grid(f: StepFunction) -> tuple[Fraction, ...]:
 
 
 def merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Union of two strictly increasing tuples, strictly increasing, merged
-    by comparison, as hashing a Fraction costs a modular inverse."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    out += a[i:]
-    out += b[j:]
-    return tuple(out)
+    """Union of two strictly increasing tuples, strictly increasing:
+    `heapq.merge` with equal neighbours collapsed, never a `set`, as
+    hashing a Fraction costs a modular inverse."""
+    return tuple(x for x, _ in groupby(heapq.merge(a, b)))
 
 
 def evaluate_welfare(profile: SurplusProfile, kind: str) -> Fraction:

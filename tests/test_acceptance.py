@@ -214,7 +214,7 @@ def test_c06_majorization_certificate(certificates):
 def test_c07_buyer_optimal_identity(corpus):
     violations = 0
     for dist in corpus:
-        _, total = buyer_optimal_scheme(dist)
+        total = buyer_optimal_scheme(dist).total_surplus
         _, revenue = dist.myerson
         if total != dist.expected_value - revenue:
             violations += 1

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -1224,6 +1225,46 @@ def test_certify_needs_one_rival_value_per_mass():
     step = StepFunction((F(1, 2), F(1)), (F(1), F(2)))
     with pytest.raises(ValueError):
         cli.certify(step, (F(1, 2), F(1)), [F(1)])
+
+
+def run_with_closed_stdout(argv) -> tuple[int, bytes]:
+    """Run the CLI in a child whose stdout is a pipe whose read end was
+    closed before it started, as `| head -1` leaves it once head exits;
+    return its exit code and its stderr."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "fairsignal.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write)
+    return child.returncode, child.stderr
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_closed_stdout_keeps_the_out_file(command, tmp_path, capsys):
+    # the --out file is written before the report, and a reader that has
+    # gone is no error: the child exits as a normal run does
+    rng = random.Random(128)
+    dist = ValueDistribution.from_pairs(sorted(rng.sample(range(1, 1000), 128)), [F(1, 128)] * 128)
+    instance, scheme, expected, out = (
+        str(tmp_path / name) for name in ("r128.json", "s.json", "expected", "out")
+    )
+    write_instance(dist, instance)
+    build = ["build", "--in", instance, "--scheme", "final", "--out"]
+    argv = build if command == "build" else ["verify", "--in", instance, "--scheme", scheme, "--out"]
+    assert main([*build, scheme]) == 0
+    assert main([*argv, expected]) == 0
+    # longer than the child's stdout buffer, so its print meets the pipe
+    assert len(capsys.readouterr().out) > 8192
+    assert run_with_closed_stdout([*argv, out]) == (0, b"")
+    with open(out, "rb") as got, open(expected, "rb") as want:
+        assert got.read() == want.read()
 
 
 class TestLowerbound:

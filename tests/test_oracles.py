@@ -72,18 +72,18 @@ def lp_buyer_optimal_scheme(
 
 class TestBuyerOptimal:
     def test_running_example_total(self, running_example):
-        scheme, total = buyer_optimal_scheme(running_example)
+        scheme = buyer_optimal_scheme(running_example)
+        total = scheme.total_surplus
         assert total == F(1)
         assert is_efficient(scheme)
         assert scheme_surplus(scheme).total == F(1)
 
     def test_single_value(self):
         d = ValueDistribution.from_pairs([4], [1])
-        _, total = buyer_optimal_scheme(d)
-        assert total == F(0)
+        assert buyer_optimal_scheme(d).total_surplus == F(0)
 
     def test_five_value_instance(self, fig3_instance):
-        _, total = buyer_optimal_scheme(fig3_instance)
+        total = buyer_optimal_scheme(fig3_instance).total_surplus
         _, revenue = fig3_instance.myerson
         assert total == fig3_instance.expected_value - revenue == F(7, 5)
 
@@ -92,7 +92,7 @@ class TestBuyerOptimal:
         rng = random.Random(101)
         for _ in range(40):
             dist = random_distribution(rng, max_n=6)
-            scheme, _ = buyer_optimal_scheme(dist)
+            scheme = buyer_optimal_scheme(dist)
             revenues = dist.posted_revenues
             best = max(revenues)
             tied = [i for i, r in enumerate(revenues) if r == best]
@@ -109,7 +109,7 @@ class TestBuyerOptimal:
 class TestAdversary:
     def test_full_mass_equals_buyer_optimal(self, running_example):
         [value] = adversary_sorted_prefix(running_example, [F(1)])
-        _, total = buyer_optimal_scheme(running_example)
+        total = buyer_optimal_scheme(running_example).total_surplus
         assert value == total == F(1)
 
     @pytest.mark.parametrize("m", [F(0), F(-1, 2), F(5, 4)], ids=["zero", "negative", "above-1"])
@@ -154,8 +154,7 @@ class TestAdversary:
         with pytest.raises(MarketError):
             adversary_sorted_prefix(d, [F(1, 2)])
         [value] = adversary_sorted_prefix(d, [F(1)], max_support=9)
-        _, total = buyer_optimal_scheme(d)
-        assert value == total
+        assert value == buyer_optimal_scheme(d).total_surplus
 
     def test_matches_max_min_lp_on_three_values(self):
         # with the lowest class fixed at zero surplus and the heavy top
@@ -170,7 +169,7 @@ class TestAdversary:
         assert value == inst.dist.masses[1] * result.value
 
     def test_grid_contains_cdf_points(self, running_example):
-        profile = scheme_surplus(buyer_optimal_scheme(running_example)[0])
+        profile = scheme_surplus(buyer_optimal_scheme(running_example))
         grid = adversary_grid(profile)
         for m in running_example.cdf:
             assert m in grid
@@ -232,7 +231,7 @@ class TestBuyerOptimalLowerBound:
 
     def test_reference_scheme_is_buyer_optimal(self):
         inst = buyer_optimal_lb_instance(3)
-        _, best = buyer_optimal_scheme(inst.dist)
+        best = buyer_optimal_scheme(inst.dist).total_surplus
         assert scheme_surplus(inst.buyer_optimal).total == best
         assert is_efficient(inst.buyer_optimal)
         assert is_efficient(inst.alternative)
@@ -247,7 +246,7 @@ class TestBuyerOptimalLowerBound:
         s1 = Signal(dist, ((0, pair((N**2 - 1) / den)), (1, pair(1 / den)), (2, pair(N / den))))
         s2 = Signal(dist, ((1, pair(1 / (N + 1))), (2, pair(N / (N + 1)))))
         reference = ((s1, (1, n + 1)), (s2, (n, n + 1)))
-        scheme, _ = buyer_optimal_scheme(dist)
+        scheme = buyer_optimal_scheme(dist)
         assert scheme.entries == reference
         assert inst.buyer_optimal.entries == reference
 
@@ -257,8 +256,8 @@ class TestBuyerOptimalLowerBound:
 
 
 def test_lp_optimum_is_the_peeled_total_on_corpus(corpus):
-    """The LP optimum is E[v] - R*, the total `buyer_optimal_scheme` returns
-    only after re-checking it; c07 peels this same corpus, so the peeled and
+    """The LP optimum is E[v] - R*, the total of the scheme
+    `buyer_optimal_scheme` returns only after re-checking it; c07 peels this same corpus, so the peeled and
     LP totals are equal on it without peeling each instance twice."""
     for dist in corpus:
         _, revenue = dist.myerson
@@ -517,7 +516,7 @@ class TestReferenceFormulation:
     @pytest.mark.parametrize("dist", reference_instances())
     def test_values_and_witnesses_match_reference(self, dist):
         scheme, total = lp_buyer_optimal_scheme(dist)
-        assert total == buyer_optimal_scheme(dist)[1]
+        assert total == buyer_optimal_scheme(dist).total_surplus
         assert is_efficient(scheme)
         assert scheme_surplus(scheme).total == total
         SignalingScheme(dist, scheme.entries)

@@ -394,6 +394,22 @@ class TestCertificationGrid:
             grid = merged(grid, certification_grid(f))
         assert grid == tuple(sorted(edges))
 
+    def test_certification_hashes_no_fraction(self, nonmonotone_step, monkeypatch):
+        # `merged` compares masses and never puts them in a set or dict, as
+        # hashing a Fraction costs a modular inverse
+        def refuse(self):
+            raise AssertionError("a Fraction was hashed")
+
+        monkeypatch.setattr(Fraction, "__hash__", refuse)
+        f = StepFunction((F(1, 3), F(1, 2), F(1)), (F(2), F(1), F(3)))
+        grid = certification_grid(f)  # sorted breakpoints 1/6, 1/2 and 1
+        assert grid == (F(1, 6), F(1, 3), F(1, 2), F(1))
+        assert merged(grid, (F(1, 4), F(1, 2), F(1))) == (F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1))
+        assert not nonmonotone_step.non_decreasing
+        own = certification_grid(nonmonotone_step)
+        assert merged(own, nonmonotone_step.breakpoints) == own
+        assert merged(own, own) == own
+
     def test_one_step_function_per_profile(self, nonmonotone_scheme):
         # a profile's grid and its prefix sums share one set of integrals
         profile = scheme_surplus(nonmonotone_scheme)
