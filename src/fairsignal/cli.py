@@ -341,8 +341,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and print its report, the one write to stdout."""
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 builds may lack it
-        sys.set_int_max_str_digits(MAX_INT_DIGITS)
+    sys.set_int_max_str_digits(MAX_INT_DIGITS)
     args = _parser().parse_args(argv)
     try:
         code, report = args.func(args)

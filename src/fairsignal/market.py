@@ -147,8 +147,8 @@ def pair_text(n: int, d: int) -> str:
 
 class Record:
     """An immutable record.  A subclass declares its fields once, as
-    annotations.  The constructor takes them in that order, by position or
-    by keyword, each required, less those named in ``_derived``, which the
+    annotations.  The constructor takes them by position, in that order,
+    each required, less those named in ``_derived``, which the
     subclass's ``__post_init__`` sets; it binds each through
     ``object.__setattr__``, then calls ``__post_init__``, where a subclass
     has its checks.  Equality, hash and repr read the fields named in
@@ -166,31 +166,14 @@ class Record:
         if "_compared" not in cls.__dict__:
             cls._compared = cls._fields
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
+        if len(args) != len(fields):
+            name = type(self).__qualname__
+            raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The constructor fields' values in order, from ``args``, then
-        ``kwargs``, refused as a function with these parameters would
-        refuse them."""
-        name = cls.__qualname__
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{name}() takes {len(cls._fields)} arguments, {len(args)} given")
-        values = list(args)
-        for field in cls._fields[len(args):]:
-            if field not in kwargs:
-                raise TypeError(f"{name}() missing required argument {field!r}")
-            values.append(kwargs.pop(field))
-        for field in kwargs:
-            got = "multiple values for" if field in cls._fields else "an unexpected keyword"
-            raise TypeError(f"{name}() got {got} argument {field!r}")
-        return values
 
     def __post_init__(self):
         """A subclass's checks, and the fields it derives."""

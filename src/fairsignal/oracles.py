@@ -205,8 +205,8 @@ def buyer_optimal_lb_instance(parameter) -> BuyerOptimalLowerBound:
     check_parameter_length(N)
     total = N**3 + 2 * N**2 + N
     dist = ValueDistribution(
-        values=(Fraction(1), N, N + 1),
-        masses=((N**2 - 1) / total, (N**2 + 1) / total, (N**3 + N) / total),
+        (Fraction(1), N, N + 1),
+        ((N**2 - 1) / total, (N**2 + 1) / total, (N**3 + N) / total),
     )
     buyer_optimal = buyer_optimal_scheme(dist)
     # N = p/q; each share below is in lowest terms, as p/q is
@@ -256,4 +256,4 @@ def universal_lb_instance(epsilon) -> UniversalLowerBound:
     total = f1 + f2 + f3
     dist = ValueDistribution(values, (f1 / total, f2 / total, f3 / total))
     y = (4 + 3 * eps + eps**2) / (2 + eps)
-    return UniversalLowerBound(dist=dist, best_min_surplus=y * eps / f2)
+    return UniversalLowerBound(dist, y * eps / f2)

@@ -189,8 +189,7 @@ class TestBuild:
     def test_oversized_derived_rational_exits_2(
         self, scheme, values, masses, tmp_path, capsys
     ):
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
         payload = {"values": values, "masses": masses()}
         path = str(tmp_path / "long.json")
         with open(path, "w") as fh:
@@ -700,8 +699,7 @@ class TestVerify:
         # every rational and every signal's lcm is inside the limit, but the
         # mass of value 0 summed over the signals is not; the sum stops there
         # rather than growing with each signal
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
         rng = random.Random(5)
         entries = []
         for _ in range(3):
@@ -1334,8 +1332,7 @@ class TestLowerbound:
             raise AssertionError("instance built")
 
         monkeypatch.setattr(oracles, "ValueDistribution", refuse)
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)  # as `main` does
         long_n = f"{2**83048 - 1}/{2**83048 - 3}"
         for kind, parameter in [
             ("buyeropt", "1e99999"),

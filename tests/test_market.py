@@ -196,9 +196,6 @@ def read_outcome(read, text):
 LONG = "1" + "0" * MAX_INT_DIGITS  # one digit past the limit
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit to set"
-)
 @pytest.mark.parametrize("limit", [MAX_INT_DIGITS, 0], ids=["cli-limit", "no-limit"])
 @pytest.mark.parametrize(
     "text",
@@ -225,14 +222,12 @@ def test_as_fraction_reads_digit_strings_as_fraction_does(text, limit):
 
 def decimal(n: int) -> str:
     """n in decimal digits, past the default int/str conversion limit."""
-    previous = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if previous is not None:
-        sys.set_int_max_str_digits(0)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return str(n)
     finally:
-        if previous is not None:
-            sys.set_int_max_str_digits(previous)
+        sys.set_int_max_str_digits(previous)
 
 
 AT_LIMIT = 2**_MAX_RATIONAL_BITS - 1  # the longest denominator read
@@ -269,9 +264,6 @@ def reader_id(raw) -> str:
     return f"{type(raw).__name__}-{raw!r}"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit to set"
-)
 @pytest.mark.parametrize(
     "text, expected", READER_TABLE, ids=[reader_id(t) for t, _ in READER_TABLE]
 )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from fairsignal import lp as lp_module
-from fairsignal import oracles
+from fairsignal import oracles, splitmatch
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.lp import LinearProgram, LPResult, solve_lp
 from fairsignal.market import (
@@ -709,3 +709,63 @@ def test_canonical_lps_start_at_full_revelation(name, request, monkeypatch):
     assert len(captured) == 2
     for lp in captured:
         assert all(rhs >= 0 for _, rhs in lp.constraints)
+
+
+def adversary_row_labels(n: int) -> list:
+    """Labels of the adversary LP's rows, in `adversary_sorted_prefix`'s
+    order: the top class's row, the revenue rows (k, j) of signal k against
+    price v_j, then the capacity rows of classes 1..n-1."""
+    revenue = [("revenue", k, j) for k in range(n) for j in range(k + 1, n)]
+    return (["top"] if n > 1 else []) + revenue + [("capacity", i) for i in range(1, n)]
+
+
+def hull_point_dual(dist: ValueDistribution, k: int) -> dict:
+    """Dual multipliers, by row label, certifying that the adversary at
+    m = F_k = f_0 + ... + f_{k-1} is at most U_k, the k lowest classes'
+    value less the best revenue a posted price takes from them alone."""
+    v, f, n = dist.values, dist.masses, dist.n
+    # the lowest price that takes the k lowest classes' best revenue
+    star = max(range(k), key=lambda j: (v[j] * sum(f[j:k]), -j))
+    y = {("revenue", i, star): F(1) for i in range(star)}
+    y.update({("revenue", i, i + 1): (v[i] - v[star]) / v[i] for i in range(star, min(k, n - 1))})
+    if k == n > 1:  # one class has no top row, and its multiplier is 0
+        y["top"] = v[n - 1] - v[star]
+    y.update({("capacity", i): F(1) for i in range(1, k)})
+    return y
+
+
+def assert_hull_points_certified(dist: ValueDistribution) -> None:
+    """At every CDF mass F_k, `hull_point_dual` is a feasible point of the
+    dual of the LP `adversary_sorted_prefix` builds there (y >= 0 and
+    y^T A >= c, so weak duality bounds the LP by b.y), and b.y is U_k."""
+    with pytest.MonkeyPatch.context() as patch:
+        # the programs only: nothing is solved
+        lps = capture_lps(patch, solve=lambda lp, start=None: LPResult(None, None, None))
+        adversary_sorted_prefix(dist, dist.cdf, max_support=dist.n)
+    labels = adversary_row_labels(dist.n)
+    for k, lp in enumerate(lps, 1):
+        assert len(lp.constraints) == len(labels)
+        y = hull_point_dual(dist, k)
+        assert set(y) <= set(labels)
+        assert all(weight >= 0 for weight in y.values())
+        pushed = [F(0)] * len(lp.objective)
+        for label, (row, _) in zip(labels, lp.constraints):
+            for column, coefficient in row:
+                pushed[column] += y.get(label, 0) * coefficient
+        assert all(a >= c for a, c in zip(pushed, lp.objective)), (dist, k)
+        bound = sum(y.get(label, 0) * rhs for label, (_, rhs) in zip(labels, lp.constraints))
+        assert bound == splitmatch.truncated_upper_bound(dist, k), (dist, k)
+
+
+def test_every_hull_point_is_certified_in_the_adversary_rows(corpus):
+    """c04's lemma, A(F_k) <= U_k, as a certificate of the adversary LP
+    itself, at every k of the first 200 corpus instances."""
+    for dist in corpus[:200]:
+        assert_hull_points_certified(dist)
+
+
+@given(structured_priors(max_n=10))
+@settings(max_examples=8, deadline=None)
+def test_every_hull_point_is_certified_on_structured_priors(case):
+    _, dist = case
+    assert_hull_points_certified(dist)

@@ -1,8 +1,8 @@
 """The package's records (subclasses of `market.Record`) are immutable
 values: fields are fixed, equality and hash read exactly the compared
 fields, derived fields are not constructor arguments, and every other
-field can be passed by position or keyword, is required, and no other
-argument is taken."""
+field is passed by position, in declaration order, and is required; no
+keyword and no other argument is taken."""
 
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ def fields(record: Record) -> list[str]:
 
 
 def arguments(record: Record) -> dict:
-    """The constructor arguments that rebuild ``record``, by keyword, in
+    """The constructor arguments that rebuild ``record``, by field name, in
     declaration order."""
     derived = DERIVED.get(type(record).__name__, set())
     return {field: getattr(record, field) for field in fields(record) if field not in derived}
@@ -131,50 +131,58 @@ def test_equality_and_hash_read_exactly_the_compared_fields(name):
         else:
             assert twin != record
     assert record != object()
-    assert hash(type(record)(**arguments(record))) == hash(record)
+    assert hash(type(record)(*arguments(record).values())) == hash(record)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
-def test_constructor_takes_every_field_but_the_derived_by_keyword(name):
-    record = RECORDS[name]
-    given = arguments(record)
-    assert type(record)(**given) == record
-    for field in DERIVED.get(name, set()):
-        with pytest.raises(TypeError, match=field):
-            type(record)(**given, **{field: getattr(record, field)})
-
-
-@pytest.mark.parametrize("name", sorted(RECORDS))
-def test_positional_construction_equals_keyword_construction(name):
+def test_positional_construction_equals_the_record(name):
     record = RECORDS[name]
     given = arguments(record)
     built = type(record)(*given.values())
-    assert built == type(record)(**given) == record
+    assert built == record
     # the uncompared fields too are bound in declaration order
     assert {field: getattr(built, field) for field in given} == given
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
-def test_omitting_a_required_field_raises_naming_it(name):
+def test_omitting_an_argument_raises(name):
     record = RECORDS[name]
-    given = arguments(record)
-    for field in given:
-        rest = {other: value for other, value in given.items() if other != field}
-        with pytest.raises(TypeError, match=f"missing required argument '{field}'"):
-            type(record)(**rest)
+    cls, values = type(record), list(arguments(record).values())
+    n = len(values)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {n} arguments, {n - 1} given$"):
+        cls(*values[:-1])
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_an_argument_beyond_the_fields_raises(name):
     record = RECORDS[name]
+    cls, values = type(record), list(arguments(record).values())
+    n = len(values)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {n} arguments, {n + 1} given$"):
+        cls(*values, None)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_fields_name_as_keyword_raises_naming_it(name):
+    # derived fields included: no field's name binds as a keyword
+    record = RECORDS[name]
     cls, given = type(record), arguments(record)
-    with pytest.raises(TypeError, match=f"takes {len(given)} arguments, {len(given) + 1} given"):
-        cls(*given.values(), None)
+    for field in fields(record):
+        keyword = {field: getattr(record, field)}
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            cls(*given.values(), **keyword)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            cls(**keyword)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_keyword_beyond_the_fields_raises(name):
+    record = RECORDS[name]
+    cls, given = type(record), arguments(record)
     with pytest.raises(TypeError, match="unexpected keyword argument 'spare'"):
-        cls(**given, spare=None)
-    first = next(iter(given))
-    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
-        cls(*given.values(), **{first: given[first]})
+        cls(*given.values(), spare=None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'spare'"):
+        cls(spare=None)
 
 
 def test_binary_repr_is_unchanged():

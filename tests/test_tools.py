@@ -153,6 +153,13 @@ def test_the_profiler_lists_each_module_that_ran_in_order(argv, tmp_path, capsys
     assert {"cli", "fileio", "market", "steps"} < ran
 
 
+def test_the_profiler_returns_the_code_of_a_failed_command(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    argv = ["verify", "--in", os.path.join(RUNNING_EXAMPLE, "instance.json"), "--scheme", missing]
+    assert tool("profile_cli").main(argv) == 2
+    assert capsys.readouterr().out.startswith("exit code: 2\n")
+
+
 # sha256 over the stdout and written files of one seed-1 cycle, in order
 PERFBENCH_DIGESTS = {
     "pipeline-large": "40da8dbbc7a7a6c93854884660f15fbc07dcc357d1f89237ac07accb1fb3660a",

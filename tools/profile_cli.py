@@ -11,6 +11,10 @@ command's stdout discarded, and prints:
   profiler's own), and the total;
 - the functions with the most self time, most first.
 
+It returns, and exits with, the command's own exit code (a usage error's
+2 from argparse included), so a script can tell a failed run's profile
+from a good one.
+
 A function outside the package, a built-in such as ``math.gcd`` or
 ``io.open`` or a standard module's such as ``Fraction.__new__``, is
 charged to the functions that called it, split by the self time that
@@ -119,7 +123,7 @@ def main(argv: list[str]) -> int:
     top = sorted(stats.items(), key=lambda item: (-item[1][2], label(item[0])))[:TOP]
     for func, (_, calls, self_s, _, _) in top:
         print(f"{label(func):<60} {self_s:>9.4f} {calls:>9}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":
