@@ -47,7 +47,6 @@ from .splitmatch import split_and_match
 from .steps import (
     WELFARE_KINDS,
     StepFunction,
-    SurplusProfile,
     evaluate_welfare,
     integration_prefix,
     is_monotone,
@@ -90,24 +89,21 @@ def _instance_lines(dist: ValueDistribution) -> list[str]:
     ]
 
 
-def _scheme_report(
-    name: str, scheme: SignalingScheme
-) -> tuple[list[str], SurplusProfile, dict[str, bool]]:
-    """Report lines of a scheme, with its surplus profile and its flags."""
-    profile = scheme_surplus(scheme)
-    flags = {"efficient": is_efficient(scheme), "monotone": is_monotone(profile)}
+def _scheme_report(name: str, scheme: SignalingScheme) -> tuple[list[str], dict[str, bool]]:
+    """Report lines of a scheme, with its flags."""
+    flags = {"efficient": is_efficient(scheme), "monotone": is_monotone(scheme)}
     lines = [
         f"scheme: {name}",
         f"signals: {len(scheme.entries)}",
         f"revenue: {scheme_revenue(scheme)}",
-        "surplus profile: [" + ", ".join(map(str, profile.surpluses)) + "]",
-        f"total consumer surplus: {profile.total}",
+        "surplus profile: [" + ", ".join(map(str, scheme.surpluses)) + "]",
+        f"total consumer surplus: {scheme.total_surplus}",
         f"efficient: {as_text(flags['efficient'])}",
         f"monotone: {as_text(flags['monotone'])}",
     ]
     for kind in WELFARE_KINDS:
-        lines.append(f"welfare {kind}: {as_text(evaluate_welfare(profile, kind))}")
-    return lines, profile, flags
+        lines.append(f"welfare {kind}: {as_text(evaluate_welfare(scheme, kind))}")
+    return lines, flags
 
 
 def build_named_scheme(dist: ValueDistribution, name: str) -> SignalingScheme:
@@ -151,7 +147,7 @@ def certify(
 def _table_lines(rows: Sequence[tuple]) -> list[str]:
     lines = [" | ".join(("m", "Pfv", "PF", "adversary PF", "ratio")[: len(rows[0])])]
     for m, pfv, pf, *rest in rows:
-        pfv_text = as_text(pfv)  # on its own grid a monotone profile's PF is its Pfv
+        pfv_text = as_text(pfv)  # on its own grid a monotone scheme's PF is its Pfv
         pf_text = pfv_text if pf is pfv else as_text(pf)
         lines.append(" | ".join([as_text(m), pfv_text, pf_text, *map(as_text, rest)]))
     return lines
@@ -192,10 +188,10 @@ def _load(what: str, loader, *args):
 def cmd_build(args) -> tuple[int, str]:
     dist = _load("instance", fileio.load_instance, args.instance)
     scheme = build_named_scheme(dist, args.scheme)
-    report, profile, _ = _scheme_report(args.scheme, scheme)
+    report, _ = _scheme_report(args.scheme, scheme)
     lines = _instance_lines(dist) + report
     if args.scheme == "buyeropt":
-        lines.append(f"buyer-optimal surplus: {profile.total}")
+        lines.append(f"buyer-optimal surplus: {scheme.total_surplus}")
     if args.out:
         fileio.save_scheme(scheme, args.out)
     if args.format == "json":
@@ -217,12 +213,13 @@ def cmd_verify(args) -> tuple[int, str]:
         check_adversary_support(dist, args.max_support)
     scheme = _load("scheme file", fileio.load_scheme, args.scheme_file, dist)
 
-    scheme_lines, profile, flags = _scheme_report("file", scheme)
-    own = adversary_grid(profile)  # alpha is read here, where the ratio binds
+    scheme_lines, flags = _scheme_report("file", scheme)
+    step = scheme_surplus(scheme)
+    own = adversary_grid(step)  # alpha is read here, where the ratio binds
     shown = shown or own
     grid = merged(own, shown) if with_adversary else shown
     rival = adversary_sorted_prefix(dist, grid, args.max_support) if with_adversary else None
-    rows, alpha = certify(profile.step_function, grid, rival)
+    rows, alpha = certify(step, grid, rival)
     if len(grid) > len(shown):  # the table shows only the given masses
         picked = set(shown)
         rows = [row for row in rows if row[0] in picked]
@@ -262,8 +259,8 @@ def cmd_lowerbound(args) -> tuple[int, str]:
     else:
         inst = universal_lb_instance(args.parameter)
         dist = inst.dist
-        profile = scheme_surplus(monotone_fair_scheme(dist).final)
-        grid = adversary_grid(profile)
+        step = scheme_surplus(monotone_fair_scheme(dist).final)
+        grid = adversary_grid(step)
         rival = adversary_sorted_prefix(dist, grid)
         # The max-min value is read off the sweep.  Class 1 earns 0 under
         # every scheme, since every price is at least v_1, and class 3
@@ -284,7 +281,7 @@ def cmd_lowerbound(args) -> tuple[int, str]:
         ]
         if value != inst.best_min_surplus:
             raise InvariantViolation("max-min LP value differs from closed form")
-        _, alpha = certify(profile.step_function, grid, rival)
+        _, alpha = certify(step, grid, rival)
         lines.append(f"certified alpha of monotone scheme: {as_text(alpha)}")
     return EXIT_OK, "\n".join(lines)
 

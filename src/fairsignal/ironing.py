@@ -23,7 +23,7 @@ from .splitmatch import (
     binary_shares,
     split_and_match,
 )
-from .steps import SurplusProfile, scheme_surplus
+from .steps import StepFunction, scheme_surplus
 
 
 class IroningInterval(Record):
@@ -67,7 +67,7 @@ def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[int]:
     return hull
 
 
-def iron(profile: SurplusProfile) -> IronedFunction:
+def iron(step: StepFunction) -> IronedFunction:
     """Monotone rewrite of the surplus function via the convex envelope.
 
     The cumulative integral F is piecewise linear with vertices at the
@@ -76,12 +76,11 @@ def iron(profile: SurplusProfile) -> IronedFunction:
     constant on each ironing interval and equals the original surplus
     elsewhere; values at discontinuities are left limits.
     """
-    step = profile.step_function
     xs = (Fraction(0),) + step.breakpoints
     ys = step.integrals
     contact = _lower_hull(list(zip(xs, ys)))
     intervals = []
-    ironed = list(profile.surpluses)
+    ironed = list(step.values)
     for a, b in zip(contact, contact[1:]):
         if b == a + 1:
             continue
@@ -116,7 +115,7 @@ class RectanglePair(Record):
 
 
 def pair_rectangles(
-    profile: SurplusProfile, ironed: IronedFunction, t: int
+    step: StepFunction, ironed: IronedFunction, t: int
 ) -> tuple[RectanglePair, ...]:
     """Sweep interval t left to right, matching excess area to deficit area.
 
@@ -126,12 +125,12 @@ def pair_rectangles(
     """
     interval = ironed.intervals[t]
     level = interval.level
-    edges = (Fraction(0),) + profile.dist.cdf
+    edges = (Fraction(0),) + step.breakpoints
     plus = []
     minus = []
     for i in interval.classes:
         left, right = edges[i], edges[i + 1]
-        cs = profile.surpluses[i]
+        cs = step.values[i]
         if cs > level:
             plus.append((i, left, right, cs - level))
         elif cs < level:
@@ -268,11 +267,9 @@ def monotone_fair_scheme(dist: ValueDistribution) -> FairSchemeResult:
     smoothing lifts no class, ``smoothed`` is ``base`` itself.
     """
     base = split_and_match(dist)
-    profile = scheme_surplus(base)
-    ironed = iron(profile)
-    pairings = tuple(
-        pair_rectangles(profile, ironed, t) for t in range(len(ironed.intervals))
-    )
+    step = scheme_surplus(base)
+    ironed = iron(step)
+    pairings = tuple(pair_rectangles(step, ironed, t) for t in range(len(ironed.intervals)))
     smoothed = smooth(base, ironed, pairings)
     final = finalize(smoothed, ironed)
     for cs, s in zip(final.surpluses, ironed.ironed_values):

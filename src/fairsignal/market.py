@@ -459,10 +459,6 @@ class Signal(Record):
     def singleton(cls, dist: ValueDistribution, index: int) -> "Signal":
         return cls(dist, ((index, (1, 1)),))
 
-    @property
-    def lowest_index(self) -> int:
-        return self.shares[0][0]
-
 
 def class_sums(dist: ValueDistribution, entries: Iterable[tuple[tuple[int, int], Iterable, int]]):
     """Per-class sums of a scheme's entries ``(w, support, k)``: weight w of
@@ -595,8 +591,9 @@ def scheme_revenue(scheme: SignalingScheme) -> Fraction:
 
 
 def is_efficient(scheme: SignalingScheme) -> bool:
-    """True iff every signal's optimal price is its lowest support value."""
-    return all(s.optimal_price_index == s.lowest_index for s in scheme.signals)
+    """True iff every signal's optimal price is its lowest support value
+    (its first share: a signal's shares are sorted by index)."""
+    return all(s.optimal_price_index == s.shares[0][0] for s in scheme.signals)
 
 
 def scheme_from_rows(

@@ -37,7 +37,7 @@ from .market import (
     as_fraction,
     buyer_optimal_scheme,
 )
-from .steps import SurplusProfile, certification_grid
+from .steps import StepFunction, certification_grid
 
 DEFAULT_MAX_N = 8
 # A lower-bound parameter's numerator and denominator may not exceed
@@ -160,15 +160,16 @@ def adversary_sorted_prefix(
     return out
 
 
-def adversary_grid(profile: SurplusProfile) -> tuple[Fraction, ...]:
+def adversary_grid(step: StepFunction) -> tuple[Fraction, ...]:
     """Masses at which a scheme's majorization factor is certified.
 
-    The profile's segment edges and sorted breakpoints: both prefix sums of
-    the scheme are linear on each cell.  The adversary's optimum is convex
-    in m (a maximum of functions linear in m), so adversary <= alpha * PF
-    at both ends of a cell holds on the whole cell.
+    The segment edges and sorted breakpoints of its `scheme_surplus` step:
+    both prefix sums of the scheme are linear on each cell.  The
+    adversary's optimum is convex in m (a maximum of functions linear in
+    m), so adversary <= alpha * PF at both ends of a cell holds on the
+    whole cell.
     """
-    return certification_grid(profile.step_function)
+    return certification_grid(step)
 
 
 class BuyerOptimalLowerBound(Record):

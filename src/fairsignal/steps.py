@@ -1,12 +1,12 @@
-"""Surplus profiles, their step functions on (0, 1], prefix sums,
-majorization comparisons and welfare.
+"""Surplus step functions on (0, 1], prefix sums, majorization
+comparisons and welfare.
 
-A surplus profile induces a step function mapping population quantiles to
-expected surplus.  Two prefix sums drive all comparisons here: the plain
-integral from 0, and the integral after rearranging segments in ascending
-order (the least surplus any sub-population of a given mass can carry).
-Both are piecewise linear in the mass argument, so a finite grid of
-breakpoints certifies inequalities for every mass.
+A scheme's per-class surplus induces a step function mapping population
+quantiles to expected surplus.  Two prefix sums drive all comparisons
+here: the plain integral from 0, and the integral after rearranging
+segments in ascending order (the least surplus any sub-population of a
+given mass can carry).  Both are piecewise linear in the mass argument,
+so a finite grid of breakpoints certifies inequalities for every mass.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Optional
 from .market import (
     MarketError,
     Record,
-    ValueDistribution,
     common_denominator,
     pair_product,
     pair_sum,
@@ -102,46 +101,23 @@ class StepFunction(Record):
         return StepFunction(tuple(accumulate(sums)), distinct)
 
 
-class SurplusProfile(Record):
-    """Per-value expected consumer surplus under some scheme, and its
-    mass-weighted ``total``, the one the scheme summed (`scheme_surplus`)."""
-
-    _compared = ("dist", "surpluses")
-    dist: ValueDistribution
-    surpluses: tuple[Fraction, ...]
-    total: Fraction
-
-    def __post_init__(self):
-        if len(self.surpluses) != self.dist.n:
-            raise MarketError("one surplus per value required")
-        for cs in self.surpluses:
-            if cs.numerator < 0:
-                raise MarketError(f"surpluses must be non-negative, got {cs}")
-
-    @cached_property
-    def step_function(self) -> StepFunction:
-        """Segment i spans value i's mass.  Built once, so that the
-        profile's grid and its prefix sums share one set of integrals and
-        one rearrangement."""
-        return StepFunction(self.dist.cdf, self.surpluses)
-
-
-def scheme_surplus(scheme) -> SurplusProfile:
+def scheme_surplus(scheme) -> StepFunction:
     """Expected consumer surplus of each value class under a scheme or a
-    pipeline stage, with its ``total_surplus``."""
-    return SurplusProfile(scheme.dist, scheme.surpluses, scheme.total_surplus)
+    pipeline stage, as a step function: segment i spans value i's mass."""
+    return StepFunction(scheme.dist.cdf, scheme.surpluses)
 
 
-def is_monotone(profile: SurplusProfile) -> bool:
-    """True iff expected surplus is non-decreasing in buyer value."""
-    return all(a <= b for a, b in zip(profile.surpluses, profile.surpluses[1:]))
+def is_monotone(scheme) -> bool:
+    """True iff a scheme's or stage's surplus is non-decreasing in value."""
+    surpluses = scheme.surpluses
+    return all(a <= b for a, b in zip(surpluses, surpluses[1:]))
 
 
-def profile_step_function(profile: SurplusProfile) -> StepFunction:
-    """The step function of a surplus profile, its ``step_function``.  The
-    package reads the property; this stays for `perfbench/tracing.py`,
-    which imports it, and as a public name."""
-    return profile.step_function
+def profile_step_function(step: StepFunction) -> StepFunction:
+    """``step`` itself, the step function `scheme_surplus` returns.  Kept
+    for `perfbench/tracing.py`, which imports it; it goes when the tracer
+    stops pinning `src/` names (ROADMAP item 23)."""
+    return step
 
 
 def integration_prefix(f: StepFunction, m: Fraction) -> Fraction:
@@ -203,17 +179,17 @@ def merged(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, 
     return tuple(x for x, _ in groupby(heapq.merge(a, b)))
 
 
-def evaluate_welfare(profile: SurplusProfile, kind: str) -> Fraction:
-    """Welfare of the per-buyer surplus allocation, mass-weighted, exact.
+def evaluate_welfare(scheme, kind: str) -> Fraction:
+    """Welfare of a scheme's or stage's per-buyer surplus, mass-weighted, exact.
 
-    utilitarian: the profile's total.  nash and maxmin: 0, what the lowest
+    utilitarian: its ``total_surplus``.  nash and maxmin: 0, what the lowest
     class earns under every scheme, as each posted price is at least v_1.
-    A profile whose lowest class earns more is refused with ValueError.
+    An allocation whose lowest class earns more is refused with ValueError.
     """
     if kind not in WELFARE_KINDS:
         raise ValueError(f"unknown welfare kind {kind!r}")
     if kind == "utilitarian":
-        return profile.total
-    if profile.surpluses[0]:
+        return scheme.total_surplus
+    if scheme.surpluses[0]:
         raise ValueError(f"{kind} welfare needs the lowest class to earn 0")
     return Fraction(0)

@@ -28,13 +28,11 @@ from fairsignal.market import (
     SignalingScheme,
     ValueDistribution,
     as_fraction,
-    dot,
     scheme_from_rows,
 )
 from fairsignal.splitmatch import BinarySignalEntry, binary_shares
 from fairsignal.steps import (
     StepFunction,
-    SurplusProfile,
     certification_grid,
     merged,
     sorted_prefix,
@@ -168,9 +166,10 @@ def pair(x: Fraction) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def hand_profile(dist: ValueDistribution, surpluses: Sequence[Fraction]) -> SurplusProfile:
-    """A profile built by hand, with its mass-weighted total."""
-    return SurplusProfile(dist, tuple(surpluses), dot(dist.masses, surpluses))
+def hand_profile(dist: ValueDistribution, surpluses: Sequence[Fraction]) -> StepFunction:
+    """The surplus step function of a profile built by hand, as
+    `scheme_surplus` builds a scheme's: segment i spans value i's mass."""
+    return StepFunction(dist.cdf, tuple(surpluses))
 
 
 def support(signal: Signal) -> tuple[tuple[int, Fraction], ...]:

@@ -38,7 +38,6 @@ from fairsignal.splitmatch import (
 from fairsignal.steps import (
     integration_prefix,
     is_monotone,
-    profile_step_function,
     scheme_surplus,
     sorted_prefix,
 )
@@ -69,7 +68,7 @@ def certificates(corpus, pipelines):
     """Adversary values and witness schemes for every small instance.
 
     Returns (entries, elapsed_seconds) where each entry carries the
-    instance, its final scheme profile, and one (m, value, witness) triple
+    instance, its final scheme, and one (m, value, witness) triple
     per grid mass.  The witnesses come from the `adversary_witnesses` test
     oracle, so the time includes rebuilding them.
     """
@@ -78,11 +77,11 @@ def certificates(corpus, pipelines):
     for dist, pipe in zip(corpus, pipelines):
         if dist.n > 6:
             continue
-        profile = scheme_surplus(pipe.final.to_signaling_scheme())
-        grid = adversary_grid(profile)
+        scheme = pipe.final.to_signaling_scheme()
+        grid = adversary_grid(scheme_surplus(scheme))
         sweep = adversary_witnesses(dist, grid)
         rows = [(m, value, witness) for m, (value, witness) in zip(grid, sweep)]
-        entries.append((dist, profile, rows))
+        entries.append((dist, scheme, rows))
     return entries, time.perf_counter() - start
 
 
@@ -109,15 +108,13 @@ def _timed(fn) -> float:
 
 
 def test_c02_reference_schemes(nonmonotone_scheme, monotone_scheme):
-    prof_a = scheme_surplus(nonmonotone_scheme)
-    prof_b = scheme_surplus(monotone_scheme)
-    ok = prof_a.surpluses == (F(0), F(3, 5), F(2, 5), F(3))
-    ok &= prof_b.surpluses == (F(0), F(1, 7), F(10, 7), F(17, 7))
-    ok &= prof_a.total == prof_b.total == F(1)
+    ok = nonmonotone_scheme.surpluses == (F(0), F(3, 5), F(2, 5), F(3))
+    ok &= monotone_scheme.surpluses == (F(0), F(1, 7), F(10, 7), F(17, 7))
+    ok &= nonmonotone_scheme.total_surplus == monotone_scheme.total_surplus == F(1)
     ok &= scheme_revenue(nonmonotone_scheme) == F(5, 2)
     ok &= scheme_revenue(monotone_scheme) == F(5, 2)
-    step_a = profile_step_function(prof_a)
-    step_b = profile_step_function(prof_b)
+    step_a = scheme_surplus(nonmonotone_scheme)
+    step_b = scheme_surplus(monotone_scheme)
     ok &= sorted_prefix(step_b, F(1, 2)) == F(1, 28)
     ok &= sorted_prefix(step_a, F(1, 2)) == F(1, 10)
     ok &= F(1, 28) < F(1, 10)
@@ -153,7 +150,7 @@ def test_c04_prefix_lower_bound_suite(corpus):
     start = time.perf_counter()
     violations = 0
     for dist in corpus:
-        step = profile_step_function(scheme_surplus(split_and_match(dist)))
+        step = scheme_surplus(split_and_match(dist))
         for k in range(1, dist.n + 1):
             lhs = 4 * integration_prefix(step, dist.cdf[k - 1])
             if lhs < truncated_upper_bound(dist, k):
@@ -182,7 +179,7 @@ def test_c05_pipeline_identity(corpus, pipelines):
             except PlausibilityError:
                 violations += 1
         scheme = pipe.final.to_signaling_scheme()
-        if not is_efficient(scheme) or not is_monotone(scheme_surplus(scheme)):
+        if not is_efficient(scheme) or not is_monotone(scheme):
             violations += 1
     ok = violations == 0
     report(
@@ -197,8 +194,8 @@ def test_c06_majorization_certificate(certificates):
     entries, elapsed = certificates
     solves = sum(len(rows) for _, _, rows in entries)
     violations = 0
-    for _, profile, rows in entries:
-        step = profile_step_function(profile)
+    for _, scheme, rows in entries:
+        step = scheme_surplus(scheme)
         for m, value, _ in rows:
             if 8 * sorted_prefix(step, m) < value:
                 violations += 1
@@ -233,8 +230,8 @@ def test_c08_buyer_optimal_lower_bound_family():
         inst = buyer_optimal_lb_instance(n)
         N = F(n)
         denom = N**2 + 1
-        prof_opt = scheme_surplus(inst.buyer_optimal)
-        prof_alt = scheme_surplus(inst.alternative)
+        prof_opt = inst.buyer_optimal
+        prof_alt = inst.alternative
         ok &= prof_opt.surpluses[1:] == ((N - 1) / denom, (N + N**2) / denom)
         ok &= prof_alt.surpluses[1:] == ((N**2 - 1) / denom, (N**2 - N) / denom)
         ok &= prof_alt.surpluses[2] / prof_opt.surpluses[1] == N
@@ -249,10 +246,10 @@ def test_c09_universal_lower_bound_family():
         result = max_min_surplus_lp(inst.dist.values, universal_raw_masses(eps))
         ok &= result.value == inst.best_min_surplus
         final = monotone_fair_scheme(inst.dist).final
-        profile = scheme_surplus(final)
-        grid = adversary_grid(profile)
+        step = scheme_surplus(final)
+        grid = adversary_grid(step)
         sweep = adversary_sorted_prefix(inst.dist, grid)
-        _, alpha = certify(profile_step_function(profile), grid, sweep)
+        _, alpha = certify(step, grid, sweep)
         alphas.append(alpha)
         ok &= alpha >= F(3, 2) - 10 * eps
     report(
@@ -263,10 +260,10 @@ def test_c09_universal_lower_bound_family():
     )
 
 
-def threshold_welfare(profile, t: Fraction) -> Fraction:
+def threshold_welfare(scheme, t: Fraction) -> Fraction:
     """W_t(s) = sum of f_i * min(s_i, t): non-negative, monotone, symmetric
     and concave in s, and positive at t > 0 once some class earns."""
-    return sum(f * min(cs, t) for f, cs in zip(profile.dist.masses, profile.surpluses))
+    return sum(f * min(cs, t) for f, cs in zip(scheme.dist.masses, scheme.surpluses))
 
 
 def test_c10_welfare_approximation(certificates):
@@ -280,17 +277,16 @@ def test_c10_welfare_approximation(certificates):
     entries, _ = certificates
     checked = 0
     violations = 0
-    for _, profile, rows in entries:
-        step = profile_step_function(profile)
+    for _, scheme, rows in entries:
+        step = scheme_surplus(scheme)
         for _, _, witness in rows:
-            adv_profile = scheme_surplus(witness)
-            alpha = alpha_against(step, profile_step_function(adv_profile))
+            alpha = alpha_against(step, scheme_surplus(witness))
             if alpha == math.inf:
                 violations += 1
                 continue
             factor = max(alpha, 1)
-            for t in sorted(set(profile.surpluses + adv_profile.surpluses)):
-                if threshold_welfare(adv_profile, t) > factor * threshold_welfare(profile, t):
+            for t in sorted(set(scheme.surpluses + witness.surpluses)):
+                if threshold_welfare(witness, t) > factor * threshold_welfare(scheme, t):
                     violations += 1
                 checked += 1
     ok = violations == 0

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.ironing import monotone_fair_scheme
 from fairsignal.market import (
     _MAX_RATIONAL_BITS,
@@ -240,11 +241,11 @@ class TestReducedFraction:
             made += stage.surpluses + (stage.total_surplus,)
             made += tuple(b.weight for b in stage.binaries)
             made += tuple(s.weight for s in stage.singletons)
-            made += scheme_surplus(stage).step_function.integrals
+            made += scheme_surplus(stage).integrals
         signals = result.final.to_signaling_scheme()
         scheme = SignalingScheme(dist, signals.entries)  # summed afresh
         made += scheme.surpluses + (scheme.total_surplus, scheme.revenue)
-        made += scheme_surplus(scheme).step_function.integrals
+        made += scheme_surplus(scheme).integrals
         for x in made:
             assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1, x
 
@@ -390,6 +391,29 @@ class TestRevenue:
             assert scheme_revenue(no_signal(dist)) == revenue
             above_lowest += price > dist.values[0]
         assert above_lowest > 100
+
+
+class TestTwoRoutesToTheTotal:
+    """The report's total consumer surplus is the scheme's or stage's
+    ``total_surplus``, summed by `class_sums`; the table's prefix sums
+    integrate its step function, summed segment by segment when built.
+    At mass 1 the two are one number."""
+
+    @staticmethod
+    def check_totals(dist: ValueDistribution) -> None:
+        result = monotone_fair_scheme(dist)
+        schemes = [build_named_scheme(dist, kind) for kind in SCHEME_KINDS]
+        for x in schemes + [result.base, result.smoothed, result.final]:
+            assert scheme_surplus(x).integrals[-1] == x.total_surplus
+
+    def test_corpus(self, corpus):
+        for dist in corpus:
+            self.check_totals(dist)
+
+    @given(structured_priors())
+    @settings(max_examples=25, deadline=None)
+    def test_structured_priors(self, case):
+        self.check_totals(case[1])
 
 
 class TestAgainstOracle:

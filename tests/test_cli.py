@@ -539,6 +539,7 @@ class TestVerify:
         out = str(tmp_path / "final.json")
         run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
         recorder = perfbench_module("tracing").SpanRecorder()
+        recorder.adversary_command = True  # as the benchmark sets it for this argv
         try:
             recorder.install()
             code, _, _ = run_cli(
@@ -547,10 +548,14 @@ class TestVerify:
         finally:
             recorder.uninstall()
         assert code == 0
-        grid = adversary_grid(scheme_surplus(load_scheme(out, running_example)))
+        step = scheme_surplus(load_scheme(out, running_example))
+        grid = adversary_grid(step)
         assert recorder.counts["steps.grid_points"] == len(grid)
         assert recorder.counts["oracles.adversary_calls"] == 1
         assert recorder.counts["lp.solve_calls"] == len(grid)
+        # the trace keeps the step function each certified grid was made
+        # from, and counts its sorted breakpoints
+        assert recorder.breakpoints() == len(step.ascending.breakpoints)
 
     @pytest.mark.parametrize("grid", [None, "1/3,2/7,1"], ids=["own-grid", "off-lattice"])
     def test_prefix_sums_run_once_per_grid_mass(
@@ -585,24 +590,24 @@ class TestVerify:
     def test_final_scheme_is_read_as_its_own_rearrangement(
         self, extra, instance_file, tmp_path, capsys, monkeypatch
     ):
-        # a final scheme's profile is non-decreasing, so its grid and its
+        # a final scheme's surplus is non-decreasing, so its grid and its
         # sorted prefix sums read the step function itself
         from fairsignal import cli
 
-        profiles = []
+        steps = []
 
         def recorded(scheme, original=cli.scheme_surplus):
-            profiles.append(original(scheme))
-            return profiles[-1]
+            steps.append(original(scheme))
+            return steps[-1]
 
         out = str(tmp_path / "final.json")
         run_cli(capsys, "build", "--in", instance_file, "--scheme", "final", "--out", out)
         monkeypatch.setattr(cli, "scheme_surplus", recorded)
         code, _, _ = run_cli(capsys, "verify", "--in", instance_file, "--scheme", out, *extra)
         assert code == 0
-        [profile] = profiles
-        assert profile.step_function.non_decreasing
-        assert "ascending" not in profile.step_function.__dict__
+        [step] = steps
+        assert step.non_decreasing
+        assert "ascending" not in step.__dict__
 
     def test_grid_off_the_lattice_table(self, tmp_path, capsys):
         # 1/3 and 2/7 are off the lattice of the breakpoints' common
@@ -1166,7 +1171,7 @@ def test_each_command_sums_the_pie_and_the_surplus_once(
     # E[v] is summed once per distribution; a total surplus is summed with
     # its other class sums, by the `class_sums` of the scheme or stage that
     # holds it, and `verify` runs one, which checks the file; the report
-    # and the profile reuse both
+    # and the step function reuse both
     from fairsignal import market, splitmatch
 
     original_dot, calls = market.dot, []
@@ -1202,13 +1207,13 @@ def test_each_command_sums_the_pie_and_the_surplus_once(
 
 @pytest.mark.parametrize("instance", ["running_example", "fig3_instance", "lifted_instance"])
 def test_each_table_value_is_written_once(instance, request, monkeypatch):
-    # on its own grid a monotone profile's Pfv and PF are one object, and
+    # on its own grid a monotone scheme's Pfv and PF are one object, and
     # the table turns it into text once per row
     from fairsignal import cli
 
     dist = request.getfixturevalue(instance)
-    profile = scheme_surplus(cli.build_named_scheme(dist, "final"))
-    rows, _ = cli.certify(profile.step_function, adversary_grid(profile))
+    step = scheme_surplus(cli.build_named_scheme(dist, "final"))
+    rows, _ = cli.certify(step, adversary_grid(step))
     assert all(pfv is pf for _, pfv, pf in rows)  # rows of three: no rival
     written = []
     monkeypatch.setattr(cli, "as_text", lambda value: written.append(value) or str(value))

@@ -26,10 +26,8 @@ from fairsignal.splitmatch import (
 )
 from fairsignal.steps import (
     StepFunction,
-    SurplusProfile,
     integration_prefix,
     is_monotone,
-    profile_step_function,
     scheme_surplus,
 )
 
@@ -45,12 +43,11 @@ from conftest import (
 F = Fraction
 
 
-def envelope_oracle(profile: SurplusProfile) -> list[Fraction]:
+def envelope_oracle(dist: ValueDistribution, surpluses) -> list[Fraction]:
     """Independent ironed values: hull as a minimum over all chords."""
-    dist = profile.dist
     xs = [F(0)]
     ys = [F(0)]
-    for f, cs in zip(dist.masses, profile.surpluses):
+    for f, cs in zip(dist.masses, surpluses):
         xs.append(xs[-1] + f)
         ys.append(ys[-1] + f * cs)
 
@@ -76,14 +73,14 @@ def envelope_oracle(profile: SurplusProfile) -> list[Fraction]:
 
 class TestIron:
     def test_monotone_profile_untouched(self, running_example):
-        profile = hand_profile(running_example, (F(0), F(1), F(2), F(3)))
-        ironed = iron(profile)
-        assert ironed.ironed_values == profile.surpluses
+        step = hand_profile(running_example, (F(0), F(1), F(2), F(3)))
+        ironed = iron(step)
+        assert ironed.ironed_values == step.values
         assert ironed.intervals == ()
 
     def test_greedy_output_running_example(self, running_example):
-        profile = scheme_surplus(split_and_match(running_example))
-        ironed = iron(profile)
+        step = scheme_surplus(split_and_match(running_example))
+        ironed = iron(step)
         assert ironed.ironed_values == (F(0), F(1, 2), F(3, 4), F(3, 4))
         assert len(ironed.intervals) == 1
         interval = ironed.intervals[0]
@@ -93,8 +90,8 @@ class TestIron:
 
     def test_two_interval_profile(self, running_example):
         # hand-computed hull with two separate sagging sections
-        profile = hand_profile(running_example, (F(2), F(0), F(4), F(0)))
-        ironed = iron(profile)
+        step = hand_profile(running_example, (F(2), F(0), F(4), F(0)))
+        ironed = iron(step)
         assert ironed.ironed_values == (F(1), F(1), F(2), F(2))
         assert [
             (iv.left, iv.right, iv.level, iv.classes) for iv in ironed.intervals
@@ -106,8 +103,8 @@ class TestIron:
     def test_collinear_contacts(self, running_example):
         # cumulative surplus (0, 1/2, 1/2, 3/4, 1): the last three vertices
         # lie on the chord from the origin, so all of them touch the hull
-        profile = hand_profile(running_example, (F(2), F(0), F(1), F(1)))
-        ironed = iron(profile)
+        step = hand_profile(running_example, (F(2), F(0), F(1), F(1)))
+        ironed = iron(step)
         # popping a collinear contact would add an interval over classes (2, 3)
         assert [
             (iv.left, iv.right, iv.level, iv.classes) for iv in ironed.intervals
@@ -118,9 +115,8 @@ class TestIron:
         rng = random.Random(59)
         for _ in range(100):
             dist = random_distribution(rng)
-            profile = scheme_surplus(split_and_match(dist))
-            ironed = iron(profile)
-            step = profile_step_function(profile)
+            step = scheme_surplus(split_and_match(dist))
+            ironed = iron(step)
             # the ironed values integrate to the envelope: never above the
             # cumulative surplus (both are piecewise linear, so class edges
             # suffice) and equal to it at both ends of every interval
@@ -136,22 +132,23 @@ class TestIron:
         rng = random.Random(61)
         for _ in range(100):
             dist = random_distribution(rng)
-            profile = scheme_surplus(split_and_match(dist))
-            assert list(iron(profile).ironed_values) == envelope_oracle(profile)
+            base = split_and_match(dist)
+            ironed = iron(scheme_surplus(base))
+            assert list(ironed.ironed_values) == envelope_oracle(dist, base.surpluses)
 
     def test_ironed_values_weakly_increasing(self):
         rng = random.Random(67)
         for _ in range(100):
-            profile = scheme_surplus(split_and_match(random_distribution(rng)))
-            vals = iron(profile).ironed_values
+            step = scheme_surplus(split_and_match(random_distribution(rng)))
+            vals = iron(step).ironed_values
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 class TestPairRectangles:
     def test_running_example_single_pair(self, running_example):
-        profile = scheme_surplus(split_and_match(running_example))
-        ironed = iron(profile)
-        pairs = pair_rectangles(profile, ironed, 0)
+        step = scheme_surplus(split_and_match(running_example))
+        ironed = iron(step)
+        pairs = pair_rectangles(step, ironed, 0)
         assert len(pairs) == 1
         p = pairs[0]
         assert (p.plus_index, p.minus_index) == (2, 3)
@@ -160,18 +157,18 @@ class TestPairRectangles:
         assert p.plus_width * p.plus_height == F(1, 16)
 
     def test_no_intervals_means_no_pairs(self, running_example):
-        profile = hand_profile(running_example, (F(0), F(1), F(2), F(3)))
-        assert iron(profile).intervals == ()
+        step = hand_profile(running_example, (F(0), F(1), F(2), F(3)))
+        assert iron(step).intervals == ()
 
     def test_area_balance_and_ordering(self):
         rng = random.Random(71)
         multi_pair_intervals = 0
         for _ in range(150):
             dist = random_distribution(rng)
-            profile = scheme_surplus(split_and_match(dist))
-            ironed = iron(profile)
+            step = scheme_surplus(split_and_match(dist))
+            ironed = iron(step)
             for t, interval in enumerate(ironed.intervals):
-                pairs = pair_rectangles(profile, ironed, t)
+                pairs = pair_rectangles(step, ironed, t)
                 if len(pairs) >= 2:
                     multi_pair_intervals += 1
                 plus_area = sum((p.plus_width * p.plus_height for p in pairs), F(0))
@@ -179,9 +176,9 @@ class TestPairRectangles:
                 assert plus_area == minus_area
                 excess = sum(
                     (
-                        (profile.surpluses[i] - interval.level) * dist.masses[i]
+                        (step.values[i] - interval.level) * dist.masses[i]
                         for i in interval.classes
-                        if profile.surpluses[i] > interval.level
+                        if step.values[i] > interval.level
                     ),
                     F(0),
                 )
@@ -197,12 +194,12 @@ class TestPairRectangles:
         rng = random.Random(77)
         for _ in range(150):
             dist = random_distribution(rng)
-            profile = scheme_surplus(split_and_match(dist))
-            ironed = iron(profile)
+            step = scheme_surplus(split_and_match(dist))
+            ironed = iron(step)
             for interval in ironed.intervals:
                 plus = minus = F(0)
                 for i in interval.classes:
-                    gap = (profile.surpluses[i] - interval.level) * dist.masses[i]
+                    gap = (step.values[i] - interval.level) * dist.masses[i]
                     if gap > 0:
                         plus += gap
                     else:
@@ -262,10 +259,10 @@ def smooth_checked(dist: ValueDistribution) -> DecomposedScheme:
     """`smooth` of the greedy decomposition, checked field by field against
     the reference."""
     base = split_and_match(dist)
-    profile = scheme_surplus(base)
-    ironed = iron(profile)
+    step = scheme_surplus(base)
+    ironed = iron(step)
     pairs = tuple(
-        pair_rectangles(profile, ironed, t) for t in range(len(ironed.intervals))
+        pair_rectangles(step, ironed, t) for t in range(len(ironed.intervals))
     )
     got = smooth(base, ironed, pairs)
     binaries, singletons, surpluses = reference_smooth(base, ironed, pairs)
@@ -292,10 +289,10 @@ class TestSmooth:
     def test_running_example_noop(self, running_example):
         # the only deficit is shallower than half the level
         base = split_and_match(running_example)
-        profile = scheme_surplus(base)
-        ironed = iron(profile)
+        step = scheme_surplus(base)
+        ironed = iron(step)
         pairs = tuple(
-            pair_rectangles(profile, ironed, t) for t in range(len(ironed.intervals))
+            pair_rectangles(step, ironed, t) for t in range(len(ironed.intervals))
         )
         assert 2 * pairs[0][0].minus_height <= ironed.intervals[0].level
         smoothed = smooth(base, ironed, pairs)
@@ -316,10 +313,10 @@ class TestSmooth:
         for _ in range(300):
             dist = random_distribution(rng)
             base = split_and_match(dist)
-            profile = scheme_surplus(base)
-            ironed = iron(profile)
+            step = scheme_surplus(base)
+            ironed = iron(step)
             pairs = tuple(
-                pair_rectangles(profile, ironed, t)
+                pair_rectangles(step, ironed, t)
                 for t in range(len(ironed.intervals))
             )
             smoothed = smooth(base, ironed, pairs)
@@ -327,7 +324,7 @@ class TestSmooth:
             for i in range(dist.n):
                 assert 2 * after[i] >= ironed.ironed_values[i]
             if any(
-                2 * profile.surpluses[i] < ironed.ironed_values[i]
+                2 * step.values[i] < ironed.ironed_values[i]
                 for i in range(dist.n)
             ):
                 checked += 1
@@ -413,11 +410,11 @@ class TestFinalize:
 
     def test_five_value_pipeline(self, fig3_instance):
         res = monotone_fair_scheme(fig3_instance)
-        target = envelope_oracle(scheme_surplus(res.base))
+        target = envelope_oracle(fig3_instance, res.base.surpluses)
         assert [2 * cs for cs in res.final.surpluses] == target
         scheme = res.final.to_signaling_scheme()
         assert is_efficient(scheme)
-        assert is_monotone(scheme_surplus(scheme))
+        assert is_monotone(scheme)
 
     def test_pipeline_on_random_instances(self):
         rng = random.Random(79)
@@ -430,7 +427,7 @@ class TestFinalize:
             )
             scheme = res.final.to_signaling_scheme()
             assert is_efficient(scheme)
-            assert is_monotone(scheme_surplus(scheme))
+            assert is_monotone(scheme)
 
     @given(structured_priors())
     @settings(max_examples=20, deadline=None)
@@ -442,8 +439,8 @@ class TestFinalize:
         scheme = res.final.to_signaling_scheme()
         assert mixture(scheme) == dist.masses
         assert is_efficient(scheme)
-        assert is_monotone(scheme_surplus(scheme))
-        step = profile_step_function(scheme_surplus(res.base))
+        assert is_monotone(scheme)
+        step = scheme_surplus(res.base)
         for k in range(1, dist.n + 1):
             lhs = 4 * integration_prefix(step, dist.cdf[k - 1])
             assert lhs >= truncated_upper_bound(dist, k)

@@ -401,16 +401,13 @@ class TestOptimalPrice:
 
 class TestSchemeSurplus:
     def test_nonmonotone_profile(self, nonmonotone_scheme):
-        profile = scheme_surplus(nonmonotone_scheme)
-        assert profile.surpluses == (F(0), F(3, 5), F(2, 5), F(3))
+        assert scheme_surplus(nonmonotone_scheme).values == (F(0), F(3, 5), F(2, 5), F(3))
 
     def test_monotone_profile(self, monotone_scheme):
-        profile = scheme_surplus(monotone_scheme)
-        assert profile.surpluses == (F(0), F(1, 7), F(10, 7), F(17, 7))
+        assert scheme_surplus(monotone_scheme).values == (F(0), F(1, 7), F(10, 7), F(17, 7))
 
     def test_no_signal_profile(self, running_example):
-        profile = scheme_surplus(no_signal(running_example))
-        assert profile.surpluses == (F(0), F(0), F(0), F(1))
+        assert scheme_surplus(no_signal(running_example)).values == (F(0), F(0), F(0), F(1))
 
     def test_plausibility_enforced(self, running_example):
         signal = Signal.singleton(running_example, 0)
@@ -468,7 +465,7 @@ class TestSchemeRevenue:
             schemes.append(random_scheme(rng, dist))
             for scheme in schemes:
                 assert scheme_revenue(scheme) == reference_revenue(scheme)
-                assert scheme_surplus(scheme).surpluses == reference_surpluses(scheme)
+                assert scheme.surpluses == reference_surpluses(scheme)
             priced_above_lowest += not is_efficient(schemes[-1])
         assert priced_above_lowest > 100  # random schemes price above their lowest support
 
@@ -484,7 +481,7 @@ class TestSchemeRevenue:
             total = sum(
                 (f * cs for f, cs in zip(dist.masses, reference_surpluses(scheme))), F(0)
             )
-            assert scheme_surplus(scheme).total == scheme.total_surplus == total
+            assert scheme.total_surplus == total
 
     def test_reference_schemes(self, nonmonotone_scheme, monotone_scheme):
         assert scheme_revenue(nonmonotone_scheme) == F(5, 2)
@@ -497,19 +494,19 @@ class TestSchemeRevenue:
         # for efficient schemes, revenue plus total surplus is the whole pie
         for scheme in (nonmonotone_scheme, monotone_scheme):
             assert is_efficient(scheme)
-            total = scheme_surplus(scheme).total
+            total = scheme.total_surplus
             assert scheme_revenue(scheme) + total == scheme.dist.expected_value
 
 
 class TestFlags:
     def test_nonmonotone_scheme_flags(self, nonmonotone_scheme):
         assert is_efficient(nonmonotone_scheme)
-        assert not is_monotone(scheme_surplus(nonmonotone_scheme))
+        assert not is_monotone(nonmonotone_scheme)
 
     def test_full_revelation_flags(self, running_example):
         scheme = full_revelation(running_example)
         assert is_efficient(scheme)
-        assert is_monotone(scheme_surplus(scheme))
+        assert is_monotone(scheme)
 
     def test_no_signal_not_efficient(self, running_example):
         assert not is_efficient(no_signal(running_example))
@@ -520,18 +517,18 @@ class TestCanonicalize:
         scheme = full_revelation(running_example)
         canon = canonicalize(scheme)
         assert len(canon.entries) == running_example.n
-        assert scheme_surplus(canon).surpluses == scheme_surplus(scheme).surpluses
+        assert canon.surpluses == scheme.surpluses
 
     def test_nonmonotone_scheme_preserved(self, nonmonotone_scheme):
         canon = canonicalize(nonmonotone_scheme)
-        assert scheme_surplus(canon).surpluses == (F(0), F(3, 5), F(2, 5), F(3))
-        lows = [s.lowest_index for s in canon.signals]
+        assert canon.surpluses == (F(0), F(3, 5), F(2, 5), F(3))
+        lows = [s.shares[0][0] for s in canon.signals]
         assert len(lows) == len(set(lows)) <= nonmonotone_scheme.dist.n
 
     def test_no_signal_scheme(self, running_example):
         canon = canonicalize(no_signal(running_example))
-        assert scheme_surplus(canon).surpluses == (F(0), F(0), F(0), F(1))
-        by_low = {s.lowest_index: s for s in canon.signals}
+        assert canon.surpluses == (F(0), F(0), F(0), F(1))
+        by_low = {s.shares[0][0]: s for s in canon.signals}
         assert set(by_low) == {0, 1, 2}
         assert support(by_low[2]) == ((2, F(1, 2)), (3, F(1, 2)))
 
@@ -542,12 +539,12 @@ class TestCanonicalize:
             scheme = random_scheme(rng, dist)
             canon = canonicalize(scheme)
             assert len(canon.entries) <= dist.n
-            lows = [s.lowest_index for s in canon.signals]
+            lows = [s.shares[0][0] for s in canon.signals]
             assert len(lows) == len(set(lows))
             assert is_efficient(canon)
-            assert scheme_surplus(canon).surpluses == scheme_surplus(scheme).surpluses
+            assert canon.surpluses == scheme.surpluses
             # efficiency identity now holds even if the source was wasteful
-            total = scheme_surplus(canon).total
+            total = canon.total_surplus
             assert scheme_revenue(canon) + total == dist.expected_value
 
 
@@ -569,11 +566,10 @@ class TestBuyerOptimalPeeling:
         total = scheme.total_surplus
         assert mixture(scheme) == dist.masses
         assert is_efficient(scheme)
-        lows = [s.lowest_index for s in scheme.signals]
+        lows = [s.shares[0][0] for s in scheme.signals]
         assert len(lows) == len(set(lows)) <= dist.n
         revenues = dist.posted_revenues
         assert total == dist.expected_value - max(revenues)
-        assert scheme_surplus(scheme).total == total
         tied = {i for i, r in enumerate(revenues) if r == max(revenues)}
         for signal in scheme.signals:
             assert tied <= {i for i, _ in support(signal)}

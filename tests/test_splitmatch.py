@@ -27,7 +27,7 @@ from fairsignal.splitmatch import (
     split_and_match,
     truncated_upper_bound,
 )
-from fairsignal.steps import integration_prefix, profile_step_function, scheme_surplus
+from fairsignal.steps import integration_prefix, scheme_surplus
 
 from conftest import (
     binary,
@@ -293,7 +293,7 @@ class TestTruncatedUpperBound:
         rng = random.Random(43)
         for _ in range(150):
             dist = random_distribution(rng)
-            step = profile_step_function(scheme_surplus(split_and_match(dist)))
+            step = scheme_surplus(split_and_match(dist))
             for k in range(1, dist.n + 1):
                 lhs = 4 * integration_prefix(step, dist.cdf[k - 1])
                 assert lhs >= truncated_upper_bound(dist, k)

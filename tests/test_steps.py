@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +15,15 @@ from hypothesis import strategies as st
 from fairsignal import market
 from fairsignal.cli import SCHEME_KINDS, build_named_scheme
 from fairsignal.ironing import monotone_fair_scheme
-from fairsignal.market import MarketError, SignalingScheme, ValueDistribution
+from fairsignal.market import MarketError, SignalingScheme, ValueDistribution, dot, no_signal
 from fairsignal.splitmatch import split_and_match
 from fairsignal.steps import (
     StepFunction,
-    SurplusProfile,
     certification_grid,
+    WELFARE_KINDS,
     evaluate_welfare,
     integration_prefix,
+    is_monotone,
     merged,
     profile_step_function,
     scheme_surplus,
@@ -29,7 +31,7 @@ from fairsignal.steps import (
     sorted_prefix,
 )
 
-from conftest import alpha_against, hand_profile, perfbench_module, structured_priors
+from conftest import alpha_against, perfbench_module, structured_priors
 
 F = Fraction
 
@@ -43,12 +45,12 @@ def quartile_step(values) -> StepFunction:
 
 @pytest.fixture
 def nonmonotone_step(running_example, nonmonotone_scheme):
-    return profile_step_function(scheme_surplus(nonmonotone_scheme))
+    return scheme_surplus(nonmonotone_scheme)
 
 
 @pytest.fixture
 def monotone_step(running_example, monotone_scheme):
-    return profile_step_function(scheme_surplus(monotone_scheme))
+    return scheme_surplus(monotone_scheme)
 
 
 class TestIntegrationPrefix:
@@ -114,17 +116,23 @@ def assert_exact_zero(welfare) -> None:
     assert type(welfare) is Fraction and welfare == 0
 
 
+def hand_allocation(dist: ValueDistribution, surpluses) -> SimpleNamespace:
+    """Per-class surpluses built by hand, with their mass-weighted total:
+    the two fields `evaluate_welfare` reads off a scheme or a stage."""
+    return SimpleNamespace(surpluses=tuple(surpluses), total_surplus=dot(dist.masses, surpluses))
+
+
 class TestWelfare:
     def test_single_winner_profile(self, running_example):
-        profile = SurplusProfile(running_example, (F(0), F(0), F(0), F(1)), F(1, 4))
-        assert evaluate_welfare(profile, "utilitarian") == F(1, 4)
-        assert_exact_zero(evaluate_welfare(profile, "maxmin"))
-        assert_exact_zero(evaluate_welfare(profile, "nash"))
+        scheme = no_signal(running_example)
+        assert scheme.surpluses == (F(0), F(0), F(0), F(1))
+        assert evaluate_welfare(scheme, "utilitarian") == F(1, 4)
+        assert_exact_zero(evaluate_welfare(scheme, "maxmin"))
+        assert_exact_zero(evaluate_welfare(scheme, "nash"))
 
     def test_reference_totals(self, nonmonotone_scheme, monotone_scheme):
         for scheme in (nonmonotone_scheme, monotone_scheme):
-            profile = scheme_surplus(scheme)
-            assert evaluate_welfare(profile, "utilitarian") == F(1)
+            assert evaluate_welfare(scheme, "utilitarian") == F(1)
 
     @pytest.mark.parametrize(
         "surpluses",
@@ -142,23 +150,24 @@ class TestWelfare:
     )
     def test_nash_needs_a_zero_class(self, surpluses):
         # no scheme leaves the lowest class above 0, so nash and maxmin
-        # refuse a profile that does
-        profile = hand_profile(ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"]), surpluses)
+        # refuse an allocation that does
+        dist = ValueDistribution.from_pairs([1, 2], ["1/2", "1/2"])
+        allocation = hand_allocation(dist, surpluses)
         for kind in ("nash", "maxmin"):
             refusal = f"^{kind} welfare needs the lowest class to earn 0$"
             with pytest.raises(ValueError, match=refusal):
-                evaluate_welfare(profile, kind)
-        assert evaluate_welfare(profile, "utilitarian") == profile.total
+                evaluate_welfare(allocation, kind)
+        assert evaluate_welfare(allocation, "utilitarian") == sum(surpluses) / 2
 
     @staticmethod
     def check_schemes(dist: ValueDistribution) -> None:
         # every posted price is at least v_1, so class 1 earns 0 under every
         # scheme, and nash and maxmin are an exact 0
         for kind in SCHEME_KINDS:
-            profile = scheme_surplus(build_named_scheme(dist, kind))
-            assert profile.surpluses[0] == 0, kind
-            assert_exact_zero(evaluate_welfare(profile, "nash"))
-            assert_exact_zero(evaluate_welfare(profile, "maxmin"))
+            scheme = build_named_scheme(dist, kind)
+            assert scheme.surpluses[0] == 0, kind
+            assert_exact_zero(evaluate_welfare(scheme, "nash"))
+            assert_exact_zero(evaluate_welfare(scheme, "maxmin"))
 
     def test_every_scheme_on_the_corpus_leaves_class_one_at_zero(self, corpus):
         for dist in corpus:
@@ -170,9 +179,8 @@ class TestWelfare:
         self.check_schemes(case[1])
 
     def test_unknown_kind_rejected(self, running_example):
-        profile = hand_profile(running_example, (F(1),) * 4)
         with pytest.raises(ValueError):
-            evaluate_welfare(profile, "rawlsian")
+            evaluate_welfare(no_signal(running_example), "rawlsian")
 
     def test_utilitarian_reads_the_stage_total(self, running_example):
         # the stage's total is the one its scheme's entries sum to when the
@@ -180,7 +188,32 @@ class TestWelfare:
         stage = split_and_match(running_example)
         entries = stage.to_signaling_scheme().entries
         total = SignalingScheme(running_example, entries).total_surplus
-        assert evaluate_welfare(scheme_surplus(stage), "utilitarian") == stage.total_surplus == total
+        assert evaluate_welfare(stage, "utilitarian") == stage.total_surplus == total
+
+
+class TestStagesReadAsSchemes:
+    """`scheme_surplus`, `is_monotone` and `evaluate_welfare` read a
+    pipeline stage and the signaling scheme it converts to alike."""
+
+    @pytest.mark.parametrize("name", ["base", "smoothed", "final"])
+    def test_stage_reads_as_its_scheme(self, name, running_example, fig3_instance, lifted_instance):
+        for dist in (running_example, fig3_instance, lifted_instance):
+            stage = getattr(monotone_fair_scheme(dist), name)
+            scheme = stage.to_signaling_scheme()
+            assert scheme_surplus(stage) == scheme_surplus(scheme)
+            assert is_monotone(stage) == is_monotone(scheme)
+            for kind in WELFARE_KINDS:
+                assert evaluate_welfare(stage, kind) == evaluate_welfare(scheme, kind)
+
+    @pytest.mark.parametrize(
+        "surpluses, monotone",
+        [((F(0), F(0), F(0)), True), ((F(0), F(1, 3), F(1, 3)), True), ((F(0), F(1), F(1, 2)), False)],
+        ids=["flat", "ties", "dip"],
+    )
+    def test_is_monotone_reads_the_surpluses(self, surpluses, monotone):
+        # equal neighbours are monotone: the surplus need only not decrease
+        dist = ValueDistribution.from_pairs([1, 2, 3], ["1/3"] * 3)
+        assert is_monotone(hand_allocation(dist, surpluses)) is monotone
 
 
 # hypothesis strategies for small exact step functions
@@ -244,14 +277,17 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "surpluses, message",
         [
-            ((F(0), F(0), F(1)), "one surplus per value required"),
-            ((F(0), F(0), F(-1, 2), F(1)), "surpluses must be non-negative, got -1/2"),
+            ((F(0), F(0), F(1)), "one value per segment required"),
+            ((F(0), F(0), F(-1, 2), F(1)), "segment values must be non-negative"),
         ],
         ids=["too-few", "negative"],
     )
     def test_surplus_profile_refusals(self, running_example, surpluses, message):
+        # a surplus profile is refused by its step function's own checks:
+        # one surplus per value class, none of them negative
+        allocation = SimpleNamespace(dist=running_example, surpluses=surpluses)
         with pytest.raises(MarketError) as refused:
-            SurplusProfile(running_example, surpluses, F(0))
+            scheme_surplus(allocation)
         assert str(refused.value) == message
 
 
@@ -411,9 +447,10 @@ class TestCertificationGrid:
         assert merged(own, own) == own
 
     def test_one_step_function_per_profile(self, nonmonotone_scheme):
-        # a profile's grid and its prefix sums share one set of integrals
-        profile = scheme_surplus(nonmonotone_scheme)
-        assert profile_step_function(profile) is profile_step_function(profile)
+        # the benchmark's tracer reads a certified scheme's step function
+        # through profile_step_function, which hands it on as it stands
+        step = scheme_surplus(nonmonotone_scheme)
+        assert profile_step_function(step) is step
 
 
 class TestPrefixOracle:
@@ -446,7 +483,7 @@ class TestPrefixOracle:
     def check_profiles(self, dist: ValueDistribution):
         result = monotone_fair_scheme(dist)
         for stage in (result.base, result.final):  # the splitmatch and final profiles
-            self.check_grid(profile_step_function(scheme_surplus(stage)))
+            self.check_grid(scheme_surplus(stage))
 
     def test_corpus(self, corpus):
         for dist in corpus:
@@ -502,7 +539,7 @@ class TestAscending:
         segments' widths."""
         result = monotone_fair_scheme(dist)
         for stage in (result.base, result.final):
-            a = profile_step_function(scheme_surplus(stage)).ascending
+            a = scheme_surplus(stage).ascending
             lefts = (F(0),) + a.breakpoints[:-1]
             widths = [right - left for left, right in zip(lefts, a.breakpoints)]
             summed = accumulate((v * w for v, w in zip(a.values, widths)), initial=F(0))

@@ -160,6 +160,26 @@ def test_the_profiler_returns_the_code_of_a_failed_command(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("exit code: 2\n")
 
 
+def test_the_profiler_survives_a_closed_stdout(tmp_path):
+    # a reader that has gone (``| head -2``) is no error: the profiler
+    # prints no traceback and exits with the profiled command's code
+    missing = str(tmp_path / "missing.json")
+    argv = ["verify", "--in", os.path.join(RUNNING_EXAMPLE, "instance.json"), "--scheme", missing]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "profile_cli.py"), *argv],
+            stdout=write, stderr=subprocess.PIPE, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert child.returncode == 2
+    # the command's own error, and no traceback after it
+    expected = f"error: invalid scheme file: [Errno 2] No such file or directory: '{missing}'\n"
+    assert child.stderr.decode() == expected
+
+
 # sha256 over the stdout and written files of one seed-1 cycle, in order
 PERFBENCH_DIGESTS = {
     "pipeline-large": "40da8dbbc7a7a6c93854884660f15fbc07dcc357d1f89237ac07accb1fb3660a",

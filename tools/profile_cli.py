@@ -13,7 +13,8 @@ command's stdout discarded, and prints:
 
 It returns, and exits with, the command's own exit code (a usage error's
 2 from argparse included), so a script can tell a failed run's profile
-from a good one.
+from a good one.  The report is one write to stdout; a reader that closes
+it early (``| head``) loses the rest, and the exit code stays the same.
 
 A function outside the package, a built-in such as ``math.gcd`` or
 ``io.open`` or a standard module's such as ``Fraction.__new__``, is
@@ -109,20 +110,22 @@ def main(argv: list[str]) -> int:
     times = module_self_times(stats)
     total = sum(times.values())
 
-    print(f"exit code: {code}")
-    print(f"wall s under cProfile: {wall:.4f}")
-    print()
-    print(f"{'module':<16} {'self_s':>9} {'share':>7}")
+    lines = [f"exit code: {code}", f"wall s under cProfile: {wall:.4f}", ""]
+    lines.append(f"{'module':<16} {'self_s':>9} {'share':>7}")
     rows = sorted(name for name in times if name != OTHER) + [OTHER]
     for name in rows:
         seconds = times.get(name, 0.0)
-        print(f"{name:<16} {seconds:>9.4f} {100 * seconds / (total or 1):>6.1f}%")
-    print(f"{'total':<16} {total:>9.4f} {100.0:>6.1f}%")
-    print()
-    print(f"{'function':<60} {'self_s':>9} {'calls':>9}")
+        lines.append(f"{name:<16} {seconds:>9.4f} {100 * seconds / (total or 1):>6.1f}%")
+    lines += [f"{'total':<16} {total:>9.4f} {100.0:>6.1f}%", ""]
+    lines.append(f"{'function':<60} {'self_s':>9} {'calls':>9}")
     top = sorted(stats.items(), key=lambda item: (-item[1][2], label(item[0])))[:TOP]
     for func, (_, calls, self_s, _, _) in top:
-        print(f"{label(func):<60} {self_s:>9.4f} {calls:>9}")
+        lines.append(f"{label(func):<60} {self_s:>9.4f} {calls:>9}")
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # stdout closed early, as `cli.main` handles it
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 
